@@ -217,6 +217,8 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("n must be nonnegative or 'auto'")
         seed = int(take("seed", "0"))
         mode = jko.PerturbMode(take("mode", "mean_shift"))
+        if family == "gaussian" and mode is jko.PerturbMode.GRID_BUMP:
+            raise ConfigError("mode grid_bump is only available in the grid family")
         checks_raw = take("checks", "all")
         checks = list(ALL_CHECKS) if checks_raw == "all" else checks_raw.split()
         for c in checks:

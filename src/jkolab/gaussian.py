@@ -97,10 +97,6 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) @ self.linear.T + self.offset
 
-    @staticmethod
-    def identity(d: int) -> "AffineMap":
-        return AffineMap(np.eye(d), np.zeros(d))
-
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root via eigendecomposition.

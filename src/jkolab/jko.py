@@ -1,9 +1,12 @@
 """The W2 proximal step (JKO step) and its first-order error machinery.
 
 Each step minimizes  G(rho) + W2^2(p_n, rho) / (2 gamma)  exactly in one of
-the two tractable families, measures the residual gradient field xi of that
+the two tractable families (in closed form for Gaussians, by damped Newton
+on quantile grids), measures the residual gradient field xi of that
 objective at the computed iterate, and can compose a calibrated perturbation
 onto the exact transport so the measured ||xi|| hits a requested epsilon.
+The same perturbation builder and amplitude calibrator serve the reverse
+process, where the calibrated quantity is the inversion residual.
 """
 
 from __future__ import annotations
@@ -29,13 +32,18 @@ __all__ = [
     "jko_step_grid",
     "jko_step",
     "measure_xi",
+    "perturbed_map",
+    "amplitude_cap",
+    "calibrate_amplitude",
     "perturb_step",
 ]
 
 GAUSSIAN_TOL = 1e-9
 GRID_TOL = 1e-6
-_MAX_FP_ITERS = 10_000
 _MAX_NEWTON_ITERS = 200
+_PHI_ULPS = 8
+_MAX_AMPLITUDE = 1e6
+_MIN_BUMP_SLOPE = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -111,7 +119,7 @@ def measure_xi(p_n, p_next, spec: fn.ObjectiveSpec, gamma: float):
 
 
 # ---------------------------------------------------------------------------
-# Gaussian family: damped fixed-point on the covariance
+# Gaussian family: closed-form Bures-Wasserstein proximal step
 
 
 def jko_step_gaussian(
@@ -120,58 +128,45 @@ def jko_step_gaussian(
     gamma: float,
     tol: float = GAUSSIAN_TOL,
 ) -> StepResult:
-    """Exact proximal step in the Gaussian family.
+    """Exact proximal step in the Gaussian family, in closed form.
 
     Mean: m = (I + gamma Lambda)^{-1} (m_n + gamma Lambda mu*).  Covariance:
-    stationarity  alpha Sigma^{-1} = Lambda + (I - A(Sigma))/gamma  with
-    A(Sigma) the BW transport linear part from Sigma to Sigma_n, solved by a
-    damped fixed-point iteration; convergence is declared on ||xi|| <= tol.
+    with A the SPD transport linear part from Sigma_n to Sigma and B = A^{-1},
+    stationarity  alpha Sigma^{-1} = Lambda + (I - B)/gamma  reads
+    alpha gamma B Sigma_n^{-1} B + B = I + gamma Lambda.  For
+    C = (alpha gamma Sigma_n^{-1})^{1/2} the matrix Y = C B C solves
+    Y^2 + Y = C (I + gamma Lambda) C, so  Y = -I/2 + (I/4 + C(I + gamma Lambda)C)^{1/2},
+    A = C Y^{-1} C  and  Sigma = A Sigma_n A.  The measured ||xi|| at the
+    result must not exceed tol.
     """
     _check_gamma(gamma)
     if spec.entropy_weight <= 0:
         raise ValueError("Gaussian JKO step requires an entropy-bearing objective")
     p_n.require_nondegenerate()
     pot = spec.potential
-    d = p_n.dim
-    eye = np.eye(d)
+    eye = np.eye(p_n.dim)
     lam = pot.lambda_mat
-    alpha = spec.entropy_weight
 
     mean = np.linalg.solve(eye + gamma * lam, p_n.mean + gamma * lam @ pot.center)
 
-    sigma = p_n.cov.copy()
-    beta = 0.5
-    prev_delta = np.inf
-    iters = 0
-    for iters in range(1, _MAX_FP_ITERS + 1):
-        cand = ga.GaussianMeasure(mean, sigma)
-        _, xi_norm = measure_xi(p_n, cand, spec, gamma)
-        if xi_norm <= tol:
-            break
-        a = ga.bw_linear(sigma, p_n.cov)
-        target = lam + (eye - a) / gamma
-        evals, vecs = np.linalg.eigh(0.5 * (target + target.T))
-        evals = np.clip(evals, 1e-12, None)
-        sigma_new = alpha * (vecs / evals) @ vecs.T
-        delta = float(np.linalg.norm(sigma_new - sigma))
-        if delta > prev_delta:
-            beta = max(beta / 2.0, 1e-3)
-        prev_delta = delta
-        sigma = (1 - beta) * sigma + beta * sigma_new
-        sigma = 0.5 * (sigma + sigma.T)
-    else:
-        raise SolverError(
-            "covariance fixed point did not converge; reduce gamma or increase damping"
-        )
+    s, v = np.linalg.eigh(p_n.cov)
+    c = (v * np.sqrt(spec.entropy_weight * gamma / s)) @ v.T
+    mu, w = np.linalg.eigh(c @ (eye + gamma * lam) @ c)
+    # eigenvalues of Y^{-1}: 1 / (sqrt(1/4 + mu) - 1/2), without the cancellation
+    a = c @ ((w * ((0.5 + np.sqrt(0.25 + mu)) / mu)) @ w.T) @ c
+    a = 0.5 * (a + a.T)
 
-    next_measure = ga.GaussianMeasure(mean, sigma)
+    next_measure = ga.GaussianMeasure(mean, a @ p_n.cov @ a)
     _, xi_norm = measure_xi(p_n, next_measure, spec, gamma)
-    transport = ga.ot_map_bw(p_n, next_measure)
+    if xi_norm > tol:
+        raise SolverError(
+            f"closed-form covariance step misses stationarity: ||xi|| = {xi_norm:.3g} > {tol:.3g}"
+        )
     return StepResult(
         next_measure=next_measure,
-        transport=transport,
+        transport=ga.AffineMap(a, mean - a @ p_n.mean),
         xi_norm=xi_norm,
-        solver_iterations=iters,
+        solver_iterations=0,
         objective_value=proximal_objective(p_n, next_measure, spec, gamma),
     )
 
@@ -190,21 +185,6 @@ def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float:
     return float(val)
 
 
-def _grid_xi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> np.ndarray:
-    """Per-point gradient field (M times the gradient of the discretized objective)."""
-    pot = spec.potential
-    alpha = spec.entropy_weight
-    field = pot.grad_v(q[:, None])[:, 0] + (q - q_n) / gamma
-    if alpha > 0:
-        gaps = np.diff(q)
-        s = np.empty_like(q)
-        s[1:-1] = 1.0 / gaps[1:] - 1.0 / gaps[:-1]
-        s[0] = 1.0 / gaps[0]
-        s[-1] = -1.0 / gaps[-1]
-        field += alpha * s
-    return field
-
-
 def jko_step_grid(
     p_n: qt.QuantileGrid,
     spec: fn.ObjectiveSpec,
@@ -217,8 +197,8 @@ def jko_step_grid(
     cone; its Hessian is tridiagonal (quadratic terms plus the log-gap
     barrier), solved exactly per iteration.  A fraction-to-boundary rule
     keeps every gap at >= 1% of its previous value, so iterates stay
-    strictly monotone.  Convergence is on the max-norm of the per-point
-    gradient field, which equals the measured xi at the solution.
+    strictly monotone.  Convergence is on the max-norm of the measured xi
+    field, which is M times the gradient of the discretized objective.
     """
     _check_gamma(gamma)
     pot = spec.potential
@@ -231,7 +211,8 @@ def jko_step_grid(
     q = q_n.copy()
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
-        xi = _grid_xi(q, q_n, spec, gamma)
+        next_measure = qt.QuantileGrid(q)
+        xi, xi_norm = measure_xi(p_n, next_measure, spec, gamma)
         if np.max(np.abs(xi)) <= tol:
             break
         gaps = np.diff(q)
@@ -254,10 +235,15 @@ def jko_step_grid(
             shrink = dgaps < 0
             if np.any(shrink):
                 t = min(1.0, float(np.min(-0.99 * gaps[shrink] / dgaps[shrink])))
+        # Close to the optimum the decrease a Newton step predicts is below
+        # the resolution of phi, so allow a rise of a few ulps of the
+        # magnitude of the terms phi sums.
         phi0 = _grid_phi(q, q_n, spec, gamma)
+        terms = abs(phi0) + alpha * float(np.mean(np.abs(np.log(m * gaps))))
+        phi_max = phi0 + _PHI_ULPS * np.finfo(float).eps * terms
         while t > 1e-14:
             q_try = q + t * step
-            if np.all(np.diff(q_try) > 0) and _grid_phi(q_try, q_n, spec, gamma) <= phi0:
+            if np.all(np.diff(q_try) > 0) and _grid_phi(q_try, q_n, spec, gamma) <= phi_max:
                 break
             t *= 0.5
         else:
@@ -266,8 +252,6 @@ def jko_step_grid(
     else:
         raise SolverError("grid Newton did not converge within the iteration cap")
 
-    next_measure = qt.QuantileGrid(q)
-    _, xi_norm = measure_xi(p_n, next_measure, spec, gamma)
     return StepResult(
         next_measure=next_measure,
         transport=qt.ot_map(p_n, next_measure),
@@ -297,39 +281,67 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _perturbed_transport(exact: StepResult, mode: PerturbMode, a: float, *,
-                         direction: np.ndarray | None, bump_center: float, bump_width: float):
-    tr = exact.transport
+def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump_center, bump_width):
+    """`tr` with a perturbation of amplitude a composed onto it.
+
+    MEAN_SHIFT adds a (along the first axis for Gaussians), DILATION scales
+    about `center` by 1 + a, and GRID_BUMP adds a times a smooth bump of the
+    given center and half-width (1-D maps only).
+    """
     if isinstance(tr, ga.AffineMap):
-        d = tr.dim
         if mode is PerturbMode.MEAN_SHIFT:
-            u = direction if direction is not None else np.eye(d)[0]
-            return ga.AffineMap(tr.linear, tr.offset + a * u)
+            return ga.AffineMap(tr.linear, tr.offset + a * np.eye(tr.dim)[0])
         if mode is PerturbMode.DILATION:
-            center = exact.next_measure.mean
-            return ga.AffineMap(
-                (1 + a) * tr.linear, (1 + a) * (tr.offset - center) + center
-            )
-        raise ValueError(f"mode {mode} is not available in the Gaussian family")
+            return ga.AffineMap((1 + a) * tr.linear, (1 + a) * (tr.offset - center) + center)
+        raise ValueError(f"mode {mode.value} is 1-D only")
     if mode is PerturbMode.MEAN_SHIFT:
         return qt.MonotoneMap1D(tr.x, tr.y + a)
     if mode is PerturbMode.DILATION:
-        center = exact.next_measure.mean()
         return qt.MonotoneMap1D(tr.x, (1 + a) * (tr.y - center) + center)
-    if mode is PerturbMode.GRID_BUMP:
-        return qt.MonotoneMap1D(tr.x, tr.y + a * _bump((tr.x - bump_center) / bump_width))
-    raise ValueError(f"unknown perturbation mode {mode}")
+    return qt.MonotoneMap1D(tr.x, tr.y + a * _bump((tr.x - bump_center) / bump_width))
 
 
-def _bump_amplitude_cap(tr: qt.MonotoneMap1D, bump_center: float, bump_width: float,
-                        min_slope: float = 1e-3) -> float:
-    phi = _bump((tr.x - bump_center) / bump_width)
-    dphi = np.diff(phi) / np.diff(tr.x)
-    slopes = np.diff(tr.y) / np.diff(tr.x)
-    neg = dphi < 0
+def amplitude_cap(tr, mode: PerturbMode, bump_center, bump_width) -> float:
+    """Largest amplitude keeping every slope of a GRID_BUMP-perturbed map >= 1e-3.
+
+    Shifts and dilations by 1 + a >= 1 never break monotonicity, so their
+    cap (and that of a Gaussian map, which rejects GRID_BUMP) is infinite.
+    The bump's slope is never a divisor, so its vanishing tails cannot
+    overflow.
+    """
+    if mode is not PerturbMode.GRID_BUMP or not isinstance(tr, qt.MonotoneMap1D):
+        return np.inf
+    dx = np.diff(tr.x)
+    fall = -np.diff(_bump((tr.x - bump_center) / bump_width)) / dx
+    room = np.diff(tr.y) / dx - _MIN_BUMP_SLOPE
+    neg = fall > 0
     if not np.any(neg):
         return np.inf
-    return 0.95 * float(np.min((slopes[neg] - min_slope) / (-dphi[neg])))
+    if np.any(room[neg] <= 0):
+        return 0.0
+    return 0.95 / float(np.max(fall[neg] / room[neg]))
+
+
+def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf) -> tuple[float, float]:
+    """Amplitude a in (0, a_cap] at which norm_at(a) equals target, and that norm.
+
+    norm_at grows monotonically with the amplitude from its value at a = 0,
+    which lies below the target.  The bracket doubles from 1e-3 until it
+    holds the root, brentq finds the root, and the norm there is verified
+    to be within 1% of the target.
+    """
+    if a_cap <= 0:
+        raise CalibrationError("amplitude cap is non-positive")
+    a_hi = min(1e-3, a_cap)
+    while norm_at(a_hi) < target:
+        if a_hi >= min(a_cap, _MAX_AMPLITUDE):
+            raise CalibrationError(f"cannot reach {target:g}: amplitude cap {a_hi:g} hit")
+        a_hi = min(2.0 * a_hi, a_cap)
+    a = brentq(lambda a: norm_at(a) - target, 0.0, a_hi, xtol=1e-15, rtol=8.9e-16)
+    norm = norm_at(a)
+    if abs(norm - target) > 0.01 * target:
+        raise CalibrationError(f"calibrated norm {norm} misses {target:g} by more than 1%")
+    return a, norm
 
 
 def perturb_step(
@@ -340,7 +352,6 @@ def perturb_step(
     eps: float,
     mode: PerturbMode = PerturbMode.MEAN_SHIFT,
     *,
-    direction: np.ndarray | None = None,
     bump_center: float | None = None,
     bump_width: float | None = None,
 ) -> StepResult:
@@ -348,59 +359,43 @@ def perturb_step(
 
     The amplitude is found by root finding on the independently re-measured
     xi norm, so the calibration target (within 1% relative) is verified by
-    construction.  eps = 0 returns the exact result unchanged.
+    construction.  Dilations are about the mean of the exact next measure;
+    a grid bump defaults to the median knot and the standard deviation of
+    p_n.  eps = 0 returns the exact result unchanged.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     if eps == 0:
         return exact
 
-    if isinstance(exact.transport, qt.MonotoneMap1D):
+    tr = exact.transport
+    nxt = exact.next_measure
+    if isinstance(tr, qt.MonotoneMap1D):
+        center = nxt.mean()
         if bump_center is None:
-            bump_center = float(np.median(exact.transport.x))
+            bump_center = float(np.median(tr.x))
         if bump_width is None:
-            sd = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
-            bump_width = sd
+            bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
+        push = qt.pushforward
     else:
-        bump_center, bump_width = 0.0, 1.0
-        if mode is PerturbMode.GRID_BUMP:
-            raise ValueError("GRID_BUMP is 1-D only")
+        center = nxt.mean
+        push = ga.pushforward_affine
 
     def build(a: float):
-        tr = _perturbed_transport(exact, mode, a, direction=direction,
-                                  bump_center=bump_center, bump_width=bump_width)
-        if isinstance(tr, qt.MonotoneMap1D):
-            nxt = qt.pushforward(p_n, tr)
-        else:
-            nxt = ga.pushforward_affine(p_n, tr)
-        _, norm = measure_xi(p_n, nxt, spec, gamma)
-        return tr, nxt, norm
+        return perturbed_map(tr, mode, a, center=center,
+                             bump_center=bump_center, bump_width=bump_width)
 
-    a_cap = np.inf
-    if mode is PerturbMode.GRID_BUMP:
-        a_cap = _bump_amplitude_cap(exact.transport, bump_center, bump_width)
-        if a_cap <= 0:
-            raise CalibrationError("bump amplitude cap is non-positive")
+    def norm_at(a: float) -> float:
+        return measure_xi(p_n, push(p_n, build(a)), spec, gamma)[1]
 
-    # bracket the amplitude; xi grows monotonically with it for these modes
-    a_hi = min(1e-3, a_cap)
-    while build(a_hi)[2] < eps:
-        if a_hi >= a_cap or a_hi > 1e6:
-            raise CalibrationError(
-                f"cannot reach eps={eps} with mode {mode.value}: amplitude cap hit"
-            )
-        a_hi = min(a_hi * 2.0, a_cap)
-
-    a_star = brentq(lambda a: build(a)[2] - eps, 0.0, a_hi, xtol=1e-14, rtol=8.9e-16)
-    tr, nxt, norm = build(a_star)
-    if abs(norm - eps) > 0.01 * eps:
-        raise CalibrationError(
-            f"calibrated xi norm {norm} misses eps={eps} by more than 1%"
-        )
+    a, norm = calibrate_amplitude(norm_at, eps,
+                                  amplitude_cap(tr, mode, bump_center, bump_width))
+    tr_a = build(a)
+    nxt_a = push(p_n, tr_a)
     return StepResult(
-        next_measure=nxt,
-        transport=tr,
+        next_measure=nxt_a,
+        transport=tr_a,
         xi_norm=norm,
         solver_iterations=exact.solver_iterations,
-        objective_value=proximal_objective(p_n, nxt, spec, gamma),
+        objective_value=proximal_objective(p_n, nxt_a, spec, gamma),
     )

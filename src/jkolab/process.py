@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 from . import functionals as fn
@@ -259,28 +258,6 @@ def run_reverse_exact(traj: Trajectory) -> ReverseRun:
                       residuals=residuals, exact=True)
 
 
-def _perturb_reverse_map(s_exact, mode: jko.PerturbMode, a: float, *,
-                         center: float, bump_center: float, bump_width: float):
-    if isinstance(s_exact, ga.AffineMap):
-        d = s_exact.dim
-        if mode is jko.PerturbMode.MEAN_SHIFT:
-            return ga.AffineMap(s_exact.linear, s_exact.offset + a * np.eye(d)[0])
-        if mode is jko.PerturbMode.DILATION:
-            c = np.full(d, center)
-            return ga.AffineMap((1 + a) * s_exact.linear,
-                                (1 + a) * (s_exact.offset - c) + c)
-        raise ValueError(f"mode {mode} is not available in the Gaussian family")
-    if mode is jko.PerturbMode.MEAN_SHIFT:
-        return qt.MonotoneMap1D(s_exact.x, s_exact.y + a)
-    if mode is jko.PerturbMode.DILATION:
-        return qt.MonotoneMap1D(s_exact.x, (1 + a) * (s_exact.y - center) + center)
-    if mode is jko.PerturbMode.GRID_BUMP:
-        return qt.MonotoneMap1D(
-            s_exact.x, s_exact.y + a * jko._bump((s_exact.x - bump_center) / bump_width)
-        )
-    raise ValueError(f"unknown perturbation mode {mode}")
-
-
 def run_reverse_perturbed(
     traj: Trajectory,
     eps_inv: float,
@@ -315,28 +292,20 @@ def run_reverse_perturbed(
             bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
             bump_width = 0.25 * (hi - lo)
         else:
-            center = float(np.mean(s_exact.offset))
+            center = np.full(s_exact.dim, np.mean(s_exact.offset))
             bump_center = bump_width = 0.0
 
-        def resid(a: float) -> float:
-            s = _perturb_reverse_map(s_exact, mode, a, center=center,
+        def build(a: float):
+            return jko.perturbed_map(s_exact, mode, a, center=center,
                                      bump_center=bump_center, bump_width=bump_width)
-            return _inversion_residual(t_fwd, s, cur)
 
-        a_hi = 1e-3
-        while resid(a_hi) < eps_inv:
-            a_hi *= 2.0
-            if a_hi > 1e9:
-                raise jko.CalibrationError(f"reverse step {k}: cannot reach eps_inv")
-        a_star = brentq(lambda a: resid(a) - eps_inv, 0.0, a_hi,
-                        xtol=1e-15, rtol=8.9e-16)
-        s = _perturb_reverse_map(s_exact, mode, a_star, center=center,
-                                 bump_center=bump_center, bump_width=bump_width)
-        r = _inversion_residual(t_fwd, s, cur)
-        if abs(r - eps_inv) > 0.01 * eps_inv:
-            raise jko.CalibrationError(
-                f"reverse step {k}: residual {r} misses eps_inv={eps_inv} by more than 1%"
-            )
+        try:
+            a, r = jko.calibrate_amplitude(
+                lambda a: _inversion_residual(t_fwd, build(a), cur), eps_inv,
+                jko.amplitude_cap(s_exact, mode, bump_center, bump_width))
+        except jko.CalibrationError as exc:
+            raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
+        s = build(a)
         transports[k - 1] = s
         residuals[k - 1] = r
         measures[k - 1] = push(cur, s)

@@ -10,10 +10,10 @@ values.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 __all__ = [
     "QuantileGrid",
@@ -146,10 +146,6 @@ class MonotoneMap1D:
             xs.append(float(a))
             ys.append(float(b))
         return MonotoneMap1D(np.array(xs), np.array(ys))
-
-
-def identity_map(grid: QuantileGrid) -> MonotoneMap1D:
-    return MonotoneMap1D(grid.values, grid.values.copy())
 
 
 def from_gaussian(mean: float, sd: float, m: int) -> QuantileGrid:
@@ -304,11 +300,3 @@ def lipschitz(t: MonotoneMap1D) -> float:
 def invert_map(t: MonotoneMap1D) -> MonotoneMap1D:
     """Inverse map by swapping knot roles."""
     return MonotoneMap1D(t.y, t.x)
-
-
-def normal_cdf(x):
-    return ndtr(x)
-
-
-def normal_ppf(u):
-    return ndtri(u)

@@ -93,6 +93,13 @@ class TestParseConfig:
         with pytest.raises(cli.ConfigError):
             cli.parse_config(text)
 
+    def test_grid_bump_needs_grid_family(self, tmp_path):
+        text = BASE_GAUSS.replace("mode = mean_shift", "mode = grid_bump")
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+
     def test_eps_schedule(self):
         cfg = cli.parse_config(BASE_GAUSS.replace("eps = 0.1",
                                                   "eps = 0.1 0.2 0 0 0.05"))

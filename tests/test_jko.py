@@ -12,10 +12,10 @@ def kl_spec(lam=1.0, center=0.0, d=1):
     return fn.ObjectiveSpec(fn.QuadraticPotential(lam * np.eye(d), center * np.ones(d)))
 
 
-def closed_form_next_variance(s_n, gamma, lam=1.0):
-    # stationarity for the 1-D KL step: lam + (1 - sqrt(s_n/s))/gamma = 1/s
+def closed_form_next_variance(s_n, gamma, lam=1.0, alpha=1.0):
+    # stationarity for the 1-D step: lam + (1 - sqrt(s_n/s))/gamma = alpha/s
     from scipy.optimize import brentq
-    f = lambda s: lam + (1 - np.sqrt(s_n / s)) / gamma - 1 / s
+    f = lambda s: lam + (1 - np.sqrt(s_n / s)) / gamma - alpha / s
     return brentq(f, 1e-8, 100.0, xtol=1e-15)
 
 
@@ -51,13 +51,34 @@ class TestGaussianStep:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((2, 2))
         p = ga.GaussianMeasure(rng.uniform(-1, 1, 2), a @ a.T + 0.5 * np.eye(2))
-        spec = kl_spec(d=2)
-        res = jko.jko_step_gaussian(p, spec, 0.8)
-        ref = orc.brute_jko(p, spec, 0.8, orc.OracleConfig(budget=40_000))
-        assert ga.w2_bw(res.next_measure, ref) <= 2e-4
-        # oracle objective can only be >= the solver's up to its own tolerance
-        ref_obj = jko.proximal_objective(p, ref, spec, 0.8)
-        assert res.objective_value <= ref_obj + 1e-7
+        # the second Lambda commutes with neither Sigma_n nor the iterate
+        noncommuting = np.array([[2.0, 0.7], [0.7, 1.0]])
+        assert not np.allclose(noncommuting @ p.cov, p.cov @ noncommuting)
+        for spec in (kl_spec(d=2),
+                     fn.ObjectiveSpec(fn.QuadraticPotential(noncommuting, np.array([0.3, -0.2])))):
+            res = jko.jko_step_gaussian(p, spec, 0.8)
+            ref = orc.brute_jko(p, spec, 0.8, orc.OracleConfig(budget=40_000))
+            assert ga.w2_bw(res.next_measure, ref) <= 2e-4
+            # oracle objective can only be >= the solver's up to its own tolerance
+            ref_obj = jko.proximal_objective(p, ref, spec, 0.8)
+            assert res.objective_value <= ref_obj + 1e-7
+
+    def test_weighted_variance_matches_scalar_stationarity(self):
+        lam_mat = 1.5 * np.eye(1)
+        for alpha, s_n, gamma in [(0.4, 3.0, 1.0), (2.5, 0.5, 0.6)]:
+            spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, np.zeros(1)),
+                                    fn.Variant.WEIGHTED, alpha)
+            p = ga.GaussianMeasure(np.ones(1), np.array([[s_n]]))
+            res = jko.jko_step_gaussian(p, spec, gamma)
+            expected = closed_form_next_variance(s_n, gamma, lam=1.5, alpha=alpha)
+            assert res.next_measure.cov[0, 0] == pytest.approx(expected, abs=1e-8)
+            assert res.xi_norm <= jko.GAUSSIAN_TOL
+            assert res.solver_iterations == 0
+
+    def test_stationarity_check_raises_below_roundoff(self):
+        p = ga.GaussianMeasure(np.array([1.0, -1.0]), np.array([[2.0, 0.3], [0.3, 0.5]]))
+        with pytest.raises(jko.SolverError):
+            jko.jko_step_gaussian(p, kl_spec(d=2), 1.0, tol=1e-30)
 
     def test_descends_objective(self):
         p = ga.GaussianMeasure(np.array([3.0, -1.0]), np.diag([0.3, 5.0]))
@@ -241,6 +262,18 @@ class TestPerturbStep:
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
         with pytest.raises(ValueError):
             jko.perturb_step(p, res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
+
+
+class TestCalibrateAmplitude:
+    def test_finds_root_of_linear_norm(self):
+        a, norm = jko.calibrate_amplitude(lambda a: 3.0 * a, 0.3)
+        assert a == pytest.approx(0.1, rel=1e-12)
+        assert norm == pytest.approx(0.3, rel=1e-12)
+
+    def test_cap_below_root_raises(self):
+        for cap in (0.05, 0.0):
+            with pytest.raises(jko.CalibrationError):
+                jko.calibrate_amplitude(lambda a: 3.0 * a, 0.3, a_cap=cap)
 
 
 class TestContraction:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,23 @@ class TestRunForward:
         assert np.array_equal(t1.measures[-1].values, t2.measures[-1].values)
         assert not np.array_equal(t1.measures[-1].values, t3.measures[-1].values)
 
+    @pytest.mark.parametrize("gamma, n_steps, eps, seed",
+                             [(1.5, 2, 0.1, 1426227163), (0.5, 10, 0.05, 1440510676)])
+    def test_grid_newton_converges_below_phi_resolution(self, gamma, n_steps, eps, seed):
+        # these bump placements leave max|xi| just above GRID_TOL where the
+        # Newton decrease is below the roundoff of the discretized objective
+        p0 = qt.from_gaussian(1.5, 1.5, 2048)
+        traj = pr.run_forward(p0, kl_spec(), gamma, n_steps, eps,
+                              jko.PerturbMode.GRID_BUMP, seed=seed)
+        assert np.allclose(traj.xi_norms, eps, rtol=0.01)
+
+    def test_grid_bump_run_has_no_runtime_warning(self):
+        p0 = qt.from_gaussian(3.0, 2.0, 2048)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = pr.run_forward(p0, kl_spec(), 1.0, 12, 0.1, jko.PerturbMode.GRID_BUMP, 0)
+        assert np.allclose(traj.xi_norms, 0.1, rtol=0.01)
+
 
 class TestReverse:
     def test_exact_reverse_residuals_zero(self):
@@ -132,6 +150,14 @@ class TestReverse:
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
         exact = pr.run_reverse_exact(traj)
         assert pr.w2_between(rev.measures[0], exact.measures[0]) > 0
+
+    def test_grid_bump_reverse_calibrated(self):
+        p0 = qt.from_gaussian(1.5, 1.2, 128)
+        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        rev = pr.run_reverse_perturbed(traj, 5e-3, jko.PerturbMode.GRID_BUMP, seed=3)
+        assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
+        for s in rev.transports:
+            assert np.min(np.diff(s.y) / np.diff(s.x)) >= 1e-3 - 1e-12
 
 
 class TestOuSmooth:
