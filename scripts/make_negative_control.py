@@ -5,15 +5,20 @@ then rewrites the stored trajectory to claim ten-fold smaller xi norms than
 the run actually had.  Certifying that doctored record must fail: the EVI
 right sides shrink with the claimed eps while the measured iterates keep
 their true drift.
+
+  python3 scripts/make_negative_control.py [OUT_DIR]
+
+OUT_DIR defaults to fixtures/negative_control.
 """
 
-import json
+import dataclasses
 import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from jkolab import cli  # noqa: E402
+from jkolab import serialize as sz  # noqa: E402
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures",
                            "negative_control")
@@ -34,27 +39,27 @@ mode = mean_shift
 """
 
 
-def main() -> int:
-    os.makedirs(FIXTURE_DIR, exist_ok=True)
-    cfg_path = os.path.join(FIXTURE_DIR, "config.txt")
-    with open(cfg_path, "w") as f:
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    out = argv[0] if argv else FIXTURE_DIR
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "config.txt"), "w") as f:
         f.write(CONFIG)
     cfg = cli.parse_config(CONFIG)
-    cli.do_forward(cfg, FIXTURE_DIR)
-    cli.do_reverse(cfg, FIXTURE_DIR)
-    traj_path = os.path.join(FIXTURE_DIR, f"{cfg.run_id()}_trajectory.json")
-    with open(traj_path) as f:
-        data = json.load(f)
-    data["xi_norms"] = [x / 10 for x in data["xi_norms"]]
-    with open(traj_path, "w") as f:
-        json.dump(data, f, indent=1)
+    cli.do_forward(cfg, out)
+    cli.do_reverse(cfg, out)
+    traj_path = os.path.join(out, f"{cfg.run_id()}_trajectory.npz")
+    with open(traj_path, "rb") as f:
+        traj = sz.trajectory_from_json(f.read())
+    traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
+    with open(traj_path, "wb") as f:
+        f.write(sz.trajectory_to_json(traj))
     # drop artifacts the fixture does not need
     for suffix in ("forward.csv", "reverse.csv", "report.csv"):
-        p = os.path.join(FIXTURE_DIR, f"{cfg.run_id()}_{suffix}")
+        p = os.path.join(out, f"{cfg.run_id()}_{suffix}")
         if os.path.exists(p):
             os.remove(p)
-    print(f"negative-control fixture written to {FIXTURE_DIR} "
-          f"(run id {cfg.run_id()})")
+    print(f"negative-control fixture written to {out} (run id {cfg.run_id()})")
     return 0
 
 

@@ -6,7 +6,8 @@ p0.mean, ...); every run gets a short id hashed from its canonicalized
 config, and all artifacts are named {run_id}_*.
 
 Exit codes: 0 success / all bounds hold, 1 a certified bound failed,
-2 solver or calibration failure, 64 config parse error, 66 missing run data.
+2 solver or calibration failure, 64 config parse error, 66 missing run data,
+70 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +37,7 @@ EXIT_BOUND_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_CONFIG = 64
 EXIT_MISSING_DATA = 66
+EXIT_INTERNAL = 70
 
 OUTPUT_ROOT_ENV = "JKOLAB_OUTPUT_ROOT"
 
@@ -51,9 +54,16 @@ class ConfigError(ValueError):
 # Config parsing and canonicalization
 
 
+def _num(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ConfigError(f"non-finite number {s!r}")
+    return x
+
+
 def _parse_vector(s: str) -> np.ndarray:
     try:
-        return np.array([float(t) for t in s.split()])
+        return np.array([_num(t) for t in s.split()])
     except ValueError as exc:
         raise ConfigError(f"bad vector {s!r}") from exc
 
@@ -61,7 +71,7 @@ def _parse_vector(s: str) -> np.ndarray:
 def _parse_matrix(s: str, d: int) -> np.ndarray:
     rows = [r for r in s.split(";") if r.strip()]
     try:
-        mat = np.array([[float(t) for t in r.split()] for r in rows])
+        mat = np.array([[_num(t) for t in r.split()] for r in rows])
     except ValueError as exc:
         raise ConfigError(f"bad matrix {s!r}") from exc
     if mat.shape == (1, 1):
@@ -169,7 +179,7 @@ def parse_config(text: str) -> RunConfig:
         d = center.size
         lam_mat = _parse_matrix(take("objective.lambda_mat", "1"), d)
         variant = fn.Variant(take("objective.variant", "kl"))
-        alpha = float(take("objective.alpha", "1"))
+        alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
 
         family = take("family")
@@ -187,11 +197,11 @@ def parse_config(text: str) -> RunConfig:
             rows = [r for r in take("p0.atoms").split(";") if r.strip()]
             locs, weights = [], []
             for r in rows:
-                parts = [float(t) for t in r.split()]
+                parts = [_num(t) for t in r.split()]
                 locs.append(parts[:-1])
                 weights.append(parts[-1])
             p0_atoms = pr.AtomicMeasure(np.array(locs), np.array(weights))
-            p0_delta = float(take("p0.delta"))
+            p0_delta = _num(take("p0.delta"))
             if p0_delta <= 0:
                 raise ConfigError("p0.delta must be positive")
             p0_kind = "atoms"
@@ -200,15 +210,17 @@ def parse_config(text: str) -> RunConfig:
             if p0_mean.size != d:
                 raise ConfigError("p0.mean dimension does not match the objective")
             p0_cov = _parse_matrix(take("p0.cov", "1"), d)
+            if not ga.GaussianMeasure(p0_mean, p0_cov).is_nondegenerate():
+                raise ConfigError("p0.cov must be symmetric positive definite")
             p0_kind = "gaussian"
 
-        gamma = float(take("gamma"))
+        gamma = _num(take("gamma"))
         if not (0 < gamma < 2):
             raise ConfigError("gamma must be in (0, 2)")
-        eps = [float(t) for t in take("eps", "0").split()]
+        eps = [_num(t) for t in take("eps", "0").split()]
         if any(e < 0 for e in eps):
             raise ConfigError("eps entries must be nonnegative")
-        eps_inv = float(take("eps_inv", "0"))
+        eps_inv = _num(take("eps_inv", "0"))
         if eps_inv < 0:
             raise ConfigError("eps_inv must be nonnegative")
         n_raw = take("n")
@@ -224,6 +236,8 @@ def parse_config(text: str) -> RunConfig:
         for c in checks:
             if c not in ALL_CHECKS:
                 raise ConfigError(f"unknown check {c!r}")
+        if n_steps == 0 and eps_inv > 0 and "inversion" in checks:
+            raise ConfigError("the inversion check with eps_inv > 0 needs n >= 1")
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -288,16 +302,13 @@ def do_forward(cfg: RunConfig, out: str) -> pr.Trajectory:
         f.write(cfg.canonical())
     with open(_path(out, rid, "forward.csv"), "w") as f:
         f.write(pr.forward_csv(traj))
-    with open(_path(out, rid, "trajectory.json"), "w") as f:
+    with open(_path(out, rid, "trajectory.npz"), "wb") as f:
         f.write(sz.trajectory_to_json(traj))
     return traj
 
 
 def _load_trajectory(cfg: RunConfig, out: str) -> pr.Trajectory:
-    path = _path(out, cfg.run_id(), "trajectory.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path) as f:
+    with open(_path(out, cfg.run_id(), "trajectory.npz"), "rb") as f:
         return sz.trajectory_from_json(f.read())
 
 
@@ -305,26 +316,25 @@ def do_reverse(cfg: RunConfig, out: str):
     traj = _load_trajectory(cfg, out)
     rid = cfg.run_id()
     exact = pr.run_reverse_exact(traj)
-    with open(_path(out, rid, "reverse_exact.json"), "w") as f:
+    with open(_path(out, rid, "reverse_exact.npz"), "wb") as f:
         f.write(sz.reverse_to_json(exact))
     with open(_path(out, rid, "reverse.csv"), "w") as f:
         f.write(pr.reverse_csv(exact))
     pert = None
     if cfg.eps_inv > 0:
         pert = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
-        with open(_path(out, rid, "reverse_perturbed.json"), "w") as f:
+        with open(_path(out, rid, "reverse_perturbed.npz"), "wb") as f:
             f.write(sz.reverse_to_json(pert))
         with open(_path(out, rid, "reverse_perturbed.csv"), "w") as f:
             f.write(pr.reverse_csv(pert, exact))
     return exact, pert
 
 
-def _load_reverse(cfg: RunConfig, out: str, suffix: str) -> pr.ReverseRun:
-    path = _path(out, cfg.run_id(), suffix)
+def _load_reverse(path: str, traj: pr.Trajectory) -> pr.ReverseRun | None:
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path) as f:
-        return sz.reverse_from_json(f.read())
+        return None
+    with open(path, "rb") as f:
+        return sz.reverse_from_json(f.read(), traj)
 
 
 def run_checks(cfg: RunConfig, traj: pr.Trajectory, exact_rev, pert_rev,
@@ -359,12 +369,9 @@ def run_checks(cfg: RunConfig, traj: pr.Trajectory, exact_rev, pert_rev,
 def do_certify(cfg: RunConfig, out: str, checks=None) -> int:
     traj = _load_trajectory(cfg, out)
     checks = checks or cfg.checks
-    exact_rev = pert_rev = None
     rid = cfg.run_id()
-    if os.path.exists(_path(out, rid, "reverse_exact.json")):
-        exact_rev = _load_reverse(cfg, out, "reverse_exact.json")
-    if os.path.exists(_path(out, rid, "reverse_perturbed.json")):
-        pert_rev = _load_reverse(cfg, out, "reverse_perturbed.json")
+    exact_rev = _load_reverse(_path(out, rid, "reverse_exact.npz"), traj)
+    pert_rev = _load_reverse(_path(out, rid, "reverse_perturbed.npz"), traj)
     reports = run_checks(cfg, traj, exact_rev, pert_rev, checks)
     with open(_path(out, rid, "report.csv"), "w") as f:
         f.write(ct.report_lines(reports))
@@ -404,21 +411,37 @@ def cmd_certify(args) -> int:
     return do_certify(cfg, out, checks)
 
 
-def _sweep_entry(base_text: str, overrides: dict, out: str, seed_override) -> tuple:
-    cfg = parse_config(base_text)
-    raw = _raw_pairs(cfg.canonical())
+def _failure(exc: Exception, prefix: str = "") -> int:
+    """Report a failure on stderr and return its exit code (unforeseen: 70, never 1)."""
+    if isinstance(exc, ConfigError):
+        code, what = EXIT_CONFIG, "config error"
+    elif isinstance(exc, FileNotFoundError):
+        code, what = EXIT_MISSING_DATA, "missing run data"
+    elif isinstance(exc, (jko.SolverError, jko.CalibrationError)):
+        code, what = EXIT_SOLVER, "solver failure"
+    else:
+        traceback.print_exception(exc, file=sys.stderr)
+        code, what = EXIT_INTERNAL, "internal error"
+    print(f"{prefix}{what}: {exc}", file=sys.stderr)
+    return code
+
+
+def _sweep_config(base_text: str, overrides: dict, seed_override) -> RunConfig:
+    raw = _raw_pairs(parse_config(base_text).canonical())
     raw.update(overrides)
     cfg = parse_config("".join(f"{k} = {v}\n" for k, v in raw.items()))
     if seed_override is not None:
         cfg.seed = seed_override
+    return cfg
+
+
+def _sweep_entry(cfg: RunConfig, out: str) -> int:
     try:
         do_forward(cfg, out)
         do_reverse(cfg, out)
-        status = do_certify(cfg, out)
-    except (jko.SolverError, jko.CalibrationError) as exc:
-        print(f"{cfg.run_id()}: solver failure: {exc}", file=sys.stderr)
-        return cfg.run_id(), EXIT_SOLVER
-    return cfg.run_id(), status
+        return do_certify(cfg, out)
+    except Exception as exc:
+        return _failure(exc, f"{cfg.run_id()}: ")
 
 
 def cmd_sweep(args) -> int:
@@ -435,18 +458,23 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"axis key {key!r} not sweepable (allowed: {sorted(SWEEP_KEYS)})")
         axes.append([(key, v) for v in vals.split(",")])
     combos = [dict(c) for c in itertools.product(*axes)] if axes else [{}]
-    results = []
+    statuses = []
+    configs = {}  # run_id -> config: duplicate combos run once
+    for combo in combos:
+        try:
+            cfg = _sweep_config(base_text, combo, args.seed_override)
+        except ConfigError as exc:
+            statuses.append(_failure(exc, f"combo {combo}: "))
+            continue
+        configs.setdefault(cfg.run_id(), cfg)
     if args.workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as ex:
-            futs = [ex.submit(_sweep_entry, base_text, c, out, args.seed_override)
-                    for c in combos]
-            results = [f.result() for f in futs]
+            statuses += ex.map(_sweep_entry, configs.values(), itertools.repeat(out))
     else:
-        results = [_sweep_entry(base_text, c, out, args.seed_override) for c in combos]
-    worst = max((st for _, st in results), default=EXIT_OK)
-    print(f"sweep: {len(results)} runs, "
-          f"{sum(1 for _, st in results if st == EXIT_OK)} fully passing")
-    return worst
+        statuses += [_sweep_entry(cfg, out) for cfg in configs.values()]
+    print(f"sweep: {len(statuses)} runs, "
+          f"{sum(1 for st in statuses if st == EXIT_OK)} fully passing")
+    return max(statuses, default=EXIT_OK)
 
 
 def cmd_report(args) -> int:
@@ -524,15 +552,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"missing run data: {exc}", file=sys.stderr)
-        return EXIT_MISSING_DATA
-    except (jko.SolverError, jko.CalibrationError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    except Exception as exc:
+        return _failure(exc)
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ Runs the N-step forward chain of proximal steps (with optional calibrated
 first-order error per step), the exact reverse chain through inverted
 transports, the computed reverse chain with calibrated inversion error, OU
 smoothing of atomic measures, and the bookkeeping the certifier consumes:
-Lipschitz/K estimates, step-count formula, CSV and JSON serialization.
+Lipschitz/K estimates, step-count formula, CSV output.
 """
 
 from __future__ import annotations

@@ -1,12 +1,28 @@
-"""JSON round-tripping for run data.
+"""Binary run store: one uncompressed npz archive per record.
 
-Python's json module prints floats with repr, which round-trips doubles
-exactly, so re-running a check from serialized data reproduces the verdict
-bit-for-bit.
+An archive holds the record's measures stacked per array field (grid values
+(N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the transports
+that cannot be rebuilt, and a JSON manifest string with the scalars.  Doubles
+are stored raw and manifest floats with repr, so a check re-run on loaded
+data reproduces its verdict bit-for-bit.  The manifest keys are the record
+fields' names.  Loading never unpickles: an archive holding an object array
+raises ValueError.
+
+Loading rebuilds the derivable transports with the calls that made them:
+grid forward maps are qt.ot_map(p_{n-1}, p_n), and exact-reverse maps are
+pr.invert_transport(T_n) as in pr.run_reverse_exact (hence the trajectory
+argument of reverse_from_json).  Gaussian forward maps (ot_map_bw does not
+reproduce the closed-form linear part bit-for-bit) and perturbed-reverse
+maps are stored.
+
+The public record functions keep their *_json names and their bytes-in /
+bytes-out contract: perfbench/tracer.py times and sizes this layer by them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import io
 import json
 
 import numpy as np
@@ -25,6 +41,8 @@ __all__ = [
     "reverse_from_json",
 ]
 
+_MAP_OF = {qt.QuantileGrid: qt.MonotoneMap1D, ga.GaussianMeasure: ga.AffineMap}
+
 
 def spec_to_dict(spec: fn.ObjectiveSpec) -> dict:
     return {
@@ -40,75 +58,64 @@ def spec_from_dict(d: dict) -> fn.ObjectiveSpec:
     return fn.ObjectiveSpec(pot, fn.Variant(d["variant"]), d["alpha"])
 
 
-def _measure_to_dict(m) -> dict:
-    if isinstance(m, qt.QuantileGrid):
-        return {"kind": "grid", "values": m.values.tolist()}
-    return {"kind": "gaussian", "mean": m.mean.tolist(), "cov": m.cov.tolist()}
+def _pack(manifest: dict, arrays: dict) -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, manifest=np.array(json.dumps(manifest)), **arrays)
+    return buf.getvalue()
 
 
-def _measure_from_dict(d):
-    if d["kind"] == "grid":
-        return qt.QuantileGrid(np.array(d["values"]))
-    return ga.GaussianMeasure(np.array(d["mean"]), np.array(d["cov"]))
+def _unpack(data: bytes) -> tuple[dict, dict]:
+    with np.load(io.BytesIO(data), allow_pickle=False) as z:
+        arrays = {k: z[k] for k in z.files}
+    return json.loads(arrays.pop("manifest").item()), arrays
 
 
-def _transport_to_dict(t) -> dict:
-    if isinstance(t, qt.MonotoneMap1D):
-        return {"kind": "monotone1d", "x": t.x.tolist(), "y": t.y.tolist()}
-    return {"kind": "affine", "linear": t.linear.tolist(), "offset": t.offset.tolist()}
+def _stack(objs, cls) -> dict:
+    """Each array field of dataclass `cls`, stacked over the objects."""
+    return {f.name: np.array([getattr(o, f.name) for o in objs])
+            for f in dataclasses.fields(cls)}
 
 
-def _transport_from_dict(d):
-    if d["kind"] == "monotone1d":
-        return qt.MonotoneMap1D(np.array(d["x"]), np.array(d["y"]))
-    return ga.AffineMap(np.array(d["linear"]), np.array(d["offset"]))
+def _unstack(arrays: dict, cls) -> list:
+    return [cls(*row) for row in zip(*(arrays[f.name] for f in dataclasses.fields(cls)))]
 
 
-def trajectory_to_json(traj: pr.Trajectory) -> str:
-    return json.dumps(
-        {
-            "spec": spec_to_dict(traj.spec),
-            "gamma": traj.gamma,
-            "family": traj.family,
-            "measures": [_measure_to_dict(m) for m in traj.measures],
-            "transports": [_transport_to_dict(t) for t in traj.transports],
-            "xi_norms": list(traj.xi_norms),
-            "solver_iterations": list(traj.solver_iterations),
-        },
-        indent=1,
-    )
+def trajectory_to_json(traj: pr.Trajectory) -> bytes:
+    kind = type(traj.measures[0])
+    arrays = _stack(traj.measures, kind)
+    if traj.family != "grid":
+        arrays.update(_stack(traj.transports, _MAP_OF[kind]))
+    return _pack({"spec": spec_to_dict(traj.spec), "gamma": traj.gamma, "family": traj.family,
+                  "xi_norms": list(traj.xi_norms),
+                  "solver_iterations": list(traj.solver_iterations)}, arrays)
 
 
-def trajectory_from_json(text: str) -> pr.Trajectory:
-    d = json.loads(text)
-    return pr.Trajectory(
-        spec=spec_from_dict(d["spec"]),
-        gamma=d["gamma"],
-        measures=[_measure_from_dict(m) for m in d["measures"]],
-        transports=[_transport_from_dict(t) for t in d["transports"]],
-        xi_norms=d["xi_norms"],
-        solver_iterations=d["solver_iterations"],
-        family=d["family"],
-    )
+def trajectory_from_json(data: bytes) -> pr.Trajectory:
+    d, arrays = _unpack(data)
+    if d["family"] == "grid":
+        measures = _unstack(arrays, qt.QuantileGrid)
+        transports = [qt.ot_map(a, b) for a, b in zip(measures, measures[1:])]
+    else:
+        measures = _unstack(arrays, ga.GaussianMeasure)
+        transports = _unstack(arrays, ga.AffineMap)
+    d["spec"] = spec_from_dict(d["spec"])
+    return pr.Trajectory(measures=measures, transports=transports, **d)
 
 
-def reverse_to_json(run: pr.ReverseRun) -> str:
-    return json.dumps(
-        {
-            "measures": [_measure_to_dict(m) for m in run.measures],
-            "transports": [_transport_to_dict(t) for t in run.transports],
-            "residuals": list(run.residuals),
-            "exact": run.exact,
-        },
-        indent=1,
-    )
+def reverse_to_json(run: pr.ReverseRun) -> bytes:
+    kind = type(run.measures[0])
+    arrays = _stack(run.measures, kind)
+    if not run.exact:
+        arrays.update(_stack(run.transports, _MAP_OF[kind]))
+    return _pack({"residuals": list(run.residuals), "exact": run.exact}, arrays)
 
 
-def reverse_from_json(text: str) -> pr.ReverseRun:
-    d = json.loads(text)
-    return pr.ReverseRun(
-        measures=[_measure_from_dict(m) for m in d["measures"]],
-        transports=[_transport_from_dict(t) for t in d["transports"]],
-        residuals=d["residuals"],
-        exact=d["exact"],
-    )
+def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
+    """Load a reverse run of `traj`; an exact run's transports invert traj's."""
+    d, arrays = _unpack(data)
+    kind = type(traj.measures[0])
+    if d["exact"]:
+        transports = [pr.invert_transport(t) for t in traj.transports]
+    else:
+        transports = _unstack(arrays, _MAP_OF[kind])
+    return pr.ReverseRun(measures=_unstack(arrays, kind), transports=transports, **d)

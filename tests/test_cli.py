@@ -1,9 +1,15 @@
+import dataclasses
+import importlib.util
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from jkolab import cli
+from jkolab import serialize as sz
+
+ROOT = os.path.join(os.path.dirname(__file__), "..")
 
 
 BASE_GAUSS = """
@@ -211,16 +217,95 @@ class TestSweepAndReport:
         assert run(["report"], tmp_path) == cli.EXIT_MISSING_DATA
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("edit", [("eps = 0.1", "eps = nan"), ("eps = 0.1", "eps = inf"),
+                                      ("p0.cov = 4", "p0.cov = 0")],
+                             ids=["eps_nan", "eps_inf", "cov_zero"])
+    def test_bad_numbers_are_config_errors(self, tmp_path, edit):
+        text = BASE_GAUSS.replace("n = 5", "n = auto").replace(*edit)
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+
+    def test_zero_steps_with_inversion_check_is_config_error(self, tmp_path):
+        text = BASE_GAUSS.replace("n = 5", "n = 0")
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+
+    def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
+        def boom(cfg, out):
+            raise ZeroDivisionError("boom")
+
+        monkeypatch.setattr(cli, "do_forward", boom)
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_INTERNAL == 70
+
+    def test_old_json_run_directory_is_missing_data(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        rid = cli.parse_config(BASE_GAUSS).run_id()
+        (tmp_path / "runs").mkdir()
+        (tmp_path / "runs" / f"{rid}_trajectory.json").write_text("{}")
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+
+
+class TestSweepRobustness:
+    def test_duplicate_combos_run_once(self, tmp_path, monkeypatch):
+        calls = []
+        forward = cli.do_forward
+
+        def counting(cfg, out):
+            calls.append(cfg.run_id())
+            return forward(cfg, out)
+
+        monkeypatch.setattr(cli, "do_forward", counting)
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "gamma=0.5,0.5",
+                    "--workers", "2"], tmp_path) == 0
+        assert len(calls) == 1
+
+    def test_bad_combo_does_not_stop_the_sweep(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "eps=0.1,nan"],
+                   tmp_path) == cli.EXIT_CONFIG
+        rid = cli.parse_config(BASE_GAUSS).run_id()
+        assert (tmp_path / "runs" / f"{rid}_report.csv").exists()
+
+
+def _failing_checks(run_dir: str) -> tuple[str, set]:
+    """Certify a copy of a negative-control directory: its run id and failing check names."""
+    cfgp = os.path.join(run_dir, "config.txt")
+    with open(cfgp) as f:
+        rid = cli.parse_config(f.read()).run_id()
+    assert cli.main(["certify", "--config", cfgp, "--out", run_dir]) == cli.EXIT_BOUND_FAILED
+    with open(os.path.join(run_dir, f"{rid}_report.csv")) as f:
+        rows = [r.split(",") for r in f.read().strip().split("\n")[1:]]
+    return rid, {r[0] for r in rows if r[1] == "0"}
+
+
 class TestNegativeControl:
     def test_corrupted_xi_norms_fail_certification(self, tmp_path):
-        import json
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         run(["forward", "--config", cfgp], tmp_path)
         run(["reverse", "--config", cfgp], tmp_path)
         rid = cli.parse_config(BASE_GAUSS).run_id()
-        traj_path = tmp_path / "runs" / f"{rid}_trajectory.json"
-        data = json.loads(traj_path.read_text())
+        traj_path = tmp_path / "runs" / f"{rid}_trajectory.npz"
+        traj = sz.trajectory_from_json(traj_path.read_bytes())
         # claim ten-fold smaller first-order errors than the run really had
-        data["xi_norms"] = [x / 10 for x in data["xi_norms"]]
-        traj_path.write_text(json.dumps(data))
+        traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
+        traj_path.write_bytes(sz.trajectory_to_json(traj))
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_BOUND_FAILED
+
+    def test_regenerated_fixture_matches_checked_in(self, tmp_path):
+        spec = importlib.util.spec_from_file_location(
+            "make_negative_control", os.path.join(ROOT, "scripts", "make_negative_control.py"))
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        fresh = str(tmp_path / "fresh")
+        assert script.main([fresh]) == 0
+        checked_in = str(tmp_path / "checked_in")
+        shutil.copytree(os.path.join(ROOT, "fixtures", "negative_control"), checked_in)
+        assert _failing_checks(fresh) == _failing_checks(checked_in)

@@ -1,8 +1,12 @@
+import io
+
 import numpy as np
+import pytest
 
 from jkolab import certify as ct
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
+from jkolab import jko
 from jkolab import process as pr
 from jkolab import quantile as qt
 from jkolab import serialize as sz
@@ -20,6 +24,39 @@ def gauss_traj(n=3, eps=0.1):
 def grid_traj(n=2):
     p0 = qt.from_gaussian(1.0, 1.5, 64)
     return pr.run_forward(p0, kl_spec(), 1.0, n)
+
+
+EPS_INV = 1e-3
+
+
+def grid_bump_run():
+    """A grid_bump forward run with its exact and perturbed reverse runs."""
+    p0 = qt.from_gaussian(1.5, 1.5, 128)
+    traj = pr.run_forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
+    return (traj, pr.run_reverse_exact(traj),
+            pr.run_reverse_perturbed(traj, EPS_INV, jko.PerturbMode.GRID_BUMP))
+
+
+def round_trip(traj, *reverse_runs):
+    back = sz.trajectory_from_json(sz.trajectory_to_json(traj))
+    return back, *(sz.reverse_from_json(sz.reverse_to_json(r), back) for r in reverse_runs)
+
+
+def assert_maps_equal(maps_a, maps_b):
+    assert len(maps_a) == len(maps_b)
+    for a, b in zip(maps_a, maps_b):
+        if isinstance(a, qt.MonotoneMap1D):
+            assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+        else:
+            assert np.array_equal(a.linear, b.linear)
+            assert np.array_equal(a.offset, b.offset)
+
+
+def all_checks(traj, exact, pert):
+    q = pr.minimizer_in_family(traj.spec, traj.family, traj.measures[0].m)
+    return (ct.check_evi(traj, q) + ct.check_forward_rate(traj)
+            + ct.check_kl_tv_guarantee(traj, exact) + [ct.check_dpi_chain(traj, exact)]
+            + ct.check_inversion_bound(traj, exact, pert, EPS_INV))
 
 
 class TestSpecRoundTrip:
@@ -56,6 +93,28 @@ class TestTrajectoryRoundTrip:
         for a, b in zip(traj.transports, back.transports):
             assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
+    def test_grid_forward_transports_derived_bit_exact(self):
+        traj = grid_bump_run()[0]
+        back = sz.trajectory_from_json(sz.trajectory_to_json(traj))
+        assert_maps_equal(traj.transports, back.transports)
+
+    def test_grid_checks_reproduce_after_round_trip(self):
+        run = grid_bump_run()
+        mem, loaded = all_checks(*run), all_checks(*round_trip(*run))
+        assert {r.name for r in mem} == {"evi", "forward_rate", "reverse_kl", "reverse_tv",
+                                         "dpi_chain", "inversion_coupling",
+                                         "inversion_mixed"}
+        assert len(mem) == len(loaded)
+        for a, b in zip(mem, loaded):
+            assert a.name == b.name
+            assert a.lhs == b.lhs and a.rhs == b.rhs and a.holds == b.holds
+
+    def test_object_array_rejected(self):
+        buf = io.BytesIO()
+        np.savez(buf, manifest=np.array("{}"), values=np.array([object()], dtype=object))
+        with pytest.raises(ValueError, match="allow_pickle=False"):
+            sz.trajectory_from_json(buf.getvalue())
+
     def test_checks_reproduce_after_round_trip(self):
         traj = gauss_traj()
         back = sz.trajectory_from_json(sz.trajectory_to_json(traj))
@@ -70,8 +129,30 @@ class TestReverseRoundTrip:
     def test_bit_exact(self):
         traj = gauss_traj()
         rev = pr.run_reverse_perturbed(traj, 1e-3)
-        back = sz.reverse_from_json(sz.reverse_to_json(rev))
+        back = sz.reverse_from_json(sz.reverse_to_json(rev), traj)
         assert back.exact == rev.exact
         assert back.residuals == rev.residuals
         for a, b in zip(rev.measures, back.measures):
             assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert_maps_equal(rev.transports, back.transports)
+
+    def test_grid_bump_perturbed_bit_exact(self):
+        traj, _, pert = grid_bump_run()
+        back = sz.reverse_from_json(sz.reverse_to_json(pert), traj)
+        assert back.exact is False and pert.exact is False
+        assert back.residuals == pert.residuals
+        for a, b in zip(pert.measures, back.measures):
+            assert np.array_equal(a.values, b.values)
+        assert_maps_equal(pert.transports, back.transports)
+
+    @pytest.mark.parametrize("make_traj", [gauss_traj, lambda: grid_bump_run()[0]],
+                             ids=["gaussian", "grid"])
+    def test_exact_transports_derived_bit_exact(self, make_traj):
+        traj = make_traj()
+        exact = pr.run_reverse_exact(traj)
+        _, back = round_trip(traj, exact)
+        assert back.exact is True
+        assert_maps_equal(exact.transports, back.transports)
+        for a, b in zip(exact.measures, back.measures):
+            for x, y in zip(vars(a).values(), vars(b).values()):
+                assert np.array_equal(x, y)
