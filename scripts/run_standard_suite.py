@@ -57,7 +57,6 @@ def main() -> int:
                 "sweep", "--config", path,
                 "--axis", "gamma=0.5,1.0,1.5",
                 "--axis", "eps=0.05,0.1",
-                "--workers", "2",
             ])
             worst = max(worst, status)
     worst = max(worst, cli.main(["report"]))

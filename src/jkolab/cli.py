@@ -13,7 +13,6 @@ Exit codes: 0 success / all bounds hold, 1 a certified bound failed,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import itertools
 import math
@@ -164,6 +163,16 @@ def _raw_pairs(text: str) -> dict:
     return out
 
 
+def _check_list(names: list, n_steps, eps_inv: float) -> list:
+    """`names` if every one is a known check and each can run on the config."""
+    for c in names:
+        if c not in ALL_CHECKS:
+            raise ConfigError(f"unknown check {c!r}")
+    if n_steps == 0 and eps_inv > 0 and "inversion" in names:
+        raise ConfigError("the inversion check with eps_inv > 0 needs n >= 1")
+    return names
+
+
 def parse_config(text: str) -> RunConfig:
     raw = _raw_pairs(text)
 
@@ -232,12 +241,8 @@ def parse_config(text: str) -> RunConfig:
         if family == "gaussian" and mode is jko.PerturbMode.GRID_BUMP:
             raise ConfigError("mode grid_bump is only available in the grid family")
         checks_raw = take("checks", "all")
-        checks = list(ALL_CHECKS) if checks_raw == "all" else checks_raw.split()
-        for c in checks:
-            if c not in ALL_CHECKS:
-                raise ConfigError(f"unknown check {c!r}")
-        if n_steps == 0 and eps_inv > 0 and "inversion" in checks:
-            raise ConfigError("the inversion check with eps_inv > 0 needs n >= 1")
+        checks = _check_list(list(ALL_CHECKS) if checks_raw == "all" else checks_raw.split(),
+                            n_steps, eps_inv)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -407,7 +412,9 @@ def cmd_reverse(args) -> int:
 def cmd_certify(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
-    checks = args.checks.split(",") if args.checks else None
+    checks = None
+    if args.checks:
+        checks = _check_list(args.checks.split(","), cfg.n_steps, cfg.eps_inv)
     return do_certify(cfg, out, checks)
 
 
@@ -467,11 +474,7 @@ def cmd_sweep(args) -> int:
             statuses.append(_failure(exc, f"combo {combo}: "))
             continue
         configs.setdefault(cfg.run_id(), cfg)
-    if args.workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.workers) as ex:
-            statuses += ex.map(_sweep_entry, configs.values(), itertools.repeat(out))
-    else:
-        statuses += [_sweep_entry(cfg, out) for cfg in configs.values()]
+    statuses += [_sweep_entry(cfg, out) for cfg in configs.values()]
     print(f"sweep: {len(statuses)} runs, "
           f"{sum(1 for st in statuses if st == EXIT_OK)} fully passing")
     return max(statuses, default=EXIT_OK)
@@ -538,7 +541,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--axis", action="append",
                    help="key=v1,v2,... (repeatable); keys: " + ", ".join(sorted(SWEEP_KEYS)))
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate report files")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solveh_banded
-from scipy.optimize import brentq
 
 from . import functionals as fn
 from . import gaussian as ga
@@ -43,6 +42,11 @@ GRID_TOL = 1e-6
 _MAX_NEWTON_ITERS = 200
 _PHI_ULPS = 8
 _MAX_AMPLITUDE = 1e6
+_FIRST_PROBE = 1e-3
+_MAX_GROWTH = 100.0
+_CALIB_RTOL = 1e-12
+_STEP_RTOL = 1e-13
+_MAX_CALIB_EVALS = 64
 _MIN_BUMP_SLOPE = 1e-3
 
 
@@ -322,25 +326,66 @@ def amplitude_cap(tr, mode: PerturbMode, bump_center, bump_width) -> float:
     return 0.95 / float(np.max(fall[neg] / room[neg]))
 
 
-def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf) -> tuple[float, float]:
+def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,
+                        norm_at_zero: float = 0.0) -> tuple[float, float]:
     """Amplitude a in (0, a_cap] at which norm_at(a) equals target, and that norm.
 
-    norm_at grows monotonically with the amplitude from its value at a = 0,
-    which lies below the target.  The bracket doubles from 1e-3 until it
-    holds the root, brentq finds the root, and the norm there is verified
-    to be within 1% of the target.
+    A safeguarded secant on the norm, starting from its known value
+    norm_at_zero at a = 0 (never evaluated), so a norm affine in a is solved
+    by the first step.  Before the target is bracketed, a step extrapolates
+    to at most 100 times the last amplitude and min(a_cap, _MAX_AMPLITUDE);
+    inside the bracket, a step that leaves it falls back to regula falsi
+    (Illinois: an end kept twice has its weight halved), then to bisection.
+    The search stops when the norm is within 1e-12 of the target or the
+    step within 1e-13 of the amplitude (the roundoff floor of a noisy
+    norm), and returns the last amplitude and the norm measured there.
+    CalibrationError: a target at or below norm_at_zero, the ceiling hit
+    below the target, no stop within _MAX_CALIB_EVALS evaluations, or a
+    final norm more than 1% off.
     """
+    if target <= norm_at_zero:
+        raise CalibrationError(
+            f"cannot reach {target:g}: the unperturbed norm {norm_at_zero:g} is not below it")
     if a_cap <= 0:
         raise CalibrationError("amplitude cap is non-positive")
-    a_hi = min(1e-3, a_cap)
-    while norm_at(a_hi) < target:
-        if a_hi >= min(a_cap, _MAX_AMPLITUDE):
-            raise CalibrationError(f"cannot reach {target:g}: amplitude cap {a_hi:g} hit")
-        a_hi = min(2.0 * a_hi, a_cap)
-    a = brentq(lambda a: norm_at(a) - target, 0.0, a_hi, xtol=1e-15, rtol=8.9e-16)
-    norm = norm_at(a)
+    ceiling = min(a_cap, _MAX_AMPLITUDE)
+    lo, f_lo, hi, f_hi = 0.0, norm_at_zero - target, None, None
+    prev, f_prev = lo, f_lo
+    a = min(_FIRST_PROBE, ceiling)
+    for _ in range(_MAX_CALIB_EVALS):
+        norm = norm_at(a)
+        f = norm - target
+        if abs(f) <= _CALIB_RTOL * target:
+            break
+        if f < 0:
+            if hi is not None and f_prev < 0:
+                f_hi *= 0.5
+            lo, f_lo = a, f
+        else:
+            if f_prev >= 0:
+                f_lo *= 0.5
+            hi, f_hi = a, f
+        slope = (f - f_prev) / (a - prev)
+        nxt = a - f / slope if slope > 0 else math.inf
+        if hi is None:
+            if lo >= ceiling:
+                raise CalibrationError(f"cannot reach {target:g}: amplitude cap {lo:g} hit")
+            nxt = min(nxt, _MAX_GROWTH * lo, ceiling)
+        elif not lo < nxt < hi:
+            nxt = lo - f_lo * (hi - lo) / (f_hi - f_lo)
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi)
+        if abs(nxt - a) <= _STEP_RTOL * a:
+            break
+        prev, f_prev, a = a, f, nxt
+    else:
+        raise CalibrationError(
+            f"cannot reach {target:g} within {_MAX_CALIB_EVALS} evaluations: "
+            f"the last norm measured is {norm:g}, at amplitude {a:g}")
     if abs(norm - target) > 0.01 * target:
-        raise CalibrationError(f"calibrated norm {norm} misses {target:g} by more than 1%")
+        raise CalibrationError(
+            f"cannot reach {target:g}: the last norm measured, {norm:g} "
+            f"at amplitude {a:g}, misses it by more than 1%")
     return a, norm
 
 
@@ -357,11 +402,13 @@ def perturb_step(
 ) -> StepResult:
     """Compose a perturbation onto the exact transport so ||xi|| equals eps.
 
-    The amplitude is found by root finding on the independently re-measured
-    xi norm, so the calibration target (within 1% relative) is verified by
-    construction.  Dilations are about the mean of the exact next measure;
-    a grid bump defaults to the median knot and the standard deviation of
-    p_n.  eps = 0 returns the exact result unchanged.
+    calibrate_amplitude finds the amplitude by a secant on the re-measured
+    xi norm, starting from the exact step's norm at amplitude 0, and the
+    norm it returns is the one measured there, so the calibration target
+    (1e-12 relative, 1% enforced) is verified by construction.  Dilations
+    are about the mean of the exact next measure; a grid bump defaults to
+    the median knot and the standard deviation of p_n.  eps = 0 returns
+    the exact result unchanged.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -389,7 +436,8 @@ def perturb_step(
         return measure_xi(p_n, push(p_n, build(a)), spec, gamma)[1]
 
     a, norm = calibrate_amplitude(norm_at, eps,
-                                  amplitude_cap(tr, mode, bump_center, bump_width))
+                                  amplitude_cap(tr, mode, bump_center, bump_width),
+                                  norm_at_zero=exact.xi_norm)
     tr_a = build(a)
     nxt_a = push(p_n, tr_a)
     return StepResult(

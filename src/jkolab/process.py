@@ -268,7 +268,8 @@ def run_reverse_perturbed(
 
     Calibration runs n = N down to 1: the measure q~_n entering S_n is
     already materialized, so the residual norm ||T_n o S_n - Id||_{q~_n} is
-    well defined before S_n is fixed.  eps_inv = 0 reproduces the exact
+    well defined before S_n is fixed; at amplitude 0 (the exact inverse) it
+    is 0, calibrate_amplitude's default.  eps_inv = 0 reproduces the exact
     reverse run.
     """
     if eps_inv < 0:

@@ -42,6 +42,21 @@ seed = 0
 mode = grid_bump
 """
 
+# the standard suite's grid config (scripts/run_standard_suite.py) with n = 3
+STANDARD_GRID = """
+family = grid
+family.m = 2048
+objective.center = 0
+p0.mean = 1.5
+p0.cov = 2.25
+gamma = 1.0
+eps = 0.1
+eps_inv = 0.001
+n = 3
+seed = 0
+mode = grid_bump
+"""
+
 BASE_ATOMS = """
 family = grid
 family.m = 128
@@ -192,8 +207,7 @@ class TestPipeline:
 class TestSweepAndReport:
     def test_sweep_seeds(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
-        assert run(["sweep", "--config", cfgp, "--axis", "seed=0,1,2",
-                    "--workers", "2"], tmp_path) == 0
+        assert run(["sweep", "--config", cfgp, "--axis", "seed=0,1,2"], tmp_path) == 0
         reports = [f for f in os.listdir(tmp_path / "runs")
                    if f.endswith("_report.csv")]
         assert len(reports) == 3
@@ -236,6 +250,31 @@ class TestExitCodes:
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
 
+    def test_checks_override_is_validated_before_loading(self, tmp_path):
+        text = BASE_GAUSS.replace("n = 5", "n = 0") + "checks = evi\n"
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["certify", "--config", cfgp, "--checks", "bogus"],
+                   tmp_path) == cli.EXIT_CONFIG
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        assert run(["certify", "--config", cfgp, "--checks", "inversion"],
+                   tmp_path) == cli.EXIT_CONFIG
+
+    def test_forward_target_below_unperturbed_norm_is_solver_failure(self, tmp_path, capsys):
+        # the exact third step has ||xi|| ~ 2e-7 on the standard-suite grid
+        text = STANDARD_GRID.replace("eps = 0.1", "eps = 1e-9")
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER
+        assert "forward step 3: cannot reach 1e-09: the unperturbed norm" in capsys.readouterr().err
+
+    def test_reverse_target_below_roundoff_is_solver_failure(self, tmp_path, capsys):
+        text = STANDARD_GRID.replace("eps_inv = 0.001", "eps_inv = 1e-17")
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        assert run(["reverse", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "reverse step 3: cannot reach 1e-17 within" in err
+
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
         def boom(cfg, out):
             raise ZeroDivisionError("boom")
@@ -263,8 +302,7 @@ class TestSweepRobustness:
 
         monkeypatch.setattr(cli, "do_forward", counting)
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
-        assert run(["sweep", "--config", cfgp, "--axis", "gamma=0.5,0.5",
-                    "--workers", "2"], tmp_path) == 0
+        assert run(["sweep", "--config", cfgp, "--axis", "gamma=0.5,0.5"], tmp_path) == 0
         assert len(calls) == 1
 
     def test_bad_combo_does_not_stop_the_sweep(self, tmp_path):

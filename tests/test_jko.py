@@ -265,15 +265,67 @@ class TestPerturbStep:
 
 
 class TestCalibrateAmplitude:
+    @staticmethod
+    def counted(norm_at):
+        calls = []
+
+        def f(a):
+            calls.append(a)
+            return norm_at(a)
+
+        return f, calls
+
     def test_finds_root_of_linear_norm(self):
-        a, norm = jko.calibrate_amplitude(lambda a: 3.0 * a, 0.3)
+        norm_at, calls = self.counted(lambda a: 3.0 * a)
+        a, norm = jko.calibrate_amplitude(norm_at, 0.3)
         assert a == pytest.approx(0.1, rel=1e-12)
         assert norm == pytest.approx(0.3, rel=1e-12)
+        assert len(calls) <= 2
 
     def test_cap_below_root_raises(self):
         for cap in (0.05, 0.0):
             with pytest.raises(jko.CalibrationError):
                 jko.calibrate_amplitude(lambda a: 3.0 * a, 0.3, a_cap=cap)
+
+    def test_convex_norm_converges(self):
+        norm_at = lambda a: 0.5 * a + 4.0 * a * a + a ** 4
+        a, norm = jko.calibrate_amplitude(norm_at, 7.0)
+        assert abs(norm - 7.0) <= 1e-12 * 7.0
+        assert norm == norm_at(a)
+
+    def test_noisy_norm_returns_within_the_cap(self):
+        rng = np.random.default_rng(3)
+        a, norm = jko.calibrate_amplitude(
+            lambda a: 2.0 * a * (1.0 + 0.3 * a) * (1.0 + 1e-15 * rng.standard_normal()), 0.05)
+        assert abs(norm - 0.05) <= 1e-12 * 0.05
+
+    def test_target_unreachable_below_max_amplitude_raises(self):
+        for norm_at in (lambda a: 1e-9 * a, lambda a: 1.0 - np.exp(-a)):
+            with pytest.raises(jko.CalibrationError, match="amplitude cap"):
+                jko.calibrate_amplitude(norm_at, 2.0)
+
+    def test_target_at_or_below_the_unperturbed_norm_raises(self):
+        norm_at, calls = self.counted(lambda a: 0.5 + 3.0 * a)
+        for target in (0.3, 0.5):
+            with pytest.raises(jko.CalibrationError, match="unperturbed norm"):
+                jko.calibrate_amplitude(norm_at, target, norm_at_zero=0.5)
+        assert calls == []
+
+    def test_gaussian_mean_shift_step_measures_xi_at_most_three_times(self, monkeypatch):
+        spec = kl_spec()
+        p = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
+        res = jko.jko_step_gaussian(p, spec, 1.0)
+        calls = []
+        measure = jko.measure_xi
+
+        def counting(*args):
+            calls.append(args)
+            return measure(*args)
+
+        monkeypatch.setattr(jko, "measure_xi", counting)
+        pert = jko.perturb_step(p, res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
+        assert len(calls) <= 3
+        assert abs(pert.xi_norm - 0.1) <= 1e-12 * 0.1
 
 
 class TestContraction:
