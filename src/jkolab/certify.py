@@ -130,14 +130,12 @@ def check_evi(traj: pr.Trajectory, pi, eps_used: float | None = None,
     if tol is None:
         tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
     g_pi = fn.evaluate(spec, pi)
+    w = [pr.w2_between(p, pi) for p in traj.measures]
     reports = []
     for n in range(traj.n_steps):
-        p_cur, p_next = traj.measures[n], traj.measures[n + 1]
-        w_next = pr.w2_between(p_next, pi)
-        w_cur = pr.w2_between(p_cur, pi)
-        lhs = (1 + gamma * lam / 2) * w_next ** 2 + 2 * gamma * (
-            fn.evaluate(spec, p_next) - g_pi)
-        rhs = w_cur ** 2 + (2 * gamma / lam) * eps ** 2
+        lhs = (1 + gamma * lam / 2) * w[n + 1] ** 2 + 2 * gamma * (
+            fn.evaluate(spec, traj.measures[n + 1]) - g_pi)
+        rhs = w[n] ** 2 + (2 * gamma / lam) * eps ** 2
         reports.append(BoundReport("evi", lhs, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     return reports

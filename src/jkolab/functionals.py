@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,11 @@ class Variant(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadraticPotential:
-    """V(x) = (1/2)(x - center)^T lambda_mat (x - center), lambda_mat SPD."""
+    """V(x) = (1/2)(x - center)^T lambda_mat (x - center), lambda_mat SPD.
+
+    `lambda_min`, the smallest eigenvalue of lambda_mat, is kept from the
+    positive-definiteness check; `log_z` is cached on first use.
+    """
 
     lambda_mat: np.ndarray
     center: np.ndarray
@@ -52,18 +57,20 @@ class QuadraticPotential:
         if lam.shape != (c.size, c.size):
             raise ValueError("lambda_mat shape does not match center dimension")
         lam = 0.5 * (lam + lam.T)
-        if np.linalg.eigvalsh(lam)[0] <= 0:
+        lambda_min = float(np.linalg.eigvalsh(lam)[0])
+        if lambda_min <= 0:
             raise ValueError("lambda_mat must be strictly positive definite")
         lam.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "lambda_mat", lam)
         object.__setattr__(self, "center", c)
+        object.__setattr__(self, "lambda_min", lambda_min)
 
     @property
     def dim(self) -> int:
         return self.center.size
 
-    @property
+    @cached_property
     def log_z(self) -> float:
         """log normalizer of q = e^{-V}/Z: (d/2) log(2 pi) - (1/2) log det Lambda."""
         _, logdet = np.linalg.slogdet(self.lambda_mat)
@@ -107,7 +114,7 @@ class ObjectiveSpec:
 
 def lambda_of(spec: ObjectiveSpec) -> float:
     """Convexity modulus: the smallest eigenvalue of Lambda."""
-    return float(np.linalg.eigvalsh(spec.potential.lambda_mat)[0])
+    return spec.potential.lambda_min
 
 
 def rescale_to_unit_lambda(spec: ObjectiveSpec) -> tuple[ObjectiveSpec, float]:
@@ -138,8 +145,7 @@ def evaluate(spec: ObjectiveSpec, measure) -> float:
         if spec.alpha > 0:
             if not measure.is_nondegenerate():
                 raise ValueError("entropy-bearing objective is +inf at a degenerate measure")
-            _, logdet = np.linalg.slogdet(measure.cov)
-            h = -0.5 * measure.dim * math.log(2 * math.pi * math.e) - 0.5 * logdet
+            h = -0.5 * measure.dim * math.log(2 * math.pi * math.e) - 0.5 * measure.log_det
         else:
             h = 0.0
         dm = measure.mean - pot.center

@@ -8,6 +8,7 @@ affine vector fields under a Gaussian measure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,11 @@ class GaussianMeasure:
     Semi-definite covariances are allowed (they arise as degenerate W2
     endpoints, e.g. the minimizer of a potential-only objective); strictly
     positive definite covariance is required for entropy-bearing operations.
+
+    The covariance is factored once, at construction, as V diag(evals) V^T
+    (`evals` ascending, `evecs` = V); the square root, inverse square root,
+    precision and log-determinant are derived from those factors on first
+    use and cached.  All of them are read-only.
     """
 
     mean: np.ndarray
@@ -53,24 +59,53 @@ class GaussianMeasure:
         if asym > _SYM_RTOL * scale * 100:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
-        evals = np.linalg.eigvalsh(cov)
+        evals, evecs = np.linalg.eigh(cov)
         if evals.size and evals[0] < -1e-10 * scale:
             raise ValueError("covariance has a negative eigenvalue")
-        mean.setflags(write=False)
-        cov.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
+        for name, arr in (("mean", mean), ("cov", cov), ("evals", evals), ("evecs", evecs)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.mean.size
 
     def is_nondegenerate(self) -> bool:
-        return float(np.linalg.eigvalsh(self.cov)[0]) >= _POSDEF_MIN
+        return float(self.evals[0]) >= _POSDEF_MIN
 
     def require_nondegenerate(self):
         if not self.is_nondegenerate():
             raise ValueError("operation requires a strictly positive definite covariance")
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """Sigma^{1/2}, equal to spd_sqrt(cov); valid for singular covariances too."""
+        return _frozen(_eig_sqrt(self.evals, self.evecs))
+
+    @cached_property
+    def inv_sqrt(self) -> np.ndarray:
+        """Sigma^{-1/2}; requires a nondegenerate covariance."""
+        self.require_nondegenerate()
+        v = self.evecs
+        return _frozen((v / np.sqrt(self.evals)) @ v.T)
+
+    @cached_property
+    def precision(self) -> np.ndarray:
+        """Sigma^{-1}; requires a nondegenerate covariance."""
+        self.require_nondegenerate()
+        v = self.evecs
+        return _frozen((v / self.evals) @ v.T)
+
+    @cached_property
+    def log_det(self) -> float:
+        """log det Sigma; requires a nondegenerate covariance."""
+        self.require_nondegenerate()
+        return float(np.sum(np.log(self.evals)))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -105,18 +140,12 @@ def spd_sqrt(mat: np.ndarray) -> np.ndarray:
     which keeps singular inputs singular instead of leaking sqrt(1e-14)
     into every degenerate distance.
     """
-    mat = 0.5 * (mat + mat.T)
-    evals, vecs = np.linalg.eigh(mat)
+    return _eig_sqrt(*np.linalg.eigh(0.5 * (mat + mat.T)))
+
+
+def _eig_sqrt(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     evals = np.where(evals < _EIG_CLAMP, 0.0, evals)
     return (vecs * np.sqrt(evals)) @ vecs.T
-
-
-def _spd_inv(mat: np.ndarray) -> np.ndarray:
-    mat = 0.5 * (mat + mat.T)
-    evals, vecs = np.linalg.eigh(mat)
-    if evals[0] < _POSDEF_MIN:
-        raise ValueError("matrix is singular (smallest eigenvalue below 1e-10)")
-    return (vecs / evals) @ vecs.T
 
 
 def _check_dims(g1: GaussianMeasure, g2: GaussianMeasure):
@@ -134,19 +163,11 @@ def w2_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def bw_linear(cov1: np.ndarray, cov2: np.ndarray) -> np.ndarray:
-    """Linear part of the OT map from N(0, cov1) to N(0, cov2)."""
-    s1_half = spd_sqrt(cov1)
-    s1_half_inv = _spd_inv(s1_half)
-    inner = spd_sqrt(s1_half @ cov2 @ s1_half)
-    return s1_half_inv @ inner @ s1_half_inv
-
-
 def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
     """OT map from g1 to g2: x -> A(x - m1) + m2 with SPD A."""
     _check_dims(g1, g2)
-    g1.require_nondegenerate()
-    a = bw_linear(g1.cov, g2.cov)
+    s_half, s_half_inv = g1.sqrt, g1.inv_sqrt
+    a = s_half_inv @ spd_sqrt(s_half @ g2.cov @ s_half) @ s_half_inv
     return AffineMap(a, g2.mean - a @ g1.mean)
 
 
@@ -169,19 +190,17 @@ def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
     """KL(g1 || g2) between two nondegenerate Gaussians, closed form."""
     _check_dims(g1, g2)
     g1.require_nondegenerate()
-    g2.require_nondegenerate()
-    prec2 = _spd_inv(g2.cov)
+    prec2 = g2.precision
     dm = g1.mean - g2.mean
-    _, logdet1 = np.linalg.slogdet(g1.cov)
-    _, logdet2 = np.linalg.slogdet(g2.cov)
-    val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + logdet2 - logdet1)
+    val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
     return max(float(val), 0.0)
 
 
 def kl_gaussian(g: GaussianMeasure, spec) -> float:
     """KL(g || q) against the target q = N(mu*, Lambda^{-1}) of `spec`."""
     pot = spec.potential
-    target = GaussianMeasure(pot.center, _spd_inv(pot.lambda_mat))
+    # N(mu*, Lambda) has precision Lambda^{-1}
+    target = GaussianMeasure(pot.center, GaussianMeasure(pot.center, pot.lambda_mat).precision)
     return kl_between(g, target)
 
 
@@ -191,10 +210,9 @@ def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:
     For Gaussian rho this is the affine field
     x -> Lambda (x - mu*) - alpha Sigma^{-1} (x - m).
     """
-    g.require_nondegenerate()
     pot = spec.potential
     alpha = spec.entropy_weight
-    prec = _spd_inv(g.cov)
+    prec = g.precision
     j = pot.lambda_mat - alpha * prec
     c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
     return AffineMap(j, c)

@@ -70,21 +70,11 @@ class StepResult:
     transport: object
     xi_norm: float
     solver_iterations: int
-    objective_value: float
 
 
 def _check_gamma(gamma: float):
     if not (0 < gamma < 2):
         raise ValueError("step size gamma must be in (0, 2)")
-
-
-def proximal_objective(p_n, measure, spec, gamma: float) -> float:
-    """F(measure) = G(measure) + W2^2(p_n, measure) / (2 gamma)."""
-    if isinstance(p_n, qt.QuantileGrid):
-        dist = qt.w2(p_n, measure)
-    else:
-        dist = ga.w2_bw(p_n, measure)
-    return fn.evaluate(spec, measure) + dist * dist / (2.0 * gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +143,7 @@ def jko_step_gaussian(
 
     mean = np.linalg.solve(eye + gamma * lam, p_n.mean + gamma * lam @ pot.center)
 
-    s, v = np.linalg.eigh(p_n.cov)
+    s, v = p_n.evals, p_n.evecs
     c = (v * np.sqrt(spec.entropy_weight * gamma / s)) @ v.T
     mu, w = np.linalg.eigh(c @ (eye + gamma * lam) @ c)
     # eigenvalues of Y^{-1}: 1 / (sqrt(1/4 + mu) - 1/2), without the cancellation
@@ -171,7 +161,6 @@ def jko_step_gaussian(
         transport=ga.AffineMap(a, mean - a @ p_n.mean),
         xi_norm=xi_norm,
         solver_iterations=0,
-        objective_value=proximal_objective(p_n, next_measure, spec, gamma),
     )
 
 
@@ -261,7 +250,6 @@ def jko_step_grid(
         transport=qt.ot_map(p_n, next_measure),
         xi_norm=xi_norm,
         solver_iterations=iters,
-        objective_value=proximal_objective(p_n, next_measure, spec, gamma),
     )
 
 
@@ -340,8 +328,10 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,
     step within 1e-13 of the amplitude (the roundoff floor of a noisy
     norm), and returns the last amplitude and the norm measured there.
     CalibrationError: a target at or below norm_at_zero, the ceiling hit
-    below the target, no stop within _MAX_CALIB_EVALS evaluations, or a
-    final norm more than 1% off.
+    below the target, a target below the norm's roundoff floor (before any
+    norm below the target is seen, two upper ends measure the same norm),
+    no stop within _MAX_CALIB_EVALS evaluations, or a final norm more than
+    1% off.
     """
     if target <= norm_at_zero:
         raise CalibrationError(
@@ -362,6 +352,10 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,
                 f_hi *= 0.5
             lo, f_lo = a, f
         else:
+            if lo == 0.0 and f == f_prev:
+                raise CalibrationError(
+                    f"cannot reach {target:g}: the norm stays at {norm:g} as the amplitude "
+                    f"falls from {prev:g} to {a:g}, so the target is below its roundoff floor")
             if f_prev >= 0:
                 f_lo *= 0.5
             hi, f_hi = a, f
@@ -439,11 +433,9 @@ def perturb_step(
                                   amplitude_cap(tr, mode, bump_center, bump_width),
                                   norm_at_zero=exact.xi_norm)
     tr_a = build(a)
-    nxt_a = push(p_n, tr_a)
     return StepResult(
-        next_measure=nxt_a,
+        next_measure=push(p_n, tr_a),
         transport=tr_a,
         xi_norm=norm,
         solver_iterations=exact.solver_iterations,
-        objective_value=proximal_objective(p_n, nxt_a, spec, gamma),
     )

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jkolab import cli
+from jkolab import jko
 from jkolab import serialize as sz
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -267,13 +268,30 @@ class TestExitCodes:
         assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER
         assert "forward step 3: cannot reach 1e-09: the unperturbed norm" in capsys.readouterr().err
 
-    def test_reverse_target_below_roundoff_is_solver_failure(self, tmp_path, capsys):
+    def test_reverse_target_below_roundoff_is_solver_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # the inversion residual of reverse step 3 stops falling at ~3e-17
         text = STANDARD_GRID.replace("eps_inv = 0.001", "eps_inv = 1e-17")
         cfgp = write(tmp_path, "c.txt", text)
         assert run(["forward", "--config", cfgp], tmp_path) == 0
+        evals = []
+        calibrate = jko.calibrate_amplitude
+
+        def counting(norm_at, *args, **kwargs):
+            evals.append(0)
+
+            def counted(a):
+                evals[-1] += 1
+                return norm_at(a)
+
+            return calibrate(counted, *args, **kwargs)
+
+        monkeypatch.setattr(jko, "calibrate_amplitude", counting)
         assert run(["reverse", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER
         err = capsys.readouterr().err
-        assert "reverse step 3: cannot reach 1e-17 within" in err
+        assert "reverse step 3: cannot reach 1e-17: the norm stays at" in err
+        assert "roundoff floor" in err
+        assert len(evals) == 1 and evals[0] <= 6
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
         def boom(cfg, out):

@@ -42,6 +42,44 @@ class TestGaussianMeasure:
             g.require_nondegenerate()
 
 
+class TestFactorization:
+    """The covariance is factored once; every derived matrix is cached read-only."""
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_cached_factors_match_direct_computation(self, d):
+        rng = np.random.default_rng(d)
+        cov = random_spd(rng, d)
+        if d > 1:
+            diag = np.diag(np.arange(1.0, d + 1))
+            assert not np.allclose(cov @ diag, diag @ cov)
+        g = ga.GaussianMeasure(rng.standard_normal(d), cov)
+
+        def close(x, ref):
+            return np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        sqrt = ga.spd_sqrt(g.cov)
+        assert close(g.sqrt, sqrt)
+        assert close(g.inv_sqrt, np.linalg.inv(sqrt))
+        assert close(g.precision, np.linalg.inv(g.cov))
+        sign, logdet = np.linalg.slogdet(g.cov)
+        assert sign == 1 and abs(g.log_det - logdet) <= 1e-12 * max(abs(logdet), 1.0)
+        assert g.sqrt is g.sqrt and g.precision is g.precision
+
+    def test_cached_arrays_are_read_only(self):
+        g = ga.GaussianMeasure(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        for arr in (g.mean, g.cov, g.evals, g.evecs, g.sqrt, g.inv_sqrt, g.precision):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    def test_singular_covariance(self):
+        g = ga.GaussianMeasure(np.zeros(2), np.diag([4.0, 0.0]))
+        assert np.array_equal(g.sqrt, np.diag([2.0, 0.0]))
+        assert not g.is_nondegenerate()
+        for name in ("precision", "inv_sqrt", "log_det"):
+            with pytest.raises(ValueError):
+                getattr(g, name)
+
+
 class TestW2Bw:
     def test_self_zero(self):
         g = ga.GaussianMeasure(np.ones(3), np.eye(3))

@@ -12,6 +12,11 @@ def kl_spec(lam=1.0, center=0.0, d=1):
     return fn.ObjectiveSpec(fn.QuadraticPotential(lam * np.eye(d), center * np.ones(d)))
 
 
+def proximal_objective(p_n, measure, spec, gamma):
+    """F(measure) = G(measure) + W2^2(p_n, measure) / (2 gamma), Gaussian family."""
+    return fn.evaluate(spec, measure) + ga.w2_bw(p_n, measure) ** 2 / (2.0 * gamma)
+
+
 def closed_form_next_variance(s_n, gamma, lam=1.0, alpha=1.0):
     # stationarity for the 1-D step: lam + (1 - sqrt(s_n/s))/gamma = alpha/s
     from scipy.optimize import brentq
@@ -60,8 +65,8 @@ class TestGaussianStep:
             ref = orc.brute_jko(p, spec, 0.8, orc.OracleConfig(budget=40_000))
             assert ga.w2_bw(res.next_measure, ref) <= 2e-4
             # oracle objective can only be >= the solver's up to its own tolerance
-            ref_obj = jko.proximal_objective(p, ref, spec, 0.8)
-            assert res.objective_value <= ref_obj + 1e-7
+            ref_obj = proximal_objective(p, ref, spec, 0.8)
+            assert proximal_objective(p, res.next_measure, spec, 0.8) <= ref_obj + 1e-7
 
     def test_weighted_variance_matches_scalar_stationarity(self):
         lam_mat = 1.5 * np.eye(1)
@@ -85,7 +90,7 @@ class TestGaussianStep:
         spec = kl_spec(d=2)
         res = jko.jko_step_gaussian(p, spec, 1.2)
         assert fn.evaluate(spec, res.next_measure) < fn.evaluate(spec, p)
-        assert res.objective_value <= fn.evaluate(spec, p) + 1e-12
+        assert proximal_objective(p, res.next_measure, spec, 1.2) <= fn.evaluate(spec, p) + 1e-12
 
     def test_rejects_bad_gamma(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
@@ -190,7 +195,7 @@ class TestMeasureXi:
         vals = []
         for sgn in (1, -1):
             tr = ga.AffineMap(eye + sgn * t * v.linear, sgn * t * v.offset)
-            vals.append(jko.proximal_objective(p, ga.pushforward_affine(rho, tr), spec, gamma))
+            vals.append(proximal_objective(p, ga.pushforward_affine(rho, tr), spec, gamma))
         fd = (vals[0] - vals[1]) / (2 * t)
         assert fd == pytest.approx(inner, abs=1e-6, rel=1e-4)
 
@@ -326,6 +331,37 @@ class TestCalibrateAmplitude:
         pert = jko.perturb_step(p, res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
         assert len(calls) <= 3
         assert abs(pert.xi_norm - 0.1) <= 1e-12 * 0.1
+
+
+DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky", "slogdet", "det",
+                  "inv")
+
+
+class TestDecompositionCount:
+    """Each Gaussian covariance is factored once, where the measure is made."""
+
+    def test_gaussian_step_decompositions(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, 3), np.zeros(3)))
+        p = ga.GaussianMeasure(rng.standard_normal(3), random_cov(rng, 3))
+        counts = {"decompositions": 0, "measure_xi": 0}
+
+        def counting(key, func):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapped
+
+        for name in DECOMPOSITIONS:
+            monkeypatch.setattr(np.linalg, name,
+                                counting("decompositions", getattr(np.linalg, name)))
+        exact = jko.jko_step_gaussian(p, spec, 1.0)
+        assert counts["decompositions"] <= 3
+        counts["decompositions"] = 0
+        monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
+        jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
+        assert counts["measure_xi"] >= 2
+        assert counts["decompositions"] <= 2 * counts["measure_xi"] + 1
 
 
 class TestContraction:

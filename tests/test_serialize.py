@@ -1,3 +1,4 @@
+import dataclasses
 import io
 
 import numpy as np
@@ -154,5 +155,5 @@ class TestReverseRoundTrip:
         assert back.exact is True
         assert_maps_equal(exact.transports, back.transports)
         for a, b in zip(exact.measures, back.measures):
-            for x, y in zip(vars(a).values(), vars(b).values()):
-                assert np.array_equal(x, y)
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
