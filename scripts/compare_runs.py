@@ -1,6 +1,6 @@
 """Check that two run directories hold the same results.
 
-  python3 scripts/compare_runs.py OLD_DIR NEW_DIR [--rtol 1e-9] [--atol 1e-10]
+  python3 scripts/compare_runs.py OLD_DIR NEW_DIR
 
 The CSVs of the two directories are paired by file name (run files are
 named `{run_id}_{kind}.csv`, and the run id hashes the config).  Cells are
@@ -8,16 +8,20 @@ compared column by column; `key=value;...` cells (the report's context) are
 split into one column per key.  For every file kind and column the worst
 absolute and relative difference is printed.  Exit status 1 when a CSV is
 missing on either side, the headers or row counts differ, a `holds` value
-or a text cell differs, or a number differs by more than rtol (relative to
-the larger magnitude) and also by more than atol; 0 otherwise.
+or a text cell differs, a number differs and one side is not finite, or a
+number differs by more than RTOL (relative to the larger magnitude) and
+also by more than ATOL; 0 otherwise.
 """
 
 import argparse
 import csv
+import math
 import os
 import re
 import sys
 
+RTOL = 1e-9
+ATOL = 1e-10
 _RUN_FILE = re.compile(r"^[0-9a-f]{12}_(.+)\.csv$")
 
 
@@ -50,8 +54,7 @@ def _number(text: str):
 
 
 class Comparison:
-    def __init__(self, rtol: float, atol: float):
-        self.rtol, self.atol = rtol, atol
+    def __init__(self):
         self.worst: dict[tuple[str, str], list[float]] = {}
         self.failures: list[str] = []
 
@@ -60,13 +63,14 @@ class Comparison:
         if old == new:
             return
         a, b = _number(old), _number(new)
-        if column == "holds" or a is None or b is None:
+        if (column == "holds" or a is None or b is None
+                or not (math.isfinite(a) and math.isfinite(b))):
             self.failures.append(f"{where} {column}: {old!r} != {new!r}")
             return
         diff = abs(a - b)
         rel = diff / max(abs(a), abs(b)) if diff else 0.0
         worst[0], worst[1] = max(worst[0], diff), max(worst[1], rel)
-        if not diff <= max(self.atol, self.rtol * max(abs(a), abs(b))):
+        if not diff <= max(ATOL, RTOL * max(abs(a), abs(b))):
             self.failures.append(f"{where} {column}: {old} vs {new} (abs {diff:.3g})")
 
     def files(self, name: str, old_path: str, new_path: str):
@@ -88,8 +92,8 @@ class Comparison:
                     self.cell(f"{name}:{i}", kind, col, vo, vn)
 
 
-def compare(old_dir: str, new_dir: str, rtol: float = 1e-9, atol: float = 1e-10) -> Comparison:
-    cmp = Comparison(rtol, atol)
+def compare(old_dir: str, new_dir: str) -> Comparison:
+    cmp = Comparison()
     old = {f for f in os.listdir(old_dir) if f.endswith(".csv")}
     new = {f for f in os.listdir(new_dir) if f.endswith(".csv")}
     for name in sorted(old ^ new):
@@ -104,16 +108,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_dir")
     ap.add_argument("new_dir")
-    ap.add_argument("--rtol", type=float, default=1e-9)
-    ap.add_argument("--atol", type=float, default=1e-10)
     args = ap.parse_args(argv)
-    cmp = compare(args.old_dir, args.new_dir, args.rtol, args.atol)
+    cmp = compare(args.old_dir, args.new_dir)
     print(f"{'kind':<20} {'column':<28} {'max abs diff':>12} {'max rel diff':>12}")
     for (kind, column), (diff, rel) in sorted(cmp.worst.items()):
         print(f"{kind:<20} {column:<28} {diff:>12.3g} {rel:>12.3g}")
     for line in cmp.failures:
         print(f"DIFFERS {line}")
-    print(f"{len(cmp.failures)} differences beyond rtol={args.rtol:g}, atol={args.atol:g}")
+    print(f"{len(cmp.failures)} differences beyond rtol={RTOL:g}, atol={ATOL:g}")
     return 1 if cmp.failures else 0
 
 

@@ -199,9 +199,7 @@ def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
 def kl_gaussian(g: GaussianMeasure, spec) -> float:
     """KL(g || q) against the target q = N(mu*, Lambda^{-1}) of `spec`."""
     pot = spec.potential
-    # N(mu*, Lambda) has precision Lambda^{-1}
-    target = GaussianMeasure(pot.center, GaussianMeasure(pot.center, pot.lambda_mat).precision)
-    return kl_between(g, target)
+    return kl_between(g, GaussianMeasure(pot.center, np.linalg.inv(pot.lambda_mat)))
 
 
 def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:

@@ -49,7 +49,18 @@ def test_number_beyond_both_tolerances_fails(tmp_path):
     old = write_run(tmp_path / "old")
     new = write_run(tmp_path / "new", w2="1.000001")
     assert compare_runs.main([old, new]) == 1
-    assert compare_runs.main([old, new, "--rtol", "1e-5"]) == 0
+
+
+def test_change_to_or_from_infinity_fails(tmp_path, capsys):
+    old = write_run(tmp_path / "old")
+    for i, rhs in enumerate(("inf", "-inf", "nan")):
+        new = write_run(tmp_path / f"new{i}", rhs=rhs)
+        assert compare_runs.main([old, new]) == 1
+        assert "rhs: '1.25' != " in capsys.readouterr().out
+    assert compare_runs.main([write_run(tmp_path / "neg", rhs="-inf"),
+                              write_run(tmp_path / "pos", rhs="inf")]) == 1
+    assert compare_runs.main([write_run(tmp_path / "a", rhs="inf"),
+                              write_run(tmp_path / "b", rhs="inf")]) == 0
 
 
 def test_missing_csv_fails(tmp_path, capsys):

@@ -316,6 +316,12 @@ class TestCalibrateAmplitude:
                 jko.calibrate_amplitude(norm_at, target, norm_at_zero=0.5)
         assert calls == []
 
+    def test_target_below_the_roundoff_floor_raises_fast(self):
+        norm_at, calls = self.counted(lambda a: max(3.0 * a, 1e-3))
+        with pytest.raises(jko.CalibrationError, match="roundoff floor"):
+            jko.calibrate_amplitude(norm_at, 5e-4)
+        assert len(calls) <= 4
+
     def test_gaussian_mean_shift_step_measures_xi_at_most_three_times(self, monkeypatch):
         spec = kl_spec()
         p = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
