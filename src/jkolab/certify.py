@@ -150,6 +150,7 @@ def check_forward_rate(traj: pr.Trajectory, tol: float | None = None) -> list[Bo
 
     eps is the max of the measured xi norms; the terminal reports appear at
     every step index past the logarithmic threshold (none when eps = 0).
+    The threshold is -inf when p_0 is the minimizer (W2(p_0, pi) = 0).
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
@@ -166,7 +167,8 @@ def check_forward_rate(traj: pr.Trajectory, tol: float | None = None) -> list[Bo
         reports.append(BoundReport("forward_rate", lhs, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
-        threshold = 8.0 / (gamma * lam) * (math.log(w0) + math.log(lam / eps))
+        threshold = (8.0 / (gamma * lam) * (math.log(w0) + math.log(lam / eps))
+                     if w0 > 0 else -math.inf)
         g_min = fn.minimum_value(spec)
         for n in range(1, traj.n_steps + 1):
             if n < threshold:

@@ -147,7 +147,11 @@ class RunConfig:
         eps = self.max_eps()
         if eps <= 0:
             raise ConfigError("n = auto requires eps > 0")
-        return pr.steps_needed(pr.w2_between(p0, q), self.spec.lam, self.gamma, eps)
+        w0 = pr.w2_between(p0, q)
+        if w0 == 0:
+            raise ConfigError("n = auto needs W2(p0, pi) > 0, but p0 is the minimizer pi "
+                              "(the step count grows with log W2(p0, pi)); set n explicitly")
+        return pr.steps_needed(w0, self.spec.lam, self.gamma, eps)
 
 
 def _raw_pairs(text: str) -> dict:

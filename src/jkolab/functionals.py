@@ -28,7 +28,6 @@ __all__ = [
     "QuadraticPotential",
     "ObjectiveSpec",
     "lambda_of",
-    "rescale_to_unit_lambda",
     "evaluate",
     "global_minimizer",
 ]
@@ -115,21 +114,6 @@ class ObjectiveSpec:
 def lambda_of(spec: ObjectiveSpec) -> float:
     """Convexity modulus: the smallest eigenvalue of Lambda."""
     return spec.potential.lambda_min
-
-
-def rescale_to_unit_lambda(spec: ObjectiveSpec) -> tuple[ObjectiveSpec, float]:
-    """Rescale x -> x/a so the convexity modulus is at most 1.
-
-    V(ax) is (a^2 lambda)-convex, so a = min(1, 1/sqrt(lambda)) gives
-    lambda' = a^2 lambda <= 1; a no-op (a = 1) when lambda <= 1 already.
-    """
-    lam = lambda_of(spec)
-    a = min(1.0, 1.0 / math.sqrt(lam))
-    if a == 1.0:
-        return spec, 1.0
-    pot = spec.potential
-    new_pot = QuadraticPotential(a * a * pot.lambda_mat, pot.center / a)
-    return ObjectiveSpec(new_pot, spec.variant, spec.alpha), a
 
 
 def evaluate(spec: ObjectiveSpec, measure) -> float:

@@ -18,7 +18,6 @@ __all__ = [
     "spd_sqrt",
     "w2_bw",
     "ot_map_bw",
-    "kl_gaussian",
     "kl_between",
     "subgradient_field",
     "field_l2_norm",
@@ -194,12 +193,6 @@ def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
     dm = g1.mean - g2.mean
     val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
     return max(float(val), 0.0)
-
-
-def kl_gaussian(g: GaussianMeasure, spec) -> float:
-    """KL(g || q) against the target q = N(mu*, Lambda^{-1}) of `spec`."""
-    pot = spec.potential
-    return kl_between(g, GaussianMeasure(pot.center, np.linalg.inv(pot.lambda_mat)))
 
 
 def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:

@@ -31,6 +31,8 @@ __all__ = [
     "jko_step_grid",
     "jko_step",
     "measure_xi",
+    "bump_profile",
+    "perturbed_knots",
     "perturbed_map",
     "amplitude_cap",
     "calibrate_amplitude",
@@ -89,17 +91,9 @@ def measure_xi(p_n, p_next, spec: fn.ObjectiveSpec, gamma: float):
     AffineMap in the Gaussian family and a length-M sample array on grids.
     """
     _check_gamma(gamma)
-    pot = spec.potential
-    alpha = spec.entropy_weight
     if isinstance(p_next, qt.QuantileGrid):
-        q_next = p_next.values
-        q_n = p_n.values
-        field = (
-            pot.grad_v(q_next[:, None])[:, 0]
-            + alpha * qt.score(p_next)
-            + (q_next - q_n) / gamma
-        )
-        return field, float(np.sqrt(np.mean(field * field)))
+        q = p_next.values
+        return _grid_xi(q, np.diff(q), p_n.values, spec, gamma)
     if isinstance(p_next, ga.GaussianMeasure):
         sub = ga.subgradient_field(p_next, spec)
         back = ga.ot_map_bw(p_next, p_n)
@@ -168,12 +162,28 @@ def jko_step_gaussian(
 # Grid family: damped Newton with the log-gap barrier
 
 
-def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float:
+def _grid_xi(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
+             gamma: float) -> tuple[np.ndarray, float]:
+    """measure_xi on quantile vectors, gaps = diff(q); lambda (q - c) is `grad_v` bit for bit."""
+    pot = spec.potential
+    field = (
+        pot.lambda_mat[0, 0] * (q - pot.center[0])
+        + spec.entropy_weight * qt.gap_score(gaps)
+        + (q - q_n) / gamma
+    )
+    return field, float(np.sqrt(np.mean(field * field)))
+
+
+def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float,
+              gaps: np.ndarray | None = None) -> float:
+    """Discretized proximal objective at q (gaps = diff(q)); V is `pot.v` bit for bit."""
     pot = spec.potential
     m = q.size
-    val = np.mean(pot.v(q[:, None])) + np.mean((q - q_n) ** 2) / (2 * gamma)
+    d = q - pot.center[0]
+    val = np.mean(0.5 * (d * pot.lambda_mat[0, 0] * d)) + np.mean((q - q_n) ** 2) / (2 * gamma)
     if spec.entropy_weight > 0:
-        gaps = np.diff(q)
+        if gaps is None:
+            gaps = np.diff(q)
         val -= spec.entropy_weight / m * np.sum(np.log(m * gaps))
     return float(val)
 
@@ -189,9 +199,11 @@ def jko_step_grid(
     The discretized objective is smooth and strictly convex on the monotone
     cone; its Hessian is tridiagonal (quadratic terms plus the log-gap
     barrier), solved exactly per iteration.  A fraction-to-boundary rule
-    keeps every gap at >= 1% of its previous value, so iterates stay
-    strictly monotone.  Convergence is on the max-norm of the measured xi
-    field, which is M times the gradient of the discretized objective.
+    keeps every gap at >= 1% of its previous value, and the line search
+    accepts only strictly increasing trial points, so iterates stay
+    strictly monotone and only the result is built as a QuantileGrid.
+    Convergence is on the max-norm of the measured xi field, which is M
+    times the gradient of the discretized objective.
     """
     _check_gamma(gamma)
     pot = spec.potential
@@ -202,13 +214,13 @@ def jko_step_grid(
     q_n = p_n.values
     m = p_n.m
     q = q_n.copy()
+    gaps = np.diff(q)
+    phi = _grid_phi(q, q_n, spec, gamma, gaps)
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
-        next_measure = qt.QuantileGrid(q)
-        xi, xi_norm = measure_xi(p_n, next_measure, spec, gamma)
+        xi, xi_norm = _grid_xi(q, gaps, q_n, spec, gamma)
         if np.max(np.abs(xi)) <= tol:
             break
-        gaps = np.diff(q)
         diag = np.full(m, lam_scalar + 1.0 / gamma)
         off = np.zeros(m - 1)
         if alpha > 0:
@@ -231,20 +243,23 @@ def jko_step_grid(
         # Close to the optimum the decrease a Newton step predicts is below
         # the resolution of phi, so allow a rise of a few ulps of the
         # magnitude of the terms phi sums.
-        phi0 = _grid_phi(q, q_n, spec, gamma)
-        terms = abs(phi0) + alpha * float(np.mean(np.abs(np.log(m * gaps))))
-        phi_max = phi0 + _PHI_ULPS * np.finfo(float).eps * terms
+        terms = abs(phi) + alpha * float(np.mean(np.abs(np.log(m * gaps))))
+        phi_max = phi + _PHI_ULPS * np.finfo(float).eps * terms
         while t > 1e-14:
             q_try = q + t * step
-            if np.all(np.diff(q_try) > 0) and _grid_phi(q_try, q_n, spec, gamma) <= phi_max:
-                break
+            gaps_try = np.diff(q_try)
+            if np.all(gaps_try > 0):
+                phi_try = _grid_phi(q_try, q_n, spec, gamma, gaps_try)
+                if phi_try <= phi_max:
+                    break
             t *= 0.5
         else:
             raise SolverError("Newton line search failed on the grid proximal step")
-        q = q + t * step
+        q, gaps, phi = q_try, gaps_try, phi_try
     else:
         raise SolverError("grid Newton did not converge within the iteration cap")
 
+    next_measure = qt.QuantileGrid(q)
     return StepResult(
         next_measure=next_measure,
         transport=qt.ot_map(p_n, next_measure),
@@ -264,8 +279,9 @@ def jko_step(p_n, spec, gamma: float, tol: float | None = None) -> StepResult:
 # Calibrated perturbation of the exact transport
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """Smooth compactly supported bump, 1 at 0, 0 outside |t| >= 1."""
+def bump_profile(x: np.ndarray, bump_center: float, bump_width: float) -> np.ndarray:
+    """Smooth bump at x, 1 at bump_center, 0 where |x - bump_center| >= bump_width."""
+    t = (x - bump_center) / bump_width
     out = np.zeros_like(t)
     inside = np.abs(t) < 1
     ti = t[inside]
@@ -273,12 +289,24 @@ def _bump(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump_center, bump_width):
+def perturbed_knots(y: np.ndarray, mode: PerturbMode, a: float, center, bump=None) -> np.ndarray:
+    """Knot values y of a 1-D map perturbed with amplitude a.
+
+    MEAN_SHIFT adds a, DILATION scales about `center` by 1 + a, and
+    GRID_BUMP adds a times `bump`, the bump_profile at the map's knots.
+    """
+    if mode is PerturbMode.MEAN_SHIFT:
+        return y + a
+    if mode is PerturbMode.DILATION:
+        return (1 + a) * (y - center) + center
+    return y + a * bump
+
+
+def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump=None):
     """`tr` with a perturbation of amplitude a composed onto it.
 
-    MEAN_SHIFT adds a (along the first axis for Gaussians), DILATION scales
-    about `center` by 1 + a, and GRID_BUMP adds a times a smooth bump of the
-    given center and half-width (1-D maps only).
+    A 1-D map gets perturbed_knots.  A Gaussian map is shifted by a along
+    the first axis (MEAN_SHIFT) or scaled about `center` by 1 + a (DILATION).
     """
     if isinstance(tr, ga.AffineMap):
         if mode is PerturbMode.MEAN_SHIFT:
@@ -286,25 +314,21 @@ def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump_center, bump_
         if mode is PerturbMode.DILATION:
             return ga.AffineMap((1 + a) * tr.linear, (1 + a) * (tr.offset - center) + center)
         raise ValueError(f"mode {mode.value} is 1-D only")
-    if mode is PerturbMode.MEAN_SHIFT:
-        return qt.MonotoneMap1D(tr.x, tr.y + a)
-    if mode is PerturbMode.DILATION:
-        return qt.MonotoneMap1D(tr.x, (1 + a) * (tr.y - center) + center)
-    return qt.MonotoneMap1D(tr.x, tr.y + a * _bump((tr.x - bump_center) / bump_width))
+    return qt.MonotoneMap1D(tr.x, perturbed_knots(tr.y, mode, a, center, bump))
 
 
-def amplitude_cap(tr, mode: PerturbMode, bump_center, bump_width) -> float:
+def amplitude_cap(tr, mode: PerturbMode, bump=None) -> float:
     """Largest amplitude keeping every slope of a GRID_BUMP-perturbed map >= 1e-3.
 
-    Shifts and dilations by 1 + a >= 1 never break monotonicity, so their
-    cap (and that of a Gaussian map, which rejects GRID_BUMP) is infinite.
-    The bump's slope is never a divisor, so its vanishing tails cannot
-    overflow.
+    `bump` is the bump_profile at tr's knots.  Shifts and dilations by
+    1 + a >= 1 never break monotonicity, so their cap (and that of a
+    Gaussian map, which rejects GRID_BUMP) is infinite.  The bump's slope
+    is never a divisor, so its vanishing tails cannot overflow.
     """
     if mode is not PerturbMode.GRID_BUMP or not isinstance(tr, qt.MonotoneMap1D):
         return np.inf
     dx = np.diff(tr.x)
-    fall = -np.diff(_bump((tr.x - bump_center) / bump_width)) / dx
+    fall = -np.diff(bump) / dx
     room = np.diff(tr.y) / dx - _MIN_BUMP_SLOPE
     neg = fall > 0
     if not np.any(neg):
@@ -402,7 +426,9 @@ def perturb_step(
     (1e-12 relative, 1% enforced) is verified by construction.  Dilations
     are about the mean of the exact next measure; a grid bump defaults to
     the median knot and the standard deviation of p_n.  eps = 0 returns
-    the exact result unchanged.
+    the exact result unchanged.  On grids the exact transport's knots are
+    p_n's quantiles, so T#p_n is the perturbed knot values: an evaluation
+    builds the QuantileGrid that measure_xi validates and no map.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -411,31 +437,31 @@ def perturb_step(
 
     tr = exact.transport
     nxt = exact.next_measure
+    bump = None
     if isinstance(tr, qt.MonotoneMap1D):
+        if not np.array_equal(tr.x, p_n.values):
+            raise ValueError("the exact grid transport must start at p_n's quantiles")
         center = nxt.mean()
-        if bump_center is None:
-            bump_center = float(np.median(tr.x))
-        if bump_width is None:
-            bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
-        push = qt.pushforward
+        if mode is PerturbMode.GRID_BUMP:
+            if bump_center is None:
+                bump_center = float(np.median(tr.x))
+            if bump_width is None:
+                bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
+            bump = bump_profile(tr.x, bump_center, bump_width)
+
+        def pushed(a: float):
+            return qt.QuantileGrid(perturbed_knots(tr.y, mode, a, center, bump))
     else:
         center = nxt.mean
-        push = ga.pushforward_affine
 
-    def build(a: float):
-        return perturbed_map(tr, mode, a, center=center,
-                             bump_center=bump_center, bump_width=bump_width)
+        def pushed(a: float):
+            return ga.pushforward_affine(p_n, perturbed_map(tr, mode, a, center=center))
 
-    def norm_at(a: float) -> float:
-        return measure_xi(p_n, push(p_n, build(a)), spec, gamma)[1]
-
-    a, norm = calibrate_amplitude(norm_at, eps,
-                                  amplitude_cap(tr, mode, bump_center, bump_width),
-                                  norm_at_zero=exact.xi_norm)
-    tr_a = build(a)
+    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, pushed(a), spec, gamma)[1], eps,
+                                  amplitude_cap(tr, mode, bump), norm_at_zero=exact.xi_norm)
     return StepResult(
-        next_measure=push(p_n, tr_a),
-        transport=tr_a,
+        next_measure=pushed(a),
+        transport=perturbed_map(tr, mode, a, center=center, bump=bump),
         xi_norm=norm,
         solver_iterations=exact.solver_iterations,
     )

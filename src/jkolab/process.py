@@ -228,12 +228,16 @@ def run_forward(
 # Reverse processes
 
 
+def _grid_inversion_residual(t_forward, s_x, s_y, x) -> float:
+    """||T o S - Id|| under the grid measure of quantiles x, for S with knots (s_x, s_y)."""
+    r = t_forward(qt.apply_map(s_x, s_y, x)) - x
+    return float(np.sqrt(np.mean(r * r)))
+
+
 def _inversion_residual(t_forward, s_reverse, measure) -> float:
     """||T o S - Id|| under `measure` (the input of S)."""
     if isinstance(measure, qt.QuantileGrid):
-        x = measure.values
-        r = t_forward(s_reverse(x)) - x
-        return float(np.sqrt(np.mean(r * r)))
+        return _grid_inversion_residual(t_forward, s_reverse.x, s_reverse.y, measure.values)
     comp = ga.compose_affine(t_forward, s_reverse)
     d = comp.dim
     fld = ga.AffineMap(comp.linear - np.eye(d), comp.offset)
@@ -287,26 +291,31 @@ def run_reverse_perturbed(
         t_fwd = traj.transports[k - 1]
         s_exact = invert_transport(t_fwd)
         cur = measures[k]
+        bump = None
         if isinstance(s_exact, qt.MonotoneMap1D):
             center = float(np.mean(s_exact.y))
             lo, hi = s_exact.x[0], s_exact.x[-1]
             bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-            bump_width = 0.25 * (hi - lo)
+            if mode is jko.PerturbMode.GRID_BUMP:
+                bump = jko.bump_profile(s_exact.x, bump_center, 0.25 * (hi - lo))
+
+            def residual(a: float) -> float:
+                return _grid_inversion_residual(
+                    t_fwd, s_exact.x, jko.perturbed_knots(s_exact.y, mode, a, center, bump),
+                    cur.values)
         else:
             center = np.full(s_exact.dim, np.mean(s_exact.offset))
-            bump_center = bump_width = 0.0
 
-        def build(a: float):
-            return jko.perturbed_map(s_exact, mode, a, center=center,
-                                     bump_center=bump_center, bump_width=bump_width)
+            def residual(a: float) -> float:
+                return _inversion_residual(
+                    t_fwd, jko.perturbed_map(s_exact, mode, a, center=center), cur)
 
         try:
-            a, r = jko.calibrate_amplitude(
-                lambda a: _inversion_residual(t_fwd, build(a), cur), eps_inv,
-                jko.amplitude_cap(s_exact, mode, bump_center, bump_width))
+            a, r = jko.calibrate_amplitude(residual, eps_inv,
+                                           jko.amplitude_cap(s_exact, mode, bump))
         except jko.CalibrationError as exc:
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
-        s = build(a)
+        s = jko.perturbed_map(s_exact, mode, a, center=center, bump=bump)
         transports[k - 1] = s
         residuals[k - 1] = r
         measures[k - 1] = push(cur, s)

@@ -9,7 +9,6 @@ values.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +20,14 @@ __all__ = [
     "from_gaussian",
     "w2",
     "ot_map",
+    "apply_map",
     "pushforward",
     "entropy",
     "kl",
     "grid_kl",
     "tv",
     "score",
+    "gap_score",
     "second_moment",
     "lipschitz",
     "invert_map",
@@ -72,21 +73,6 @@ class QuantileGrid:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("u,Q\n")
-        for u_k, q_k in zip(self.u, self.values):
-            buf.write("%.17g,%.17g\n" % (u_k, q_k))
-        return buf.getvalue()
-
-    @staticmethod
-    def from_csv(text: str) -> "QuantileGrid":
-        lines = text.strip().splitlines()
-        if not lines or lines[0].strip() != "u,Q":
-            raise ValueError("expected header 'u,Q'")
-        vals = [float(line.split(",")[1]) for line in lines[1:]]
-        return QuantileGrid(np.array(vals))
-
 
 @dataclass(frozen=True)
 class MonotoneMap1D:
@@ -107,45 +93,32 @@ class MonotoneMap1D:
         object.__setattr__(self, "y", y)
         if x.shape != y.shape or x.ndim != 1 or x.size < 2:
             raise ValueError("knots must be two equal-length 1-D arrays with >= 2 points")
-        if not (np.all(np.diff(x) > 0) and np.all(np.diff(y) > 0)):
+        dx = np.diff(x)
+        dy = np.diff(y)
+        if not (np.all(dx > 0) and np.all(dy > 0)):
             raise ValueError("knot coordinates must be strictly increasing")
-        slopes = np.diff(y) / np.diff(x)
-        if not np.all(np.isfinite(slopes)):
+        if not np.all(np.isfinite(dy / dx)):
             raise ValueError("segment slopes must be finite")
         x.setflags(write=False)
         y.setflags(write=False)
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        out = np.interp(t, self.x, self.y)
-        lo = t < self.x[0]
-        hi = t > self.x[-1]
-        if np.any(lo):
-            s0 = (self.y[1] - self.y[0]) / (self.x[1] - self.x[0])
-            out = np.where(lo, self.y[0] + s0 * (t - self.x[0]), out)
-        if np.any(hi):
-            s1 = (self.y[-1] - self.y[-2]) / (self.x[-1] - self.x[-2])
-            out = np.where(hi, self.y[-1] + s1 * (t - self.x[-1]), out)
-        return out
+        return apply_map(self.x, self.y, t)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,y\n")
-        for x_k, y_k in zip(self.x, self.y):
-            buf.write("%.17g,%.17g\n" % (x_k, y_k))
-        return buf.getvalue()
 
-    @staticmethod
-    def from_csv(text: str) -> "MonotoneMap1D":
-        lines = text.strip().splitlines()
-        if not lines or lines[0].strip() != "x,y":
-            raise ValueError("expected header 'x,y'")
-        xs, ys = [], []
-        for line in lines[1:]:
-            a, b = line.split(",")
-            xs.append(float(a))
-            ys.append(float(b))
-        return MonotoneMap1D(np.array(xs), np.array(ys))
+def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
+    """MonotoneMap1D(x, y)(t) without building or validating the map."""
+    t = np.asarray(t, dtype=float)
+    out = np.interp(t, x, y)
+    lo = t < x[0]
+    hi = t > x[-1]
+    if np.any(lo):
+        s0 = (y[1] - y[0]) / (x[1] - x[0])
+        out = np.where(lo, y[0] + s0 * (t - x[0]), out)
+    if np.any(hi):
+        s1 = (y[-1] - y[-2]) / (x[-1] - x[-2])
+        out = np.where(hi, y[-1] + s1 * (t - x[-1]), out)
+    return out
 
 
 def from_gaussian(mean: float, sd: float, m: int) -> QuantileGrid:
@@ -277,13 +250,16 @@ def score(p: QuantileGrid) -> np.ndarray:
     used by the grid JKO solver, so first-order residuals measured with it
     vanish at the solver's optimum.
     """
-    q = p.values
-    m = p.m
-    gaps = np.diff(q)
-    s = np.empty(m)
-    s[1:-1] = 1.0 / gaps[1:] - 1.0 / gaps[:-1]
-    s[0] = 1.0 / gaps[0]
-    s[-1] = -1.0 / gaps[-1]
+    return gap_score(np.diff(p.values))
+
+
+def gap_score(gaps: np.ndarray) -> np.ndarray:
+    """The score of `score` from the M - 1 gaps Q_{k+1} - Q_k of the grid."""
+    inv = 1.0 / gaps
+    s = np.empty(gaps.size + 1)
+    s[1:-1] = inv[1:] - inv[:-1]
+    s[0] = inv[0]
+    s[-1] = -inv[-1]
     return s
 
 

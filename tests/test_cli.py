@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import os
+import re
 import shutil
 
 import numpy as np
@@ -67,6 +68,13 @@ gamma = 1.0
 eps = 0.05
 n = 2
 """
+
+
+def from_minimizer(text, n):
+    """`text` with p0 = N(0, 1), the minimizer of its objective, and n steps."""
+    text = re.sub(r"(?m)^p0\.mean = .*$", "p0.mean = 0", text)
+    text = re.sub(r"(?m)^p0\.cov = .*$", "p0.cov = 1", text)
+    return re.sub(r"(?m)^n = .*$", f"n = {n}", text)
 
 
 def write(tmp_path, name, text):
@@ -292,6 +300,20 @@ class TestExitCodes:
         assert "reverse step 3: cannot reach 1e-17: the norm stays at" in err
         assert "roundoff floor" in err
         assert len(evals) == 1 and evals[0] <= 6
+
+    @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
+    def test_auto_n_from_the_minimizer_is_config_error(self, tmp_path, capsys, base):
+        cfgp = write(tmp_path, "c.txt", from_minimizer(base, "auto"))
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: n = auto needs W2(p0, pi) > 0" in err
+        assert "Traceback" not in err
+
+    def test_gaussian_run_from_the_minimizer_certifies(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "c.txt", from_minimizer(BASE_GAUSS, 1))
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        assert "8/8 bounds hold" in capsys.readouterr().out
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
         def boom(cfg, out):

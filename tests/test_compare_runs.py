@@ -1,6 +1,8 @@
 import importlib.util
+import json
 import os
 
+import numpy as np
 import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -69,3 +71,50 @@ def test_missing_csv_fails(tmp_path, capsys):
     os.remove(os.path.join(new, f"{RID}_forward.csv"))
     assert compare_runs.main([old, new]) == 1
     assert "missing in the new directory" in capsys.readouterr().out
+
+
+def write_archive(path, values, xi_norms=(0.1, 0.1), name="trajectory"):
+    """A run archive as the run store writes it: stacked arrays plus a JSON manifest."""
+    os.makedirs(path, exist_ok=True)
+    manifest = {"gamma": 1.0, "family": "grid", "xi_norms": list(xi_norms),
+                "spec": {"lambda_mat": [[1.0]], "variant": "kl"}}
+    np.savez(os.path.join(path, f"{RID}_{name}.npz"),
+             manifest=np.array(json.dumps(manifest)), values=np.asarray(values))
+    return str(path)
+
+
+VALUES = [[-1.0, 0.0, 1.0], [-0.5, 0.0, 0.5]]
+
+
+def test_archives_within_tolerance_pass(tmp_path, capsys):
+    old = write_archive(tmp_path / "old", VALUES)
+    new = write_archive(tmp_path / "new", np.array(VALUES) + 3e-11,
+                        xi_norms=(0.1, 0.1 + 2e-12))
+    assert compare_runs.main([old, new]) == 0
+    assert "0 differences" in capsys.readouterr().out
+    worst = compare_runs.compare(old, new).worst
+    assert worst[("trajectory.npz", "values")][0] == pytest.approx(3e-11, rel=1e-3)
+    assert worst[("trajectory.npz", "manifest.xi_norms")][0] == pytest.approx(2e-12, rel=1e-3)
+    assert worst[("trajectory.npz", "manifest.spec.lambda_mat")] == [0.0, 0.0]
+
+
+def test_archive_element_beyond_tolerance_fails(tmp_path, capsys):
+    old = write_archive(tmp_path / "old", VALUES)
+    new_values = np.array(VALUES)
+    new_values[1, 2] += 1e-6
+    assert compare_runs.main([old, write_archive(tmp_path / "new", new_values)]) == 1
+    assert "values[1, 2]: 0.5 vs 0.500001" in capsys.readouterr().out
+    for i, (values, xi_norms) in enumerate([(np.array(VALUES)[:1], (0.1, 0.1)),
+                                            (VALUES, (0.1,)), (VALUES, (0.1, 0.2)),
+                                            (np.where(np.array(VALUES) == 1.0, np.inf, VALUES),
+                                             (0.1, 0.1))]):
+        assert compare_runs.main([old, write_archive(tmp_path / f"new{i}", values,
+                                                     xi_norms)]) == 1
+
+
+def test_missing_archive_fails(tmp_path, capsys):
+    old = write_archive(tmp_path / "old", VALUES)
+    write_archive(tmp_path / "old", VALUES, name="reverse_exact")
+    new = write_archive(tmp_path / "new", VALUES)
+    assert compare_runs.main([old, new]) == 1
+    assert f"{RID}_reverse_exact.npz: missing in the new directory" in capsys.readouterr().out

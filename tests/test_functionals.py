@@ -54,26 +54,6 @@ class TestLambda:
             assert lam <= u @ lam_mat @ u + 1e-12
 
 
-class TestRescale:
-    def test_noop_when_small(self):
-        spec = spec_for(np.eye(1))
-        out, a = fn.rescale_to_unit_lambda(spec)
-        assert a == 1.0 and out is spec
-
-    def test_scales_down(self):
-        out, a = fn.rescale_to_unit_lambda(spec_for(4 * np.eye(2)))
-        assert a == pytest.approx(0.5)
-        assert np.allclose(out.potential.lambda_mat, np.eye(2))
-        assert fn.lambda_of(out) == pytest.approx(1.0)
-
-    def test_result_at_most_one(self):
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            a = rng.standard_normal((3, 3))
-            out, _ = fn.rescale_to_unit_lambda(spec_for(a @ a.T + 0.1 * np.eye(3)))
-            assert fn.lambda_of(out) <= 1.0 + 1e-12
-
-
 class TestEvaluate:
     def test_kl_at_target_zero(self):
         spec = spec_for(np.diag([2.0, 0.5]))

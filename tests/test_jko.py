@@ -269,6 +269,57 @@ class TestPerturbStep:
             jko.perturb_step(p, res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
 
 
+GRID_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION, jko.PerturbMode.GRID_BUMP]
+
+
+class TestGridArrayPaths:
+    """Grid solves and calibrations work on arrays; validated objects are built for results."""
+
+    @pytest.mark.parametrize("mode", GRID_MODES, ids=lambda m: m.value)
+    def test_perturb_step_norm_is_measured_at_the_result(self, mode):
+        spec = kl_spec()
+        p = qt.from_gaussian(1.0, 1.5, 256)
+        res = jko.jko_step_grid(p, spec, 1.0)
+        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, mode)
+        assert pert.xi_norm == jko.measure_xi(p, pert.next_measure, spec, 1.0)[1]
+        assert np.array_equal(pert.next_measure.values,
+                              qt.pushforward(p, pert.transport).values)
+
+    def test_perturb_step_needs_the_transport_from_p_n(self):
+        spec = kl_spec()
+        p = qt.from_gaussian(1.0, 1.5, 256)
+        res = jko.jko_step_grid(qt.from_gaussian(1.0, 1.4, 256), spec, 1.0)
+        with pytest.raises(ValueError, match="must start at p_n's quantiles"):
+            jko.perturb_step(p, res, spec, 1.0, 0.05)
+
+    def test_validated_objects_and_bump_built_once(self, monkeypatch):
+        spec = kl_spec()
+        p = qt.from_gaussian(1.0, 1.5, 256)
+        counts = dict.fromkeys(("QuantileGrid", "MonotoneMap1D", "bump_profile",
+                                "measure_xi"), 0)
+
+        def counting(key, func):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return func(*args, **kwargs)
+            return wrapped
+
+        for cls in (qt.QuantileGrid, qt.MonotoneMap1D):
+            monkeypatch.setattr(cls, "__post_init__",
+                                counting(cls.__name__, cls.__post_init__))
+        monkeypatch.setattr(jko, "bump_profile", counting("bump_profile", jko.bump_profile))
+        res = jko.jko_step_grid(p, spec, 1.0)
+        assert res.solver_iterations >= 3
+        assert counts["QuantileGrid"] == 1 and counts["MonotoneMap1D"] == 1
+
+        counts.update(dict.fromkeys(counts, 0))
+        monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
+        jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP)
+        assert counts["measure_xi"] >= 3
+        assert counts["MonotoneMap1D"] == 1 and counts["bump_profile"] == 1
+        assert counts["QuantileGrid"] == counts["measure_xi"] + 1
+
+
 class TestCalibrateAmplitude:
     @staticmethod
     def counted(norm_at):

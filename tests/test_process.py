@@ -151,6 +151,16 @@ class TestReverse:
         exact = pr.run_reverse_exact(traj)
         assert pr.w2_between(rev.measures[0], exact.measures[0]) > 0
 
+    @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION,
+                                      jko.PerturbMode.GRID_BUMP], ids=lambda m: m.value)
+    def test_grid_residuals_are_measured_at_the_result(self, mode):
+        p0 = qt.from_gaussian(1.5, 1.2, 128)
+        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        rev = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
+        for k in range(1, traj.n_steps + 1):
+            assert rev.residuals[k - 1] == pr._inversion_residual(
+                traj.transports[k - 1], rev.transports[k - 1], rev.measures[k])
+
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
