@@ -240,7 +240,12 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
     """Coupling bound and mixed bound on W2(q~_0, q_0).
 
     At K = 0 the coupling formula is 0/0; the geometric-sum limit
-    eps_inv * (N + 1) is used instead (flagged in context).
+    eps_inv * (N + 1) is used instead (flagged in context).  The mixed
+    bound is the coupling bound with N replaced by its `n = auto` value,
+    so it bounds W2 only when it is at least the coupling bound, that is
+    when N <= 1 + (8/(gamma lambda)) log(W2(p0, pi) lambda / eps).  Outside
+    that range (always when W2(p0, pi) = 0), and at K = 0 or eps = 0, its
+    right side is inf, flagged mixed_form=not_applicable.
     """
     n = traj.n_steps
     gamma = traj.gamma
@@ -260,15 +265,17 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
     q = pr.minimizer_in_family(traj.spec, traj.family,
                                traj.measures[0].m if traj.family == "grid" else None)
     w0 = pr.w2_between(traj.measures[0], q)
-    if k > 1e-12 and eps > 0:
+    mixed_ctx = {**ctx, "eps": eps, "w2_p0_q": w0}
+    if (k > 1e-12 and eps > 0 and w0 > 0
+            and n <= 1 + 8 / (gamma * lam) * math.log(w0 * lam / eps)):
         rhs_cor = (math.exp(2 * gamma * k) / (gamma * k)
                    * (w0 * lam) ** (8 * k / lam) * eps_inv / eps ** (8 * k / lam))
         if not math.isfinite(rhs_cor):
             rhs_cor = math.inf
     else:
         rhs_cor = math.inf
-    reports.append(BoundReport("inversion_mixed", lhs, rhs_cor, tol,
-                               {**ctx, "eps": eps, "w2_p0_q": w0}))
+        mixed_ctx["mixed_form"] = "not_applicable"
+    reports.append(BoundReport("inversion_mixed", lhs, rhs_cor, tol, mixed_ctx))
     return reports
 
 

@@ -21,8 +21,8 @@ __all__ = [
     "kl_between",
     "subgradient_field",
     "field_l2_norm",
+    "affine_field_norm",
     "pushforward_affine",
-    "compose_affine",
     "invert_affine",
 ]
 
@@ -175,11 +175,6 @@ def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
     return GaussianMeasure(t.linear @ g.mean + t.offset, t.linear @ g.cov @ t.linear.T)
 
 
-def compose_affine(outer: AffineMap, inner: AffineMap) -> AffineMap:
-    """outer(inner(x))."""
-    return AffineMap(outer.linear @ inner.linear, outer.linear @ inner.offset + outer.offset)
-
-
 def invert_affine(t: AffineMap) -> AffineMap:
     a_inv = np.linalg.inv(t.linear)
     return AffineMap(a_inv, -a_inv @ t.offset)
@@ -210,9 +205,14 @@ def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:
 
 
 def field_l2_norm(fld: AffineMap, g: GaussianMeasure) -> float:
-    """L2(g) norm of an affine field: sqrt(||J m + c||^2 + tr(J Sigma J^T))."""
+    """L2(g) norm of an affine field; see affine_field_norm."""
     if fld.dim != g.dim:
         raise ValueError("field and measure dimensions differ")
-    v = fld.linear @ g.mean + fld.offset
-    val = float(v @ v + np.trace(fld.linear @ g.cov @ fld.linear.T))
+    return affine_field_norm(fld.linear, fld.offset, g.mean, g.cov)
+
+
+def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:
+    """L2 norm of x -> J x + c under N(mean, cov): sqrt(||J m + c||^2 + tr(J Sigma J^T))."""
+    v = j @ mean + c
+    val = float(v @ v + np.trace(j @ cov @ j.T))
     return float(np.sqrt(max(val, 0.0)))

@@ -33,6 +33,7 @@ __all__ = [
     "measure_xi",
     "bump_profile",
     "perturbed_knots",
+    "perturbed_affine",
     "perturbed_map",
     "amplitude_cap",
     "calibrate_amplitude",
@@ -89,21 +90,49 @@ def measure_xi(p_n, p_next, spec: fn.ObjectiveSpec, gamma: float):
     xi = grad V + alpha * score - (T - Id)/gamma with T the OT map from
     p_next back to p_n.  Returns (field, L2(p_next) norm); the field is an
     AffineMap in the Gaussian family and a length-M sample array on grids.
+
+    In the Gaussian family p_next may also be given as the step's transport
+    S: x -> L x + o with L symmetric positive definite, which is the OT map
+    from p_n to S#p_n.  The back-map is then S^{-1} = (L^{-1}, -L^{-1} o) and
+    the precision of S#p_n is L^{-T} Sigma_n^{-1} L^{-1}, from p_n's cached
+    precision, so the measurement runs no eigendecomposition and builds no
+    GaussianMeasure.  ValueError: L is not exactly symmetric (positive
+    definiteness is the caller's to ensure).
     """
     _check_gamma(gamma)
     if isinstance(p_next, qt.QuantileGrid):
         q = p_next.values
         return _grid_xi(q, np.diff(q), p_n.values, spec, gamma)
     if isinstance(p_next, ga.GaussianMeasure):
-        sub = ga.subgradient_field(p_next, spec)
         back = ga.ot_map_bw(p_next, p_n)
-        d = p_next.dim
-        # (T - Id)(x) = (B - I) x + b for the affine back-transport T = Bx + b
-        j = sub.linear - (back.linear - np.eye(d)) / gamma
-        c = sub.offset - back.offset / gamma
-        field = ga.AffineMap(j, c)
-        return field, ga.field_l2_norm(field, p_next)
-    raise TypeError(f"unsupported measure type {type(p_next)!r}")
+        j, c, norm = _gaussian_xi(p_next.mean, p_next.cov, p_next.precision,
+                                  back.linear, back.offset, spec, gamma)
+    elif isinstance(p_next, ga.AffineMap):
+        lin = p_next.linear
+        if not np.array_equal(lin, lin.T):
+            raise ValueError("the transport's linear part is not symmetric")
+        inv = np.linalg.inv(lin)
+        j, c, norm = _gaussian_xi(lin @ p_n.mean + p_next.offset, lin @ p_n.cov @ lin.T,
+                                  inv.T @ p_n.precision @ inv, inv, -inv @ p_next.offset,
+                                  spec, gamma)
+    else:
+        raise TypeError(f"unsupported measure type {type(p_next)!r}")
+    return ga.AffineMap(j, c), norm
+
+
+def _gaussian_xi(mean, cov, precision, back_linear, back_offset, spec,
+                 gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """measure_xi at N(mean, cov) on arrays: (J, c, ||xi||) of the field x -> J x + c.
+
+    precision is cov^{-1} and x -> back_linear x + back_offset the back-map
+    to p_n; J and c are `ga.subgradient_field` bit for bit minus
+    (back - Id) / gamma.
+    """
+    pot = spec.potential
+    alpha = spec.entropy_weight
+    j = pot.lambda_mat - alpha * precision - (back_linear - np.eye(mean.size)) / gamma
+    c = -pot.lambda_mat @ pot.center + alpha * precision @ mean - back_offset / gamma
+    return j, c, ga.affine_field_norm(j, c, mean, cov)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +153,9 @@ def jko_step_gaussian(
     alpha gamma B Sigma_n^{-1} B + B = I + gamma Lambda.  For
     C = (alpha gamma Sigma_n^{-1})^{1/2} the matrix Y = C B C solves
     Y^2 + Y = C (I + gamma Lambda) C, so  Y = -I/2 + (I/4 + C(I + gamma Lambda)C)^{1/2},
-    A = C Y^{-1} C  and  Sigma = A Sigma_n A.  The measured ||xi|| at the
-    result must not exceed tol.
+    A = C Y^{-1} C  and  Sigma = A Sigma_n A.  A is symmetrized exactly, so
+    ||xi||, measured through the transport (see measure_xi), must not
+    exceed tol.
     """
     _check_gamma(gamma)
     if spec.entropy_weight <= 0:
@@ -144,15 +174,15 @@ def jko_step_gaussian(
     a = c @ ((w * ((0.5 + np.sqrt(0.25 + mu)) / mu)) @ w.T) @ c
     a = 0.5 * (a + a.T)
 
-    next_measure = ga.GaussianMeasure(mean, a @ p_n.cov @ a)
-    _, xi_norm = measure_xi(p_n, next_measure, spec, gamma)
+    transport = ga.AffineMap(a, mean - a @ p_n.mean)
+    _, xi_norm = measure_xi(p_n, transport, spec, gamma)
     if xi_norm > tol:
         raise SolverError(
             f"closed-form covariance step misses stationarity: ||xi|| = {xi_norm:.3g} > {tol:.3g}"
         )
     return StepResult(
-        next_measure=next_measure,
-        transport=ga.AffineMap(a, mean - a @ p_n.mean),
+        next_measure=ga.GaussianMeasure(mean, a @ p_n.cov @ a),
+        transport=transport,
         xi_norm=xi_norm,
         solver_iterations=0,
     )
@@ -302,18 +332,27 @@ def perturbed_knots(y: np.ndarray, mode: PerturbMode, a: float, center, bump=Non
     return y + a * bump
 
 
+def perturbed_affine(linear: np.ndarray, offset: np.ndarray, mode: PerturbMode, a: float,
+                     center) -> tuple[np.ndarray, np.ndarray]:
+    """(linear, offset) of an affine map perturbed with amplitude a.
+
+    MEAN_SHIFT shifts by a along the first axis, DILATION scales about
+    `center` by 1 + a (a symmetric linear part stays exactly symmetric).
+    """
+    if mode is PerturbMode.MEAN_SHIFT:
+        return linear, offset + a * np.eye(offset.size)[0]
+    if mode is PerturbMode.DILATION:
+        return (1 + a) * linear, (1 + a) * (offset - center) + center
+    raise ValueError(f"mode {mode.value} is 1-D only")
+
+
 def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump=None):
     """`tr` with a perturbation of amplitude a composed onto it.
 
-    A 1-D map gets perturbed_knots.  A Gaussian map is shifted by a along
-    the first axis (MEAN_SHIFT) or scaled about `center` by 1 + a (DILATION).
+    A 1-D map gets perturbed_knots, an affine map perturbed_affine.
     """
     if isinstance(tr, ga.AffineMap):
-        if mode is PerturbMode.MEAN_SHIFT:
-            return ga.AffineMap(tr.linear, tr.offset + a * np.eye(tr.dim)[0])
-        if mode is PerturbMode.DILATION:
-            return ga.AffineMap((1 + a) * tr.linear, (1 + a) * (tr.offset - center) + center)
-        raise ValueError(f"mode {mode.value} is 1-D only")
+        return ga.AffineMap(*perturbed_affine(tr.linear, tr.offset, mode, a, center))
     return qt.MonotoneMap1D(tr.x, perturbed_knots(tr.y, mode, a, center, bump))
 
 
@@ -428,7 +467,11 @@ def perturb_step(
     the median knot and the standard deviation of p_n.  eps = 0 returns
     the exact result unchanged.  On grids the exact transport's knots are
     p_n's quantiles, so T#p_n is the perturbed knot values: an evaluation
-    builds the QuantileGrid that measure_xi validates and no map.
+    builds the QuantileGrid that measure_xi validates and no map.  A
+    Gaussian evaluation hands measure_xi the perturbed transport itself
+    (its linear part stays exactly symmetric), so it runs no
+    eigendecomposition and builds no measure; the accepted amplitude gets
+    one transport and one pushforward.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -449,19 +492,27 @@ def perturb_step(
                 bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
             bump = bump_profile(tr.x, bump_center, bump_width)
 
-        def pushed(a: float):
+        def xi_input(a: float):
             return qt.QuantileGrid(perturbed_knots(tr.y, mode, a, center, bump))
+
+        def result(a: float):
+            return xi_input(a), perturbed_map(tr, mode, a, center=center, bump=bump)
     else:
         center = nxt.mean
 
-        def pushed(a: float):
-            return ga.pushforward_affine(p_n, perturbed_map(tr, mode, a, center=center))
+        def xi_input(a: float):
+            return perturbed_map(tr, mode, a, center=center)
 
-    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, pushed(a), spec, gamma)[1], eps,
+        def result(a: float):
+            t = xi_input(a)
+            return ga.pushforward_affine(p_n, t), t
+
+    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, xi_input(a), spec, gamma)[1], eps,
                                   amplitude_cap(tr, mode, bump), norm_at_zero=exact.xi_norm)
+    next_measure, transport = result(a)
     return StepResult(
-        next_measure=pushed(a),
-        transport=perturbed_map(tr, mode, a, center=center, bump=bump),
+        next_measure=next_measure,
+        transport=transport,
         xi_norm=norm,
         solver_iterations=exact.solver_iterations,
     )

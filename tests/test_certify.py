@@ -202,6 +202,18 @@ class TestInversion:
         assert coupling.rhs == pytest.approx(1e-4 / k * math.exp(k * 6), rel=1e-5)
         assert coupling.holds
         assert math.isfinite(mixed.rhs) and mixed.holds
+        assert "mixed_form" not in mixed.context
+
+    def test_mixed_bound_not_applicable_beyond_its_step_count(self):
+        # the mixed bound replaces N by 1 + (8/(gamma lam)) log(W2(p0, pi) lam / eps),
+        # here about 25.7; beyond that it is below the coupling bound and bounds nothing
+        traj = gauss_traj(30, eps=0.01, lam=2.0)
+        exact = pr.run_reverse_exact(traj)
+        pert = pr.run_reverse_perturbed(traj, 1e-4)
+        coupling, mixed = ct.check_inversion_bound(traj, exact, pert, 1e-4)
+        assert coupling.holds and math.isfinite(coupling.rhs)
+        assert mixed.rhs == math.inf and mixed.holds
+        assert mixed.context["mixed_form"] == "not_applicable"
 
 
 class TestDpi:

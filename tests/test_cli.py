@@ -315,6 +315,17 @@ class TestExitCodes:
             assert run([sub, "--config", cfgp], tmp_path) == 0
         assert "8/8 bounds hold" in capsys.readouterr().out
 
+    def test_grid_run_from_the_minimizer_certifies(self, tmp_path, capsys):
+        # W2(p0, pi) = 0, so the mixed inversion bound does not apply; its rhs is inf
+        cfgp = write(tmp_path, "c.txt", from_minimizer(BASE_GRID, 3))
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        assert "16/16 bounds hold" in capsys.readouterr().out
+        rid = cli.parse_config(from_minimizer(BASE_GRID, 3)).run_id()
+        report = (tmp_path / "runs" / f"{rid}_report.csv").read_text()
+        mixed = [row for row in report.splitlines() if row.startswith("inversion_mixed,")]
+        assert len(mixed) == 1 and "mixed_form=not_applicable" in mixed[0]
+
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
         def boom(cfg, out):
             raise ZeroDivisionError("boom")

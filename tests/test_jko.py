@@ -269,6 +269,51 @@ class TestPerturbStep:
             jko.perturb_step(p, res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
 
 
+GAUSS_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION]
+
+
+class TestGaussianTransportPath:
+    """measure_xi of a Gaussian step taken through its transport, with no eigendecomposition."""
+
+    @staticmethod
+    def problem(d, seed):
+        rng = np.random.default_rng(seed)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, d),
+                                                      rng.standard_normal(d)))
+        p = ga.GaussianMeasure(rng.standard_normal(d), random_cov(rng, d))
+        return spec, p, jko.jko_step_gaussian(p, spec, 0.8)
+
+    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_matches_the_measurement_at_the_pushforward(self, d, mode):
+        spec, p, exact = self.problem(d, 40 + d)
+        center = exact.next_measure.mean
+        for a in (0.0, 1e-3, 0.05, 0.4):
+            t = jko.perturbed_map(exact.transport, mode, a, center=center)
+            fld_t, norm_t = jko.measure_xi(p, t, spec, 0.8)
+            fld_m, norm_m = jko.measure_xi(p, ga.pushforward_affine(p, t), spec, 0.8)
+            if a == 0.0:
+                assert norm_t <= jko.GAUSSIAN_TOL and norm_m <= jko.GAUSSIAN_TOL
+                continue
+            assert norm_t == pytest.approx(norm_m, rel=1e-10)
+            assert np.allclose(fld_t.linear, fld_m.linear, rtol=0, atol=1e-10)
+            assert np.allclose(fld_t.offset, fld_m.offset, rtol=0, atol=1e-10)
+
+    def test_non_symmetric_linear_part_rejected(self):
+        spec, p, exact = self.problem(3, 7)
+        lin = exact.transport.linear.copy()
+        lin[0, 1] += 1e-12
+        with pytest.raises(ValueError, match="not symmetric"):
+            jko.measure_xi(p, ga.AffineMap(lin, exact.transport.offset), spec, 0.8)
+
+    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
+    def test_perturbed_linear_part_stays_exactly_symmetric(self, mode):
+        spec, p, exact = self.problem(10, 8)
+        pert = jko.perturb_step(p, exact, spec, 0.8, 0.05, mode)
+        assert np.array_equal(pert.transport.linear, pert.transport.linear.T)
+        assert pert.xi_norm == pytest.approx(0.05, rel=1e-12)
+
+
 GRID_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION, jko.PerturbMode.GRID_BUMP]
 
 
@@ -401,7 +446,7 @@ class TestDecompositionCount:
         rng = np.random.default_rng(5)
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, 3), np.zeros(3)))
         p = ga.GaussianMeasure(rng.standard_normal(3), random_cov(rng, 3))
-        counts = {"decompositions": 0, "measure_xi": 0}
+        counts = {"decompositions": 0, "measure_xi": 0, "eigh": 0}
 
         def counting(key, func):
             def wrapped(*args, **kwargs):
@@ -410,15 +455,17 @@ class TestDecompositionCount:
             return wrapped
 
         for name in DECOMPOSITIONS:
-            monkeypatch.setattr(np.linalg, name,
-                                counting("decompositions", getattr(np.linalg, name)))
+            key = "eigh" if name in ("eigh", "eigvalsh") else "decompositions"
+            monkeypatch.setattr(np.linalg, name, counting(key, getattr(np.linalg, name)))
         exact = jko.jko_step_gaussian(p, spec, 1.0)
-        assert counts["decompositions"] <= 3
-        counts["decompositions"] = 0
+        assert counts["eigh"] == 2 and counts["decompositions"] <= 1
+        counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
         jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
         assert counts["measure_xi"] >= 2
-        assert counts["decompositions"] <= 2 * counts["measure_xi"] + 1
+        # evaluations go through the transport; only the accepted measure is factored
+        assert counts["eigh"] == 1
+        assert counts["decompositions"] <= counts["measure_xi"]
 
 
 class TestContraction:

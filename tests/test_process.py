@@ -19,6 +19,14 @@ def gauss_p0(mean=2.0, var=4.0):
     return ga.GaussianMeasure(np.array([mean]), np.array([[var]]))
 
 
+def gauss_traj_3d(n=3):
+    rng = np.random.default_rng(9)
+    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+    spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T + 0.5 * np.eye(3), np.zeros(3)))
+    p0 = ga.GaussianMeasure(rng.standard_normal(3), b @ b.T + 0.5 * np.eye(3))
+    return pr.run_forward(p0, spec, 1.0, n, eps_schedule=0.05, mode=jko.PerturbMode.DILATION)
+
+
 class TestStepsNeeded:
     def test_reference_value(self):
         # 8 * (log 4 + log(1/0.1)) = 8 * (1.386 + 2.303) = 29.51 -> 30
@@ -140,7 +148,7 @@ class TestReverse:
         rev = pr.run_reverse_perturbed(traj, eps_inv)
         s_exact = pr.invert_transport(traj.transports[0])
         a = rev.transports[0].offset[0] - s_exact.offset[0]
-        lip = pr.transport_lipschitz(traj.transports[0])
+        lip = 1 / pr.inverse_lipschitz(traj.transports[0])  # Lip(T) in 1-D
         assert abs(a) == pytest.approx(eps_inv / lip, rel=1e-6)
 
     def test_grid_reverse(self):
@@ -160,6 +168,36 @@ class TestReverse:
         for k in range(1, traj.n_steps + 1):
             assert rev.residuals[k - 1] == pr._inversion_residual(
                 traj.transports[k - 1], rev.transports[k - 1], rev.measures[k])
+
+    @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION],
+                             ids=lambda m: m.value)
+    def test_gaussian_residuals_are_measured_at_the_result(self, mode):
+        traj = gauss_traj_3d()
+        rev = pr.run_reverse_perturbed(traj, 1e-3, mode)
+        for k in range(1, traj.n_steps + 1):
+            assert rev.residuals[k - 1] == pytest.approx(pr._inversion_residual(
+                traj.transports[k - 1], rev.transports[k - 1], rev.measures[k]), rel=1e-12)
+
+    def test_gaussian_evaluations_build_no_map(self, monkeypatch):
+        traj = gauss_traj_3d()
+        counts = {"AffineMap": 0, "evaluations": 0}
+        post = ga.AffineMap.__post_init__
+        residual = pr._gaussian_inversion_residual
+
+        def counting_post(self):
+            counts["AffineMap"] += 1
+            post(self)
+
+        def counting_residual(*args):
+            counts["evaluations"] += 1
+            return residual(*args)
+
+        monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
+        monkeypatch.setattr(pr, "_gaussian_inversion_residual", counting_residual)
+        pr.run_reverse_perturbed(traj, 1e-3, jko.PerturbMode.DILATION)
+        assert counts["evaluations"] > traj.n_steps
+        # per step: the exact inverse and the accepted perturbed inverse
+        assert counts["AffineMap"] == 2 * traj.n_steps
 
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
@@ -251,6 +289,22 @@ class TestEstimateK:
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)
         with pytest.raises(ValueError):
             pr.estimate_K(traj)
+
+
+class TestInverseLipschitz:
+    """Lip(T^{-1}) read off T equals the Lipschitz constant of the built inverse, bit for bit."""
+
+    def test_gaussian(self):
+        for t in gauss_traj_3d().transports:
+            assert pr.inverse_lipschitz(t) == float(
+                np.linalg.norm(ga.invert_affine(t).linear, 2))
+
+    def test_grid(self):
+        p0 = qt.from_gaussian(1.5, 1.2, 128)
+        traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
+                              mode=jko.PerturbMode.GRID_BUMP, seed=2)
+        for t in traj.transports:
+            assert pr.inverse_lipschitz(t) == qt.lipschitz(qt.invert_map(t))
 
 
 class TestCsv:
