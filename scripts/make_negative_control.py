@@ -46,9 +46,10 @@ def main(argv=None) -> int:
     with open(os.path.join(out, "config.txt"), "w") as f:
         f.write(CONFIG)
     cfg = cli.parse_config(CONFIG)
-    cli.do_forward(cfg, out)
-    cli.do_reverse(cfg, out)
-    traj_path = os.path.join(out, f"{cfg.run_id()}_trajectory.npz")
+    rid = cfg.run_id()
+    cli.do_forward(cfg, rid, out)
+    cli.do_reverse(cfg, rid, out)
+    traj_path = os.path.join(out, f"{rid}_trajectory.npz")
     with open(traj_path, "rb") as f:
         traj = sz.trajectory_from_json(f.read())
     traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
@@ -56,10 +57,10 @@ def main(argv=None) -> int:
         f.write(sz.trajectory_to_json(traj))
     # drop artifacts the fixture does not need
     for suffix in ("forward.csv", "reverse.csv", "report.csv"):
-        p = os.path.join(out, f"{cfg.run_id()}_{suffix}")
+        p = os.path.join(out, f"{rid}_{suffix}")
         if os.path.exists(p):
             os.remove(p)
-    print(f"negative-control fixture written to {out} (run id {cfg.run_id()})")
+    print(f"negative-control fixture written to {out} (run id {rid})")
     return 0
 
 

@@ -120,17 +120,20 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
 # Per-step EVI
 
 
-def check_evi(traj: pr.Trajectory, pi, eps_used: float | None = None,
+def check_evi(traj: pr.Trajectory, eps_used: float | None = None,
               tol: float | None = None) -> list[BoundReport]:
-    """(1 + gl/2) W2^2(p_{n+1}, pi) + 2g (G(p_{n+1}) - G(pi)) <= W2^2(p_n, pi) + (2g/l) eps^2."""
+    """(1 + gl/2) W2^2(p_{n+1}, pi) + 2g (G(p_{n+1}) - G(pi)) <= W2^2(p_n, pi) + (2g/l) eps^2.
+
+    pi is the trajectory's minimizer, `traj.minimizer`.
+    """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = float(eps_used) if eps_used is not None else max(traj.xi_norms, default=0.0)
     if traj.xi_norms and eps < max(traj.xi_norms) * (1 - 1e-12):
         raise ValueError("eps_used must dominate every recorded xi norm")
     if tol is None:
         tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
-    g_pi = fn.evaluate(spec, pi)
-    w = [pr.w2_between(p, pi) for p in traj.measures]
+    g_pi = fn.evaluate(spec, traj.minimizer)
+    w = traj.w2_to_minimizer
     reports = []
     for n in range(traj.n_steps):
         lhs = (1 + gamma * lam / 2) * w[n + 1] ** 2 + 2 * gamma * (
@@ -156,28 +159,24 @@ def check_forward_rate(traj: pr.Trajectory, tol: float | None = None) -> list[Bo
     eps = max(traj.xi_norms, default=0.0)
     if tol is None:
         tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
-    q = pr.minimizer_in_family(spec, traj.family,
-                               traj.measures[0].m if traj.family == "grid" else None)
-    w0 = pr.w2_between(traj.measures[0], q)
+    w = traj.w2_to_minimizer
     decay = 1.0 / (1.0 + gamma * lam / 2.0)
     reports = []
     for n in range(1, traj.n_steps + 1):
-        lhs = pr.w2_between(traj.measures[n], q) ** 2
-        rhs = decay ** n * w0 ** 2 + 4 * eps ** 2 / lam ** 2
-        reports.append(BoundReport("forward_rate", lhs, rhs, tol,
+        rhs = decay ** n * w[0] ** 2 + 4 * eps ** 2 / lam ** 2
+        reports.append(BoundReport("forward_rate", w[n] ** 2, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
-        threshold = (8.0 / (gamma * lam) * (math.log(w0) + math.log(lam / eps))
-                     if w0 > 0 else -math.inf)
+        threshold = (8.0 / (gamma * lam) * (math.log(w[0]) + math.log(lam / eps))
+                     if w[0] > 0 else -math.inf)
         g_min = fn.minimum_value(spec)
         for n in range(1, traj.n_steps + 1):
             if n < threshold:
                 continue
             ctx = {"n": n, "eps": eps, "threshold": threshold,
                    "vacuous_threshold": threshold <= 0}
-            reports.append(BoundReport(
-                "forward_terminal_w2", pr.w2_between(traj.measures[n], q),
-                math.sqrt(5.0) * eps / lam, tol, ctx))
+            reports.append(BoundReport("forward_terminal_w2", w[n], math.sqrt(5.0) * eps / lam,
+                                       tol, ctx))
             if n + 1 <= traj.n_steps:
                 gap = fn.evaluate(spec, traj.measures[n + 1]) - g_min
                 reports.append(BoundReport(
@@ -262,9 +261,7 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
 
     eps = max(traj.xi_norms, default=0.0)
     lam = traj.spec.lam
-    q = pr.minimizer_in_family(traj.spec, traj.family,
-                               traj.measures[0].m if traj.family == "grid" else None)
-    w0 = pr.w2_between(traj.measures[0], q)
+    w0 = traj.w2_to_minimizer[0]
     mixed_ctx = {**ctx, "eps": eps, "w2_p0_q": w0}
     if (k > 1e-12 and eps > 0 and w0 > 0
             and n <= 1 + 8 / (gamma * lam) * math.log(w0 * lam / eps)):

@@ -298,7 +298,7 @@ def _path(out: str, rid: str, suffix: str) -> str:
     return os.path.join(out, f"{rid}_{suffix}")
 
 
-def do_forward(cfg: RunConfig, out: str) -> pr.Trajectory:
+def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     p0 = build_p0(cfg)
     q = pr.minimizer_in_family(cfg.spec, cfg.family, cfg.m if cfg.family == "grid" else None)
     n = cfg.resolve_n(p0, q)
@@ -306,7 +306,6 @@ def do_forward(cfg: RunConfig, out: str) -> pr.Trajectory:
     if len(schedule) != n:
         raise ConfigError(f"eps schedule length {len(schedule)} != n = {n}")
     traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
-    rid = cfg.run_id()
     with open(_path(out, rid, "config.txt"), "w") as f:
         f.write(cfg.canonical())
     with open(_path(out, rid, "forward.csv"), "w") as f:
@@ -316,14 +315,13 @@ def do_forward(cfg: RunConfig, out: str) -> pr.Trajectory:
     return traj
 
 
-def _load_trajectory(cfg: RunConfig, out: str) -> pr.Trajectory:
-    with open(_path(out, cfg.run_id(), "trajectory.npz"), "rb") as f:
+def _load_trajectory(rid: str, out: str) -> pr.Trajectory:
+    with open(_path(out, rid, "trajectory.npz"), "rb") as f:
         return sz.trajectory_from_json(f.read())
 
 
-def do_reverse(cfg: RunConfig, out: str):
-    traj = _load_trajectory(cfg, out)
-    rid = cfg.run_id()
+def do_reverse(cfg: RunConfig, rid: str, out: str):
+    traj = _load_trajectory(rid, out)
     exact = pr.run_reverse_exact(traj)
     with open(_path(out, rid, "reverse_exact.npz"), "wb") as f:
         f.write(sz.reverse_to_json(exact))
@@ -349,11 +347,9 @@ def _load_reverse(path: str, traj: pr.Trajectory) -> pr.ReverseRun | None:
 def run_checks(cfg: RunConfig, traj: pr.Trajectory, exact_rev, pert_rev,
                checks: list) -> list:
     reports = []
-    q = pr.minimizer_in_family(cfg.spec, traj.family,
-                               traj.measures[0].m if traj.family == "grid" else None)
     for name in checks:
         if name == "evi":
-            reports.extend(ct.check_evi(traj, q))
+            reports.extend(ct.check_evi(traj))
         elif name == "forward_rate":
             reports.extend(ct.check_forward_rate(traj))
         elif name == "kl_tv":
@@ -375,10 +371,9 @@ def run_checks(cfg: RunConfig, traj: pr.Trajectory, exact_rev, pert_rev,
     return reports
 
 
-def do_certify(cfg: RunConfig, out: str, checks=None) -> int:
-    traj = _load_trajectory(cfg, out)
+def do_certify(cfg: RunConfig, rid: str, out: str, checks=None) -> int:
+    traj = _load_trajectory(rid, out)
     checks = checks or cfg.checks
-    rid = cfg.run_id()
     exact_rev = _load_reverse(_path(out, rid, "reverse_exact.npz"), traj)
     pert_rev = _load_reverse(_path(out, rid, "reverse_perturbed.npz"), traj)
     reports = run_checks(cfg, traj, exact_rev, pert_rev, checks)
@@ -399,16 +394,18 @@ def do_certify(cfg: RunConfig, out: str, checks=None) -> int:
 def cmd_forward(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
-    traj = do_forward(cfg, out)
-    print(f"{cfg.run_id()}: forward run, {traj.n_steps} steps")
+    rid = cfg.run_id()
+    traj = do_forward(cfg, rid, out)
+    print(f"{rid}: forward run, {traj.n_steps} steps")
     return EXIT_OK
 
 
 def cmd_reverse(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
-    do_reverse(cfg, out)
-    print(f"{cfg.run_id()}: reverse run"
+    rid = cfg.run_id()
+    do_reverse(cfg, rid, out)
+    print(f"{rid}: reverse run"
           + (" (exact + perturbed)" if cfg.eps_inv > 0 else " (exact)"))
     return EXIT_OK
 
@@ -419,7 +416,7 @@ def cmd_certify(args) -> int:
     checks = None
     if args.checks:
         checks = _check_list(args.checks.split(","), cfg.n_steps, cfg.eps_inv)
-    return do_certify(cfg, out, checks)
+    return do_certify(cfg, cfg.run_id(), out, checks)
 
 
 def _failure(exc: Exception, prefix: str = "") -> int:
@@ -446,13 +443,13 @@ def _sweep_config(base_text: str, overrides: dict, seed_override) -> RunConfig:
     return cfg
 
 
-def _sweep_entry(cfg: RunConfig, out: str) -> int:
+def _sweep_entry(cfg: RunConfig, rid: str, out: str) -> int:
     try:
-        do_forward(cfg, out)
-        do_reverse(cfg, out)
-        return do_certify(cfg, out)
+        do_forward(cfg, rid, out)
+        do_reverse(cfg, rid, out)
+        return do_certify(cfg, rid, out)
     except Exception as exc:
-        return _failure(exc, f"{cfg.run_id()}: ")
+        return _failure(exc, f"{rid}: ")
 
 
 def cmd_sweep(args) -> int:
@@ -478,7 +475,7 @@ def cmd_sweep(args) -> int:
             statuses.append(_failure(exc, f"combo {combo}: "))
             continue
         configs.setdefault(cfg.run_id(), cfg)
-    statuses += [_sweep_entry(cfg, out) for cfg in configs.values()]
+    statuses += [_sweep_entry(cfg, rid, out) for rid, cfg in configs.items()]
     print(f"sweep: {len(statuses)} runs, "
           f"{sum(1 for st in statuses if st == EXIT_OK)} fully passing")
     return max(statuses, default=EXIT_OK)

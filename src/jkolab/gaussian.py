@@ -39,10 +39,12 @@ class GaussianMeasure:
     endpoints, e.g. the minimizer of a potential-only objective); strictly
     positive definite covariance is required for entropy-bearing operations.
 
-    The covariance is factored once, at construction, as V diag(evals) V^T
-    (`evals` ascending, `evecs` = V); the square root, inverse square root,
-    precision and log-determinant are derived from those factors on first
-    use and cached.  All of them are read-only.
+    Construction validates with one Cholesky factorization; only a covariance
+    it rejects is eigendecomposed, to tell a semi-definite one from an
+    indefinite one.  The factors V diag(evals) V^T (`evals` ascending,
+    `evecs` = V) come from one `eigh` on first read, and the square root,
+    inverse square root, precision and log-determinant are derived from them
+    on first use.  All of them are cached and read-only.
     """
 
     mean: np.ndarray
@@ -53,17 +55,28 @@ class GaussianMeasure:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean dimension")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+            raise ValueError("mean and covariance must be finite")
         asym = np.max(np.abs(cov - cov.T))
         scale = max(np.max(np.abs(cov)), 1.0)
         if asym > _SYM_RTOL * scale * 100:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
-        evals, evecs = np.linalg.eigh(cov)
-        if evals.size and evals[0] < -1e-10 * scale:
-            raise ValueError("covariance has a negative eigenvalue")
-        for name, arr in (("mean", mean), ("cov", cov), ("evals", evals), ("evecs", evecs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, arr in (("mean", mean), ("cov", cov)):
+            object.__setattr__(self, name, _frozen(arr))
+        try:
+            np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError:
+            if self.evals[0] < -1e-10 * scale:
+                raise ValueError("covariance has a negative eigenvalue") from None
+
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        evals, evecs = np.linalg.eigh(self.cov)
+        return _frozen(evals), _frozen(evecs)
+
+    evals = property(lambda self: self._factors[0])
+    evecs = property(lambda self: self._factors[1])
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -58,6 +59,16 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.transports)
+
+    @cached_property
+    def minimizer(self):
+        """The global minimizer pi of G in this trajectory's family (on its grid)."""
+        return minimizer_in_family(self.spec, self.family, getattr(self.measures[0], "m", None))
+
+    @cached_property
+    def w2_to_minimizer(self) -> list:
+        """W2(p_n, pi) for n = 0..N, computed once for every check that reads it."""
+        return [w2_between(p, self.minimizer) for p in self.measures]
 
 
 @dataclass(frozen=True)
@@ -253,10 +264,7 @@ def _inversion_residual(t_forward, s_reverse, measure) -> float:
 def run_reverse_exact(traj: Trajectory) -> ReverseRun:
     """Pull the global minimizer back through the inverted forward transports."""
     n = traj.n_steps
-    m = traj.measures[0].m if traj.family == "grid" else None
-    q_top = minimizer_in_family(traj.spec, traj.family, m)
-    measures = [None] * (n + 1)
-    measures[n] = q_top
+    measures = [None] * n + [traj.minimizer]
     transports = [None] * n
     residuals = [0.0] * n
     for k in range(n, 0, -1):
@@ -289,10 +297,8 @@ def run_reverse_perturbed(
     if eps_inv == 0:
         return run_reverse_exact(traj)
     n = traj.n_steps
-    m = traj.measures[0].m if traj.family == "grid" else None
     rng = np.random.default_rng(seed)
-    measures = [None] * (n + 1)
-    measures[n] = minimizer_in_family(traj.spec, traj.family, m)
+    measures = [None] * n + [traj.minimizer]
     transports = [None] * n
     residuals = [0.0] * n
     for k in range(n, 0, -1):
@@ -476,12 +482,9 @@ def _fmt(x) -> str:
 
 def forward_csv(traj: Trajectory) -> str:
     """Rows n = 0..N; step columns are empty on the n = 0 row."""
-    q = minimizer_in_family(traj.spec, traj.family,
-                            traj.measures[0].m if traj.family == "grid" else None)
     buf = io.StringIO()
     buf.write("n,w2_to_q,G_value,xi_norm,lipschitz_Tinv,solver_iterations\n")
-    for n, meas in enumerate(traj.measures):
-        w = w2_between(meas, q)
+    for n, (meas, w) in enumerate(zip(traj.measures, traj.w2_to_minimizer)):
         g = fn.evaluate(traj.spec, meas)
         if n == 0:
             buf.write("0,%s,%s,,,\n" % (_fmt(w), _fmt(g)))

@@ -150,7 +150,7 @@ class TestAcceptance:
         n_reports = 0
         n_fail = 0
         for run in evi_runs:
-            reports = ct.check_evi(run["traj"], run["q"])
+            reports = ct.check_evi(run["traj"])
             n_reports += len(reports)
             n_fail += sum(1 for r in reports if not r.holds)
         _verdict(3, "per-step EVI across 100 seeded runs", n_fail == 0,

@@ -76,7 +76,7 @@ class TestMonotonicity:
 class TestEvi:
     def test_exact_gaussian_chain(self):
         traj = gauss_traj(5)
-        reports = ct.check_evi(traj, fn.global_minimizer(traj.spec))
+        reports = ct.check_evi(traj)
         assert len(reports) == 5
         assert all(r.holds for r in reports)
         # closed-form first-step slack: rhs = W2^2(p0,q) = 5, lhs from the
@@ -90,13 +90,13 @@ class TestEvi:
 
     def test_perturbed_chain(self):
         traj = gauss_traj(4, eps=0.1)
-        reports = ct.check_evi(traj, fn.global_minimizer(traj.spec))
+        reports = ct.check_evi(traj)
         assert all(r.holds for r in reports)
 
     def test_eps_must_dominate(self):
         traj = gauss_traj(3, eps=0.1)
         with pytest.raises(ValueError):
-            ct.check_evi(traj, fn.global_minimizer(traj.spec), eps_used=0.05)
+            ct.check_evi(traj, eps_used=0.05)
 
     def test_fails_on_corrupted_measure(self):
         traj = gauss_traj(3)
@@ -104,14 +104,13 @@ class TestEvi:
         bad[1] = ga.GaussianMeasure(np.array([5.0]), np.array([[4.0]]))
         corrupted = pr.Trajectory(traj.spec, traj.gamma, bad, traj.transports,
                                   traj.xi_norms, traj.solver_iterations, traj.family)
-        reports = ct.check_evi(corrupted, fn.global_minimizer(traj.spec))
+        reports = ct.check_evi(corrupted)
         assert not all(r.holds for r in reports)
 
     def test_grid_chain(self):
         p0 = qt.from_gaussian(1.5, 1.3, 512)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        pi = pr.minimizer_in_family(traj.spec, "grid", 512)
-        assert all(r.holds for r in ct.check_evi(traj, pi))
+        assert all(r.holds for r in ct.check_evi(traj))
 
 
 class TestForwardRate:

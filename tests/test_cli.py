@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jkolab import cli
+from jkolab import gaussian as ga
 from jkolab import jko
 from jkolab import serialize as sz
 
@@ -181,6 +182,36 @@ class TestPipeline:
         second = (tmp_path / "runs" / f"{rid}_forward.csv").read_bytes()
         assert first == second
 
+    def test_certify_computes_each_distance_to_the_minimizer_once(self, tmp_path, monkeypatch):
+        text = BASE_GAUSS
+        for old, new in (("lambda_mat = 1", "lambda_mat = 1 0.2; 0.2 2"),
+                         ("center = 0", "center = 0 1"), ("p0.mean = 2", "p0.mean = 2 -1"),
+                         ("p0.cov = 4", "p0.cov = 4 1; 1 3")):
+            text = text.replace(old, new)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        calls = []
+        w2_bw = ga.w2_bw
+        monkeypatch.setattr(ga, "w2_bw", lambda *a: calls.append(0) or w2_bw(*a))
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+        # W2(p_n, pi) for n = 0..N, and the inversion bound's W2(q~_0, q_0)
+        assert len(calls) == 5 + 2
+
+    def test_non_finite_archive_fails_at_load(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        path = tmp_path / "runs" / f"{cli.parse_config(BASE_GAUSS).run_id()}_trajectory.npz"
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays["cov"][2, 0, 0] = np.nan
+        with open(path, "wb") as f:
+            np.savez(f, **arrays)
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_INTERNAL
+        err = capsys.readouterr().err
+        assert "mean and covariance must be finite" in err and "non-finite lhs" not in err
+
     def test_certify_before_forward_is_missing_data(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
@@ -327,7 +358,7 @@ class TestExitCodes:
         assert len(mixed) == 1 and "mixed_form=not_applicable" in mixed[0]
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
-        def boom(cfg, out):
+        def boom(cfg, rid, out):
             raise ZeroDivisionError("boom")
 
         monkeypatch.setattr(cli, "do_forward", boom)
@@ -347,9 +378,9 @@ class TestSweepRobustness:
         calls = []
         forward = cli.do_forward
 
-        def counting(cfg, out):
-            calls.append(cfg.run_id())
-            return forward(cfg, out)
+        def counting(cfg, rid, out):
+            calls.append(rid)
+            return forward(cfg, rid, out)
 
         monkeypatch.setattr(cli, "do_forward", counting)
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)

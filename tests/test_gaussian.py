@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,6 +43,38 @@ class TestGaussianMeasure:
         with pytest.raises(ValueError):
             g.require_nondegenerate()
 
+    @pytest.mark.parametrize("mean, cov", [
+        (np.zeros(2), np.diag([np.nan, 1.0])),
+        (np.zeros(2), np.diag([np.inf, 1.0])),
+        (np.array([np.nan, 0.0]), np.eye(2)),
+    ], ids=["cov_nan", "cov_inf", "mean_nan"])
+    def test_rejects_non_finite(self, mean, cov):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="must be finite"):
+                ga.GaussianMeasure(mean, cov)
+
+    @pytest.mark.parametrize("kind", ["spd", "singular_psd", "slightly_negative", "indefinite"])
+    def test_accept_reject_matches_the_eigenvalue_rule(self, kind):
+        # the rule: reject iff the smallest eigenvalue of the symmetrized
+        # covariance is below -1e-10 * max(max |cov|, 1)
+        rng = np.random.default_rng(3)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        evals = {"spd": [0.5, 1.0, 2.0, 30.0], "singular_psd": [0.0, 0.0, 2.0, 30.0],
+                 "slightly_negative": [-1e-12 * 30, 1.0, 2.0, 30.0],
+                 "indefinite": [-0.5, 1.0, 2.0, 30.0]}[kind]
+        cov = (q * evals) @ q.T
+        cov = 0.5 * (cov + cov.T)
+        scale = max(np.max(np.abs(cov)), 1.0)
+        rejected = np.linalg.eigh(cov)[0][0] < -1e-10 * scale
+        assert rejected == (kind == "indefinite")
+        if rejected:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                ga.GaussianMeasure(np.zeros(4), cov)
+        else:
+            g = ga.GaussianMeasure(np.zeros(4), cov)
+            assert g.is_nondegenerate() == (kind == "spd")
+
 
 class TestFactorization:
     """The covariance is factored once; every derived matrix is cached read-only."""
@@ -64,6 +98,23 @@ class TestFactorization:
         sign, logdet = np.linalg.slogdet(g.cov)
         assert sign == 1 and abs(g.log_det - logdet) <= 1e-12 * max(abs(logdet), 1.0)
         assert g.sqrt is g.sqrt and g.precision is g.precision
+
+    def test_validated_by_cholesky_and_factored_on_first_read(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        mean, cov = rng.standard_normal(5), random_spd(rng, 5)
+        counts = {"eigh": 0, "cholesky": 0}
+        for name in counts:
+            def counting(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        g = ga.GaussianMeasure(mean, cov)
+        assert counts == {"eigh": 0, "cholesky": 1}
+        sqrt = g.sqrt
+        assert g.evals is g.evals and g.evecs is g.evecs and g.sqrt is sqrt
+        assert counts == {"eigh": 1, "cholesky": 1}
+        evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
+        assert np.array_equal(g.evals, evals) and np.array_equal(g.evecs, evecs)
 
     def test_cached_arrays_are_read_only(self):
         g = ga.GaussianMeasure(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))

@@ -440,13 +440,13 @@ DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky", "slog
 
 
 class TestDecompositionCount:
-    """Each Gaussian covariance is factored once, where the measure is made."""
+    """A Gaussian covariance is validated by one Cholesky and factored once, on first read."""
 
     def test_gaussian_step_decompositions(self, monkeypatch):
         rng = np.random.default_rng(5)
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, 3), np.zeros(3)))
         p = ga.GaussianMeasure(rng.standard_normal(3), random_cov(rng, 3))
-        counts = {"decompositions": 0, "measure_xi": 0, "eigh": 0}
+        counts = {"eigh": 0, "cholesky": 0, "other": 0, "measure_xi": 0}
 
         def counting(key, func):
             def wrapped(*args, **kwargs):
@@ -455,17 +455,21 @@ class TestDecompositionCount:
             return wrapped
 
         for name in DECOMPOSITIONS:
-            key = "eigh" if name in ("eigh", "eigvalsh") else "decompositions"
+            key = ("eigh" if name in ("eigh", "eigvalsh")
+                   else "cholesky" if name == "cholesky" else "other")
             monkeypatch.setattr(np.linalg, name, counting(key, getattr(np.linalg, name)))
         exact = jko.jko_step_gaussian(p, spec, 1.0)
-        assert counts["eigh"] == 2 and counts["decompositions"] <= 1
+        # p_n's factors (first read here) and C (I + gamma Lambda) C; the next
+        # measure is only validated; one inverse for xi's back-map
+        assert counts == {"eigh": 2, "cholesky": 1, "other": 1, "measure_xi": 0}
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
         jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
         assert counts["measure_xi"] >= 2
-        # evaluations go through the transport; only the accepted measure is factored
-        assert counts["eigh"] == 1
-        assert counts["decompositions"] <= counts["measure_xi"]
+        # evaluations go through the transport, one inverse each; the accepted
+        # measure is validated, not factored
+        assert counts["eigh"] == 0 and counts["cholesky"] == 1
+        assert counts["other"] == counts["measure_xi"]
 
 
 class TestContraction:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -206,6 +207,23 @@ class TestReverse:
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
         for s in rev.transports:
             assert np.min(np.diff(s.y) / np.diff(s.x)) >= 1e-3 - 1e-12
+
+
+class TestMinimizerDistances:
+    @pytest.mark.parametrize("make_traj", [
+        gauss_traj_3d,
+        lambda: pr.run_forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, 3, 0.05,
+                               jko.PerturbMode.GRID_BUMP),
+    ], ids=["gaussian", "grid"])
+    def test_equal_to_the_per_check_expressions(self, make_traj):
+        traj = make_traj()
+        m = traj.measures[0].m if traj.family == "grid" else None
+        q = pr.minimizer_in_family(traj.spec, traj.family, m)
+        for f in dataclasses.fields(q):
+            assert np.array_equal(getattr(traj.minimizer, f.name), getattr(q, f.name))
+        assert traj.w2_to_minimizer == [pr.w2_between(p, q) for p in traj.measures]
+        assert traj.minimizer is traj.minimizer
+        assert traj.w2_to_minimizer is traj.w2_to_minimizer
 
 
 class TestOuSmooth:
