@@ -32,11 +32,12 @@ __all__ = [
     "report_lines",
 ]
 
-EVI_TOL_GAUSSIAN = 1e-8
-EVI_TOL_GRID = 1e-3
-DPI_TOL_GAUSSIAN = 1e-10
-DPI_TOL_GRID = 1e-4
+# Tolerances of the EVI-derived checks and of the data-processing checks, by measure type.
+EVI_TOL = {ga.GaussianMeasure: 1e-8, qt.QuantileGrid: 1e-3}
+DPI_TOL = {ga.GaussianMeasure: 1e-10, qt.QuantileGrid: 1e-4}
 MONO_TOL = 1e-8
+INVERSION_TOL = 1e-9
+SMOOTHING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,20 +71,12 @@ def report_lines(reports) -> str:
     return buf.getvalue()
 
 
-def _family_tol(measure, gauss: float, grid: float) -> float:
-    return grid if isinstance(measure, qt.QuantileGrid) else gauss
-
-
 # ---------------------------------------------------------------------------
 # Strong-convexity monotonicity
 
 
 def _inner_product_base(p, eta, t_rho, t_pi):
-    """<eta o T_p^rho, T_p^pi - T_p^rho>_p in closed form / grid summation."""
-    if isinstance(p, qt.QuantileGrid):
-        vals_rho = t_rho(p.values)
-        diff = t_pi(p.values) - vals_rho
-        return float(np.mean(eta(vals_rho) * diff))
+    """<eta o T_p^rho, T_p^pi - T_p^rho>_p in closed form for Gaussian p and affine maps."""
     j, c = eta.linear, eta.offset
     a1, b1 = t_rho.linear, t_rho.offset
     a2, b2 = t_pi.linear, t_pi.offset
@@ -104,13 +97,12 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
         t_pi = qt.ot_map(p, pi)
         diff = t_pi(p.values) - t_rho(p.values)
         inner = float(np.mean(eta_vals * diff))
-        w2 = qt.w2(pi, rho)
     else:
         eta = ga.subgradient_field(rho, spec)
         t_rho = ga.ot_map_bw(p, rho)
         t_pi = ga.ot_map_bw(p, pi)
         inner = _inner_product_base(p, eta, t_rho, t_pi)
-        w2 = ga.w2_bw(pi, rho)
+    w2 = pi.w2(rho)
     lhs = inner + 0.5 * lam * w2 * w2
     rhs = fn.evaluate(spec, pi) - fn.evaluate(spec, rho)
     return BoundReport("monotonicity", lhs, rhs, tol, {"lambda": lam})
@@ -120,8 +112,7 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
 # Per-step EVI
 
 
-def check_evi(traj: pr.Trajectory, eps_used: float | None = None,
-              tol: float | None = None) -> list[BoundReport]:
+def check_evi(traj: pr.Trajectory, eps_used: float | None = None) -> list[BoundReport]:
     """(1 + gl/2) W2^2(p_{n+1}, pi) + 2g (G(p_{n+1}) - G(pi)) <= W2^2(p_n, pi) + (2g/l) eps^2.
 
     pi is the trajectory's minimizer, `traj.minimizer`.
@@ -130,8 +121,7 @@ def check_evi(traj: pr.Trajectory, eps_used: float | None = None,
     eps = float(eps_used) if eps_used is not None else max(traj.xi_norms, default=0.0)
     if traj.xi_norms and eps < max(traj.xi_norms) * (1 - 1e-12):
         raise ValueError("eps_used must dominate every recorded xi norm")
-    if tol is None:
-        tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
+    tol = EVI_TOL[type(traj.measures[0])]
     g_pi = fn.evaluate(spec, traj.minimizer)
     w = traj.w2_to_minimizer
     reports = []
@@ -148,7 +138,7 @@ def check_evi(traj: pr.Trajectory, eps_used: float | None = None,
 # Forward convergence rate and terminal bounds
 
 
-def check_forward_rate(traj: pr.Trajectory, tol: float | None = None) -> list[BoundReport]:
+def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
     """Geometric W2 decay plus the terminal W2 / objective-gap bounds.
 
     eps is the max of the measured xi norms; the terminal reports appear at
@@ -157,8 +147,7 @@ def check_forward_rate(traj: pr.Trajectory, tol: float | None = None) -> list[Bo
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
-    if tol is None:
-        tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
+    tol = EVI_TOL[type(traj.measures[0])]
     w = traj.w2_to_minimizer
     decay = 1.0 / (1.0 + gamma * lam / 2.0)
     reports = []
@@ -200,17 +189,15 @@ def _tv_gaussian_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
     return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
 
 
-def check_kl_tv_guarantee(traj: pr.Trajectory, reverse: pr.ReverseRun,
-                          tol: float | None = None) -> list[BoundReport]:
+def check_kl_tv_guarantee(traj: pr.Trajectory, reverse: pr.ReverseRun) -> list[BoundReport]:
     """KL(p || q_0) <= (9/2g)(eps/l)^2 and TV(p, q_0) <= (3/(2 sqrt g))(eps/l)."""
     if not reverse.exact:
         raise ValueError("KL/TV guarantee applies to the exact reverse process")
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
-    if tol is None:
-        tol = _family_tol(traj.measures[0], EVI_TOL_GAUSSIAN, EVI_TOL_GRID)
     p0, q0 = traj.measures[0], reverse.measures[0]
-    kl_val = pr.kl_between_measures(p0, q0)
+    tol = EVI_TOL[type(p0)]
+    kl_val = p0.kl(q0)
     rhs_kl = (9.0 / (2 * gamma)) * (eps / lam) ** 2
     ctx = {"gamma": gamma, "lambda": lam, "eps": eps}
     reports = [BoundReport("reverse_kl", kl_val, rhs_kl, tol, ctx)]
@@ -234,8 +221,7 @@ def check_kl_tv_guarantee(traj: pr.Trajectory, reverse: pr.ReverseRun,
 
 
 def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
-                          pert_rev: pr.ReverseRun, eps_inv: float,
-                          tol: float = 1e-9) -> list[BoundReport]:
+                          pert_rev: pr.ReverseRun, eps_inv: float) -> list[BoundReport]:
     """Coupling bound and mixed bound on W2(q~_0, q_0).
 
     At K = 0 the coupling formula is 0/0; the geometric-sum limit
@@ -249,7 +235,7 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
     n = traj.n_steps
     gamma = traj.gamma
     k = pr.estimate_K(traj)
-    lhs = pr.w2_between(pert_rev.measures[0], exact_rev.measures[0])
+    lhs = pert_rev.measures[0].w2(exact_rev.measures[0])
     if k > 1e-12:
         rhs_prop = eps_inv / (gamma * k) * math.exp(gamma * k * (n + 1))
         k_note = "exact"
@@ -257,7 +243,7 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
         rhs_prop = eps_inv * (n + 1)
         k_note = "k_zero_limit"
     ctx = {"N": n, "gamma": gamma, "K": k, "eps_inv": eps_inv, "prop_form": k_note}
-    reports = [BoundReport("inversion_coupling", lhs, rhs_prop, tol, ctx)]
+    reports = [BoundReport("inversion_coupling", lhs, rhs_prop, INVERSION_TOL, ctx)]
 
     eps = max(traj.xi_norms, default=0.0)
     lam = traj.spec.lam
@@ -272,7 +258,7 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
     else:
         rhs_cor = math.inf
         mixed_ctx["mixed_form"] = "not_applicable"
-    reports.append(BoundReport("inversion_mixed", lhs, rhs_cor, tol, mixed_ctx))
+    reports.append(BoundReport("inversion_mixed", lhs, rhs_cor, INVERSION_TOL, mixed_ctx))
     return reports
 
 
@@ -280,25 +266,20 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
 # Data processing
 
 
-def check_dpi(p, q, t, tol: float | None = None) -> BoundReport:
+def check_dpi(p, q, t) -> BoundReport:
     """|KL(p || q) - KL(T#p || T#q)| within family tolerance."""
-    if tol is None:
-        tol = _family_tol(p, DPI_TOL_GAUSSIAN, DPI_TOL_GRID)
-    before = pr.kl_between_measures(p, q)
-    after = pr.kl_between_measures(pr.push(p, t), pr.push(q, t))
-    return BoundReport("dpi", abs(before - after), tol, 0.0,
+    before = p.kl(q)
+    after = p.push(t).kl(q.push(t))
+    return BoundReport("dpi", abs(before - after), DPI_TOL[type(p)], 0.0,
                        {"kl_before": before, "kl_after": after})
 
 
-def check_dpi_chain(traj: pr.Trajectory, reverse: pr.ReverseRun,
-                    tol: float | None = None) -> BoundReport:
+def check_dpi_chain(traj: pr.Trajectory, reverse: pr.ReverseRun) -> BoundReport:
     """|KL(p_0 || q_0) - KL(p_N || q_N)|: the full-chain data-processing identity."""
-    if tol is None:
-        tol = _family_tol(traj.measures[0], DPI_TOL_GAUSSIAN, DPI_TOL_GRID)
     n = traj.n_steps
-    start = pr.kl_between_measures(traj.measures[0], reverse.measures[0])
-    end = pr.kl_between_measures(traj.measures[n], reverse.measures[n])
-    return BoundReport("dpi_chain", abs(start - end), tol, 0.0,
+    start = traj.measures[0].kl(reverse.measures[0])
+    end = traj.measures[n].kl(reverse.measures[n])
+    return BoundReport("dpi_chain", abs(start - end), DPI_TOL[type(traj.measures[0])], 0.0,
                        {"kl_start": start, "kl_end": end, "N": n})
 
 
@@ -306,8 +287,7 @@ def check_dpi_chain(traj: pr.Trajectory, reverse: pr.ReverseRun,
 # OU smoothing bound
 
 
-def check_smoothing(p: pr.AtomicMeasure, delta: float,
-                    tol: float = 1e-12) -> BoundReport:
+def check_smoothing(p: pr.AtomicMeasure, delta: float) -> BoundReport:
     """W2(rho_delta, P)^2 <= delta^2 M2(P) + 2 delta d."""
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -320,5 +300,5 @@ def check_smoothing(p: pr.AtomicMeasure, delta: float,
         lhs = pr.w2_sq_smoothed_to_atoms(p, delta)
         method = "mixture_partial_moments"
     rhs = delta ** 2 * p.second_moment() + 2 * delta * p.dim
-    return BoundReport("smoothing", lhs, rhs, tol,
+    return BoundReport("smoothing", lhs, rhs, SMOOTHING_TOL,
                        {"delta": delta, "d": p.dim, "method": method})

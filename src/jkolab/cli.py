@@ -147,7 +147,7 @@ class RunConfig:
         eps = self.max_eps()
         if eps <= 0:
             raise ConfigError("n = auto requires eps > 0")
-        w0 = pr.w2_between(p0, q)
+        w0 = p0.w2(q)
         if w0 == 0:
             raise ConfigError("n = auto needs W2(p0, pi) > 0, but p0 is the minimizer pi "
                               "(the step count grows with log W2(p0, pi)); set n explicitly")
@@ -194,6 +194,8 @@ def parse_config(text: str) -> RunConfig:
         variant = fn.Variant(take("objective.variant", "kl"))
         alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
+        if spec.entropy_weight <= 0:
+            raise ConfigError("runs need an entropy-bearing objective (alpha > 0)")
 
         family = take("family")
         if family not in ("grid", "gaussian"):
@@ -201,6 +203,8 @@ def parse_config(text: str) -> RunConfig:
         m = int(take("family.m", "2048" if family == "grid" else "0"))
         if family == "grid" and d != 1:
             raise ConfigError("grid family requires a 1-D objective")
+        if family == "grid" and m < qt.MIN_GRID_SIZE:
+            raise ConfigError(f"family.m must be >= {qt.MIN_GRID_SIZE}")
 
         p0_mean = p0_cov = p0_atoms = None
         p0_delta = 0.0
@@ -214,6 +218,8 @@ def parse_config(text: str) -> RunConfig:
                 locs.append(parts[:-1])
                 weights.append(parts[-1])
             p0_atoms = pr.AtomicMeasure(np.array(locs), np.array(weights))
+            if p0_atoms.dim != d:
+                raise ConfigError("p0.atoms dimension does not match the objective")
             p0_delta = _num(take("p0.delta"))
             if p0_delta <= 0:
                 raise ConfigError("p0.delta must be positive")
@@ -241,6 +247,8 @@ def parse_config(text: str) -> RunConfig:
         if n_steps != "auto" and n_steps < 0:
             raise ConfigError("n must be nonnegative or 'auto'")
         seed = int(take("seed", "0"))
+        if seed < 0:
+            raise ConfigError("seed must be nonnegative")
         mode = jko.PerturbMode(take("mode", "mean_shift"))
         if family == "gaussian" and mode is jko.PerturbMode.GRID_BUMP:
             raise ConfigError("mode grid_bump is only available in the grid family")
@@ -264,16 +272,13 @@ def parse_config(text: str) -> RunConfig:
 
 def build_p0(cfg: RunConfig):
     if cfg.p0_kind == "atoms":
-        smoothed = pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
-        if not isinstance(smoothed, qt.QuantileGrid):
-            # single atom comes back Gaussian; render it on the grid
-            sd = math.sqrt(float(smoothed.cov[0, 0]))
-            smoothed = qt.from_gaussian(float(smoothed.mean[0]), sd, cfg.m)
-        return smoothed
-    if cfg.family == "gaussian":
-        return ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
-    sd = math.sqrt(float(cfg.p0_cov[0, 0]))
-    return qt.from_gaussian(float(cfg.p0_mean[0]), sd, cfg.m)
+        p0 = pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
+    else:
+        p0 = ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
+    if cfg.family == "grid" and not isinstance(p0, qt.QuantileGrid):
+        # a Gaussian p0, or a single smoothed atom, is rendered on the grid
+        p0 = qt.from_gaussian(float(p0.mean[0]), math.sqrt(float(p0.cov[0, 0])), cfg.m)
+    return p0
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +291,17 @@ def _out_dir(args) -> str:
     return out
 
 
+def _override_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError("--seed-override must be nonnegative")
+        cfg.seed = seed
+    return cfg
+
+
 def _load_config(args) -> RunConfig:
     with open(args.config) as f:
-        cfg = parse_config(f.read())
-    if getattr(args, "seed_override", None) is not None:
-        cfg.seed = args.seed_override
-    return cfg
+        return _override_seed(parse_config(f.read()), args.seed_override)
 
 
 def _path(out: str, rid: str, suffix: str) -> str:
@@ -300,7 +310,7 @@ def _path(out: str, rid: str, suffix: str) -> str:
 
 def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     p0 = build_p0(cfg)
-    q = pr.minimizer_in_family(cfg.spec, cfg.family, cfg.m if cfg.family == "grid" else None)
+    q = p0.render(fn.global_minimizer(cfg.spec))
     n = cfg.resolve_n(p0, q)
     schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
     if len(schedule) != n:
@@ -437,10 +447,8 @@ def _failure(exc: Exception, prefix: str = "") -> int:
 def _sweep_config(base_text: str, overrides: dict, seed_override) -> RunConfig:
     raw = _raw_pairs(parse_config(base_text).canonical())
     raw.update(overrides)
-    cfg = parse_config("".join(f"{k} = {v}\n" for k, v in raw.items()))
-    if seed_override is not None:
-        cfg.seed = seed_override
-    return cfg
+    return _override_seed(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())),
+                          seed_override)
 
 
 def _sweep_entry(cfg: RunConfig, rid: str, out: str) -> int:

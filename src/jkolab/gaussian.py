@@ -114,6 +114,20 @@ class GaussianMeasure:
         self.require_nondegenerate()
         return float(np.sum(np.log(self.evals)))
 
+    # Family methods call module globals, so tracers that patch module attributes see them.
+    def w2(self, other: GaussianMeasure) -> float:
+        return w2_bw(self, other)
+
+    def kl(self, other: GaussianMeasure) -> float:
+        return kl_between(self, other)
+
+    def push(self, t: AffineMap) -> GaussianMeasure:
+        return pushforward_affine(self, t)
+
+    def render(self, g: GaussianMeasure) -> GaussianMeasure:
+        """The Gaussian measure g in this family: g itself."""
+        return g
+
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -143,6 +157,13 @@ class AffineMap:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) @ self.linear.T + self.offset
+
+    def inverse(self) -> AffineMap:
+        return invert_affine(self)
+
+    def inverse_lipschitz(self) -> float:
+        """Lip(T^{-1}), the spectral norm of L^{-1}, without building T^{-1}."""
+        return float(np.linalg.norm(np.linalg.inv(self.linear), 2))
 
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:

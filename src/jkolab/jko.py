@@ -298,11 +298,11 @@ def jko_step_grid(
     )
 
 
-def jko_step(p_n, spec, gamma: float, tol: float | None = None) -> StepResult:
+def jko_step(p_n, spec, gamma: float) -> StepResult:
     """Dispatch on measure family."""
     if isinstance(p_n, qt.QuantileGrid):
-        return jko_step_grid(p_n, spec, gamma, GRID_TOL if tol is None else tol)
-    return jko_step_gaussian(p_n, spec, gamma, GAUSSIAN_TOL if tol is None else tol)
+        return jko_step_grid(p_n, spec, gamma)
+    return jko_step_gaussian(p_n, spec, gamma)
 
 
 # ---------------------------------------------------------------------------

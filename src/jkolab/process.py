@@ -32,9 +32,6 @@ __all__ = [
     "run_reverse_perturbed",
     "ou_smooth",
     "estimate_K",
-    "inverse_lipschitz",
-    "w2_between",
-    "kl_between_measures",
     "w2_grid_to_atoms",
     "w2_sq_smoothed_to_atoms",
 ]
@@ -63,12 +60,12 @@ class Trajectory:
     @cached_property
     def minimizer(self):
         """The global minimizer pi of G in this trajectory's family (on its grid)."""
-        return minimizer_in_family(self.spec, self.family, getattr(self.measures[0], "m", None))
+        return self.measures[0].render(fn.global_minimizer(self.spec))
 
     @cached_property
     def w2_to_minimizer(self) -> list:
         """W2(p_n, pi) for n = 0..N, computed once for every check that reads it."""
-        return [w2_between(p, self.minimizer) for p in self.measures]
+        return [p.w2(self.minimizer) for p in self.measures]
 
 
 @dataclass(frozen=True)
@@ -118,52 +115,6 @@ class AtomicMeasure:
 
 
 # ---------------------------------------------------------------------------
-# Generic helpers across the two families
-
-
-def w2_between(a, b) -> float:
-    if isinstance(a, qt.QuantileGrid):
-        return qt.w2(a, b)
-    return ga.w2_bw(a, b)
-
-
-def kl_between_measures(a, b) -> float:
-    if isinstance(a, qt.QuantileGrid):
-        return qt.grid_kl(a, b)
-    return ga.kl_between(a, b)
-
-
-def inverse_lipschitz(t) -> float:
-    """Lip(T^{-1}) without building T^{-1}: its largest slope, or the spectral norm of L^{-1}."""
-    if isinstance(t, qt.MonotoneMap1D):
-        return float(np.max(np.diff(t.x) / np.diff(t.y)))
-    return float(np.linalg.norm(np.linalg.inv(t.linear), 2))
-
-
-def invert_transport(t):
-    if isinstance(t, qt.MonotoneMap1D):
-        return qt.invert_map(t)
-    return ga.invert_affine(t)
-
-
-def push(measure, t):
-    if isinstance(measure, qt.QuantileGrid):
-        return qt.pushforward(measure, t)
-    return ga.pushforward_affine(measure, t)
-
-
-def minimizer_in_family(spec: fn.ObjectiveSpec, family: str, m: int | None = None):
-    """Global minimizer of G rendered in the requested family."""
-    g = fn.global_minimizer(spec)
-    if family == "gaussian":
-        return g
-    if g.dim != 1:
-        raise ValueError("grid family requires a 1-D objective")
-    sd = math.sqrt(float(g.cov[0, 0]))
-    return qt.from_gaussian(float(g.mean[0]), sd, m)
-
-
-# ---------------------------------------------------------------------------
 # Step-count formula
 
 
@@ -187,7 +138,6 @@ def run_forward(
     eps_schedule=None,
     mode: jko.PerturbMode = jko.PerturbMode.MEAN_SHIFT,
     seed: int = 0,
-    tol: float | None = None,
 ) -> Trajectory:
     """Run N proximal steps from p0; schedule entries > 0 get calibrated xi.
 
@@ -211,7 +161,7 @@ def run_forward(
     current = p0
     for n, eps in enumerate(schedule):
         try:
-            result = jko.jko_step(current, spec, gamma, tol)
+            result = jko.jko_step(current, spec, gamma)
             if eps > 0:
                 kwargs = {}
                 if mode is jko.PerturbMode.GRID_BUMP:
@@ -268,10 +218,10 @@ def run_reverse_exact(traj: Trajectory) -> ReverseRun:
     transports = [None] * n
     residuals = [0.0] * n
     for k in range(n, 0, -1):
-        s = invert_transport(traj.transports[k - 1])
+        s = traj.transports[k - 1].inverse()
         transports[k - 1] = s
         residuals[k - 1] = _inversion_residual(traj.transports[k - 1], s, measures[k])
-        measures[k - 1] = push(measures[k], s)
+        measures[k - 1] = measures[k].push(s)
     return ReverseRun(measures=measures, transports=transports,
                       residuals=residuals, exact=True)
 
@@ -303,7 +253,7 @@ def run_reverse_perturbed(
     residuals = [0.0] * n
     for k in range(n, 0, -1):
         t_fwd = traj.transports[k - 1]
-        s_exact = invert_transport(t_fwd)
+        s_exact = t_fwd.inverse()
         cur = measures[k]
         bump = None
         if isinstance(s_exact, qt.MonotoneMap1D):
@@ -333,7 +283,7 @@ def run_reverse_perturbed(
         s = jko.perturbed_map(s_exact, mode, a, center=center, bump=bump)
         transports[k - 1] = s
         residuals[k - 1] = r
-        measures[k - 1] = push(cur, s)
+        measures[k - 1] = cur.push(s)
     return ReverseRun(measures=measures, transports=transports,
                       residuals=residuals, exact=False)
 
@@ -468,7 +418,7 @@ def estimate_K(traj: Trajectory) -> float:
     """K = max_n log Lip(T_n^{-1}) / gamma, floored at zero."""
     if not traj.transports:
         raise ValueError("trajectory has no transports")
-    worst = max(inverse_lipschitz(t) for t in traj.transports)
+    worst = max(t.inverse_lipschitz() for t in traj.transports)
     return max(0.0, math.log(worst) / traj.gamma)
 
 
@@ -489,7 +439,7 @@ def forward_csv(traj: Trajectory) -> str:
         if n == 0:
             buf.write("0,%s,%s,,,\n" % (_fmt(w), _fmt(g)))
         else:
-            lip = inverse_lipschitz(traj.transports[n - 1])
+            lip = traj.transports[n - 1].inverse_lipschitz()
             buf.write("%d,%s,%s,%s,%s,%d\n" % (
                 n, _fmt(w), _fmt(g), _fmt(traj.xi_norms[n - 1]), _fmt(lip),
                 traj.solver_iterations[n - 1]))
@@ -504,7 +454,7 @@ def reverse_csv(run: ReverseRun, exact_run: ReverseRun | None = None) -> str:
     for n in range(n_steps, -1, -1):
         resid = _fmt(run.residuals[n - 1]) if n >= 1 else ""
         if exact_run is not None:
-            dist = _fmt(w2_between(run.measures[n], exact_run.measures[n]))
+            dist = _fmt(run.measures[n].w2(exact_run.measures[n]))
         else:
             dist = _fmt(0.0)
         buf.write("%d,%s,%s\n" % (n, resid, dist))

@@ -9,6 +9,7 @@ values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,22 @@ class QuantileGrid:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
+    # Family methods call module globals, so tracers that patch module attributes see them.
+    def w2(self, other: QuantileGrid) -> float:
+        return w2(self, other)
+
+    def kl(self, other: QuantileGrid) -> float:
+        return grid_kl(self, other)
+
+    def push(self, t: MonotoneMap1D) -> QuantileGrid:
+        return pushforward(self, t)
+
+    def render(self, g) -> QuantileGrid:
+        """The 1-D Gaussian measure g on this grid's M quantile points."""
+        if g.dim != 1:
+            raise ValueError("grid family requires a 1-D objective")
+        return from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), self.m)
+
 
 @dataclass(frozen=True)
 class MonotoneMap1D:
@@ -104,6 +121,13 @@ class MonotoneMap1D:
 
     def __call__(self, t) -> np.ndarray:
         return apply_map(self.x, self.y, t)
+
+    def inverse(self) -> MonotoneMap1D:
+        return invert_map(self)
+
+    def inverse_lipschitz(self) -> float:
+        """Lip(T^{-1}), its largest slope, without building T^{-1}."""
+        return float(np.max(np.diff(self.x) / np.diff(self.y)))
 
 
 def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:

@@ -10,8 +10,8 @@ raises ValueError.
 
 Loading rebuilds the derivable transports with the calls that made them:
 grid forward maps are qt.ot_map(p_{n-1}, p_n), and exact-reverse maps are
-pr.invert_transport(T_n) as in pr.run_reverse_exact (hence the trajectory
-argument of reverse_from_json).  Gaussian forward maps (ot_map_bw does not
+T_n.inverse() as in pr.run_reverse_exact (hence the trajectory argument of
+reverse_from_json).  Gaussian forward maps (ot_map_bw does not
 reproduce the closed-form linear part bit-for-bit) and perturbed-reverse
 maps are stored.
 
@@ -115,7 +115,7 @@ def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
     d, arrays = _unpack(data)
     kind = type(traj.measures[0])
     if d["exact"]:
-        transports = [pr.invert_transport(t) for t in traj.transports]
+        transports = [t.inverse() for t in traj.transports]
     else:
         transports = _unstack(arrays, _MAP_OF[kind])
     return pr.ReverseRun(measures=_unstack(arrays, kind), transports=transports, **d)

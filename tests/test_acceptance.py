@@ -71,13 +71,13 @@ def evi_runs():
             if family == "grid":
                 spec = kl_spec()
                 p0 = _random_grid_p0(rng)
-                q = pr.minimizer_in_family(spec, "grid", GRID_M)
+                q = p0.render(fn.global_minimizer(spec))
             else:
                 d = int(family[-1])
                 spec = kl_spec(d=d)
                 p0 = _random_gaussian_p0(rng, d)
                 q = fn.global_minimizer(spec)
-            w0 = pr.w2_between(p0, q)
+            w0 = p0.w2(q)
             n = pr.steps_needed(w0, 1.0, 1.0, eps) + 1 if eps > 0 else 8
             traj = pr.run_forward(p0, spec, 1.0, n,
                                   eps_schedule=eps if eps > 0 else None, seed=i)
@@ -164,7 +164,7 @@ class TestAcceptance:
                 continue
             n_checked += 1
             traj, q, n_thr = run["traj"], run["q"], run["n_threshold"]
-            w = pr.w2_between(traj.measures[n_thr], q)
+            w = traj.measures[n_thr].w2(q)
             gap = fn.evaluate(traj.spec, traj.measures[n_thr + 1]) \
                 - fn.minimum_value(traj.spec)
             if not (w <= math.sqrt(5) * eps and gap <= 4.5 * eps ** 2):
@@ -194,14 +194,14 @@ class TestAcceptance:
     def test_criterion_06_reverse_guarantee(self):
         eps, worst_kl, worst_tv, n_fail = 0.1, 0.0, 0.0, 0
         spec = kl_spec()
-        q = pr.minimizer_in_family(spec, "grid", GRID_M)
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             p0 = _random_grid_p0(rng)
+            q = p0.render(fn.global_minimizer(spec))
             n = pr.steps_needed(qt.w2(p0, q), 1.0, 1.0, eps)
             traj = pr.run_forward(p0, spec, 1.0, n, eps_schedule=eps, seed=seed)
             rev = pr.run_reverse_exact(traj)
-            kl = pr.kl_between_measures(traj.measures[0], rev.measures[0])
+            kl = traj.measures[0].kl(rev.measures[0])
             tv = qt.tv(traj.measures[0], rev.measures[0])
             worst_kl, worst_tv = max(worst_kl, kl), max(worst_tv, tv)
             if not (kl <= 0.045 and tv <= 0.15):

@@ -234,7 +234,7 @@ class TestDpi:
         traj = gauss_traj(4, eps=0.05)
         rev = pr.run_reverse_exact(traj)
         r = ct.check_dpi_chain(traj, rev)
-        assert r.holds and r.lhs <= ct.DPI_TOL_GAUSSIAN
+        assert r.holds and r.lhs <= ct.DPI_TOL[ga.GaussianMeasure]
 
     def test_chain_identity_grid(self):
         p0 = qt.from_gaussian(1.0, 1.4, 512)

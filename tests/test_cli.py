@@ -373,6 +373,49 @@ class TestExitCodes:
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
 
 
+# each edit of this config used to fail inside a run as an internal error (exit 70)
+CHECKED_AT_PARSE = """
+family = grid
+objective.center = 0
+gamma = 1.0
+eps = 0.1
+n = 3
+"""
+P0_GAUSS = "p0.mean = 1.5\np0.cov = 2.25\n"
+NO_ENTROPY = ("objective.variant = potential_only\n",
+              "objective.variant = weighted\nobjective.alpha = 0\n")
+
+
+class TestConfigErrorsAtParse:
+    @pytest.mark.parametrize("family, extra", [
+        ("grid", P0_GAUSS + "family.m = 4\n"),
+        ("grid", "p0.atoms = 1 2 0.5; 3 4 0.5\np0.delta = 0.1\n"),
+        ("grid", "p0.atoms = 0.5; 0.5\np0.delta = 0.1\n"),
+        ("grid", "p0.atoms = 1 2 1\np0.delta = 0.1\n"),
+        ("grid", P0_GAUSS + "seed = -1\n"),
+        *[(family, P0_GAUSS + obj) for family in ("grid", "gaussian") for obj in NO_ENTROPY],
+    ], ids=["grid_size_4", "atoms_2d", "atoms_0d", "single_atom_2d", "negative_seed",
+            "grid_potential_only", "grid_weighted_alpha_0",
+            "gaussian_potential_only", "gaussian_weighted_alpha_0"])
+    def test_rejected_by_parse_config(self, tmp_path, capsys, family, extra):
+        text = CHECKED_AT_PARSE.replace("grid", family) + extra
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["forward", "--seed-override", "-1"],
+        ["sweep", "--seed-override", "-1"],
+        ["sweep", "--axis", "seed=-1,2"],
+    ], ids=["forward_override", "sweep_override", "sweep_axis"])
+    def test_negative_seed_is_rejected(self, tmp_path, capsys, argv):
+        cfgp = write(tmp_path, "c.txt", CHECKED_AT_PARSE + P0_GAUSS)
+        assert run(argv + ["--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+
 class TestSweepRobustness:
     def test_duplicate_combos_run_once(self, tmp_path, monkeypatch):
         calls = []

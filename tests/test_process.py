@@ -127,8 +127,8 @@ class TestReverse:
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
         rev = pr.run_reverse_exact(traj)
         for k in range(3):
-            fwd = pr.push(rev.measures[k], traj.transports[k])
-            assert pr.w2_between(fwd, rev.measures[k + 1]) <= 1e-9
+            fwd = rev.measures[k].push(traj.transports[k])
+            assert fwd.w2(rev.measures[k + 1]) <= 1e-9
 
     def test_perturbed_reverse_residuals_calibrated(self):
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
@@ -147,9 +147,9 @@ class TestReverse:
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 1)
         eps_inv = 1e-3
         rev = pr.run_reverse_perturbed(traj, eps_inv)
-        s_exact = pr.invert_transport(traj.transports[0])
+        s_exact = traj.transports[0].inverse()
         a = rev.transports[0].offset[0] - s_exact.offset[0]
-        lip = 1 / pr.inverse_lipschitz(traj.transports[0])  # Lip(T) in 1-D
+        lip = 1 / traj.transports[0].inverse_lipschitz()  # Lip(T) in 1-D
         assert abs(a) == pytest.approx(eps_inv / lip, rel=1e-6)
 
     def test_grid_reverse(self):
@@ -158,7 +158,7 @@ class TestReverse:
         rev = pr.run_reverse_perturbed(traj, 5e-3, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
         exact = pr.run_reverse_exact(traj)
-        assert pr.w2_between(rev.measures[0], exact.measures[0]) > 0
+        assert rev.measures[0].w2(exact.measures[0]) > 0
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION,
                                       jko.PerturbMode.GRID_BUMP], ids=lambda m: m.value)
@@ -209,21 +209,94 @@ class TestReverse:
             assert np.min(np.diff(s.y) / np.diff(s.x)) >= 1e-3 - 1e-12
 
 
+def old_minimizer_in_family(spec, family, m=None):
+    """The global minimizer of G in a family, written out as the reference for `render`."""
+    g = fn.global_minimizer(spec)
+    if family == "gaussian":
+        return g
+    return qt.from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), m)
+
+
+def grid_traj():
+    return pr.run_forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, 3, 0.05,
+                          jko.PerturbMode.GRID_BUMP)
+
+
+def assert_same_fields(a, b):
+    assert type(a) is type(b)
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+
+
 class TestMinimizerDistances:
-    @pytest.mark.parametrize("make_traj", [
-        gauss_traj_3d,
-        lambda: pr.run_forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, 3, 0.05,
-                               jko.PerturbMode.GRID_BUMP),
-    ], ids=["gaussian", "grid"])
+    @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
     def test_equal_to_the_per_check_expressions(self, make_traj):
         traj = make_traj()
         m = traj.measures[0].m if traj.family == "grid" else None
-        q = pr.minimizer_in_family(traj.spec, traj.family, m)
-        for f in dataclasses.fields(q):
-            assert np.array_equal(getattr(traj.minimizer, f.name), getattr(q, f.name))
-        assert traj.w2_to_minimizer == [pr.w2_between(p, q) for p in traj.measures]
+        q = old_minimizer_in_family(traj.spec, traj.family, m)
+        assert_same_fields(traj.minimizer, q)
+        w2 = qt.w2 if traj.family == "grid" else ga.w2_bw
+        assert traj.w2_to_minimizer == [w2(p, q) for p in traj.measures]
         assert traj.minimizer is traj.minimizer
         assert traj.w2_to_minimizer is traj.w2_to_minimizer
+
+
+# (method, module, the module function it calls, its arguments) in both families
+FAMILY_METHODS = [
+    ("w2", qt, "w2", ("p", "q")),
+    ("kl", qt, "grid_kl", ("p", "q")),
+    ("push", qt, "pushforward", ("p", "t")),
+    ("inverse", qt, "invert_map", ("t",)),
+    ("w2", ga, "w2_bw", ("p", "q")),
+    ("kl", ga, "kl_between", ("p", "q")),
+    ("push", ga, "pushforward_affine", ("p", "t")),
+    ("inverse", ga, "invert_affine", ("t",)),
+]
+
+
+class TestFamilyMethods:
+    """Each family method equals the module function it calls, bit for bit, in both families."""
+
+    @staticmethod
+    def operands(module):
+        traj = grid_traj() if module is qt else gauss_traj_3d()
+        return {"p": traj.measures[1], "q": traj.measures[2], "t": traj.transports[2]}
+
+    @pytest.mark.parametrize("method, module, func, args", FAMILY_METHODS,
+                             ids=[f"{m.__name__.rsplit('.', 1)[-1]}.{f}"
+                                  for _, m, f, _ in FAMILY_METHODS])
+    def test_method_equals_module_function(self, method, module, func, args, monkeypatch):
+        ops = self.operands(module)
+        receiver, *rest = [ops[a] for a in args]
+        original = getattr(module, func)
+        expected = original(receiver, *rest)
+        calls = []
+
+        def counting(*a):
+            calls.append(a)
+            return original(*a)
+
+        # a tracer patches the module attribute; the method must call through it
+        monkeypatch.setattr(module, func, counting)
+        got = getattr(receiver, method)(*rest)
+        assert len(calls) == 1
+        if isinstance(expected, float):
+            assert got == expected
+        else:
+            assert_same_fields(got, expected)
+
+    @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
+    def test_render_equals_the_old_minimizer_expression(self, make_traj):
+        traj = make_traj()
+        m = traj.measures[0].m if traj.family == "grid" else None
+        for p in traj.measures:
+            assert_same_fields(p.render(fn.global_minimizer(traj.spec)),
+                               old_minimizer_in_family(traj.spec, traj.family, m))
+
+    def test_grid_render_needs_a_1d_gaussian(self):
+        g = ga.GaussianMeasure(np.zeros(2), np.eye(2))
+        with pytest.raises(ValueError, match="1-D objective"):
+            qt.from_gaussian(0.0, 1.0, 16).render(g)
 
 
 class TestOuSmooth:
@@ -314,7 +387,7 @@ class TestInverseLipschitz:
 
     def test_gaussian(self):
         for t in gauss_traj_3d().transports:
-            assert pr.inverse_lipschitz(t) == float(
+            assert t.inverse_lipschitz() == float(
                 np.linalg.norm(ga.invert_affine(t).linear, 2))
 
     def test_grid(self):
@@ -322,7 +395,7 @@ class TestInverseLipschitz:
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
                               mode=jko.PerturbMode.GRID_BUMP, seed=2)
         for t in traj.transports:
-            assert pr.inverse_lipschitz(t) == qt.lipschitz(qt.invert_map(t))
+            assert t.inverse_lipschitz() == qt.lipschitz(qt.invert_map(t))
 
 
 class TestCsv:
