@@ -26,7 +26,6 @@ __all__ = [
     "check_forward_rate",
     "check_kl_tv_guarantee",
     "check_inversion_bound",
-    "check_dpi",
     "check_dpi_chain",
     "check_smoothing",
     "report_lines",
@@ -189,13 +188,14 @@ def _tv_gaussian_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
     return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
 
 
-def check_kl_tv_guarantee(traj: pr.Trajectory, reverse: pr.ReverseRun) -> list[BoundReport]:
-    """KL(p || q_0) <= (9/2g)(eps/l)^2 and TV(p, q_0) <= (3/(2 sqrt g))(eps/l)."""
-    if not reverse.exact:
-        raise ValueError("KL/TV guarantee applies to the exact reverse process")
+def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
+    """KL(p || q_0) <= (9/2g)(eps/l)^2 and TV(p, q_0) <= (3/(2 sqrt g))(eps/l).
+
+    q_0 is the exact reverse chain's output, `traj.exact_q0`.
+    """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
-    p0, q0 = traj.measures[0], reverse.measures[0]
+    p0, q0 = traj.measures[0], traj.exact_q0
     tol = EVI_TOL[type(p0)]
     kl_val = p0.kl(q0)
     rhs_kl = (9.0 / (2 * gamma)) * (eps / lam) ** 2
@@ -220,9 +220,9 @@ def check_kl_tv_guarantee(traj: pr.Trajectory, reverse: pr.ReverseRun) -> list[B
 # Inversion-error W2 bounds
 
 
-def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
-                          pert_rev: pr.ReverseRun, eps_inv: float) -> list[BoundReport]:
-    """Coupling bound and mixed bound on W2(q~_0, q_0).
+def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
+                          eps_inv: float) -> list[BoundReport]:
+    """Coupling bound and mixed bound on W2(q~_0, q_0), q_0 = `traj.exact_q0`.
 
     At K = 0 the coupling formula is 0/0; the geometric-sum limit
     eps_inv * (N + 1) is used instead (flagged in context).  The mixed
@@ -235,7 +235,7 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
     n = traj.n_steps
     gamma = traj.gamma
     k = pr.estimate_K(traj)
-    lhs = pert_rev.measures[0].w2(exact_rev.measures[0])
+    lhs = pert_rev.measures[0].w2(traj.exact_q0)
     if k > 1e-12:
         rhs_prop = eps_inv / (gamma * k) * math.exp(gamma * k * (n + 1))
         k_note = "exact"
@@ -266,19 +266,12 @@ def check_inversion_bound(traj: pr.Trajectory, exact_rev: pr.ReverseRun,
 # Data processing
 
 
-def check_dpi(p, q, t) -> BoundReport:
-    """|KL(p || q) - KL(T#p || T#q)| within family tolerance."""
-    before = p.kl(q)
-    after = p.push(t).kl(q.push(t))
-    return BoundReport("dpi", abs(before - after), DPI_TOL[type(p)], 0.0,
-                       {"kl_before": before, "kl_after": after})
-
-
-def check_dpi_chain(traj: pr.Trajectory, reverse: pr.ReverseRun) -> BoundReport:
-    """|KL(p_0 || q_0) - KL(p_N || q_N)|: the full-chain data-processing identity."""
+def check_dpi_chain(traj: pr.Trajectory) -> BoundReport:
+    """|KL(p_0 || q_0) - KL(p_N || q_N)| over the exact reverse chain: the full-chain
+    data-processing identity, with q_0 = `traj.exact_q0` and q_N = pi = `traj.minimizer`."""
     n = traj.n_steps
-    start = traj.measures[0].kl(reverse.measures[0])
-    end = traj.measures[n].kl(reverse.measures[n])
+    start = traj.measures[0].kl(traj.exact_q0)
+    end = traj.measures[n].kl(traj.minimizer)
     return BoundReport("dpi_chain", abs(start - end), DPI_TOL[type(traj.measures[0])], 0.0,
                        {"kl_start": start, "kl_end": end, "N": n})
 

@@ -20,7 +20,6 @@ __all__ = [
     "ot_map_bw",
     "kl_between",
     "subgradient_field",
-    "field_l2_norm",
     "affine_field_norm",
     "pushforward_affine",
     "invert_affine",
@@ -161,9 +160,21 @@ class AffineMap:
     def inverse(self) -> AffineMap:
         return invert_affine(self)
 
+    @cached_property
+    def inverse_linear(self) -> np.ndarray:
+        """L^{-1}, computed once for `inverse`, `inverse_lipschitz` and `pull_back`."""
+        return _frozen(np.linalg.inv(self.linear))
+
     def inverse_lipschitz(self) -> float:
         """Lip(T^{-1}), the spectral norm of L^{-1}, without building T^{-1}."""
-        return float(np.linalg.norm(np.linalg.inv(self.linear), 2))
+        return float(np.linalg.norm(self.inverse_linear, 2))
+
+    def pull_back(self, mean: np.ndarray, cov: np.ndarray) -> tuple:
+        """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that
+        GaussianMeasure(mean, cov).push(T.inverse()) holds, bit for bit, building neither."""
+        a_inv = self.inverse_linear
+        c = a_inv @ cov @ a_inv.T
+        return a_inv @ mean + -a_inv @ self.offset, 0.5 * (c + c.T)
 
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -210,7 +221,7 @@ def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
 
 
 def invert_affine(t: AffineMap) -> AffineMap:
-    a_inv = np.linalg.inv(t.linear)
+    a_inv = t.inverse_linear
     return AffineMap(a_inv, -a_inv @ t.offset)
 
 
@@ -236,13 +247,6 @@ def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:
     j = pot.lambda_mat - alpha * prec
     c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
     return AffineMap(j, c)
-
-
-def field_l2_norm(fld: AffineMap, g: GaussianMeasure) -> float:
-    """L2(g) norm of an affine field; see affine_field_norm."""
-    if fld.dim != g.dim:
-        raise ValueError("field and measure dimensions differ")
-    return affine_field_norm(fld.linear, fld.offset, g.mean, g.cov)
 
 
 def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -66,6 +66,22 @@ class Trajectory:
     def w2_to_minimizer(self) -> list:
         """W2(p_n, pi) for n = 0..N, computed once for every check that reads it."""
         return [p.w2(self.minimizer) for p in self.measures]
+
+    @cached_property
+    def exact_q0(self):
+        """q_0 of the exact reverse chain: pi pulled back through T_N, ..., T_1 on arrays.
+
+        Bit for bit run_reverse_exact(self).measures[0]; only q_0 is built as a measure.
+        """
+        arrays = _fields(self.minimizer)
+        for t in reversed(self.transports):
+            arrays = t.pull_back(*arrays)
+        return type(self.minimizer)(*arrays)
+
+
+def _fields(measure) -> list:
+    """The measure's array fields (grid values; Gaussian mean, cov), in constructor order."""
+    return [getattr(measure, f.name) for f in fields(measure)]
 
 
 @dataclass(frozen=True)
@@ -212,16 +228,19 @@ def _inversion_residual(t_forward, s_reverse, measure) -> float:
 
 
 def run_reverse_exact(traj: Trajectory) -> ReverseRun:
-    """Pull the global minimizer back through the inverted forward transports."""
+    """Pull the global minimizer back through the inverted forward transports.
+
+    Each step is the forward map's `pull_back`, as in Trajectory.exact_q0.
+    """
     n = traj.n_steps
     measures = [None] * n + [traj.minimizer]
     transports = [None] * n
     residuals = [0.0] * n
     for k in range(n, 0, -1):
-        s = traj.transports[k - 1].inverse()
-        transports[k - 1] = s
-        residuals[k - 1] = _inversion_residual(traj.transports[k - 1], s, measures[k])
-        measures[k - 1] = measures[k].push(s)
+        t = traj.transports[k - 1]
+        transports[k - 1] = t.inverse()
+        residuals[k - 1] = _inversion_residual(t, transports[k - 1], measures[k])
+        measures[k - 1] = type(measures[k])(*t.pull_back(*_fields(measures[k])))
     return ReverseRun(measures=measures, transports=transports,
                       residuals=residuals, exact=True)
 

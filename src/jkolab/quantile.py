@@ -24,13 +24,11 @@ __all__ = [
     "apply_map",
     "pushforward",
     "entropy",
-    "kl",
     "grid_kl",
     "tv",
     "score",
     "gap_score",
     "second_moment",
-    "lipschitz",
     "invert_map",
 ]
 
@@ -129,19 +127,23 @@ class MonotoneMap1D:
         """Lip(T^{-1}), its largest slope, without building T^{-1}."""
         return float(np.max(np.diff(self.x) / np.diff(self.y)))
 
+    def pull_back(self, values: np.ndarray) -> tuple:
+        """The quantile values of (T^{-1})#p for p's `values`: T.inverse()(values), no map built."""
+        return (apply_map(self.y, self.x, values),)
+
 
 def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
     """MonotoneMap1D(x, y)(t) without building or validating the map."""
     t = np.asarray(t, dtype=float)
-    out = np.interp(t, x, y)
+    out = np.asarray(np.interp(t, x, y))
     lo = t < x[0]
     hi = t > x[-1]
     if np.any(lo):
         s0 = (y[1] - y[0]) / (x[1] - x[0])
-        out = np.where(lo, y[0] + s0 * (t - x[0]), out)
+        out[lo] = y[0] + s0 * (t[lo] - x[0])
     if np.any(hi):
         s1 = (y[-1] - y[-2]) / (x[-1] - x[-2])
-        out = np.where(hi, y[-1] + s1 * (t - x[-1]), out)
+        out[hi] = y[-1] + s1 * (t[hi] - x[-1])
     return out
 
 
@@ -194,16 +196,6 @@ def _dq_du_centered(p: QuantileGrid) -> np.ndarray:
 def entropy(p: QuantileGrid) -> float:
     """Differential entropy integral H = int rho log rho = -(1/M) sum log dQ/du."""
     return float(-np.mean(np.log(_dq_du_centered(p))))
-
-
-def kl(p: QuantileGrid, spec) -> float:
-    """KL(p || q) for the Gaussian target of `spec`: H(p) + E_p[V] + log Z.
-
-    Small negative values are pure discretization error (KL >= 0) and are
-    clamped to zero.
-    """
-    val = entropy(p) + float(np.mean(spec.potential.v(p.values[:, None]))) + spec.potential.log_z
-    return max(val, 0.0)
 
 
 def _interval_density(p: QuantileGrid) -> np.ndarray:
@@ -290,11 +282,6 @@ def gap_score(gaps: np.ndarray) -> np.ndarray:
 def second_moment(p: QuantileGrid) -> float:
     """M2 = (1/M) sum Q_k^2."""
     return float(np.mean(p.values ** 2))
-
-
-def lipschitz(t: MonotoneMap1D) -> float:
-    """Largest segment slope (extrapolation uses boundary slopes, so this is global)."""
-    return float(np.max(np.diff(t.y) / np.diff(t.x)))
 
 
 def invert_map(t: MonotoneMap1D) -> MonotoneMap1D:

@@ -1,19 +1,20 @@
 """Binary run store: one uncompressed npz archive per record.
 
 An archive holds the record's measures stacked per array field (grid values
-(N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the transports
-that cannot be rebuilt, and a JSON manifest string with the scalars.  Doubles
-are stored raw and manifest floats with repr, so a check re-run on loaded
-data reproduces its verdict bit-for-bit.  The manifest keys are the record
-fields' names.  Loading never unpickles: an archive holding an object array
-raises ValueError.
+(N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the transport
+arrays that cannot be rebuilt, and a JSON manifest string with the scalars.
+Doubles are stored raw and manifest floats with repr, so a check re-run on
+loaded data reproduces its verdict bit-for-bit.  The manifest keys are the
+record fields' names.  Loading never unpickles: an archive holding an object
+array raises ValueError.
 
-Loading rebuilds the derivable transports with the calls that made them:
-grid forward maps are qt.ot_map(p_{n-1}, p_n), and exact-reverse maps are
-T_n.inverse() as in pr.run_reverse_exact (hence the trajectory argument of
-reverse_from_json).  Gaussian forward maps (ot_map_bw does not
-reproduce the closed-form linear part bit-for-bit) and perturbed-reverse
-maps are stored.
+Nothing derivable from the trajectory is stored.  Grid forward maps are
+rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse run is not a
+record at all: it is pr.run_reverse_exact(traj), and certify reads only its
+output, traj.exact_q0.  A perturbed reverse map S_n is stored except, on
+grids, its x knots, which are the forward iterate p_n (hence the trajectory
+argument of reverse_from_json).  Gaussian forward maps (ot_map_bw does not
+reproduce the closed-form linear part bit-for-bit) are stored.
 
 The public record functions keep their *_json names and their bytes-in /
 bytes-out contract: perfbench/tracer.py times and sizes this layer by them.
@@ -40,9 +41,6 @@ __all__ = [
     "reverse_to_json",
     "reverse_from_json",
 ]
-
-_MAP_OF = {qt.QuantileGrid: qt.MonotoneMap1D, ga.GaussianMeasure: ga.AffineMap}
-
 
 def spec_to_dict(spec: fn.ObjectiveSpec) -> dict:
     return {
@@ -84,7 +82,7 @@ def trajectory_to_json(traj: pr.Trajectory) -> bytes:
     kind = type(traj.measures[0])
     arrays = _stack(traj.measures, kind)
     if traj.family != "grid":
-        arrays.update(_stack(traj.transports, _MAP_OF[kind]))
+        arrays.update(_stack(traj.transports, ga.AffineMap))
     return _pack({"spec": spec_to_dict(traj.spec), "gamma": traj.gamma, "family": traj.family,
                   "xi_norms": list(traj.xi_norms),
                   "solver_iterations": list(traj.solver_iterations)}, arrays)
@@ -103,19 +101,25 @@ def trajectory_from_json(data: bytes) -> pr.Trajectory:
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:
+    """Store a perturbed reverse run; an exact one is derived from its trajectory."""
+    if run.exact:
+        raise ValueError("the exact reverse run is derived from the trajectory, not stored")
     kind = type(run.measures[0])
     arrays = _stack(run.measures, kind)
-    if not run.exact:
-        arrays.update(_stack(run.transports, _MAP_OF[kind]))
+    if kind is qt.QuantileGrid:
+        arrays["y"] = np.array([s.y for s in run.transports])
+    else:
+        arrays.update(_stack(run.transports, ga.AffineMap))
     return _pack({"residuals": list(run.residuals), "exact": run.exact}, arrays)
 
 
 def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
-    """Load a reverse run of `traj`; an exact run's transports invert traj's."""
+    """Load a perturbed reverse run of `traj`; grid map S_n takes its x knots from p_n."""
     d, arrays = _unpack(data)
     kind = type(traj.measures[0])
-    if d["exact"]:
-        transports = [t.inverse() for t in traj.transports]
+    if kind is qt.QuantileGrid:
+        transports = [qt.MonotoneMap1D(p.values, y)
+                      for p, y in zip(traj.measures[1:], arrays["y"], strict=True)]
     else:
-        transports = _unstack(arrays, _MAP_OF[kind])
+        transports = _unstack(arrays, ga.AffineMap)
     return pr.ReverseRun(measures=_unstack(arrays, kind), transports=transports, **d)

@@ -19,6 +19,14 @@ def gauss_traj(n=4, eps=None, lam=1.0, mean=2.0, var=4.0):
     return pr.run_forward(p0, kl_spec(lam=lam), 1.0, n, eps_schedule=eps)
 
 
+def check_dpi(p, q, t) -> ct.BoundReport:
+    """|KL(p || q) - KL(T#p || T#q)| within family tolerance."""
+    before = p.kl(q)
+    after = p.push(t).kl(q.push(t))
+    return ct.BoundReport("dpi", abs(before - after), ct.DPI_TOL[type(p)], 0.0,
+                          {"kl_before": before, "kl_after": after})
+
+
 class TestBoundReport:
     def test_slack_and_holds(self):
         r = ct.BoundReport("x", 1.0, 2.0)
@@ -140,8 +148,7 @@ class TestKlTv:
         # with eps = 0 both right sides are 0, but a finite chain has not
         # converged yet, so KL(p0 || q0) > 0 and the check must report that
         traj = gauss_traj(4)
-        rev = pr.run_reverse_exact(traj)
-        reports = ct.check_kl_tv_guarantee(traj, rev)
+        reports = ct.check_kl_tv_guarantee(traj)
         assert not reports[0].holds
         assert reports[0].lhs > 1e-4 and reports[0].rhs < 1e-12
 
@@ -149,29 +156,20 @@ class TestKlTv:
         eps = 0.1
         n = pr.steps_needed(math.sqrt(5), 1.0, 1.0, eps)
         traj = gauss_traj(n, eps=eps)
-        rev = pr.run_reverse_exact(traj)
-        assert all(r.holds for r in ct.check_kl_tv_guarantee(traj, rev))
+        assert all(r.holds for r in ct.check_kl_tv_guarantee(traj))
 
     def test_perturbed_chain(self):
         traj = gauss_traj(6, eps=0.1)
-        rev = pr.run_reverse_exact(traj)
-        reports = ct.check_kl_tv_guarantee(traj, rev)
+        reports = ct.check_kl_tv_guarantee(traj)
         assert [r.name for r in reports] == ["reverse_kl", "reverse_tv"]
         assert all(r.holds for r in reports)
         assert reports[0].rhs == pytest.approx(4.5 * 0.01)
         assert reports[1].rhs == pytest.approx(1.5 * 0.1)
 
-    def test_rejects_perturbed_reverse(self):
-        traj = gauss_traj(3, eps=0.1)
-        rev = pr.run_reverse_perturbed(traj, 1e-3)
-        with pytest.raises(ValueError):
-            ct.check_kl_tv_guarantee(traj, rev)
-
     def test_pinsker_flag_in_higher_dim(self):
         p0 = ga.GaussianMeasure(np.array([1.0, -1.0]), 2 * np.eye(2))
         traj = pr.run_forward(p0, kl_spec(d=2), 1.0, 5, eps_schedule=0.1)
-        rev = pr.run_reverse_exact(traj)
-        reports = ct.check_kl_tv_guarantee(traj, rev)
+        reports = ct.check_kl_tv_guarantee(traj)
         assert reports[1].context["tv_method"] == "pinsker_upper_bound"
         assert all(r.holds for r in reports)
 
@@ -181,9 +179,8 @@ class TestInversion:
         # equal-variance chain: all transports are translations, K = 0
         p0 = ga.GaussianMeasure(np.array([3.0]), np.eye(1))
         traj = pr.run_forward(p0, kl_spec(), 1.0, 5)
-        exact = pr.run_reverse_exact(traj)
         pert = pr.run_reverse_perturbed(traj, 1e-3)
-        reports = ct.check_inversion_bound(traj, exact, pert, 1e-3)
+        reports = ct.check_inversion_bound(traj, pert, 1e-3)
         coupling, mixed = reports
         assert coupling.context["prop_form"] == "k_zero_limit"
         assert coupling.rhs == pytest.approx(6e-3)
@@ -192,9 +189,8 @@ class TestInversion:
 
     def test_positive_k(self):
         traj = gauss_traj(5, eps=0.01, lam=2.0)  # K = log 2 fixture
-        exact = pr.run_reverse_exact(traj)
         pert = pr.run_reverse_perturbed(traj, 1e-4)
-        reports = ct.check_inversion_bound(traj, exact, pert, 1e-4)
+        reports = ct.check_inversion_bound(traj, pert, 1e-4)
         coupling, mixed = reports
         k = coupling.context["K"]
         assert k == pytest.approx(math.log(2), abs=1e-6)
@@ -207,9 +203,8 @@ class TestInversion:
         # the mixed bound replaces N by 1 + (8/(gamma lam)) log(W2(p0, pi) lam / eps),
         # here about 25.7; beyond that it is below the coupling bound and bounds nothing
         traj = gauss_traj(30, eps=0.01, lam=2.0)
-        exact = pr.run_reverse_exact(traj)
         pert = pr.run_reverse_perturbed(traj, 1e-4)
-        coupling, mixed = ct.check_inversion_bound(traj, exact, pert, 1e-4)
+        coupling, mixed = ct.check_inversion_bound(traj, pert, 1e-4)
         assert coupling.holds and math.isfinite(coupling.rhs)
         assert mixed.rhs == math.inf and mixed.holds
         assert mixed.context["mixed_form"] == "not_applicable"
@@ -220,27 +215,25 @@ class TestDpi:
         p = ga.GaussianMeasure(np.array([1.0]), np.array([[2.0]]))
         q = ga.GaussianMeasure(np.array([0.0]), np.eye(1))
         t = ga.AffineMap(np.array([[3.0]]), np.array([-1.0]))
-        r = ct.check_dpi(p, q, t)
+        r = check_dpi(p, q, t)
         assert r.holds and r.lhs <= 1e-12
 
     def test_grid_monotone_map(self):
         p = qt.from_gaussian(0.5, 1.2, 512)
         q = qt.from_gaussian(0.0, 1.0, 512)
         t = qt.ot_map(p, qt.from_gaussian(-1.0, 0.8, 512))
-        r = ct.check_dpi(p, q, t)
+        r = check_dpi(p, q, t)
         assert r.holds
 
     def test_chain_identity(self):
         traj = gauss_traj(4, eps=0.05)
-        rev = pr.run_reverse_exact(traj)
-        r = ct.check_dpi_chain(traj, rev)
+        r = ct.check_dpi_chain(traj)
         assert r.holds and r.lhs <= ct.DPI_TOL[ga.GaussianMeasure]
 
     def test_chain_identity_grid(self):
         p0 = qt.from_gaussian(1.0, 1.4, 512)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_exact(traj)
-        assert ct.check_dpi_chain(traj, rev).holds
+        assert ct.check_dpi_chain(traj).holds
 
 
 class TestSmoothing:

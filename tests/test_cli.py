@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import json
 import os
 import re
 import shutil
@@ -10,6 +11,7 @@ import pytest
 from jkolab import cli
 from jkolab import gaussian as ga
 from jkolab import jko
+from jkolab import process as pr
 from jkolab import serialize as sz
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -234,6 +236,61 @@ class TestPipeline:
         cfg.seed = 3
         assert (tmp_path / "runs" / f"{cfg.run_id()}_forward.csv").exists()
 
+    def test_reverse_stores_no_derivable_data(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GRID)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        rid = cli.parse_config(BASE_GRID).run_id()
+        runs = tmp_path / "runs"
+        assert sorted(os.listdir(runs)) == [
+            f"{rid}_{s}" for s in ("config.txt", "forward.csv", "reverse.csv",
+                                   "reverse_perturbed.csv", "reverse_perturbed.npz",
+                                   "trajectory.npz")]
+        blob = (runs / f"{rid}_reverse_perturbed.npz").read_bytes()
+        with np.load(runs / f"{rid}_reverse_perturbed.npz") as z:
+            assert z.files == ["manifest", "values", "y"]
+        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
+        pert = sz.reverse_from_json(blob, traj)
+        assert len(pert.transports) == traj.n_steps == 3
+        for k, s in enumerate(pert.transports, 1):
+            assert np.array_equal(s.x, traj.measures[k].values)
+
+    def test_stale_exact_archive_is_not_read(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GRID)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        status = run(["certify", "--config", cfgp], tmp_path)
+        rid = cli.parse_config(BASE_GRID).run_id()
+        runs = tmp_path / "runs"
+        report = (runs / f"{rid}_report.csv").read_bytes()
+        # an exact-reverse archive as earlier versions wrote it, with a doctored q_0
+        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
+        exact = pr.run_reverse_exact(traj)
+        values = np.array([q.values for q in exact.measures])
+        values[0] += 1.0
+        with open(runs / f"{rid}_reverse_exact.npz", "wb") as f:
+            np.savez(f, manifest=np.array(json.dumps({"residuals": exact.residuals,
+                                                      "exact": True})), values=values)
+        (runs / f"{rid}_report.csv").unlink()
+        assert run(["certify", "--config", cfgp], tmp_path) == status
+        assert (runs / f"{rid}_report.csv").read_bytes() == report
+
+    def test_certify_derives_the_exact_chain_from_the_trajectory(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        rid = cli.parse_config(BASE_GAUSS).run_id()
+        report = tmp_path / "runs" / f"{rid}_report.csv"
+        checks = ["certify", "--config", cfgp, "--checks", "kl_tv,dpi_chain"]
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        assert run(checks, tmp_path) == 0
+        names = [row.split(",")[0] for row in report.read_text().splitlines()[1:]]
+        assert names == ["reverse_kl", "reverse_tv", "dpi_chain"]
+        alone = report.read_bytes()
+        # the inversion check (eps_inv > 0) still needs the perturbed reverse run
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+        assert run(["reverse", "--config", cfgp], tmp_path) == 0
+        assert run(checks, tmp_path) == 0
+        assert report.read_bytes() == alone
+
     def test_checks_subset(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         run(["forward", "--config", cfgp], tmp_path)
@@ -256,6 +313,20 @@ class TestSweepAndReport:
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         assert run(["sweep", "--config", cfgp, "--axis", "p0.mean=1,2"],
                    tmp_path) == cli.EXIT_CONFIG
+
+    def test_every_sweep_key_is_a_config_key(self):
+        samples = {"gamma": "0.5", "eps": "0.2", "eps_inv": "0.01", "seed": "4",
+                   "family.m": "64"}
+        for key in cli.SWEEP_KEYS:
+            cfg = cli._sweep_config(BASE_GRID, {key: samples[key]}, None)
+            assert f"{key} = {samples[key]}\n" in cfg.canonical()
+
+    def test_objective_dim_is_not_sweepable(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "objective.dim=1,2"],
+                   tmp_path) == cli.EXIT_CONFIG
+        assert "not sweepable" in capsys.readouterr().err
+        assert os.listdir(tmp_path / "runs") == []
 
     def test_report_aggregates(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
@@ -439,14 +510,17 @@ class TestSweepRobustness:
 
 
 def _failing_checks(run_dir: str) -> tuple[str, set]:
-    """Certify a copy of a negative-control directory: its run id and failing check names."""
+    """Certify a copy of a negative-control directory: its run id and failing checks.
+
+    A failing check is its name, with `n=<step>` for the per-step ones.
+    """
     cfgp = os.path.join(run_dir, "config.txt")
     with open(cfgp) as f:
         rid = cli.parse_config(f.read()).run_id()
     assert cli.main(["certify", "--config", cfgp, "--out", run_dir]) == cli.EXIT_BOUND_FAILED
     with open(os.path.join(run_dir, f"{rid}_report.csv")) as f:
         rows = [r.split(",") for r in f.read().strip().split("\n")[1:]]
-    return rid, {r[0] for r in rows if r[1] == "0"}
+    return rid, {" ".join([r[0]] + re.findall(r"\bn=\d+", r[6])) for r in rows if r[1] == "0"}
 
 
 class TestNegativeControl:
@@ -471,4 +545,7 @@ class TestNegativeControl:
         assert script.main([fresh]) == 0
         checked_in = str(tmp_path / "checked_in")
         shutil.copytree(os.path.join(ROOT, "fixtures", "negative_control"), checked_in)
-        assert _failing_checks(fresh) == _failing_checks(checked_in)
+        assert _failing_checks(fresh) == _failing_checks(checked_in) == (
+            "f386adaefbcf", {"evi n=1", "evi n=2", "evi n=3", "evi n=4", "reverse_kl",
+                             "reverse_tv"})
+        assert sorted(os.listdir(fresh)) == sorted(os.listdir(checked_in))

@@ -13,6 +13,13 @@ def spec_for(lam_mat, center=None, variant=fn.Variant.KL, alpha=1.0):
     return fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
 
 
+def field_l2_norm(fld: ga.AffineMap, g: ga.GaussianMeasure) -> float:
+    """L2(g) norm of an affine field; see ga.affine_field_norm."""
+    if fld.dim != g.dim:
+        raise ValueError("field and measure dimensions differ")
+    return ga.affine_field_norm(fld.linear, fld.offset, g.mean, g.cov)
+
+
 class TestQuadraticPotential:
     def test_log_z_standard_normal(self):
         pot = fn.QuadraticPotential(np.eye(1), np.zeros(1))
@@ -114,7 +121,7 @@ class TestGlobalMinimizer:
         g = fn.global_minimizer(spec)
         assert np.allclose(g.cov, 2 * np.eye(2))
         fld = ga.subgradient_field(g, spec)
-        assert ga.field_l2_norm(fld, g) <= 1e-12
+        assert field_l2_norm(fld, g) <= 1e-12
 
     def test_stationarity_of_minimizer(self):
         rng = np.random.default_rng(4)
@@ -122,7 +129,7 @@ class TestGlobalMinimizer:
             a = rng.standard_normal((2, 2))
             spec = spec_for(a @ a.T + 0.2 * np.eye(2), rng.uniform(-1, 1, 2))
             g = fn.global_minimizer(spec)
-            assert ga.field_l2_norm(ga.subgradient_field(g, spec), g) <= 1e-12
+            assert field_l2_norm(ga.subgradient_field(g, spec), g) <= 1e-12
 
     def test_minimum_value(self):
         spec = spec_for(np.diag([2.0]))

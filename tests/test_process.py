@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -10,6 +11,10 @@ from jkolab import gaussian as ga
 from jkolab import jko
 from jkolab import process as pr
 from jkolab import quantile as qt
+from jkolab import serialize as sz
+
+NEGATIVE_CONTROL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "negative_control",
+                                "f386adaefbcf_trajectory.npz")
 
 
 def kl_spec(lam=1.0, d=1):
@@ -241,6 +246,48 @@ class TestMinimizerDistances:
         assert traj.w2_to_minimizer is traj.w2_to_minimizer
 
 
+def negative_control_traj():
+    with open(NEGATIVE_CONTROL, "rb") as f:
+        return sz.trajectory_from_json(f.read())
+
+
+class TestExactQ0:
+    """Trajectory.exact_q0 is run_reverse_exact's q_0, bit for bit, and builds no map."""
+
+    TRAJECTORIES = [grid_traj, gauss_traj_3d, negative_control_traj,
+                    lambda: pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)]
+    IDS = ["grid", "gaussian_3d", "negative_control", "no_steps"]
+
+    @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
+    def test_equals_run_reverse_exact(self, make_traj):
+        traj = make_traj()
+        assert_same_fields(traj.exact_q0, pr.run_reverse_exact(traj).measures[0])
+        assert traj.exact_q0 is traj.exact_q0
+
+    @pytest.mark.parametrize("make_traj", TRAJECTORIES[:2], ids=IDS[:2])
+    def test_builds_no_map(self, make_traj, monkeypatch):
+        traj = make_traj()
+        built = []
+        for cls in (qt.MonotoneMap1D, ga.AffineMap):
+            post = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, post=post: built.append(self) or post(self))
+        traj.exact_q0
+        assert built == []
+
+    def test_one_inversion_per_gaussian_map(self, monkeypatch):
+        traj = gauss_traj_3d()
+        traj.minimizer
+        calls = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(0) or inv(a))
+        pr.estimate_K(traj)
+        traj.exact_q0
+        pr.run_reverse_exact(traj)
+        pr.run_reverse_perturbed(traj, 1e-3)
+        assert len(calls) == traj.n_steps
+
+
 # (method, module, the module function it calls, its arguments) in both families
 FAMILY_METHODS = [
     ("w2", qt, "w2", ("p", "q")),
@@ -395,7 +442,8 @@ class TestInverseLipschitz:
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
                               mode=jko.PerturbMode.GRID_BUMP, seed=2)
         for t in traj.transports:
-            assert t.inverse_lipschitz() == qt.lipschitz(qt.invert_map(t))
+            inv = qt.invert_map(t)
+            assert t.inverse_lipschitz() == float(np.max(np.diff(inv.y) / np.diff(inv.x)))
 
 
 class TestCsv:

@@ -31,11 +31,10 @@ EPS_INV = 1e-3
 
 
 def grid_bump_run():
-    """A grid_bump forward run with its exact and perturbed reverse runs."""
+    """A grid_bump forward run with its perturbed reverse run."""
     p0 = qt.from_gaussian(1.5, 1.5, 128)
     traj = pr.run_forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
-    return (traj, pr.run_reverse_exact(traj),
-            pr.run_reverse_perturbed(traj, EPS_INV, jko.PerturbMode.GRID_BUMP))
+    return traj, pr.run_reverse_perturbed(traj, EPS_INV, jko.PerturbMode.GRID_BUMP)
 
 
 def round_trip(traj, *reverse_runs):
@@ -53,10 +52,10 @@ def assert_maps_equal(maps_a, maps_b):
             assert np.array_equal(a.offset, b.offset)
 
 
-def all_checks(traj, exact, pert):
+def all_checks(traj, pert):
     return (ct.check_evi(traj) + ct.check_forward_rate(traj)
-            + ct.check_kl_tv_guarantee(traj, exact) + [ct.check_dpi_chain(traj, exact)]
-            + ct.check_inversion_bound(traj, exact, pert, EPS_INV))
+            + ct.check_kl_tv_guarantee(traj) + [ct.check_dpi_chain(traj)]
+            + ct.check_inversion_bound(traj, pert, EPS_INV))
 
 
 class TestSpecRoundTrip:
@@ -131,14 +130,13 @@ class TestReverseRoundTrip:
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T + 0.5 * np.eye(5), np.zeros(5)))
         p0 = ga.GaussianMeasure(rng.standard_normal(5), b @ b.T + 0.5 * np.eye(5))
         traj = pr.run_forward(p0, spec, 1.0, 4, 0.05)
-        blobs = [sz.reverse_to_json(r) for r in (pr.run_reverse_exact(traj),
-                                                  pr.run_reverse_perturbed(traj, EPS_INV))]
+        blob = sz.reverse_to_json(pr.run_reverse_perturbed(traj, EPS_INV))
         traj = sz.trajectory_from_json(sz.trajectory_to_json(traj))
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(0) or eigh(*a, **k))
-        runs = [sz.reverse_from_json(blob, traj) for blob in blobs]
-        assert [r.exact for r in runs] == [True, False]
+        assert sz.reverse_from_json(blob, traj).exact is False
+        assert traj.exact_q0.dim == 5
         assert calls == []
 
     def test_bit_exact(self):
@@ -152,22 +150,28 @@ class TestReverseRoundTrip:
         assert_maps_equal(rev.transports, back.transports)
 
     def test_grid_bump_perturbed_bit_exact(self):
-        traj, _, pert = grid_bump_run()
-        back = sz.reverse_from_json(sz.reverse_to_json(pert), traj)
+        traj, pert = grid_bump_run()
+        blob = sz.reverse_to_json(pert)
+        with np.load(io.BytesIO(blob)) as z:
+            assert z.files == ["manifest", "values", "y"]
+        back = sz.reverse_from_json(blob, traj)
         assert back.exact is False and pert.exact is False
         assert back.residuals == pert.residuals
         for a, b in zip(pert.measures, back.measures):
             assert np.array_equal(a.values, b.values)
         assert_maps_equal(pert.transports, back.transports)
+        for p, s in zip(traj.measures[1:], back.transports, strict=True):
+            assert np.array_equal(s.x, p.values)
 
     @pytest.mark.parametrize("make_traj", [gauss_traj, lambda: grid_bump_run()[0]],
                              ids=["gaussian", "grid"])
     def test_exact_transports_derived_bit_exact(self, make_traj):
+        # the exact reverse run is not stored: certify derives its q_0 from the trajectory
         traj = make_traj()
         exact = pr.run_reverse_exact(traj)
-        _, back = round_trip(traj, exact)
-        assert back.exact is True
-        assert_maps_equal(exact.transports, back.transports)
-        for a, b in zip(exact.measures, back.measures):
-            for f in dataclasses.fields(a):
-                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        with pytest.raises(ValueError, match="derived"):
+            sz.reverse_to_json(exact)
+        (back,) = round_trip(traj)
+        for f in dataclasses.fields(exact.measures[0]):
+            assert np.array_equal(getattr(exact.measures[0], f.name),
+                                  getattr(back.exact_q0, f.name))
