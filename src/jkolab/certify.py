@@ -222,7 +222,7 @@ def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
 
 def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
                           eps_inv: float) -> list[BoundReport]:
-    """Coupling bound and mixed bound on W2(q~_0, q_0), q_0 = `traj.exact_q0`.
+    """Coupling and mixed bounds on W2(q~_0, q_0), q~_0 = `pert_rev.q0`, q_0 = `traj.exact_q0`.
 
     At K = 0 the coupling formula is 0/0; the geometric-sum limit
     eps_inv * (N + 1) is used instead (flagged in context).  The mixed
@@ -235,7 +235,7 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     n = traj.n_steps
     gamma = traj.gamma
     k = pr.estimate_K(traj)
-    lhs = pert_rev.measures[0].w2(traj.exact_q0)
+    lhs = pert_rev.q0.w2(traj.exact_q0)
     if k > 1e-12:
         rhs_prop = eps_inv / (gamma * k) * math.exp(gamma * k * (n + 1))
         k_note = "exact"

@@ -345,15 +345,25 @@ def do_reverse(cfg: RunConfig, rid: str, out: str):
     return exact, pert
 
 
-def _load_reverse(path: str, traj: pr.Trajectory) -> pr.ReverseRun | None:
+def _load_reverse(rid: str, out: str, traj: pr.Trajectory) -> pr.ReverseRun:
+    """The stored perturbed reverse run; a missing or stale archive is missing run data (66)."""
+    path = _path(out, rid, "reverse_perturbed.npz")
     if not os.path.exists(path):
-        return None
+        raise FileNotFoundError(f"the inversion check needs {path}: run `jkolab reverse`")
     with open(path, "rb") as f:
-        return sz.reverse_from_json(f.read(), traj)
+        data = f.read()
+    try:
+        return sz.reverse_from_json(data, traj)
+    except sz.StaleArchiveError as exc:
+        raise FileNotFoundError(f"{path}: {exc}; re-run `jkolab reverse` to rewrite it") from exc
 
 
 def run_checks(cfg: RunConfig, traj: pr.Trajectory, pert_rev, checks: list) -> list:
-    """The reports of `checks`; the exact reverse chain is derived from `traj`."""
+    """The reports of `checks`; the exact reverse chain is derived from `traj`.
+
+    `pert_rev`, the perturbed reverse run, is read only by the inversion
+    check with eps_inv > 0 (None otherwise).
+    """
     reports = []
     for name in checks:
         if name == "evi":
@@ -365,20 +375,20 @@ def run_checks(cfg: RunConfig, traj: pr.Trajectory, pert_rev, checks: list) -> l
         elif name == "dpi_chain":
             reports.append(ct.check_dpi_chain(traj))
         elif name == "inversion":
-            if cfg.eps_inv <= 0:
-                continue
-            if pert_rev is None:
-                raise FileNotFoundError("inversion check needs the perturbed reverse run")
-            reports.extend(ct.check_inversion_bound(traj, pert_rev, cfg.eps_inv))
+            if cfg.eps_inv > 0:
+                reports.extend(ct.check_inversion_bound(traj, pert_rev, cfg.eps_inv))
         else:
             raise ConfigError(f"unknown check {name!r}")
     return reports
 
 
 def do_certify(cfg: RunConfig, rid: str, out: str, checks=None) -> int:
+    checks = checks or cfg.checks
     traj = _load_trajectory(rid, out)
-    pert_rev = _load_reverse(_path(out, rid, "reverse_perturbed.npz"), traj)
-    reports = run_checks(cfg, traj, pert_rev, checks or cfg.checks)
+    pert_rev = None
+    if "inversion" in checks and cfg.eps_inv > 0:
+        pert_rev = _load_reverse(rid, out, traj)
+    reports = run_checks(cfg, traj, pert_rev, checks)
     with open(_path(out, rid, "report.csv"), "w") as f:
         f.write(ct.report_lines(reports))
     failed = [r for r in reports if not r.holds]

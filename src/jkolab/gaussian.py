@@ -173,8 +173,15 @@ class AffineMap:
         """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that
         GaussianMeasure(mean, cov).push(T.inverse()) holds, bit for bit, building neither."""
         a_inv = self.inverse_linear
-        c = a_inv @ cov @ a_inv.T
-        return a_inv @ mean + -a_inv @ self.offset, 0.5 * (c + c.T)
+        return self.push_fields(a_inv, -a_inv @ self.offset, mean, cov)
+
+    @staticmethod
+    def push_fields(linear: np.ndarray, offset: np.ndarray, mean: np.ndarray,
+                    cov: np.ndarray) -> tuple:
+        """N(mean, cov) pushed through x -> linear x + offset on arrays: the mean and the
+        covariance, symmetrized as GaussianMeasure stores it, of pushforward_affine bit for bit."""
+        c = linear @ cov @ linear.T
+        return linear @ mean + offset, 0.5 * (c + c.T)
 
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
@@ -217,7 +224,7 @@ def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
 
 def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
     """T#g = N(A m + b, A Sigma A^T), exact."""
-    return GaussianMeasure(t.linear @ g.mean + t.offset, t.linear @ g.cov @ t.linear.T)
+    return GaussianMeasure(*AffineMap.push_fields(t.linear, t.offset, g.mean, g.cov))
 
 
 def invert_affine(t: AffineMap) -> AffineMap:

@@ -356,19 +356,18 @@ def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump=None):
     return qt.MonotoneMap1D(tr.x, perturbed_knots(tr.y, mode, a, center, bump))
 
 
-def amplitude_cap(tr, mode: PerturbMode, bump=None) -> float:
-    """Largest amplitude keeping every slope of a GRID_BUMP-perturbed map >= 1e-3.
+def amplitude_cap(x: np.ndarray, y: np.ndarray, bump=None) -> float:
+    """Largest amplitude a keeping every slope of the knots (x, y + a bump) >= 1e-3.
 
-    `bump` is the bump_profile at tr's knots.  Shifts and dilations by
-    1 + a >= 1 never break monotonicity, so their cap (and that of a
-    Gaussian map, which rejects GRID_BUMP) is infinite.  The bump's slope
-    is never a divisor, so its vanishing tails cannot overflow.
+    `bump` is the bump_profile at x.  Without one (a shift, or a dilation
+    by 1 + a >= 1, never breaks monotonicity) the cap is infinite.  The
+    bump's slope is never a divisor, so its vanishing tails cannot overflow.
     """
-    if mode is not PerturbMode.GRID_BUMP or not isinstance(tr, qt.MonotoneMap1D):
+    if bump is None:
         return np.inf
-    dx = np.diff(tr.x)
+    dx = np.diff(x)
     fall = -np.diff(bump) / dx
-    room = np.diff(tr.y) / dx - _MIN_BUMP_SLOPE
+    room = np.diff(y) / dx - _MIN_BUMP_SLOPE
     neg = fall > 0
     if not np.any(neg):
         return np.inf
@@ -481,6 +480,7 @@ def perturb_step(
     tr = exact.transport
     nxt = exact.next_measure
     bump = None
+    a_cap = np.inf
     if isinstance(tr, qt.MonotoneMap1D):
         if not np.array_equal(tr.x, p_n.values):
             raise ValueError("the exact grid transport must start at p_n's quantiles")
@@ -491,6 +491,7 @@ def perturb_step(
             if bump_width is None:
                 bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
             bump = bump_profile(tr.x, bump_center, bump_width)
+            a_cap = amplitude_cap(tr.x, tr.y, bump)
 
         def xi_input(a: float):
             return qt.QuantileGrid(perturbed_knots(tr.y, mode, a, center, bump))
@@ -508,7 +509,7 @@ def perturb_step(
             return ga.pushforward_affine(p_n, t), t
 
     a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, xi_input(a), spec, gamma)[1], eps,
-                                  amplitude_cap(tr, mode, bump), norm_at_zero=exact.xi_norm)
+                                  a_cap, norm_at_zero=exact.xi_norm)
     next_measure, transport = result(a)
     return StepResult(
         next_measure=next_measure,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -86,15 +86,58 @@ def _fields(measure) -> list:
 
 @dataclass(frozen=True)
 class ReverseRun:
-    """Reverse-process record, indexed 0..N (measures[n] is q_n or q~_n).
+    """Reverse-process record of `traj`, indexed 0..N (measures[n] is q_n or q~_n).
 
-    residuals[n-1] is ||T_n o S_n - Id|| under the measure entering S_n.
+    residuals[n-1] is ||T_n o S_n - Id|| under the measure entering S_n, and
+    amplitudes[n-1] the amplitude a_n of the perturbation composed onto
+    T_n^{-1} to make S_n (0 on the exact chain, whose mode and seed are None).
+    A perturbed run is fixed by them: _reverse_step rebuilds each S_n from
+    T_n, `mode` and a_n, drawing from one default_rng(seed) in the run's
+    order n = N..1.  The maps, the measures and q0 are derived from that on
+    first read, bit for bit what the run built; the run itself hands in the
+    ones it built (an exact run always does).
     """
 
-    measures: list
-    transports: list
+    traj: Trajectory = field(repr=False)
     residuals: list
+    amplitudes: list
+    mode: jko.PerturbMode | None
+    seed: int | None
     exact: bool
+
+    @cached_property
+    def _map_fields(self) -> list:
+        """The constructor arrays of S_1..S_N."""
+        rng = np.random.default_rng(self.seed)
+        out = [None] * len(self.amplitudes)
+        for k in range(len(out), 0, -1):
+            knots, _ = _reverse_step(self.traj.transports[k - 1], self.mode, rng)
+            out[k - 1] = knots(self.amplitudes[k - 1])
+        return out
+
+    @cached_property
+    def transports(self) -> list:
+        return [type(t)(*s) for t, s in zip(self.traj.transports, self._map_fields, strict=True)]
+
+    @cached_property
+    def measures(self) -> list:
+        measures = [self.traj.minimizer]
+        for s in reversed(self.transports):
+            measures.append(measures[-1].push(s))
+        return measures[::-1]
+
+    @cached_property
+    def q0(self):
+        """q~_0: pi pushed through S_N, ..., S_1 on arrays; only q~_0 is built as a measure."""
+        arrays = _fields(self.traj.minimizer)
+        for t, s in zip(reversed(self.traj.transports), reversed(self._map_fields)):
+            arrays = type(t).push_fields(*s, *arrays)
+        return type(self.traj.minimizer)(*arrays)
+
+    def _handed_in(self, measures: list, transports: list) -> ReverseRun:
+        """This run with the measures and maps its builder holds, cached as if derived."""
+        self.__dict__.update(measures=measures, transports=transports, q0=measures[0])
+        return self
 
 
 @dataclass(frozen=True)
@@ -220,11 +263,36 @@ def _gaussian_inversion_residual(t_forward, s_linear, s_offset, measure) -> floa
                                 lin @ s_offset + t_forward.offset, measure.mean, measure.cov)
 
 
-def _inversion_residual(t_forward, s_reverse, measure) -> float:
-    """||T o S - Id|| under `measure` (the input of S)."""
+def _inversion_residual(t_forward, s_fields, measure) -> float:
+    """||T o S - Id|| under `measure` (the input of S), for S given by its constructor arrays."""
     if isinstance(measure, qt.QuantileGrid):
-        return _grid_inversion_residual(t_forward, s_reverse.x, s_reverse.y, measure.values)
-    return _gaussian_inversion_residual(t_forward, s_reverse.linear, s_reverse.offset, measure)
+        return _grid_inversion_residual(t_forward, *s_fields, measure.values)
+    return _gaussian_inversion_residual(t_forward, *s_fields, measure)
+
+
+def _reverse_step(t_fwd, mode: jko.PerturbMode, rng):
+    """S_n of a perturbed reverse step, as a function of its amplitude, for T_n = `t_fwd`.
+
+    Returns (knots, cap): knots(a) is the constructor arrays, in type(t_fwd)'s
+    order, of the exact inverse T_n^{-1} perturbed with amplitude a as
+    jko.perturbed_knots or jko.perturbed_affine do, and cap() calibration's
+    amplitude cap.  Nothing is built as a map.  A grid step draws its bump
+    centre from `rng` whatever the mode; a Gaussian step draws nothing.
+    """
+    if isinstance(t_fwd, qt.MonotoneMap1D):
+        x, y = t_fwd.y, t_fwd.x
+        center = float(np.mean(y))
+        lo, hi = x[0], x[-1]
+        bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
+        bump = None
+        if mode is jko.PerturbMode.GRID_BUMP:
+            bump = jko.bump_profile(x, bump_center, 0.25 * (hi - lo))
+        return (lambda a: (x, jko.perturbed_knots(y, mode, a, center, bump)),
+                lambda: jko.amplitude_cap(x, y, bump))
+    linear = t_fwd.inverse_linear
+    offset = -linear @ t_fwd.offset
+    center = np.full(offset.size, np.mean(offset))
+    return (lambda a: jko.perturbed_affine(linear, offset, mode, a, center)), lambda: np.inf
 
 
 def run_reverse_exact(traj: Trajectory) -> ReverseRun:
@@ -239,10 +307,10 @@ def run_reverse_exact(traj: Trajectory) -> ReverseRun:
     for k in range(n, 0, -1):
         t = traj.transports[k - 1]
         transports[k - 1] = t.inverse()
-        residuals[k - 1] = _inversion_residual(t, transports[k - 1], measures[k])
+        residuals[k - 1] = _inversion_residual(t, _fields(transports[k - 1]), measures[k])
         measures[k - 1] = type(measures[k])(*t.pull_back(*_fields(measures[k])))
-    return ReverseRun(measures=measures, transports=transports,
-                      residuals=residuals, exact=True)
+    run = ReverseRun(traj, residuals, [0.0] * n, mode=None, seed=None, exact=True)
+    return run._handed_in(measures, transports)
 
 
 def run_reverse_perturbed(
@@ -256,10 +324,12 @@ def run_reverse_perturbed(
     Calibration runs n = N down to 1: the measure q~_n entering S_n is
     already materialized, so the residual norm ||T_n o S_n - Id||_{q~_n} is
     well defined before S_n is fixed; at amplitude 0 (the exact inverse) it
-    is 0, calibrate_amplitude's default.  An evaluation works on arrays: the
-    grid residual on knot values, the Gaussian one on (T o S_a - Id, T(o_a))
-    for S_a = (L_a, o_a), so neither builds a map; the accepted amplitude
-    builds one.  eps_inv = 0 reproduces the exact reverse run.
+    is 0, calibrate_amplitude's default.  An evaluation works on the arrays
+    of _reverse_step: the grid residual on knot values, the Gaussian one on
+    (T o S_a - Id, T(o_a)) for S_a = (L_a, o_a), so neither builds a map;
+    the accepted amplitude builds one.  The run records each amplitude, from
+    which ReverseRun rebuilds its maps.  eps_inv = 0 reproduces the exact
+    reverse run.
     """
     if eps_inv < 0:
         raise ValueError("eps_inv must be nonnegative")
@@ -270,41 +340,22 @@ def run_reverse_perturbed(
     measures = [None] * n + [traj.minimizer]
     transports = [None] * n
     residuals = [0.0] * n
+    amplitudes = [0.0] * n
     for k in range(n, 0, -1):
         t_fwd = traj.transports[k - 1]
-        s_exact = t_fwd.inverse()
         cur = measures[k]
-        bump = None
-        if isinstance(s_exact, qt.MonotoneMap1D):
-            center = float(np.mean(s_exact.y))
-            lo, hi = s_exact.x[0], s_exact.x[-1]
-            bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-            if mode is jko.PerturbMode.GRID_BUMP:
-                bump = jko.bump_profile(s_exact.x, bump_center, 0.25 * (hi - lo))
-
-            def residual(a: float) -> float:
-                return _grid_inversion_residual(
-                    t_fwd, s_exact.x, jko.perturbed_knots(s_exact.y, mode, a, center, bump),
-                    cur.values)
-        else:
-            center = np.full(s_exact.dim, np.mean(s_exact.offset))
-
-            def residual(a: float) -> float:
-                return _gaussian_inversion_residual(
-                    t_fwd, *jko.perturbed_affine(s_exact.linear, s_exact.offset, mode, a, center),
-                    cur)
-
+        knots, cap = _reverse_step(t_fwd, mode, rng)
         try:
-            a, r = jko.calibrate_amplitude(residual, eps_inv,
-                                           jko.amplitude_cap(s_exact, mode, bump))
+            a, r = jko.calibrate_amplitude(
+                lambda a: _inversion_residual(t_fwd, knots(a), cur), eps_inv, cap())
         except jko.CalibrationError as exc:
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
-        s = jko.perturbed_map(s_exact, mode, a, center=center, bump=bump)
-        transports[k - 1] = s
+        transports[k - 1] = type(t_fwd)(*knots(a))
         residuals[k - 1] = r
-        measures[k - 1] = cur.push(s)
-    return ReverseRun(measures=measures, transports=transports,
-                      residuals=residuals, exact=False)
+        amplitudes[k - 1] = a
+        measures[k - 1] = cur.push(transports[k - 1])
+    run = ReverseRun(traj, residuals, amplitudes, mode, seed, exact=False)
+    return run._handed_in(measures, transports)
 
 
 # ---------------------------------------------------------------------------

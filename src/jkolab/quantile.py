@@ -129,7 +129,12 @@ class MonotoneMap1D:
 
     def pull_back(self, values: np.ndarray) -> tuple:
         """The quantile values of (T^{-1})#p for p's `values`: T.inverse()(values), no map built."""
-        return (apply_map(self.y, self.x, values),)
+        return self.push_fields(self.y, self.x, values)
+
+    @staticmethod
+    def push_fields(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> tuple:
+        """The quantile values of MonotoneMap1D(x, y)#p for p's `values`, building no map."""
+        return (apply_map(x, y, values),)
 
 
 def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:

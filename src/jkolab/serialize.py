@@ -1,20 +1,24 @@
 """Binary run store: one uncompressed npz archive per record.
 
-An archive holds the record's measures stacked per array field (grid values
-(N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the transport
-arrays that cannot be rebuilt, and a JSON manifest string with the scalars.
-Doubles are stored raw and manifest floats with repr, so a check re-run on
-loaded data reproduces its verdict bit-for-bit.  The manifest keys are the
-record fields' names.  Loading never unpickles: an archive holding an object
-array raises ValueError.
+A trajectory archive holds its measures stacked per array field (grid
+values (N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the
+transport arrays that cannot be rebuilt, and a JSON manifest string with the
+scalars.  Doubles are stored raw and manifest floats with repr, so a check
+re-run on loaded data reproduces its verdict bit-for-bit.  The manifest keys
+are the record fields' names.  Loading never unpickles: an archive holding
+an object array raises ValueError.
 
 Nothing derivable from the trajectory is stored.  Grid forward maps are
 rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse run is not a
 record at all: it is pr.run_reverse_exact(traj), and certify reads only its
-output, traj.exact_q0.  A perturbed reverse map S_n is stored except, on
-grids, its x knots, which are the forward iterate p_n (hence the trajectory
-argument of reverse_from_json).  Gaussian forward maps (ot_map_bw does not
-reproduce the closed-form linear part bit-for-bit) are stored.
+output, traj.exact_q0.  A perturbed reverse run is a manifest alone: its
+residuals, its calibrated amplitudes, its mode and seed.  Each map S_n is
+T_n^{-1} perturbed by amplitude a_n, so the loaded pr.ReverseRun rebuilds
+the maps and the measures q~_n from the trajectory (hence the trajectory
+argument of reverse_from_json) when they are first read, and certify reads
+only q~_0, pushed through the maps on arrays.  Gaussian forward maps
+(ot_map_bw does not reproduce the closed-form linear part bit-for-bit) are
+stored.
 
 The public record functions keep their *_json names and their bytes-in /
 bytes-out contract: perfbench/tracer.py times and sizes this layer by them.
@@ -30,6 +34,7 @@ import numpy as np
 
 from . import functionals as fn
 from . import gaussian as ga
+from . import jko
 from . import process as pr
 from . import quantile as qt
 
@@ -40,7 +45,16 @@ __all__ = [
     "trajectory_from_json",
     "reverse_to_json",
     "reverse_from_json",
+    "StaleArchiveError",
 ]
+
+# The manifest of a perturbed reverse archive, its only member.
+_REVERSE_KEYS = {"residuals", "amplitudes", "mode", "seed", "exact"}
+
+
+class StaleArchiveError(ValueError):
+    """An archive in a layout this version does not write, or not of the given trajectory."""
+
 
 def spec_to_dict(spec: fn.ObjectiveSpec) -> dict:
     return {
@@ -65,6 +79,8 @@ def _pack(manifest: dict, arrays: dict) -> bytes:
 def _unpack(data: bytes) -> tuple[dict, dict]:
     with np.load(io.BytesIO(data), allow_pickle=False) as z:
         arrays = {k: z[k] for k in z.files}
+    if "manifest" not in arrays:
+        raise StaleArchiveError("the archive has no manifest")
     return json.loads(arrays.pop("manifest").item()), arrays
 
 
@@ -101,25 +117,27 @@ def trajectory_from_json(data: bytes) -> pr.Trajectory:
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:
-    """Store a perturbed reverse run; an exact one is derived from its trajectory."""
+    """Store a perturbed reverse run as a manifest; an exact one is derived from its trajectory."""
     if run.exact:
         raise ValueError("the exact reverse run is derived from the trajectory, not stored")
-    kind = type(run.measures[0])
-    arrays = _stack(run.measures, kind)
-    if kind is qt.QuantileGrid:
-        arrays["y"] = np.array([s.y for s in run.transports])
-    else:
-        arrays.update(_stack(run.transports, ga.AffineMap))
-    return _pack({"residuals": list(run.residuals), "exact": run.exact}, arrays)
+    return _pack({"residuals": list(run.residuals), "amplitudes": list(run.amplitudes),
+                  "mode": run.mode.value, "seed": run.seed, "exact": run.exact}, {})
 
 
 def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
-    """Load a perturbed reverse run of `traj`; grid map S_n takes its x knots from p_n."""
+    """Load a perturbed reverse run of `traj`; its maps and measures are derived when read.
+
+    StaleArchiveError: the archive holds arrays or lacks a manifest key (the
+    layout of older versions, which stored the maps and measures), or its
+    amplitude count is not the trajectory's step count.
+    """
     d, arrays = _unpack(data)
-    kind = type(traj.measures[0])
-    if kind is qt.QuantileGrid:
-        transports = [qt.MonotoneMap1D(p.values, y)
-                      for p, y in zip(traj.measures[1:], arrays["y"], strict=True)]
-    else:
-        transports = _unstack(arrays, ga.AffineMap)
-    return pr.ReverseRun(measures=_unstack(arrays, kind), transports=transports, **d)
+    if arrays or set(d) != _REVERSE_KEYS or d["exact"] is not False:
+        raise StaleArchiveError(
+            f"not a perturbed reverse manifest (members {['manifest', *arrays]}, "
+            f"manifest keys {sorted(d)}); older versions stored the maps and measures")
+    if not len(d["amplitudes"]) == len(d["residuals"]) == traj.n_steps:
+        raise StaleArchiveError(
+            f"{len(d['amplitudes'])} amplitudes for a trajectory of {traj.n_steps} steps")
+    d["mode"] = jko.PerturbMode(d["mode"])
+    return pr.ReverseRun(traj=traj, **d)

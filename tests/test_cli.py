@@ -248,7 +248,7 @@ class TestPipeline:
                                    "trajectory.npz")]
         blob = (runs / f"{rid}_reverse_perturbed.npz").read_bytes()
         with np.load(runs / f"{rid}_reverse_perturbed.npz") as z:
-            assert z.files == ["manifest", "values", "y"]
+            assert z.files == ["manifest"]
         traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
         pert = sz.reverse_from_json(blob, traj)
         assert len(pert.transports) == traj.n_steps == 3
@@ -442,6 +442,53 @@ class TestExitCodes:
         (tmp_path / "runs").mkdir()
         (tmp_path / "runs" / f"{rid}_trajectory.json").write_text("{}")
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+
+
+    @pytest.mark.parametrize("base", [BASE_GAUSS, STANDARD_GRID], ids=["gaussian", "grid"])
+    def test_reverse_archive_of_another_layout_is_missing_data(self, tmp_path, capsys, base):
+        cfgp = write(tmp_path, "c.txt", base)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        runs = tmp_path / "runs"
+        rid = cli.parse_config(base).run_id()
+        path = runs / f"{rid}_reverse_perturbed.npz"
+        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
+        pert = sz.reverse_from_json(path.read_bytes(), traj)
+        # earlier versions stored every q~_n and every map S_n (on grids its y knots only)
+        # and no amplitudes
+        old = {f.name: np.array([getattr(q, f.name) for q in pert.measures])
+               for f in dataclasses.fields(pert.measures[0])}
+        old.update({f.name: np.array([getattr(s, f.name) for s in pert.transports])
+                    for f in dataclasses.fields(pert.transports[0]) if f.name != "x"})
+        manifest = {"residuals": pert.residuals, "exact": False}
+        short = {"residuals": pert.residuals[:-1], "amplitudes": pert.amplitudes[:-1],
+                 "mode": pert.mode.value, "seed": pert.seed, "exact": False}
+        for doctored in ({"manifest": np.array(json.dumps(manifest)), **old},
+                         {"manifest": np.array(json.dumps(short))}):
+            with open(path, "wb") as f:
+                np.savez(f, **doctored)
+            assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+            err = capsys.readouterr().err
+            assert f"missing run data: {path}: " in err and "re-run `jkolab reverse`" in err
+            assert "Traceback" not in err and "KeyError" not in err
+        assert run(["reverse", "--config", cfgp], tmp_path) == 0
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+
+    def test_reverse_archive_is_read_only_by_the_inversion_check(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", STANDARD_GRID)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        runs = tmp_path / "runs"
+        rid = cli.parse_config(STANDARD_GRID).run_id()
+        report = runs / f"{rid}_report.csv"
+        checks = ["certify", "--config", cfgp, "--checks", "evi,forward_rate,kl_tv,dpi_chain"]
+        assert run(checks, tmp_path) == 0
+        good = report.read_bytes()
+        (runs / f"{rid}_reverse_perturbed.npz").write_bytes(b"not an archive")
+        report.unlink()
+        assert run(checks, tmp_path) == 0
+        assert report.read_bytes() == good
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_INTERNAL
 
 
 # each edit of this config used to fail inside a run as an internal error (exit 70)

@@ -173,7 +173,7 @@ class TestReverse:
         rev = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
         for k in range(1, traj.n_steps + 1):
             assert rev.residuals[k - 1] == pr._inversion_residual(
-                traj.transports[k - 1], rev.transports[k - 1], rev.measures[k])
+                traj.transports[k - 1], pr._fields(rev.transports[k - 1]), rev.measures[k])
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION],
                              ids=lambda m: m.value)
@@ -182,7 +182,8 @@ class TestReverse:
         rev = pr.run_reverse_perturbed(traj, 1e-3, mode)
         for k in range(1, traj.n_steps + 1):
             assert rev.residuals[k - 1] == pytest.approx(pr._inversion_residual(
-                traj.transports[k - 1], rev.transports[k - 1], rev.measures[k]), rel=1e-12)
+                traj.transports[k - 1], pr._fields(rev.transports[k - 1]), rev.measures[k]),
+                rel=1e-12)
 
     def test_gaussian_evaluations_build_no_map(self, monkeypatch):
         traj = gauss_traj_3d()
@@ -202,8 +203,8 @@ class TestReverse:
         monkeypatch.setattr(pr, "_gaussian_inversion_residual", counting_residual)
         pr.run_reverse_perturbed(traj, 1e-3, jko.PerturbMode.DILATION)
         assert counts["evaluations"] > traj.n_steps
-        # per step: the exact inverse and the accepted perturbed inverse
-        assert counts["AffineMap"] == 2 * traj.n_steps
+        # per step: the accepted perturbed inverse only (the exact one stays arrays)
+        assert counts["AffineMap"] == traj.n_steps
 
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
@@ -286,6 +287,54 @@ class TestExactQ0:
         pr.run_reverse_exact(traj)
         pr.run_reverse_perturbed(traj, 1e-3)
         assert len(calls) == traj.n_steps
+
+
+# (trajectory, reverse mode, eps_inv) of the perturbed reverse runs rebuilt from their amplitudes
+PERTURBED_RUNS = [(grid_traj, jko.PerturbMode.GRID_BUMP, 5e-3),
+                  (grid_traj, jko.PerturbMode.MEAN_SHIFT, 5e-3),
+                  (grid_traj, jko.PerturbMode.DILATION, 5e-3),
+                  (gauss_traj_3d, jko.PerturbMode.MEAN_SHIFT, 1e-3),
+                  (gauss_traj_3d, jko.PerturbMode.DILATION, 1e-3)]
+PERTURBED_IDS = ["grid_bump", "grid_mean_shift", "grid_dilation", "gaussian_3d_mean_shift",
+                 "gaussian_3d_dilation"]
+
+
+def fresh_perturbed_run(make_traj, mode, eps_inv):
+    """A perturbed reverse run and the same record rebuilt from its fields alone."""
+    rev = pr.run_reverse_perturbed(make_traj(), eps_inv, mode, seed=5)
+    return rev, dataclasses.replace(rev)
+
+
+class TestDerivedReverse:
+    """A perturbed ReverseRun rebuilds its maps, measures and q~_0 from its amplitudes."""
+
+    @pytest.mark.parametrize("make_traj, mode, eps_inv", PERTURBED_RUNS, ids=PERTURBED_IDS)
+    def test_equals_the_run_bit_for_bit(self, make_traj, mode, eps_inv):
+        rev, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
+        assert fresh.amplitudes == rev.amplitudes and "q0" not in vars(fresh)
+        assert all(a > 0 for a in rev.amplitudes)
+        assert_same_fields(fresh.q0, rev.measures[0])
+        for a, b in zip(fresh.transports, rev.transports, strict=True):
+            assert_same_fields(a, b)
+        for a, b in zip(fresh.measures, rev.measures, strict=True):
+            assert_same_fields(a, b)
+
+    @pytest.mark.parametrize("make_traj, mode, eps_inv", PERTURBED_RUNS[::4],
+                             ids=PERTURBED_IDS[::4])
+    def test_q0_builds_no_map_no_intermediate_measure_and_runs_no_eigh(
+            self, make_traj, mode, eps_inv, monkeypatch):
+        rev, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
+        fresh.traj.minimizer
+        built = []
+        for cls in (qt.MonotoneMap1D, ga.AffineMap, qt.QuantileGrid, ga.GaussianMeasure):
+            post = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, post=post: built.append(type(self)) or post(self))
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda *a, **k: built.append("eigh") or eigh(*a, **k))
+        fresh.q0
+        assert built == [type(rev.measures[0])]
 
 
 # (method, module, the module function it calls, its arguments) in both families
