@@ -16,6 +16,12 @@ end-to-end metric of every workload/seed, the median and quartiles of
 each side (statistics.quantiles, as perfbench/spread.py) and the number of
 pairs in which the change was better, in the direction BENCHMARK.json
 gives.
+
+perfbench reports `setup_s` as the median set-up time times the run phase's
+median speed factor, so a change to the run phase can move it.  Each run
+record therefore also keeps the unscaled set-up samples and the speed
+factor from perfbench's summary line, and the summary adds `raw_setup_s`,
+the median of those samples (lower is better).
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +40,9 @@ SIDES = ("parent", "change")
 COMMAND = ("python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0, "
            "parent and change alternating (odd pairs parent first, even pairs change "
            "first); traced: --trace 1, one run per side")
+RAW_SETUP = "raw_setup_s"
+SUMMARY_LINE = re.compile(
+    r"median speed factor (?P<factor>[^;]+); setup_s samples \[(?P<samples>[^\]]*)\]")
 
 
 def quartiles(values: list) -> dict:
@@ -45,17 +55,24 @@ def summarise(runs: list, better: dict) -> dict:
     """{workload/seedS: {metric: {parent, change, change_wins, pairs}}} over end-to-end runs.
 
     `better` maps each metric to "higher" or "lower"; a pair counts as a win
-    only when the change is strictly better.
+    only when the change is strictly better.  Where every run of a group
+    keeps its set-up samples, the group also gets RAW_SETUP.
     """
     groups: dict = {}
     for r in runs:
         key = f"{r['workload']}/seed{r['seed']}"
-        groups.setdefault(key, {}).setdefault(r["pair"], {})[r["side"]] = r["metrics"]
+        metrics = dict(r["metrics"])
+        if "setup_s_samples" in r:
+            metrics[RAW_SETUP] = statistics.median(r["setup_s_samples"])
+        groups.setdefault(key, {}).setdefault(r["pair"], {})[r["side"]] = metrics
     out = {}
     for key, pairs in sorted(groups.items()):
         complete = [p for _, p in sorted(pairs.items()) if all(s in p for s in SIDES)]
         out[key] = {}
-        for name, direction in better.items():
+        names = dict(better)
+        if all(RAW_SETUP in p[s] for p in complete for s in SIDES):
+            names[RAW_SETUP] = "lower"
+        for name, direction in names.items():
             vals = {s: [p[s][name] for p in complete] for s in SIDES}
             sign = 1 if direction == "higher" else -1
             wins = sum(sign * (c - p) > 0 for p, c in zip(vals["parent"], vals["change"]))
@@ -64,7 +81,18 @@ def summarise(runs: list, better: dict) -> dict:
     return out
 
 
-def run_bench(checkout: str, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def parse_summary(stdout: str) -> dict:
+    """The speed factor and unscaled set-up samples from perfbench's summary line."""
+    m = SUMMARY_LINE.search(stdout)
+    if m is None:
+        raise ValueError("perfbench printed no 'median speed factor ...; setup_s samples [...]'")
+    return {"speed_factor": float(m["factor"]),
+            "setup_s_samples": [float(s) for s in m["samples"].split(",") if s.strip()]}
+
+
+def run_bench(checkout: str, workload: str, seed: int, seconds: int,
+              trace: int) -> tuple[dict, str]:
+    """perfbench's result record and its whole stdout."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -72,7 +100,7 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: int, trace: int)
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}\n"
                            f"{proc.stderr[-2000:]}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1]), proc.stdout
 
 
 def git_sha(checkout: str) -> str | None:
@@ -120,19 +148,20 @@ def main(argv=None) -> int:
                        if (r["workload"], r["seed"]) != (args.workload, seed)]
         for pair in range(1, args.pairs + 1):
             for side in (SIDES if pair % 2 else SIDES[::-1]):
-                res = run_bench(dirs[side], args.workload, seed, seconds, 0)
+                res, stdout = run_bench(dirs[side], args.workload, seed, seconds, 0)
                 doc["runs"].append({
                     "workload": args.workload, "seed": seed, "pair": pair, "side": side,
                     "correct": res["correct"], "attempted": res["attempted"],
                     "failed": res["failed"],
-                    "metrics": {k: m["value"] for k, m in res["metrics"].items()}})
+                    "metrics": {k: m["value"] for k, m in res["metrics"].items()},
+                    **parse_summary(stdout)})
                 print(f"{args.workload} seed {seed} pair {pair} {side}: ops_per_s "
                       f"{res['metrics']['ops_per_s']['value']:.4g}", flush=True)
     if args.traced_seed is not None:
         doc["traced"][f"{args.workload}/seed{args.traced_seed}"] = {
             side: {k: m["value"] for k, m in
                    run_bench(dirs[side], args.workload, args.traced_seed, seconds,
-                             1)["metrics"].items()}
+                             1)[0]["metrics"].items()}
             for side in SIDES}
     doc["summary"] = summarise(doc["runs"], better)
 

@@ -6,14 +6,13 @@ error injection, and numerical certification of the associated convergence
 bounds.
 """
 
-from . import certify, functionals, gaussian, jko, oracles, process, quantile, serialize
+from . import certify, functionals, gaussian, jko, process, quantile, serialize
 
 __all__ = [
     "certify",
     "functionals",
     "gaussian",
     "jko",
-    "oracles",
     "process",
     "quantile",
     "serialize",

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
 
 from . import functionals as fn
 from . import gaussian as ga
@@ -235,6 +234,8 @@ def jko_step_grid(
     Convergence is on the max-norm of the measured xi field, which is M
     times the gradient of the discretized objective.
     """
+    from scipy.linalg import solveh_banded  # loaded here, so only grid runs pay for scipy.linalg
+
     _check_gamma(gamma)
     pot = spec.potential
     if pot.dim != 1:
@@ -484,7 +485,7 @@ def perturb_step(
     if isinstance(tr, qt.MonotoneMap1D):
         if not np.array_equal(tr.x, p_n.values):
             raise ValueError("the exact grid transport must start at p_n's quantiles")
-        center = nxt.mean()
+        center = nxt.mean() if mode is PerturbMode.DILATION else None
         if mode is PerturbMode.GRID_BUMP:
             if bump_center is None:
                 bump_center = float(np.median(tr.x))

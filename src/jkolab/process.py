@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from . import functionals as fn
 from . import gaussian as ga
@@ -281,7 +280,7 @@ def _reverse_step(t_fwd, mode: jko.PerturbMode, rng):
     """
     if isinstance(t_fwd, qt.MonotoneMap1D):
         x, y = t_fwd.y, t_fwd.x
-        center = float(np.mean(y))
+        center = float(np.mean(y)) if mode is jko.PerturbMode.DILATION else None
         lo, hi = x[0], x[-1]
         bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
         bump = None
@@ -291,7 +290,7 @@ def _reverse_step(t_fwd, mode: jko.PerturbMode, rng):
                 lambda: jko.amplitude_cap(x, y, bump))
     linear = t_fwd.inverse_linear
     offset = -linear @ t_fwd.offset
-    center = np.full(offset.size, np.mean(offset))
+    center = np.full(offset.size, np.mean(offset)) if mode is jko.PerturbMode.DILATION else None
     return (lambda a: jko.perturbed_affine(linear, offset, mode, a, center)), lambda: np.inf
 
 
@@ -363,12 +362,16 @@ def run_reverse_perturbed(
 
 
 def _mixture_cdf(x, centers, weights, sd):
+    from scipy.special import ndtr  # loaded here, so only atomic configs pay for scipy.special
+
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return np.sum(weights[None, :] * ndtr((x[:, None] - centers[None, :]) / sd), axis=1)
 
 
 def _mixture_quantiles(u, centers, weights, sd, xtol=1e-12):
     """Invert the Gaussian-mixture CDF by bisection (vectorized over u)."""
+    from scipy.special import ndtri  # loaded here, so only atomic configs pay for scipy.special
+
     u = np.atleast_1d(np.asarray(u, dtype=float))
     pad = sd * (np.max(np.abs(ndtri(np.clip(u, 1e-300, 1 - 1e-16)))) + 2.0) + 1.0
     lo = np.full(u.shape, np.min(centers) - pad)
@@ -445,6 +448,8 @@ def w2_grid_to_atoms(grid: qt.QuantileGrid, p: AtomicMeasure) -> float:
 
 def _gauss_partial_sq(mu: float, sd: float, a: float, b: float, c: float) -> float:
     """int_a^b (x - c)^2 N(x; mu, sd^2) dx, closed form."""
+    from scipy.special import ndtr  # loaded here, so only atomic configs pay for scipy.special
+
     ta, tb = (a - mu) / sd, (b - mu) / sd
     phi = lambda t: math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
     d_cdf = ndtr(tb) - ndtr(ta)

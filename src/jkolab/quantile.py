@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "QuantileGrid",
@@ -154,6 +153,8 @@ def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 def from_gaussian(mean: float, sd: float, m: int) -> QuantileGrid:
     """Quantile grid of N(mean, sd^2) at the midpoint u-grid."""
+    from scipy.special import ndtri  # loaded here, so only grid renders pay for scipy.special
+
     if sd <= 0:
         raise ValueError("sd must be positive")
     if m < MIN_GRID_SIZE:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment, minimize
 
-from . import functionals as fn
-from . import gaussian as ga
-from . import quantile as qt
+from jkolab import functionals as fn
+from jkolab import gaussian as ga
+from jkolab import quantile as qt
 
 __all__ = [
     "OracleConfig",

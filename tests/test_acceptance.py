@@ -18,9 +18,10 @@ from jkolab import cli
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
 from jkolab import jko
-from jkolab import oracles as orc
 from jkolab import process as pr
 from jkolab import quantile as qt
+
+import oracles as orc
 
 GRID_M = 2048
 

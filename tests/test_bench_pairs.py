@@ -55,3 +55,32 @@ class TestSummarise:
         held_out = s["gauss_d10/seed7"]["ops_per_s"]
         assert held_out["pairs"] == 1 and held_out["change_wins"] == 1
         assert held_out["parent"] == {"median": 5.0, "q1": 5.0, "q3": 5.0}
+
+
+# perfbench/run.py's summary line for an untraced run
+SUMMARY = ("gauss_d10: 3 passes, 120 op samples, 9 probes; median speed factor 1.083; "
+           "setup_s samples [0.691, 0.742, 0.705]; raw ops_per_s 9.12, raw op_s_p50 0.1034")
+
+
+class TestRawSetup:
+    def test_parses_the_summary_line(self):
+        stdout = "env {}\n" + SUMMARY + "\n  setup_s = 0.763515 s\n{}\n"
+        assert bench_pairs.parse_summary(stdout) == {
+            "speed_factor": 1.083, "setup_s_samples": [0.691, 0.742, 0.705]}
+
+    def test_rejects_output_without_a_summary_line(self):
+        with pytest.raises(ValueError):
+            bench_pairs.parse_summary("gauss_d10: traced 40 ops; layer share ...\n{}\n")
+
+    def test_summary_adds_the_median_raw_setup(self):
+        runs = synthetic()
+        for r in runs:
+            r["setup_s_samples"] = [0.7, 0.75, 0.8] if r["side"] == "parent" else [0.2, 0.3]
+        s = bench_pairs.summarise(runs, BETTER)["gauss_d10/seed1"][bench_pairs.RAW_SETUP]
+        assert s["parent"]["median"] == 0.75
+        assert s["change"]["median"] == 0.25
+        assert s["change_wins"] == s["pairs"] == 5
+
+    def test_summary_omits_raw_setup_when_runs_lack_samples(self):
+        s = bench_pairs.summarise(synthetic(), BETTER)["gauss_d10/seed1"]
+        assert bench_pairs.RAW_SETUP not in s

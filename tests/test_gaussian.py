@@ -160,7 +160,7 @@ class TestW2Bw:
         assert ga.w2_bw(g1, point) == pytest.approx(expected, abs=1e-10)
 
     def test_rotated_covariance_vs_assignment_oracle(self):
-        from jkolab import oracles as orc
+        import oracles as orc
         th = np.pi / 4
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         g1 = ga.GaussianMeasure(np.zeros(2), np.diag([1.0, 4.0]))
@@ -262,7 +262,7 @@ class TestSubgradientField:
         assert fld.offset[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_finite_difference_agreement(self):
-        from jkolab import oracles as orc
+        import oracles as orc
         rng = np.random.default_rng(11)
         for _ in range(20):
             d = rng.integers(1, 4)

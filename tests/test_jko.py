@@ -4,8 +4,9 @@ import pytest
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
 from jkolab import jko
-from jkolab import oracles as orc
 from jkolab import quantile as qt
+
+import oracles as orc
 
 
 def kl_spec(lam=1.0, center=0.0, d=1):
