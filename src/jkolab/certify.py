@@ -12,8 +12,6 @@ import io
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import functionals as fn
 from . import gaussian as ga
 from . import process as pr
@@ -21,7 +19,6 @@ from . import quantile as qt
 
 __all__ = [
     "BoundReport",
-    "check_monotonicity",
     "check_evi",
     "check_forward_rate",
     "check_kl_tv_guarantee",
@@ -34,7 +31,6 @@ __all__ = [
 # Tolerances of the EVI-derived checks and of the data-processing checks, by measure type.
 EVI_TOL = {ga.GaussianMeasure: 1e-8, qt.QuantileGrid: 1e-3}
 DPI_TOL = {ga.GaussianMeasure: 1e-10, qt.QuantileGrid: 1e-4}
-MONO_TOL = 1e-8
 INVERSION_TOL = 1e-9
 SMOOTHING_TOL = 1e-12
 
@@ -68,43 +64,6 @@ def report_lines(reports) -> str:
         buf.write("%s,%s,%.17g,%.17g,%.17g,%.17g,%s\n" % (
             r.name, int(r.holds), r.lhs, r.rhs, r.slack, r.numerical_tol, ctx))
     return buf.getvalue()
-
-
-# ---------------------------------------------------------------------------
-# Strong-convexity monotonicity
-
-
-def _inner_product_base(p, eta, t_rho, t_pi):
-    """<eta o T_p^rho, T_p^pi - T_p^rho>_p in closed form for Gaussian p and affine maps."""
-    j, c = eta.linear, eta.offset
-    a1, b1 = t_rho.linear, t_rho.offset
-    a2, b2 = t_pi.linear, t_pi.offset
-    m, sig = p.mean, p.cov
-    mean_term = (j @ (a1 @ m + b1) + c) @ ((a2 - a1) @ m + (b2 - b1))
-    cov_term = np.trace((j @ a1) @ sig @ (a2 - a1).T)
-    return float(mean_term + cov_term)
-
-
-def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
-                       tol: float = MONO_TOL) -> BoundReport:
-    """G(pi) - G(rho) >= <eta o T_p^rho, T_p^pi - T_p^rho>_p + (lam/2) W2^2(pi, rho)."""
-    lam = spec.lam
-    if isinstance(p, qt.QuantileGrid):
-        eta_vals = (spec.potential.grad_v(rho.values[:, None])[:, 0]
-                    + spec.entropy_weight * qt.score(rho))
-        t_rho = qt.ot_map(p, rho)
-        t_pi = qt.ot_map(p, pi)
-        diff = t_pi(p.values) - t_rho(p.values)
-        inner = float(np.mean(eta_vals * diff))
-    else:
-        eta = ga.subgradient_field(rho, spec)
-        t_rho = ga.ot_map_bw(p, rho)
-        t_pi = ga.ot_map_bw(p, pi)
-        inner = _inner_product_base(p, eta, t_rho, t_pi)
-    w2 = pi.w2(rho)
-    lhs = inner + 0.5 * lam * w2 * w2
-    rhs = fn.evaluate(spec, pi) - fn.evaluate(spec, rho)
-    return BoundReport("monotonicity", lhs, rhs, tol, {"lambda": lam})
 
 
 # ---------------------------------------------------------------------------
@@ -177,17 +136,6 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
 # Reverse-process KL / TV guarantee
 
 
-def _tv_gaussian_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
-    m1, s1 = float(g1.mean[0]), math.sqrt(float(g1.cov[0, 0]))
-    m2, s2 = float(g2.mean[0]), math.sqrt(float(g2.cov[0, 0]))
-    lo = min(m1 - 10 * s1, m2 - 10 * s2)
-    hi = max(m1 + 10 * s1, m2 + 10 * s2)
-    xs = np.linspace(lo, hi, 40001)
-    d1 = np.exp(-0.5 * ((xs - m1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
-    d2 = np.exp(-0.5 * ((xs - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-    return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
-
-
 def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
     """KL(p || q_0) <= (9/2g)(eps/l)^2 and TV(p, q_0) <= (3/(2 sqrt g))(eps/l).
 
@@ -201,15 +149,9 @@ def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
     rhs_kl = (9.0 / (2 * gamma)) * (eps / lam) ** 2
     ctx = {"gamma": gamma, "lambda": lam, "eps": eps}
     reports = [BoundReport("reverse_kl", kl_val, rhs_kl, tol, ctx)]
-    if isinstance(p0, qt.QuantileGrid):
-        tv_val = qt.tv(p0, q0)
-        tv_method = "direct"
-    elif p0.dim == 1:
-        tv_val = _tv_gaussian_1d(p0, q0)
-        tv_method = "direct"
-    else:
-        tv_val = math.sqrt(kl_val / 2.0)
-        tv_method = "pinsker_upper_bound"
+    tv_val, tv_method = p0.tv(q0), "direct"
+    if tv_val is None:  # no direct TV in this family and dimension
+        tv_val, tv_method = math.sqrt(kl_val / 2.0), "pinsker_upper_bound"
     rhs_tv = (3.0 / (2 * math.sqrt(gamma))) * eps / lam
     reports.append(BoundReport("reverse_tv", tv_val, rhs_tv, tol,
                                {**ctx, "tv_method": tv_method}))

@@ -21,13 +21,11 @@ from functools import cached_property
 import numpy as np
 
 from . import gaussian as ga
-from . import quantile as qt
 
 __all__ = [
     "Variant",
     "QuadraticPotential",
     "ObjectiveSpec",
-    "lambda_of",
     "evaluate",
     "global_minimizer",
 ]
@@ -104,38 +102,17 @@ class ObjectiveSpec:
 
     @property
     def lam(self) -> float:
-        return lambda_of(self)
+        """Convexity modulus: the smallest eigenvalue of Lambda."""
+        return self.potential.lambda_min
 
     @property
     def dim(self) -> int:
         return self.potential.dim
 
 
-def lambda_of(spec: ObjectiveSpec) -> float:
-    """Convexity modulus: the smallest eigenvalue of Lambda."""
-    return spec.potential.lambda_min
-
-
 def evaluate(spec: ObjectiveSpec, measure) -> float:
-    """G(measure) = alpha * H + E[V] + log Z, for either representation."""
-    pot = spec.potential
-    if isinstance(measure, qt.QuantileGrid):
-        if pot.dim != 1:
-            raise ValueError("grid measures require a 1-D objective")
-        e_v = float(np.mean(pot.v(measure.values[:, None])))
-        h = qt.entropy(measure) if spec.alpha > 0 else 0.0
-        return spec.alpha * h + e_v + pot.log_z
-    if isinstance(measure, ga.GaussianMeasure):
-        if spec.alpha > 0:
-            if not measure.is_nondegenerate():
-                raise ValueError("entropy-bearing objective is +inf at a degenerate measure")
-            h = -0.5 * measure.dim * math.log(2 * math.pi * math.e) - 0.5 * measure.log_det
-        else:
-            h = 0.0
-        dm = measure.mean - pot.center
-        e_v = 0.5 * (np.trace(pot.lambda_mat @ measure.cov) + dm @ pot.lambda_mat @ dm)
-        return float(spec.alpha * h + e_v + pot.log_z)
-    raise TypeError(f"unsupported measure type {type(measure)!r}")
+    """G(measure) = alpha * H + E[V] + log Z, by the measure family's `objective`."""
+    return measure.objective(spec)
 
 
 def global_minimizer(spec: ObjectiveSpec) -> ga.GaussianMeasure:

@@ -1,12 +1,13 @@
 """Closed-form Bures-Wasserstein geometry on multivariate Gaussians.
 
 Everything here is exact linear algebra: W2 distance, OT maps (SPD affine
-maps), KL divergence, subgradient fields of the objective, and L2 norms of
-affine vector fields under a Gaussian measure.
+maps), KL divergence, the objective and its first-order residual, and L2
+norms of affine vector fields under a Gaussian measure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +20,6 @@ __all__ = [
     "w2_bw",
     "ot_map_bw",
     "kl_between",
-    "subgradient_field",
     "affine_field_norm",
     "pushforward_affine",
     "invert_affine",
@@ -48,6 +48,7 @@ class GaussianMeasure:
 
     mean: np.ndarray
     cov: np.ndarray
+    family = "gaussian"
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -120,12 +121,71 @@ class GaussianMeasure:
     def kl(self, other: GaussianMeasure) -> float:
         return kl_between(self, other)
 
+    def tv(self, other: GaussianMeasure) -> float | None:
+        """TV distance by quadrature in 1-D; None in higher dimensions (no direct one)."""
+        if self.dim != 1:
+            return None
+        m1, s1 = float(self.mean[0]), math.sqrt(float(self.cov[0, 0]))
+        m2, s2 = float(other.mean[0]), math.sqrt(float(other.cov[0, 0]))
+        lo = min(m1 - 10 * s1, m2 - 10 * s2)
+        hi = max(m1 + 10 * s1, m2 + 10 * s2)
+        xs = np.linspace(lo, hi, 40001)
+        d1 = np.exp(-0.5 * ((xs - m1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
+        d2 = np.exp(-0.5 * ((xs - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
+        return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
+
     def push(self, t: AffineMap) -> GaussianMeasure:
         return pushforward_affine(self, t)
+
+    image = push  # t#self for a transport t that starts here: no shortcut on Gaussians
 
     def render(self, g: GaussianMeasure) -> GaussianMeasure:
         """The Gaussian measure g in this family: g itself."""
         return g
+
+    def objective(self, spec) -> float:
+        """functionals.evaluate in closed form: alpha * entropy + E[V] + log Z."""
+        pot = spec.potential
+        if spec.alpha > 0:
+            if not self.is_nondegenerate():
+                raise ValueError("entropy-bearing objective is +inf at a degenerate measure")
+            h = -0.5 * self.dim * math.log(2 * math.pi * math.e) - 0.5 * self.log_det
+        else:
+            h = 0.0
+        dm = self.mean - pot.center
+        e_v = 0.5 * (np.trace(pot.lambda_mat @ self.cov) + dm @ pot.lambda_mat @ dm)
+        return float(spec.alpha * h + e_v + pot.log_z)
+
+    def xi(self, linear: np.ndarray, offset: np.ndarray, spec,
+           gamma: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
+        """jko.measure_xi of the transport S: x -> L x + o from this measure, L = `linear`.
+
+        With L symmetric positive definite, S is the OT map to S#self, its
+        back-map is S^{-1} = (L^{-1}, -L^{-1} o) and the precision of S#self
+        is L^{-T} Sigma^{-1} L^{-1}, from the cached precision, so no
+        eigendecomposition runs and no measure or map is built.  Returns
+        (J, c) of the field x -> J x + c, which is the objective's W2
+        gradient  Lambda (x - mu*) - alpha Sigma_S^{-1} (x - m_S)  minus
+        (S^{-1} - Id) / gamma, and its norm.  ValueError: L is not exactly
+        symmetric (positive definiteness is the caller's to ensure).
+        """
+        if not np.array_equal(linear, linear.T):
+            raise ValueError("the transport's linear part is not symmetric")
+        inv = np.linalg.inv(linear)
+        mean = linear @ self.mean + offset
+        precision = inv.T @ self.precision @ inv
+        pot = spec.potential
+        alpha = spec.entropy_weight
+        j = pot.lambda_mat - alpha * precision - (inv - np.eye(mean.size)) / gamma
+        c = -pot.lambda_mat @ pot.center + alpha * precision @ mean + inv @ offset / gamma
+        return (j, c), affine_field_norm(j, c, mean, linear @ self.cov @ linear.T)
+
+    @property
+    def step_solver(self):
+        """jko.jko_step_gaussian, the family's exact proximal step."""
+        from . import jko  # jko imports this module
+
+        return jko.jko_step_gaussian
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -169,11 +229,28 @@ class AffineMap:
         """Lip(T^{-1}), the spectral norm of L^{-1}, without building T^{-1}."""
         return float(np.linalg.norm(self.inverse_linear, 2))
 
+    def inverse_fields(self) -> tuple:
+        """(L^{-1}, -L^{-1} b) of T^{-1}, building no map."""
+        a_inv = self.inverse_linear
+        return a_inv, -a_inv @ self.offset
+
     def pull_back(self, mean: np.ndarray, cov: np.ndarray) -> tuple:
         """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that
         GaussianMeasure(mean, cov).push(T.inverse()) holds, bit for bit, building neither."""
-        a_inv = self.inverse_linear
-        return self.push_fields(a_inv, -a_inv @ self.offset, mean, cov)
+        return self.push_fields(*self.inverse_fields(), mean, cov)
+
+    def inversion_residual(self, s: tuple, p: GaussianMeasure) -> float:
+        """||T o S - Id|| under the Gaussian p entering S, for S: x -> s[0] x + s[1]."""
+        s_linear, s_offset = s
+        return affine_field_norm(self.linear @ s_linear - np.eye(p.dim),
+                                 self.linear @ s_offset + self.offset, p.mean, p.cov)
+
+    @staticmethod
+    def perturbed_fields(linear: np.ndarray, offset: np.ndarray, mode, center, bump):
+        """a -> (linear, offset) of the map perturbed with amplitude a, by jko.perturbed_affine."""
+        from . import jko  # jko imports this module
+
+        return lambda a: jko.perturbed_affine(linear, offset, mode, a, center)
 
     @staticmethod
     def push_fields(linear: np.ndarray, offset: np.ndarray, mean: np.ndarray,
@@ -240,20 +317,6 @@ def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
     dm = g1.mean - g2.mean
     val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
     return max(float(val), 0.0)
-
-
-def subgradient_field(g: GaussianMeasure, spec) -> AffineMap:
-    """The W2 gradient of the objective at g: grad V + alpha * grad log rho.
-
-    For Gaussian rho this is the affine field
-    x -> Lambda (x - mu*) - alpha Sigma^{-1} (x - m).
-    """
-    pot = spec.potential
-    alpha = spec.entropy_weight
-    prec = g.precision
-    j = pot.lambda_mat - alpha * prec
-    c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
-    return AffineMap(j, c)
 
 
 def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -5,15 +5,17 @@ the two tractable families (in closed form for Gaussians, by damped Newton
 on quantile grids), measures the residual gradient field xi of that
 objective at the computed iterate, and can compose a calibrated perturbation
 onto the exact transport so the measured ||xi|| hits a requested epsilon.
-The same perturbation builder and amplitude calibrator serve the reverse
-process, where the calibrated quantity is the inversion residual.
+The same perturbation routine and amplitude calibrator serve the reverse
+process, where the calibrated quantity is the inversion residual.  Nothing
+here branches on the measure family: the family types' methods carry what
+differs (the step solver, the xi formula, how a map's arrays are perturbed).
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,12 +30,11 @@ __all__ = [
     "CalibrationError",
     "jko_step_gaussian",
     "jko_step_grid",
-    "jko_step",
     "measure_xi",
     "bump_profile",
     "perturbed_knots",
     "perturbed_affine",
-    "perturbed_map",
+    "perturbation",
     "amplitude_cap",
     "calibrate_amplitude",
     "perturb_step",
@@ -79,59 +80,29 @@ def _check_gamma(gamma: float):
         raise ValueError("step size gamma must be in (0, 2)")
 
 
+def _fields(obj) -> list:
+    """The array fields of a measure or map, in constructor order."""
+    return [getattr(obj, f.name) for f in fields(obj)]
+
+
 # ---------------------------------------------------------------------------
 # xi measurement
 
 
-def measure_xi(p_n, p_next, spec: fn.ObjectiveSpec, gamma: float):
-    """First-order residual of the proximal objective at p_next.
+def measure_xi(p_n, transport, spec: fn.ObjectiveSpec, gamma: float):
+    """First-order residual of the proximal objective at p_next = S#p_n.
 
-    xi = grad V + alpha * score - (T - Id)/gamma with T the OT map from
-    p_next back to p_n.  Returns (field, L2(p_next) norm); the field is an
-    AffineMap in the Gaussian family and a length-M sample array on grids.
-
-    In the Gaussian family p_next may also be given as the step's transport
-    S: x -> L x + o with L symmetric positive definite, which is the OT map
-    from p_n to S#p_n.  The back-map is then S^{-1} = (L^{-1}, -L^{-1} o) and
-    the precision of S#p_n is L^{-T} Sigma_n^{-1} L^{-1}, from p_n's cached
-    precision, so the measurement runs no eigendecomposition and builds no
-    GaussianMeasure.  ValueError: L is not exactly symmetric (positive
-    definiteness is the caller's to ensure).
+    xi = grad V + alpha * score - (S^{-1} - Id)/gamma, for the step's
+    transport S given by its constructor arrays: a grid map's knots, which
+    start at p_n's quantiles, or an affine map's exactly symmetric positive
+    definite linear part and offset (the OT map from p_n to S#p_n).
+    Returns (field, L2(p_next) norm), the field as arrays: the length-M
+    sample vector on grids, (J, c) of x -> J x + c on Gaussians.  p_n's
+    `xi` method measures it (ValueError: a grid map that does not start at
+    p_n's quantiles, or a linear part that is not exactly symmetric).
     """
     _check_gamma(gamma)
-    if isinstance(p_next, qt.QuantileGrid):
-        q = p_next.values
-        return _grid_xi(q, np.diff(q), p_n.values, spec, gamma)
-    if isinstance(p_next, ga.GaussianMeasure):
-        back = ga.ot_map_bw(p_next, p_n)
-        j, c, norm = _gaussian_xi(p_next.mean, p_next.cov, p_next.precision,
-                                  back.linear, back.offset, spec, gamma)
-    elif isinstance(p_next, ga.AffineMap):
-        lin = p_next.linear
-        if not np.array_equal(lin, lin.T):
-            raise ValueError("the transport's linear part is not symmetric")
-        inv = np.linalg.inv(lin)
-        j, c, norm = _gaussian_xi(lin @ p_n.mean + p_next.offset, lin @ p_n.cov @ lin.T,
-                                  inv.T @ p_n.precision @ inv, inv, -inv @ p_next.offset,
-                                  spec, gamma)
-    else:
-        raise TypeError(f"unsupported measure type {type(p_next)!r}")
-    return ga.AffineMap(j, c), norm
-
-
-def _gaussian_xi(mean, cov, precision, back_linear, back_offset, spec,
-                 gamma: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """measure_xi at N(mean, cov) on arrays: (J, c, ||xi||) of the field x -> J x + c.
-
-    precision is cov^{-1} and x -> back_linear x + back_offset the back-map
-    to p_n; J and c are `ga.subgradient_field` bit for bit minus
-    (back - Id) / gamma.
-    """
-    pot = spec.potential
-    alpha = spec.entropy_weight
-    j = pot.lambda_mat - alpha * precision - (back_linear - np.eye(mean.size)) / gamma
-    c = -pot.lambda_mat @ pot.center + alpha * precision @ mean - back_offset / gamma
-    return j, c, ga.affine_field_norm(j, c, mean, cov)
+    return p_n.xi(*transport, spec, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +145,7 @@ def jko_step_gaussian(
     a = 0.5 * (a + a.T)
 
     transport = ga.AffineMap(a, mean - a @ p_n.mean)
-    _, xi_norm = measure_xi(p_n, transport, spec, gamma)
+    _, xi_norm = measure_xi(p_n, _fields(transport), spec, gamma)
     if xi_norm > tol:
         raise SolverError(
             f"closed-form covariance step misses stationarity: ||xi|| = {xi_norm:.3g} > {tol:.3g}"
@@ -189,18 +160,6 @@ def jko_step_gaussian(
 
 # ---------------------------------------------------------------------------
 # Grid family: damped Newton with the log-gap barrier
-
-
-def _grid_xi(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
-             gamma: float) -> tuple[np.ndarray, float]:
-    """measure_xi on quantile vectors, gaps = diff(q); lambda (q - c) is `grad_v` bit for bit."""
-    pot = spec.potential
-    field = (
-        pot.lambda_mat[0, 0] * (q - pot.center[0])
-        + spec.entropy_weight * qt.gap_score(gaps)
-        + (q - q_n) / gamma
-    )
-    return field, float(np.sqrt(np.mean(field * field)))
 
 
 def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float,
@@ -249,7 +208,7 @@ def jko_step_grid(
     phi = _grid_phi(q, q_n, spec, gamma, gaps)
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
-        xi, xi_norm = _grid_xi(q, gaps, q_n, spec, gamma)
+        xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
         if np.max(np.abs(xi)) <= tol:
             break
         diag = np.full(m, lam_scalar + 1.0 / gamma)
@@ -299,13 +258,6 @@ def jko_step_grid(
     )
 
 
-def jko_step(p_n, spec, gamma: float) -> StepResult:
-    """Dispatch on measure family."""
-    if isinstance(p_n, qt.QuantileGrid):
-        return jko_step_grid(p_n, spec, gamma)
-    return jko_step_gaussian(p_n, spec, gamma)
-
-
 # ---------------------------------------------------------------------------
 # Calibrated perturbation of the exact transport
 
@@ -347,25 +299,27 @@ def perturbed_affine(linear: np.ndarray, offset: np.ndarray, mode: PerturbMode, 
     raise ValueError(f"mode {mode.value} is 1-D only")
 
 
-def perturbed_map(tr, mode: PerturbMode, a: float, *, center, bump=None):
-    """`tr` with a perturbation of amplitude a composed onto it.
+def perturbation(kind, arrays, mode: PerturbMode, center=None, bump=None):
+    """The map kind(*arrays) under a perturbation of `mode`, as (fields, cap).
 
-    A 1-D map gets perturbed_knots, an affine map perturbed_affine.
+    fields(a) is the constructor arrays, in kind's order, of the map with
+    amplitude a composed onto it: kind's `perturbed_fields`, which is
+    perturbed_knots on a 1-D map's knot values and perturbed_affine on an
+    affine map.  cap() is calibration's amplitude cap: amplitude_cap of the
+    bump (the bump_profile at a 1-D map's knots); without one (a shift, or
+    a dilation by 1 + a >= 1, never breaks monotonicity) it is infinite.
+    Nothing is built as a map; a caller builds the map it accepts.
     """
-    if isinstance(tr, ga.AffineMap):
-        return ga.AffineMap(*perturbed_affine(tr.linear, tr.offset, mode, a, center))
-    return qt.MonotoneMap1D(tr.x, perturbed_knots(tr.y, mode, a, center, bump))
+    cap = (lambda: np.inf) if bump is None else (lambda: amplitude_cap(*arrays, bump))
+    return kind.perturbed_fields(*arrays, mode, center, bump), cap
 
 
-def amplitude_cap(x: np.ndarray, y: np.ndarray, bump=None) -> float:
+def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
     """Largest amplitude a keeping every slope of the knots (x, y + a bump) >= 1e-3.
 
-    `bump` is the bump_profile at x.  Without one (a shift, or a dilation
-    by 1 + a >= 1, never breaks monotonicity) the cap is infinite.  The
-    bump's slope is never a divisor, so its vanishing tails cannot overflow.
+    `bump` is the bump_profile at x.  Its slope is never a divisor, so its
+    vanishing tails cannot overflow.
     """
-    if bump is None:
-        return np.inf
     dx = np.diff(x)
     fall = -np.diff(bump) / dx
     room = np.diff(y) / dx - _MIN_BUMP_SLOPE
@@ -455,7 +409,6 @@ def perturb_step(
     mode: PerturbMode = PerturbMode.MEAN_SHIFT,
     *,
     bump_center: float | None = None,
-    bump_width: float | None = None,
 ) -> StepResult:
     """Compose a perturbation onto the exact transport so ||xi|| equals eps.
 
@@ -463,15 +416,13 @@ def perturb_step(
     xi norm, starting from the exact step's norm at amplitude 0, and the
     norm it returns is the one measured there, so the calibration target
     (1e-12 relative, 1% enforced) is verified by construction.  Dilations
-    are about the mean of the exact next measure; a grid bump defaults to
-    the median knot and the standard deviation of p_n.  eps = 0 returns
-    the exact result unchanged.  On grids the exact transport's knots are
-    p_n's quantiles, so T#p_n is the perturbed knot values: an evaluation
-    builds the QuantileGrid that measure_xi validates and no map.  A
-    Gaussian evaluation hands measure_xi the perturbed transport itself
-    (its linear part stays exactly symmetric), so it runs no
-    eigendecomposition and builds no measure; the accepted amplitude gets
-    one transport and one pushforward.
+    are about the mean of the exact next measure; a grid bump (mode
+    GRID_BUMP needs bump_center) has the standard deviation of p_n as its
+    width.  eps = 0 returns the exact result unchanged.  An evaluation
+    hands measure_xi the perturbed transport's arrays, so no map is built
+    (a grid builds the QuantileGrid that validates the knot values; a
+    Gaussian runs no eigendecomposition); the accepted amplitude gets one
+    transport and its image of p_n.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -479,41 +430,20 @@ def perturb_step(
         return exact
 
     tr = exact.transport
-    nxt = exact.next_measure
+    center = exact.next_measure.mean if mode is PerturbMode.DILATION else None
     bump = None
-    a_cap = np.inf
-    if isinstance(tr, qt.MonotoneMap1D):
-        if not np.array_equal(tr.x, p_n.values):
-            raise ValueError("the exact grid transport must start at p_n's quantiles")
-        center = nxt.mean() if mode is PerturbMode.DILATION else None
-        if mode is PerturbMode.GRID_BUMP:
-            if bump_center is None:
-                bump_center = float(np.median(tr.x))
-            if bump_width is None:
-                bump_width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean() ** 2, 1e-12))
-            bump = bump_profile(tr.x, bump_center, bump_width)
-            a_cap = amplitude_cap(tr.x, tr.y, bump)
-
-        def xi_input(a: float):
-            return qt.QuantileGrid(perturbed_knots(tr.y, mode, a, center, bump))
-
-        def result(a: float):
-            return xi_input(a), perturbed_map(tr, mode, a, center=center, bump=bump)
-    else:
-        center = nxt.mean
-
-        def xi_input(a: float):
-            return perturbed_map(tr, mode, a, center=center)
-
-        def result(a: float):
-            t = xi_input(a)
-            return ga.pushforward_affine(p_n, t), t
-
-    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, xi_input(a), spec, gamma)[1], eps,
-                                  a_cap, norm_at_zero=exact.xi_norm)
-    next_measure, transport = result(a)
+    if mode is PerturbMode.GRID_BUMP:
+        if bump_center is None:
+            raise ValueError("mode grid_bump needs a bump_center")
+        width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean ** 2, 1e-12))
+        bump = bump_profile(tr.x, bump_center, width)
+    kind = type(tr)
+    perturbed, cap = perturbation(kind, _fields(tr), mode, center, bump)
+    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma)[1], eps,
+                                  cap(), norm_at_zero=exact.xi_norm)
+    transport = kind(*perturbed(a))
     return StepResult(
-        next_measure=next_measure,
+        next_measure=p_n.image(transport),
         transport=transport,
         xi_norm=norm,
         solver_iterations=exact.solver_iterations,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +20,7 @@ from . import functionals as fn
 from . import gaussian as ga
 from . import jko
 from . import quantile as qt
+from .jko import _fields
 
 __all__ = [
     "Trajectory",
@@ -50,7 +51,6 @@ class Trajectory:
     transports: list
     xi_norms: list
     solver_iterations: list
-    family: str  # "grid" | "gaussian"
 
     @property
     def n_steps(self) -> int:
@@ -78,11 +78,6 @@ class Trajectory:
         return type(self.minimizer)(*arrays)
 
 
-def _fields(measure) -> list:
-    """The measure's array fields (grid values; Gaussian mean, cov), in constructor order."""
-    return [getattr(measure, f.name) for f in fields(measure)]
-
-
 @dataclass(frozen=True)
 class ReverseRun:
     """Reverse-process record of `traj`, indexed 0..N (measures[n] is q_n or q~_n).
@@ -90,9 +85,9 @@ class ReverseRun:
     residuals[n-1] is ||T_n o S_n - Id|| under the measure entering S_n, and
     amplitudes[n-1] the amplitude a_n of the perturbation composed onto
     T_n^{-1} to make S_n (0 on the exact chain, whose mode and seed are None).
-    A perturbed run is fixed by them: _reverse_step rebuilds each S_n from
-    T_n, `mode` and a_n, drawing from one default_rng(seed) in the run's
-    order n = N..1.  The maps, the measures and q0 are derived from that on
+    A perturbed run is fixed by them: _reverse_perturbation rebuilds each S_n
+    from T_n, `mode` and a_n, drawing from one default_rng(seed) in the
+    run's order n = N..1.  The maps, the measures and q0 are derived from that on
     first read, bit for bit what the run built; the run itself hands in the
     ones it built (an exact run always does).
     """
@@ -110,8 +105,8 @@ class ReverseRun:
         rng = np.random.default_rng(self.seed)
         out = [None] * len(self.amplitudes)
         for k in range(len(out), 0, -1):
-            knots, _ = _reverse_step(self.traj.transports[k - 1], self.mode, rng)
-            out[k - 1] = knots(self.amplitudes[k - 1])
+            perturbed, _ = _reverse_perturbation(self.traj.transports[k - 1], self.mode, rng)
+            out[k - 1] = perturbed(self.amplitudes[k - 1])
         return out
 
     @cached_property
@@ -201,9 +196,8 @@ def run_forward(
 
     The schedule may be None (all exact), a scalar, or a length-N sequence.
     The seed only feeds perturbation placement (bump centers), so exact runs
-    are seed-independent.
+    are seed-independent.  p0's family chooses the step solver.
     """
-    family = "grid" if isinstance(p0, qt.QuantileGrid) else "gaussian"
     if eps_schedule is None:
         schedule = [0.0] * n_steps
     elif np.isscalar(eps_schedule):
@@ -214,19 +208,18 @@ def run_forward(
             raise ValueError("eps schedule length must equal the number of steps")
 
     rng = np.random.default_rng(seed)
+    step = p0.step_solver
     measures = [p0]
     transports, xi_norms, iters = [], [], []
     current = p0
     for n, eps in enumerate(schedule):
         try:
-            result = jko.jko_step(current, spec, gamma)
+            result = step(current, spec, gamma)
             if eps > 0:
-                kwargs = {}
-                if mode is jko.PerturbMode.GRID_BUMP:
-                    lo, hi = result.transport.x[0], result.transport.x[-1]
-                    kwargs["bump_center"] = float(rng.uniform(lo + 0.2 * (hi - lo),
-                                                              hi - 0.2 * (hi - lo)))
-                result = jko.perturb_step(current, result, spec, gamma, eps, mode, **kwargs)
+                bump_center = (_bump_center(result.transport.x, rng)
+                               if mode is jko.PerturbMode.GRID_BUMP else None)
+                result = jko.perturb_step(current, result, spec, gamma, eps, mode,
+                                          bump_center=bump_center)
         except (jko.SolverError, jko.CalibrationError) as exc:
             raise type(exc)(f"forward step {n + 1}: {exc}") from exc
         measures.append(result.next_measure)
@@ -241,7 +234,6 @@ def run_forward(
         transports=transports,
         xi_norms=xi_norms,
         solver_iterations=iters,
-        family=family,
     )
 
 
@@ -249,49 +241,28 @@ def run_forward(
 # Reverse processes
 
 
-def _grid_inversion_residual(t_forward, s_x, s_y, x) -> float:
-    """||T o S - Id|| under the grid measure of quantiles x, for S with knots (s_x, s_y)."""
-    r = t_forward(qt.apply_map(s_x, s_y, x)) - x
-    return float(np.sqrt(np.mean(r * r)))
+def _bump_center(x: np.ndarray, rng) -> float:
+    """A bump centre drawn uniformly from the middle 60% of the knot range of x."""
+    lo, hi = x[0], x[-1]
+    return float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
 
 
-def _gaussian_inversion_residual(t_forward, s_linear, s_offset, measure) -> float:
-    """||T o S - Id|| under the Gaussian `measure`, for S: x -> s_linear x + s_offset."""
-    lin = t_forward.linear
-    return ga.affine_field_norm(lin @ s_linear - np.eye(measure.dim),
-                                lin @ s_offset + t_forward.offset, measure.mean, measure.cov)
+def _reverse_perturbation(t_fwd, mode: jko.PerturbMode, rng):
+    """jko.perturbation of S_n = T_n^{-1}, for T_n = `t_fwd`, under the reverse policy.
 
-
-def _inversion_residual(t_forward, s_fields, measure) -> float:
-    """||T o S - Id|| under `measure` (the input of S), for S given by its constructor arrays."""
-    if isinstance(measure, qt.QuantileGrid):
-        return _grid_inversion_residual(t_forward, *s_fields, measure.values)
-    return _gaussian_inversion_residual(t_forward, *s_fields, measure)
-
-
-def _reverse_step(t_fwd, mode: jko.PerturbMode, rng):
-    """S_n of a perturbed reverse step, as a function of its amplitude, for T_n = `t_fwd`.
-
-    Returns (knots, cap): knots(a) is the constructor arrays, in type(t_fwd)'s
-    order, of the exact inverse T_n^{-1} perturbed with amplitude a as
-    jko.perturbed_knots or jko.perturbed_affine do, and cap() calibration's
-    amplitude cap.  Nothing is built as a map.  A grid step draws its bump
-    centre from `rng` whatever the mode; a Gaussian step draws nothing.
+    The exact inverse stays arrays (`inverse_fields`).  A dilation is about
+    the mean of its last array: a grid map's knot values, or an affine map's
+    offset, averaged over the coordinates.  A grid bump is centred at a draw
+    from `rng` (_bump_center of the knots) and spans a quarter of the knot
+    range; nothing else draws.
     """
-    if isinstance(t_fwd, qt.MonotoneMap1D):
-        x, y = t_fwd.y, t_fwd.x
-        center = float(np.mean(y)) if mode is jko.PerturbMode.DILATION else None
-        lo, hi = x[0], x[-1]
-        bump_center = float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-        bump = None
-        if mode is jko.PerturbMode.GRID_BUMP:
-            bump = jko.bump_profile(x, bump_center, 0.25 * (hi - lo))
-        return (lambda a: (x, jko.perturbed_knots(y, mode, a, center, bump)),
-                lambda: jko.amplitude_cap(x, y, bump))
-    linear = t_fwd.inverse_linear
-    offset = -linear @ t_fwd.offset
-    center = np.full(offset.size, np.mean(offset)) if mode is jko.PerturbMode.DILATION else None
-    return (lambda a: jko.perturbed_affine(linear, offset, mode, a, center)), lambda: np.inf
+    s = t_fwd.inverse_fields()
+    center = np.mean(s[-1]) if mode is jko.PerturbMode.DILATION else None
+    bump = None
+    if mode is jko.PerturbMode.GRID_BUMP:
+        x = s[0]
+        bump = jko.bump_profile(x, _bump_center(x, rng), 0.25 * (x[-1] - x[0]))
+    return jko.perturbation(type(t_fwd), s, mode, center, bump)
 
 
 def run_reverse_exact(traj: Trajectory) -> ReverseRun:
@@ -306,7 +277,7 @@ def run_reverse_exact(traj: Trajectory) -> ReverseRun:
     for k in range(n, 0, -1):
         t = traj.transports[k - 1]
         transports[k - 1] = t.inverse()
-        residuals[k - 1] = _inversion_residual(t, _fields(transports[k - 1]), measures[k])
+        residuals[k - 1] = t.inversion_residual(_fields(transports[k - 1]), measures[k])
         measures[k - 1] = type(measures[k])(*t.pull_back(*_fields(measures[k])))
     run = ReverseRun(traj, residuals, [0.0] * n, mode=None, seed=None, exact=True)
     return run._handed_in(measures, transports)
@@ -323,10 +294,11 @@ def run_reverse_perturbed(
     Calibration runs n = N down to 1: the measure q~_n entering S_n is
     already materialized, so the residual norm ||T_n o S_n - Id||_{q~_n} is
     well defined before S_n is fixed; at amplitude 0 (the exact inverse) it
-    is 0, calibrate_amplitude's default.  An evaluation works on the arrays
-    of _reverse_step: the grid residual on knot values, the Gaussian one on
-    (T o S_a - Id, T(o_a)) for S_a = (L_a, o_a), so neither builds a map;
-    the accepted amplitude builds one.  The run records each amplitude, from
+    is 0, calibrate_amplitude's default.  An evaluation hands T_n's
+    `inversion_residual` the arrays of _reverse_perturbation (the grid
+    residual works on knot values, the Gaussian one on (T o S_a - Id,
+    T(o_a)) for S_a = (L_a, o_a)), so no map is built; the accepted
+    amplitude builds one.  The run records each amplitude, from
     which ReverseRun rebuilds its maps.  eps_inv = 0 reproduces the exact
     reverse run.
     """
@@ -343,13 +315,13 @@ def run_reverse_perturbed(
     for k in range(n, 0, -1):
         t_fwd = traj.transports[k - 1]
         cur = measures[k]
-        knots, cap = _reverse_step(t_fwd, mode, rng)
+        perturbed, cap = _reverse_perturbation(t_fwd, mode, rng)
         try:
             a, r = jko.calibrate_amplitude(
-                lambda a: _inversion_residual(t_fwd, knots(a), cur), eps_inv, cap())
+                lambda a: t_fwd.inversion_residual(perturbed(a), cur), eps_inv, cap())
         except jko.CalibrationError as exc:
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
-        transports[k - 1] = type(t_fwd)(*knots(a))
+        transports[k - 1] = type(t_fwd)(*perturbed(a))
         residuals[k - 1] = r
         amplitudes[k - 1] = a
         measures[k - 1] = cur.push(transports[k - 1])

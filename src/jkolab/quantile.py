@@ -27,6 +27,7 @@ __all__ = [
     "tv",
     "score",
     "gap_score",
+    "xi_field",
     "second_moment",
     "invert_map",
 ]
@@ -48,6 +49,7 @@ class QuantileGrid:
     """
 
     values: np.ndarray
+    family = "grid"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -68,6 +70,7 @@ class QuantileGrid:
     def u(self) -> np.ndarray:
         return midpoints(self.m)
 
+    @property
     def mean(self) -> float:
         return float(np.mean(self.values))
 
@@ -78,14 +81,47 @@ class QuantileGrid:
     def kl(self, other: QuantileGrid) -> float:
         return grid_kl(self, other)
 
+    def tv(self, other: QuantileGrid) -> float:
+        return tv(self, other)
+
     def push(self, t: MonotoneMap1D) -> QuantileGrid:
         return pushforward(self, t)
+
+    def image(self, t: MonotoneMap1D) -> QuantileGrid:
+        """t#self for a transport t that starts at this grid: the grid of t's knot values."""
+        return QuantileGrid(t.y)
 
     def render(self, g) -> QuantileGrid:
         """The 1-D Gaussian measure g on this grid's M quantile points."""
         if g.dim != 1:
             raise ValueError("grid family requires a 1-D objective")
         return from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), self.m)
+
+    def objective(self, spec) -> float:
+        """functionals.evaluate on the grid: alpha * entropy + E[V] + log Z."""
+        pot = spec.potential
+        if pot.dim != 1:
+            raise ValueError("grid measures require a 1-D objective")
+        e_v = float(np.mean(pot.v(self.values[:, None])))
+        h = entropy(self) if spec.alpha > 0 else 0.0
+        return spec.alpha * h + e_v + pot.log_z
+
+    def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> tuple[np.ndarray, float]:
+        """jko.measure_xi of the transport with knots (x, y), which must start at this grid.
+
+        Its knot values y are the next grid's quantiles, validated as a QuantileGrid.
+        """
+        if x is not self.values and not np.array_equal(x, self.values):
+            raise ValueError("the grid transport must start at p_n's quantiles")
+        q = QuantileGrid(y).values
+        return xi_field(q, np.diff(q), self.values, spec, gamma)
+
+    @property
+    def step_solver(self):
+        """jko.jko_step_grid, the family's exact proximal step."""
+        from . import jko  # jko imports this module
+
+        return jko.jko_step_grid
 
 
 @dataclass(frozen=True)
@@ -126,9 +162,25 @@ class MonotoneMap1D:
         """Lip(T^{-1}), its largest slope, without building T^{-1}."""
         return float(np.max(np.diff(self.x) / np.diff(self.y)))
 
+    def inverse_fields(self) -> tuple:
+        """The knots of T^{-1}, building no map."""
+        return self.y, self.x
+
     def pull_back(self, values: np.ndarray) -> tuple:
         """The quantile values of (T^{-1})#p for p's `values`: T.inverse()(values), no map built."""
-        return self.push_fields(self.y, self.x, values)
+        return self.push_fields(*self.inverse_fields(), values)
+
+    def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:
+        """||T o S - Id|| under the grid p entering S, for S given by its knots s."""
+        r = self(apply_map(*s, p.values)) - p.values
+        return float(np.sqrt(np.mean(r * r)))
+
+    @staticmethod
+    def perturbed_fields(x: np.ndarray, y: np.ndarray, mode, center, bump):
+        """a -> the knots of MonotoneMap1D(x, y) with amplitude a, by jko.perturbed_knots."""
+        from . import jko  # jko imports this module
+
+        return lambda a: (x, jko.perturbed_knots(y, mode, a, center, bump))
 
     @staticmethod
     def push_fields(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> tuple:
@@ -246,8 +298,8 @@ def tv(p: QuantileGrid, q: QuantileGrid) -> float:
     (1/2) int |p - q| is taken by the trapezoid rule.
     """
     _check_same_m(p, q)
-    sd_p = np.sqrt(max(second_moment(p) - p.mean() ** 2, 1e-300))
-    sd_q = np.sqrt(max(second_moment(q) - q.mean() ** 2, 1e-300))
+    sd_p = np.sqrt(max(second_moment(p) - p.mean ** 2, 1e-300))
+    sd_q = np.sqrt(max(second_moment(q) - q.mean ** 2, 1e-300))
     lo = min(p.values[0], q.values[0]) - 6 * max(sd_p, sd_q)
     hi = max(p.values[-1], q.values[-1]) + 6 * max(sd_p, sd_q)
     xs = np.linspace(lo, hi, 8 * p.m)
@@ -273,6 +325,21 @@ def score(p: QuantileGrid) -> np.ndarray:
     vanish at the solver's optimum.
     """
     return gap_score(np.diff(p.values))
+
+
+def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
+             gamma: float) -> tuple[np.ndarray, float]:
+    """jko.measure_xi's field at the quantiles q (gaps = diff(q)) of a step from q_n, and its norm.
+
+    lambda (q - c) is `grad_v` bit for bit.
+    """
+    pot = spec.potential
+    field = (
+        pot.lambda_mat[0, 0] * (q - pot.center[0])
+        + spec.entropy_weight * gap_score(gaps)
+        + (q - q_n) / gamma
+    )
+    return field, float(np.sqrt(np.mean(field * field)))
 
 
 def gap_score(gaps: np.ndarray) -> np.ndarray:

@@ -51,6 +51,11 @@ __all__ = [
 # The manifest of a perturbed reverse archive, its only member.
 _REVERSE_KEYS = {"residuals", "amplitudes", "mode", "seed", "exact"}
 
+# Decode table: a trajectory manifest's "family" (the measure type's `family`) ->
+# the measure type and the map type of its stored transports (None: not stored,
+# as grid maps are rebuilt as qt.ot_map(p_{n-1}, p_n)).
+_FAMILIES = {"grid": (qt.QuantileGrid, None), "gaussian": (ga.GaussianMeasure, ga.AffineMap)}
+
 
 class StaleArchiveError(ValueError):
     """An archive in a layout this version does not write, or not of the given trajectory."""
@@ -95,23 +100,24 @@ def _unstack(arrays: dict, cls) -> list:
 
 
 def trajectory_to_json(traj: pr.Trajectory) -> bytes:
-    kind = type(traj.measures[0])
+    family = traj.measures[0].family
+    kind, map_kind = _FAMILIES[family]
     arrays = _stack(traj.measures, kind)
-    if traj.family != "grid":
-        arrays.update(_stack(traj.transports, ga.AffineMap))
-    return _pack({"spec": spec_to_dict(traj.spec), "gamma": traj.gamma, "family": traj.family,
+    if map_kind is not None:
+        arrays.update(_stack(traj.transports, map_kind))
+    return _pack({"spec": spec_to_dict(traj.spec), "gamma": traj.gamma, "family": family,
                   "xi_norms": list(traj.xi_norms),
                   "solver_iterations": list(traj.solver_iterations)}, arrays)
 
 
 def trajectory_from_json(data: bytes) -> pr.Trajectory:
     d, arrays = _unpack(data)
-    if d["family"] == "grid":
-        measures = _unstack(arrays, qt.QuantileGrid)
+    kind, map_kind = _FAMILIES[d.pop("family")]
+    measures = _unstack(arrays, kind)
+    if map_kind is None:
         transports = [qt.ot_map(a, b) for a, b in zip(measures, measures[1:])]
     else:
-        measures = _unstack(arrays, ga.GaussianMeasure)
-        transports = _unstack(arrays, ga.AffineMap)
+        transports = _unstack(arrays, map_kind)
     d["spec"] = spec_from_dict(d["spec"])
     return pr.Trajectory(measures=measures, transports=transports, **d)
 

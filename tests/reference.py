@@ -1,0 +1,77 @@
+"""Closed-form quantities that only the tests use.
+
+The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
+measure (rather than through the step's transport, as jko.measure_xi
+does), and the strong-convexity monotonicity inequality as a BoundReport.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from jkolab import certify as ct
+from jkolab import functionals as fn
+from jkolab import gaussian as ga
+from jkolab import quantile as qt
+
+MONO_TOL = 1e-8
+
+
+def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:
+    """The W2 gradient of the objective at g: grad V + alpha * grad log rho.
+
+    For Gaussian rho this is the affine field
+    x -> Lambda (x - mu*) - alpha Sigma^{-1} (x - m).
+    """
+    pot = spec.potential
+    alpha = spec.entropy_weight
+    prec = g.precision
+    j = pot.lambda_mat - alpha * prec
+    c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
+    return ga.AffineMap(j, c)
+
+
+def gaussian_xi_at(p_n: ga.GaussianMeasure, p_next: ga.GaussianMeasure, spec, gamma: float):
+    """xi of the proximal objective at the measure p_next: ((J, c), norm).
+
+    The subgradient field at p_next minus (B - Id)/gamma, with B the OT map
+    from p_next back to p_n (ot_map_bw, which factors p_next).
+    """
+    fld = subgradient_field(p_next, spec)
+    back = ga.ot_map_bw(p_next, p_n)
+    j = fld.linear - (back.linear - np.eye(p_n.dim)) / gamma
+    c = fld.offset - back.offset / gamma
+    return (j, c), ga.affine_field_norm(j, c, p_next.mean, p_next.cov)
+
+
+def _inner_product_base(p, eta, t_rho, t_pi):
+    """<eta o T_p^rho, T_p^pi - T_p^rho>_p in closed form for Gaussian p and affine maps."""
+    j, c = eta.linear, eta.offset
+    a1, b1 = t_rho.linear, t_rho.offset
+    a2, b2 = t_pi.linear, t_pi.offset
+    m, sig = p.mean, p.cov
+    mean_term = (j @ (a1 @ m + b1) + c) @ ((a2 - a1) @ m + (b2 - b1))
+    cov_term = np.trace((j @ a1) @ sig @ (a2 - a1).T)
+    return float(mean_term + cov_term)
+
+
+def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
+                       tol: float = MONO_TOL) -> ct.BoundReport:
+    """G(pi) - G(rho) >= <eta o T_p^rho, T_p^pi - T_p^rho>_p + (lam/2) W2^2(pi, rho)."""
+    lam = spec.lam
+    if isinstance(p, qt.QuantileGrid):
+        eta_vals = (spec.potential.grad_v(rho.values[:, None])[:, 0]
+                    + spec.entropy_weight * qt.score(rho))
+        t_rho = qt.ot_map(p, rho)
+        t_pi = qt.ot_map(p, pi)
+        diff = t_pi(p.values) - t_rho(p.values)
+        inner = float(np.mean(eta_vals * diff))
+    else:
+        eta = subgradient_field(rho, spec)
+        t_rho = ga.ot_map_bw(p, rho)
+        t_pi = ga.ot_map_bw(p, pi)
+        inner = _inner_product_base(p, eta, t_rho, t_pi)
+    w2 = pi.w2(rho)
+    lhs = inner + 0.5 * lam * w2 * w2
+    rhs = fn.evaluate(spec, pi) - fn.evaluate(spec, rho)
+    return ct.BoundReport("monotonicity", lhs, rhs, tol, {"lambda": lam})

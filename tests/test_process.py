@@ -172,8 +172,8 @@ class TestReverse:
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
         rev = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
         for k in range(1, traj.n_steps + 1):
-            assert rev.residuals[k - 1] == pr._inversion_residual(
-                traj.transports[k - 1], pr._fields(rev.transports[k - 1]), rev.measures[k])
+            assert rev.residuals[k - 1] == traj.transports[k - 1].inversion_residual(
+                pr._fields(rev.transports[k - 1]), rev.measures[k])
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION],
                              ids=lambda m: m.value)
@@ -181,15 +181,14 @@ class TestReverse:
         traj = gauss_traj_3d()
         rev = pr.run_reverse_perturbed(traj, 1e-3, mode)
         for k in range(1, traj.n_steps + 1):
-            assert rev.residuals[k - 1] == pytest.approx(pr._inversion_residual(
-                traj.transports[k - 1], pr._fields(rev.transports[k - 1]), rev.measures[k]),
-                rel=1e-12)
+            assert rev.residuals[k - 1] == pytest.approx(traj.transports[k - 1].inversion_residual(
+                pr._fields(rev.transports[k - 1]), rev.measures[k]), rel=1e-12)
 
     def test_gaussian_evaluations_build_no_map(self, monkeypatch):
         traj = gauss_traj_3d()
         counts = {"AffineMap": 0, "evaluations": 0}
         post = ga.AffineMap.__post_init__
-        residual = pr._gaussian_inversion_residual
+        residual = ga.AffineMap.inversion_residual
 
         def counting_post(self):
             counts["AffineMap"] += 1
@@ -200,7 +199,7 @@ class TestReverse:
             return residual(*args)
 
         monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
-        monkeypatch.setattr(pr, "_gaussian_inversion_residual", counting_residual)
+        monkeypatch.setattr(ga.AffineMap, "inversion_residual", counting_residual)
         pr.run_reverse_perturbed(traj, 1e-3, jko.PerturbMode.DILATION)
         assert counts["evaluations"] > traj.n_steps
         # per step: the accepted perturbed inverse only (the exact one stays arrays)
@@ -238,10 +237,11 @@ class TestMinimizerDistances:
     @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
     def test_equal_to_the_per_check_expressions(self, make_traj):
         traj = make_traj()
-        m = traj.measures[0].m if traj.family == "grid" else None
-        q = old_minimizer_in_family(traj.spec, traj.family, m)
+        family = traj.measures[0].family
+        m = traj.measures[0].m if family == "grid" else None
+        q = old_minimizer_in_family(traj.spec, family, m)
         assert_same_fields(traj.minimizer, q)
-        w2 = qt.w2 if traj.family == "grid" else ga.w2_bw
+        w2 = qt.w2 if family == "grid" else ga.w2_bw
         assert traj.w2_to_minimizer == [w2(p, q) for p in traj.measures]
         assert traj.minimizer is traj.minimizer
         assert traj.w2_to_minimizer is traj.w2_to_minimizer
@@ -341,11 +341,13 @@ class TestDerivedReverse:
 FAMILY_METHODS = [
     ("w2", qt, "w2", ("p", "q")),
     ("kl", qt, "grid_kl", ("p", "q")),
+    ("tv", qt, "tv", ("p", "q")),
     ("push", qt, "pushforward", ("p", "t")),
     ("inverse", qt, "invert_map", ("t",)),
     ("w2", ga, "w2_bw", ("p", "q")),
     ("kl", ga, "kl_between", ("p", "q")),
     ("push", ga, "pushforward_affine", ("p", "t")),
+    ("image", ga, "pushforward_affine", ("p", "t")),
     ("inverse", ga, "invert_affine", ("t",)),
 ]
 
@@ -384,10 +386,11 @@ class TestFamilyMethods:
     @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
     def test_render_equals_the_old_minimizer_expression(self, make_traj):
         traj = make_traj()
-        m = traj.measures[0].m if traj.family == "grid" else None
+        family = traj.measures[0].family
+        m = traj.measures[0].m if family == "grid" else None
         for p in traj.measures:
             assert_same_fields(p.render(fn.global_minimizer(traj.spec)),
-                               old_minimizer_in_family(traj.spec, traj.family, m))
+                               old_minimizer_in_family(traj.spec, family, m))
 
     def test_grid_render_needs_a_1d_gaussian(self):
         g = ga.GaussianMeasure(np.zeros(2), np.eye(2))

