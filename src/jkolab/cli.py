@@ -6,13 +6,14 @@ p0.mean, ...); every run gets a short id hashed from its canonicalized
 config, and all artifacts are named {run_id}_*.
 
 Exit codes: 0 success / all bounds hold, 1 a certified bound failed,
-2 solver or calibration failure, 64 config parse error, 66 missing run data,
-70 internal error (any other exception).
+2 solver or calibration failure, 64 config parse error or command-line usage
+error, 66 missing run data, 70 internal error (any other exception).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import math
@@ -524,8 +525,18 @@ def cmd_report(args) -> int:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting EXIT_CONFIG (64, EX_USAGE): its own 2 is EXIT_SOLVER."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="jkolab")
+    """The parser, built once per process; each parse_args call fills a new namespace."""
+    top = _Parser(prog="jkolab")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p, needs_config=True):

@@ -38,12 +38,14 @@ class GaussianMeasure:
     endpoints, e.g. the minimizer of a potential-only objective); strictly
     positive definite covariance is required for entropy-bearing operations.
 
-    Construction validates with one Cholesky factorization; only a covariance
-    it rejects is eigendecomposed, to tell a semi-definite one from an
-    indefinite one.  The factors V diag(evals) V^T (`evals` ascending,
-    `evecs` = V) come from one `eigh` on first read, and the square root,
-    inverse square root, precision and log-determinant are derived from them
-    on first use.  All of them are cached and read-only.
+    Construction validates with one Cholesky factorization and keeps its
+    lower factor as `chol` (None when Cholesky rejects the covariance, which
+    is then eigendecomposed to tell a semi-definite one from an indefinite
+    one); the log-determinant and the nondegeneracy test come from Cholesky.
+    The factors V diag(evals) V^T (`evals` ascending, `evecs` = V) come from
+    one `eigh` on first read and serve the square root, inverse square root
+    and precision, derived on first use.  All of them are cached and
+    read-only; `chol` is not a dataclass field.
     """
 
     mean: np.ndarray
@@ -65,10 +67,12 @@ class GaussianMeasure:
         for name, arr in (("mean", mean), ("cov", cov)):
             object.__setattr__(self, name, _frozen(arr))
         try:
-            np.linalg.cholesky(cov)
+            chol = _frozen(np.linalg.cholesky(cov))
         except np.linalg.LinAlgError:
+            chol = None
             if self.evals[0] < -1e-10 * scale:
                 raise ValueError("covariance has a negative eigenvalue") from None
+        object.__setattr__(self, "chol", chol)
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,8 +86,23 @@ class GaussianMeasure:
     def dim(self) -> int:
         return self.mean.size
 
+    @cached_property
+    def _nondegenerate(self) -> bool:
+        if self.chol is None:
+            return False
+        try:
+            np.linalg.cholesky(self.cov - _POSDEF_MIN * np.eye(self.dim))
+        except np.linalg.LinAlgError:
+            return False
+        return True
+
     def is_nondegenerate(self) -> bool:
-        return float(self.evals[0]) >= _POSDEF_MIN
+        """Whether Cholesky of cov - 1e-10 I succeeds, decided once per measure.
+
+        This is the rule "smallest eigenvalue >= 1e-10" up to roundoff at the
+        boundary, without an eigendecomposition.
+        """
+        return self._nondegenerate
 
     def require_nondegenerate(self):
         if not self.is_nondegenerate():
@@ -110,9 +129,9 @@ class GaussianMeasure:
 
     @cached_property
     def log_det(self) -> float:
-        """log det Sigma; requires a nondegenerate covariance."""
+        """log det Sigma = 2 sum log diag(chol); requires a nondegenerate covariance."""
         self.require_nondegenerate()
-        return float(np.sum(np.log(self.evals)))
+        return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     # Family methods call module globals, so tracers that patch module attributes see them.
     def w2(self, other: GaussianMeasure) -> float:

@@ -371,6 +371,32 @@ class TestExitCodes:
         assert run(["certify", "--config", cfgp, "--checks", "inversion"],
                    tmp_path) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [["forward"], ["bogus"],
+                                      ["certify", "--config", "x", "--checks"]],
+                             ids=["no_config", "unknown_command", "checks_without_value"])
+    def test_usage_error_is_config_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "usage: jkolab" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "-h"])
+        assert exc.value.code == 0
+        assert "--checks" in capsys.readouterr().out
+
+    def test_parser_is_built_once_and_keeps_no_options(self, tmp_path, monkeypatch):
+        assert cli._build_parser() is cli._build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "do_certify",
+                            lambda cfg, rid, out, checks: seen.append((cfg.seed, checks)) or 0)
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["certify", "--config", cfgp, "--checks", "evi,kl_tv",
+                    "--seed-override", "3"], tmp_path) == 0
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+        assert seen == [(3, ["evi", "kl_tv"]), (0, None)]
+
     def test_forward_target_below_unperturbed_norm_is_solver_failure(self, tmp_path, capsys):
         # the exact third step has ||xi|| ~ 2e-7 on the standard-suite grid
         text = STANDARD_GRID.replace("eps = 0.1", "eps = 1e-9")
@@ -532,6 +558,50 @@ class TestConfigErrorsAtParse:
         cfgp = write(tmp_path, "c.txt", CHECKED_AT_PARSE + P0_GAUSS)
         assert run(argv + ["--config", cfgp], tmp_path) == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+
+def gaussian_config(lam, mean, cov):
+    return BASE_GAUSS.replace("objective.lambda_mat = 1", f"objective.lambda_mat = {lam}").replace(
+        "objective.center = 0", "objective.center = " + " ".join(["0"] * len(mean))).replace(
+        "p0.mean = 2", f"p0.mean = {cli._fmt_vector(mean)}").replace(
+        "p0.cov = 4", f"p0.cov = {cli._fmt_matrix(cov)}")
+
+
+def rotated(rng, evals):
+    q, _ = np.linalg.qr(rng.standard_normal((len(evals), len(evals))))
+    cov = (q * evals) @ q.T
+    return 0.5 * (cov + cov.T)
+
+
+class TestP0Check:
+    """parse_config tests p0.cov for positive definiteness by Cholesky, not eigh."""
+
+    def test_parse_runs_no_eigh(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        lam = cli._fmt_matrix(rotated(rng, np.exp(rng.uniform(np.log(0.5), np.log(4.0), 30))))
+        cov = rotated(rng, np.exp(rng.uniform(np.log(0.2), np.log(5.0), 30)))
+        text = gaussian_config(lam, rng.standard_normal(30), cov)
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counting(*args, _name=name, _func=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        cli.parse_config(text)
+        assert counts == {"eigh": 0, "eigvalsh": 1}  # Lambda's lambda_min
+
+    @pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2], ids=["below", "above"])
+    def test_nondegeneracy_boundary_follows_the_eigenvalue_rule(self, tmp_path, factor):
+        cov = rotated(np.random.default_rng(3), [1e-10 * factor, 1.0, 2.0])
+        above = np.linalg.eigvalsh(cov)[0] >= 1e-10
+        assert above == (factor > 1)
+        assert ga.GaussianMeasure(np.zeros(3), cov).is_nondegenerate() == above
+        text = gaussian_config("1", np.zeros(3), cov)
+        if above:
+            assert np.array_equal(cli.parse_config(text).p0_cov, cov)
+        else:
+            cfgp = write(tmp_path, "c.txt", text)
+            assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
 
 
 class TestSweepRobustness:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -88,7 +89,7 @@ class TestGaussianMeasure:
 class TestFactorization:
     """The covariance is factored once; every derived matrix is cached read-only."""
 
-    @pytest.mark.parametrize("d", [1, 3, 10])
+    @pytest.mark.parametrize("d", [1, 3, 10, 30])
     def test_cached_factors_match_direct_computation(self, d):
         rng = np.random.default_rng(d)
         cov = random_spd(rng, d)
@@ -125,16 +126,34 @@ class TestFactorization:
         evals, evecs = np.linalg.eigh(0.5 * (cov + cov.T))
         assert np.array_equal(g.evals, evals) and np.array_equal(g.evecs, evecs)
 
+    def test_objective_runs_no_eigendecomposition(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_spd(rng, 10), np.zeros(10)))
+        g = ga.GaussianMeasure(rng.standard_normal(10), random_spd(rng, 10))
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counting(*args, _func=getattr(np.linalg, name), **kwargs):
+                calls.append(_func)
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counting)
+        fn.evaluate(spec, g)
+        assert calls == []
+
+    def test_cholesky_factor_is_kept_and_not_a_field(self):
+        g = ga.GaussianMeasure(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
+        assert np.array_equal(g.chol, np.linalg.cholesky(g.cov))
+        assert [f.name for f in dataclasses.fields(g)] == ["mean", "cov"]
+
     def test_cached_arrays_are_read_only(self):
         g = ga.GaussianMeasure(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
-        for arr in (g.mean, g.cov, g.evals, g.evecs, g.sqrt, g.inv_sqrt, g.precision):
+        for arr in (g.mean, g.cov, g.chol, g.evals, g.evecs, g.sqrt, g.inv_sqrt, g.precision):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
     def test_singular_covariance(self):
         g = ga.GaussianMeasure(np.zeros(2), np.diag([4.0, 0.0]))
         assert np.array_equal(g.sqrt, np.diag([2.0, 0.0]))
-        assert not g.is_nondegenerate()
+        assert g.chol is None and not g.is_nondegenerate()
         for name in ("precision", "inv_sqrt", "log_det"):
             with pytest.raises(ValueError):
                 getattr(g, name)

@@ -503,9 +503,10 @@ class TestDecompositionCount:
                    else "cholesky" if name == "cholesky" else "other")
             monkeypatch.setattr(np.linalg, name, counting(key, getattr(np.linalg, name)))
         exact = jko.jko_step_gaussian(p, spec, 1.0)
-        # p_n's factors (first read here) and C (I + gamma Lambda) C; the next
-        # measure is only validated; one inverse for xi's back-map
-        assert counts == {"eigh": 2, "cholesky": 1, "other": 1, "measure_xi": 0}
+        # p_n's factors (first read here) and C (I + gamma Lambda) C; p_n's
+        # nondegeneracy test and the next measure's validation; one inverse
+        # for xi's back-map
+        assert counts == {"eigh": 2, "cholesky": 2, "other": 1, "measure_xi": 0}
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
         jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
