@@ -137,6 +137,18 @@ class GaussianMeasure:
     def w2(self, other: GaussianMeasure) -> float:
         return w2_bw(self, other)
 
+    def w2_from(self, measures) -> list[float]:
+        """[p.w2(self) for p in measures] in one stacked evaluation, this
+        measure's square root taken once."""
+        return _w2_bw(*_stacked(measures), self.mean, self.cov).tolist()
+
+    @staticmethod
+    def w2_pairs(ps, qs) -> list[float]:
+        """[p.w2(q) for p, q in zip(ps, qs)] in one stacked evaluation."""
+        if len(ps) != len(qs):
+            raise ValueError(f"{len(ps)} measures against {len(qs)}")
+        return _w2_bw(*_stacked(ps), *_stacked(qs)).tolist()
+
     def kl(self, other: GaussianMeasure) -> float:
         return kl_between(self, other)
 
@@ -281,18 +293,19 @@ class AffineMap:
 
 
 def spd_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Symmetric square root via eigendecomposition.
+    """Symmetric square root via eigendecomposition, of one matrix or of a stack (..., d, d).
 
     Eigenvalues below the 1e-14 roundoff floor are treated as exact zeros,
     which keeps singular inputs singular instead of leaking sqrt(1e-14)
-    into every degenerate distance.
+    into every degenerate distance.  Each matrix of a stack gets the bits
+    of its own call: eigh and matmul run per matrix.
     """
-    return _eig_sqrt(*np.linalg.eigh(0.5 * (mat + mat.T)))
+    return _eig_sqrt(*np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2))))
 
 
 def _eig_sqrt(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     evals = np.where(evals < _EIG_CLAMP, 0.0, evals)
-    return (vecs * np.sqrt(evals)) @ vecs.T
+    return (vecs * np.sqrt(evals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def _check_dims(g1: GaussianMeasure, g2: GaussianMeasure):
@@ -301,13 +314,40 @@ def _check_dims(g1: GaussianMeasure, g2: GaussianMeasure):
 
 
 def w2_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
-    """Bures-Wasserstein distance; valid for singular covariances too."""
-    _check_dims(g1, g2)
-    dm = g1.mean - g2.mean
-    s2_half = spd_sqrt(g2.cov)
-    cross = spd_sqrt(s2_half @ g1.cov @ s2_half)
-    val = float(dm @ dm + np.trace(g1.cov) + np.trace(g2.cov) - 2.0 * np.trace(cross))
-    return float(np.sqrt(max(val, 0.0)))
+    """Bures-Wasserstein distance; valid for singular covariances too.
+
+    The one-pair case of _w2_bw, which GaussianMeasure.w2_from and w2_pairs
+    run over whole chains.
+    """
+    return float(_w2_bw(g1.mean, g1.cov, g2.mean, g2.cov))
+
+
+def _w2_bw(m1: np.ndarray, c1: np.ndarray, m2: np.ndarray, c2: np.ndarray) -> np.ndarray:
+    """W2 between N(m1, c1) and N(m2, c2), broadcast over the leading axes of
+    means (..., d) and covariances (..., d, d).
+
+    Two spd_sqrt calls whatever the stack: c2's square root (taken once when
+    c2 is one matrix) and that of the stacked c2^1/2 c1 c2^1/2.  Each entry
+    is bit for bit its own pair's value: dm . dm is a (1, d) @ (d, 1)
+    matmul, which einsum would not reproduce.
+    """
+    if m1.shape[-1] != m2.shape[-1]:
+        raise ValueError(f"dimension mismatch: {m1.shape[-1]} vs {m2.shape[-1]}")
+    dm = m1 - m2
+    s2_half = spd_sqrt(c2)
+    cross = spd_sqrt(s2_half @ c1 @ s2_half)
+    val = ((dm[..., None, :] @ dm[..., :, None])[..., 0, 0] + _trace(c1) + _trace(c2)
+           - 2.0 * _trace(cross))
+    return np.sqrt(np.maximum(val, 0.0))
+
+
+def _trace(mats: np.ndarray) -> np.ndarray:
+    return np.trace(mats, axis1=-2, axis2=-1)
+
+
+def _stacked(measures) -> tuple[np.ndarray, np.ndarray]:
+    """The means (n, d) and covariances (n, d, d) of a sequence of measures."""
+    return np.array([g.mean for g in measures]), np.array([g.cov for g in measures])
 
 
 def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:

@@ -63,8 +63,9 @@ class Trajectory:
 
     @cached_property
     def w2_to_minimizer(self) -> list:
-        """W2(p_n, pi) for n = 0..N, computed once for every check that reads it."""
-        return [p.w2(self.minimizer) for p in self.measures]
+        """W2(p_n, pi) for n = 0..N, computed once, in one chain-wide evaluation
+        (`w2_from`), for every check that reads it."""
+        return self.minimizer.w2_from(self.measures)
 
     @cached_property
     def exact_q0(self):
@@ -498,11 +499,11 @@ def reverse_csv(run: ReverseRun, exact_run: ReverseRun | None = None) -> str:
     buf = io.StringIO()
     buf.write("n,residual,w2_qtilde_to_q_exact\n")
     n_steps = len(run.transports)
+    if exact_run is None:
+        dists = [0.0] * (n_steps + 1)
+    else:
+        dists = type(run.measures[0]).w2_pairs(run.measures, exact_run.measures)
     for n in range(n_steps, -1, -1):
         resid = _fmt(run.residuals[n - 1]) if n >= 1 else ""
-        if exact_run is not None:
-            dist = _fmt(run.measures[n].w2(exact_run.measures[n]))
-        else:
-            dist = _fmt(0.0)
-        buf.write("%d,%s,%s\n" % (n, resid, dist))
+        buf.write("%d,%s,%s\n" % (n, resid, _fmt(dists[n])))
     return buf.getvalue()

@@ -78,6 +78,15 @@ class QuantileGrid:
     def w2(self, other: QuantileGrid) -> float:
         return w2(self, other)
 
+    def w2_from(self, measures) -> list[float]:
+        """[p.w2(self) for p in measures], one call each (stacking grids saves nothing)."""
+        return [w2(p, self) for p in measures]
+
+    @staticmethod
+    def w2_pairs(ps, qs) -> list[float]:
+        """[p.w2(q) for p, q in zip(ps, qs)]."""
+        return [w2(p, q) for p, q in zip(ps, qs, strict=True)]
+
     def kl(self, other: QuantileGrid) -> float:
         return grid_kl(self, other)
 

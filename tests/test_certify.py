@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,20 @@ def kl_spec(lam=1.0, d=1):
 def gauss_traj(n=4, eps=None, lam=1.0, mean=2.0, var=4.0):
     p0 = ga.GaussianMeasure(np.array([mean]), np.array([[var]]))
     return pr.run_forward(p0, kl_spec(lam=lam), 1.0, n, eps_schedule=eps)
+
+
+@pytest.fixture(scope="module")
+def mean_shift_runs():
+    """N = 40 steps at eps = 0.1 (mean shift): a d = 2 Gaussian and an M = 2048 grid."""
+    pot2 = fn.QuadraticPotential(np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([0.0, 1.0]))
+    p0 = ga.GaussianMeasure(np.array([2.0, -1.0]), np.array([[4.0, 1.0], [1.0, 3.0]]))
+    return {"gaussian": pr.run_forward(p0, fn.ObjectiveSpec(pot2), 1.0, 40, 0.1),
+            "grid": pr.run_forward(qt.from_gaussian(1.5, 1.5, 2048), kl_spec(), 1.0, 40, 0.1)}
+
+
+# a stored transport with its offset moved by 0.05 (on a grid, its knot values y)
+MOVED = {"gaussian": lambda t: ga.AffineMap(t.linear, t.offset + 0.05),
+         "grid": lambda t: qt.MonotoneMap1D(t.x, t.y + 0.05)}
 
 
 def check_dpi(p, q, t) -> ct.BoundReport:
@@ -144,6 +159,16 @@ class TestForwardRate:
             if r.name == "forward_terminal_w2":
                 assert r.rhs == pytest.approx(math.sqrt(5) * 0.5)
 
+    @pytest.mark.parametrize("family", ["gaussian", "grid"])
+    def test_understated_xi_norms_fail(self, family, mean_shift_runs):
+        # must-fail control: the recorded ||xi|| divided by 10 claim a tenfold smaller eps
+        traj = mean_shift_runs[family]
+        assert all(r.holds for r in ct.check_forward_rate(traj))
+        doctored = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
+        rates = [r for r in ct.check_forward_rate(doctored) if r.name == "forward_rate"]
+        assert len(rates) == 40
+        assert sum(not r.holds for r in rates) >= 20  # 23 (Gaussian) and 27 (grid) fail
+
 
 class TestKlTv:
     def test_zero_eps_short_chain_fails_honestly(self):
@@ -236,6 +261,16 @@ class TestDpi:
         p0 = qt.from_gaussian(1.0, 1.4, 512)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
         assert ct.check_dpi_chain(traj).holds
+
+    @pytest.mark.parametrize("family", ["gaussian", "grid"])
+    def test_moved_transport_fails(self, family, mean_shift_runs):
+        # must-fail control: the exact reverse chain runs through one moved map
+        traj = mean_shift_runs[family]
+        assert ct.check_dpi_chain(traj).holds
+        transports = list(traj.transports)
+        transports[20] = MOVED[family](transports[20])
+        r = ct.check_dpi_chain(dataclasses.replace(traj, transports=transports))
+        assert not r.holds and r.lhs > 10 * r.rhs  # lhs 9.7e-3 (Gaussian), 6.2e-3 (grid)
 
 
 class TestSmoothing:

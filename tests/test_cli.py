@@ -193,12 +193,19 @@ class TestPipeline:
         cfgp = write(tmp_path, "c.txt", text)
         for sub in ("forward", "reverse"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
-        calls = []
-        w2_bw = ga.w2_bw
-        monkeypatch.setattr(ga, "w2_bw", lambda *a: calls.append(0) or w2_bw(*a))
+        chains, pairs, roots = [], [], []
+        w2_from, w2_bw, spd_sqrt = ga.GaussianMeasure.w2_from, ga.w2_bw, ga.spd_sqrt
+        monkeypatch.setattr(ga.GaussianMeasure, "w2_from",
+                            lambda self, ms: chains.append(len(ms)) or w2_from(self, ms))
+        monkeypatch.setattr(ga, "w2_bw", lambda *a: pairs.append(0) or w2_bw(*a))
+        monkeypatch.setattr(ga, "spd_sqrt", lambda m: roots.append(m.shape) or spd_sqrt(m))
         assert run(["certify", "--config", cfgp], tmp_path) == 0
-        # W2(p_n, pi) for n = 0..N, and the inversion bound's W2(q~_0, q_0)
-        assert len(calls) == 5 + 2
+        # W2(p_n, pi) for n = 0..N in one chain-wide evaluation, and the inversion
+        # bound's W2(q~_0, q_0) as one pair
+        assert chains == [5 + 1]
+        assert len(pairs) == 1
+        # pi's square root once, one stacked root of the N + 1 cross terms, then the pair's two
+        assert roots == [(2, 2), (5 + 1, 2, 2), (2, 2), (2, 2)]
 
     def test_non_finite_archive_fails_at_load(self, tmp_path, capsys):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)

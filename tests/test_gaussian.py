@@ -200,6 +200,63 @@ class TestW2Bw:
         assert ga.w2_bw(a, c) <= ga.w2_bw(a, b) + ga.w2_bw(b, c) + 1e-9
 
 
+def noncommuting_chain(d, n=12, seed=0):
+    """n Gaussians in dimension d whose random covariances commute with none of the others."""
+    rng = np.random.default_rng([seed, d])
+    return [ga.GaussianMeasure(rng.standard_normal(d), random_spd(rng, d, 1.0 / d))
+            for _ in range(n)]
+
+
+class TestStackedW2:
+    """The chain-wide W2 evaluations equal the pairwise w2_bw bit for bit (==, not approx)."""
+
+    @pytest.mark.parametrize("d", [10, 30])
+    @pytest.mark.parametrize("variant", [fn.Variant.KL, fn.Variant.POTENTIAL_ONLY],
+                             ids=["kl", "potential_only"])
+    def test_chain_to_minimizer(self, d, variant):
+        rng = np.random.default_rng(d)
+        pot = fn.QuadraticPotential(random_spd(rng, d, 1.0 / d), rng.standard_normal(d))
+        pi = fn.global_minimizer(fn.ObjectiveSpec(pot, variant))
+        if variant is fn.Variant.POTENTIAL_ONLY:
+            assert not np.any(pi.cov)  # the point mass: a singular second measure
+        chain = noncommuting_chain(d)
+        assert pi.w2_from(chain) == [ga.w2_bw(p, pi) for p in chain]
+
+    @pytest.mark.parametrize("d", [10, 30])
+    def test_chain_to_chain(self, d):
+        ps, qs = noncommuting_chain(d, seed=1), noncommuting_chain(d, seed=2)
+        qs[3] = ga.GaussianMeasure(qs[3].mean, np.zeros((d, d)))
+        assert ga.GaussianMeasure.w2_pairs(ps, qs) == [ga.w2_bw(p, q) for p, q in zip(ps, qs)]
+
+    @pytest.mark.parametrize("d", [10, 30])
+    def test_stacked_square_root(self, d):
+        v = np.random.default_rng(d).standard_normal((d, 2))
+        mats = np.array([g.cov for g in noncommuting_chain(d)] + [np.zeros((d, d)), v @ v.T])
+        roots = ga.spd_sqrt(mats)
+        assert roots.shape == mats.shape
+        for root, mat in zip(roots, mats):
+            assert np.array_equal(root, ga.spd_sqrt(mat))
+
+    def test_two_square_roots_per_chain(self, monkeypatch):
+        chain = noncommuting_chain(10)
+        pi = chain.pop()
+        shapes = []
+        spd_sqrt = ga.spd_sqrt
+        monkeypatch.setattr(ga, "spd_sqrt", lambda m: shapes.append(m.shape) or spd_sqrt(m))
+        pi.w2_from(chain)
+        assert shapes == [(10, 10), (11, 10, 10)]
+        shapes.clear()
+        ga.GaussianMeasure.w2_pairs(chain, chain[::-1])
+        assert shapes == [(11, 10, 10), (11, 10, 10)]
+
+    def test_mismatches_raise(self):
+        chain = noncommuting_chain(3)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            ga.GaussianMeasure(np.zeros(2), np.eye(2)).w2_from(chain)
+        with pytest.raises(ValueError, match="12 measures against 11"):
+            ga.GaussianMeasure.w2_pairs(chain, chain[1:])
+
+
 class TestOtMapBw:
     def test_identity(self):
         g = ga.GaussianMeasure(np.ones(2), np.diag([1.0, 2.0]))

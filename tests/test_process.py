@@ -33,6 +33,16 @@ def gauss_traj_3d(n=3):
     return pr.run_forward(p0, spec, 1.0, n, eps_schedule=0.05, mode=jko.PerturbMode.DILATION)
 
 
+def gauss_traj_10d():
+    """Six steps in d = 10 from a covariance that does not commute with Lambda."""
+    rng = np.random.default_rng(10)
+    a, b = rng.standard_normal((10, 10)), rng.standard_normal((10, 10))
+    spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T / 10 + 0.5 * np.eye(10),
+                                                  rng.standard_normal(10)))
+    p0 = ga.GaussianMeasure(rng.standard_normal(10), b @ b.T / 10 + 0.5 * np.eye(10))
+    return pr.run_forward(p0, spec, 1.0, 6, eps_schedule=0.05, mode=jko.PerturbMode.DILATION)
+
+
 class TestStepsNeeded:
     def test_reference_value(self):
         # 8 * (log 4 + log(1/0.1)) = 8 * (1.386 + 2.303) = 29.51 -> 30
@@ -234,7 +244,10 @@ def assert_same_fields(a, b):
 
 
 class TestMinimizerDistances:
-    @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
+    TRAJECTORIES = [gauss_traj_3d, gauss_traj_10d, grid_traj]
+    IDS = ["gaussian", "gaussian_10d", "grid"]
+
+    @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
     def test_equal_to_the_per_check_expressions(self, make_traj):
         traj = make_traj()
         family = traj.measures[0].family
@@ -245,6 +258,15 @@ class TestMinimizerDistances:
         assert traj.w2_to_minimizer == [w2(p, q) for p in traj.measures]
         assert traj.minimizer is traj.minimizer
         assert traj.w2_to_minimizer is traj.w2_to_minimizer
+
+    @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
+    def test_reverse_csv_distances_equal_the_pairwise_ones(self, make_traj):
+        traj = make_traj()
+        pert, exact = pr.run_reverse_perturbed(traj, 1e-3), pr.run_reverse_exact(traj)
+        rows = pr.reverse_csv(pert, exact).strip().split("\n")[1:]
+        pairwise = [p.w2(q) for p, q in zip(pert.measures, exact.measures, strict=True)]
+        assert [row.split(",")[2] for row in rows] == ["%.17g" % w for w in pairwise[::-1]]
+        assert any(w > 0 for w in pairwise)
 
 
 def negative_control_traj():
