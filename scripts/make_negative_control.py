@@ -1,7 +1,8 @@
 """Regenerate the negative-control fixture.
 
-Runs a real forward/reverse pipeline with calibrated per-step error 0.5,
-then rewrites the stored trajectory to claim ten-fold smaller xi norms than
+Runs a real forward run with calibrated per-step error 0.5 (eps_inv = 0:
+certify derives the exact reverse chain, so nothing of it is stored), then
+rewrites the stored trajectory to claim ten-fold smaller xi norms than
 the run actually had.  Certifying that doctored record must fail: the EVI
 right sides shrink with the claimed eps while the measured iterates keep
 their true drift.
@@ -48,7 +49,6 @@ def main(argv=None) -> int:
     cfg = cli.parse_config(CONFIG)
     rid = cfg.run_id()
     cli.do_forward(cfg, rid, out)
-    cli.do_reverse(cfg, rid, out)
     traj_path = os.path.join(out, f"{rid}_trajectory.npz")
     with open(traj_path, "rb") as f:
         traj = sz.trajectory_from_json(f.read())
@@ -56,7 +56,7 @@ def main(argv=None) -> int:
     with open(traj_path, "wb") as f:
         f.write(sz.trajectory_to_json(traj))
     # drop artifacts the fixture does not need
-    for suffix in ("forward.csv", "reverse.csv", "report.csv"):
+    for suffix in ("forward.csv", "report.csv"):
         p = os.path.join(out, f"{rid}_{suffix}")
         if os.path.exists(p):
             os.remove(p)

@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import functionals as fn
-from . import gaussian as ga
 from . import process as pr
-from . import quantile as qt
 
 __all__ = [
     "BoundReport",
@@ -28,9 +26,7 @@ __all__ = [
     "report_lines",
 ]
 
-# Tolerances of the EVI-derived checks and of the data-processing checks, by measure type.
-EVI_TOL = {ga.GaussianMeasure: 1e-8, qt.QuantileGrid: 1e-3}
-DPI_TOL = {ga.GaussianMeasure: 1e-10, qt.QuantileGrid: 1e-4}
+# Family-independent tolerances; the EVI and DPI ones are the measure type's evi_tol, dpi_tol.
 INVERSION_TOL = 1e-9
 SMOOTHING_TOL = 1e-12
 
@@ -70,16 +66,14 @@ def report_lines(reports) -> str:
 # Per-step EVI
 
 
-def check_evi(traj: pr.Trajectory, eps_used: float | None = None) -> list[BoundReport]:
+def check_evi(traj: pr.Trajectory) -> list[BoundReport]:
     """(1 + gl/2) W2^2(p_{n+1}, pi) + 2g (G(p_{n+1}) - G(pi)) <= W2^2(p_n, pi) + (2g/l) eps^2.
 
-    pi is the trajectory's minimizer, `traj.minimizer`.
+    pi is the trajectory's minimizer, `traj.minimizer`; eps is the max of the measured xi norms.
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
-    eps = float(eps_used) if eps_used is not None else max(traj.xi_norms, default=0.0)
-    if traj.xi_norms and eps < max(traj.xi_norms) * (1 - 1e-12):
-        raise ValueError("eps_used must dominate every recorded xi norm")
-    tol = EVI_TOL[type(traj.measures[0])]
+    eps = max(traj.xi_norms, default=0.0)
+    tol = traj.measures[0].evi_tol
     g_pi = fn.evaluate(spec, traj.minimizer)
     w = traj.w2_to_minimizer
     reports = []
@@ -105,7 +99,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
-    tol = EVI_TOL[type(traj.measures[0])]
+    tol = traj.measures[0].evi_tol
     w = traj.w2_to_minimizer
     decay = 1.0 / (1.0 + gamma * lam / 2.0)
     reports = []
@@ -144,7 +138,7 @@ def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
     p0, q0 = traj.measures[0], traj.exact_q0
-    tol = EVI_TOL[type(p0)]
+    tol = p0.evi_tol
     kl_val = p0.kl(q0)
     rhs_kl = (9.0 / (2 * gamma)) * (eps / lam) ** 2
     ctx = {"gamma": gamma, "lambda": lam, "eps": eps}
@@ -214,7 +208,7 @@ def check_dpi_chain(traj: pr.Trajectory) -> BoundReport:
     n = traj.n_steps
     start = traj.measures[0].kl(traj.exact_q0)
     end = traj.measures[n].kl(traj.minimizer)
-    return BoundReport("dpi_chain", abs(start - end), DPI_TOL[type(traj.measures[0])], 0.0,
+    return BoundReport("dpi_chain", abs(start - end), traj.measures[0].dpi_tol, 0.0,
                        {"kl_start": start, "kl_end": end, "N": n})
 
 

@@ -331,19 +331,18 @@ def _load_trajectory(rid: str, out: str) -> pr.Trajectory:
         return sz.trajectory_from_json(f.read())
 
 
-def do_reverse(cfg: RunConfig, rid: str, out: str):
+def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
+    """Run and store the perturbed reverse chain, None at eps_inv = 0: the exact
+    chain is derived from the trajectory, which is loaded either way (missing: 66)."""
     traj = _load_trajectory(rid, out)
-    exact = pr.run_reverse_exact(traj)
-    with open(_path(out, rid, "reverse.csv"), "w") as f:
-        f.write(pr.reverse_csv(exact))
-    pert = None
-    if cfg.eps_inv > 0:
-        pert = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
-        with open(_path(out, rid, "reverse_perturbed.npz"), "wb") as f:
-            f.write(sz.reverse_to_json(pert))
-        with open(_path(out, rid, "reverse_perturbed.csv"), "w") as f:
-            f.write(pr.reverse_csv(pert, exact))
-    return exact, pert
+    if cfg.eps_inv == 0:
+        return None
+    pert = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
+    with open(_path(out, rid, "reverse_perturbed.npz"), "wb") as f:
+        f.write(sz.reverse_to_json(pert))
+    with open(_path(out, rid, "reverse_perturbed.csv"), "w") as f:
+        f.write(pr.reverse_csv(pert))
+    return pert
 
 
 def _load_reverse(rid: str, out: str, traj: pr.Trajectory) -> pr.ReverseRun:
@@ -417,9 +416,10 @@ def cmd_reverse(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
     rid = cfg.run_id()
-    do_reverse(cfg, rid, out)
-    print(f"{rid}: reverse run"
-          + (" (exact + perturbed)" if cfg.eps_inv > 0 else " (exact)"))
+    if do_reverse(cfg, rid, out) is None:
+        print(f"{rid}: eps_inv = 0, nothing to store (the exact reverse chain is derived)")
+    else:
+        print(f"{rid}: perturbed reverse run")
     return EXIT_OK
 
 
@@ -549,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_forward)
 
-    p = sub.add_parser("reverse", help="run the reverse process(es)")
+    p = sub.add_parser("reverse", help="run the perturbed reverse process (eps_inv > 0)")
     common(p)
     p.set_defaults(func=cmd_reverse)
 

@@ -22,7 +22,6 @@ __all__ = [
     "kl_between",
     "affine_field_norm",
     "pushforward_affine",
-    "invert_affine",
 ]
 
 _SYM_RTOL = 1e-12
@@ -51,6 +50,8 @@ class GaussianMeasure:
     mean: np.ndarray
     cov: np.ndarray
     family = "gaussian"
+    evi_tol = 1e-8  # certify's tolerance of the EVI-derived checks
+    dpi_tol = 1e-10  # and of the data-processing identity
 
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
@@ -248,12 +249,9 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) @ self.linear.T + self.offset
 
-    def inverse(self) -> AffineMap:
-        return invert_affine(self)
-
     @cached_property
     def inverse_linear(self) -> np.ndarray:
-        """L^{-1}, computed once for `inverse`, `inverse_lipschitz` and `pull_back`."""
+        """L^{-1}, computed once for `inverse_fields`, `inverse_lipschitz` and `pull_back`."""
         return _frozen(np.linalg.inv(self.linear))
 
     def inverse_lipschitz(self) -> float:
@@ -266,8 +264,8 @@ class AffineMap:
         return a_inv, -a_inv @ self.offset
 
     def pull_back(self, mean: np.ndarray, cov: np.ndarray) -> tuple:
-        """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that
-        GaussianMeasure(mean, cov).push(T.inverse()) holds, bit for bit, building neither."""
+        """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that GaussianMeasure(mean,
+        cov).push(AffineMap(*T.inverse_fields())) holds, bit for bit, building neither."""
         return self.push_fields(*self.inverse_fields(), mean, cov)
 
     def inversion_residual(self, s: tuple, p: GaussianMeasure) -> float:
@@ -361,11 +359,6 @@ def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
 def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
     """T#g = N(A m + b, A Sigma A^T), exact."""
     return GaussianMeasure(*AffineMap.push_fields(t.linear, t.offset, g.mean, g.cov))
-
-
-def invert_affine(t: AffineMap) -> AffineMap:
-    a_inv = t.inverse_linear
-    return AffineMap(a_inv, -a_inv @ t.offset)
 
 
 def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:

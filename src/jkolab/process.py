@@ -1,10 +1,12 @@
 """Forward and reverse process orchestration.
 
 Runs the N-step forward chain of proximal steps (with optional calibrated
-first-order error per step), the exact reverse chain through inverted
-transports, the computed reverse chain with calibrated inversion error, OU
-smoothing of atomic measures, and the bookkeeping the certifier consumes:
-Lipschitz/K estimates, step-count formula, CSV output.
+first-order error per step) and the computed reverse chain with calibrated
+inversion error.  The exact reverse chain is derived from the forward
+trajectory, never run as a record: pi pulled back through T_N, ..., T_1
+(Trajectory.exact_q0, run_reverse_exact).  Also OU smoothing of atomic
+measures, and the bookkeeping the certifier consumes: Lipschitz/K
+estimates, step-count formula, CSV output.
 """
 
 from __future__ import annotations
@@ -67,38 +69,41 @@ class Trajectory:
         (`w2_from`), for every check that reads it."""
         return self.minimizer.w2_from(self.measures)
 
+    def _pulled_back(self) -> list:
+        """The constructor arrays of q_0..q_N of the exact reverse chain: pi
+        (= q_N) pulled back through T_N, ..., T_1, building no map and no measure."""
+        arrays = [_fields(self.minimizer)]
+        for t in reversed(self.transports):
+            arrays.append(t.pull_back(*arrays[-1]))
+        return arrays[::-1]
+
     @cached_property
     def exact_q0(self):
-        """q_0 of the exact reverse chain: pi pulled back through T_N, ..., T_1 on arrays.
+        """q_0 of the exact reverse chain; only q_0 is built as a measure.
 
-        Bit for bit run_reverse_exact(self).measures[0]; only q_0 is built as a measure.
+        Bit for bit run_reverse_exact(self)[0].
         """
-        arrays = _fields(self.minimizer)
-        for t in reversed(self.transports):
-            arrays = t.pull_back(*arrays)
-        return type(self.minimizer)(*arrays)
+        return type(self.minimizer)(*self._pulled_back()[0])
 
 
 @dataclass(frozen=True)
 class ReverseRun:
-    """Reverse-process record of `traj`, indexed 0..N (measures[n] is q_n or q~_n).
+    """A computed reverse run of `traj`, indexed 0..N (measures[n] is q~_n).
 
     residuals[n-1] is ||T_n o S_n - Id|| under the measure entering S_n, and
     amplitudes[n-1] the amplitude a_n of the perturbation composed onto
-    T_n^{-1} to make S_n (0 on the exact chain, whose mode and seed are None).
-    A perturbed run is fixed by them: _reverse_perturbation rebuilds each S_n
-    from T_n, `mode` and a_n, drawing from one default_rng(seed) in the
-    run's order n = N..1.  The maps, the measures and q0 are derived from that on
-    first read, bit for bit what the run built; the run itself hands in the
-    ones it built (an exact run always does).
+    T_n^{-1} to make S_n.  The run is fixed by them: _reverse_perturbation
+    rebuilds each S_n from T_n, `mode` and a_n, drawing from one
+    default_rng(seed) in the run's order n = N..1.  The maps, the measures
+    and q0 are derived from that on first read, bit for bit what the run
+    built; the run itself hands in the ones it built.
     """
 
     traj: Trajectory = field(repr=False)
     residuals: list
     amplitudes: list
-    mode: jko.PerturbMode | None
-    seed: int | None
-    exact: bool
+    mode: jko.PerturbMode
+    seed: int
 
     @cached_property
     def _map_fields(self) -> list:
@@ -266,22 +271,11 @@ def _reverse_perturbation(t_fwd, mode: jko.PerturbMode, rng):
     return jko.perturbation(type(t_fwd), s, mode, center, bump)
 
 
-def run_reverse_exact(traj: Trajectory) -> ReverseRun:
-    """Pull the global minimizer back through the inverted forward transports.
-
-    Each step is the forward map's `pull_back`, as in Trajectory.exact_q0.
-    """
-    n = traj.n_steps
-    measures = [None] * n + [traj.minimizer]
-    transports = [None] * n
-    residuals = [0.0] * n
-    for k in range(n, 0, -1):
-        t = traj.transports[k - 1]
-        transports[k - 1] = t.inverse()
-        residuals[k - 1] = t.inversion_residual(_fields(transports[k - 1]), measures[k])
-        measures[k - 1] = type(measures[k])(*t.pull_back(*_fields(measures[k])))
-    run = ReverseRun(traj, residuals, [0.0] * n, mode=None, seed=None, exact=True)
-    return run._handed_in(measures, transports)
+def run_reverse_exact(traj: Trajectory) -> list:
+    """The exact reverse chain q_0..q_N as measures: pi = q_N pulled back
+    through T_N, ..., T_1 (Trajectory.exact_q0's arrays, each built)."""
+    *pulled, _ = traj._pulled_back()
+    return [type(traj.minimizer)(*a) for a in pulled] + [traj.minimizer]
 
 
 def run_reverse_perturbed(
@@ -300,13 +294,12 @@ def run_reverse_perturbed(
     residual works on knot values, the Gaussian one on (T o S_a - Id,
     T(o_a)) for S_a = (L_a, o_a)), so no map is built; the accepted
     amplitude builds one.  The run records each amplitude, from
-    which ReverseRun rebuilds its maps.  eps_inv = 0 reproduces the exact
-    reverse run.
+    which ReverseRun rebuilds its maps.  The exact chain (eps_inv = 0) is
+    not a run: it is run_reverse_exact(traj).
     """
-    if eps_inv < 0:
-        raise ValueError("eps_inv must be nonnegative")
-    if eps_inv == 0:
-        return run_reverse_exact(traj)
+    if not eps_inv > 0:
+        raise ValueError("eps_inv must be positive: the exact reverse chain is "
+                         "derived from the trajectory (run_reverse_exact)")
     n = traj.n_steps
     rng = np.random.default_rng(seed)
     measures = [None] * n + [traj.minimizer]
@@ -326,8 +319,7 @@ def run_reverse_perturbed(
         residuals[k - 1] = r
         amplitudes[k - 1] = a
         measures[k - 1] = cur.push(transports[k - 1])
-    run = ReverseRun(traj, residuals, amplitudes, mode, seed, exact=False)
-    return run._handed_in(measures, transports)
+    return ReverseRun(traj, residuals, amplitudes, mode, seed)._handed_in(measures, transports)
 
 
 # ---------------------------------------------------------------------------
@@ -494,15 +486,13 @@ def forward_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def reverse_csv(run: ReverseRun, exact_run: ReverseRun | None = None) -> str:
-    """Rows n = N..0 with the per-step residual and distance to the exact chain."""
+def reverse_csv(run: ReverseRun) -> str:
+    """Rows n = N..0 with the per-step residual and the distance W2(q~_n, q_n)
+    to the exact chain, run_reverse_exact(run.traj)."""
     buf = io.StringIO()
     buf.write("n,residual,w2_qtilde_to_q_exact\n")
-    n_steps = len(run.transports)
-    if exact_run is None:
-        dists = [0.0] * (n_steps + 1)
-    else:
-        dists = type(run.measures[0]).w2_pairs(run.measures, exact_run.measures)
+    n_steps = len(run.residuals)
+    dists = type(run.traj.minimizer).w2_pairs(run.measures, run_reverse_exact(run.traj))
     for n in range(n_steps, -1, -1):
         resid = _fmt(run.residuals[n - 1]) if n >= 1 else ""
         buf.write("%d,%s,%s\n" % (n, resid, _fmt(dists[n])))

@@ -50,6 +50,8 @@ class QuantileGrid:
 
     values: np.ndarray
     family = "grid"
+    evi_tol = 1e-3  # certify's tolerance of the EVI-derived checks
+    dpi_tol = 1e-4  # and of the data-processing identity
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -164,9 +166,6 @@ class MonotoneMap1D:
     def __call__(self, t) -> np.ndarray:
         return apply_map(self.x, self.y, t)
 
-    def inverse(self) -> MonotoneMap1D:
-        return invert_map(self)
-
     def inverse_lipschitz(self) -> float:
         """Lip(T^{-1}), its largest slope, without building T^{-1}."""
         return float(np.max(np.diff(self.x) / np.diff(self.y)))
@@ -176,7 +175,7 @@ class MonotoneMap1D:
         return self.y, self.x
 
     def pull_back(self, values: np.ndarray) -> tuple:
-        """The quantile values of (T^{-1})#p for p's `values`: T.inverse()(values), no map built."""
+        """The quantile values of (T^{-1})#p for p's `values`: T^{-1}(values), no map built."""
         return self.push_fields(*self.inverse_fields(), values)
 
     def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:

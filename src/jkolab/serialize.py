@@ -9,14 +9,16 @@ are the record fields' names.  Loading never unpickles: an archive holding
 an object array raises ValueError.
 
 Nothing derivable from the trajectory is stored.  Grid forward maps are
-rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse run is not a
-record at all: it is pr.run_reverse_exact(traj), and certify reads only its
-output, traj.exact_q0.  A perturbed reverse run is a manifest alone: its
-residuals, its calibrated amplitudes, its mode and seed.  Each map S_n is
-T_n^{-1} perturbed by amplitude a_n, so the loaded pr.ReverseRun rebuilds
-the maps and the measures q~_n from the trajectory (hence the trajectory
-argument of reverse_from_json) when they are first read, and certify reads
-only q~_0, pushed through the maps on arrays.  Gaussian forward maps
+rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse chain is
+neither stored nor a record: it is derived from the trajectory
+(pr.run_reverse_exact(traj)), and certify reads only its output,
+traj.exact_q0.  A perturbed reverse run is a manifest alone: its residuals,
+its calibrated amplitudes, its mode and seed, and the key "exact": false
+that older archives also hold.  Each map S_n is T_n^{-1} perturbed by
+amplitude a_n, so the loaded pr.ReverseRun rebuilds the maps and the
+measures q~_n from the trajectory (hence the trajectory argument of
+reverse_from_json) when they are first read, and certify reads only q~_0,
+pushed through the maps on arrays.  Gaussian forward maps
 (ot_map_bw does not reproduce the closed-form linear part bit-for-bit) are
 stored.
 
@@ -123,11 +125,9 @@ def trajectory_from_json(data: bytes) -> pr.Trajectory:
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:
-    """Store a perturbed reverse run as a manifest; an exact one is derived from its trajectory."""
-    if run.exact:
-        raise ValueError("the exact reverse run is derived from the trajectory, not stored")
+    """Store a perturbed reverse run as a manifest."""
     return _pack({"residuals": list(run.residuals), "amplitudes": list(run.amplitudes),
-                  "mode": run.mode.value, "seed": run.seed, "exact": run.exact}, {})
+                  "mode": run.mode.value, "seed": run.seed, "exact": False}, {})
 
 
 def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
@@ -145,5 +145,6 @@ def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
     if not len(d["amplitudes"]) == len(d["residuals"]) == traj.n_steps:
         raise StaleArchiveError(
             f"{len(d['amplitudes'])} amplitudes for a trajectory of {traj.n_steps} steps")
+    del d["exact"]
     d["mode"] = jko.PerturbMode(d["mode"])
     return pr.ReverseRun(traj=traj, **d)

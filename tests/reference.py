@@ -2,7 +2,8 @@
 
 The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
 measure (rather than through the step's transport, as jko.measure_xi
-does), and the strong-convexity monotonicity inequality as a BoundReport.
+does), the strong-convexity monotonicity inequality as a BoundReport, and
+a transport's inverse built as a map.
 """
 
 from __future__ import annotations
@@ -15,6 +16,12 @@ from jkolab import gaussian as ga
 from jkolab import quantile as qt
 
 MONO_TOL = 1e-8
+
+
+def inverse(t):
+    """T^{-1} as a map of T's type, from its arrays `inverse_fields`: for an affine
+    T: x -> L x + b it is (L^{-1}, -L^{-1} b), for a grid map its swapped knots."""
+    return type(t)(*t.inverse_fields())
 
 
 def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:

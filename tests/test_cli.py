@@ -250,9 +250,8 @@ class TestPipeline:
         rid = cli.parse_config(BASE_GRID).run_id()
         runs = tmp_path / "runs"
         assert sorted(os.listdir(runs)) == [
-            f"{rid}_{s}" for s in ("config.txt", "forward.csv", "reverse.csv",
-                                   "reverse_perturbed.csv", "reverse_perturbed.npz",
-                                   "trajectory.npz")]
+            f"{rid}_{s}" for s in ("config.txt", "forward.csv", "reverse_perturbed.csv",
+                                   "reverse_perturbed.npz", "trajectory.npz")]
         blob = (runs / f"{rid}_reverse_perturbed.npz").read_bytes()
         with np.load(runs / f"{rid}_reverse_perturbed.npz") as z:
             assert z.files == ["manifest"]
@@ -261,6 +260,19 @@ class TestPipeline:
         assert len(pert.transports) == traj.n_steps == 3
         for k, s in enumerate(pert.transports, 1):
             assert np.array_equal(s.x, traj.measures[k].values)
+
+    def test_reverse_at_zero_eps_inv_stores_nothing(self, tmp_path, capsys):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS.replace("eps_inv = 0.001", "eps_inv = 0"))
+        # the trajectory is loaded first: reverse before forward is missing run data
+        assert run(["reverse", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        runs = tmp_path / "runs"
+        before = {p.name: p.stat().st_mtime_ns for p in runs.iterdir()}
+        capsys.readouterr()
+        assert run(["reverse", "--config", cfgp], tmp_path) == 0
+        assert {p.name: p.stat().st_mtime_ns for p in runs.iterdir()} == before
+        assert "nothing to store" in capsys.readouterr().out
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
 
     def test_stale_exact_archive_is_not_read(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GRID)
@@ -272,11 +284,10 @@ class TestPipeline:
         report = (runs / f"{rid}_report.csv").read_bytes()
         # an exact-reverse archive as earlier versions wrote it, with a doctored q_0
         traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
-        exact = pr.run_reverse_exact(traj)
-        values = np.array([q.values for q in exact.measures])
+        values = np.array([q.values for q in pr.run_reverse_exact(traj)])
         values[0] += 1.0
         with open(runs / f"{rid}_reverse_exact.npz", "wb") as f:
-            np.savez(f, manifest=np.array(json.dumps({"residuals": exact.residuals,
+            np.savez(f, manifest=np.array(json.dumps({"residuals": [0.0] * traj.n_steps,
                                                       "exact": True})), values=values)
         (runs / f"{rid}_report.csv").unlink()
         assert run(["certify", "--config", cfgp], tmp_path) == status

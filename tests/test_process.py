@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import reference as ref
 
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
@@ -130,31 +131,36 @@ class TestRunForward:
 
 class TestReverse:
     def test_exact_reverse_residuals_zero(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
-        rev = pr.run_reverse_exact(traj)
-        assert rev.exact
-        assert np.max(rev.residuals) <= 1e-10
+        # ||T_n o T_n^{-1} - Id|| under q_n is roundoff on both families
+        for traj in (pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4), grid_traj()):
+            qs = pr.run_reverse_exact(traj)
+            for t, q in zip(traj.transports, qs[1:], strict=True):
+                assert t.inversion_residual(t.inverse_fields(), q) <= 1e-10
 
     def test_exact_reverse_no_forward_error_recovers_p0(self):
         # with exact forward steps the reverse chain lands back near p0
         # only insofar as q ~ p_N; here we check transport consistency instead:
         # pushing q_n forward through T_n must give q_{n+1}... i.e. S inverts T
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_exact(traj)
+        qs = pr.run_reverse_exact(traj)
+        assert len(qs) == 4 and qs[-1] is traj.minimizer
         for k in range(3):
-            fwd = rev.measures[k].push(traj.transports[k])
-            assert fwd.w2(rev.measures[k + 1]) <= 1e-9
+            fwd = qs[k].push(traj.transports[k])
+            assert fwd.w2(qs[k + 1]) <= 1e-9
 
     def test_perturbed_reverse_residuals_calibrated(self):
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
         rev = pr.run_reverse_perturbed(traj, 1e-3)
-        assert not rev.exact
         assert np.allclose(rev.residuals, 1e-3, rtol=0.01)
+        assert [f.name for f in dataclasses.fields(rev)] == [
+            "traj", "residuals", "amplitudes", "mode", "seed"]
 
-    def test_perturbed_zero_is_exact(self):
+    def test_perturbed_zero_is_rejected(self):
+        # the exact chain is derived (run_reverse_exact), never a perturbed run
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_perturbed(traj, 0.0)
-        assert rev.exact
+        for eps_inv in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="eps_inv must be positive"):
+                pr.run_reverse_perturbed(traj, eps_inv)
 
     def test_mean_shift_residual_algebra(self):
         # shifting S by a makes T(S(x)) - x = L a with L the slope of T,
@@ -162,7 +168,7 @@ class TestReverse:
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 1)
         eps_inv = 1e-3
         rev = pr.run_reverse_perturbed(traj, eps_inv)
-        s_exact = traj.transports[0].inverse()
+        s_exact = ref.inverse(traj.transports[0])
         a = rev.transports[0].offset[0] - s_exact.offset[0]
         lip = 1 / traj.transports[0].inverse_lipschitz()  # Lip(T) in 1-D
         assert abs(a) == pytest.approx(eps_inv / lip, rel=1e-6)
@@ -172,8 +178,7 @@ class TestReverse:
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
         rev = pr.run_reverse_perturbed(traj, 5e-3, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
-        exact = pr.run_reverse_exact(traj)
-        assert rev.measures[0].w2(exact.measures[0]) > 0
+        assert rev.measures[0].w2(traj.exact_q0) > 0
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION,
                                       jko.PerturbMode.GRID_BUMP], ids=lambda m: m.value)
@@ -263,8 +268,8 @@ class TestMinimizerDistances:
     def test_reverse_csv_distances_equal_the_pairwise_ones(self, make_traj):
         traj = make_traj()
         pert, exact = pr.run_reverse_perturbed(traj, 1e-3), pr.run_reverse_exact(traj)
-        rows = pr.reverse_csv(pert, exact).strip().split("\n")[1:]
-        pairwise = [p.w2(q) for p, q in zip(pert.measures, exact.measures, strict=True)]
+        rows = pr.reverse_csv(pert).strip().split("\n")[1:]
+        pairwise = [p.w2(q) for p, q in zip(pert.measures, exact, strict=True)]
         assert [row.split(",")[2] for row in rows] == ["%.17g" % w for w in pairwise[::-1]]
         assert any(w > 0 for w in pairwise)
 
@@ -284,7 +289,7 @@ class TestExactQ0:
     @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
     def test_equals_run_reverse_exact(self, make_traj):
         traj = make_traj()
-        assert_same_fields(traj.exact_q0, pr.run_reverse_exact(traj).measures[0])
+        assert_same_fields(traj.exact_q0, pr.run_reverse_exact(traj)[0])
         assert traj.exact_q0 is traj.exact_q0
 
     @pytest.mark.parametrize("make_traj", TRAJECTORIES[:2], ids=IDS[:2])
@@ -365,12 +370,10 @@ FAMILY_METHODS = [
     ("kl", qt, "grid_kl", ("p", "q")),
     ("tv", qt, "tv", ("p", "q")),
     ("push", qt, "pushforward", ("p", "t")),
-    ("inverse", qt, "invert_map", ("t",)),
     ("w2", ga, "w2_bw", ("p", "q")),
     ("kl", ga, "kl_between", ("p", "q")),
     ("push", ga, "pushforward_affine", ("p", "t")),
     ("image", ga, "pushforward_affine", ("p", "t")),
-    ("inverse", ga, "invert_affine", ("t",)),
 ]
 
 
@@ -509,14 +512,14 @@ class TestInverseLipschitz:
     def test_gaussian(self):
         for t in gauss_traj_3d().transports:
             assert t.inverse_lipschitz() == float(
-                np.linalg.norm(ga.invert_affine(t).linear, 2))
+                np.linalg.norm(ref.inverse(t).linear, 2))
 
     def test_grid(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
                               mode=jko.PerturbMode.GRID_BUMP, seed=2)
         for t in traj.transports:
-            inv = qt.invert_map(t)
+            inv = ref.inverse(t)
             assert t.inverse_lipschitz() == float(np.max(np.diff(inv.y) / np.diff(inv.x)))
 
 
@@ -538,8 +541,7 @@ class TestCsv:
     def test_reverse_csv_shape(self):
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
         rev = pr.run_reverse_perturbed(traj, 1e-3)
-        exact = pr.run_reverse_exact(traj)
-        lines = pr.reverse_csv(rev, exact).strip().split("\n")
+        lines = pr.reverse_csv(rev).strip().split("\n")
         assert lines[0] == "n,residual,w2_qtilde_to_q_exact"
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "3"  # rows run N..0

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 
 import numpy as np
 import pytest
@@ -135,7 +136,7 @@ class TestReverseRoundTrip:
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda *a, **k: calls.append(0) or eigh(*a, **k))
-        assert sz.reverse_from_json(blob, traj).exact is False
+        assert len(sz.reverse_from_json(blob, traj).amplitudes) == 4
         assert traj.exact_q0.dim == 5
         assert calls == []
 
@@ -143,7 +144,6 @@ class TestReverseRoundTrip:
         traj = gauss_traj()
         rev = pr.run_reverse_perturbed(traj, 1e-3)
         back = sz.reverse_from_json(sz.reverse_to_json(rev), traj)
-        assert back.exact == rev.exact
         assert back.residuals == rev.residuals
         assert (back.amplitudes, back.mode, back.seed) == (rev.amplitudes, rev.mode, rev.seed)
         for a, b in zip(rev.measures, back.measures):
@@ -155,8 +155,9 @@ class TestReverseRoundTrip:
         blob = sz.reverse_to_json(pert)
         with np.load(io.BytesIO(blob)) as z:
             assert z.files == ["manifest"]
+            # the key that archives of older versions hold, kept so their bytes stay the same
+            assert json.loads(z["manifest"].item())["exact"] is False
         back = sz.reverse_from_json(blob, traj)
-        assert back.exact is False and pert.exact is False
         assert back.residuals == pert.residuals
         for a, b in zip(pert.measures, back.measures):
             assert np.array_equal(a.values, b.values)
@@ -169,10 +170,7 @@ class TestReverseRoundTrip:
     def test_exact_transports_derived_bit_exact(self, make_traj):
         # the exact reverse run is not stored: certify derives its q_0 from the trajectory
         traj = make_traj()
-        exact = pr.run_reverse_exact(traj)
-        with pytest.raises(ValueError, match="derived"):
-            sz.reverse_to_json(exact)
+        q0 = pr.run_reverse_exact(traj)[0]
         (back,) = round_trip(traj)
-        for f in dataclasses.fields(exact.measures[0]):
-            assert np.array_equal(getattr(exact.measures[0], f.name),
-                                  getattr(back.exact_q0, f.name))
+        for f in dataclasses.fields(q0):
+            assert np.array_equal(getattr(q0, f.name), getattr(back.exact_q0, f.name))
