@@ -94,7 +94,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
     """Geometric W2 decay plus the terminal W2 / objective-gap bounds.
 
     eps is the max of the measured xi norms; the terminal reports appear at
-    every step index past the logarithmic threshold (none when eps = 0).
+    every step index from pr.steps_threshold on (none when eps = 0).
     The threshold is -inf when p_0 is the minimizer (W2(p_0, pi) = 0).
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
@@ -108,8 +108,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
         reports.append(BoundReport("forward_rate", w[n] ** 2, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
-        threshold = (8.0 / (gamma * lam) * (math.log(w[0]) + math.log(lam / eps))
-                     if w[0] > 0 else -math.inf)
+        threshold = pr.steps_threshold(w[0], lam, gamma, eps) if w[0] > 0 else -math.inf
         g_min = fn.minimum_value(spec)
         for n in range(1, traj.n_steps + 1):
             if n < threshold:
@@ -164,7 +163,7 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     eps_inv * (N + 1) is used instead (flagged in context).  The mixed
     bound is the coupling bound with N replaced by its `n = auto` value,
     so it bounds W2 only when it is at least the coupling bound, that is
-    when N <= 1 + (8/(gamma lambda)) log(W2(p0, pi) lambda / eps).  Outside
+    when N <= 1 + pr.steps_threshold(W2(p0, pi), lambda, gamma, eps).  Outside
     that range (always when W2(p0, pi) = 0), and at K = 0 or eps = 0, its
     right side is inf, flagged mixed_form=not_applicable.
     """
@@ -186,7 +185,7 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     w0 = traj.w2_to_minimizer[0]
     mixed_ctx = {**ctx, "eps": eps, "w2_p0_q": w0}
     if (k > 1e-12 and eps > 0 and w0 > 0
-            and n <= 1 + 8 / (gamma * lam) * math.log(w0 * lam / eps)):
+            and n <= 1 + pr.steps_threshold(w0, lam, gamma, eps)):
         rhs_cor = (math.exp(2 * gamma * k) / (gamma * k)
                    * (w0 * lam) ** (8 * k / lam) * eps_inv / eps ** (8 * k / lam))
         if not math.isfinite(rhs_cor):

@@ -156,15 +156,18 @@ class RunConfig:
 
 
 def _raw_pairs(text: str) -> dict:
-    out = {}
+    """key -> value of each `key = value` line; a key given twice is a ConfigError."""
+    out, seen = {}, {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (t.strip() for t in line.split("=", 1))
+        if k in seen:
+            raise ConfigError(f"key {k!r} given twice, on lines {seen[k]} and {lineno}")
+        out[k], seen[k] = v, lineno
     return out
 
 
@@ -326,9 +329,19 @@ def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     return traj
 
 
+def _read_archive(path: str, load, command: str):
+    """load(the bytes at path); a stale archive is missing run data (66): re-run `command`."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return load(data)
+    except sz.StaleArchiveError as exc:
+        raise FileNotFoundError(f"{path}: {exc}; re-run `jkolab {command}` to rewrite it") from exc
+
+
 def _load_trajectory(rid: str, out: str) -> pr.Trajectory:
-    with open(_path(out, rid, "trajectory.npz"), "rb") as f:
-        return sz.trajectory_from_json(f.read())
+    """The stored trajectory; a missing or stale archive is missing run data (66)."""
+    return _read_archive(_path(out, rid, "trajectory.npz"), sz.trajectory_from_json, "forward")
 
 
 def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
@@ -337,11 +350,11 @@ def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
     traj = _load_trajectory(rid, out)
     if cfg.eps_inv == 0:
         return None
-    pert = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
+    pert, measures = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
     with open(_path(out, rid, "reverse_perturbed.npz"), "wb") as f:
         f.write(sz.reverse_to_json(pert))
     with open(_path(out, rid, "reverse_perturbed.csv"), "w") as f:
-        f.write(pr.reverse_csv(pert))
+        f.write(pr.reverse_csv(pert, measures))
     return pert
 
 
@@ -350,12 +363,7 @@ def _load_reverse(rid: str, out: str, traj: pr.Trajectory) -> pr.ReverseRun:
     path = _path(out, rid, "reverse_perturbed.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(f"the inversion check needs {path}: run `jkolab reverse`")
-    with open(path, "rb") as f:
-        data = f.read()
-    try:
-        return sz.reverse_from_json(data, traj)
-    except sz.StaleArchiveError as exc:
-        raise FileNotFoundError(f"{path}: {exc}; re-run `jkolab reverse` to rewrite it") from exc
+    return _read_archive(path, lambda data: sz.reverse_from_json(data, traj), "reverse")
 
 
 def run_checks(cfg: RunConfig, traj: pr.Trajectory, pert_rev, checks: list) -> list:

@@ -251,7 +251,7 @@ class AffineMap:
 
     @cached_property
     def inverse_linear(self) -> np.ndarray:
-        """L^{-1}, computed once for `inverse_fields`, `inverse_lipschitz` and `pull_back`."""
+        """L^{-1}, computed once for `inverse_fields` and `inverse_lipschitz`."""
         return _frozen(np.linalg.inv(self.linear))
 
     def inverse_lipschitz(self) -> float:
@@ -262,11 +262,6 @@ class AffineMap:
         """(L^{-1}, -L^{-1} b) of T^{-1}, building no map."""
         a_inv = self.inverse_linear
         return a_inv, -a_inv @ self.offset
-
-    def pull_back(self, mean: np.ndarray, cov: np.ndarray) -> tuple:
-        """(T^{-1})#N(mean, cov) on arrays: the mean and covariance that GaussianMeasure(mean,
-        cov).push(AffineMap(*T.inverse_fields())) holds, bit for bit, building neither."""
-        return self.push_fields(*self.inverse_fields(), mean, cov)
 
     def inversion_residual(self, s: tuple, p: GaussianMeasure) -> float:
         """||T o S - Id|| under the Gaussian p entering S, for S: x -> s[0] x + s[1]."""

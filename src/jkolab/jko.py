@@ -113,7 +113,6 @@ def jko_step_gaussian(
     p_n: ga.GaussianMeasure,
     spec: fn.ObjectiveSpec,
     gamma: float,
-    tol: float = GAUSSIAN_TOL,
 ) -> StepResult:
     """Exact proximal step in the Gaussian family, in closed form.
 
@@ -125,7 +124,7 @@ def jko_step_gaussian(
     Y^2 + Y = C (I + gamma Lambda) C, so  Y = -I/2 + (I/4 + C(I + gamma Lambda)C)^{1/2},
     A = C Y^{-1} C  and  Sigma = A Sigma_n A.  A is symmetrized exactly, so
     ||xi||, measured through the transport (see measure_xi), must not
-    exceed tol.
+    exceed GAUSSIAN_TOL.
     """
     _check_gamma(gamma)
     if spec.entropy_weight <= 0:
@@ -146,10 +145,9 @@ def jko_step_gaussian(
 
     transport = ga.AffineMap(a, mean - a @ p_n.mean)
     _, xi_norm = measure_xi(p_n, _fields(transport), spec, gamma)
-    if xi_norm > tol:
-        raise SolverError(
-            f"closed-form covariance step misses stationarity: ||xi|| = {xi_norm:.3g} > {tol:.3g}"
-        )
+    if xi_norm > GAUSSIAN_TOL:
+        raise SolverError(f"closed-form covariance step misses stationarity: "
+                          f"||xi|| = {xi_norm:.3g} > {GAUSSIAN_TOL:.3g}")
     return StepResult(
         next_measure=ga.GaussianMeasure(mean, a @ p_n.cov @ a),
         transport=transport,
@@ -180,7 +178,6 @@ def jko_step_grid(
     p_n: qt.QuantileGrid,
     spec: fn.ObjectiveSpec,
     gamma: float,
-    tol: float = GRID_TOL,
 ) -> StepResult:
     """Exact proximal step on a quantile grid by damped Newton.
 
@@ -190,8 +187,8 @@ def jko_step_grid(
     keeps every gap at >= 1% of its previous value, and the line search
     accepts only strictly increasing trial points, so iterates stay
     strictly monotone and only the result is built as a QuantileGrid.
-    Convergence is on the max-norm of the measured xi field, which is M
-    times the gradient of the discretized objective.
+    Convergence is max|xi| <= GRID_TOL on the measured xi field, which is
+    M times the gradient of the discretized objective.
     """
     from scipy.linalg import solveh_banded  # loaded here, so only grid runs pay for scipy.linalg
 
@@ -209,7 +206,7 @@ def jko_step_grid(
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
         xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
-        if np.max(np.abs(xi)) <= tol:
+        if np.max(np.abs(xi)) <= GRID_TOL:
             break
         diag = np.full(m, lam_scalar + 1.0 / gamma)
         off = np.zeros(m - 1)

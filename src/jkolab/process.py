@@ -2,11 +2,12 @@
 
 Runs the N-step forward chain of proximal steps (with optional calibrated
 first-order error per step) and the computed reverse chain with calibrated
-inversion error.  The exact reverse chain is derived from the forward
-trajectory, never run as a record: pi pulled back through T_N, ..., T_1
-(Trajectory.exact_q0, run_reverse_exact).  Also OU smoothing of atomic
-measures, and the bookkeeping the certifier consumes: Lipschitz/K
-estimates, step-count formula, CSV output.
+inversion error.  One loop pushes pi back through N maps for both reverse
+chains: T_N^{-1}, ..., T_1^{-1} for the exact one, which is derived from
+the trajectory (Trajectory.exact_q0, run_reverse_exact), and the S_n that
+a ReverseRun rebuilds from its amplitudes for the computed one.  Also OU
+smoothing of atomic measures, and the bookkeeping the certifier consumes:
+Lipschitz/K estimates, step-count formula, CSV output.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "Trajectory",
     "ReverseRun",
     "AtomicMeasure",
+    "steps_threshold",
     "steps_needed",
     "run_forward",
     "run_reverse_exact",
@@ -70,12 +72,8 @@ class Trajectory:
         return self.minimizer.w2_from(self.measures)
 
     def _pulled_back(self) -> list:
-        """The constructor arrays of q_0..q_N of the exact reverse chain: pi
-        (= q_N) pulled back through T_N, ..., T_1, building no map and no measure."""
-        arrays = [_fields(self.minimizer)]
-        for t in reversed(self.transports):
-            arrays.append(t.pull_back(*arrays[-1]))
-        return arrays[::-1]
+        """The constructor arrays of q_0..q_N of the exact reverse chain."""
+        return _pushed_back(self, [t.inverse_fields() for t in self.transports])
 
     @cached_property
     def exact_q0(self):
@@ -88,15 +86,14 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class ReverseRun:
-    """A computed reverse run of `traj`, indexed 0..N (measures[n] is q~_n).
+    """A computed reverse run of `traj`: its manifest, from which q~_0 is derived.
 
-    residuals[n-1] is ||T_n o S_n - Id|| under the measure entering S_n, and
-    amplitudes[n-1] the amplitude a_n of the perturbation composed onto
-    T_n^{-1} to make S_n.  The run is fixed by them: _reverse_perturbation
+    residuals[n-1] is ||T_n o S_n - Id|| under the measure q~_n entering
+    S_n, and amplitudes[n-1] the amplitude a_n of the perturbation composed
+    onto T_n^{-1} to make S_n.  The run is fixed by them: _reverse_perturbation
     rebuilds each S_n from T_n, `mode` and a_n, drawing from one
-    default_rng(seed) in the run's order n = N..1.  The maps, the measures
-    and q0 are derived from that on first read, bit for bit what the run
-    built; the run itself hands in the ones it built.
+    default_rng(seed) in the run's order n = N..1.  q0 is derived from
+    that on first read, bit for bit the q~_0 the run built.
     """
 
     traj: Trajectory = field(repr=False)
@@ -105,7 +102,6 @@ class ReverseRun:
     mode: jko.PerturbMode
     seed: int
 
-    @cached_property
     def _map_fields(self) -> list:
         """The constructor arrays of S_1..S_N."""
         rng = np.random.default_rng(self.seed)
@@ -116,28 +112,18 @@ class ReverseRun:
         return out
 
     @cached_property
-    def transports(self) -> list:
-        return [type(t)(*s) for t, s in zip(self.traj.transports, self._map_fields, strict=True)]
-
-    @cached_property
-    def measures(self) -> list:
-        measures = [self.traj.minimizer]
-        for s in reversed(self.transports):
-            measures.append(measures[-1].push(s))
-        return measures[::-1]
-
-    @cached_property
     def q0(self):
         """q~_0: pi pushed through S_N, ..., S_1 on arrays; only q~_0 is built as a measure."""
-        arrays = _fields(self.traj.minimizer)
-        for t, s in zip(reversed(self.traj.transports), reversed(self._map_fields)):
-            arrays = type(t).push_fields(*s, *arrays)
-        return type(self.traj.minimizer)(*arrays)
+        return type(self.traj.minimizer)(*_pushed_back(self.traj, self._map_fields())[0])
 
-    def _handed_in(self, measures: list, transports: list) -> ReverseRun:
-        """This run with the measures and maps its builder holds, cached as if derived."""
-        self.__dict__.update(measures=measures, transports=transports, q0=measures[0])
-        return self
+
+def _pushed_back(traj: Trajectory, maps: list) -> list:
+    """The constructor arrays of q_0..q_N: q_N = pi, q_{n-1} = S_n#q_n for S_n given by
+    maps[n-1], arrays of T_n's type (its push_fields); builds no map and no measure."""
+    arrays = [_fields(traj.minimizer)]
+    for t, s in zip(reversed(traj.transports), reversed(maps), strict=True):
+        arrays.append(type(t).push_fields(*s, *arrays[-1]))
+    return arrays[::-1]
 
 
 @dataclass(frozen=True)
@@ -177,12 +163,16 @@ class AtomicMeasure:
 # Step-count formula
 
 
+def steps_threshold(w2_p0_q: float, lam: float, gamma: float, eps: float) -> float:
+    """(8/(gamma lambda)) (log W2(p0,q) + log(lambda/eps)), steps_needed before rounding."""
+    return 8.0 / (gamma * lam) * (math.log(w2_p0_q) + math.log(lam / eps))
+
+
 def steps_needed(w2_p0_q: float, lam: float, gamma: float, eps: float) -> int:
-    """N = ceil((8/(gamma lambda)) (log W2(p0,q) + log(lambda/eps))), clamped >= 1."""
+    """N = ceil(steps_threshold), clamped >= 1."""
     if w2_p0_q <= 0 or lam <= 0 or gamma <= 0 or eps <= 0:
         raise ValueError("all arguments must be positive")
-    n = math.ceil(8.0 / (gamma * lam) * (math.log(w2_p0_q) + math.log(lam / eps)))
-    return max(1, n)
+    return max(1, math.ceil(steps_threshold(w2_p0_q, lam, gamma, eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +262,8 @@ def _reverse_perturbation(t_fwd, mode: jko.PerturbMode, rng):
 
 
 def run_reverse_exact(traj: Trajectory) -> list:
-    """The exact reverse chain q_0..q_N as measures: pi = q_N pulled back
-    through T_N, ..., T_1 (Trajectory.exact_q0's arrays, each built)."""
+    """The exact reverse chain q_0..q_N as measures: pi = q_N pushed through
+    T_N^{-1}, ..., T_1^{-1} (Trajectory.exact_q0's arrays, each built)."""
     *pulled, _ = traj._pulled_back()
     return [type(traj.minimizer)(*a) for a in pulled] + [traj.minimizer]
 
@@ -283,7 +273,7 @@ def run_reverse_perturbed(
     eps_inv: float,
     mode: jko.PerturbMode = jko.PerturbMode.MEAN_SHIFT,
     seed: int = 0,
-) -> ReverseRun:
+) -> tuple[ReverseRun, list]:
     """Reverse chain with per-step inversion error calibrated to eps_inv.
 
     Calibration runs n = N down to 1: the measure q~_n entering S_n is
@@ -293,9 +283,10 @@ def run_reverse_perturbed(
     `inversion_residual` the arrays of _reverse_perturbation (the grid
     residual works on knot values, the Gaussian one on (T o S_a - Id,
     T(o_a)) for S_a = (L_a, o_a)), so no map is built; the accepted
-    amplitude builds one.  The run records each amplitude, from
-    which ReverseRun rebuilds its maps.  The exact chain (eps_inv = 0) is
-    not a run: it is run_reverse_exact(traj).
+    amplitude builds one, and its image q~_{n-1}.  Returns the record,
+    which keeps each amplitude (ReverseRun derives q~_0 from them), and the
+    chain q~_0..q~_N the run built.  The exact chain (eps_inv = 0) is not a
+    run: it is run_reverse_exact(traj).
     """
     if not eps_inv > 0:
         raise ValueError("eps_inv must be positive: the exact reverse chain is "
@@ -303,7 +294,6 @@ def run_reverse_perturbed(
     n = traj.n_steps
     rng = np.random.default_rng(seed)
     measures = [None] * n + [traj.minimizer]
-    transports = [None] * n
     residuals = [0.0] * n
     amplitudes = [0.0] * n
     for k in range(n, 0, -1):
@@ -315,15 +305,16 @@ def run_reverse_perturbed(
                 lambda a: t_fwd.inversion_residual(perturbed(a), cur), eps_inv, cap())
         except jko.CalibrationError as exc:
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
-        transports[k - 1] = type(t_fwd)(*perturbed(a))
         residuals[k - 1] = r
         amplitudes[k - 1] = a
-        measures[k - 1] = cur.push(transports[k - 1])
-    return ReverseRun(traj, residuals, amplitudes, mode, seed)._handed_in(measures, transports)
+        measures[k - 1] = cur.push(type(t_fwd)(*perturbed(a)))
+    return ReverseRun(traj, residuals, amplitudes, mode, seed), measures
 
 
 # ---------------------------------------------------------------------------
 # OU smoothing of atomic measures
+
+_MIXTURE_XTOL = 1e-12
 
 
 def _mixture_cdf(x, centers, weights, sd):
@@ -333,7 +324,7 @@ def _mixture_cdf(x, centers, weights, sd):
     return np.sum(weights[None, :] * ndtr((x[:, None] - centers[None, :]) / sd), axis=1)
 
 
-def _mixture_quantiles(u, centers, weights, sd, xtol=1e-12):
+def _mixture_quantiles(u, centers, weights, sd):
     """Invert the Gaussian-mixture CDF by bisection (vectorized over u)."""
     from scipy.special import ndtri  # loaded here, so only atomic configs pay for scipy.special
 
@@ -346,7 +337,7 @@ def _mixture_quantiles(u, centers, weights, sd, xtol=1e-12):
         below = _mixture_cdf(mid, centers, weights, sd) < u
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.max(hi - lo) < xtol:
+        if np.max(hi - lo) < _MIXTURE_XTOL:
             break
     return 0.5 * (lo + hi)
 
@@ -486,13 +477,14 @@ def forward_csv(traj: Trajectory) -> str:
     return buf.getvalue()
 
 
-def reverse_csv(run: ReverseRun) -> str:
+def reverse_csv(run: ReverseRun, measures: list) -> str:
     """Rows n = N..0 with the per-step residual and the distance W2(q~_n, q_n)
-    to the exact chain, run_reverse_exact(run.traj)."""
+    from the run's chain `measures` (q~_0..q~_N, as run_reverse_perturbed
+    returns it) to the exact chain, run_reverse_exact(run.traj)."""
     buf = io.StringIO()
     buf.write("n,residual,w2_qtilde_to_q_exact\n")
     n_steps = len(run.residuals)
-    dists = type(run.traj.minimizer).w2_pairs(run.measures, run_reverse_exact(run.traj))
+    dists = type(run.traj.minimizer).w2_pairs(measures, run_reverse_exact(run.traj))
     for n in range(n_steps, -1, -1):
         resid = _fmt(run.residuals[n - 1]) if n >= 1 else ""
         buf.write("%d,%s,%s\n" % (n, resid, _fmt(dists[n])))

@@ -174,10 +174,6 @@ class MonotoneMap1D:
         """The knots of T^{-1}, building no map."""
         return self.y, self.x
 
-    def pull_back(self, values: np.ndarray) -> tuple:
-        """The quantile values of (T^{-1})#p for p's `values`: T^{-1}(values), no map built."""
-        return self.push_fields(*self.inverse_fields(), values)
-
     def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:
         """||T o S - Id|| under the grid p entering S, for S given by its knots s."""
         r = self(apply_map(*s, p.values)) - p.values

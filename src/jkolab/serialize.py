@@ -15,10 +15,10 @@ neither stored nor a record: it is derived from the trajectory
 traj.exact_q0.  A perturbed reverse run is a manifest alone: its residuals,
 its calibrated amplitudes, its mode and seed, and the key "exact": false
 that older archives also hold.  Each map S_n is T_n^{-1} perturbed by
-amplitude a_n, so the loaded pr.ReverseRun rebuilds the maps and the
-measures q~_n from the trajectory (hence the trajectory argument of
-reverse_from_json) when they are first read, and certify reads only q~_0,
-pushed through the maps on arrays.  Gaussian forward maps
+amplitude a_n, so the loaded pr.ReverseRun derives the one measure that
+certify reads, q~_0, from the trajectory (hence the trajectory argument of
+reverse_from_json) when it is first read: pi pushed through the rebuilt
+maps on arrays.  Gaussian forward maps
 (ot_map_bw does not reproduce the closed-form linear part bit-for-bit) are
 stored.
 
@@ -50,6 +50,8 @@ __all__ = [
     "StaleArchiveError",
 ]
 
+# The manifest keys of a trajectory archive.
+_TRAJECTORY_KEYS = {"spec", "gamma", "family", "xi_norms", "solver_iterations"}
 # The manifest of a perturbed reverse archive, its only member.
 _REVERSE_KEYS = {"residuals", "amplitudes", "mode", "seed", "exact"}
 
@@ -113,8 +115,14 @@ def trajectory_to_json(traj: pr.Trajectory) -> bytes:
 
 
 def trajectory_from_json(data: bytes) -> pr.Trajectory:
+    """Load a trajectory; StaleArchiveError: not the layout trajectory_to_json writes."""
     d, arrays = _unpack(data)
-    kind, map_kind = _FAMILIES[d.pop("family")]
+    kind, map_kind = _FAMILIES.get(d.get("family"), (None, None))
+    members = {f.name for cls in (kind, map_kind) if cls for f in dataclasses.fields(cls)}
+    if set(d) != _TRAJECTORY_KEYS or kind is None or set(arrays) != members:
+        raise StaleArchiveError(f"not a trajectory archive (members {['manifest', *arrays]}, "
+                                f"manifest keys {sorted(d)}, family {d.get('family')!r})")
+    del d["family"]
     measures = _unstack(arrays, kind)
     if map_kind is None:
         transports = [qt.ot_map(a, b) for a, b in zip(measures, measures[1:])]
@@ -131,7 +139,7 @@ def reverse_to_json(run: pr.ReverseRun) -> bytes:
 
 
 def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
-    """Load a perturbed reverse run of `traj`; its maps and measures are derived when read.
+    """Load a perturbed reverse run of `traj`; its q~_0 is derived when read.
 
     StaleArchiveError: the archive holds arrays or lacks a manifest key (the
     layout of older versions, which stored the maps and measures), or its

@@ -2,8 +2,9 @@
 
 The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
 measure (rather than through the step's transport, as jko.measure_xi
-does), the strong-convexity monotonicity inequality as a BoundReport, and
-a transport's inverse built as a map.
+does), the strong-convexity monotonicity inequality as a BoundReport, a
+transport's inverse built as a map, and a perturbed reverse run's maps and
+chain built as maps and measures.
 """
 
 from __future__ import annotations
@@ -22,6 +23,21 @@ def inverse(t):
     """T^{-1} as a map of T's type, from its arrays `inverse_fields`: for an affine
     T: x -> L x + b it is (L^{-1}, -L^{-1} b), for a grid map its swapped knots."""
     return type(t)(*t.inverse_fields())
+
+
+def reverse_maps(run) -> list:
+    """S_1..S_N of a perturbed reverse run, each built as a map of T_n's type from
+    the run's map arrays (the ones ReverseRun.q0 pushes pi through)."""
+    return [type(t)(*s) for t, s in zip(run.traj.transports, run._map_fields(), strict=True)]
+
+
+def reverse_chain(run) -> list:
+    """q~_0..q~_N of a perturbed reverse run: pi = q~_N pushed through S_N, ..., S_1
+    (reverse_maps) one measure at a time, as run_reverse_perturbed builds them."""
+    measures = [run.traj.minimizer]
+    for s in reversed(reverse_maps(run)):
+        measures.append(measures[-1].push(s))
+    return measures[::-1]
 
 
 def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:

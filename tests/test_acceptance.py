@@ -219,7 +219,7 @@ class TestAcceptance:
         ok = abs(k - math.log(2)) <= 1e-9
         details = [f"K={k:.6f}"]
         for eps_inv in (1e-4, 1e-3, 1e-2):
-            pert = pr.run_reverse_perturbed(traj, eps_inv)
+            pert, _ = pr.run_reverse_perturbed(traj, eps_inv)
             coupling, mixed = ct.check_inversion_bound(traj, pert, eps_inv)
             ok &= coupling.holds and mixed.holds and math.isfinite(mixed.rhs)
             expected_rhs = eps_inv / k * math.exp(k * 6)

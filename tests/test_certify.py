@@ -201,7 +201,7 @@ class TestInversion:
         # equal-variance chain: all transports are translations, K = 0
         p0 = ga.GaussianMeasure(np.array([3.0]), np.eye(1))
         traj = pr.run_forward(p0, kl_spec(), 1.0, 5)
-        pert = pr.run_reverse_perturbed(traj, 1e-3)
+        pert, _ = pr.run_reverse_perturbed(traj, 1e-3)
         reports = ct.check_inversion_bound(traj, pert, 1e-3)
         coupling, mixed = reports
         assert coupling.context["prop_form"] == "k_zero_limit"
@@ -211,7 +211,7 @@ class TestInversion:
 
     def test_positive_k(self):
         traj = gauss_traj(5, eps=0.01, lam=2.0)  # K = log 2 fixture
-        pert = pr.run_reverse_perturbed(traj, 1e-4)
+        pert, _ = pr.run_reverse_perturbed(traj, 1e-4)
         reports = ct.check_inversion_bound(traj, pert, 1e-4)
         coupling, mixed = reports
         k = coupling.context["K"]
@@ -225,7 +225,7 @@ class TestInversion:
         # the mixed bound replaces N by 1 + (8/(gamma lam)) log(W2(p0, pi) lam / eps),
         # here about 25.7; beyond that it is below the coupling bound and bounds nothing
         traj = gauss_traj(30, eps=0.01, lam=2.0)
-        pert = pr.run_reverse_perturbed(traj, 1e-4)
+        pert, _ = pr.run_reverse_perturbed(traj, 1e-4)
         coupling, mixed = ct.check_inversion_bound(traj, pert, 1e-4)
         assert coupling.holds and math.isfinite(coupling.rhs)
         assert mixed.rhs == math.inf and mixed.holds

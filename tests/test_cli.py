@@ -7,6 +7,7 @@ import shutil
 
 import numpy as np
 import pytest
+import reference as ref
 
 from jkolab import cli
 from jkolab import gaussian as ga
@@ -257,8 +258,9 @@ class TestPipeline:
             assert z.files == ["manifest"]
         traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
         pert = sz.reverse_from_json(blob, traj)
-        assert len(pert.transports) == traj.n_steps == 3
-        for k, s in enumerate(pert.transports, 1):
+        maps = ref.reverse_maps(pert)
+        assert len(maps) == traj.n_steps == 3
+        for k, s in enumerate(maps, 1):
             assert np.array_equal(s.x, traj.measures[k].values)
 
     def test_reverse_at_zero_eps_inv_stores_nothing(self, tmp_path, capsys):
@@ -487,6 +489,32 @@ class TestExitCodes:
         (tmp_path / "runs" / f"{rid}_trajectory.json").write_text("{}")
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
 
+    @pytest.mark.parametrize("base", [BASE_GAUSS, STANDARD_GRID], ids=["gaussian", "grid"])
+    def test_trajectory_archive_of_another_layout_is_missing_data(self, tmp_path, capsys, base):
+        cfgp = write(tmp_path, "c.txt", base)
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        path = tmp_path / "runs" / f"{cli.parse_config(base).run_id()}_trajectory.npz"
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        manifest = json.loads(arrays.pop("manifest").item())
+        renamed = {("xi" if k == "xi_norms" else k): v for k, v in manifest.items()}
+        member = sorted(arrays)[0]
+        for doctored in (arrays,  # no manifest
+                         {**arrays, "manifest": np.array(json.dumps(renamed))},
+                         {**arrays, "manifest": np.array(json.dumps({**manifest, "family": "x"}))},
+                         {k: v for k, v in arrays.items() if k != member}
+                         | {"manifest": np.array(json.dumps(manifest))}):
+            with open(path, "wb") as f:
+                np.savez(f, **doctored)
+            for sub in ("reverse", "certify"):
+                assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+                err = capsys.readouterr().err
+                assert f"missing run data: {path}: " in err and "re-run `jkolab forward`" in err
+                assert "Traceback" not in err
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        assert run(["reverse", "--config", cfgp], tmp_path) == 0
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, STANDARD_GRID], ids=["gaussian", "grid"])
     def test_reverse_archive_of_another_layout_is_missing_data(self, tmp_path, capsys, base):
@@ -500,10 +528,11 @@ class TestExitCodes:
         pert = sz.reverse_from_json(path.read_bytes(), traj)
         # earlier versions stored every q~_n and every map S_n (on grids its y knots only)
         # and no amplitudes
-        old = {f.name: np.array([getattr(q, f.name) for q in pert.measures])
-               for f in dataclasses.fields(pert.measures[0])}
-        old.update({f.name: np.array([getattr(s, f.name) for s in pert.transports])
-                    for f in dataclasses.fields(pert.transports[0]) if f.name != "x"})
+        chain, maps = ref.reverse_chain(pert), ref.reverse_maps(pert)
+        old = {f.name: np.array([getattr(q, f.name) for q in chain])
+               for f in dataclasses.fields(chain[0])}
+        old.update({f.name: np.array([getattr(s, f.name) for s in maps])
+                    for f in dataclasses.fields(maps[0]) if f.name != "x"})
         manifest = {"residuals": pert.residuals, "exact": False}
         short = {"residuals": pert.residuals[:-1], "amplitudes": pert.amplitudes[:-1],
                  "mode": pert.mode.value, "seed": pert.seed, "exact": False}
@@ -566,6 +595,18 @@ class TestConfigErrorsAtParse:
         cfgp = write(tmp_path, "c.txt", text)
         assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_key_given_twice_is_rejected(self, tmp_path, capsys):
+        text = CHECKED_AT_PARSE + P0_GAUSS + "seed = 0\n# a comment\nseed = 1\n"
+        lines = text.splitlines()
+        first, second = (i + 1 for i, line in enumerate(lines) if line.startswith("seed ="))
+        with pytest.raises(cli.ConfigError, match=f"'seed' given twice, on lines {first} "
+                                                  f"and {second}"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "given twice" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
         ["forward", "--seed-override", "-1"],

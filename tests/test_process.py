@@ -150,8 +150,9 @@ class TestReverse:
 
     def test_perturbed_reverse_residuals_calibrated(self):
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
-        rev = pr.run_reverse_perturbed(traj, 1e-3)
+        rev, measures = pr.run_reverse_perturbed(traj, 1e-3)
         assert np.allclose(rev.residuals, 1e-3, rtol=0.01)
+        assert len(measures) == 5 and measures[-1] is traj.minimizer
         assert [f.name for f in dataclasses.fields(rev)] == [
             "traj", "residuals", "amplitudes", "mode", "seed"]
 
@@ -167,37 +168,39 @@ class TestReverse:
         # so the calibrated a equals eps_inv / Lip(T) for affine transports
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 1)
         eps_inv = 1e-3
-        rev = pr.run_reverse_perturbed(traj, eps_inv)
+        rev, _ = pr.run_reverse_perturbed(traj, eps_inv)
         s_exact = ref.inverse(traj.transports[0])
-        a = rev.transports[0].offset[0] - s_exact.offset[0]
+        a = ref.reverse_maps(rev)[0].offset[0] - s_exact.offset[0]
         lip = 1 / traj.transports[0].inverse_lipschitz()  # Lip(T) in 1-D
         assert abs(a) == pytest.approx(eps_inv / lip, rel=1e-6)
 
     def test_grid_reverse(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_perturbed(traj, 5e-3, seed=3)
+        rev, measures = pr.run_reverse_perturbed(traj, 5e-3, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
-        assert rev.measures[0].w2(traj.exact_q0) > 0
+        assert measures[0].w2(traj.exact_q0) > 0
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION,
                                       jko.PerturbMode.GRID_BUMP], ids=lambda m: m.value)
     def test_grid_residuals_are_measured_at_the_result(self, mode):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
+        rev, measures = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
+        maps = ref.reverse_maps(rev)
         for k in range(1, traj.n_steps + 1):
             assert rev.residuals[k - 1] == traj.transports[k - 1].inversion_residual(
-                pr._fields(rev.transports[k - 1]), rev.measures[k])
+                pr._fields(maps[k - 1]), measures[k])
 
     @pytest.mark.parametrize("mode", [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION],
                              ids=lambda m: m.value)
     def test_gaussian_residuals_are_measured_at_the_result(self, mode):
         traj = gauss_traj_3d()
-        rev = pr.run_reverse_perturbed(traj, 1e-3, mode)
+        rev, measures = pr.run_reverse_perturbed(traj, 1e-3, mode)
+        maps = ref.reverse_maps(rev)
         for k in range(1, traj.n_steps + 1):
             assert rev.residuals[k - 1] == pytest.approx(traj.transports[k - 1].inversion_residual(
-                pr._fields(rev.transports[k - 1]), rev.measures[k]), rel=1e-12)
+                pr._fields(maps[k - 1]), measures[k]), rel=1e-12)
 
     def test_gaussian_evaluations_build_no_map(self, monkeypatch):
         traj = gauss_traj_3d()
@@ -223,9 +226,9 @@ class TestReverse:
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_perturbed(traj, 5e-3, jko.PerturbMode.GRID_BUMP, seed=3)
+        rev, _ = pr.run_reverse_perturbed(traj, 5e-3, jko.PerturbMode.GRID_BUMP, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
-        for s in rev.transports:
+        for s in ref.reverse_maps(rev):
             assert np.min(np.diff(s.y) / np.diff(s.x)) >= 1e-3 - 1e-12
 
 
@@ -267,9 +270,9 @@ class TestMinimizerDistances:
     @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
     def test_reverse_csv_distances_equal_the_pairwise_ones(self, make_traj):
         traj = make_traj()
-        pert, exact = pr.run_reverse_perturbed(traj, 1e-3), pr.run_reverse_exact(traj)
-        rows = pr.reverse_csv(pert).strip().split("\n")[1:]
-        pairwise = [p.w2(q) for p, q in zip(pert.measures, exact, strict=True)]
+        (pert, measures), exact = pr.run_reverse_perturbed(traj, 1e-3), pr.run_reverse_exact(traj)
+        rows = pr.reverse_csv(pert, measures).strip().split("\n")[1:]
+        pairwise = [p.w2(q) for p, q in zip(measures, exact, strict=True)]
         assert [row.split(",")[2] for row in rows] == ["%.17g" % w for w in pairwise[::-1]]
         assert any(w > 0 for w in pairwise)
 
@@ -327,30 +330,33 @@ PERTURBED_IDS = ["grid_bump", "grid_mean_shift", "grid_dilation", "gaussian_3d_m
 
 
 def fresh_perturbed_run(make_traj, mode, eps_inv):
-    """A perturbed reverse run and the same record rebuilt from its fields alone."""
-    rev = pr.run_reverse_perturbed(make_traj(), eps_inv, mode, seed=5)
-    return rev, dataclasses.replace(rev)
+    """A perturbed reverse run, the chain q~_0..q~_N it built, and the same record
+    rebuilt from its fields alone."""
+    rev, measures = pr.run_reverse_perturbed(make_traj(), eps_inv, mode, seed=5)
+    return rev, measures, dataclasses.replace(rev)
 
 
 class TestDerivedReverse:
-    """A perturbed ReverseRun rebuilds its maps, measures and q~_0 from its amplitudes."""
+    """A perturbed ReverseRun derives q~_0 from its amplitudes, bit for bit the run's."""
 
     @pytest.mark.parametrize("make_traj, mode, eps_inv", PERTURBED_RUNS, ids=PERTURBED_IDS)
     def test_equals_the_run_bit_for_bit(self, make_traj, mode, eps_inv):
-        rev, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
+        rev, measures, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
         assert fresh.amplitudes == rev.amplitudes and "q0" not in vars(fresh)
         assert all(a > 0 for a in rev.amplitudes)
-        assert_same_fields(fresh.q0, rev.measures[0])
-        for a, b in zip(fresh.transports, rev.transports, strict=True):
-            assert_same_fields(a, b)
-        for a, b in zip(fresh.measures, rev.measures, strict=True):
+        assert_same_fields(fresh.q0, measures[0])
+        # each recorded residual, recomputed from the derived S_n at the run's q~_n
+        maps = ref.reverse_maps(fresh)
+        for k, (t, s) in enumerate(zip(fresh.traj.transports, maps, strict=True), 1):
+            assert rev.residuals[k - 1] == t.inversion_residual(pr._fields(s), measures[k])
+        for a, b in zip(ref.reverse_chain(fresh), measures, strict=True):
             assert_same_fields(a, b)
 
     @pytest.mark.parametrize("make_traj, mode, eps_inv", PERTURBED_RUNS[::4],
                              ids=PERTURBED_IDS[::4])
     def test_q0_builds_no_map_no_intermediate_measure_and_runs_no_eigh(
             self, make_traj, mode, eps_inv, monkeypatch):
-        rev, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
+        _, measures, fresh = fresh_perturbed_run(make_traj, mode, eps_inv)
         fresh.traj.minimizer
         built = []
         for cls in (qt.MonotoneMap1D, ga.AffineMap, qt.QuantileGrid, ga.GaussianMeasure):
@@ -361,7 +367,7 @@ class TestDerivedReverse:
         monkeypatch.setattr(np.linalg, "eigh",
                             lambda *a, **k: built.append("eigh") or eigh(*a, **k))
         fresh.q0
-        assert built == [type(rev.measures[0])]
+        assert built == [type(measures[0])]
 
 
 # (method, module, the module function it calls, its arguments) in both families
@@ -540,8 +546,7 @@ class TestCsv:
 
     def test_reverse_csv_shape(self):
         traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
-        rev = pr.run_reverse_perturbed(traj, 1e-3)
-        lines = pr.reverse_csv(rev).strip().split("\n")
+        lines = pr.reverse_csv(*pr.run_reverse_perturbed(traj, 1e-3)).strip().split("\n")
         assert lines[0] == "n,residual,w2_qtilde_to_q_exact"
         assert len(lines) == 5
         assert lines[1].split(",")[0] == "3"  # rows run N..0
