@@ -7,14 +7,16 @@ The CSVs and npz archives of the two directories are paired by file name
 hashes the config).  CSV cells are compared column by column;
 `key=value;...` cells (the report's context) are split into one column per
 key.  Archive arrays are compared element by element, and the JSON
-manifest an archive holds value by value (one column per key path).  For
-every file kind and column the worst absolute and relative difference is
-printed.  Exit status 1 when a CSV or archive is missing on either side,
-the headers or row counts differ, the array names or shapes differ, the
-manifests' keys or list lengths differ, a `holds` value or a text cell
-differs, a number differs and one side is not finite, or a number differs
-by more than RTOL (relative to the larger magnitude) and also by more than
-ATOL; 0 otherwise.
+manifest an archive holds value by value (one column per key path); when
+the two manifests' keys differ, the keys found on one side only are named
+and the shared keys are still compared.  For every file kind and column the
+worst absolute and relative difference is printed.  Exit status 1 when a CSV
+or archive is missing on either side, the headers or row counts differ, the
+array names or shapes differ, the manifests' keys or a shared key's nested
+keys or list lengths differ, a `holds` value or a text cell differs, a
+number differs and one side is not finite, or a number differs by more than
+RTOL (relative to the larger magnitude) and also by more than ATOL; 0
+otherwise.
 """
 
 import argparse
@@ -64,7 +66,7 @@ def _load_npz(path: str) -> tuple[dict, dict]:
     return (json.loads(manifest.item()) if manifest is not None else {}), arrays
 
 
-def _leaves(value, path: str = "manifest"):
+def _leaves(value, path: str):
     """(key path, index path, value) of every scalar in a parsed JSON value."""
     if isinstance(value, dict):
         for key in sorted(value):
@@ -148,11 +150,17 @@ class Comparison:
                                  f"{sorted(new_arr)}")
         for key in sorted(set(old_arr) & set(new_arr)):
             self.arrays(name, old_arr[key], new_arr[key], kind, key)
-        if _shape(old_man) != _shape(new_man):
-            self.failures.append(f"{name}: manifest keys or list lengths differ")
-            return
-        for (col, idx, vo), (_, _, vn) in zip(_leaves(old_man), _leaves(new_man)):
-            self.cell(f"{name}{idx}", kind, col, _text(vo), _text(vn))
+        if set(old_man) != set(new_man):
+            self.failures.append(f"{name}: manifest keys differ: only in the old archive "
+                                 f"{sorted(set(old_man) - set(new_man))}, only in the new "
+                                 f"{sorted(set(new_man) - set(old_man))}")
+        for key in sorted(set(old_man) & set(new_man)):
+            if _shape(old_man[key]) != _shape(new_man[key]):
+                self.failures.append(f"{name}: manifest.{key}: keys or list lengths differ")
+                continue
+            for (col, idx, vo), (_, _, vn) in zip(_leaves(old_man[key], f"manifest.{key}"),
+                                                  _leaves(new_man[key], f"manifest.{key}")):
+                self.cell(f"{name}{idx}", kind, col, _text(vo), _text(vn))
 
     def files(self, name: str, old_path: str, new_path: str):
         old, new = _read(old_path), _read(new_path)

@@ -48,12 +48,9 @@ def main(argv=None) -> int:
         f.write(CONFIG)
     cfg = cli.parse_config(CONFIG)
     rid = cfg.run_id()
-    cli.do_forward(cfg, rid, out)
-    traj_path = os.path.join(out, f"{rid}_trajectory.npz")
-    with open(traj_path, "rb") as f:
-        traj = sz.trajectory_from_json(f.read())
+    traj = cli.do_forward(cfg, rid, out)
     traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
-    with open(traj_path, "wb") as f:
+    with open(os.path.join(out, f"{rid}_trajectory.npz"), "wb") as f:
         f.write(sz.trajectory_to_json(traj))
     # drop artifacts the fixture does not need
     for suffix in ("forward.csv", "report.csv"):

@@ -201,14 +201,14 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
 # Data processing
 
 
-def check_dpi_chain(traj: pr.Trajectory) -> BoundReport:
+def check_dpi_chain(traj: pr.Trajectory) -> list[BoundReport]:
     """|KL(p_0 || q_0) - KL(p_N || q_N)| over the exact reverse chain: the full-chain
     data-processing identity, with q_0 = `traj.exact_q0` and q_N = pi = `traj.minimizer`."""
     n = traj.n_steps
     start = traj.measures[0].kl(traj.exact_q0)
     end = traj.measures[n].kl(traj.minimizer)
-    return BoundReport("dpi_chain", abs(start - end), traj.measures[0].dpi_tol, 0.0,
-                       {"kl_start": start, "kl_end": end, "N": n})
+    return [BoundReport("dpi_chain", abs(start - end), traj.measures[0].dpi_tol, 0.0,
+                        {"kl_start": start, "kl_end": end, "N": n})]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +41,17 @@ EXIT_INTERNAL = 70
 
 OUTPUT_ROOT_ENV = "JKOLAB_OUTPUT_ROOT"
 
-ALL_CHECKS = ["evi", "forward_rate", "kl_tv", "dpi_chain", "inversion"]
+# Check name -> its reports, from the trajectory, the perturbed reverse run and
+# eps_inv.  Each entry looks its certify function up when it is called, so a
+# wrapper installed on the certify module (a profiler's) is called too.
+CHECKS = {
+    "evi": lambda traj, *_: ct.check_evi(traj),
+    "forward_rate": lambda traj, *_: ct.check_forward_rate(traj),
+    "kl_tv": lambda traj, *_: ct.check_kl_tv_guarantee(traj),
+    "dpi_chain": lambda traj, *_: ct.check_dpi_chain(traj),
+    "inversion": lambda *args: ct.check_inversion_bound(*args),
+}
+ALL_CHECKS = list(CHECKS)
 
 SWEEP_KEYS = {"gamma", "eps", "eps_inv", "seed", "family.m"}
 
@@ -89,7 +99,7 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return "; ".join(_fmt_vector(row) for row in np.atleast_2d(m))
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     spec: fn.ObjectiveSpec
     family: str
@@ -100,12 +110,12 @@ class RunConfig:
     p0_atoms: pr.AtomicMeasure | None
     p0_delta: float
     gamma: float
-    eps: list  # length 1 (constant) or explicit schedule
+    eps: list  # length 1 (constant) or one entry per step
     eps_inv: float
     n_steps: object  # int or the string "auto"
     seed: int
     mode: jko.PerturbMode
-    checks: list = field(default_factory=lambda: list(ALL_CHECKS))
+    checks: list
 
     def canonical(self) -> str:
         pot = self.spec.potential
@@ -139,20 +149,14 @@ class RunConfig:
     def run_id(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
-    def max_eps(self) -> float:
-        return max(self.eps)
-
     def resolve_n(self, p0, q) -> int:
         if self.n_steps != "auto":
-            return int(self.n_steps)
-        eps = self.max_eps()
-        if eps <= 0:
-            raise ConfigError("n = auto requires eps > 0")
+            return self.n_steps
         w0 = p0.w2(q)
         if w0 == 0:
             raise ConfigError("n = auto needs W2(p0, pi) > 0, but p0 is the minimizer pi "
                               "(the step count grows with log W2(p0, pi)); set n explicitly")
-        return pr.steps_needed(w0, self.spec.lam, self.gamma, eps)
+        return pr.steps_needed(w0, self.spec.lam, self.gamma, self.eps[0])
 
 
 def _raw_pairs(text: str) -> dict:
@@ -174,7 +178,7 @@ def _raw_pairs(text: str) -> dict:
 def _check_list(names: list, n_steps, eps_inv: float) -> list:
     """`names` if every one is a known check and each can run on the config."""
     for c in names:
-        if c not in ALL_CHECKS:
+        if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}")
     if n_steps == 0 and eps_inv > 0 and "inversion" in names:
         raise ConfigError("the inversion check with eps_inv > 0 needs n >= 1")
@@ -248,8 +252,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("eps_inv must be nonnegative")
         n_raw = take("n")
         n_steps = "auto" if n_raw == "auto" else int(n_raw)
-        if n_steps != "auto" and n_steps < 0:
+        if n_steps == "auto":
+            if len(eps) != 1 or eps[0] == 0:
+                raise ConfigError(f"n = auto derives the step count from a single eps > 0, "
+                                  f"not eps = {' '.join(map(repr, eps))}")
+        elif n_steps < 0:
             raise ConfigError("n must be nonnegative or 'auto'")
+        elif len(eps) not in (1, n_steps):
+            raise ConfigError(f"eps schedule length {len(eps)} != n = {n_steps}")
         seed = int(take("seed", "0"))
         if seed < 0:
             raise ConfigError("seed must be nonnegative")
@@ -295,17 +305,9 @@ def _out_dir(args) -> str:
     return out
 
 
-def _override_seed(cfg: RunConfig, seed: int | None) -> RunConfig:
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError("--seed-override must be nonnegative")
-        cfg.seed = seed
-    return cfg
-
-
 def _load_config(args) -> RunConfig:
     with open(args.config) as f:
-        return _override_seed(parse_config(f.read()), args.seed_override)
+        return parse_config(f.read())
 
 
 def _path(out: str, rid: str, suffix: str) -> str:
@@ -317,8 +319,6 @@ def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     q = p0.render(fn.global_minimizer(cfg.spec))
     n = cfg.resolve_n(p0, q)
     schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
-    if len(schedule) != n:
-        raise ConfigError(f"eps schedule length {len(schedule)} != n = {n}")
     traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
     with open(_path(out, rid, "config.txt"), "w") as f:
         f.write(cfg.canonical())
@@ -339,15 +339,17 @@ def _read_archive(path: str, load, command: str):
         raise FileNotFoundError(f"{path}: {exc}; re-run `jkolab {command}` to rewrite it") from exc
 
 
-def _load_trajectory(rid: str, out: str) -> pr.Trajectory:
+def _load_trajectory(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     """The stored trajectory; a missing or stale archive is missing run data (66)."""
-    return _read_archive(_path(out, rid, "trajectory.npz"), sz.trajectory_from_json, "forward")
+    return _read_archive(_path(out, rid, "trajectory.npz"),
+                         lambda data: sz.trajectory_from_json(data, cfg.spec, cfg.gamma,
+                                                              cfg.family), "forward")
 
 
 def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
     """Run and store the perturbed reverse chain, None at eps_inv = 0: the exact
     chain is derived from the trajectory, which is loaded either way (missing: 66)."""
-    traj = _load_trajectory(rid, out)
+    traj = _load_trajectory(cfg, rid, out)
     if cfg.eps_inv == 0:
         return None
     pert, measures = pr.run_reverse_perturbed(traj, cfg.eps_inv, cfg.mode, cfg.seed)
@@ -358,45 +360,28 @@ def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
     return pert
 
 
-def _load_reverse(rid: str, out: str, traj: pr.Trajectory) -> pr.ReverseRun:
+def _load_reverse(cfg: RunConfig, rid: str, out: str, traj: pr.Trajectory) -> pr.ReverseRun:
     """The stored perturbed reverse run; a missing or stale archive is missing run data (66)."""
     path = _path(out, rid, "reverse_perturbed.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(f"the inversion check needs {path}: run `jkolab reverse`")
-    return _read_archive(path, lambda data: sz.reverse_from_json(data, traj), "reverse")
-
-
-def run_checks(cfg: RunConfig, traj: pr.Trajectory, pert_rev, checks: list) -> list:
-    """The reports of `checks`; the exact reverse chain is derived from `traj`.
-
-    `pert_rev`, the perturbed reverse run, is read only by the inversion
-    check with eps_inv > 0 (None otherwise).
-    """
-    reports = []
-    for name in checks:
-        if name == "evi":
-            reports.extend(ct.check_evi(traj))
-        elif name == "forward_rate":
-            reports.extend(ct.check_forward_rate(traj))
-        elif name == "kl_tv":
-            reports.extend(ct.check_kl_tv_guarantee(traj))
-        elif name == "dpi_chain":
-            reports.append(ct.check_dpi_chain(traj))
-        elif name == "inversion":
-            if cfg.eps_inv > 0:
-                reports.extend(ct.check_inversion_bound(traj, pert_rev, cfg.eps_inv))
-        else:
-            raise ConfigError(f"unknown check {name!r}")
-    return reports
+    return _read_archive(path, lambda data: sz.reverse_from_json(data, traj, cfg.mode, cfg.seed),
+                         "reverse")
 
 
 def do_certify(cfg: RunConfig, rid: str, out: str, checks=None) -> int:
+    """Run `checks` (default: the config's) on the stored run data and write the report.
+
+    The exact reverse chain is derived from the trajectory; the perturbed
+    reverse run is loaded only for the inversion check, which at eps_inv = 0
+    has no perturbed run to bound and reports nothing.
+    """
     checks = checks or cfg.checks
-    traj = _load_trajectory(rid, out)
-    pert_rev = None
-    if "inversion" in checks and cfg.eps_inv > 0:
-        pert_rev = _load_reverse(rid, out, traj)
-    reports = run_checks(cfg, traj, pert_rev, checks)
+    if cfg.eps_inv == 0:
+        checks = [c for c in checks if c != "inversion"]
+    traj = _load_trajectory(cfg, rid, out)
+    pert_rev = _load_reverse(cfg, rid, out, traj) if "inversion" in checks else None
+    reports = [r for name in checks for r in CHECKS[name](traj, pert_rev, cfg.eps_inv)]
     with open(_path(out, rid, "report.csv"), "w") as f:
         f.write(ct.report_lines(reports))
     failed = [r for r in reports if not r.holds]
@@ -455,11 +440,10 @@ def _failure(exc: Exception, prefix: str = "") -> int:
     return code
 
 
-def _sweep_config(base_text: str, overrides: dict, seed_override) -> RunConfig:
+def _sweep_config(base_text: str, overrides: dict) -> RunConfig:
     raw = _raw_pairs(parse_config(base_text).canonical())
     raw.update(overrides)
-    return _override_seed(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())),
-                          seed_override)
+    return parse_config("".join(f"{k} = {v}\n" for k, v in raw.items()))
 
 
 def _sweep_entry(cfg: RunConfig, rid: str, out: str) -> int:
@@ -489,7 +473,7 @@ def cmd_sweep(args) -> int:
     configs = {}  # run_id -> config: duplicate combos run once
     for combo in combos:
         try:
-            cfg = _sweep_config(base_text, combo, args.seed_override)
+            cfg = _sweep_config(base_text, combo)
         except ConfigError as exc:
             statuses.append(_failure(exc, f"combo {combo}: "))
             continue
@@ -551,7 +535,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed-override", type=int, default=None)
 
     p = sub.add_parser("forward", help="run the forward process")
     common(p)

@@ -1,20 +1,25 @@
 """Binary run store: one uncompressed npz archive per record.
 
-A trajectory archive holds its measures stacked per array field (grid
-values (N+1, M); Gaussian means (N+1, d), covariances (N+1, d, d)), the
-transport arrays that cannot be rebuilt, and a JSON manifest string with the
-scalars.  Doubles are stored raw and manifest floats with repr, so a check
-re-run on loaded data reproduces its verdict bit-for-bit.  The manifest keys
-are the record fields' names.  Loading never unpickles: an archive holding
-an object array raises ValueError.
+An archive keeps only what its run computed.  The run's inputs (the
+objective, gamma, the family, the perturbation mode and seed) are recorded
+once, in its config, whose hash is the run id; the loaders take them from
+the parsed config.  A trajectory archive holds its measures stacked per
+array field (grid values (N+1, M); Gaussian means (N+1, d), covariances
+(N+1, d, d)), the transport arrays that cannot be rebuilt, and a JSON
+manifest string with the per-step xi norms and solver iteration counts.
+Doubles are stored raw and manifest floats with repr, so a check re-run on
+loaded data reproduces its verdict bit-for-bit.  The manifest keys are the
+record fields' names.  Loading never unpickles: an archive holding an
+object array raises ValueError.  An archive with other manifest keys or
+members (an older layout, which also stored the run's inputs) raises
+StaleArchiveError.
 
 Nothing derivable from the trajectory is stored.  Grid forward maps are
 rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse chain is
 neither stored nor a record: it is derived from the trajectory
 (pr.run_reverse_exact(traj)), and certify reads only its output,
-traj.exact_q0.  A perturbed reverse run is a manifest alone: its residuals,
-its calibrated amplitudes, its mode and seed, and the key "exact": false
-that older archives also hold.  Each map S_n is T_n^{-1} perturbed by
+traj.exact_q0.  A perturbed reverse run is a manifest alone: its residuals
+and its calibrated amplitudes.  Each map S_n is T_n^{-1} perturbed by
 amplitude a_n, so the loaded pr.ReverseRun derives the one measure that
 certify reads, q~_0, from the trajectory (hence the trajectory argument of
 reverse_from_json) when it is first read: pi pushed through the rebuilt
@@ -41,8 +46,6 @@ from . import process as pr
 from . import quantile as qt
 
 __all__ = [
-    "spec_to_dict",
-    "spec_from_dict",
     "trajectory_to_json",
     "trajectory_from_json",
     "reverse_to_json",
@@ -51,32 +54,18 @@ __all__ = [
 ]
 
 # The manifest keys of a trajectory archive.
-_TRAJECTORY_KEYS = {"spec", "gamma", "family", "xi_norms", "solver_iterations"}
+_TRAJECTORY_KEYS = {"xi_norms", "solver_iterations"}
 # The manifest of a perturbed reverse archive, its only member.
-_REVERSE_KEYS = {"residuals", "amplitudes", "mode", "seed", "exact"}
+_REVERSE_KEYS = {"residuals", "amplitudes"}
 
-# Decode table: a trajectory manifest's "family" (the measure type's `family`) ->
-# the measure type and the map type of its stored transports (None: not stored,
+# Family name (the config's `family`, the measure type's `family`) -> the
+# measure type and the map type of its stored transports (None: not stored,
 # as grid maps are rebuilt as qt.ot_map(p_{n-1}, p_n)).
 _FAMILIES = {"grid": (qt.QuantileGrid, None), "gaussian": (ga.GaussianMeasure, ga.AffineMap)}
 
 
 class StaleArchiveError(ValueError):
     """An archive in a layout this version does not write, or not of the given trajectory."""
-
-
-def spec_to_dict(spec: fn.ObjectiveSpec) -> dict:
-    return {
-        "variant": spec.variant.value,
-        "lambda_mat": spec.potential.lambda_mat.tolist(),
-        "center": spec.potential.center.tolist(),
-        "alpha": spec.alpha,
-    }
-
-
-def spec_from_dict(d: dict) -> fn.ObjectiveSpec:
-    pot = fn.QuadraticPotential(np.array(d["lambda_mat"]), np.array(d["center"]))
-    return fn.ObjectiveSpec(pot, fn.Variant(d["variant"]), d["alpha"])
 
 
 def _pack(manifest: dict, arrays: dict) -> bytes:
@@ -104,55 +93,55 @@ def _unstack(arrays: dict, cls) -> list:
 
 
 def trajectory_to_json(traj: pr.Trajectory) -> bytes:
-    family = traj.measures[0].family
-    kind, map_kind = _FAMILIES[family]
+    kind, map_kind = _FAMILIES[traj.measures[0].family]
     arrays = _stack(traj.measures, kind)
     if map_kind is not None:
         arrays.update(_stack(traj.transports, map_kind))
-    return _pack({"spec": spec_to_dict(traj.spec), "gamma": traj.gamma, "family": family,
-                  "xi_norms": list(traj.xi_norms),
+    return _pack({"xi_norms": list(traj.xi_norms),
                   "solver_iterations": list(traj.solver_iterations)}, arrays)
 
 
-def trajectory_from_json(data: bytes) -> pr.Trajectory:
-    """Load a trajectory; StaleArchiveError: not the layout trajectory_to_json writes."""
+def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float,
+                         family: str) -> pr.Trajectory:
+    """Load the trajectory of a run of `spec` with step `gamma` in `family`.
+
+    StaleArchiveError: not the layout trajectory_to_json writes for `family`.
+    """
     d, arrays = _unpack(data)
-    kind, map_kind = _FAMILIES.get(d.get("family"), (None, None))
+    kind, map_kind = _FAMILIES[family]
     members = {f.name for cls in (kind, map_kind) if cls for f in dataclasses.fields(cls)}
-    if set(d) != _TRAJECTORY_KEYS or kind is None or set(arrays) != members:
-        raise StaleArchiveError(f"not a trajectory archive (members {['manifest', *arrays]}, "
-                                f"manifest keys {sorted(d)}, family {d.get('family')!r})")
-    del d["family"]
+    if set(d) != _TRAJECTORY_KEYS or set(arrays) != members:
+        raise StaleArchiveError(f"not a {family} trajectory archive (members "
+                                f"{['manifest', *arrays]}, manifest keys {sorted(d)})")
     measures = _unstack(arrays, kind)
     if map_kind is None:
         transports = [qt.ot_map(a, b) for a, b in zip(measures, measures[1:])]
     else:
         transports = _unstack(arrays, map_kind)
-    d["spec"] = spec_from_dict(d["spec"])
-    return pr.Trajectory(measures=measures, transports=transports, **d)
+    return pr.Trajectory(spec=spec, gamma=gamma, measures=measures, transports=transports, **d)
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:
     """Store a perturbed reverse run as a manifest."""
-    return _pack({"residuals": list(run.residuals), "amplitudes": list(run.amplitudes),
-                  "mode": run.mode.value, "seed": run.seed, "exact": False}, {})
+    return _pack({"residuals": list(run.residuals), "amplitudes": list(run.amplitudes)}, {})
 
 
-def reverse_from_json(data: bytes, traj: pr.Trajectory) -> pr.ReverseRun:
-    """Load a perturbed reverse run of `traj`; its q~_0 is derived when read.
+def reverse_from_json(data: bytes, traj: pr.Trajectory, mode: jko.PerturbMode,
+                      seed: int) -> pr.ReverseRun:
+    """Load the perturbed reverse run of `traj` made with `mode` and `seed`; its
+    q~_0 is derived when read.
 
-    StaleArchiveError: the archive holds arrays or lacks a manifest key (the
-    layout of older versions, which stored the maps and measures), or its
-    amplitude count is not the trajectory's step count.
+    StaleArchiveError: the archive holds arrays or other manifest keys (the
+    layouts of older versions, which stored the maps and measures, or the
+    mode and seed), or its amplitude count is not the trajectory's step count.
     """
     d, arrays = _unpack(data)
-    if arrays or set(d) != _REVERSE_KEYS or d["exact"] is not False:
+    if arrays or set(d) != _REVERSE_KEYS:
         raise StaleArchiveError(
             f"not a perturbed reverse manifest (members {['manifest', *arrays]}, "
-            f"manifest keys {sorted(d)}); older versions stored the maps and measures")
+            f"manifest keys {sorted(d)}); older versions stored the maps and measures, "
+            f"or the mode and seed")
     if not len(d["amplitudes"]) == len(d["residuals"]) == traj.n_steps:
         raise StaleArchiveError(
             f"{len(d['amplitudes'])} amplitudes for a trajectory of {traj.n_steps} steps")
-    del d["exact"]
-    d["mode"] = jko.PerturbMode(d["mode"])
-    return pr.ReverseRun(traj=traj, **d)
+    return pr.ReverseRun(traj=traj, mode=mode, seed=seed, **d)

@@ -181,12 +181,12 @@ class TestAcceptance:
             d = i % 3 + 1
             traj = pr.run_forward(_random_gaussian_p0(rng, d), kl_spec(d=d), 1.0, 5,
                                   eps_schedule=EPS_CYCLE[i % 4] or None, seed=i)
-            worst_g = max(worst_g, ct.check_dpi_chain(traj).lhs)
+            worst_g = max(worst_g, ct.check_dpi_chain(traj)[0].lhs)
         for i in range(4):
             p0 = _random_grid_p0(rng, m=4096)
             traj = pr.run_forward(p0, kl_spec(), 1.0, 3,
                                   eps_schedule=EPS_CYCLE[i % 4] or None, seed=i)
-            worst_q = max(worst_q, ct.check_dpi_chain(traj).lhs)
+            worst_q = max(worst_q, ct.check_dpi_chain(traj)[0].lhs)
         ok = worst_g <= 1e-10 and worst_q <= 1e-4
         _verdict(5, "full-chain data-processing equality", ok,
                  f"gaussian {worst_g:.2e} <= 1e-10, grid {worst_q:.2e} <= 1e-4")

@@ -249,22 +249,22 @@ class TestDpi:
 
     def test_chain_identity(self):
         traj = gauss_traj(4, eps=0.05)
-        r = ct.check_dpi_chain(traj)
+        (r,) = ct.check_dpi_chain(traj)
         assert r.holds and r.lhs <= ga.GaussianMeasure.dpi_tol
 
     def test_chain_identity_grid(self):
         p0 = qt.from_gaussian(1.0, 1.4, 512)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
-        assert ct.check_dpi_chain(traj).holds
+        assert ct.check_dpi_chain(traj)[0].holds
 
     @pytest.mark.parametrize("family", ["gaussian", "grid"])
     def test_moved_transport_fails(self, family, mean_shift_runs):
         # must-fail control: the exact reverse chain runs through one moved map
         traj = mean_shift_runs[family]
-        assert ct.check_dpi_chain(traj).holds
+        assert ct.check_dpi_chain(traj)[0].holds
         transports = list(traj.transports)
         transports[20] = MOVED[family](transports[20])
-        r = ct.check_dpi_chain(dataclasses.replace(traj, transports=transports))
+        (r,) = ct.check_dpi_chain(dataclasses.replace(traj, transports=transports))
         assert not r.holds and r.lhs > 10 * r.rhs  # lhs 9.7e-3 (Gaussian), 6.2e-3 (grid)
 
 

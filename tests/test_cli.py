@@ -146,11 +146,8 @@ class TestParseConfig:
         assert cfg.p0_delta == 0.2
 
     def test_auto_n_requires_positive_eps(self):
-        cfg = cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto")
-                               .replace("eps = 0.1", "eps = 0"))
-        p0 = cli.build_p0(cfg)
-        with pytest.raises(cli.ConfigError):
-            cfg.resolve_n(p0, None)
+        with pytest.raises(cli.ConfigError, match="single eps > 0"):
+            cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto").replace("eps = 0.1", "eps = 0"))
 
     def test_auto_n_value(self):
         from jkolab import functionals as fn
@@ -208,6 +205,34 @@ class TestPipeline:
         # pi's square root once, one stacked root of the N + 1 cross terms, then the pair's two
         assert roots == [(2, 2), (5 + 1, 2, 2), (2, 2), (2, 2)]
 
+    def test_certify_decomposes_lambda_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        text = gaussian_config(cli._fmt_matrix(rotated(rng, [0.5, 1.0, 2.0])),
+                               rng.standard_normal(3), rotated(rng, [0.3, 1.0, 3.0]))
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda *a, **k: calls.append(0) or eigvalsh(*a, **k))
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+        # lambda_min(Lambda) when the config is parsed; the archive holds no objective
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
+    def test_archives_hold_no_config_key(self, tmp_path, base):
+        cfgp = write(tmp_path, "c.txt", base)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        cfg = cli.parse_config(base)
+        config_keys = set(cli._raw_pairs(cfg.canonical()))
+        for suffix, keys in (("trajectory.npz", {"xi_norms", "solver_iterations"}),
+                             ("reverse_perturbed.npz", {"residuals", "amplitudes"})):
+            with np.load(tmp_path / "runs" / f"{cfg.run_id()}_{suffix}") as z:
+                assert set(json.loads(z["manifest"].item())) == keys
+            assert not keys & config_keys
+
     def test_non_finite_archive_fails_at_load(self, tmp_path, capsys):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         for sub in ("forward", "reverse"):
@@ -237,27 +262,29 @@ class TestPipeline:
         assert run(["certify", "--config", cfgp], tmp_path) == 0
 
     def test_seed_override_changes_run(self, tmp_path):
-        cfgp = write(tmp_path, "c.txt", BASE_GRID)
-        assert run(["forward", "--config", cfgp, "--seed-override", "3"],
-                   tmp_path) == 0
-        cfg = cli.parse_config(BASE_GRID)
-        cfg.seed = 3
-        assert (tmp_path / "runs" / f"{cfg.run_id()}_forward.csv").exists()
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "seed=3"], tmp_path) == 0
+        cfg = dataclasses.replace(cli.parse_config(BASE_GAUSS), seed=3)
+        assert cfg.run_id() == cli.parse_config(BASE_GAUSS.replace("seed = 0", "seed = 3")).run_id()
+        assert sorted(os.listdir(tmp_path / "runs")) == [
+            f"{cfg.run_id()}_{s}" for s in ("config.txt", "forward.csv", "report.csv",
+                                             "reverse_perturbed.csv", "reverse_perturbed.npz",
+                                             "trajectory.npz")]
 
     def test_reverse_stores_no_derivable_data(self, tmp_path):
         cfgp = write(tmp_path, "c.txt", BASE_GRID)
         for sub in ("forward", "reverse"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
-        rid = cli.parse_config(BASE_GRID).run_id()
+        cfg = cli.parse_config(BASE_GRID)
+        rid = cfg.run_id()
         runs = tmp_path / "runs"
         assert sorted(os.listdir(runs)) == [
             f"{rid}_{s}" for s in ("config.txt", "forward.csv", "reverse_perturbed.csv",
                                    "reverse_perturbed.npz", "trajectory.npz")]
-        blob = (runs / f"{rid}_reverse_perturbed.npz").read_bytes()
         with np.load(runs / f"{rid}_reverse_perturbed.npz") as z:
             assert z.files == ["manifest"]
-        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
-        pert = sz.reverse_from_json(blob, traj)
+        traj = cli._load_trajectory(cfg, rid, str(runs))
+        pert = cli._load_reverse(cfg, rid, str(runs), traj)
         maps = ref.reverse_maps(pert)
         assert len(maps) == traj.n_steps == 3
         for k, s in enumerate(maps, 1):
@@ -281,11 +308,12 @@ class TestPipeline:
         for sub in ("forward", "reverse"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
         status = run(["certify", "--config", cfgp], tmp_path)
-        rid = cli.parse_config(BASE_GRID).run_id()
+        cfg = cli.parse_config(BASE_GRID)
+        rid = cfg.run_id()
         runs = tmp_path / "runs"
         report = (runs / f"{rid}_report.csv").read_bytes()
         # an exact-reverse archive as earlier versions wrote it, with a doctored q_0
-        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
+        traj = cli._load_trajectory(cfg, rid, str(runs))
         values = np.array([q.values for q in pr.run_reverse_exact(traj)])
         values[0] += 1.0
         with open(runs / f"{rid}_reverse_exact.npz", "wb") as f:
@@ -338,7 +366,7 @@ class TestSweepAndReport:
         samples = {"gamma": "0.5", "eps": "0.2", "eps_inv": "0.01", "seed": "4",
                    "family.m": "64"}
         for key in cli.SWEEP_KEYS:
-            cfg = cli._sweep_config(BASE_GRID, {key: samples[key]}, None)
+            cfg = cli._sweep_config(BASE_GRID, {key: samples[key]})
             assert f"{key} = {samples[key]}\n" in cfg.canonical()
 
     def test_objective_dim_is_not_sweepable(self, tmp_path, capsys):
@@ -411,9 +439,9 @@ class TestExitCodes:
         seen = []
         monkeypatch.setattr(cli, "do_certify",
                             lambda cfg, rid, out, checks: seen.append((cfg.seed, checks)) or 0)
+        seeded = write(tmp_path, "seeded.txt", BASE_GAUSS.replace("seed = 0", "seed = 3"))
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
-        assert run(["certify", "--config", cfgp, "--checks", "evi,kl_tv",
-                    "--seed-override", "3"], tmp_path) == 0
+        assert run(["certify", "--config", seeded, "--checks", "evi,kl_tv"], tmp_path) == 0
         assert run(["certify", "--config", cfgp], tmp_path) == 0
         assert seen == [(3, ["evi", "kl_tv"]), (0, None)]
 
@@ -493,15 +521,21 @@ class TestExitCodes:
     def test_trajectory_archive_of_another_layout_is_missing_data(self, tmp_path, capsys, base):
         cfgp = write(tmp_path, "c.txt", base)
         assert run(["forward", "--config", cfgp], tmp_path) == 0
-        path = tmp_path / "runs" / f"{cli.parse_config(base).run_id()}_trajectory.npz"
+        cfg = cli.parse_config(base)
+        path = tmp_path / "runs" / f"{cfg.run_id()}_trajectory.npz"
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
         manifest = json.loads(arrays.pop("manifest").item())
         renamed = {("xi" if k == "xi_norms" else k): v for k, v in manifest.items()}
+        # earlier versions also stored the run's inputs, which its config records
+        pot = cfg.spec.potential
+        inputs = {"spec": {"variant": cfg.spec.variant.value, "lambda_mat": pot.lambda_mat.tolist(),
+                           "center": pot.center.tolist(), "alpha": cfg.spec.alpha},
+                  "gamma": cfg.gamma, "family": cfg.family}
         member = sorted(arrays)[0]
         for doctored in (arrays,  # no manifest
                          {**arrays, "manifest": np.array(json.dumps(renamed))},
-                         {**arrays, "manifest": np.array(json.dumps({**manifest, "family": "x"}))},
+                         {**arrays, "manifest": np.array(json.dumps({**inputs, **manifest}))},
                          {k: v for k, v in arrays.items() if k != member}
                          | {"manifest": np.array(json.dumps(manifest))}):
             with open(path, "wb") as f:
@@ -522,10 +556,11 @@ class TestExitCodes:
         for sub in ("forward", "reverse"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
         runs = tmp_path / "runs"
-        rid = cli.parse_config(base).run_id()
+        cfg = cli.parse_config(base)
+        rid = cfg.run_id()
         path = runs / f"{rid}_reverse_perturbed.npz"
-        traj = sz.trajectory_from_json((runs / f"{rid}_trajectory.npz").read_bytes())
-        pert = sz.reverse_from_json(path.read_bytes(), traj)
+        traj = cli._load_trajectory(cfg, rid, str(runs))
+        pert = cli._load_reverse(cfg, rid, str(runs), traj)
         # earlier versions stored every q~_n and every map S_n (on grids its y knots only)
         # and no amplitudes
         chain, maps = ref.reverse_chain(pert), ref.reverse_maps(pert)
@@ -534,9 +569,12 @@ class TestExitCodes:
         old.update({f.name: np.array([getattr(s, f.name) for s in maps])
                     for f in dataclasses.fields(maps[0]) if f.name != "x"})
         manifest = {"residuals": pert.residuals, "exact": False}
-        short = {"residuals": pert.residuals[:-1], "amplitudes": pert.amplitudes[:-1],
-                 "mode": pert.mode.value, "seed": pert.seed, "exact": False}
+        # the layout before this one also stored the run's mode and seed
+        inputs = {"residuals": pert.residuals, "amplitudes": pert.amplitudes,
+                  "mode": pert.mode.value, "seed": pert.seed, "exact": False}
+        short = {"residuals": pert.residuals[:-1], "amplitudes": pert.amplitudes[:-1]}
         for doctored in ({"manifest": np.array(json.dumps(manifest)), **old},
+                         {"manifest": np.array(json.dumps(inputs))},
                          {"manifest": np.array(json.dumps(short))}):
             with open(path, "wb") as f:
                 np.savez(f, **doctored)
@@ -596,6 +634,19 @@ class TestConfigErrorsAtParse:
         assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps, n", [("0", "auto"), ("0.1 0.2", "3"), ("0.1 0.2", "auto")],
+                             ids=["auto_zero_eps", "schedule_length", "auto_schedule"])
+    def test_step_count_is_checked_at_parse(self, tmp_path, capsys, eps, n):
+        # each used to parse: forward exited 64, reverse and certify 66 (missing run data)
+        text = (CHECKED_AT_PARSE.replace("eps = 0.1", f"eps = {eps}").replace("n = 3", f"n = {n}")
+                + P0_GAUSS)
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_key_given_twice_is_rejected(self, tmp_path, capsys):
         text = CHECKED_AT_PARSE + P0_GAUSS + "seed = 0\n# a comment\nseed = 1\n"
         lines = text.splitlines()
@@ -609,10 +660,8 @@ class TestConfigErrorsAtParse:
         assert "given twice" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [
-        ["forward", "--seed-override", "-1"],
-        ["sweep", "--seed-override", "-1"],
         ["sweep", "--axis", "seed=-1,2"],
-    ], ids=["forward_override", "sweep_override", "sweep_axis"])
+    ], ids=["sweep_axis"])
     def test_negative_seed_is_rejected(self, tmp_path, capsys, argv):
         cfgp = write(tmp_path, "c.txt", CHECKED_AT_PARSE + P0_GAUSS)
         assert run(argv + ["--config", cfgp], tmp_path) == cli.EXIT_CONFIG
@@ -704,9 +753,10 @@ class TestNegativeControl:
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         run(["forward", "--config", cfgp], tmp_path)
         run(["reverse", "--config", cfgp], tmp_path)
-        rid = cli.parse_config(BASE_GAUSS).run_id()
+        cfg = cli.parse_config(BASE_GAUSS)
+        rid = cfg.run_id()
         traj_path = tmp_path / "runs" / f"{rid}_trajectory.npz"
-        traj = sz.trajectory_from_json(traj_path.read_bytes())
+        traj = cli._load_trajectory(cfg, rid, str(tmp_path / "runs"))
         # claim ten-fold smaller first-order errors than the run really had
         traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
         traj_path.write_bytes(sz.trajectory_to_json(traj))

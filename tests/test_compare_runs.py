@@ -73,11 +73,13 @@ def test_missing_csv_fails(tmp_path, capsys):
     assert "missing in the new directory" in capsys.readouterr().out
 
 
-def write_archive(path, values, xi_norms=(0.1, 0.1), name="trajectory"):
-    """A run archive as the run store writes it: stacked arrays plus a JSON manifest."""
+def write_archive(path, values, xi_norms=(0.1, 0.1), name="trajectory", drop=()):
+    """A run archive as the run store writes it: stacked arrays plus a JSON manifest
+    (without the keys in `drop`)."""
     os.makedirs(path, exist_ok=True)
     manifest = {"gamma": 1.0, "family": "grid", "xi_norms": list(xi_norms),
                 "spec": {"lambda_mat": [[1.0]], "variant": "kl"}}
+    manifest = {k: v for k, v in manifest.items() if k not in drop}
     np.savez(os.path.join(path, f"{RID}_{name}.npz"),
              manifest=np.array(json.dumps(manifest)), values=np.asarray(values))
     return str(path)
@@ -118,3 +120,20 @@ def test_missing_archive_fails(tmp_path, capsys):
     new = write_archive(tmp_path / "new", VALUES)
     assert compare_runs.main([old, new]) == 1
     assert f"{RID}_reverse_exact.npz: missing in the new directory" in capsys.readouterr().out
+
+
+def test_manifest_key_difference_names_the_keys_and_compares_the_rest(tmp_path, capsys):
+    old = write_archive(tmp_path / "old", VALUES)
+    new = write_archive(tmp_path / "new", VALUES, drop=("gamma", "spec"))
+    assert compare_runs.main([old, new]) == 1
+    out = capsys.readouterr().out
+    assert ("manifest keys differ: only in the old archive ['gamma', 'spec'], "
+            "only in the new []") in out
+    assert "1 differences" in out
+    assert compare_runs.compare(old, new).worst[("trajectory.npz", "manifest.xi_norms")] == [
+        0.0, 0.0]
+    newer = write_archive(tmp_path / "newer", VALUES, xi_norms=(0.1, 0.2), drop=("family",))
+    assert compare_runs.main([old, newer]) == 1
+    out = capsys.readouterr().out
+    assert "only in the old archive ['family'], only in the new []" in out
+    assert "manifest.xi_norms: 0.1 vs 0.2" in out

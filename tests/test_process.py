@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 import reference as ref
 
+from jkolab import cli
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
 from jkolab import jko
 from jkolab import process as pr
 from jkolab import quantile as qt
-from jkolab import serialize as sz
 
-NEGATIVE_CONTROL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "negative_control",
-                                "f386adaefbcf_trajectory.npz")
+NEGATIVE_CONTROL = os.path.join(os.path.dirname(__file__), "..", "fixtures", "negative_control")
 
 
 def kl_spec(lam=1.0, d=1):
@@ -278,8 +277,9 @@ class TestMinimizerDistances:
 
 
 def negative_control_traj():
-    with open(NEGATIVE_CONTROL, "rb") as f:
-        return sz.trajectory_from_json(f.read())
+    with open(os.path.join(NEGATIVE_CONTROL, "config.txt")) as f:
+        cfg = cli.parse_config(f.read())
+    return cli._load_trajectory(cfg, cfg.run_id(), NEGATIVE_CONTROL)
 
 
 class TestExactQ0:
