@@ -94,8 +94,8 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
     """Geometric W2 decay plus the terminal W2 / objective-gap bounds.
 
     eps is the max of the measured xi norms; the terminal reports appear at
-    every step index from pr.steps_threshold on (none when eps = 0).
-    The threshold is -inf when p_0 is the minimizer (W2(p_0, pi) = 0).
+    every step index from pr.steps_threshold on (none when eps = 0), which is
+    -inf when p_0 is the minimizer (W2(p_0, pi) = 0).
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
@@ -108,7 +108,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
         reports.append(BoundReport("forward_rate", w[n] ** 2, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
-        threshold = pr.steps_threshold(w[0], lam, gamma, eps) if w[0] > 0 else -math.inf
+        threshold = pr.steps_threshold(w[0], lam, gamma, eps)
         g_min = fn.minimum_value(spec)
         for n in range(1, traj.n_steps + 1):
             if n < threshold:
@@ -184,8 +184,7 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     lam = traj.spec.lam
     w0 = traj.w2_to_minimizer[0]
     mixed_ctx = {**ctx, "eps": eps, "w2_p0_q": w0}
-    if (k > 1e-12 and eps > 0 and w0 > 0
-            and n <= 1 + pr.steps_threshold(w0, lam, gamma, eps)):
+    if k > 1e-12 and eps > 0 and n <= 1 + pr.steps_threshold(w0, lam, gamma, eps):
         rhs_cor = (math.exp(2 * gamma * k) / (gamma * k)
                    * (w0 * lam) ** (8 * k / lam) * eps_inv / eps ** (8 * k / lam))
         if not math.isfinite(rhs_cor):

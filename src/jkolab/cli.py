@@ -152,11 +152,7 @@ class RunConfig:
     def resolve_n(self, p0, q) -> int:
         if self.n_steps != "auto":
             return self.n_steps
-        w0 = p0.w2(q)
-        if w0 == 0:
-            raise ConfigError("n = auto needs W2(p0, pi) > 0, but p0 is the minimizer pi "
-                              "(the step count grows with log W2(p0, pi)); set n explicitly")
-        return pr.steps_needed(w0, self.spec.lam, self.gamma, self.eps[0])
+        return pr.steps_needed(p0.w2(q), self.spec.lam, self.gamma, self.eps[0])
 
 
 def _raw_pairs(text: str) -> dict:
@@ -185,6 +181,14 @@ def _check_list(names: list, n_steps, eps_inv: float) -> list:
     return names
 
 
+def _built(what: str, build, *args):
+    """build(*args), whose ValueError is a ConfigError naming `what`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     raw = _raw_pairs(text)
 
@@ -202,8 +206,7 @@ def parse_config(text: str) -> RunConfig:
         variant = fn.Variant(take("objective.variant", "kl"))
         alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
-        if spec.entropy_weight <= 0:
-            raise ConfigError("runs need an entropy-bearing objective (alpha > 0)")
+        _built("the minimizer N(center, alpha lambda_mat^-1)", fn.global_minimizer, spec)
 
         family = take("family")
         if family not in ("grid", "gaussian"):
@@ -237,8 +240,7 @@ def parse_config(text: str) -> RunConfig:
             if p0_mean.size != d:
                 raise ConfigError("p0.mean dimension does not match the objective")
             p0_cov = _parse_matrix(take("p0.cov", "1"), d)
-            if not ga.GaussianMeasure(p0_mean, p0_cov).is_nondegenerate():
-                raise ConfigError("p0.cov must be symmetric positive definite")
+            _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
             p0_kind = "gaussian"
 
         gamma = _num(take("gamma"))

@@ -5,10 +5,11 @@ V(x) = (1/2)(x - mu*)^T Lambda (x - mu*), Lambda SPD.  The objective is
 
     G(rho) = alpha * H(rho) + E_rho[V] + log Z,
 
-with alpha = 1 (plain KL), alpha = 0 (potential only), or a general
-alpha >= 0.  The constant log Z is fixed so the KL variant is a true
-divergence (zero at q).  The convexity modulus is lambda_min(Lambda) for
-every variant (the entropy contributes convexity >= 0).
+with alpha = 1 (plain KL) or a general alpha > 0: every objective carries
+entropy, so its minimizer is a nondegenerate Gaussian.  The constant log Z
+is fixed so the KL variant is a true divergence (zero at q).  The convexity
+modulus is lambda_min(Lambda) for every variant (the entropy contributes
+convexity >= 0).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ __all__ = [
 
 class Variant(enum.Enum):
     KL = "kl"
-    POTENTIAL_ONLY = "potential_only"
     WEIGHTED = "weighted"
 
 
@@ -91,14 +91,8 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.variant is Variant.KL:
             object.__setattr__(self, "alpha", 1.0)
-        elif self.variant is Variant.POTENTIAL_ONLY:
-            object.__setattr__(self, "alpha", 0.0)
-        elif self.alpha < 0:
-            raise ValueError("entropy weight must be nonnegative")
-
-    @property
-    def entropy_weight(self) -> float:
-        return self.alpha
+        elif not self.alpha > 0:
+            raise ValueError("the objective needs entropy: alpha must be positive")
 
     @property
     def lam(self) -> float:
@@ -116,15 +110,11 @@ def evaluate(spec: ObjectiveSpec, measure) -> float:
 
 
 def global_minimizer(spec: ObjectiveSpec) -> ga.GaussianMeasure:
-    """The unique global minimizer of G.
+    """The unique global minimizer of G: N(mu*, alpha Lambda^{-1}).
 
-    KL: N(mu*, Lambda^{-1}); weighted: N(mu*, alpha Lambda^{-1});
-    potential-only: the point mass at mu* (zero covariance), valid only as a
-    W2 endpoint.
+    ValueError: that covariance is below GaussianMeasure's nondegeneracy floor.
     """
     pot = spec.potential
-    if spec.variant is Variant.POTENTIAL_ONLY:
-        return ga.GaussianMeasure(pot.center, np.zeros((pot.dim, pot.dim)))
     lam_inv = np.linalg.inv(pot.lambda_mat)
     lam_inv = 0.5 * (lam_inv + lam_inv.T)
     return ga.GaussianMeasure(pot.center, spec.alpha * lam_inv)
@@ -132,6 +122,4 @@ def global_minimizer(spec: ObjectiveSpec) -> ga.GaussianMeasure:
 
 def minimum_value(spec: ObjectiveSpec) -> float:
     """G at the global minimizer (0 for the KL variant)."""
-    if spec.variant is Variant.POTENTIAL_ONLY:
-        return spec.potential.log_z
     return evaluate(spec, global_minimizer(spec))

@@ -31,20 +31,17 @@ _POSDEF_MIN = 1e-10
 
 @dataclass(frozen=True)
 class GaussianMeasure:
-    """Mean vector and symmetric positive semi-definite covariance.
+    """Mean vector and symmetric positive definite covariance.
 
-    Semi-definite covariances are allowed (they arise as degenerate W2
-    endpoints, e.g. the minimizer of a potential-only objective); strictly
-    positive definite covariance is required for entropy-bearing operations.
-
-    Construction validates with one Cholesky factorization and keeps its
-    lower factor as `chol` (None when Cholesky rejects the covariance, which
-    is then eigendecomposed to tell a semi-definite one from an indefinite
-    one); the log-determinant and the nondegeneracy test come from Cholesky.
-    The factors V diag(evals) V^T (`evals` ascending, `evecs` = V) come from
-    one `eigh` on first read and serve the square root, inverse square root
-    and precision, derived on first use.  All of them are cached and
-    read-only; `chol` is not a dataclass field.
+    Construction validates the covariance by one Cholesky factorization of
+    cov - 1e-10 I: a measure exists only when it succeeds, which is the rule
+    "smallest eigenvalue >= 1e-10" up to roundoff at the boundary, so every
+    measure has an entropy, a precision and a log-determinant.  The lower
+    Cholesky factor `chol` of cov, from which log_det comes, is computed on
+    first read.  The factors V diag(evals) V^T (`evals` ascending, `evecs` =
+    V) come from one `eigh` on first read and serve the square root, inverse
+    square root and precision, derived on first use.  All of them are cached
+    and read-only; `chol` is not a dataclass field.
     """
 
     mean: np.ndarray
@@ -68,12 +65,14 @@ class GaussianMeasure:
         for name, arr in (("mean", mean), ("cov", cov)):
             object.__setattr__(self, name, _frozen(arr))
         try:
-            chol = _frozen(np.linalg.cholesky(cov))
+            np.linalg.cholesky(cov - _POSDEF_MIN * np.eye(mean.size))
         except np.linalg.LinAlgError:
-            chol = None
-            if self.evals[0] < -1e-10 * scale:
-                raise ValueError("covariance has a negative eigenvalue") from None
-        object.__setattr__(self, "chol", chol)
+            raise ValueError("covariance is not positive definite: its smallest eigenvalue "
+                             f"is below {_POSDEF_MIN:g}") from None
+
+    @cached_property
+    def chol(self) -> np.ndarray:
+        return _frozen(np.linalg.cholesky(self.cov))
 
     @cached_property
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -88,50 +87,25 @@ class GaussianMeasure:
         return self.mean.size
 
     @cached_property
-    def _nondegenerate(self) -> bool:
-        if self.chol is None:
-            return False
-        try:
-            np.linalg.cholesky(self.cov - _POSDEF_MIN * np.eye(self.dim))
-        except np.linalg.LinAlgError:
-            return False
-        return True
-
-    def is_nondegenerate(self) -> bool:
-        """Whether Cholesky of cov - 1e-10 I succeeds, decided once per measure.
-
-        This is the rule "smallest eigenvalue >= 1e-10" up to roundoff at the
-        boundary, without an eigendecomposition.
-        """
-        return self._nondegenerate
-
-    def require_nondegenerate(self):
-        if not self.is_nondegenerate():
-            raise ValueError("operation requires a strictly positive definite covariance")
-
-    @cached_property
     def sqrt(self) -> np.ndarray:
-        """Sigma^{1/2}, equal to spd_sqrt(cov); valid for singular covariances too."""
+        """Sigma^{1/2}, equal to spd_sqrt(cov)."""
         return _frozen(_eig_sqrt(self.evals, self.evecs))
 
     @cached_property
     def inv_sqrt(self) -> np.ndarray:
-        """Sigma^{-1/2}; requires a nondegenerate covariance."""
-        self.require_nondegenerate()
+        """Sigma^{-1/2}."""
         v = self.evecs
         return _frozen((v / np.sqrt(self.evals)) @ v.T)
 
     @cached_property
     def precision(self) -> np.ndarray:
-        """Sigma^{-1}; requires a nondegenerate covariance."""
-        self.require_nondegenerate()
+        """Sigma^{-1}."""
         v = self.evecs
         return _frozen((v / self.evals) @ v.T)
 
     @cached_property
     def log_det(self) -> float:
-        """log det Sigma = 2 sum log diag(chol); requires a nondegenerate covariance."""
-        self.require_nondegenerate()
+        """log det Sigma = 2 sum log diag(chol)."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
     # Family methods call module globals, so tracers that patch module attributes see them.
@@ -178,12 +152,7 @@ class GaussianMeasure:
     def objective(self, spec) -> float:
         """functionals.evaluate in closed form: alpha * entropy + E[V] + log Z."""
         pot = spec.potential
-        if spec.alpha > 0:
-            if not self.is_nondegenerate():
-                raise ValueError("entropy-bearing objective is +inf at a degenerate measure")
-            h = -0.5 * self.dim * math.log(2 * math.pi * math.e) - 0.5 * self.log_det
-        else:
-            h = 0.0
+        h = -0.5 * self.dim * math.log(2 * math.pi * math.e) - 0.5 * self.log_det
         dm = self.mean - pot.center
         e_v = 0.5 * (np.trace(pot.lambda_mat @ self.cov) + dm @ pot.lambda_mat @ dm)
         return float(spec.alpha * h + e_v + pot.log_z)
@@ -207,7 +176,7 @@ class GaussianMeasure:
         mean = linear @ self.mean + offset
         precision = inv.T @ self.precision @ inv
         pot = spec.potential
-        alpha = spec.entropy_weight
+        alpha = spec.alpha
         j = pot.lambda_mat - alpha * precision - (inv - np.eye(mean.size)) / gamma
         c = -pot.lambda_mat @ pot.center + alpha * precision @ mean + inv @ offset / gamma
         return (j, c), affine_field_norm(j, c, mean, linear @ self.cov @ linear.T)
@@ -289,8 +258,8 @@ def spd_sqrt(mat: np.ndarray) -> np.ndarray:
     """Symmetric square root via eigendecomposition, of one matrix or of a stack (..., d, d).
 
     Eigenvalues below the 1e-14 roundoff floor are treated as exact zeros,
-    which keeps singular inputs singular instead of leaking sqrt(1e-14)
-    into every degenerate distance.  Each matrix of a stack gets the bits
+    which keeps a singular input singular instead of leaking sqrt(1e-14)
+    into its root.  Each matrix of a stack gets the bits
     of its own call: eigh and matmul run per matrix.
     """
     return _eig_sqrt(*np.linalg.eigh(0.5 * (mat + np.swapaxes(mat, -1, -2))))
@@ -307,7 +276,7 @@ def _check_dims(g1: GaussianMeasure, g2: GaussianMeasure):
 
 
 def w2_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
-    """Bures-Wasserstein distance; valid for singular covariances too.
+    """Bures-Wasserstein distance.
 
     The one-pair case of _w2_bw, which GaussianMeasure.w2_from and w2_pairs
     run over whole chains.
@@ -357,9 +326,8 @@ def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
 
 
 def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
-    """KL(g1 || g2) between two nondegenerate Gaussians, closed form."""
+    """KL(g1 || g2) between two Gaussians, closed form."""
     _check_dims(g1, g2)
-    g1.require_nondegenerate()
     prec2 = g2.precision
     dm = g1.mean - g2.mean
     val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)

@@ -127,9 +127,6 @@ def jko_step_gaussian(
     exceed GAUSSIAN_TOL.
     """
     _check_gamma(gamma)
-    if spec.entropy_weight <= 0:
-        raise ValueError("Gaussian JKO step requires an entropy-bearing objective")
-    p_n.require_nondegenerate()
     pot = spec.potential
     eye = np.eye(p_n.dim)
     lam = pot.lambda_mat
@@ -137,7 +134,7 @@ def jko_step_gaussian(
     mean = np.linalg.solve(eye + gamma * lam, p_n.mean + gamma * lam @ pot.center)
 
     s, v = p_n.evals, p_n.evecs
-    c = (v * np.sqrt(spec.entropy_weight * gamma / s)) @ v.T
+    c = (v * np.sqrt(spec.alpha * gamma / s)) @ v.T
     mu, w = np.linalg.eigh(c @ (eye + gamma * lam) @ c)
     # eigenvalues of Y^{-1}: 1 / (sqrt(1/4 + mu) - 1/2), without the cancellation
     a = c @ ((w * ((0.5 + np.sqrt(0.25 + mu)) / mu)) @ w.T) @ c
@@ -166,12 +163,10 @@ def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float,
     pot = spec.potential
     m = q.size
     d = q - pot.center[0]
+    if gaps is None:
+        gaps = np.diff(q)
     val = np.mean(0.5 * (d * pot.lambda_mat[0, 0] * d)) + np.mean((q - q_n) ** 2) / (2 * gamma)
-    if spec.entropy_weight > 0:
-        if gaps is None:
-            gaps = np.diff(q)
-        val -= spec.entropy_weight / m * np.sum(np.log(m * gaps))
-    return float(val)
+    return float(val - spec.alpha / m * np.sum(np.log(m * gaps)))
 
 
 def jko_step_grid(
@@ -196,7 +191,7 @@ def jko_step_grid(
     pot = spec.potential
     if pot.dim != 1:
         raise ValueError("grid JKO step requires a 1-D objective")
-    alpha = spec.entropy_weight
+    alpha = spec.alpha
     lam_scalar = float(pot.lambda_mat[0, 0])
     q_n = p_n.values
     m = p_n.m
@@ -208,25 +203,20 @@ def jko_step_grid(
         xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
         if np.max(np.abs(xi)) <= GRID_TOL:
             break
-        diag = np.full(m, lam_scalar + 1.0 / gamma)
-        off = np.zeros(m - 1)
-        if alpha > 0:
-            inv_g2 = 1.0 / (gaps * gaps)
-            diag[:-1] += alpha * inv_g2
-            diag[1:] += alpha * inv_g2
-            off -= alpha * inv_g2
+        barrier = alpha * (1.0 / (gaps * gaps))
         ab = np.zeros((2, m))
-        ab[0, 1:] = off
-        ab[1, :] = diag
+        ab[0, 1:] = -barrier
+        ab[1, :] = lam_scalar + 1.0 / gamma
+        ab[1, :-1] += barrier
+        ab[1, 1:] += barrier
         step = solveh_banded(ab, -xi)
 
         # fraction-to-boundary: keep every gap at >= 1% of its current value
         t = 1.0
-        if alpha > 0:
-            dgaps = np.diff(step)
-            shrink = dgaps < 0
-            if np.any(shrink):
-                t = min(1.0, float(np.min(-0.99 * gaps[shrink] / dgaps[shrink])))
+        dgaps = np.diff(step)
+        shrink = dgaps < 0
+        if np.any(shrink):
+            t = min(1.0, float(np.min(-0.99 * gaps[shrink] / dgaps[shrink])))
         # Close to the optimum the decrease a Newton step predicts is below
         # the resolution of phi, so allow a rise of a few ulps of the
         # magnitude of the terms phi sums.

@@ -164,15 +164,18 @@ class AtomicMeasure:
 
 
 def steps_threshold(w2_p0_q: float, lam: float, gamma: float, eps: float) -> float:
-    """(8/(gamma lambda)) (log W2(p0,q) + log(lambda/eps)), steps_needed before rounding."""
+    """(8/(gamma lambda)) (log W2(p0,q) + log(lambda/eps)), steps_needed before rounding;
+    -inf when p0 is q (W2 = 0)."""
+    if w2_p0_q == 0:
+        return -math.inf
     return 8.0 / (gamma * lam) * (math.log(w2_p0_q) + math.log(lam / eps))
 
 
 def steps_needed(w2_p0_q: float, lam: float, gamma: float, eps: float) -> int:
     """N = ceil(steps_threshold), clamped >= 1."""
-    if w2_p0_q <= 0 or lam <= 0 or gamma <= 0 or eps <= 0:
-        raise ValueError("all arguments must be positive")
-    return max(1, math.ceil(steps_threshold(w2_p0_q, lam, gamma, eps)))
+    if w2_p0_q < 0 or lam <= 0 or gamma <= 0 or eps <= 0:
+        raise ValueError("W2 must be nonnegative and lambda, gamma and eps positive")
+    return math.ceil(max(1.0, steps_threshold(w2_p0_q, lam, gamma, eps)))
 
 
 # ---------------------------------------------------------------------------

@@ -114,8 +114,7 @@ class QuantileGrid:
         if pot.dim != 1:
             raise ValueError("grid measures require a 1-D objective")
         e_v = float(np.mean(pot.v(self.values[:, None])))
-        h = entropy(self) if spec.alpha > 0 else 0.0
-        return spec.alpha * h + e_v + pot.log_z
+        return spec.alpha * entropy(self) + e_v + pot.log_z
 
     def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> tuple[np.ndarray, float]:
         """jko.measure_xi of the transport with knots (x, y), which must start at this grid.
@@ -340,7 +339,7 @@ def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
     pot = spec.potential
     field = (
         pot.lambda_mat[0, 0] * (q - pot.center[0])
-        + spec.entropy_weight * gap_score(gaps)
+        + spec.alpha * gap_score(gaps)
         + (q - q_n) / gamma
     )
     return field, float(np.sqrt(np.mean(field * field)))

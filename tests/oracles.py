@@ -51,21 +51,17 @@ class BudgetExhausted(RuntimeError):
 
 def _grid_objective(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float:
     m = q.size
-    val = float(np.mean(spec.potential.v(q[:, None]))
-                + np.mean((q - q_n) ** 2) / (2 * gamma))
-    if spec.entropy_weight > 0:
-        val -= spec.entropy_weight / m * float(np.sum(np.log(m * np.diff(q))))
-    return val
+    return float(np.mean(spec.potential.v(q[:, None])) + np.mean((q - q_n) ** 2) / (2 * gamma)
+                 - spec.alpha / m * float(np.sum(np.log(m * np.diff(q)))))
 
 
 def _grid_objective_grad(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> np.ndarray:
     m = q.size
     g = (spec.potential.grad_v(q[:, None])[:, 0] + (q - q_n) / gamma) / m
-    if spec.entropy_weight > 0:
-        gaps = np.diff(q)
-        a = spec.entropy_weight / m
-        g[:-1] += a / gaps
-        g[1:] -= a / gaps
+    gaps = np.diff(q)
+    a = spec.alpha / m
+    g[:-1] += a / gaps
+    g[1:] -= a / gaps
     return g
 
 
@@ -120,11 +116,11 @@ def _brute_jko_gaussian(p_n: ga.GaussianMeasure, spec, gamma: float,
         return ga.GaussianMeasure(mean, cov)
 
     def objective(theta):
-        g = unpack(theta)
-        try:
-            val = fn.evaluate(spec, g)
+        try:  # a trial covariance below the nondegeneracy floor is no measure
+            g = unpack(theta)
         except ValueError:
             return 1e12
+        val = fn.evaluate(spec, g)
         dist = ga.w2_bw(p_n, g)
         return val + dist * dist / (2 * gamma)
 

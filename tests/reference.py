@@ -47,7 +47,7 @@ def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:
     x -> Lambda (x - mu*) - alpha Sigma^{-1} (x - m).
     """
     pot = spec.potential
-    alpha = spec.entropy_weight
+    alpha = spec.alpha
     prec = g.precision
     j = pot.lambda_mat - alpha * prec
     c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
@@ -84,7 +84,7 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
     lam = spec.lam
     if isinstance(p, qt.QuantileGrid):
         eta_vals = (spec.potential.grad_v(rho.values[:, None])[:, 0]
-                    + spec.entropy_weight * qt.score(rho))
+                    + spec.alpha * qt.score(rho))
         t_rho = qt.ot_map(p, rho)
         t_pi = qt.ot_map(p, pi)
         diff = t_pi(p.values) - t_rho(p.values)

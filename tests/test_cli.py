@@ -478,12 +478,14 @@ class TestExitCodes:
         assert len(evals) == 1 and evals[0] <= 6
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
-    def test_auto_n_from_the_minimizer_is_config_error(self, tmp_path, capsys, base):
+    def test_auto_n_from_the_minimizer_runs_one_step(self, tmp_path, capsys, base):
+        # W2(p0, pi) = 0, so the step-count threshold is -inf and n = auto is 1;
+        # forward used to exit 64 on it, reverse and certify 66
         cfgp = write(tmp_path, "c.txt", from_minimizer(base, "auto"))
-        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "config error: n = auto needs W2(p0, pi) > 0" in err
-        assert "Traceback" not in err
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        out = capsys.readouterr().out
+        assert "forward run, 1 steps" in out and "8/8 bounds hold" in out
 
     def test_gaussian_run_from_the_minimizer_certifies(self, tmp_path, capsys):
         cfgp = write(tmp_path, "c.txt", from_minimizer(BASE_GAUSS, 1))
@@ -667,6 +669,21 @@ class TestConfigErrorsAtParse:
         assert run(argv + ["--config", cfgp], tmp_path) == cli.EXIT_CONFIG
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
+    def test_minimizer_below_the_floor_is_config_error(self, tmp_path, capsys, base):
+        # pi = N(0, 1e-11) is below the 1e-10 floor: the Gaussian forward used to
+        # exit 70 in its first step, the grid forward 2 in its Newton solve
+        text = base.replace("objective.lambda_mat = 1\n", "") + "objective.lambda_mat = 1e11\n"
+        with pytest.raises(cli.ConfigError, match="the minimizer"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: the minimizer N(center, alpha lambda_mat^-1): covariance is not " \
+               "positive definite" in err
+        assert "Traceback" not in err
+
 
 def gaussian_config(lam, mean, cov):
     return BASE_GAUSS.replace("objective.lambda_mat = 1", f"objective.lambda_mat = {lam}").replace(
@@ -699,17 +716,22 @@ class TestP0Check:
         assert counts == {"eigh": 0, "eigvalsh": 1}  # Lambda's lambda_min
 
     @pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2], ids=["below", "above"])
-    def test_nondegeneracy_boundary_follows_the_eigenvalue_rule(self, tmp_path, factor):
+    def test_nondegeneracy_boundary_follows_the_eigenvalue_rule(self, tmp_path, capsys, factor):
         cov = rotated(np.random.default_rng(3), [1e-10 * factor, 1.0, 2.0])
         above = np.linalg.eigvalsh(cov)[0] >= 1e-10
         assert above == (factor > 1)
-        assert ga.GaussianMeasure(np.zeros(3), cov).is_nondegenerate() == above
         text = gaussian_config("1", np.zeros(3), cov)
         if above:
+            assert np.array_equal(ga.GaussianMeasure(np.zeros(3), cov).cov, cov)
             assert np.array_equal(cli.parse_config(text).p0_cov, cov)
         else:
+            with pytest.raises(ValueError, match="not positive definite"):
+                ga.GaussianMeasure(np.zeros(3), cov)
             cfgp = write(tmp_path, "c.txt", text)
             assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "config error: p0: covariance is not positive definite" in err
+            assert "Traceback" not in err
 
 
 class TestSweepRobustness:

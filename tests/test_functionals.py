@@ -68,12 +68,6 @@ class TestEvaluate:
         spec = spec_for(np.diag([2.0, 0.5]))
         assert fn.evaluate(spec, fn.global_minimizer(spec)) == pytest.approx(0, abs=1e-12)
 
-    def test_potential_only_closed_form(self):
-        d = 3
-        spec = spec_for(np.eye(d), variant=fn.Variant.POTENTIAL_ONLY)
-        g = ga.GaussianMeasure(np.zeros(d), np.eye(d))
-        assert fn.evaluate(spec, g) == pytest.approx(spec.potential.log_z + d / 2, abs=1e-12)
-
     def test_weighted_alpha_one_equals_kl(self):
         rng = np.random.default_rng(3)
         kl_spec = spec_for(np.diag([1.5]), np.array([0.3]))
@@ -90,19 +84,13 @@ class TestEvaluate:
         grid = qt.from_gaussian(-0.3, np.sqrt(1.5), 4096)
         assert abs(fn.evaluate(spec, g) - fn.evaluate(spec, grid)) <= 3e-3
 
-    def test_degenerate_entropy_rejected(self):
-        spec = spec_for(np.eye(2))
-        point = ga.GaussianMeasure(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            fn.evaluate(spec, point)
-
     def test_variant_forces_alpha(self):
-        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(1), np.zeros(1)),
-                                fn.Variant.KL, alpha=7.0)
-        assert spec.alpha == 1.0
-        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(1), np.zeros(1)),
-                                fn.Variant.POTENTIAL_ONLY, alpha=7.0)
-        assert spec.alpha == 0.0
+        pot = fn.QuadraticPotential(np.eye(1), np.zeros(1))
+        assert fn.ObjectiveSpec(pot, fn.Variant.KL, alpha=7.0).alpha == 1.0
+        assert fn.ObjectiveSpec(pot, fn.Variant.KL, alpha=0.0).alpha == 1.0
+        for alpha in (0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="alpha must be positive"):
+                fn.ObjectiveSpec(pot, fn.Variant.WEIGHTED, alpha)
 
 
 class TestGlobalMinimizer:
@@ -110,13 +98,6 @@ class TestGlobalMinimizer:
         spec = spec_for(np.eye(2))
         g = fn.global_minimizer(spec)
         assert np.allclose(g.mean, 0) and np.allclose(g.cov, np.eye(2))
-
-    def test_potential_only_point_mass(self):
-        spec = spec_for(np.eye(2), np.array([1.0, -1.0]), fn.Variant.POTENTIAL_ONLY)
-        g = fn.global_minimizer(spec)
-        assert np.allclose(g.mean, [1.0, -1.0]) and np.allclose(g.cov, 0)
-        other = ga.GaussianMeasure(np.zeros(2), np.eye(2))
-        assert fn.evaluate(spec, other) > fn.evaluate(spec, g)
 
     def test_weighted_alpha_two(self):
         spec = spec_for(np.eye(2), variant=fn.Variant.WEIGHTED, alpha=2.0)

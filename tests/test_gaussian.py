@@ -47,12 +47,6 @@ class TestGaussianMeasure:
         with pytest.raises(ValueError):
             ga.GaussianMeasure(np.zeros(2), np.diag([1.0, -0.5]))
 
-    def test_degenerate_allowed_but_flagged(self):
-        g = ga.GaussianMeasure(np.zeros(2), np.zeros((2, 2)))
-        assert not g.is_nondegenerate()
-        with pytest.raises(ValueError):
-            g.require_nondegenerate()
-
     @pytest.mark.parametrize("mean, cov", [
         (np.zeros(2), np.diag([np.nan, 1.0])),
         (np.zeros(2), np.diag([np.inf, 1.0])),
@@ -66,8 +60,8 @@ class TestGaussianMeasure:
 
     @pytest.mark.parametrize("kind", ["spd", "singular_psd", "slightly_negative", "indefinite"])
     def test_accept_reject_matches_the_eigenvalue_rule(self, kind):
-        # the rule: reject iff the smallest eigenvalue of the symmetrized
-        # covariance is below -1e-10 * max(max |cov|, 1)
+        # the rule: accept iff the smallest eigenvalue of the symmetrized
+        # covariance is at least 1e-10
         rng = np.random.default_rng(3)
         q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         evals = {"spd": [0.5, 1.0, 2.0, 30.0], "singular_psd": [0.0, 0.0, 2.0, 30.0],
@@ -75,15 +69,13 @@ class TestGaussianMeasure:
                  "indefinite": [-0.5, 1.0, 2.0, 30.0]}[kind]
         cov = (q * evals) @ q.T
         cov = 0.5 * (cov + cov.T)
-        scale = max(np.max(np.abs(cov)), 1.0)
-        rejected = np.linalg.eigh(cov)[0][0] < -1e-10 * scale
-        assert rejected == (kind == "indefinite")
-        if rejected:
-            with pytest.raises(ValueError, match="negative eigenvalue"):
-                ga.GaussianMeasure(np.zeros(4), cov)
+        accepted = np.linalg.eigh(cov)[0][0] >= 1e-10
+        assert accepted == (kind == "spd")
+        if accepted:
+            assert np.array_equal(ga.GaussianMeasure(np.zeros(4), cov).cov, cov)
         else:
-            g = ga.GaussianMeasure(np.zeros(4), cov)
-            assert g.is_nondegenerate() == (kind == "spd")
+            with pytest.raises(ValueError, match="not positive definite"):
+                ga.GaussianMeasure(np.zeros(4), cov)
 
 
 class TestFactorization:
@@ -150,14 +142,6 @@ class TestFactorization:
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
-    def test_singular_covariance(self):
-        g = ga.GaussianMeasure(np.zeros(2), np.diag([4.0, 0.0]))
-        assert np.array_equal(g.sqrt, np.diag([2.0, 0.0]))
-        assert g.chol is None and not g.is_nondegenerate()
-        for name in ("precision", "inv_sqrt", "log_det"):
-            with pytest.raises(ValueError):
-                getattr(g, name)
-
 
 class TestW2Bw:
     def test_self_zero(self):
@@ -173,12 +157,6 @@ class TestW2Bw:
         g1 = ga.GaussianMeasure(np.zeros(1), np.array([[1.0]]))
         g2 = ga.GaussianMeasure(np.zeros(1), np.array([[4.0]]))
         assert ga.w2_bw(g1, g2) == pytest.approx(1.0, abs=1e-12)
-
-    def test_degenerate_endpoint(self):
-        g1 = ga.GaussianMeasure(np.array([1.0, 0.0]), np.diag([2.0, 3.0]))
-        point = ga.GaussianMeasure(np.array([0.0, 1.0]), np.zeros((2, 2)))
-        expected = np.sqrt(1 + 1 + 2 + 3)
-        assert ga.w2_bw(g1, point) == pytest.approx(expected, abs=1e-10)
 
     def test_rotated_covariance_vs_assignment_oracle(self):
         import oracles as orc
@@ -211,21 +189,18 @@ class TestStackedW2:
     """The chain-wide W2 evaluations equal the pairwise w2_bw bit for bit (==, not approx)."""
 
     @pytest.mark.parametrize("d", [10, 30])
-    @pytest.mark.parametrize("variant", [fn.Variant.KL, fn.Variant.POTENTIAL_ONLY],
-                             ids=["kl", "potential_only"])
-    def test_chain_to_minimizer(self, d, variant):
+    @pytest.mark.parametrize("variant, alpha", [(fn.Variant.KL, 1.0), (fn.Variant.WEIGHTED, 0.5)],
+                             ids=["kl", "weighted"])
+    def test_chain_to_minimizer(self, d, variant, alpha):
         rng = np.random.default_rng(d)
         pot = fn.QuadraticPotential(random_spd(rng, d, 1.0 / d), rng.standard_normal(d))
-        pi = fn.global_minimizer(fn.ObjectiveSpec(pot, variant))
-        if variant is fn.Variant.POTENTIAL_ONLY:
-            assert not np.any(pi.cov)  # the point mass: a singular second measure
+        pi = fn.global_minimizer(fn.ObjectiveSpec(pot, variant, alpha))
         chain = noncommuting_chain(d)
         assert pi.w2_from(chain) == [ga.w2_bw(p, pi) for p in chain]
 
     @pytest.mark.parametrize("d", [10, 30])
     def test_chain_to_chain(self, d):
         ps, qs = noncommuting_chain(d, seed=1), noncommuting_chain(d, seed=2)
-        qs[3] = ga.GaussianMeasure(qs[3].mean, np.zeros((d, d)))
         assert ga.GaussianMeasure.w2_pairs(ps, qs) == [ga.w2_bw(p, q) for p, q in zip(ps, qs)]
 
     @pytest.mark.parametrize("d", [10, 30])
@@ -295,12 +270,6 @@ class TestOtMapBw:
         disp = t.offset + a_minus_i @ g1.mean
         cost = disp @ disp + np.trace(a_minus_i @ g1.cov @ a_minus_i.T)
         assert cost == pytest.approx(ga.w2_bw(g1, g2) ** 2, abs=1e-10)
-
-    def test_singular_source_rejected(self):
-        g1 = ga.GaussianMeasure(np.zeros(2), np.zeros((2, 2)))
-        g2 = ga.GaussianMeasure(np.zeros(2), np.eye(2))
-        with pytest.raises(ValueError):
-            ga.ot_map_bw(g1, g2)
 
 
 class TestKl:

@@ -107,13 +107,6 @@ class TestGaussianStep:
             with pytest.raises(ValueError):
                 jko.jko_step_gaussian(p, kl_spec(), g)
 
-    def test_rejects_potential_only(self):
-        p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
-        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(1), np.zeros(1)),
-                                fn.Variant.POTENTIAL_ONLY)
-        with pytest.raises(ValueError):
-            jko.jko_step_gaussian(p, spec, 1.0)
-
 
 class TestGridStep:
     def test_matches_gaussian_closed_form(self):
@@ -134,14 +127,6 @@ class TestGridStep:
         phi_oracle = jko._grid_phi(ref.values, p.values, spec, 0.9)
         assert phi_solver <= phi_oracle + 1e-9
         assert qt.w2(res.next_measure, ref) <= 1e-5
-
-    def test_potential_only_closed_form(self):
-        # without entropy the step is pointwise: q = (q_n + gamma*center) / (1 + gamma)
-        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(1), np.zeros(1)),
-                                fn.Variant.POTENTIAL_ONLY)
-        p = qt.from_gaussian(1.0, 1.0, 64)
-        res = jko.jko_step_grid(p, spec, 1.0)
-        assert np.allclose(res.next_measure.values, p.values / 2, atol=1e-6)
 
     def test_fixed_point_near_target(self):
         spec = kl_spec()
@@ -504,10 +489,10 @@ class TestDecompositionCount:
                    else "cholesky" if name == "cholesky" else "other")
             monkeypatch.setattr(np.linalg, name, counting(key, getattr(np.linalg, name)))
         exact = jko.jko_step_gaussian(p, spec, 1.0)
-        # p_n's factors (first read here) and C (I + gamma Lambda) C; p_n's
-        # nondegeneracy test and the next measure's validation; one inverse
-        # for xi's back-map
-        assert counts == {"eigh": 2, "cholesky": 2, "other": 1, "measure_xi": 0}
+        # p_n's factors (first read here) and C (I + gamma Lambda) C; the next
+        # measure's validation (p_n was validated when it was made); one
+        # inverse for xi's back-map
+        assert counts == {"eigh": 2, "cholesky": 1, "other": 1, "measure_xi": 0}
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
         jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)

@@ -57,9 +57,12 @@ class TestStepsNeeded:
         assert n1 in (2 * n2 - 1, 2 * n2, 2 * n2 + 1)
 
     def test_rejects_nonpositive(self):
-        for args in [(0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
+        for args in [(-1, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
             with pytest.raises(ValueError):
                 pr.steps_needed(*args)
+        # p0 = q: the threshold is -inf, and one step is taken
+        assert pr.steps_threshold(0.0, 1.0, 1.0, 0.1) == -np.inf
+        assert pr.steps_needed(0.0, 1.0, 1.0, 0.1) == 1
 
 
 class TestRunForward:
