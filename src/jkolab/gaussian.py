@@ -128,17 +128,31 @@ class GaussianMeasure:
         return kl_between(self, other)
 
     def tv(self, other: GaussianMeasure) -> float | None:
-        """TV distance by quadrature in 1-D; None in higher dimensions (no direct one)."""
+        """TV distance in closed form in 1-D; None in higher dimensions (no direct one).
+
+        The densities cross where their log ratio, a quadratic in x, vanishes:
+        once, midway between the means, when the variances are equal, where TV
+        is erf(|m2 - m1| / (2 sqrt(2) sd)); else at the quadratic's two roots,
+        and TV is the difference of the two measures of the interval between
+        them, in differences of erf.
+        """
         if self.dim != 1:
             return None
-        m1, s1 = float(self.mean[0]), math.sqrt(float(self.cov[0, 0]))
-        m2, s2 = float(other.mean[0]), math.sqrt(float(other.cov[0, 0]))
-        lo = min(m1 - 10 * s1, m2 - 10 * s2)
-        hi = max(m1 + 10 * s1, m2 + 10 * s2)
-        xs = np.linspace(lo, hi, 40001)
-        d1 = np.exp(-0.5 * ((xs - m1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
-        d2 = np.exp(-0.5 * ((xs - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
-        return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
+        v1, v2 = float(self.cov[0, 0]), float(other.cov[0, 0])
+        d = float(other.mean[0]) - float(self.mean[0])
+        a = v1 - v2
+        if a == 0:
+            return math.erf(abs(d) / (2 * math.sqrt(2 * v1)))
+        # with y = x - m1: a y^2 - 2 v1 d y + v1 (d^2 - v2 log(v1/v2)) = 0, roots
+        # taken without cancellation; log1p keeps log(v1/v2) nonzero, of a's sign
+        log_ratio = math.log1p(a / v2)
+        half_b = v1 * d
+        den = half_b + math.copysign(math.sqrt(v1 * v2 * (d * d + a * log_ratio)), half_b)
+        lo, hi = sorted((den / a, v1 * (d * d - v2 * log_ratio) / den))
+        r1, r2 = math.sqrt(2 * v1), math.sqrt(2 * v2)
+        mass1 = math.erf(hi / r1) - math.erf(lo / r1)
+        mass2 = math.erf((hi - d) / r2) - math.erf((lo - d) / r2)
+        return 0.5 * abs(mass1 - mass2)
 
     def push(self, t: AffineMap) -> GaussianMeasure:
         return pushforward_affine(self, t)

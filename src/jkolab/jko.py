@@ -43,7 +43,7 @@ __all__ = [
 GAUSSIAN_TOL = 1e-9
 GRID_TOL = 1e-6
 _MAX_NEWTON_ITERS = 200
-_PHI_ULPS = 8
+_PHI_RTOL = 8 * np.finfo(float).eps  # the line search lets phi rise 8 ulps of its terms
 _MAX_AMPLITUDE = 1e6
 _FIRST_PROBE = 1e-3
 _MAX_GROWTH = 100.0
@@ -158,15 +158,19 @@ def jko_step_gaussian(
 
 
 def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float,
-              gaps: np.ndarray | None = None) -> float:
-    """Discretized proximal objective at q (gaps = diff(q)); V is `pot.v` bit for bit."""
+              gaps: np.ndarray) -> tuple[float, np.ndarray]:
+    """Discretized proximal objective at q (gaps = diff(q)), and its log-gaps log(M gaps).
+
+    V is `pot.v` bit for bit, and each mean is np.mean's sum over the size.
+    """
     pot = spec.potential
     m = q.size
     d = q - pot.center[0]
-    if gaps is None:
-        gaps = np.diff(q)
-    val = np.mean(0.5 * (d * pot.lambda_mat[0, 0] * d)) + np.mean((q - q_n) ** 2) / (2 * gamma)
-    return float(val - spec.alpha / m * np.sum(np.log(m * gaps)))
+    r = q - q_n
+    log_gaps = np.log(m * gaps)
+    val = (np.add.reduce(0.5 * (d * pot.lambda_mat[0, 0] * d)) / m
+           + np.add.reduce(r * r) / m / (2 * gamma))
+    return float(val - spec.alpha / m * np.add.reduce(log_gaps)), log_gaps
 
 
 def jko_step_grid(
@@ -178,61 +182,66 @@ def jko_step_grid(
 
     The discretized objective is smooth and strictly convex on the monotone
     cone; its Hessian is tridiagonal (quadratic terms plus the log-gap
-    barrier), solved exactly per iteration.  A fraction-to-boundary rule
-    keeps every gap at >= 1% of its previous value, and the line search
-    accepts only strictly increasing trial points, so iterates stay
-    strictly monotone and only the result is built as a QuantileGrid.
+    barrier), and LAPACK ?ptsv solves it exactly from its two diagonals per
+    iteration (SolverError if the factorization fails).  A
+    fraction-to-boundary rule keeps every gap at >= 1% of its previous
+    value, and the line search accepts only strictly increasing trial
+    points, so iterates stay strictly monotone and only the result is built
+    as a QuantileGrid.
     Convergence is max|xi| <= GRID_TOL on the measured xi field, which is
     M times the gradient of the discretized objective.
     """
-    from scipy.linalg import solveh_banded  # loaded here, so only grid runs pay for scipy.linalg
+    from scipy.linalg import lapack  # loaded here, so only grid runs pay for scipy.linalg
 
     _check_gamma(gamma)
     pot = spec.potential
     if pot.dim != 1:
         raise ValueError("grid JKO step requires a 1-D objective")
     alpha = spec.alpha
-    lam_scalar = float(pot.lambda_mat[0, 0])
+    diag_quadratic = float(pot.lambda_mat[0, 0]) + 1.0 / gamma
     q_n = p_n.values
     m = p_n.m
     q = q_n.copy()
-    gaps = np.diff(q)
-    phi = _grid_phi(q, q_n, spec, gamma, gaps)
+    gaps = q[1:] - q[:-1]
+    phi, log_gaps = _grid_phi(q, q_n, spec, gamma, gaps)
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
         xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
-        if np.max(np.abs(xi)) <= GRID_TOL:
+        if np.abs(xi).max() <= GRID_TOL:
             break
+        # the Hessian's two diagonals, each gap's barrier added to both of its ends
         barrier = alpha * (1.0 / (gaps * gaps))
-        ab = np.zeros((2, m))
-        ab[0, 1:] = -barrier
-        ab[1, :] = lam_scalar + 1.0 / gamma
-        ab[1, :-1] += barrier
-        ab[1, 1:] += barrier
-        step = solveh_banded(ab, -xi)
+        diag = np.full(m, diag_quadratic)
+        diag[:-1] += barrier
+        diag[1:] += barrier
+        _, _, step, info = lapack.dptsv(diag, -barrier, -xi,
+                                        overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"grid Newton system is not positive definite "
+                              f"(LAPACK ?ptsv info = {info})")
 
         # fraction-to-boundary: keep every gap at >= 1% of its current value
         t = 1.0
-        dgaps = np.diff(step)
+        dgaps = step[1:] - step[:-1]
         shrink = dgaps < 0
-        if np.any(shrink):
-            t = min(1.0, float(np.min(-0.99 * gaps[shrink] / dgaps[shrink])))
+        if shrink.any():
+            t = min(1.0, float((-0.99 * gaps[shrink] / dgaps[shrink]).min()))
         # Close to the optimum the decrease a Newton step predicts is below
         # the resolution of phi, so allow a rise of a few ulps of the
         # magnitude of the terms phi sums.
-        terms = abs(phi) + alpha * float(np.mean(np.abs(np.log(m * gaps))))
-        phi_max = phi + _PHI_ULPS * np.finfo(float).eps * terms
+        terms = abs(phi) + alpha * float(np.add.reduce(np.abs(log_gaps)) / log_gaps.size)
+        phi_max = phi + _PHI_RTOL * terms
         while t > 1e-14:
             q_try = q + t * step
-            gaps_try = np.diff(q_try)
-            if np.all(gaps_try > 0):
-                phi_try = _grid_phi(q_try, q_n, spec, gamma, gaps_try)
+            gaps_try = q_try[1:] - q_try[:-1]
+            if gaps_try.min() > 0:
+                phi_try, log_gaps_try = _grid_phi(q_try, q_n, spec, gamma, gaps_try)
                 if phi_try <= phi_max:
                     break
             t *= 0.5
         else:
             raise SolverError("Newton line search failed on the grid proximal step")
-        q, gaps, phi = q_try, gaps_try, phi_try
+        q, gaps, phi, log_gaps = q_try, gaps_try, phi_try, log_gaps_try
     else:
         raise SolverError("grid Newton did not converge within the iteration cap")
 
@@ -307,15 +316,15 @@ def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
     `bump` is the bump_profile at x.  Its slope is never a divisor, so its
     vanishing tails cannot overflow.
     """
-    dx = np.diff(x)
-    fall = -np.diff(bump) / dx
-    room = np.diff(y) / dx - _MIN_BUMP_SLOPE
+    dx = x[1:] - x[:-1]
+    fall = (bump[:-1] - bump[1:]) / dx
+    room = (y[1:] - y[:-1]) / dx - _MIN_BUMP_SLOPE
     neg = fall > 0
-    if not np.any(neg):
+    if not neg.any():
         return np.inf
-    if np.any(room[neg] <= 0):
+    if (room[neg] <= 0).any():
         return 0.0
-    return 0.95 / float(np.max(fall[neg] / room[neg]))
+    return 0.95 / float((fall[neg] / room[neg]).max())
 
 
 def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,

@@ -58,9 +58,11 @@ class QuantileGrid:
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1 or vals.size < MIN_GRID_SIZE:
             raise ValueError(f"need at least {MIN_GRID_SIZE} quantile values, got {vals.size}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("quantile values must be finite")
-        if not np.all(np.diff(vals) > 0):
+        # strictly increasing with finite ends is finite throughout; NaN compares false
+        if not ((vals[1:] > vals[:-1]).all()
+                and math.isfinite(vals[0]) and math.isfinite(vals[-1])):
+            if not np.isfinite(vals).all():
+                raise ValueError("quantile values must be finite")
             raise ValueError("quantile values must be strictly increasing")
         vals.setflags(write=False)
 
@@ -124,7 +126,7 @@ class QuantileGrid:
         if x is not self.values and not np.array_equal(x, self.values):
             raise ValueError("the grid transport must start at p_n's quantiles")
         q = QuantileGrid(y).values
-        return xi_field(q, np.diff(q), self.values, spec, gamma)
+        return xi_field(q, q[1:] - q[:-1], self.values, spec, gamma)
 
     @property
     def step_solver(self):
@@ -153,11 +155,11 @@ class MonotoneMap1D:
         object.__setattr__(self, "y", y)
         if x.shape != y.shape or x.ndim != 1 or x.size < 2:
             raise ValueError("knots must be two equal-length 1-D arrays with >= 2 points")
-        dx = np.diff(x)
-        dy = np.diff(y)
-        if not (np.all(dx > 0) and np.all(dy > 0)):
+        dx = x[1:] - x[:-1]
+        dy = y[1:] - y[:-1]
+        if not (dx.min() > 0 and dy.min() > 0):
             raise ValueError("knot coordinates must be strictly increasing")
-        if not np.all(np.isfinite(dy / dx)):
+        if not math.isfinite((dy / dx).max()):
             raise ValueError("segment slopes must be finite")
         x.setflags(write=False)
         y.setflags(write=False)
@@ -176,7 +178,7 @@ class MonotoneMap1D:
     def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:
         """||T o S - Id|| under the grid p entering S, for S given by its knots s."""
         r = self(apply_map(*s, p.values)) - p.values
-        return float(np.sqrt(np.mean(r * r)))
+        return math.sqrt(np.add.reduce(r * r) / r.size)
 
     @staticmethod
     def perturbed_fields(x: np.ndarray, y: np.ndarray, mode, center, bump):
@@ -197,10 +199,10 @@ def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
     out = np.asarray(np.interp(t, x, y))
     lo = t < x[0]
     hi = t > x[-1]
-    if np.any(lo):
+    if lo.any():
         s0 = (y[1] - y[0]) / (x[1] - x[0])
         out[lo] = y[0] + s0 * (t[lo] - x[0])
-    if np.any(hi):
+    if hi.any():
         s1 = (y[-1] - y[-2]) / (x[-1] - x[-2])
         out[hi] = y[-1] + s1 * (t[hi] - x[-1])
     return out
@@ -238,7 +240,7 @@ def ot_map(p: QuantileGrid, q: QuantileGrid) -> MonotoneMap1D:
 def pushforward(p: QuantileGrid, t: MonotoneMap1D) -> QuantileGrid:
     """T#p: apply T to the quantile values.  Fails if T is not increasing there."""
     vals = t(p.values)
-    if not np.all(np.diff(vals) > 0):
+    if not (vals[1:] > vals[:-1]).all():
         raise ValueError("map is not strictly increasing over the support of p")
     return QuantileGrid(vals)
 
@@ -342,7 +344,7 @@ def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
         + spec.alpha * gap_score(gaps)
         + (q - q_n) / gamma
     )
-    return field, float(np.sqrt(np.mean(field * field)))
+    return field, math.sqrt(np.add.reduce(field * field) / field.size)
 
 
 def gap_score(gaps: np.ndarray) -> np.ndarray:

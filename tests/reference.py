@@ -1,22 +1,99 @@
-"""Closed-form quantities that only the tests use.
+"""Closed-form quantities and reference computations that only the tests use.
 
 The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
 measure (rather than through the step's transport, as jko.measure_xi
 does), the strong-convexity monotonicity inequality as a BoundReport, a
-transport's inverse built as a map, and a perturbed reverse run's maps and
-chain built as maps and measures.
+transport's inverse built as a map, a perturbed reverse run's maps and
+chain built as maps and measures, the grid Newton step written with the
+banded solver and numpy's reductions (jko_step_grid must match it bit for
+bit), and the 1-D Gaussian TV distance by quadrature.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.linalg import solveh_banded
 
 from jkolab import certify as ct
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
+from jkolab import jko
 from jkolab import quantile as qt
 
 MONO_TOL = 1e-8
+
+
+def _grid_phi(q, q_n, spec, gamma, gaps):
+    pot = spec.potential
+    m = q.size
+    d = q - pot.center[0]
+    val = np.mean(0.5 * (d * pot.lambda_mat[0, 0] * d)) + np.mean((q - q_n) ** 2) / (2 * gamma)
+    return float(val - spec.alpha / m * np.sum(np.log(m * gaps)))
+
+
+def grid_step(p_n: qt.QuantileGrid, spec, gamma: float) -> tuple[np.ndarray, float, int]:
+    """jko.jko_step_grid's damped Newton, as (next quantiles, ||xi||, iterations).
+
+    The same arithmetic in its plain spelling: the Hessian as a (2, M) band
+    for scipy's solveh_banded, gaps by np.diff, means by np.mean, and the
+    log-gaps of the line search's ulp bound recomputed at every iteration.
+    """
+    pot = spec.potential
+    alpha = spec.alpha
+    lam_scalar = float(pot.lambda_mat[0, 0])
+    q_n = p_n.values
+    m = p_n.m
+    q = q_n.copy()
+    gaps = np.diff(q)
+    phi = _grid_phi(q, q_n, spec, gamma, gaps)
+    for iters in range(1, jko._MAX_NEWTON_ITERS + 1):
+        xi = (lam_scalar * (q - pot.center[0]) + alpha * qt.gap_score(gaps) + (q - q_n) / gamma)
+        xi_norm = float(np.sqrt(np.mean(xi * xi)))
+        if np.max(np.abs(xi)) <= jko.GRID_TOL:
+            break
+        barrier = alpha * (1.0 / (gaps * gaps))
+        ab = np.zeros((2, m))
+        ab[0, 1:] = -barrier
+        ab[1, :] = lam_scalar + 1.0 / gamma
+        ab[1, :-1] += barrier
+        ab[1, 1:] += barrier
+        step = solveh_banded(ab, -xi)
+        t = 1.0
+        dgaps = np.diff(step)
+        shrink = dgaps < 0
+        if np.any(shrink):
+            t = min(1.0, float(np.min(-0.99 * gaps[shrink] / dgaps[shrink])))
+        terms = abs(phi) + alpha * float(np.mean(np.abs(np.log(m * gaps))))
+        phi_max = phi + 8 * np.finfo(float).eps * terms
+        while t > 1e-14:
+            q_try = q + t * step
+            gaps_try = np.diff(q_try)
+            if np.all(gaps_try > 0):
+                phi_try = _grid_phi(q_try, q_n, spec, gamma, gaps_try)
+                if phi_try <= phi_max:
+                    break
+            t *= 0.5
+        else:
+            raise jko.SolverError("Newton line search failed on the grid proximal step")
+        q, gaps, phi = q_try, gaps_try, phi_try
+    else:
+        raise jko.SolverError("grid Newton did not converge within the iteration cap")
+    return q, xi_norm, iters
+
+
+def gaussian_tv_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
+    """TV distance of two 1-D Gaussians by the trapezoid rule on 40001 points over
+    the union of mean +- 10 sd."""
+    m1, s1 = float(g1.mean[0]), math.sqrt(float(g1.cov[0, 0]))
+    m2, s2 = float(g2.mean[0]), math.sqrt(float(g2.cov[0, 0]))
+    lo = min(m1 - 10 * s1, m2 - 10 * s2)
+    hi = max(m1 + 10 * s1, m2 + 10 * s2)
+    xs = np.linspace(lo, hi, 40001)
+    d1 = np.exp(-0.5 * ((xs - m1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
+    d2 = np.exp(-0.5 * ((xs - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
+    return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
 
 
 def inverse(t):

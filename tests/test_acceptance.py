@@ -139,8 +139,9 @@ class TestAcceptance:
             res = jko.jko_step_grid(p, spec, gamma)
             ref = orc.brute_jko(p, spec, gamma,
                                 orc.OracleConfig(budget=30_000, restarts=3, seed=i))
-            phi_s = jko._grid_phi(res.next_measure.values, p.values, spec, gamma)
-            phi_o = jko._grid_phi(ref.values, p.values, spec, gamma)
+            q_s, q_o = res.next_measure.values, ref.values
+            phi_s, _ = jko._grid_phi(q_s, p.values, spec, gamma, np.diff(q_s))
+            phi_o, _ = jko._grid_phi(q_o, p.values, spec, gamma, np.diff(q_o))
             worst_obj = max(worst_obj, abs(phi_s - phi_o))
             worst_w2 = max(worst_w2, qt.w2(res.next_measure, ref))
         ok &= worst_obj <= 1e-6 and worst_w2 <= 1e-3

@@ -477,6 +477,15 @@ class TestExitCodes:
         assert "roundoff floor" in err
         assert len(evals) == 1 and evals[0] <= 6
 
+    def test_failed_newton_factorization_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # LAPACK ?ptsv reports info > 0: a leading minor is not positive definite
+        monkeypatch.setattr("scipy.linalg.lapack.dptsv", lambda d, e, b, **kw: (d, e, b, 3))
+        cfgp = write(tmp_path, "c.txt", STANDARD_GRID)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER == 2
+        err = capsys.readouterr().err
+        assert ("solver failure: forward step 1: grid Newton system is not positive definite "
+                "(LAPACK ?ptsv info = 3)") in err
+
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
     def test_auto_n_from_the_minimizer_runs_one_step(self, tmp_path, capsys, base):
         # W2(p0, pi) = 0, so the step-count threshold is -inf and n = auto is 1;

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -293,6 +294,44 @@ class TestKl:
         g2 = ga.GaussianMeasure(np.array([0.0]), np.array([[1.0]]))
         expected = 0.5 * (2 + 1 - 1 - np.log(2))
         assert ga.kl_between(g1, g2) == pytest.approx(expected, abs=1e-12)
+
+
+def gauss_1d(mean, var):
+    return ga.GaussianMeasure(np.array([mean]), np.array([[var]]))
+
+
+class TestTv:
+    def test_matches_the_trapezoid(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            g1, g2 = (gauss_1d(rng.uniform(-3, 3), rng.uniform(0.1, 9)) for _ in range(2))
+            assert g1.tv(g2) == pytest.approx(ref.gaussian_tv_1d(g1, g2), abs=1e-6)
+
+    @pytest.mark.parametrize("dm, var", [(0.0, 1.0), (0.5, 2.0), (-3.0, 0.25), (12.0, 9.0)])
+    def test_equal_variances(self, dm, var):
+        g1, g2 = gauss_1d(0.7, var), gauss_1d(0.7 + dm, var)
+        dm = float(g2.mean[0] - g1.mean[0])
+        expected = math.erf(abs(dm) / (2 * math.sqrt(2) * math.sqrt(var)))
+        assert g1.tv(g2) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("rel", [3e-16, 1e-12, 1e-9])
+    def test_two_crossings_tend_to_one(self, rel):
+        g = gauss_1d(0.3, 2.0)
+        assert g.tv(gauss_1d(0.8, 2.0 * (1 + rel))) == pytest.approx(
+            g.tv(gauss_1d(0.8, 2.0)), abs=10 * rel + 1e-15)
+
+    def test_symmetric_and_bounded(self):
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            g1, g2 = (gauss_1d(rng.uniform(-30, 30), rng.uniform(1e-4, 1e4)) for _ in range(2))
+            assert g1.tv(g2) == pytest.approx(g2.tv(g1), abs=1e-14)
+            assert 0.0 <= g1.tv(g2) <= 1.0
+        assert gauss_1d(0, 1).tv(gauss_1d(0, 1)) == 0.0
+        assert gauss_1d(-50, 1).tv(gauss_1d(50, 4)) == 1.0
+
+    def test_none_above_one_dimension(self):
+        g = ga.GaussianMeasure(np.zeros(2), np.eye(2))
+        assert g.tv(g) is None
 
 
 class TestSubgradientField:

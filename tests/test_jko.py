@@ -1,13 +1,31 @@
 import numpy as np
 import pytest
 
+from jkolab import cli
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
 from jkolab import jko
+from jkolab import process as pr
 from jkolab import quantile as qt
 
 import oracles as orc
 import reference as ref
+
+
+# the standard suite's grid config (scripts/run_standard_suite.py)
+STANDARD_GRID = """
+family = grid
+family.m = 2048
+objective.center = 0
+p0.mean = 1.5
+p0.cov = 2.25
+gamma = 1.0
+eps = 0.1
+eps_inv = 0.001
+n = auto
+seed = 0
+mode = grid_bump
+"""
 
 
 def kl_spec(lam=1.0, center=0.0, d=1):
@@ -123,8 +141,9 @@ class TestGridStep:
         spec = kl_spec()
         res = jko.jko_step_grid(p, spec, 0.9)
         ref = orc.brute_jko(p, spec, 0.9, orc.OracleConfig(budget=30_000, restarts=3))
-        phi_solver = jko._grid_phi(res.next_measure.values, p.values, spec, 0.9)
-        phi_oracle = jko._grid_phi(ref.values, p.values, spec, 0.9)
+        q_solver, q_oracle = res.next_measure.values, ref.values
+        phi_solver, _ = jko._grid_phi(q_solver, p.values, spec, 0.9, np.diff(q_solver))
+        phi_oracle, _ = jko._grid_phi(q_oracle, p.values, spec, 0.9, np.diff(q_oracle))
         assert phi_solver <= phi_oracle + 1e-9
         assert qt.w2(res.next_measure, ref) <= 1e-5
 
@@ -140,6 +159,22 @@ class TestGridStep:
         res = jko.jko_step_grid(p, kl_spec(), 0.6)
         pushed = qt.pushforward(p, res.transport)
         assert np.allclose(pushed.values, res.next_measure.values, atol=1e-10)
+
+    @pytest.mark.parametrize("m", [2048, 128])
+    def test_every_step_of_a_bumped_chain_matches_the_reference(self, m):
+        # forward's chain of the standard grid config at M quantiles: every step
+        # after the first starts from a grid bent by a calibrated bump
+        cfg = cli.parse_config(STANDARD_GRID.replace("family.m = 2048", f"family.m = {m}"))
+        p0 = cli.build_p0(cfg)
+        n = cfg.resolve_n(p0, p0.render(fn.global_minimizer(cfg.spec)))
+        traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, cfg.eps * n, cfg.mode, cfg.seed)
+        assert n > 10
+        for p_n in traj.measures[:-1]:
+            res = jko.jko_step_grid(p_n, cfg.spec, cfg.gamma)
+            q, xi_norm, iters = ref.grid_step(p_n, cfg.spec, cfg.gamma)
+            assert np.array_equal(res.next_measure.values, q)
+            assert res.xi_norm == xi_norm
+            assert res.solver_iterations == iters
 
 
 class TestMeasureXi:

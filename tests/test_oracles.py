@@ -47,8 +47,9 @@ class TestBruteJkoGrid:
         ref = orc.brute_jko(p, spec, 1.0, orc.OracleConfig(budget=30_000, restarts=3))
         res = jko.jko_step_grid(p, spec, 1.0)
         assert qt.w2(ref, res.next_measure) <= 1e-5
-        phi_ref = jko._grid_phi(ref.values, p.values, spec, 1.0)
-        phi_newton = jko._grid_phi(res.next_measure.values, p.values, spec, 1.0)
+        q_ref, q_newton = ref.values, res.next_measure.values
+        phi_ref, _ = jko._grid_phi(q_ref, p.values, spec, 1.0, np.diff(q_ref))
+        phi_newton, _ = jko._grid_phi(q_newton, p.values, spec, 1.0, np.diff(q_newton))
         assert abs(phi_ref - phi_newton) <= 1e-9
 
     def test_deterministic(self):
