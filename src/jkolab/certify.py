@@ -75,11 +75,10 @@ def check_evi(traj: pr.Trajectory) -> list[BoundReport]:
     eps = max(traj.xi_norms, default=0.0)
     tol = traj.measures[0].evi_tol
     g_pi = fn.evaluate(spec, traj.minimizer)
-    w = traj.w2_to_minimizer
+    w, g = traj.w2_to_minimizer, traj.objective_values
     reports = []
     for n in range(traj.n_steps):
-        lhs = (1 + gamma * lam / 2) * w[n + 1] ** 2 + 2 * gamma * (
-            fn.evaluate(spec, traj.measures[n + 1]) - g_pi)
+        lhs = (1 + gamma * lam / 2) * w[n + 1] ** 2 + 2 * gamma * (g[n + 1] - g_pi)
         rhs = w[n] ** 2 + (2 * gamma / lam) * eps ** 2
         reports.append(BoundReport("evi", lhs, rhs, tol,
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
@@ -118,7 +117,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
             reports.append(BoundReport("forward_terminal_w2", w[n], math.sqrt(5.0) * eps / lam,
                                        tol, ctx))
             if n + 1 <= traj.n_steps:
-                gap = fn.evaluate(spec, traj.measures[n + 1]) - g_min
+                gap = traj.objective_values[n + 1] - g_min
                 reports.append(BoundReport(
                     "forward_terminal_gap", gap,
                     (9.0 / (2 * gamma)) * (eps / lam) ** 2, tol, ctx))

@@ -28,6 +28,7 @@ __all__ = [
     "QuadraticPotential",
     "ObjectiveSpec",
     "evaluate",
+    "objectives",
     "global_minimizer",
 ]
 
@@ -105,8 +106,13 @@ class ObjectiveSpec:
 
 
 def evaluate(spec: ObjectiveSpec, measure) -> float:
-    """G(measure) = alpha * H + E[V] + log Z, by the measure family's `objective`."""
-    return measure.objective(spec)
+    """G(measure) = alpha * H + E[V] + log Z."""
+    return objectives(spec, [measure])[0]
+
+
+def objectives(spec: ObjectiveSpec, measures) -> list[float]:
+    """[G(m) for m in measures], by the measure family's chain-wide `objectives`."""
+    return type(measures[0]).objectives(spec, measures)
 
 
 def global_minimizer(spec: ObjectiveSpec) -> ga.GaussianMeasure:

@@ -2,7 +2,9 @@
 
 Everything here is exact linear algebra: W2 distance, OT maps (SPD affine
 maps), KL divergence, the objective and its first-order residual, and L2
-norms of affine vector fields under a Gaussian measure.
+norms of affine vector fields under a Gaussian measure.  Chain-wide values
+(W2 to one measure, objective values, inverse-Lipschitz constants) are one
+stacked evaluation each, every entry bit for bit its own item's value.
 """
 
 from __future__ import annotations
@@ -55,17 +57,23 @@ class GaussianMeasure:
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean dimension")
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
-            raise ValueError("mean and covariance must be finite")
-        asym = np.max(np.abs(cov - cov.T))
-        scale = max(np.max(np.abs(cov)), 1.0)
-        if asym > _SYM_RTOL * scale * 100:
+        # a NaN or inf makes a sum non-finite; only then, since finite entries may
+        # overflow it, does the exact test run
+        if not (math.isfinite(mean.sum()) and math.isfinite(cov.sum())):
+            if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+                raise ValueError("mean and covariance must be finite")
+        # the tolerance _SYM_RTOL * scale * 100 is least at the scale's floor 1, so the
+        # scale is read only for an asymmetry above that
+        asym = abs(cov - cov.T).max()
+        if asym > _SYM_RTOL * 100 and asym > _SYM_RTOL * max(abs(cov).max(), 1.0) * 100:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
         for name, arr in (("mean", mean), ("cov", cov)):
             object.__setattr__(self, name, _frozen(arr))
+        shifted = cov.copy()  # cov - 1e-10 I, bit for bit
+        shifted.ravel()[::mean.size + 1] -= _POSDEF_MIN
         try:
-            np.linalg.cholesky(cov - _POSDEF_MIN * np.eye(mean.size))
+            np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             raise ValueError("covariance is not positive definite: its smallest eigenvalue "
                              f"is below {_POSDEF_MIN:g}") from None
@@ -163,13 +171,20 @@ class GaussianMeasure:
         """The Gaussian measure g in this family: g itself."""
         return g
 
-    def objective(self, spec) -> float:
-        """functionals.evaluate in closed form: alpha * entropy + E[V] + log Z."""
+    @staticmethod
+    def objectives(spec, measures) -> list[float]:
+        """G = alpha * entropy + E[V] + log Z of each measure (functionals.objectives), in
+        one stacked evaluation: one Cholesky for every log-determinant, stacked traces and
+        (1, d) @ Lambda @ (d, 1) quadratic forms, so each value is bit for bit that of its
+        measure alone."""
         pot = spec.potential
-        h = -0.5 * self.dim * math.log(2 * math.pi * math.e) - 0.5 * self.log_det
-        dm = self.mean - pot.center
-        e_v = 0.5 * (np.trace(pot.lambda_mat @ self.cov) + dm @ pot.lambda_mat @ dm)
-        return float(spec.alpha * h + e_v + pot.log_z)
+        means, covs = _stacked(measures)
+        log_det = 2.0 * np.log(np.linalg.cholesky(covs).diagonal(0, -2, -1)).sum(-1)
+        h = -0.5 * means.shape[-1] * math.log(2 * math.pi * math.e) - 0.5 * log_det
+        dm = means - pot.center
+        e_v = 0.5 * (_trace(pot.lambda_mat @ covs)
+                     + (dm[:, None, :] @ pot.lambda_mat @ dm[:, :, None])[:, 0, 0])
+        return (spec.alpha * h + e_v + pot.log_z).tolist()
 
     def xi(self, linear: np.ndarray, offset: np.ndarray, spec,
            gamma: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
@@ -184,7 +199,7 @@ class GaussianMeasure:
         (S^{-1} - Id) / gamma, and its norm.  ValueError: L is not exactly
         symmetric (positive definiteness is the caller's to ensure).
         """
-        if not np.array_equal(linear, linear.T):
+        if not (linear == linear.T).all():
             raise ValueError("the transport's linear part is not symmetric")
         inv = np.linalg.inv(linear)
         mean = linear @ self.mean + offset
@@ -234,12 +249,15 @@ class AffineMap:
 
     @cached_property
     def inverse_linear(self) -> np.ndarray:
-        """L^{-1}, computed once for `inverse_fields` and `inverse_lipschitz`."""
+        """L^{-1}, computed once for `inverse_fields` and `inverse_lipschitz_of`."""
         return _frozen(np.linalg.inv(self.linear))
 
-    def inverse_lipschitz(self) -> float:
-        """Lip(T^{-1}), the spectral norm of L^{-1}, without building T^{-1}."""
-        return float(np.linalg.norm(self.inverse_linear, 2))
+    @staticmethod
+    def inverse_lipschitz_of(maps) -> list[float]:
+        """Lip(T^{-1}) of each map T, the spectral norm of its L^{-1}, without building
+        T^{-1}: one stacked norm over the maps' `inverse_linear`, bit for bit per map."""
+        return np.linalg.norm(np.array([t.inverse_linear for t in maps]), 2,
+                              axis=(-2, -1)).tolist()
 
     def inverse_fields(self) -> tuple:
         """(L^{-1}, -L^{-1} b) of T^{-1}, building no map."""
@@ -340,12 +358,16 @@ def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
 
 
 def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
-    """KL(g1 || g2) between two Gaussians, closed form."""
+    """KL(g1 || g2) between two Gaussians, closed form.
+
+    tr(Sigma_2^{-1} Sigma_1) + dm^T Sigma_2^{-1} dm is ||X||_F^2 for
+    X = L_2^{-1} [L_1 | dm], with L the kept Cholesky factors: one solve, no
+    eigendecomposition.
+    """
     _check_dims(g1, g2)
-    prec2 = g2.precision
-    dm = g1.mean - g2.mean
-    val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
-    return max(float(val), 0.0)
+    x = np.linalg.solve(g2.chol, np.column_stack((g1.chol, g1.mean - g2.mean)))
+    val = 0.5 * (float((x * x).sum()) - g1.dim + g2.log_det - g1.log_det)
+    return max(val, 0.0)
 
 
 def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

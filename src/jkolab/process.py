@@ -71,6 +71,20 @@ class Trajectory:
         (`w2_from`), for every check that reads it."""
         return self.minimizer.w2_from(self.measures)
 
+    @cached_property
+    def objective_values(self) -> list:
+        """G(p_n) for n = 0..N in one chain-wide evaluation (`fn.objectives`), for every
+        check and CSV that reads them."""
+        return fn.objectives(self.spec, self.measures)
+
+    @cached_property
+    def inverse_lipschitz(self) -> list:
+        """Lip(T_n^{-1}) for n = 1..N in one chain-wide evaluation (the map type's
+        `inverse_lipschitz_of`)."""
+        if not self.transports:
+            return []
+        return type(self.transports[0]).inverse_lipschitz_of(self.transports)
+
     def _pulled_back(self) -> list:
         """The constructor arrays of q_0..q_N of the exact reverse chain."""
         return _pushed_back(self, [t.inverse_fields() for t in self.transports])
@@ -452,7 +466,7 @@ def estimate_K(traj: Trajectory) -> float:
     """K = max_n log Lip(T_n^{-1}) / gamma, floored at zero."""
     if not traj.transports:
         raise ValueError("trajectory has no transports")
-    worst = max(t.inverse_lipschitz() for t in traj.transports)
+    worst = max(traj.inverse_lipschitz)
     return max(0.0, math.log(worst) / traj.gamma)
 
 
@@ -468,15 +482,13 @@ def forward_csv(traj: Trajectory) -> str:
     """Rows n = 0..N; step columns are empty on the n = 0 row."""
     buf = io.StringIO()
     buf.write("n,w2_to_q,G_value,xi_norm,lipschitz_Tinv,solver_iterations\n")
-    for n, (meas, w) in enumerate(zip(traj.measures, traj.w2_to_minimizer)):
-        g = fn.evaluate(traj.spec, meas)
+    for n, (w, g) in enumerate(zip(traj.w2_to_minimizer, traj.objective_values)):
         if n == 0:
             buf.write("0,%s,%s,,,\n" % (_fmt(w), _fmt(g)))
         else:
-            lip = traj.transports[n - 1].inverse_lipschitz()
             buf.write("%d,%s,%s,%s,%s,%d\n" % (
-                n, _fmt(w), _fmt(g), _fmt(traj.xi_norms[n - 1]), _fmt(lip),
-                traj.solver_iterations[n - 1]))
+                n, _fmt(w), _fmt(g), _fmt(traj.xi_norms[n - 1]),
+                _fmt(traj.inverse_lipschitz[n - 1]), traj.solver_iterations[n - 1]))
     return buf.getvalue()
 
 

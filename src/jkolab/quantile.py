@@ -110,13 +110,15 @@ class QuantileGrid:
             raise ValueError("grid family requires a 1-D objective")
         return from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), self.m)
 
-    def objective(self, spec) -> float:
-        """functionals.evaluate on the grid: alpha * entropy + E[V] + log Z."""
+    @staticmethod
+    def objectives(spec, measures) -> list[float]:
+        """alpha * entropy + E[V] + log Z of each grid (functionals.objectives), one
+        at a time (stacked grids evaluate no faster)."""
         pot = spec.potential
         if pot.dim != 1:
             raise ValueError("grid measures require a 1-D objective")
-        e_v = float(np.mean(pot.v(self.values[:, None])))
-        return spec.alpha * entropy(self) + e_v + pot.log_z
+        return [spec.alpha * entropy(g) + float(np.mean(pot.v(g.values[:, None]))) + pot.log_z
+                for g in measures]
 
     def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> tuple[np.ndarray, float]:
         """jko.measure_xi of the transport with knots (x, y), which must start at this grid.
@@ -167,9 +169,10 @@ class MonotoneMap1D:
     def __call__(self, t) -> np.ndarray:
         return apply_map(self.x, self.y, t)
 
-    def inverse_lipschitz(self) -> float:
-        """Lip(T^{-1}), its largest slope, without building T^{-1}."""
-        return float(np.max(np.diff(self.x) / np.diff(self.y)))
+    @staticmethod
+    def inverse_lipschitz_of(maps) -> list[float]:
+        """Lip(T^{-1}) of each map T, its largest inverse slope, without building T^{-1}."""
+        return [float(np.max(np.diff(t.x) / np.diff(t.y))) for t in maps]
 
     def inverse_fields(self) -> tuple:
         """The knots of T^{-1}, building no map."""

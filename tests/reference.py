@@ -6,7 +6,9 @@ does), the strong-convexity monotonicity inequality as a BoundReport, a
 transport's inverse built as a map, a perturbed reverse run's maps and
 chain built as maps and measures, the grid Newton step written with the
 banded solver and numpy's reductions (jko_step_grid must match it bit for
-bit), and the 1-D Gaussian TV distance by quadrature.
+bit), the 1-D Gaussian TV distance by quadrature, and the Gaussian
+measure's construction checks, objective value and KL divergence in their
+plain per-measure spelling (the package's versions must match them).
 """
 
 from __future__ import annotations
@@ -175,3 +177,43 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
     lhs = inner + 0.5 * lam * w2 * w2
     rhs = fn.evaluate(spec, pi) - fn.evaluate(spec, rho)
     return ct.BoundReport("monotonicity", lhs, rhs, tol, {"lambda": lam})
+
+
+def gaussian_fields(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """The (mean, cov) that GaussianMeasure(mean, cov) stores, or the ValueError it raises,
+    by its checks in their plain spelling: np.all(np.isfinite(.)), np.max(np.abs(.)) and a
+    Cholesky factorization of cov - 1e-10 * np.eye(d)."""
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if cov.shape != (mean.size, mean.size):
+        raise ValueError("covariance shape does not match mean dimension")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
+        raise ValueError("mean and covariance must be finite")
+    asym = np.max(np.abs(cov - cov.T))
+    scale = max(np.max(np.abs(cov)), 1.0)
+    if asym > 1e-12 * scale * 100:
+        raise ValueError("covariance is not symmetric")
+    cov = 0.5 * (cov + cov.T)
+    try:
+        np.linalg.cholesky(cov - 1e-10 * np.eye(mean.size))
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive definite: its smallest eigenvalue "
+                         "is below 1e-10") from None
+    return mean, cov
+
+
+def gaussian_objective(g: ga.GaussianMeasure, spec) -> float:
+    """G(g) = alpha * entropy + E[V] + log Z of one Gaussian, in closed form."""
+    pot = spec.potential
+    h = -0.5 * g.dim * math.log(2 * math.pi * math.e) - 0.5 * g.log_det
+    dm = g.mean - pot.center
+    e_v = 0.5 * (np.trace(pot.lambda_mat @ g.cov) + dm @ pot.lambda_mat @ dm)
+    return float(spec.alpha * h + e_v + pot.log_z)
+
+
+def gaussian_kl(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
+    """KL(g1 || g2) from g2's precision: (tr(P2 S1) + dm P2 dm - d + log det S2 - log det S1) / 2."""
+    prec2 = g2.precision
+    dm = g1.mean - g2.mean
+    val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
+    return max(float(val), 0.0)

@@ -79,6 +79,95 @@ class TestGaussianMeasure:
                 ga.GaussianMeasure(np.zeros(4), cov)
 
 
+def _stored_or_raised(build, mean, cov):
+    """("ok", mean, cov) stored for these inputs, or (exception type, message)."""
+    try:
+        m, c = build(mean, cov)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return "ok", m, c
+
+
+def _measure_fields(mean, cov):
+    g = ga.GaussianMeasure(mean, cov)
+    return g.mean, g.cov
+
+
+def _asymmetric(scale, asym):
+    """A 2 x 2 covariance with diagonal `scale` whose asymmetry is exactly `asym`."""
+    return np.array([[scale, asym], [0.0, scale]])
+
+
+_TOL = 1e-12 * 100  # the asymmetry tolerance at scale 1
+VALIDATION_INPUTS = {
+    "mean_nan": (np.array([np.nan, 0.0]), np.eye(2)),
+    "mean_inf": (np.array([0.0, np.inf]), np.eye(2)),
+    "mean_minus_inf": (np.array([-np.inf, 0.0]), np.eye(2)),
+    "cov_nan": (np.zeros(2), np.diag([np.nan, 1.0])),
+    "cov_inf": (np.zeros(2), np.diag([1.0, np.inf])),
+    "cov_minus_inf_off_diagonal": (np.zeros(2), np.array([[1.0, -np.inf], [-np.inf, 1.0]])),
+    "mean_sum_overflows": (np.full(3, 1e308), np.eye(3)),
+    "mean_sum_overflows_with_nan": (np.array([1e308, 1e308, np.nan]), np.eye(3)),
+    "cov_sum_overflows": (np.zeros(3), np.diag([1e308, 1e308, 1.0])),
+    "cov_symmetrization_overflows": (np.zeros(2), np.diag([1.5e308, 1.0])),
+    "cov_difference_overflows": (np.zeros(2), np.array([[1e308, 1e308], [-1e308, 1e308]])),
+    "asym_below_tol": (np.zeros(2), _asymmetric(1.0, 0.99 * _TOL)),
+    "asym_at_tol": (np.zeros(2), _asymmetric(1.0, _TOL)),
+    "asym_above_tol": (np.zeros(2), _asymmetric(1.0, 1.01 * _TOL)),
+    "asym_below_scaled_tol": (np.zeros(2), _asymmetric(1e3, 0.99e3 * _TOL)),
+    "asym_above_scaled_tol": (np.zeros(2), _asymmetric(1e3, 1.01e3 * _TOL)),
+    "asym_below_tol_small_scale": (np.zeros(2), _asymmetric(1e-3, 0.99 * _TOL)),
+    "asym_above_tol_small_scale": (np.zeros(2), _asymmetric(1e-3, 1.01 * _TOL)),
+    "lambda_min_just_below": (np.zeros(2), np.diag([1e-10 * (1 - 1e-6), 1.0])),
+    "lambda_min_just_above": (np.zeros(2), np.diag([1e-10 * (1 + 1e-6), 1.0])),
+    "lambda_min_exactly": (np.zeros(2), np.diag([1e-10, 1.0])),
+    "lambda_min_just_below_last": (np.zeros(3), np.diag([1.0, 2.0, 1e-10 * (1 - 1e-6)])),
+    "lambda_min_just_above_last": (np.zeros(3), np.diag([1.0, 2.0, 1e-10 * (1 + 1e-6)])),
+    "cov_shape_too_large": (np.zeros(2), np.eye(3)),
+    "cov_vector": (np.zeros(2), np.ones(2)),
+    "cov_not_square": (np.zeros(2), np.ones((2, 3))),
+    "mean_matrix": (np.zeros((2, 2)), np.eye(4)),
+    "empty": (np.zeros(0), np.zeros((0, 0))),
+    "scalars": (1.5, 4.0),
+    "scalar_zero_variance": (0.0, 0.0),
+    "scalar_negative_variance": (0.0, -1.0),
+    "scalar_nan": (np.nan, 1.0),
+    "lists": ([1.0, 2.0], [[2.0, 0.5], [0.5, 1.0]]),
+    "integers": (np.arange(2), 3 * np.eye(2, dtype=int)),
+}
+
+
+class TestValidationMatchesReference:
+    """Construction raises what the plain checks (tests/reference.py) raise, or stores
+    the same arrays."""
+
+    @pytest.mark.parametrize("name", list(VALIDATION_INPUTS))
+    def test_same_outcome(self, name):
+        mean, cov = VALIDATION_INPUTS[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing inputs
+            expected = _stored_or_raised(ref.gaussian_fields, mean, cov)
+            got = _stored_or_raised(_measure_fields, mean, cov)
+        assert got[0] == expected[0]
+        if expected[0] == "ok":
+            for a, b in zip(got[1:], expected[1:]):
+                assert a.shape == b.shape and np.array_equal(a, b)
+        else:
+            assert got[1] == expected[1]
+
+    def test_inputs_reach_every_outcome(self):
+        # the table exercises acceptance and each of the checks' messages
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for mean, cov in VALIDATION_INPUTS.values():
+                out = _stored_or_raised(ref.gaussian_fields, mean, cov)
+                outcomes.add(out[0] if out[0] == "ok" else out[1].split(":")[0])
+        assert {"ok", "covariance shape does not match mean dimension",
+                "mean and covariance must be finite", "covariance is not symmetric",
+                "covariance is not positive definite"} <= outcomes
+
+
 class TestFactorization:
     """The covariance is factored once; every derived matrix is cached read-only."""
 
@@ -288,6 +377,20 @@ class TestKl:
         expected = 0.5 * (5 - 2 - np.log(4))
         assert ga.kl_between(g, fn.global_minimizer(std_spec(2))) == pytest.approx(expected,
                                                                             abs=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 30])
+    def test_matches_the_precision_formula(self, d):
+        # X = L2^{-1} [L1 | dm] gives the trace and quadratic terms to roundoff
+        chain = noncommuting_chain(d, n=8, seed=d)
+        for g1, g2 in zip(chain, chain[::-1]):
+            assert ga.kl_between(g1, g2) == pytest.approx(ref.gaussian_kl(g1, g2),
+                                                          rel=1e-10, abs=1e-13)
+
+    def test_no_eigendecomposition(self, monkeypatch):
+        g1, g2 = noncommuting_chain(10, n=2)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        ga.kl_between(g1, g2)
+        assert "precision" not in vars(g2) and "_factors" not in vars(g2)
 
     def test_kl_between_general(self):
         g1 = ga.GaussianMeasure(np.array([1.0]), np.array([[2.0]]))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import reference as ref
 
+from jkolab import certify as ct
 from jkolab import cli
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
@@ -173,7 +174,7 @@ class TestReverse:
         rev, _ = pr.run_reverse_perturbed(traj, eps_inv)
         s_exact = ref.inverse(traj.transports[0])
         a = ref.reverse_maps(rev)[0].offset[0] - s_exact.offset[0]
-        lip = 1 / traj.transports[0].inverse_lipschitz()  # Lip(T) in 1-D
+        lip = 1 / traj.inverse_lipschitz[0]  # Lip(T) in 1-D
         assert abs(a) == pytest.approx(eps_inv / lip, rel=1e-6)
 
     def test_grid_reverse(self):
@@ -519,17 +520,69 @@ class TestInverseLipschitz:
     """Lip(T^{-1}) read off T equals the Lipschitz constant of the built inverse, bit for bit."""
 
     def test_gaussian(self):
-        for t in gauss_traj_3d().transports:
-            assert t.inverse_lipschitz() == float(
-                np.linalg.norm(ref.inverse(t).linear, 2))
+        traj = gauss_traj_3d()
+        assert traj.inverse_lipschitz == [float(np.linalg.norm(ref.inverse(t).linear, 2))
+                                          for t in traj.transports]
 
     def test_grid(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
         traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
                               mode=jko.PerturbMode.GRID_BUMP, seed=2)
-        for t in traj.transports:
-            inv = ref.inverse(t)
-            assert t.inverse_lipschitz() == float(np.max(np.diff(inv.y) / np.diff(inv.x)))
+        invs = [ref.inverse(t) for t in traj.transports]
+        assert traj.inverse_lipschitz == [float(np.max(np.diff(inv.y) / np.diff(inv.x)))
+                                          for inv in invs]
+
+
+def random_gauss_traj(d, seed, n=5):
+    """n perturbed steps from a random p0 whose covariance does not commute with Lambda,
+    under a weighted objective with a random centre."""
+    rng = np.random.default_rng([seed, d])
+    a, b = rng.standard_normal((d, d)), rng.standard_normal((d, d))
+    spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T / d + 0.5 * np.eye(d),
+                                                  rng.standard_normal(d)),
+                            fn.Variant.WEIGHTED, rng.uniform(0.5, 2.0))
+    p0 = ga.GaussianMeasure(rng.standard_normal(d), b @ b.T / d + 0.5 * np.eye(d))
+    mode = (jko.PerturbMode.DILATION, jko.PerturbMode.MEAN_SHIFT)[seed % 2]
+    return pr.run_forward(p0, spec, rng.uniform(0.5, 1.5), n, eps_schedule=0.05, mode=mode)
+
+
+class TestChainWideValues:
+    """The trajectory's chain-wide objective values and inverse-Lipschitz constants equal
+    the per-item ones bit for bit (==, not approx)."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 10, 30])
+    def test_gaussian(self, d, seed):
+        traj = random_gauss_traj(d, seed)
+        assert traj.objective_values == [fn.evaluate(traj.spec, m) for m in traj.measures]
+        assert traj.objective_values == [ref.gaussian_objective(m, traj.spec)
+                                          for m in traj.measures]
+        assert traj.inverse_lipschitz == [float(np.linalg.norm(np.linalg.inv(t.linear), 2))
+                                          for t in traj.transports]
+
+    def test_grid(self):
+        traj = grid_traj()
+        assert traj.objective_values == [fn.evaluate(traj.spec, m) for m in traj.measures]
+        assert traj.inverse_lipschitz == [float(np.max(np.diff(t.x) / np.diff(t.y)))
+                                          for t in traj.transports]
+
+    def test_computed_once(self, monkeypatch):
+        traj = random_gauss_traj(10, 0)
+        calls = []
+        objectives = fn.objectives
+        monkeypatch.setattr(fn, "objectives",
+                            lambda spec, ms: calls.append(len(ms)) or objectives(spec, ms))
+        ct.check_evi(traj)
+        ct.check_forward_rate(traj)
+        pr.forward_csv(traj)
+        # one chain-wide evaluation; the others are single measures (the minimizer's G)
+        assert calls.count(len(traj.measures)) == 1 and set(calls) == {1, len(traj.measures)}
+        assert traj.inverse_lipschitz is traj.inverse_lipschitz
+
+    def test_no_steps(self):
+        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)
+        assert traj.inverse_lipschitz == []
+        assert traj.objective_values == [fn.evaluate(traj.spec, traj.measures[0])]
 
 
 class TestCsv:
