@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import functionals as fn
+from . import gaussian as ga
 from . import process as pr
 
 __all__ = [
@@ -108,7 +109,8 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
         threshold = pr.steps_threshold(w[0], lam, gamma, eps)
-        g_min = fn.minimum_value(spec)
+        # G of the continuous pi, not of traj.minimizer, until ROADMAP item 1 (grid pi_M)
+        g_min = fn.evaluate(spec, ga.GaussianMeasure.minimizer(spec))
         for n in range(1, traj.n_steps + 1):
             if n < threshold:
                 continue

@@ -149,10 +149,11 @@ class RunConfig:
     def run_id(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
-    def resolve_n(self, p0, q) -> int:
+    def resolve_n(self, p0) -> int:
         if self.n_steps != "auto":
             return self.n_steps
-        return pr.steps_needed(p0.w2(q), self.spec.lam, self.gamma, self.eps[0])
+        w2 = p0.w2(p0.minimizer(self.spec))  # pi in p0's family, built for n = auto only
+        return pr.steps_needed(w2, self.spec.lam, self.gamma, self.eps[0])
 
 
 def _raw_pairs(text: str) -> dict:
@@ -206,7 +207,7 @@ def parse_config(text: str) -> RunConfig:
         variant = fn.Variant(take("objective.variant", "kl"))
         alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
-        _built("the minimizer N(center, alpha lambda_mat^-1)", fn.global_minimizer, spec)
+        _built("the minimizer N(center, alpha lambda_mat^-1)", ga.GaussianMeasure.minimizer, spec)
 
         family = take("family")
         if family not in ("grid", "gaussian"):
@@ -286,13 +287,22 @@ def parse_config(text: str) -> RunConfig:
     )
 
 
+def _built_on_grid(cfg: RunConfig) -> RunConfig:
+    """cfg, once a grid config's Gaussian p0 and pi are built as a run builds them (ConfigError
+    when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
+    if cfg.family == "grid" and cfg.p0_kind == "gaussian":
+        p0 = _built("p0", build_p0, cfg)
+        _built("the minimizer N(center, alpha lambda_mat^-1)", p0.minimizer, cfg.spec)
+    return cfg
+
+
 def build_p0(cfg: RunConfig):
     if cfg.p0_kind == "atoms":
         p0 = pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
     else:
         p0 = ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
     if cfg.family == "grid" and not isinstance(p0, qt.QuantileGrid):
-        # a Gaussian p0, or a single smoothed atom, is rendered on the grid
+        # a Gaussian p0, or a single smoothed atom, at the grid's M quantile points
         p0 = qt.from_gaussian(float(p0.mean[0]), math.sqrt(float(p0.cov[0, 0])), cfg.m)
     return p0
 
@@ -309,7 +319,7 @@ def _out_dir(args) -> str:
 
 def _load_config(args) -> RunConfig:
     with open(args.config) as f:
-        return parse_config(f.read())
+        return _built_on_grid(parse_config(f.read()))
 
 
 def _path(out: str, rid: str, suffix: str) -> str:
@@ -318,8 +328,7 @@ def _path(out: str, rid: str, suffix: str) -> str:
 
 def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     p0 = build_p0(cfg)
-    q = p0.render(fn.global_minimizer(cfg.spec))
-    n = cfg.resolve_n(p0, q)
+    n = cfg.resolve_n(p0)
     schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
     traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
     with open(_path(out, rid, "config.txt"), "w") as f:
@@ -445,7 +454,7 @@ def _failure(exc: Exception, prefix: str = "") -> int:
 def _sweep_config(base_text: str, overrides: dict) -> RunConfig:
     raw = _raw_pairs(parse_config(base_text).canonical())
     raw.update(overrides)
-    return parse_config("".join(f"{k} = {v}\n" for k, v in raw.items()))
+    return _built_on_grid(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())))
 
 
 def _sweep_entry(cfg: RunConfig, rid: str, out: str) -> int:

@@ -6,10 +6,10 @@ V(x) = (1/2)(x - mu*)^T Lambda (x - mu*), Lambda SPD.  The objective is
     G(rho) = alpha * H(rho) + E_rho[V] + log Z,
 
 with alpha = 1 (plain KL) or a general alpha > 0: every objective carries
-entropy, so its minimizer is a nondegenerate Gaussian.  The constant log Z
-is fixed so the KL variant is a true divergence (zero at q).  The convexity
-modulus is lambda_min(Lambda) for every variant (the entropy contributes
-convexity >= 0).
+entropy, so its minimizer is a nondegenerate Gaussian (each measure family
+builds it by its `minimizer(spec)`).  The constant log Z is fixed so the KL
+variant is a true divergence (zero at q).  The convexity modulus is
+lambda_min(Lambda) for every variant (the entropy contributes convexity >= 0).
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import gaussian as ga
-
 __all__ = [
     "Variant",
     "QuadraticPotential",
     "ObjectiveSpec",
     "evaluate",
     "objectives",
-    "global_minimizer",
 ]
 
 
@@ -114,18 +111,3 @@ def objectives(spec: ObjectiveSpec, measures) -> list[float]:
     """[G(m) for m in measures], by the measure family's chain-wide `objectives`."""
     return type(measures[0]).objectives(spec, measures)
 
-
-def global_minimizer(spec: ObjectiveSpec) -> ga.GaussianMeasure:
-    """The unique global minimizer of G: N(mu*, alpha Lambda^{-1}).
-
-    ValueError: that covariance is below GaussianMeasure's nondegeneracy floor.
-    """
-    pot = spec.potential
-    lam_inv = np.linalg.inv(pot.lambda_mat)
-    lam_inv = 0.5 * (lam_inv + lam_inv.T)
-    return ga.GaussianMeasure(pot.center, spec.alpha * lam_inv)
-
-
-def minimum_value(spec: ObjectiveSpec) -> float:
-    """G at the global minimizer (0 for the KL variant)."""
-    return evaluate(spec, global_minimizer(spec))

@@ -55,6 +55,8 @@ class GaussianMeasure:
     def __post_init__(self):
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        if mean.ndim != 1:
+            raise ValueError("mean must be a vector")
         if cov.shape != (mean.size, mean.size):
             raise ValueError("covariance shape does not match mean dimension")
         # a NaN or inf makes a sum non-finite; only then, since finite entries may
@@ -68,6 +70,8 @@ class GaussianMeasure:
         if asym > _SYM_RTOL * 100 and asym > _SYM_RTOL * max(abs(cov).max(), 1.0) * 100:
             raise ValueError("covariance is not symmetric")
         cov = 0.5 * (cov + cov.T)
+        if not math.isfinite(cov.sum()) and not np.isfinite(cov).all():  # cov + cov.T overflowed
+            raise ValueError("mean and covariance must be finite")
         for name, arr in (("mean", mean), ("cov", cov)):
             object.__setattr__(self, name, _frozen(arr))
         shifted = cov.copy()  # cov - 1e-10 I, bit for bit
@@ -167,9 +171,13 @@ class GaussianMeasure:
 
     image = push  # t#self for a transport t that starts here: no shortcut on Gaussians
 
-    def render(self, g: GaussianMeasure) -> GaussianMeasure:
-        """The Gaussian measure g in this family: g itself."""
-        return g
+    @staticmethod
+    def minimizer(spec) -> GaussianMeasure:
+        """The global minimizer of G, N(mu*, alpha Lambda^{-1}); ValueError below the floor."""
+        pot = spec.potential
+        lam_inv = np.linalg.inv(pot.lambda_mat)
+        lam_inv = 0.5 * (lam_inv + lam_inv.T)
+        return GaussianMeasure(pot.center, spec.alpha * lam_inv)
 
     @staticmethod
     def objectives(spec, measures) -> list[float]:

@@ -63,7 +63,7 @@ class Trajectory:
     @cached_property
     def minimizer(self):
         """The global minimizer pi of G in this trajectory's family (on its grid)."""
-        return self.measures[0].render(fn.global_minimizer(self.spec))
+        return self.measures[0].minimizer(self.spec)
 
     @cached_property
     def w2_to_minimizer(self) -> list:

@@ -104,11 +104,13 @@ class QuantileGrid:
         """t#self for a transport t that starts at this grid: the grid of t's knot values."""
         return QuantileGrid(t.y)
 
-    def render(self, g) -> QuantileGrid:
-        """The 1-D Gaussian measure g on this grid's M quantile points."""
-        if g.dim != 1:
+    def minimizer(self, spec) -> QuantileGrid:
+        """The global minimizer of G, N(mu*, alpha / lambda), at this grid's M quantile points."""
+        pot = spec.potential
+        if pot.dim != 1:
             raise ValueError("grid family requires a 1-D objective")
-        return from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), self.m)
+        sd = math.sqrt(spec.alpha * (1.0 / float(pot.lambda_mat[0, 0])))  # GaussianMeasure's bits
+        return from_gaussian(float(pot.center[0]), sd, self.m)
 
     @staticmethod
     def objectives(spec, measures) -> list[float]:
@@ -212,13 +214,9 @@ def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
 
 
 def from_gaussian(mean: float, sd: float, m: int) -> QuantileGrid:
-    """Quantile grid of N(mean, sd^2) at the midpoint u-grid."""
-    from scipy.special import ndtri  # loaded here, so only grid renders pay for scipy.special
+    """Quantile grid of N(mean, sd^2) at the midpoints (QuantileGrid rejects sd <= 0, M < 8)."""
+    from scipy.special import ndtri  # loaded here, so only grid measures pay for scipy.special
 
-    if sd <= 0:
-        raise ValueError("sd must be positive")
-    if m < MIN_GRID_SIZE:
-        raise ValueError(f"grid size must be >= {MIN_GRID_SIZE}")
     return QuantileGrid(mean + sd * ndtri(midpoints(m)))
 
 

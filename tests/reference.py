@@ -185,6 +185,8 @@ def gaussian_fields(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     Cholesky factorization of cov - 1e-10 * np.eye(d)."""
     mean = np.atleast_1d(np.asarray(mean, dtype=float))
     cov = np.atleast_2d(np.asarray(cov, dtype=float))
+    if mean.ndim != 1:
+        raise ValueError("mean must be a vector")
     if cov.shape != (mean.size, mean.size):
         raise ValueError("covariance shape does not match mean dimension")
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
@@ -194,6 +196,8 @@ def gaussian_fields(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     if asym > 1e-12 * scale * 100:
         raise ValueError("covariance is not symmetric")
     cov = 0.5 * (cov + cov.T)
+    if not np.all(np.isfinite(cov)):  # an entry above half the largest float overflowed
+        raise ValueError("mean and covariance must be finite")
     try:
         np.linalg.cholesky(cov - 1e-10 * np.eye(mean.size))
     except np.linalg.LinAlgError:

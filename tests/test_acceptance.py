@@ -73,12 +73,12 @@ def evi_runs():
             if family == "grid":
                 spec = kl_spec()
                 p0 = _random_grid_p0(rng)
-                q = p0.render(fn.global_minimizer(spec))
+                q = p0.minimizer(spec)
             else:
                 d = int(family[-1])
                 spec = kl_spec(d=d)
                 p0 = _random_gaussian_p0(rng, d)
-                q = fn.global_minimizer(spec)
+                q = ga.GaussianMeasure.minimizer(spec)
             w0 = p0.w2(q)
             n = pr.steps_needed(w0, 1.0, 1.0, eps) + 1 if eps > 0 else 8
             traj = pr.run_forward(p0, spec, 1.0, n,
@@ -169,7 +169,7 @@ class TestAcceptance:
             traj, q, n_thr = run["traj"], run["q"], run["n_threshold"]
             w = traj.measures[n_thr].w2(q)
             gap = fn.evaluate(traj.spec, traj.measures[n_thr + 1]) \
-                - fn.minimum_value(traj.spec)
+                - fn.evaluate(traj.spec, ga.GaussianMeasure.minimizer(traj.spec))
             if not (w <= math.sqrt(5) * eps and gap <= 4.5 * eps ** 2):
                 n_fail += 1
         _verdict(4, "terminal W2 and objective-gap bounds", n_fail == 0,
@@ -198,7 +198,7 @@ class TestAcceptance:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             p0 = _random_grid_p0(rng)
-            q = p0.render(fn.global_minimizer(spec))
+            q = p0.minimizer(spec)
             n = pr.steps_needed(qt.w2(p0, q), 1.0, 1.0, eps)
             traj = pr.run_forward(p0, spec, 1.0, n, eps_schedule=eps, seed=seed)
             q0 = pr.run_reverse_exact(traj)[0]

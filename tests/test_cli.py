@@ -150,13 +150,30 @@ class TestParseConfig:
             cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto").replace("eps = 0.1", "eps = 0"))
 
     def test_auto_n_value(self):
-        from jkolab import functionals as fn
         from jkolab import process as pr
         cfg = cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto"))
         p0 = cli.build_p0(cfg)
-        q = fn.global_minimizer(cfg.spec)
-        # w2(p0, q) = sqrt(5), lam = 1, gamma = 1, eps = 0.1
-        assert cfg.resolve_n(p0, q) == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
+        # w2(p0, pi) = sqrt(5), lam = 1, gamma = 1, eps = 0.1
+        assert cfg.resolve_n(p0) == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
+
+    @pytest.mark.parametrize("base, n", [(BASE_GAUSS, 5), (BASE_GRID, 3)],
+                             ids=["gaussian", "grid"])
+    def test_pi_is_built_for_auto_n_only(self, base, n):
+        fixed = cli.parse_config(base)
+        auto = cli.parse_config(base.replace(f"n = {n}", "n = auto"))
+        p0 = cli.build_p0(fixed)
+        calls = []
+
+        class CountingP0:
+            def minimizer(self, spec):
+                calls.append(spec)
+                return p0.minimizer(spec)
+
+            def w2(self, other):
+                return p0.w2(other)
+
+        assert fixed.resolve_n(CountingP0()) == n and calls == []
+        assert auto.resolve_n(CountingP0()) == auto.resolve_n(p0) > n and calls == [auto.spec]
 
 
 class TestPipeline:
@@ -691,6 +708,28 @@ class TestConfigErrorsAtParse:
         err = capsys.readouterr().err
         assert "config error: the minimizer N(center, alpha lambda_mat^-1): covariance is not " \
                "positive definite" in err
+        assert "Traceback" not in err
+
+
+    @pytest.mark.parametrize("edits, measure", [
+        ({"objective.center = 0": "objective.center = 1e12\nobjective.lambda_mat = 1e4"},
+         "the minimizer N(center, alpha lambda_mat^-1)"),
+        ({"p0.mean = 1.5": "p0.mean = 1e12", "p0.cov = 2.25": "p0.cov = 1e-4"}, "p0"),
+    ], ids=["minimizer", "p0"])
+    def test_grid_quantiles_that_collapse_are_config_errors(self, tmp_path, capsys, edits,
+                                                            measure):
+        # at M = 2048 the quantiles near the centre are about 1.2e-3 sd apart, below the
+        # float spacing at 1e12 (1.2e-4): forward used to exit 70 building the measure
+        text = STANDARD_GRID
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        with pytest.raises(cli.ConfigError, match=re.escape(measure)):
+            cli._built_on_grid(cli.parse_config(text))
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify", "sweep"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {measure}: quantile values must be strictly increasing" in err
         assert "Traceback" not in err
 
 

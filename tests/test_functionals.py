@@ -66,7 +66,7 @@ class TestLambda:
 class TestEvaluate:
     def test_kl_at_target_zero(self):
         spec = spec_for(np.diag([2.0, 0.5]))
-        assert fn.evaluate(spec, fn.global_minimizer(spec)) == pytest.approx(0, abs=1e-12)
+        assert fn.evaluate(spec, ga.GaussianMeasure.minimizer(spec)) == pytest.approx(0, abs=1e-12)
 
     def test_weighted_alpha_one_equals_kl(self):
         rng = np.random.default_rng(3)
@@ -96,12 +96,12 @@ class TestEvaluate:
 class TestGlobalMinimizer:
     def test_kl_case(self):
         spec = spec_for(np.eye(2))
-        g = fn.global_minimizer(spec)
+        g = ga.GaussianMeasure.minimizer(spec)
         assert np.allclose(g.mean, 0) and np.allclose(g.cov, np.eye(2))
 
     def test_weighted_alpha_two(self):
         spec = spec_for(np.eye(2), variant=fn.Variant.WEIGHTED, alpha=2.0)
-        g = fn.global_minimizer(spec)
+        g = ga.GaussianMeasure.minimizer(spec)
         assert np.allclose(g.cov, 2 * np.eye(2))
         fld = ref.subgradient_field(g, spec)
         assert field_l2_norm(fld, g) <= 1e-12
@@ -111,9 +111,10 @@ class TestGlobalMinimizer:
         for _ in range(10):
             a = rng.standard_normal((2, 2))
             spec = spec_for(a @ a.T + 0.2 * np.eye(2), rng.uniform(-1, 1, 2))
-            g = fn.global_minimizer(spec)
+            g = ga.GaussianMeasure.minimizer(spec)
             assert field_l2_norm(ref.subgradient_field(g, spec), g) <= 1e-12
 
     def test_minimum_value(self):
+        # G at the minimizer: 0 for the KL variant
         spec = spec_for(np.diag([2.0]))
-        assert fn.minimum_value(spec) == pytest.approx(0, abs=1e-12)
+        assert fn.evaluate(spec, ga.GaussianMeasure.minimizer(spec)) == pytest.approx(0, abs=1e-12)

@@ -155,6 +155,18 @@ class TestValidationMatchesReference:
         else:
             assert got[1] == expected[1]
 
+    @pytest.mark.parametrize("name, message", [
+        ("mean_matrix", "mean must be a vector"),
+        ("cov_symmetrization_overflows", "mean and covariance must be finite"),
+    ])
+    def test_rejected_on_both_sides(self, name, message):
+        # each used to be accepted: a (2, 2) mean with dim 4, an infinite stored covariance
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # cov + cov.T overflows
+            for build in (ref.gaussian_fields, ga.GaussianMeasure):
+                with pytest.raises(ValueError, match=message):
+                    build(*VALIDATION_INPUTS[name])
+
     def test_inputs_reach_every_outcome(self):
         # the table exercises acceptance and each of the checks' messages
         outcomes = set()
@@ -163,7 +175,7 @@ class TestValidationMatchesReference:
             for mean, cov in VALIDATION_INPUTS.values():
                 out = _stored_or_raised(ref.gaussian_fields, mean, cov)
                 outcomes.add(out[0] if out[0] == "ok" else out[1].split(":")[0])
-        assert {"ok", "covariance shape does not match mean dimension",
+        assert {"ok", "mean must be a vector", "covariance shape does not match mean dimension",
                 "mean and covariance must be finite", "covariance is not symmetric",
                 "covariance is not positive definite"} <= outcomes
 
@@ -284,7 +296,7 @@ class TestStackedW2:
     def test_chain_to_minimizer(self, d, variant, alpha):
         rng = np.random.default_rng(d)
         pot = fn.QuadraticPotential(random_spd(rng, d, 1.0 / d), rng.standard_normal(d))
-        pi = fn.global_minimizer(fn.ObjectiveSpec(pot, variant, alpha))
+        pi = ga.GaussianMeasure.minimizer(fn.ObjectiveSpec(pot, variant, alpha))
         chain = noncommuting_chain(d)
         assert pi.w2_from(chain) == [ga.w2_bw(p, pi) for p in chain]
 
@@ -365,18 +377,19 @@ class TestOtMapBw:
 class TestKl:
     def test_at_minimizer_zero(self):
         spec = std_spec(2)
-        g = fn.global_minimizer(spec)
-        assert ga.kl_between(g, fn.global_minimizer(spec)) == pytest.approx(0, abs=1e-12)
+        g = ga.GaussianMeasure.minimizer(spec)
+        assert ga.kl_between(g, ga.GaussianMeasure.minimizer(spec)) == pytest.approx(0, abs=1e-12)
 
     def test_one_dim_mean_shift(self):
         g = ga.GaussianMeasure(np.array([1.0]), np.eye(1))
-        assert ga.kl_between(g, fn.global_minimizer(std_spec(1))) == pytest.approx(0.5, abs=1e-12)
+        pi = ga.GaussianMeasure.minimizer(std_spec(1))
+        assert ga.kl_between(g, pi) == pytest.approx(0.5, abs=1e-12)
 
     def test_two_dim_closed_form(self):
         g = ga.GaussianMeasure(np.zeros(2), np.diag([4.0, 1.0]))
         expected = 0.5 * (5 - 2 - np.log(4))
-        assert ga.kl_between(g, fn.global_minimizer(std_spec(2))) == pytest.approx(expected,
-                                                                            abs=1e-12)
+        pi = ga.GaussianMeasure.minimizer(std_spec(2))
+        assert ga.kl_between(g, pi) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 10, 30])
     def test_matches_the_precision_formula(self, d):
@@ -440,8 +453,8 @@ class TestTv:
 class TestSubgradientField:
     def test_zero_at_minimizer(self):
         spec = std_spec(3)
-        fld = ref.subgradient_field(fn.global_minimizer(spec), spec)
-        g = fn.global_minimizer(spec)
+        fld = ref.subgradient_field(ga.GaussianMeasure.minimizer(spec), spec)
+        g = ga.GaussianMeasure.minimizer(spec)
         assert field_l2_norm(fld, g) <= 1e-12
 
     def test_constant_field_for_mean_shift(self):

@@ -2,8 +2,9 @@
 
 Each command of the CLI starts a fresh interpreter, so what `import jkolab`
 pulls in is paid on every run.  One child interpreter imports the CLI, runs
-a 1-D Gaussian forward/reverse/certify through `cli.main`, then a grid
-forward, and reports the scipy modules loaded after each stage.
+a 1-D Gaussian forward/reverse/certify through `cli.main`, then parses a
+grid config and runs a grid forward, and reports the scipy modules loaded
+after each stage.
 """
 
 import json
@@ -56,6 +57,9 @@ gauss, grid, runs = sys.argv[1:]
 for sub in ("forward", "reverse", "certify"):
     stages[f"gaussian {sub}"] = [cli.main([sub, "--config", gauss, "--out", runs]),
                                  scipy_modules()]
+with open(grid) as f:
+    cli.parse_config(f.read())
+stages["grid parse"] = [0, scipy_modules()]
 stages["grid forward"] = [cli.main(["forward", "--config", grid, "--out", runs]),
                           scipy_modules()]
 print(json.dumps(stages))
@@ -86,6 +90,12 @@ def test_cli_import_loads_no_scipy(stages):
 @pytest.mark.parametrize("sub", ["forward", "reverse", "certify"])
 def test_gaussian_command_loads_no_scipy(stages, sub):
     assert stages[f"gaussian {sub}"] == set()
+
+
+def test_grid_config_parse_loads_no_scipy(stages):
+    # a run id (a sweep's, a benchmark set-up's) costs no scipy import: parse_config
+    # builds no grid measure, the CLI's config loaders do
+    assert stages["grid parse"] == set()
 
 
 def test_grid_step_loads_scipy_linalg_and_special(stages):

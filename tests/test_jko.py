@@ -59,7 +59,7 @@ class TestGaussianStep:
 
     def test_fixed_point_at_target(self):
         spec = kl_spec()
-        q = fn.global_minimizer(spec)
+        q = ga.GaussianMeasure.minimizer(spec)
         res = jko.jko_step_gaussian(q, spec, 0.7)
         assert ga.w2_bw(res.next_measure, q) <= 1e-8
         assert res.xi_norm <= jko.GAUSSIAN_TOL
@@ -166,7 +166,7 @@ class TestGridStep:
         # after the first starts from a grid bent by a calibrated bump
         cfg = cli.parse_config(STANDARD_GRID.replace("family.m = 2048", f"family.m = {m}"))
         p0 = cli.build_p0(cfg)
-        n = cfg.resolve_n(p0, p0.render(fn.global_minimizer(cfg.spec)))
+        n = cfg.resolve_n(p0)
         traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, cfg.eps * n, cfg.mode, cfg.seed)
         assert n > 10
         for p_n in traj.measures[:-1]:

@@ -29,7 +29,7 @@ class TestBruteJkoGaussian:
 
     def test_stays_at_target(self):
         spec = kl_spec()
-        q = fn.global_minimizer(spec)
+        q = ga.GaussianMeasure.minimizer(spec)
         ref = orc.brute_jko(q, spec, 1.0, orc.OracleConfig(budget=20_000))
         assert ga.w2_bw(ref, q) <= 1e-4
 

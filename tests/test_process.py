@@ -94,7 +94,7 @@ class TestRunForward:
 
     def test_w2_decreases_monotonically(self):
         spec = kl_spec()
-        q = fn.global_minimizer(spec)
+        q = ga.GaussianMeasure.minimizer(spec)
         traj = pr.run_forward(gauss_p0(), spec, 1.0, 6)
         dists = [ga.w2_bw(m, q) for m in traj.measures]
         assert all(b < a for a, b in zip(dists, dists[1:]))
@@ -236,8 +236,10 @@ class TestReverse:
 
 
 def old_minimizer_in_family(spec, family, m=None):
-    """The global minimizer of G in a family, written out as the reference for `render`."""
-    g = fn.global_minimizer(spec)
+    """The global minimizer of G in a family, N(mu*, alpha Lambda^{-1}) (on a grid, its
+    quantiles at M points), written out as the reference for the `minimizer` methods."""
+    lam_inv = np.linalg.inv(spec.potential.lambda_mat)
+    g = ga.GaussianMeasure(spec.potential.center, spec.alpha * (0.5 * (lam_inv + lam_inv.T)))
     if family == "gaussian":
         return g
     return qt.from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), m)
@@ -419,18 +421,37 @@ class TestFamilyMethods:
             assert_same_fields(got, expected)
 
     @pytest.mark.parametrize("make_traj", [gauss_traj_3d, grid_traj], ids=["gaussian", "grid"])
-    def test_render_equals_the_old_minimizer_expression(self, make_traj):
+    def test_minimizer_equals_the_old_minimizer_expression(self, make_traj):
         traj = make_traj()
         family = traj.measures[0].family
         m = traj.measures[0].m if family == "grid" else None
+        expected = old_minimizer_in_family(traj.spec, family, m)
         for p in traj.measures:
-            assert_same_fields(p.render(fn.global_minimizer(traj.spec)),
-                               old_minimizer_in_family(traj.spec, family, m))
+            assert_same_fields(p.minimizer(traj.spec), expected)
+        assert_same_fields(traj.minimizer, expected)
 
-    def test_grid_render_needs_a_1d_gaussian(self):
-        g = ga.GaussianMeasure(np.zeros(2), np.eye(2))
+    def test_grid_minimizer_needs_a_1d_objective(self):
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(2), np.zeros(2)))
         with pytest.raises(ValueError, match="1-D objective"):
-            qt.from_gaussian(0.0, 1.0, 16).render(g)
+            qt.from_gaussian(0.0, 1.0, 16).minimizer(spec)
+
+    def test_minimizer_sd_keeps_its_last_bits(self):
+        # The sd is sqrt(alpha * (1 / lambda)), as before the family method; for these
+        # seeded pairs sqrt(alpha / lambda) differs from it in the last bit.
+        rng = np.random.default_rng(2594)
+        pairs = []
+        while len(pairs) < 20:
+            alpha, lam = np.exp(rng.uniform(-3.0, 3.0, 2))
+            if math.sqrt(alpha / lam) != math.sqrt(alpha * (1 / lam)):
+                pairs.append((float(alpha), float(lam)))
+        grid = qt.from_gaussian(0.0, 1.0, 16)
+        for alpha, lam in pairs:
+            spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.array([[lam]]), np.array([0.25])),
+                                    fn.Variant.WEIGHTED, alpha)
+            sd = math.sqrt(alpha * (1 / lam))
+            assert math.sqrt(float(ga.GaussianMeasure.minimizer(spec).cov[0, 0])) == sd
+            assert_same_fields(grid.minimizer(spec), qt.from_gaussian(0.25, sd, 16))
+            assert_same_fields(grid.minimizer(spec), old_minimizer_in_family(spec, "grid", 16))
 
 
 class TestOuSmooth:
