@@ -290,9 +290,10 @@ def parse_config(text: str) -> RunConfig:
 def _built_on_grid(cfg: RunConfig) -> RunConfig:
     """cfg, once a grid config's Gaussian p0 and pi are built as a run builds them (ConfigError
     when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
-    if cfg.family == "grid" and cfg.p0_kind == "gaussian":
-        p0 = _built("p0", build_p0, cfg)
-        _built("the minimizer N(center, alpha lambda_mat^-1)", p0.minimizer, cfg.spec)
+    if cfg.family == "grid":  # pi reads only M: the midpoints stand in for atoms, unsmoothed
+        grid = (_built("p0", build_p0, cfg) if cfg.p0_kind == "gaussian"
+                else qt.QuantileGrid(qt.midpoints(cfg.m)))
+        _built("the minimizer N(center, alpha lambda_mat^-1)", grid.minimizer, cfg.spec)
     return cfg
 
 

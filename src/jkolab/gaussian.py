@@ -38,12 +38,12 @@ class GaussianMeasure:
     Construction validates the covariance by one Cholesky factorization of
     cov - 1e-10 I: a measure exists only when it succeeds, which is the rule
     "smallest eigenvalue >= 1e-10" up to roundoff at the boundary, so every
-    measure has an entropy, a precision and a log-determinant.  The lower
-    Cholesky factor `chol` of cov, from which log_det comes, is computed on
-    first read.  The factors V diag(evals) V^T (`evals` ascending, `evecs` =
-    V) come from one `eigh` on first read and serve the square root, inverse
-    square root and precision, derived on first use.  All of them are cached
-    and read-only; `chol` is not a dataclass field.
+    measure has an entropy, an inverse covariance and a log-determinant.  The
+    lower Cholesky factor `chol` of cov, from which log_det comes, is
+    computed on first read.  The factors V diag(evals) V^T (`evals` ascending, `evecs` =
+    V) come from one `eigh` on first read and serve the square root and the
+    inverse square root, derived on first use.  All of them are cached and
+    read-only; `chol` is not a dataclass field.
     """
 
     mean: np.ndarray
@@ -110,12 +110,6 @@ class GaussianMeasure:
         return _frozen((v / np.sqrt(self.evals)) @ v.T)
 
     @cached_property
-    def precision(self) -> np.ndarray:
-        """Sigma^{-1}."""
-        v = self.evecs
-        return _frozen((v / self.evals) @ v.T)
-
-    @cached_property
     def log_det(self) -> float:
         """log det Sigma = 2 sum log diag(chol)."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
@@ -171,6 +165,9 @@ class GaussianMeasure:
 
     image = push  # t#self for a transport t that starts here: no shortcut on Gaussians
 
+    def image_mean(self, t: AffineMap) -> np.ndarray:
+        return t.linear @ self.mean + t.offset  # image(t)'s, building no measure
+
     @staticmethod
     def minimizer(spec) -> GaussianMeasure:
         """The global minimizer of G, N(mu*, alpha Lambda^{-1}); ValueError below the floor."""
@@ -194,29 +191,25 @@ class GaussianMeasure:
                      + (dm[:, None, :] @ pot.lambda_mat @ dm[:, :, None])[:, 0, 0])
         return (spec.alpha * h + e_v + pot.log_z).tolist()
 
-    def xi(self, linear: np.ndarray, offset: np.ndarray, spec,
-           gamma: float) -> tuple[tuple[np.ndarray, np.ndarray], float]:
-        """jko.measure_xi of the transport S: x -> L x + o from this measure, L = `linear`.
+    def xi(self, linear: np.ndarray, offset: np.ndarray, spec, gamma: float) -> float:
+        """jko.measure_xi of the transport S: x -> L x + o from this measure N(m, Sigma).
 
-        With L symmetric positive definite, S is the OT map to S#self, its
-        back-map is S^{-1} = (L^{-1}, -L^{-1} o) and the precision of S#self
-        is L^{-T} Sigma^{-1} L^{-1}, from the cached precision, so no
-        eigendecomposition runs and no measure or map is built.  Returns
-        (J, c) of the field x -> J x + c, which is the objective's W2
-        gradient  Lambda (x - mu*) - alpha Sigma_S^{-1} (x - m_S)  minus
-        (S^{-1} - Id) / gamma, and its norm.  ValueError: L is not exactly
-        symmetric (positive definiteness is the caller's to ensure).
+        With L symmetric positive definite, S is the OT map to N(m_S, L Sigma L),
+        m_S = L m + o, and xi pulled back through S is x -> v + K Sigma^{-1/2} (x - m),
+        v = Lambda (m_S - mu*) + (m_S - m) / gamma,
+        K = (Lambda L + (L - I) / gamma) Sigma^{1/2} - alpha L^{-1} Sigma^{-1/2}:
+        its norm is sqrt(||v||^2 + ||K||_F^2), one solve and no measure or map built.
+        ValueError: L is not exactly symmetric (definiteness is the caller's).
         """
         if not (linear == linear.T).all():
             raise ValueError("the transport's linear part is not symmetric")
-        inv = np.linalg.inv(linear)
-        mean = linear @ self.mean + offset
-        precision = inv.T @ self.precision @ inv
         pot = spec.potential
-        alpha = spec.alpha
-        j = pot.lambda_mat - alpha * precision - (inv - np.eye(mean.size)) / gamma
-        c = -pot.lambda_mat @ pot.center + alpha * precision @ mean + inv @ offset / gamma
-        return (j, c), affine_field_norm(j, c, mean, linear @ self.cov @ linear.T)
+        lam = pot.lambda_mat
+        mean = linear @ self.mean + offset
+        v = lam @ (mean - pot.center) + (mean - self.mean) / gamma
+        k = ((lam @ linear + (linear - np.eye(mean.size)) / gamma) @ self.sqrt
+             - spec.alpha * np.linalg.solve(linear, self.inv_sqrt))
+        return math.sqrt(float(v @ v + (k * k).sum()))
 
     @property
     def step_solver(self):

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +70,15 @@ class PerturbMode(enum.Enum):
 
 @dataclass(frozen=True)
 class StepResult:
-    next_measure: object
+    """A proximal step; `next_measure` is built by `build_next` on first read, so a
+    perturbed step never builds the exact one it replaces.  amplitude: 0 if exact."""
+
+    build_next: object = field(repr=False)
     transport: object
     xi_norm: float
     solver_iterations: int
+    amplitude: float = 0.0
+    next_measure = cached_property(lambda self: self.build_next())
 
 
 def _check_gamma(gamma: float):
@@ -96,10 +102,9 @@ def measure_xi(p_n, transport, spec: fn.ObjectiveSpec, gamma: float):
     transport S given by its constructor arrays: a grid map's knots, which
     start at p_n's quantiles, or an affine map's exactly symmetric positive
     definite linear part and offset (the OT map from p_n to S#p_n).
-    Returns (field, L2(p_next) norm), the field as arrays: the length-M
-    sample vector on grids, (J, c) of x -> J x + c on Gaussians.  p_n's
-    `xi` method measures it (ValueError: a grid map that does not start at
-    p_n's quantiles, or a linear part that is not exactly symmetric).
+    Returns its L2(p_next) norm, which p_n's `xi` method measures
+    (ValueError: a grid map that does not start at p_n's quantiles, or a
+    linear part that is not exactly symmetric).
     """
     _check_gamma(gamma)
     return p_n.xi(*transport, spec, gamma)
@@ -141,16 +146,12 @@ def jko_step_gaussian(
     a = 0.5 * (a + a.T)
 
     transport = ga.AffineMap(a, mean - a @ p_n.mean)
-    _, xi_norm = measure_xi(p_n, _fields(transport), spec, gamma)
+    xi_norm = measure_xi(p_n, _fields(transport), spec, gamma)
     if xi_norm > GAUSSIAN_TOL:
         raise SolverError(f"closed-form covariance step misses stationarity: "
                           f"||xi|| = {xi_norm:.3g} > {GAUSSIAN_TOL:.3g}")
-    return StepResult(
-        next_measure=ga.GaussianMeasure(mean, a @ p_n.cov @ a),
-        transport=transport,
-        xi_norm=xi_norm,
-        solver_iterations=0,
-    )
+    return StepResult(build_next=lambda: ga.GaussianMeasure(mean, a @ p_n.cov @ a),
+                      transport=transport, xi_norm=xi_norm, solver_iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +187,8 @@ def jko_step_grid(
     iteration (SolverError if the factorization fails).  A
     fraction-to-boundary rule keeps every gap at >= 1% of its previous
     value, and the line search accepts only strictly increasing trial
-    points, so iterates stay strictly monotone and only the result is built
-    as a QuantileGrid.
+    points, so iterates stay strictly monotone and only the image of the
+    result's transport is built as a QuantileGrid, on first read.
     Convergence is max|xi| <= GRID_TOL on the measured xi field, which is
     M times the gradient of the discretized objective.
     """
@@ -245,13 +246,9 @@ def jko_step_grid(
     else:
         raise SolverError("grid Newton did not converge within the iteration cap")
 
-    next_measure = qt.QuantileGrid(q)
-    return StepResult(
-        next_measure=next_measure,
-        transport=qt.ot_map(p_n, next_measure),
-        xi_norm=xi_norm,
-        solver_iterations=iters,
-    )
+    transport = qt.MonotoneMap1D(q_n, q)
+    return StepResult(build_next=lambda: p_n.image(transport), transport=transport,
+                      xi_norm=xi_norm, solver_iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +324,14 @@ def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
     return 0.95 / float((fall[neg] / room[neg]).max())
 
 
-def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,
-                        norm_at_zero: float = 0.0) -> tuple[float, float]:
+def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_zero: float = 0.0,
+                        first: float = _FIRST_PROBE) -> tuple[float, float]:
     """Amplitude a in (0, a_cap] at which norm_at(a) equals target, and that norm.
 
-    A safeguarded secant on the norm, starting from its known value
-    norm_at_zero at a = 0 (never evaluated), so a norm affine in a is solved
-    by the first step.  Before the target is bracketed, a step extrapolates
+    A safeguarded secant on the norm from its known value norm_at_zero at
+    a = 0 (never evaluated) and a first probe at `first` (a chain's previous
+    amplitude) clipped to the ceiling, so a norm affine in a is solved by
+    the first step.  Before the target is bracketed, a step extrapolates
     to at most 100 times the last amplitude and min(a_cap, _MAX_AMPLITUDE);
     inside the bracket, a step that leaves it falls back to regula falsi
     (Illinois: an end kept twice has its weight halved), then to bisection.
@@ -354,7 +352,7 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf,
     ceiling = min(a_cap, _MAX_AMPLITUDE)
     lo, f_lo, hi, f_hi = 0.0, norm_at_zero - target, None, None
     prev, f_prev = lo, f_lo
-    a = min(_FIRST_PROBE, ceiling)
+    a = min(first, ceiling)
     for _ in range(_MAX_CALIB_EVALS):
         norm = norm_at(a)
         f = norm - target
@@ -404,21 +402,21 @@ def perturb_step(
     eps: float,
     mode: PerturbMode = PerturbMode.MEAN_SHIFT,
     *,
-    bump_center: float | None = None,
+    bump_center: float | None = None, first: float = _FIRST_PROBE,
 ) -> StepResult:
     """Compose a perturbation onto the exact transport so ||xi|| equals eps.
 
     calibrate_amplitude finds the amplitude by a secant on the re-measured
-    xi norm, starting from the exact step's norm at amplitude 0, and the
-    norm it returns is the one measured there, so the calibration target
-    (1e-12 relative, 1% enforced) is verified by construction.  Dilations
-    are about the mean of the exact next measure; a grid bump (mode
-    GRID_BUMP needs bump_center) has the standard deviation of p_n as its
-    width.  eps = 0 returns the exact result unchanged.  An evaluation
-    hands measure_xi the perturbed transport's arrays, so no map is built
-    (a grid builds the QuantileGrid that validates the knot values; a
-    Gaussian runs no eigendecomposition); the accepted amplitude gets one
-    transport and its image of p_n.
+    xi norm, from the exact step's norm at amplitude 0 and a first probe at
+    `first`, and the norm it returns is the one measured there, so the
+    calibration target (1e-12 relative, 1% enforced) is verified by
+    construction.  Dilations are about the mean of the exact next measure,
+    which is not built; a grid bump (mode GRID_BUMP needs bump_center) has
+    the standard deviation of p_n as its width.  eps = 0 returns the exact
+    result unchanged.  An evaluation hands measure_xi the perturbed
+    transport's arrays, so no map is built (a grid builds the QuantileGrid
+    that validates the knot values; a Gaussian runs no eigendecomposition);
+    the accepted amplitude gets one transport and its image of p_n.
     """
     if eps < 0:
         raise ValueError("eps must be nonnegative")
@@ -426,7 +424,7 @@ def perturb_step(
         return exact
 
     tr = exact.transport
-    center = exact.next_measure.mean if mode is PerturbMode.DILATION else None
+    center = p_n.image_mean(tr) if mode is PerturbMode.DILATION else None
     bump = None
     if mode is PerturbMode.GRID_BUMP:
         if bump_center is None:
@@ -435,12 +433,8 @@ def perturb_step(
         bump = bump_profile(tr.x, bump_center, width)
     kind = type(tr)
     perturbed, cap = perturbation(kind, _fields(tr), mode, center, bump)
-    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma)[1], eps,
-                                  cap(), norm_at_zero=exact.xi_norm)
+    a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma), eps,
+                                  cap(), norm_at_zero=exact.xi_norm, first=first)
     transport = kind(*perturbed(a))
-    return StepResult(
-        next_measure=p_n.image(transport),
-        transport=transport,
-        xi_norm=norm,
-        solver_iterations=exact.solver_iterations,
-    )
+    return StepResult(build_next=lambda: p_n.image(transport), transport=transport,
+                      xi_norm=norm, solver_iterations=exact.solver_iterations, amplitude=a)

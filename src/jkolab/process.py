@@ -209,7 +209,8 @@ def run_forward(
 
     The schedule may be None (all exact), a scalar, or a length-N sequence.
     The seed only feeds perturbation placement (bump centers), so exact runs
-    are seed-independent.  p0's family chooses the step solver.
+    are seed-independent.  p0's family chooses the step solver.  A
+    calibration's first probe is the previous perturbed step's amplitude.
     """
     if eps_schedule is None:
         schedule = [0.0] * n_steps
@@ -225,6 +226,7 @@ def run_forward(
     measures = [p0]
     transports, xi_norms, iters = [], [], []
     current = p0
+    first = jko._FIRST_PROBE
     for n, eps in enumerate(schedule):
         try:
             result = step(current, spec, gamma)
@@ -232,7 +234,8 @@ def run_forward(
                 bump_center = (_bump_center(result.transport.x, rng)
                                if mode is jko.PerturbMode.GRID_BUMP else None)
                 result = jko.perturb_step(current, result, spec, gamma, eps, mode,
-                                          bump_center=bump_center)
+                                          bump_center=bump_center, first=first)
+                first = result.amplitude
         except (jko.SolverError, jko.CalibrationError) as exc:
             raise type(exc)(f"forward step {n + 1}: {exc}") from exc
         measures.append(result.next_measure)
@@ -296,14 +299,14 @@ def run_reverse_perturbed(
     Calibration runs n = N down to 1: the measure q~_n entering S_n is
     already materialized, so the residual norm ||T_n o S_n - Id||_{q~_n} is
     well defined before S_n is fixed; at amplitude 0 (the exact inverse) it
-    is 0, calibrate_amplitude's default.  An evaluation hands T_n's
-    `inversion_residual` the arrays of _reverse_perturbation (the grid
-    residual works on knot values, the Gaussian one on (T o S_a - Id,
-    T(o_a)) for S_a = (L_a, o_a)), so no map is built; the accepted
-    amplitude builds one, and its image q~_{n-1}.  Returns the record,
-    which keeps each amplitude (ReverseRun derives q~_0 from them), and the
-    chain q~_0..q~_N the run built.  The exact chain (eps_inv = 0) is not a
-    run: it is run_reverse_exact(traj).
+    is 0, calibrate_amplitude's default; the first probe is a_{n+1}.  An
+    evaluation hands T_n's `inversion_residual` the arrays of
+    _reverse_perturbation (the grid residual works on knot values, the
+    Gaussian one on (T o S_a - Id, T(o_a)) for S_a = (L_a, o_a)), so no map
+    is built; the accepted amplitude builds one, and its image q~_{n-1}.
+    Returns the record, which keeps each amplitude (ReverseRun derives q~_0
+    from them), and the chain q~_0..q~_N the run built.  The exact chain
+    (eps_inv = 0) is not a run: it is run_reverse_exact(traj).
     """
     if not eps_inv > 0:
         raise ValueError("eps_inv must be positive: the exact reverse chain is "
@@ -313,13 +316,14 @@ def run_reverse_perturbed(
     measures = [None] * n + [traj.minimizer]
     residuals = [0.0] * n
     amplitudes = [0.0] * n
+    a = jko._FIRST_PROBE  # step N's first probe; step k's is a_{k+1}
     for k in range(n, 0, -1):
         t_fwd = traj.transports[k - 1]
         cur = measures[k]
         perturbed, cap = _reverse_perturbation(t_fwd, mode, rng)
         try:
             a, r = jko.calibrate_amplitude(
-                lambda a: t_fwd.inversion_residual(perturbed(a), cur), eps_inv, cap())
+                lambda b: t_fwd.inversion_residual(perturbed(b), cur), eps_inv, cap(), first=a)
         except jko.CalibrationError as exc:
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
         residuals[k - 1] = r

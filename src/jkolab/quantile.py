@@ -104,6 +104,9 @@ class QuantileGrid:
         """t#self for a transport t that starts at this grid: the grid of t's knot values."""
         return QuantileGrid(t.y)
 
+    def image_mean(self, t: MonotoneMap1D) -> float:
+        return float(np.mean(t.y))  # image(t)'s, building no measure
+
     def minimizer(self, spec) -> QuantileGrid:
         """The global minimizer of G, N(mu*, alpha / lambda), at this grid's M quantile points."""
         pot = spec.potential
@@ -122,7 +125,7 @@ class QuantileGrid:
         return [spec.alpha * entropy(g) + float(np.mean(pot.v(g.values[:, None]))) + pot.log_z
                 for g in measures]
 
-    def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> tuple[np.ndarray, float]:
+    def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> float:
         """jko.measure_xi of the transport with knots (x, y), which must start at this grid.
 
         Its knot values y are the next grid's quantiles, validated as a QuantileGrid.
@@ -130,7 +133,7 @@ class QuantileGrid:
         if x is not self.values and not np.array_equal(x, self.values):
             raise ValueError("the grid transport must start at p_n's quantiles")
         q = QuantileGrid(y).values
-        return xi_field(q, q[1:] - q[:-1], self.values, spec, gamma)
+        return xi_field(q, q[1:] - q[:-1], self.values, spec, gamma)[1]
 
     @property
     def step_solver(self):

@@ -119,6 +119,12 @@ def reverse_chain(run) -> list:
     return measures[::-1]
 
 
+def precision(g: ga.GaussianMeasure) -> np.ndarray:
+    """Sigma^{-1} = V diag(1 / evals) V^T from g's eigendecomposition."""
+    v = g.evecs
+    return (v / g.evals) @ v.T
+
+
 def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:
     """The W2 gradient of the objective at g: grad V + alpha * grad log rho.
 
@@ -127,7 +133,7 @@ def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:
     """
     pot = spec.potential
     alpha = spec.alpha
-    prec = g.precision
+    prec = precision(g)
     j = pot.lambda_mat - alpha * prec
     c = -pot.lambda_mat @ pot.center + alpha * prec @ g.mean
     return ga.AffineMap(j, c)
@@ -217,7 +223,7 @@ def gaussian_objective(g: ga.GaussianMeasure, spec) -> float:
 
 def gaussian_kl(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
     """KL(g1 || g2) from g2's precision: (tr(P2 S1) + dm P2 dm - d + log det S2 - log det S1) / 2."""
-    prec2 = g2.precision
+    prec2 = precision(g2)
     dm = g1.mean - g2.mean
     val = 0.5 * (np.trace(prec2 @ g1.cov) + dm @ prec2 @ dm - g1.dim + g2.log_det - g1.log_det)
     return max(float(val), 0.0)

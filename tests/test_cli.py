@@ -732,6 +732,28 @@ class TestConfigErrorsAtParse:
         assert f"config error: {measure}: quantile values must be strictly increasing" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n", ["auto", "1"])
+    def test_atomic_p0_with_a_minimizer_that_collapses_is_a_config_error(self, tmp_path, capsys,
+                                                                         monkeypatch, n):
+        # pi collapses as above; with an atomic p0 forward used to exit 70 (n = auto, from
+        # W2(p0, pi)) or 2 (n = 1, the grid Newton cap).  pi reads only M, so loading the
+        # config smooths no atoms.
+        text = (BASE_ATOMS.replace("family.m = 128", "family.m = 2048")
+                .replace("p0.delta = 0.2", "p0.delta = 0.03").replace("n = 2", f"n = {n}")
+                + "objective.center = 1e12\nobjective.lambda_mat = 1e4\neps_inv = 0.001\n")
+        smoothed = []
+        monkeypatch.setattr(pr, "ou_smooth", lambda *args: smoothed.append(args))
+        with pytest.raises(cli.ConfigError, match=re.escape("the minimizer")):
+            cli._built_on_grid(cli.parse_config(text))
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert smoothed == []
+        err = capsys.readouterr().err
+        assert err.count("config error: the minimizer N(center, alpha lambda_mat^-1): quantile "
+                         "values must be strictly increasing") == 3
+        assert "Traceback" not in err
+
 
 def gaussian_config(lam, mean, cov):
     return BASE_GAUSS.replace("objective.lambda_mat = 1", f"objective.lambda_mat = {lam}").replace(

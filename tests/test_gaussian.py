@@ -198,10 +198,9 @@ class TestFactorization:
         sqrt = ga.spd_sqrt(g.cov)
         assert close(g.sqrt, sqrt)
         assert close(g.inv_sqrt, np.linalg.inv(sqrt))
-        assert close(g.precision, np.linalg.inv(g.cov))
         sign, logdet = np.linalg.slogdet(g.cov)
         assert sign == 1 and abs(g.log_det - logdet) <= 1e-12 * max(abs(logdet), 1.0)
-        assert g.sqrt is g.sqrt and g.precision is g.precision
+        assert g.sqrt is g.sqrt and g.inv_sqrt is g.inv_sqrt
 
     def test_validated_by_cholesky_and_factored_on_first_read(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -240,7 +239,7 @@ class TestFactorization:
 
     def test_cached_arrays_are_read_only(self):
         g = ga.GaussianMeasure(np.zeros(2), np.array([[2.0, 0.3], [0.3, 1.0]]))
-        for arr in (g.mean, g.cov, g.chol, g.evals, g.evecs, g.sqrt, g.inv_sqrt, g.precision):
+        for arr in (g.mean, g.cov, g.chol, g.evals, g.evecs, g.sqrt, g.inv_sqrt):
             with pytest.raises(ValueError):
                 arr[0] = 1.0
 
@@ -403,7 +402,7 @@ class TestKl:
         g1, g2 = noncommuting_chain(10, n=2)
         monkeypatch.setattr(np.linalg, "eigh", None)
         ga.kl_between(g1, g2)
-        assert "precision" not in vars(g2) and "_factors" not in vars(g2)
+        assert "inv_sqrt" not in vars(g2) and "_factors" not in vars(g2)
 
     def test_kl_between_general(self):
         g1 = ga.GaussianMeasure(np.array([1.0]), np.array([[2.0]]))

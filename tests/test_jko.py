@@ -183,7 +183,7 @@ class TestMeasureXi:
         spec = kl_spec(d=2)
         res = jko.jko_step_gaussian(p, spec, 1.0)
         _, norm = ref.gaussian_xi_at(p, res.next_measure, spec, 1.0)
-        _, norm_t = jko.measure_xi(p, (res.transport.linear, res.transport.offset), spec, 1.0)
+        norm_t = jko.measure_xi(p, (res.transport.linear, res.transport.offset), spec, 1.0)
         assert max(norm, norm_t) <= jko.GAUSSIAN_TOL
 
     def test_mean_shift_norm_formula(self):
@@ -194,7 +194,7 @@ class TestMeasureXi:
         res = jko.jko_step_gaussian(p, spec, gamma)
         tr = res.transport
         a = 0.05
-        _, norm = jko.measure_xi(p, (tr.linear, tr.offset + a), spec, gamma)
+        norm = jko.measure_xi(p, (tr.linear, tr.offset + a), spec, gamma)
         assert norm == pytest.approx((1 + 1 / gamma) * a, abs=1e-8)
 
     def test_grid_gaussian_agreement(self):
@@ -205,8 +205,8 @@ class TestMeasureXi:
         _, norm_g = ref.gaussian_xi_at(pg, ng, spec, gamma)
         m = 4096
         p = qt.from_gaussian(2, 2, m)
-        _, norm_q = jko.measure_xi(p, (p.values, qt.from_gaussian(1.2, np.sqrt(1.5), m).values),
-                                   spec, gamma)
+        norm_q = jko.measure_xi(p, (p.values, qt.from_gaussian(1.2, np.sqrt(1.5), m).values),
+                                spec, gamma)
         assert norm_q == pytest.approx(norm_g, rel=5e-3)
 
     def test_fd_validates_gaussian_field(self):
@@ -322,24 +322,38 @@ class TestGaussianTransportPath:
         p = ga.GaussianMeasure(rng.standard_normal(d), random_cov(rng, d))
         return spec, p, jko.jko_step_gaussian(p, spec, 0.8)
 
-    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
-    @pytest.mark.parametrize("d", [1, 3, 10])
-    def test_matches_the_measurement_at_the_pushforward(self, d, mode):
-        spec, p, exact = self.problem(d, 40 + d)
+    @staticmethod
+    def assert_matches_the_pushforward(spec, p, exact, mode):
         tr = exact.transport
         perturbed, _ = jko.perturbation(ga.AffineMap, (tr.linear, tr.offset), mode,
                                         exact.next_measure.mean)
         for a in (0.0, 1e-3, 0.05, 0.4):
             t = perturbed(a)
-            fld_t, norm_t = jko.measure_xi(p, t, spec, 0.8)
-            fld_m, norm_m = ref.gaussian_xi_at(p, ga.pushforward_affine(p, ga.AffineMap(*t)),
-                                               spec, 0.8)
+            norm_t = jko.measure_xi(p, t, spec, 0.8)
+            _, norm_m = ref.gaussian_xi_at(p, ga.pushforward_affine(p, ga.AffineMap(*t)),
+                                           spec, 0.8)
             if a == 0.0:
                 assert norm_t <= jko.GAUSSIAN_TOL and norm_m <= jko.GAUSSIAN_TOL
                 continue
             assert norm_t == pytest.approx(norm_m, rel=1e-10)
-            for part_t, part_m in zip(fld_t, fld_m):
-                assert np.allclose(part_t, part_m, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
+    @pytest.mark.parametrize("d", [1, 3, 10, 30])
+    def test_matches_the_measurement_at_the_pushforward(self, d, mode):
+        self.assert_matches_the_pushforward(*self.problem(d, 40 + d), mode)
+
+    @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
+    def test_matches_on_an_ill_conditioned_covariance(self, mode):
+        # p_n's covariance has eigenvalues from 1e-8 to 1e2, so Sigma^{-1/2} reaches 1e4.
+        # Both are diagonal: a rotated covariance holds roundoff of its largest entry,
+        # which leaves its smallest eigenvalues known to ~1e-6 only, and with a
+        # non-commuting Lambda the reference's eigh of the image covariance is itself
+        # off by up to ~1e-8 relative.
+        rng = np.random.default_rng(9)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.diag(np.linspace(0.5, 3.0, 10)),
+                                                      rng.standard_normal(10)))
+        p = ga.GaussianMeasure(rng.standard_normal(10), np.diag(np.logspace(-8, 2, 10)))
+        self.assert_matches_the_pushforward(spec, p, jko.jko_step_gaussian(p, spec, 0.8), mode)
 
     def test_non_symmetric_linear_part_rejected(self):
         spec, p, exact = self.problem(3, 7)
@@ -390,7 +404,7 @@ class TestGridArrayPaths:
         res = jko.jko_step_grid(p, spec, 1.0)
         pert = jko.perturb_step(p, res, spec, 1.0, 0.05, mode, bump_center=run_bump_center(res))
         t = pert.transport
-        assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)[1]
+        assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)
         assert np.array_equal(pert.next_measure.values,
                               qt.pushforward(p, pert.transport).values)
 
@@ -419,14 +433,19 @@ class TestGridArrayPaths:
         monkeypatch.setattr(jko, "bump_profile", counting("bump_profile", jko.bump_profile))
         res = jko.jko_step_grid(p, spec, 1.0)
         assert res.solver_iterations >= 3
-        assert counts["QuantileGrid"] == 1 and counts["MonotoneMap1D"] == 1
+        # the transport; its image is built on first read
+        assert counts["QuantileGrid"] == 0 and counts["MonotoneMap1D"] == 1
+        assert res.next_measure is res.next_measure and counts["QuantileGrid"] == 1
 
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
-                         bump_center=run_bump_center(res))
+        pert = jko.perturb_step(p, jko.jko_step_grid(p, spec, 1.0), spec, 1.0, 0.05,
+                                jko.PerturbMode.GRID_BUMP, bump_center=run_bump_center(res))
         assert counts["measure_xi"] >= 3
-        assert counts["MonotoneMap1D"] == 1 and counts["bump_profile"] == 1
+        assert counts["MonotoneMap1D"] == 2 and counts["bump_profile"] == 1
+        # each evaluation validates its knot values; the exact next grid is never built
+        assert counts["QuantileGrid"] == counts["measure_xi"]
+        pert.next_measure
         assert counts["QuantileGrid"] == counts["measure_xi"] + 1
 
 
@@ -500,8 +519,51 @@ class TestCalibrateAmplitude:
         assert abs(pert.xi_norm - 0.1) <= 1e-12 * 0.1
 
 
+class TestWarmStart:
+    """calibrate_amplitude's first probe is the amplitude the chain's previous step accepted."""
+
+    def test_linear_norm_started_at_its_root_takes_one_evaluation(self):
+        norm_at, calls = TestCalibrateAmplitude.counted(lambda a: 3.0 * a)
+        a, norm = jko.calibrate_amplitude(norm_at, 0.3, first=0.1)
+        assert calls == [0.1] and (a, norm) == (0.1, norm_at(0.1))
+
+    def test_first_probe_above_the_cap_is_clipped(self):
+        norm_at, calls = TestCalibrateAmplitude.counted(lambda a: 3.0 * a)
+        a, norm = jko.calibrate_amplitude(norm_at, 0.3, a_cap=0.5, first=2.0)
+        assert calls[0] == 0.5
+        assert a == pytest.approx(0.1, rel=1e-12) and norm == pytest.approx(0.3, rel=1e-12)
+        norm_at, calls = TestCalibrateAmplitude.counted(lambda a: 3.0 * a)
+        with pytest.raises(jko.CalibrationError, match="amplitude cap"):
+            jko.calibrate_amplitude(norm_at, 3.0, a_cap=0.5, first=2.0)
+        assert calls == [0.5]
+
+    def test_mean_shift_chain_measures_xi_at_most_twice_per_later_step(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, 10),
+                                                      rng.standard_normal(10)))
+        p0 = ga.GaussianMeasure(rng.standard_normal(10), random_cov(rng, 10))
+        calls = []
+        step, measure = jko.jko_step_gaussian, jko.measure_xi
+
+        def counting_step(*args):
+            calls.append(0)
+            return step(*args)
+
+        def counting_measure(*args):
+            calls[-1] += 1
+            return measure(*args)
+
+        monkeypatch.setattr(jko, "jko_step_gaussian", counting_step)
+        monkeypatch.setattr(jko, "measure_xi", counting_measure)
+        traj = pr.run_forward(p0, spec, 0.8, 12, 0.05, jko.PerturbMode.MEAN_SHIFT)
+        assert len(calls) == 12 and calls[0] >= 3
+        # the exact step's measurement and one evaluation at the previous amplitude
+        assert max(calls[1:]) <= 2
+        assert all(abs(x - 0.05) <= 1e-12 * 0.05 for x in traj.xi_norms)
+
+
 DECOMPOSITIONS = ("eigh", "eigvalsh", "eig", "eigvals", "svd", "cholesky", "slogdet", "det",
-                  "inv")
+                  "inv", "solve")
 
 
 class TestDecompositionCount:
@@ -511,7 +573,7 @@ class TestDecompositionCount:
         rng = np.random.default_rng(5)
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, 3), np.zeros(3)))
         p = ga.GaussianMeasure(rng.standard_normal(3), random_cov(rng, 3))
-        counts = {"eigh": 0, "cholesky": 0, "other": 0, "measure_xi": 0}
+        counts = {"eigh": 0, "cholesky": 0, "solve": 0, "other": 0, "measure_xi": 0}
 
         def counting(key, func):
             def wrapped(*args, **kwargs):
@@ -521,21 +583,25 @@ class TestDecompositionCount:
 
         for name in DECOMPOSITIONS:
             key = ("eigh" if name in ("eigh", "eigvalsh")
-                   else "cholesky" if name == "cholesky" else "other")
+                   else name if name in ("cholesky", "solve") else "other")
             monkeypatch.setattr(np.linalg, name, counting(key, getattr(np.linalg, name)))
         exact = jko.jko_step_gaussian(p, spec, 1.0)
-        # p_n's factors (first read here) and C (I + gamma Lambda) C; the next
-        # measure's validation (p_n was validated when it was made); one
-        # inverse for xi's back-map
-        assert counts == {"eigh": 2, "cholesky": 1, "other": 1, "measure_xi": 0}
+        # p_n's factors (first read here) and C (I + gamma Lambda) C; one solve
+        # for the mean and one for xi's L^{-1} Sigma^{-1/2}; the next measure is
+        # not built yet
+        assert counts == {"eigh": 2, "cholesky": 0, "solve": 2, "other": 0, "measure_xi": 0}
+        exact.next_measure  # validated (p_n was validated when it was made)
+        assert counts["cholesky"] == 1
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
+        pert = jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
         assert counts["measure_xi"] >= 2
-        # evaluations go through the transport, one inverse each; the accepted
-        # measure is validated, not factored
+        # evaluations go through the transport, one solve each; the accepted
+        # measure is not built yet
+        assert counts["eigh"] == 0 and counts["cholesky"] == 0 and counts["other"] == 0
+        assert counts["solve"] == counts["measure_xi"]
+        pert.next_measure  # validated, not factored
         assert counts["eigh"] == 0 and counts["cholesky"] == 1
-        assert counts["other"] == counts["measure_xi"]
 
 
 class TestContraction:
