@@ -2,9 +2,10 @@
 
 Everything here is exact linear algebra: W2 distance, OT maps (SPD affine
 maps), KL divergence, the objective and its first-order residual, and L2
-norms of affine vector fields under a Gaussian measure.  Chain-wide values
-(W2 to one measure, objective values, inverse-Lipschitz constants) are one
-stacked evaluation each, every entry bit for bit its own item's value.
+norms of affine vector fields under a Gaussian measure.  Chain-wide work
+(validating a chain's measures or maps, inverting its maps, W2 to one
+measure, objective values, inverse-Lipschitz constants) is one stacked
+evaluation each, every entry bit for bit its own item's value.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ class GaussianMeasure:
     Construction validates the covariance by one Cholesky factorization of
     cov - 1e-10 I: a measure exists only when it succeeds, which is the rule
     "smallest eigenvalue >= 1e-10" up to roundoff at the boundary, so every
-    measure has an entropy, an inverse covariance and a log-determinant.  The
+    measure has an entropy, an inverse covariance and a log-determinant;
+    `stack` validates a chain by one Cholesky of its stacked covariances.  The
     lower Cholesky factor `chol` of cov, from which log_det comes, is
     computed on first read.  The factors V diag(evals) V^T (`evals` ascending, `evecs` =
     V) come from one `eigh` on first read and serve the square root and the
@@ -53,34 +55,16 @@ class GaussianMeasure:
     dpi_tol = 1e-10  # and of the data-processing identity
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
-        if mean.ndim != 1:
-            raise ValueError("mean must be a vector")
-        if cov.shape != (mean.size, mean.size):
-            raise ValueError("covariance shape does not match mean dimension")
-        # a NaN or inf makes a sum non-finite; only then, since finite entries may
-        # overflow it, does the exact test run
-        if not (math.isfinite(mean.sum()) and math.isfinite(cov.sum())):
-            if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
-                raise ValueError("mean and covariance must be finite")
-        # the tolerance _SYM_RTOL * scale * 100 is least at the scale's floor 1, so the
-        # scale is read only for an asymmetry above that
-        asym = abs(cov - cov.T).max()
-        if asym > _SYM_RTOL * 100 and asym > _SYM_RTOL * max(abs(cov).max(), 1.0) * 100:
-            raise ValueError("covariance is not symmetric")
-        cov = 0.5 * (cov + cov.T)
-        if not math.isfinite(cov.sum()) and not np.isfinite(cov).all():  # cov + cov.T overflowed
-            raise ValueError("mean and covariance must be finite")
-        for name, arr in (("mean", mean), ("cov", cov)):
-            object.__setattr__(self, name, _frozen(arr))
-        shifted = cov.copy()  # cov - 1e-10 I, bit for bit
-        shifted.ravel()[::mean.size + 1] -= _POSDEF_MIN
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            raise ValueError("covariance is not positive definite: its smallest eigenvalue "
-                             f"is below {_POSDEF_MIN:g}") from None
+        mean, cov = _validated(np.atleast_1d(np.asarray(self.mean, dtype=float)),
+                               np.atleast_2d(np.asarray(self.cov, dtype=float)), 1)
+        self.__dict__.update(mean=mean, cov=cov)
+
+    @classmethod
+    def stack(cls, means, covs) -> list[GaussianMeasure]:
+        """The measures N(means[i], covs[i]) of a stack (n >= 1, d), (n, d, d), after one
+        validation of the whole stack: each bit for bit its own construction's."""
+        means, covs = _validated(np.asarray(means, dtype=float), np.asarray(covs, dtype=float), 2)
+        return [_unvalidated(cls, mean=m, cov=c) for m, c in zip(means, covs)]
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -219,6 +203,47 @@ class GaussianMeasure:
         return jko.jko_step_gaussian
 
 
+def _validated(mean: np.ndarray, cov: np.ndarray, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen mean and symmetrized covariance of a measure (ndim 1) or of a stack of
+    them (ndim 2) that GaussianMeasure's rules accept; ValueError otherwise."""
+    if mean.ndim != ndim:
+        raise ValueError("mean must be a vector")
+    if cov.shape != mean.shape + mean.shape[-1:]:
+        raise ValueError("covariance shape does not match mean dimension")
+    # a NaN or inf makes a sum non-finite; only then, since finite entries may
+    # overflow it, does the exact test run
+    if not (math.isfinite(mean.sum()) and math.isfinite(cov.sum())):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and covariance must be finite")
+    # the tolerance _SYM_RTOL * scale * 100 of each matrix is least at the scale's
+    # floor 1, so the scales are read only for an asymmetry above that
+    asym = abs(cov - cov.swapaxes(-1, -2))
+    if asym.max() > _SYM_RTOL * 100:
+        scale = np.maximum(abs(cov).max(axis=(-2, -1)), 1.0)
+        if (asym.max(axis=(-2, -1)) > _SYM_RTOL * scale * 100).any():
+            raise ValueError("covariance is not symmetric")
+    cov = 0.5 * (cov + cov.swapaxes(-1, -2))
+    if not math.isfinite(cov.sum()) and not np.isfinite(cov).all():  # cov + cov.T overflowed
+        raise ValueError("mean and covariance must be finite")
+    d = mean.shape[-1]
+    shifted = cov.copy()  # cov - 1e-10 I, bit for bit
+    diagonal = shifted.ravel()[::d + 1] if ndim == 1 else shifted.reshape(-1, d * d)[:, ::d + 1]
+    diagonal -= _POSDEF_MIN
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance is not positive definite: its smallest eigenvalue "
+                         f"is below {_POSDEF_MIN:g}") from None
+    return _frozen(mean), _frozen(cov)
+
+
+def _unvalidated(cls, **fields):
+    """An instance of the frozen dataclass `cls` with the given, already validated, fields."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -234,12 +259,17 @@ class AffineMap:
     def __post_init__(self):
         a = np.atleast_2d(np.asarray(self.linear, dtype=float))
         b = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        if a.shape != (b.size, b.size):
+        if b.ndim != 1 or a.shape != (b.size, b.size):
             raise ValueError("linear part shape does not match offset dimension")
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "linear", a)
-        object.__setattr__(self, "offset", b)
+        self.__dict__.update(linear=_frozen(a), offset=_frozen(b))
+
+    @classmethod
+    def stack(cls, linears, offsets) -> list[AffineMap]:
+        """The maps x -> linears[i] x + offsets[i] of a stack (n >= 1, d, d), (n, d)."""
+        a, b = np.asarray(linears, dtype=float), np.asarray(offsets, dtype=float)
+        if b.ndim != 2 or a.shape != b.shape + b.shape[-1:]:
+            raise ValueError("linear part shape does not match offset dimension")
+        return [_unvalidated(cls, linear=x, offset=y) for x, y in zip(_frozen(a), _frozen(b))]
 
     @property
     def dim(self) -> int:
@@ -248,22 +278,24 @@ class AffineMap:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x) @ self.linear.T + self.offset
 
-    @cached_property
-    def inverse_linear(self) -> np.ndarray:
-        """L^{-1}, computed once for `inverse_fields` and `inverse_lipschitz_of`."""
-        return _frozen(np.linalg.inv(self.linear))
+    @staticmethod
+    def inverse_fields_of(maps) -> list[tuple]:
+        """(L^{-1}, -L^{-1} b) of each map's T^{-1}, building no map: one inversion of the
+        stacked linear parts, bit for bit each map's own."""
+        inverses = _frozen(np.linalg.inv(np.array([t.linear for t in maps])))
+        return [(a, -a @ t.offset) for a, t in zip(inverses, maps)]
 
     @staticmethod
     def inverse_lipschitz_of(maps) -> list[float]:
-        """Lip(T^{-1}) of each map T, the spectral norm of its L^{-1}, without building
-        T^{-1}: one stacked norm over the maps' `inverse_linear`, bit for bit per map."""
-        return np.linalg.norm(np.array([t.inverse_linear for t in maps]), 2,
-                              axis=(-2, -1)).tolist()
-
-    def inverse_fields(self) -> tuple:
-        """(L^{-1}, -L^{-1} b) of T^{-1}, building no map."""
-        a_inv = self.inverse_linear
-        return a_inv, -a_inv @ self.offset
+        """Lip(T^{-1}) = 1 / lambda_min(L) of each map T from one stacked eigvalsh, no
+        inverse; ValueError: an L not exactly symmetric, or not positive definite."""
+        linears = np.array([t.linear for t in maps])
+        if not (linears == linears.swapaxes(-1, -2)).all():
+            raise ValueError("a transport's linear part is not symmetric")
+        lowest = np.linalg.eigvalsh(linears)[:, 0]
+        if not (lowest > 0).all():
+            raise ValueError("a transport's linear part is not positive definite")
+        return (1.0 / lowest).tolist()
 
     def inversion_residual(self, s: tuple, p: GaussianMeasure) -> float:
         """||T o S - Id|| under the Gaussian p entering S, for S: x -> s[0] x + s[1]."""

@@ -85,9 +85,13 @@ class Trajectory:
             return []
         return type(self.transports[0]).inverse_lipschitz_of(self.transports)
 
-    def _pulled_back(self) -> list:
-        """The constructor arrays of q_0..q_N of the exact reverse chain."""
-        return _pushed_back(self, [t.inverse_fields() for t in self.transports])
+    @cached_property
+    def inverse_fields(self) -> list:
+        """The constructor arrays of T_1^{-1}..T_N^{-1}, building no map, in one chain-wide
+        evaluation (the map type's `inverse_fields_of`) for every reverse chain."""
+        if not self.transports:
+            return []
+        return type(self.transports[0]).inverse_fields_of(self.transports)
 
     @cached_property
     def exact_q0(self):
@@ -95,7 +99,7 @@ class Trajectory:
 
         Bit for bit run_reverse_exact(self)[0].
         """
-        return type(self.minimizer)(*self._pulled_back()[0])
+        return type(self.minimizer)(*_pushed_back(self, self.inverse_fields)[0])
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,7 @@ class ReverseRun:
         rng = np.random.default_rng(self.seed)
         out = [None] * len(self.amplitudes)
         for k in range(len(out), 0, -1):
-            perturbed, _ = _reverse_perturbation(self.traj.transports[k - 1], self.mode, rng)
+            perturbed, _ = _reverse_perturbation(self.traj, k, self.mode, rng)
             out[k - 1] = perturbed(self.amplitudes[k - 1])
         return out
 
@@ -263,29 +267,30 @@ def _bump_center(x: np.ndarray, rng) -> float:
     return float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
 
 
-def _reverse_perturbation(t_fwd, mode: jko.PerturbMode, rng):
-    """jko.perturbation of S_n = T_n^{-1}, for T_n = `t_fwd`, under the reverse policy.
+def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
+    """jko.perturbation of S_n = T_n^{-1}, T_n = traj.transports[n - 1], under the reverse policy.
 
-    The exact inverse stays arrays (`inverse_fields`).  A dilation is about
+    The exact inverse stays arrays (`traj.inverse_fields`).  A dilation is about
     the mean of its last array: a grid map's knot values, or an affine map's
     offset, averaged over the coordinates.  A grid bump is centred at a draw
     from `rng` (_bump_center of the knots) and spans a quarter of the knot
     range; nothing else draws.
     """
-    s = t_fwd.inverse_fields()
+    s = traj.inverse_fields[n - 1]
     center = np.mean(s[-1]) if mode is jko.PerturbMode.DILATION else None
     bump = None
     if mode is jko.PerturbMode.GRID_BUMP:
         x = s[0]
         bump = jko.bump_profile(x, _bump_center(x, rng), 0.25 * (x[-1] - x[0]))
-    return jko.perturbation(type(t_fwd), s, mode, center, bump)
+    return jko.perturbation(type(traj.transports[n - 1]), s, mode, center, bump)
 
 
 def run_reverse_exact(traj: Trajectory) -> list:
     """The exact reverse chain q_0..q_N as measures: pi = q_N pushed through
-    T_N^{-1}, ..., T_1^{-1} (Trajectory.exact_q0's arrays, each built)."""
-    *pulled, _ = traj._pulled_back()
-    return [type(traj.minimizer)(*a) for a in pulled] + [traj.minimizer]
+    T_N^{-1}, ..., T_1^{-1} (Trajectory.exact_q0's arrays, validated as one stack)."""
+    *pulled, _ = type(traj.minimizer).stack(
+        *map(np.array, zip(*_pushed_back(traj, traj.inverse_fields))))
+    return pulled + [traj.minimizer]
 
 
 def run_reverse_perturbed(
@@ -320,7 +325,7 @@ def run_reverse_perturbed(
     for k in range(n, 0, -1):
         t_fwd = traj.transports[k - 1]
         cur = measures[k]
-        perturbed, cap = _reverse_perturbation(t_fwd, mode, rng)
+        perturbed, cap = _reverse_perturbation(traj, k, mode, rng)
         try:
             a, r = jko.calibrate_amplitude(
                 lambda b: t_fwd.inversion_residual(perturbed(b), cur), eps_inv, cap(), first=a)

@@ -54,17 +54,12 @@ class QuantileGrid:
     dpi_tol = 1e-4  # and of the data-processing identity
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or vals.size < MIN_GRID_SIZE:
-            raise ValueError(f"need at least {MIN_GRID_SIZE} quantile values, got {vals.size}")
-        # strictly increasing with finite ends is finite throughout; NaN compares false
-        if not ((vals[1:] > vals[:-1]).all()
-                and math.isfinite(vals[0]) and math.isfinite(vals[-1])):
-            if not np.isfinite(vals).all():
-                raise ValueError("quantile values must be finite")
-            raise ValueError("quantile values must be strictly increasing")
-        vals.setflags(write=False)
+        object.__setattr__(self, "values", _validated(np.asarray(self.values, dtype=float), 1))
+
+    @classmethod
+    def stack(cls, values) -> list[QuantileGrid]:
+        """The grids of the rows of `values` (n >= 1, M), after one validation of the stack."""
+        return [_unvalidated(cls, row) for row in _validated(np.asarray(values, dtype=float), 2)]
 
     @property
     def m(self) -> int:
@@ -143,6 +138,31 @@ class QuantileGrid:
         return jko.jko_step_grid
 
 
+def _validated(vals: np.ndarray, ndim: int) -> np.ndarray:
+    """The frozen values of a grid (ndim 1) or a stack of grids (ndim 2) that
+    QuantileGrid's rules accept; ValueError otherwise."""
+    if vals.ndim != ndim or vals.shape[-1] < MIN_GRID_SIZE:
+        got = vals.shape[-1] if vals.ndim == ndim == 2 else vals.size
+        raise ValueError(f"need at least {MIN_GRID_SIZE} quantile values, got {got}")
+    # strictly increasing with finite ends is finite throughout; NaN compares false
+    first, last = vals.T[0], vals.T[-1]  # a grid's end values, a stack's end columns
+    if not ((vals[..., 1:] > vals[..., :-1]).all()
+            and (math.isfinite(first) and math.isfinite(last) if ndim == 1
+                 else np.isfinite(first).all() and np.isfinite(last).all())):
+        if not np.isfinite(vals).all():
+            raise ValueError("quantile values must be finite")
+        raise ValueError("quantile values must be strictly increasing")
+    vals.setflags(write=False)
+    return vals
+
+
+def _unvalidated(cls, values: np.ndarray) -> QuantileGrid:
+    """A grid of the already validated `values`, built without __post_init__."""
+    obj = object.__new__(cls)
+    obj.__dict__["values"] = values
+    return obj
+
+
 @dataclass(frozen=True)
 class MonotoneMap1D:
     """Strictly increasing piecewise-linear map with linear extrapolation.
@@ -179,9 +199,10 @@ class MonotoneMap1D:
         """Lip(T^{-1}) of each map T, its largest inverse slope, without building T^{-1}."""
         return [float(np.max(np.diff(t.x) / np.diff(t.y))) for t in maps]
 
-    def inverse_fields(self) -> tuple:
-        """The knots of T^{-1}, building no map."""
-        return self.y, self.x
+    @staticmethod
+    def inverse_fields_of(maps) -> list[tuple]:
+        """The knots of each map's T^{-1}, building no map."""
+        return [(t.y, t.x) for t in maps]
 
     def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:
         """||T o S - Id|| under the grid p entering S, for S given by its knots s."""

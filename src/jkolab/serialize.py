@@ -7,12 +7,13 @@ the parsed config.  A trajectory archive holds its measures stacked per
 array field (grid values (N+1, M); Gaussian means (N+1, d), covariances
 (N+1, d, d)), the transport arrays that cannot be rebuilt, and a JSON
 manifest string with the per-step xi norms and solver iteration counts.
-Doubles are stored raw and manifest floats with repr, so a check re-run on
-loaded data reproduces its verdict bit-for-bit.  The manifest keys are the
-record fields' names.  Loading never unpickles: an archive holding an
-object array raises ValueError.  An archive with other manifest keys or
-members (an older layout, which also stored the run's inputs) raises
-StaleArchiveError.
+Loading validates each stack once (the measure and map types' `stack`),
+not item by item.  Doubles are stored raw and manifest floats with repr, so
+a check re-run on loaded data reproduces its verdict bit-for-bit.  The
+manifest keys are the record fields' names.  Loading never unpickles: an
+archive holding an object array raises ValueError.  An archive with other
+manifest keys or members (an older layout, which also stored the run's
+inputs) raises StaleArchiveError.
 
 Nothing derivable from the trajectory is stored.  Grid forward maps are
 rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse chain is
@@ -23,9 +24,12 @@ and its calibrated amplitudes.  Each map S_n is T_n^{-1} perturbed by
 amplitude a_n, so the loaded pr.ReverseRun derives the one measure that
 certify reads, q~_0, from the trajectory (hence the trajectory argument of
 reverse_from_json) when it is first read: pi pushed through the rebuilt
-maps on arrays.  Gaussian forward maps
-(ot_map_bw does not reproduce the closed-form linear part bit-for-bit) are
-stored.
+maps on arrays.  Both reverse chains read the inverses' arrays from
+Trajectory.inverse_fields, one stacked inversion of the linear parts per
+Gaussian trajectory.  Gaussian forward maps (ot_map_bw does not reproduce
+the closed-form linear part bit-for-bit) are stored; their Lip(T^{-1}) is
+1 / lambda_min(L) from one stacked eigvalsh, which rejects a stored linear
+part that is not exactly symmetric or not positive definite.
 
 The public record functions keep their *_json names and their bytes-in /
 bytes-out contract: perfbench/tracer.py times and sizes this layer by them.
@@ -89,7 +93,8 @@ def _stack(objs, cls) -> dict:
 
 
 def _unstack(arrays: dict, cls) -> list:
-    return [cls(*row) for row in zip(*(arrays[f.name] for f in dataclasses.fields(cls)))]
+    stacked = [arrays[f.name] for f in dataclasses.fields(cls)]
+    return cls.stack(*stacked) if len(stacked[0]) else []  # an n = 0 trajectory has no maps
 
 
 def trajectory_to_json(traj: pr.Trajectory) -> bytes:

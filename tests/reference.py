@@ -99,9 +99,9 @@ def gaussian_tv_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
 
 
 def inverse(t):
-    """T^{-1} as a map of T's type, from its arrays `inverse_fields`: for an affine
+    """T^{-1} as a map of T's type, from its arrays (`inverse_fields_of`): for an affine
     T: x -> L x + b it is (L^{-1}, -L^{-1} b), for a grid map its swapped knots."""
-    return type(t)(*t.inverse_fields())
+    return type(t)(*type(t).inverse_fields_of([t])[0])
 
 
 def reverse_maps(run) -> list:

@@ -229,13 +229,51 @@ class TestPipeline:
         cfgp = write(tmp_path, "c.txt", text)
         for sub in ("forward", "reverse"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
-        calls = []
+        lam = cli.parse_config(text).spec.potential.lambda_mat
+        args = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh",
-                            lambda *a, **k: calls.append(0) or eigvalsh(*a, **k))
+                            lambda a, *r, **k: args.append(np.array(a)) or eigvalsh(a, *r, **k))
         assert run(["certify", "--config", cfgp], tmp_path) == 0
-        # lambda_min(Lambda) when the config is parsed; the archive holds no objective
-        assert len(calls) == 1
+        # lambda_min(Lambda) when the config is parsed; the archive holds no objective.
+        # The other call is the stacked linear parts of the transports (Lip(T^{-1})).
+        assert sum(np.array_equal(a, lam) for a in args) == 1
+        assert [a.shape for a in args if not np.array_equal(a, lam)] == [(5, 3, 3)]
+
+    def test_linear_algebra_calls_per_command(self, tmp_path, monkeypatch):
+        # d = 3, N = 5 steps: only the forward steps, their calibration and the
+        # perturbed reverse pushes work per step; a chain's validation, its inverses
+        # and its Lipschitz constants are one stacked call each
+        rng = np.random.default_rng(5)
+        text = gaussian_config(cli._fmt_matrix(rotated(rng, [0.5, 1.0, 2.0])),
+                               rng.standard_normal(3), rotated(rng, [0.3, 1.0, 3.0]))
+        cfgp = write(tmp_path, "c.txt", text)
+        names = ("eigh", "eigvalsh", "cholesky", "solve", "inv", "svd", "norm")
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, func):
+            def wrapped(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+            return wrapped
+
+        for name in names:
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        expected = {
+            # per step an eigh of p_n and of C (I + gamma Lambda) C, a solve for the
+            # mean, a solve per xi evaluation and a Cholesky for the next measure; the
+            # rest is parsing, the minimizer and forward.csv's stacked objectives, W2
+            # and Lip(T^{-1})
+            "forward": dict(eigh=12, eigvalsh=2, cholesky=10, solve=17, inv=2, svd=0, norm=0),
+            # the loaded chain and the exact chain one Cholesky each, one stacked inverse,
+            # a Cholesky per perturbed push
+            "reverse": dict(eigh=2, eigvalsh=1, cholesky=10, solve=0, inv=3, svd=0, norm=0),
+            "certify": dict(eigh=4, eigvalsh=2, cholesky=14, solve=3, inv=4, svd=0, norm=0),
+        }
+        for sub, want in expected.items():
+            counts.update(dict.fromkeys(names, 0))
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+            assert counts == want, sub
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
     def test_archives_hold_no_config_key(self, tmp_path, base):

@@ -506,3 +506,130 @@ class TestPushforwardAffine:
         pushed = ga.pushforward_affine(g, t)
         assert np.allclose(pushed.mean, t.linear @ g.mean + t.offset, atol=1e-12)
         assert np.allclose(pushed.cov, t.linear @ g.cov @ t.linear.T, atol=1e-12)
+
+
+def _stack_outcome(kind, *stacked):
+    """("ok", the items' fields) of kind.stack, or (exception type, message)."""
+    try:
+        items = kind.stack(*stacked)
+    except Exception as exc:  # the type is part of what is compared
+        return type(exc), str(exc)
+    return "ok", [[getattr(x, f.name) for f in dataclasses.fields(x)] for x in items]
+
+
+# the validation inputs that are one measure of dimension >= 1 as a mean vector and a
+# square covariance, so a stack can hold them next to a valid measure
+STACKABLE = [name for name, (mean, cov) in VALIDATION_INPUTS.items()
+             if isinstance(mean, np.ndarray) and mean.ndim == 1 and mean.size
+             and isinstance(cov, np.ndarray) and cov.shape == (mean.size, mean.size)]
+
+
+class TestStack:
+    """GaussianMeasure.stack and AffineMap.stack build what per-item construction builds,
+    after one validation of the whole stack, and raise its messages."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 30])
+    def test_equals_single_construction(self, d):
+        rng = np.random.default_rng(d)
+        means = rng.standard_normal((6, d))
+        # asymmetric within the tolerance, so the symmetrization's bits are compared too
+        covs = np.array([random_spd(rng, d) + 1e-14 * np.triu(rng.standard_normal((d, d)))
+                         for _ in range(6)])
+        stacked = ga.GaussianMeasure.stack(means, covs)
+        assert len(stacked) == 6
+        for g, m, c in zip(stacked, means, covs):
+            single = ga.GaussianMeasure(m, c)
+            for a, b in ((g.mean, single.mean), (g.cov, single.cov), (g.chol, single.chol)):
+                assert a.shape == b.shape and np.array_equal(a, b) and not a.flags.writeable
+        maps = ga.AffineMap.stack(covs, means)
+        for t, m, c in zip(maps, means, covs):
+            assert np.array_equal(t.linear, c) and np.array_equal(t.offset, m)
+            assert not (t.linear.flags.writeable or t.offset.flags.writeable)
+
+    @pytest.mark.parametrize("name", STACKABLE)
+    def test_same_outcome_as_single_construction(self, name):
+        mean, cov = VALIDATION_INPUTS[name]
+        d = mean.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing inputs
+            single = _stored_or_raised(_measure_fields, mean, cov)
+            got = _stack_outcome(ga.GaussianMeasure, np.array([np.zeros(d), mean]),
+                                 np.array([np.eye(d), cov]))
+        assert got[0] == single[0]
+        if single[0] == "ok":
+            for a, b in zip(got[1][1], single[1:]):
+                assert np.array_equal(a, b)
+        else:
+            assert got[1] == single[1]
+
+    def test_stackable_inputs_reach_every_rejection(self):
+        outcomes = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            for name in STACKABLE:
+                out = _stored_or_raised(_measure_fields, *VALIDATION_INPUTS[name])
+                outcomes.add(out[0] if out[0] == "ok" else out[1].split(":")[0])
+        assert outcomes == {"ok", "mean and covariance must be finite",
+                            "covariance is not symmetric", "covariance is not positive definite"}
+
+    @pytest.mark.parametrize("means, covs, message", [
+        (np.zeros(2), np.eye(2)[None], "mean must be a vector"),
+        (np.zeros((2, 2)), np.ones((2, 2, 3)), "covariance shape does not match mean dimension"),
+        (np.zeros((2, 2)), np.ones((3, 2, 2)), "covariance shape does not match mean dimension"),
+    ], ids=["unstacked_mean", "not_square", "count_mismatch"])
+    def test_rejects_shapes(self, means, covs, message):
+        with pytest.raises(ValueError, match=message):
+            ga.GaussianMeasure.stack(means, covs)
+
+    @pytest.mark.parametrize("linear, offset", [
+        (np.ones((3, 3)), np.ones(2)),
+        (np.eye(4), np.zeros((2, 2))),  # was accepted alone: dim 4 and a (2, 2) offset
+    ], ids=["dimension", "matrix_offset"])
+    def test_affine_rejects_shapes(self, linear, offset):
+        for build in (ga.AffineMap, lambda a, b: ga.AffineMap.stack(a[None], b[None])):
+            with pytest.raises(ValueError, match="linear part shape does not match"):
+                build(linear, offset)
+        with pytest.raises(ValueError, match="linear part shape does not match"):
+            ga.AffineMap.stack(np.ones((2, 2)), np.ones(2))  # not a stack
+
+
+def affine_maps(d, n=5, seed=0):
+    """n maps x -> L x + b with random symmetric positive definite L."""
+    rng = np.random.default_rng([seed, d])
+    return [ga.AffineMap(random_spd(rng, d), rng.standard_normal(d)) for _ in range(n)]
+
+
+class TestInverseMaps:
+    """T^{-1}'s arrays and Lip(T^{-1}) of a chain of affine maps, each one stacked evaluation."""
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 30])
+    def test_inverse_fields_of_equals_per_map_inverses(self, d):
+        maps = affine_maps(d)
+        got = ga.AffineMap.inverse_fields_of(maps)
+        assert len(got) == len(maps)
+        for (a, b), t in zip(got, maps):
+            inv = np.linalg.inv(t.linear)
+            assert np.array_equal(a, inv) and np.array_equal(b, -inv @ t.offset)
+
+    @pytest.mark.parametrize("d", [1, 2, 10, 30])
+    def test_inverse_lipschitz_of_is_one_over_lambda_min(self, d):
+        maps = affine_maps(d)
+        got = ga.AffineMap.inverse_lipschitz_of(maps)
+        assert got == [1 / np.linalg.eigvalsh(t.linear)[0] for t in maps]
+        assert got == pytest.approx([np.linalg.norm(np.linalg.inv(t.linear), 2) for t in maps],
+                                    rel=1e-13)
+
+    def test_inverse_lipschitz_of_rejects_a_non_symmetric_linear_part(self):
+        maps = affine_maps(3)
+        linear = maps[2].linear.copy()
+        linear[0, 1] = np.nextafter(linear[0, 1], np.inf)  # one ulp off symmetric
+        maps[2] = ga.AffineMap(linear, maps[2].offset)
+        with pytest.raises(ValueError, match="not symmetric"):
+            ga.AffineMap.inverse_lipschitz_of(maps)
+
+    @pytest.mark.parametrize("lowest", [-0.5, 0.0], ids=["indefinite", "singular"])
+    def test_inverse_lipschitz_of_rejects_a_linear_part_not_positive_definite(self, lowest):
+        maps = affine_maps(3)
+        maps[1] = ga.AffineMap(np.diag([lowest, 1.0, 2.0]), np.zeros(3))
+        with pytest.raises(ValueError, match="not positive definite"):
+            ga.AffineMap.inverse_lipschitz_of(maps)

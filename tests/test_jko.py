@@ -603,6 +603,31 @@ class TestDecompositionCount:
         pert.next_measure  # validated, not factored
         assert counts["eigh"] == 0 and counts["cholesky"] == 1
 
+    def test_stack_validates_with_one_cholesky(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        covs = np.array([random_cov(rng, 3) for _ in range(7)])
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        ga.GaussianMeasure.stack(rng.standard_normal((7, 3)), covs)
+        assert calls == [(7, 3, 3)]
+
+
+class TestStepAccuracy:
+    """The closed-form step meets GAUSSIAN_TOL on ill-conditioned covariances that do not
+    commute with Lambda, down to eigenvalue spread 1e5 (README: known limits)."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_spread_1e5_in_d10(self, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((10, 10)))
+        cov = (q * np.logspace(-3, 2, 10)) @ q.T
+        a = rng.standard_normal((10, 10))
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T + 0.3 * np.eye(10),
+                                                      rng.standard_normal(10)))
+        p = ga.GaussianMeasure(rng.standard_normal(10), 0.5 * (cov + cov.T))
+        assert jko.jko_step_gaussian(p, spec, 1.0).xi_norm <= jko.GAUSSIAN_TOL
+
 
 class TestContraction:
     def test_proximal_map_contracts(self):

@@ -137,8 +137,8 @@ class TestReverse:
         # ||T_n o T_n^{-1} - Id|| under q_n is roundoff on both families
         for traj in (pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4), grid_traj()):
             qs = pr.run_reverse_exact(traj)
-            for t, q in zip(traj.transports, qs[1:], strict=True):
-                assert t.inversion_residual(t.inverse_fields(), q) <= 1e-10
+            for t, s, q in zip(traj.transports, traj.inverse_fields, qs[1:], strict=True):
+                assert t.inversion_residual(s, q) <= 1e-10
 
     def test_exact_reverse_no_forward_error_recovers_p0(self):
         # with exact forward steps the reverse chain lands back near p0
@@ -312,17 +312,18 @@ class TestExactQ0:
         traj.exact_q0
         assert built == []
 
-    def test_one_inversion_per_gaussian_map(self, monkeypatch):
+    def test_one_stacked_inversion_per_trajectory(self, monkeypatch):
         traj = gauss_traj_3d()
         traj.minimizer
         calls = []
         inv = np.linalg.inv
-        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(0) or inv(a))
-        pr.estimate_K(traj)
+        monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+        pr.estimate_K(traj)  # Lip(T^{-1}) from eigenvalues: no inverse
+        assert calls == []
         traj.exact_q0
         pr.run_reverse_exact(traj)
-        pr.run_reverse_perturbed(traj, 1e-3)
-        assert len(calls) == traj.n_steps
+        pr.run_reverse_perturbed(traj, 1e-3)[0].q0  # the run, and q~_0 derived from it
+        assert calls == [(traj.n_steps, 3, 3)]
 
 
 # (trajectory, reverse mode, eps_inv) of the perturbed reverse runs rebuilt from their amplitudes
@@ -542,8 +543,11 @@ class TestInverseLipschitz:
 
     def test_gaussian(self):
         traj = gauss_traj_3d()
-        assert traj.inverse_lipschitz == [float(np.linalg.norm(ref.inverse(t).linear, 2))
+        assert traj.inverse_lipschitz == [1 / np.linalg.eigvalsh(t.linear)[0]
                                           for t in traj.transports]
+        # the spectral norm of the built inverse, up to roundoff
+        assert traj.inverse_lipschitz == pytest.approx(
+            [np.linalg.norm(ref.inverse(t).linear, 2) for t in traj.transports], rel=1e-13)
 
     def test_grid(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
@@ -578,8 +582,10 @@ class TestChainWideValues:
         assert traj.objective_values == [fn.evaluate(traj.spec, m) for m in traj.measures]
         assert traj.objective_values == [ref.gaussian_objective(m, traj.spec)
                                           for m in traj.measures]
-        assert traj.inverse_lipschitz == [float(np.linalg.norm(np.linalg.inv(t.linear), 2))
+        assert traj.inverse_lipschitz == [1 / np.linalg.eigvalsh(t.linear)[0]
                                           for t in traj.transports]
+        assert traj.inverse_lipschitz == pytest.approx(
+            [np.linalg.norm(np.linalg.inv(t.linear), 2) for t in traj.transports], rel=1e-13)
 
     def test_grid(self):
         traj = grid_traj()

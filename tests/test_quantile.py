@@ -55,6 +55,69 @@ class TestQuantileGrid:
         assert np.allclose(g.u, (np.arange(8) + 0.5) / 8)
 
 
+def _with(index, value, m=16):
+    vals = np.arange(m, dtype=float)
+    vals[index] = value
+    return vals
+
+
+# one grid's quantile values each; a stack holds them after a valid row of the same length
+GRID_INPUTS = {
+    "valid": np.linspace(-1.0, 1.0, 16),
+    "too_small": np.arange(4, dtype=float),
+    "tie": _with(5, 6.0),
+    "decreasing_end": _with(-1, 13.5),
+    "nan_middle": _with(7, np.nan),
+    "inf_end": _with(-1, np.inf),
+    "minus_inf_start": _with(0, -np.inf),
+}
+
+
+def _grid_outcome(build):
+    try:
+        return "ok", build()
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+class TestStack:
+    """QuantileGrid.stack builds what per-grid construction builds, after one validation
+    of the whole stack, and raises its messages."""
+
+    @pytest.mark.parametrize("name", list(GRID_INPUTS))
+    def test_same_outcome_as_single_construction(self, name):
+        vals = GRID_INPUTS[name]
+        single = _grid_outcome(lambda: [qt.QuantileGrid(vals).values])
+        got = _grid_outcome(lambda: [g.values for g in qt.QuantileGrid.stack(
+            np.array([np.arange(vals.size, dtype=float), vals]))][1:])
+        assert got[0] == single[0]
+        if single[0] == "ok":
+            assert np.array_equal(got[1][0], single[1][0]) and not got[1][0].flags.writeable
+        else:
+            assert got[1] == single[1]
+
+    def test_inputs_reach_every_outcome(self):
+        outcomes = set()
+        for vals in GRID_INPUTS.values():
+            out = _grid_outcome(lambda: qt.QuantileGrid(vals))
+            outcomes.add("ok" if out[0] == "ok" else out[1])
+        assert outcomes == {"ok", "need at least 8 quantile values, got 4",
+                            "quantile values must be finite",
+                            "quantile values must be strictly increasing"}
+
+    def test_equals_single_construction(self):
+        rng = np.random.default_rng(4)
+        values = np.sort(rng.standard_normal((5, 64)), axis=1)
+        grids = qt.QuantileGrid.stack(values)
+        assert len(grids) == 5
+        for g, row in zip(grids, values):
+            assert np.array_equal(g.values, qt.QuantileGrid(row).values)
+
+    def test_rejects_an_unstacked_grid(self):
+        with pytest.raises(ValueError, match="need at least 8 quantile values"):
+            qt.QuantileGrid.stack(np.arange(16, dtype=float))
+
+
 class TestFromGaussian:
     def test_matches_inverse_normal_cdf(self):
         g = qt.from_gaussian(0, 1, 8)

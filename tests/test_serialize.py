@@ -104,6 +104,30 @@ class TestTrajectoryRoundTrip:
             assert a.name == b.name
             assert a.lhs == b.lhs and a.rhs == b.rhs and a.holds == b.holds
 
+    @pytest.mark.parametrize("p0", [ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]])),
+                                    qt.from_gaussian(1.0, 1.5, 64)], ids=["gaussian", "grid"])
+    def test_no_steps(self, p0):
+        traj = pr.run_forward(p0, kl_spec(), 1.0, 0)
+        back = reload(traj)
+        assert back.transports == [] and back.inverse_fields == [] and back.n_steps == 0
+        assert len(back.measures) == 1
+        for a, b in zip(dataclasses.astuple(traj.measures[0]), dataclasses.astuple(back.measures[0])):
+            assert np.array_equal(a, b)
+
+    def test_gaussian_load_validates_each_stack_once(self, monkeypatch):
+        traj = pr.run_forward(ga.GaussianMeasure(np.zeros(3), np.diag([1.0, 2.0, 3.0])),
+                              kl_spec(d=3), 1.0, 4, 0.05)
+        data = sz.trajectory_to_json(traj)
+        calls, built = [], []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+        for cls in (ga.GaussianMeasure, ga.AffineMap):
+            monkeypatch.setattr(cls, "__post_init__", built.append)
+        back = sz.trajectory_from_json(data, traj.spec, traj.gamma, "gaussian")
+        # one Cholesky of the 5 stacked covariances; no measure or map checked alone
+        assert calls == [(5, 3, 3)] and built == []
+        assert len(back.measures) == 5 and len(back.transports) == 4
+
     def test_object_array_rejected(self):
         buf = io.BytesIO()
         np.savez(buf, manifest=np.array("{}"), values=np.array([object()], dtype=object))
