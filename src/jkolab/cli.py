@@ -104,10 +104,9 @@ class RunConfig:
     spec: fn.ObjectiveSpec
     family: str
     m: int
-    p0_kind: str  # "gaussian" | "atoms"
     p0_mean: np.ndarray | None
     p0_cov: np.ndarray | None
-    p0_atoms: pr.AtomicMeasure | None
+    p0_atoms: pr.AtomicMeasure | None  # None: p0 is N(p0_mean, p0_cov)
     p0_delta: float
     gamma: float
     eps: list  # length 1 (constant) or one entry per step
@@ -135,7 +134,7 @@ class RunConfig:
         }
         if self.family == "grid":
             d["family.m"] = str(self.m)
-        if self.p0_kind == "gaussian":
+        if self.p0_atoms is None:
             d["p0.mean"] = _fmt_vector(self.p0_mean)
             d["p0.cov"] = _fmt_matrix(self.p0_cov)
         else:
@@ -235,14 +234,12 @@ def parse_config(text: str) -> RunConfig:
             p0_delta = _num(take("p0.delta"))
             if p0_delta <= 0:
                 raise ConfigError("p0.delta must be positive")
-            p0_kind = "atoms"
         else:
             p0_mean = _parse_vector(take("p0.mean"))
             if p0_mean.size != d:
                 raise ConfigError("p0.mean dimension does not match the objective")
             p0_cov = _parse_matrix(take("p0.cov", "1"), d)
             _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
-            p0_kind = "gaussian"
 
         gamma = _num(take("gamma"))
         if not (0 < gamma < 2):
@@ -280,7 +277,7 @@ def parse_config(text: str) -> RunConfig:
     if raw:
         raise ConfigError(f"unrecognized keys: {sorted(raw)}")
     return RunConfig(
-        spec=spec, family=family, m=m, p0_kind=p0_kind, p0_mean=p0_mean,
+        spec=spec, family=family, m=m, p0_mean=p0_mean,
         p0_cov=p0_cov, p0_atoms=p0_atoms, p0_delta=p0_delta, gamma=gamma,
         eps=eps, eps_inv=eps_inv, n_steps=n_steps, seed=seed, mode=mode,
         checks=checks,
@@ -291,21 +288,20 @@ def _built_on_grid(cfg: RunConfig) -> RunConfig:
     """cfg, once a grid config's Gaussian p0 and pi are built as a run builds them (ConfigError
     when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
     if cfg.family == "grid":  # pi reads only M: the midpoints stand in for atoms, unsmoothed
-        grid = (_built("p0", build_p0, cfg) if cfg.p0_kind == "gaussian"
+        grid = (_built("p0", build_p0, cfg) if cfg.p0_atoms is None
                 else qt.QuantileGrid(qt.midpoints(cfg.m)))
         _built("the minimizer N(center, alpha lambda_mat^-1)", grid.minimizer, cfg.spec)
     return cfg
 
 
 def build_p0(cfg: RunConfig):
-    if cfg.p0_kind == "atoms":
-        p0 = pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
-    else:
-        p0 = ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
-    if cfg.family == "grid" and not isinstance(p0, qt.QuantileGrid):
-        # a Gaussian p0, or a single smoothed atom, at the grid's M quantile points
-        p0 = qt.from_gaussian(float(p0.mean[0]), math.sqrt(float(p0.cov[0, 0])), cfg.m)
-    return p0
+    """p0 in the config's family: smoothed atoms or N(p0_mean, p0_cov) at the grid's M
+    quantile points, or N(p0_mean, p0_cov) itself in the Gaussian family."""
+    if cfg.p0_atoms is not None:
+        return pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
+    if cfg.family == "grid":
+        return qt.from_gaussian(float(cfg.p0_mean[0]), math.sqrt(float(cfg.p0_cov[0, 0])), cfg.m)
+    return ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ __all__ = [
     "spd_sqrt",
     "w2_bw",
     "ot_map_bw",
-    "kl_between",
     "affine_field_norm",
-    "pushforward_affine",
 ]
 
 _SYM_RTOL = 1e-12
@@ -98,7 +96,7 @@ class GaussianMeasure:
         """log det Sigma = 2 sum log diag(chol)."""
         return 2.0 * float(np.sum(np.log(np.diag(self.chol))))
 
-    # Family methods call module globals, so tracers that patch module attributes see them.
+    # w2 calls the module global w2_bw, so a tracer that patches the module attribute sees it.
     def w2(self, other: GaussianMeasure) -> float:
         return w2_bw(self, other)
 
@@ -115,7 +113,16 @@ class GaussianMeasure:
         return _w2_bw(*_stacked(ps), *_stacked(qs)).tolist()
 
     def kl(self, other: GaussianMeasure) -> float:
-        return kl_between(self, other)
+        """KL(self || other) in closed form.
+
+        tr(Sigma_2^{-1} Sigma_1) + dm^T Sigma_2^{-1} dm is ||X||_F^2 for
+        X = L_2^{-1} [L_1 | dm], with L the kept Cholesky factors: one solve, no
+        eigendecomposition.
+        """
+        _check_dims(self, other)
+        x = np.linalg.solve(other.chol, np.column_stack((self.chol, self.mean - other.mean)))
+        val = 0.5 * (float((x * x).sum()) - self.dim + other.log_det - self.log_det)
+        return max(val, 0.0)
 
     def tv(self, other: GaussianMeasure) -> float | None:
         """TV distance in closed form in 1-D; None in higher dimensions (no direct one).
@@ -145,7 +152,8 @@ class GaussianMeasure:
         return 0.5 * abs(mass1 - mass2)
 
     def push(self, t: AffineMap) -> GaussianMeasure:
-        return pushforward_affine(self, t)
+        """T#self = N(A m + b, A Sigma A^T), exact."""
+        return GaussianMeasure(*AffineMap.push_fields(t.linear, t.offset, self.mean, self.cov))
 
     image = push  # t#self for a transport t that starts here: no shortcut on Gaussians
 
@@ -305,16 +313,27 @@ class AffineMap:
 
     @staticmethod
     def perturbed_fields(linear: np.ndarray, offset: np.ndarray, mode, center, bump):
-        """a -> (linear, offset) of the map perturbed with amplitude a, by jko.perturbed_affine."""
-        from . import jko  # jko imports this module
+        """(fields, cap) of the map under a perturbation of `mode` (a jko.PerturbMode).
 
-        return lambda a: jko.perturbed_affine(linear, offset, mode, a, center)
+        fields(a) is (linear, offset) with amplitude a: MEAN_SHIFT shifts by a
+        along the first axis, DILATION scales about `center` by 1 + a (a
+        symmetric linear part stays exactly symmetric).  cap() is calibration's
+        amplitude cap, infinite: neither breaks invertibility.  ValueError:
+        GRID_BUMP, which is 1-D only.
+        """
+        if mode.value == "mean_shift":
+            axis = np.eye(offset.size)[0]
+            return (lambda a: (linear, offset + a * axis)), lambda: np.inf
+        if mode.value == "dilation":
+            return (lambda a: ((1 + a) * linear, (1 + a) * (offset - center) + center),
+                    lambda: np.inf)
+        raise ValueError(f"mode {mode.value} is 1-D only")
 
     @staticmethod
     def push_fields(linear: np.ndarray, offset: np.ndarray, mean: np.ndarray,
                     cov: np.ndarray) -> tuple:
         """N(mean, cov) pushed through x -> linear x + offset on arrays: the mean and the
-        covariance, symmetrized as GaussianMeasure stores it, of pushforward_affine bit for bit."""
+        covariance, symmetrized as GaussianMeasure stores it, of `push` bit for bit."""
         c = linear @ cov @ linear.T
         return linear @ mean + offset, 0.5 * (c + c.T)
 
@@ -383,24 +402,6 @@ def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
     s_half, s_half_inv = g1.sqrt, g1.inv_sqrt
     a = s_half_inv @ spd_sqrt(s_half @ g2.cov @ s_half) @ s_half_inv
     return AffineMap(a, g2.mean - a @ g1.mean)
-
-
-def pushforward_affine(g: GaussianMeasure, t: AffineMap) -> GaussianMeasure:
-    """T#g = N(A m + b, A Sigma A^T), exact."""
-    return GaussianMeasure(*AffineMap.push_fields(t.linear, t.offset, g.mean, g.cov))
-
-
-def kl_between(g1: GaussianMeasure, g2: GaussianMeasure) -> float:
-    """KL(g1 || g2) between two Gaussians, closed form.
-
-    tr(Sigma_2^{-1} Sigma_1) + dm^T Sigma_2^{-1} dm is ||X||_F^2 for
-    X = L_2^{-1} [L_1 | dm], with L the kept Cholesky factors: one solve, no
-    eigendecomposition.
-    """
-    _check_dims(g1, g2)
-    x = np.linalg.solve(g2.chol, np.column_stack((g1.chol, g1.mean - g2.mean)))
-    val = 0.5 * (float((x * x).sum()) - g1.dim + g2.log_det - g1.log_det)
-    return max(val, 0.0)
 
 
 def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

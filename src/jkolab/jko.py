@@ -5,10 +5,11 @@ the two tractable families (in closed form for Gaussians, by damped Newton
 on quantile grids), measures the residual gradient field xi of that
 objective at the computed iterate, and can compose a calibrated perturbation
 onto the exact transport so the measured ||xi|| hits a requested epsilon.
-The same perturbation routine and amplitude calibrator serve the reverse
-process, where the calibrated quantity is the inversion residual.  Nothing
-here branches on the measure family: the family types' methods carry what
-differs (the step solver, the xi formula, how a map's arrays are perturbed).
+The map types' perturbations and the same amplitude calibrator serve the
+reverse process, where the calibrated quantity is the inversion residual.
+Nothing here branches on the measure family: the family types' methods carry
+what differs (the step solver, the xi formula, how a map's arrays are
+perturbed and the amplitude capped).
 """
 
 from __future__ import annotations
@@ -33,10 +34,6 @@ __all__ = [
     "jko_step_grid",
     "measure_xi",
     "bump_profile",
-    "perturbed_knots",
-    "perturbed_affine",
-    "perturbation",
-    "amplitude_cap",
     "calibrate_amplitude",
     "perturb_step",
 ]
@@ -51,7 +48,6 @@ _MAX_GROWTH = 100.0
 _CALIB_RTOL = 1e-12
 _STEP_RTOL = 1e-13
 _MAX_CALIB_EVALS = 64
-_MIN_BUMP_SLOPE = 1e-3
 
 
 class SolverError(RuntimeError):
@@ -265,65 +261,6 @@ def bump_profile(x: np.ndarray, bump_center: float, bump_width: float) -> np.nda
     return out
 
 
-def perturbed_knots(y: np.ndarray, mode: PerturbMode, a: float, center, bump=None) -> np.ndarray:
-    """Knot values y of a 1-D map perturbed with amplitude a.
-
-    MEAN_SHIFT adds a, DILATION scales about `center` by 1 + a, and
-    GRID_BUMP adds a times `bump`, the bump_profile at the map's knots.
-    """
-    if mode is PerturbMode.MEAN_SHIFT:
-        return y + a
-    if mode is PerturbMode.DILATION:
-        return (1 + a) * (y - center) + center
-    return y + a * bump
-
-
-def perturbed_affine(linear: np.ndarray, offset: np.ndarray, mode: PerturbMode, a: float,
-                     center) -> tuple[np.ndarray, np.ndarray]:
-    """(linear, offset) of an affine map perturbed with amplitude a.
-
-    MEAN_SHIFT shifts by a along the first axis, DILATION scales about
-    `center` by 1 + a (a symmetric linear part stays exactly symmetric).
-    """
-    if mode is PerturbMode.MEAN_SHIFT:
-        return linear, offset + a * np.eye(offset.size)[0]
-    if mode is PerturbMode.DILATION:
-        return (1 + a) * linear, (1 + a) * (offset - center) + center
-    raise ValueError(f"mode {mode.value} is 1-D only")
-
-
-def perturbation(kind, arrays, mode: PerturbMode, center=None, bump=None):
-    """The map kind(*arrays) under a perturbation of `mode`, as (fields, cap).
-
-    fields(a) is the constructor arrays, in kind's order, of the map with
-    amplitude a composed onto it: kind's `perturbed_fields`, which is
-    perturbed_knots on a 1-D map's knot values and perturbed_affine on an
-    affine map.  cap() is calibration's amplitude cap: amplitude_cap of the
-    bump (the bump_profile at a 1-D map's knots); without one (a shift, or
-    a dilation by 1 + a >= 1, never breaks monotonicity) it is infinite.
-    Nothing is built as a map; a caller builds the map it accepts.
-    """
-    cap = (lambda: np.inf) if bump is None else (lambda: amplitude_cap(*arrays, bump))
-    return kind.perturbed_fields(*arrays, mode, center, bump), cap
-
-
-def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
-    """Largest amplitude a keeping every slope of the knots (x, y + a bump) >= 1e-3.
-
-    `bump` is the bump_profile at x.  Its slope is never a divisor, so its
-    vanishing tails cannot overflow.
-    """
-    dx = x[1:] - x[:-1]
-    fall = (bump[:-1] - bump[1:]) / dx
-    room = (y[1:] - y[:-1]) / dx - _MIN_BUMP_SLOPE
-    neg = fall > 0
-    if not neg.any():
-        return np.inf
-    if (room[neg] <= 0).any():
-        return 0.0
-    return 0.95 / float((fall[neg] / room[neg]).max())
-
-
 def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_zero: float = 0.0,
                         first: float = _FIRST_PROBE) -> tuple[float, float]:
     """Amplitude a in (0, a_cap] at which norm_at(a) equals target, and that norm.
@@ -335,14 +272,15 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_z
     to at most 100 times the last amplitude and min(a_cap, _MAX_AMPLITUDE);
     inside the bracket, a step that leaves it falls back to regula falsi
     (Illinois: an end kept twice has its weight halved), then to bisection.
-    The search stops when the norm is within 1e-12 of the target or the
+    The search stops when the norm is within 1e-12 of the target, the
     step within 1e-13 of the amplitude (the roundoff floor of a noisy
-    norm), and returns the last amplitude and the norm measured there.
-    CalibrationError: a target at or below norm_at_zero, the ceiling hit
-    below the target, a target below the norm's roundoff floor (before any
-    norm below the target is seen, two upper ends measure the same norm),
-    no stop within _MAX_CALIB_EVALS evaluations, or a final norm more than
-    1% off.
+    norm), or, before any norm below the target is seen, two upper ends
+    measure the same norm within 1% of the target; it returns the last
+    amplitude and the norm measured there.  CalibrationError: a target at
+    or below norm_at_zero, the ceiling hit below the target, a target below
+    the norm's roundoff floor (that same norm, more than 1% above it), no
+    stop within _MAX_CALIB_EVALS evaluations, or a final norm more than 1%
+    off.
     """
     if target <= norm_at_zero:
         raise CalibrationError(
@@ -364,6 +302,8 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_z
             lo, f_lo = a, f
         else:
             if lo == 0.0 and f == f_prev:
+                if f <= 0.01 * target:  # already within the final acceptance
+                    break
                 raise CalibrationError(
                     f"cannot reach {target:g}: the norm stays at {norm:g} as the amplitude "
                     f"falls from {prev:g} to {a:g}, so the target is below its roundoff floor")
@@ -432,7 +372,7 @@ def perturb_step(
         width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean ** 2, 1e-12))
         bump = bump_profile(tr.x, bump_center, width)
     kind = type(tr)
-    perturbed, cap = perturbation(kind, _fields(tr), mode, center, bump)
+    perturbed, cap = kind.perturbed_fields(*_fields(tr), mode, center, bump)
     a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma), eps,
                                   cap(), norm_at_zero=exact.xi_norm, first=first)
     transport = kind(*perturbed(a))

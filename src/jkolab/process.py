@@ -20,7 +20,6 @@ from functools import cached_property
 import numpy as np
 
 from . import functionals as fn
-from . import gaussian as ga
 from . import jko
 from . import quantile as qt
 from .jko import _fields
@@ -268,7 +267,8 @@ def _bump_center(x: np.ndarray, rng) -> float:
 
 
 def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
-    """jko.perturbation of S_n = T_n^{-1}, T_n = traj.transports[n - 1], under the reverse policy.
+    """(fields, cap) of S_n = T_n^{-1}, T_n = traj.transports[n - 1], under the reverse policy:
+    T_n's type's `perturbed_fields`.
 
     The exact inverse stays arrays (`traj.inverse_fields`).  A dilation is about
     the mean of its last array: a grid map's knot values, or an affine map's
@@ -282,7 +282,7 @@ def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
     if mode is jko.PerturbMode.GRID_BUMP:
         x = s[0]
         bump = jko.bump_profile(x, _bump_center(x, rng), 0.25 * (x[-1] - x[0]))
-    return jko.perturbation(type(traj.transports[n - 1]), s, mode, center, bump)
+    return type(traj.transports[n - 1]).perturbed_fields(*s, mode, center, bump)
 
 
 def run_reverse_exact(traj: Trajectory) -> list:
@@ -368,23 +368,21 @@ def _mixture_quantiles(u, centers, weights, sd):
     return 0.5 * (lo + hi)
 
 
-def ou_smooth(p: AtomicMeasure, delta: float, m: int = 4096):
-    """Marginal of the OU process at time delta started from the atoms.
+def ou_smooth(p: AtomicMeasure, delta: float, m: int = 4096) -> qt.QuantileGrid:
+    """Marginal of the OU process at time delta started from 1-D atoms, as an M-point grid.
 
-    This is the mixture of N(e^{-delta} x_i, 1 - e^{-2 delta}).  Multi-atom
-    measures must be 1-D and come back as a quantile grid (mixture CDF
-    inverted by bisection); a single atom in any dimension comes back as the
-    exact Gaussian.
+    This is the mixture of N(e^{-delta} x_i, 1 - e^{-2 delta}): for a single
+    atom the exact Gaussian at the grid's quantile points (qt.from_gaussian),
+    else the mixture CDF inverted by bisection.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
+    if p.dim != 1:
+        raise ValueError("OU smoothing is 1-D only")
     shrink = math.exp(-delta)
     var = 1.0 - math.exp(-2.0 * delta)
     if p.n_atoms == 1:
-        x0 = p.locations[0]
-        return ga.GaussianMeasure(shrink * x0, var * np.eye(p.dim))
-    if p.dim != 1:
-        raise ValueError("multi-atom OU smoothing is 1-D only")
+        return qt.from_gaussian(shrink * float(p.locations[0, 0]), math.sqrt(var), m)
     centers = shrink * p.locations[:, 0]
     vals = _mixture_quantiles(qt.midpoints(m), centers, p.weights, math.sqrt(var))
     return qt.QuantileGrid(vals)

@@ -18,13 +18,11 @@ __all__ = [
     "QuantileGrid",
     "MonotoneMap1D",
     "from_gaussian",
-    "w2",
     "ot_map",
     "apply_map",
     "pushforward",
+    "amplitude_cap",
     "entropy",
-    "grid_kl",
-    "tv",
     "score",
     "gap_score",
     "xi_field",
@@ -33,6 +31,7 @@ __all__ = [
 ]
 
 MIN_GRID_SIZE = 8
+_MIN_BUMP_SLOPE = 1e-3
 
 
 def midpoints(m: int) -> np.ndarray:
@@ -73,25 +72,59 @@ class QuantileGrid:
     def mean(self) -> float:
         return float(np.mean(self.values))
 
-    # Family methods call module globals, so tracers that patch module attributes see them.
     def w2(self, other: QuantileGrid) -> float:
-        return w2(self, other)
+        """W2 distance: the L2 distance of quantile vectors, sqrt((1/M) sum (Qp-Qq)^2)."""
+        _check_same_m(self, other)
+        d = self.values - other.values
+        return float(np.sqrt(np.mean(d * d)))
 
     def w2_from(self, measures) -> list[float]:
         """[p.w2(self) for p in measures], one call each (stacking grids saves nothing)."""
-        return [w2(p, self) for p in measures]
+        return [p.w2(self) for p in measures]
 
     @staticmethod
     def w2_pairs(ps, qs) -> list[float]:
         """[p.w2(q) for p, q in zip(ps, qs)]."""
-        return [w2(p, q) for p, q in zip(ps, qs, strict=True)]
+        return [p.w2(q) for p, q in zip(ps, qs, strict=True)]
 
     def kl(self, other: QuantileGrid) -> float:
-        return grid_kl(self, other)
+        """KL(self || other) between two grid measures.
+
+        Evaluated in self's quantile coordinates: KL = (1/M) sum_k [log p(Q_{p,k})
+        - log q(Q_{p,k})], with knot densities from interval widths and q's
+        density read off at p's quantile locations.  Clamped at zero.
+        """
+        # interpolate log-density of q at p's quantile positions; outside q's
+        # support, extend the boundary interval density
+        log_q = np.interp(self.values, other.values, np.log(_interval_density(other)))
+        val = float(np.mean(np.log(_interval_density(self)) - log_q))
+        return max(val, 0.0)
 
     def tv(self, other: QuantileGrid) -> float:
-        return tv(self, other)
+        """Total variation distance by density reconstruction on a shared dense grid.
 
+        Both densities are rebuilt from knot values (reciprocal of dQ/du) on the
+        union of supports extended by 6 standard deviations, 8*M points, and
+        (1/2) int |p - q| is taken by the trapezoid rule.
+        """
+        _check_same_m(self, other)
+        sd_p = np.sqrt(max(second_moment(self) - self.mean ** 2, 1e-300))
+        sd_q = np.sqrt(max(second_moment(other) - other.mean ** 2, 1e-300))
+        lo = min(self.values[0], other.values[0]) - 6 * max(sd_p, sd_q)
+        hi = max(self.values[-1], other.values[-1]) + 6 * max(sd_p, sd_q)
+        xs = np.linspace(lo, hi, 8 * self.m)
+
+        def dens_on(xs, g: QuantileGrid):
+            d = 1.0 / _dq_du_centered(g)
+            out = np.interp(xs, g.values, d)
+            out[(xs < g.values[0]) | (xs > g.values[-1])] = 0.0
+            return out
+
+        diff = np.abs(dens_on(xs, self) - dens_on(xs, other))
+        return float(min(0.5 * np.trapezoid(diff, xs), 1.0))
+
+    # push calls the module global pushforward, so a tracer that patches the module
+    # attribute sees it.
     def push(self, t: MonotoneMap1D) -> QuantileGrid:
         return pushforward(self, t)
 
@@ -211,10 +244,19 @@ class MonotoneMap1D:
 
     @staticmethod
     def perturbed_fields(x: np.ndarray, y: np.ndarray, mode, center, bump):
-        """a -> the knots of MonotoneMap1D(x, y) with amplitude a, by jko.perturbed_knots."""
-        from . import jko  # jko imports this module
+        """(fields, cap) of MonotoneMap1D(x, y) under a perturbation of `mode` (a jko.PerturbMode).
 
-        return lambda a: (x, jko.perturbed_knots(y, mode, a, center, bump))
+        fields(a) is the knots with amplitude a: MEAN_SHIFT adds a to y,
+        DILATION scales y about `center` by 1 + a, and GRID_BUMP adds a times
+        `bump`, the bump_profile at x.  cap() is calibration's amplitude cap:
+        amplitude_cap of the bump, and infinite for a shift or a dilation by
+        1 + a >= 1, which never break monotonicity.
+        """
+        if mode.value == "mean_shift":
+            return (lambda a: (x, y + a)), lambda: np.inf
+        if mode.value == "dilation":
+            return (lambda a: (x, (1 + a) * (y - center) + center)), lambda: np.inf
+        return (lambda a: (x, y + a * bump)), lambda: amplitude_cap(x, y, bump)
 
     @staticmethod
     def push_fields(x: np.ndarray, y: np.ndarray, values: np.ndarray) -> tuple:
@@ -249,13 +291,6 @@ def _check_same_m(p: QuantileGrid, q: QuantileGrid):
         raise ValueError(f"grid sizes differ: {p.m} vs {q.m}")
 
 
-def w2(p: QuantileGrid, q: QuantileGrid) -> float:
-    """W2 distance: the L2 distance of quantile vectors, sqrt((1/M) sum (Qp-Qq)^2)."""
-    _check_same_m(p, q)
-    d = p.values - q.values
-    return float(np.sqrt(np.mean(d * d)))
-
-
 def ot_map(p: QuantileGrid, q: QuantileGrid) -> MonotoneMap1D:
     """The OT map from p to q: quantile matching, Q_{p,k} -> Q_{q,k}."""
     _check_same_m(p, q)
@@ -268,6 +303,23 @@ def pushforward(p: QuantileGrid, t: MonotoneMap1D) -> QuantileGrid:
     if not (vals[1:] > vals[:-1]).all():
         raise ValueError("map is not strictly increasing over the support of p")
     return QuantileGrid(vals)
+
+
+def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
+    """Largest amplitude a keeping every slope of the knots (x, y + a bump) >= 1e-3.
+
+    `bump` is the bump_profile at x.  Its slope is never a divisor, so its
+    vanishing tails cannot overflow.
+    """
+    dx = x[1:] - x[:-1]
+    fall = (bump[:-1] - bump[1:]) / dx
+    room = (y[1:] - y[:-1]) / dx - _MIN_BUMP_SLOPE
+    neg = fall > 0
+    if not neg.any():
+        return np.inf
+    if (room[neg] <= 0).any():
+        return 0.0
+    return 0.95 / float((fall[neg] / room[neg]).max())
 
 
 def _dq_du_centered(p: QuantileGrid) -> np.ndarray:
@@ -302,46 +354,6 @@ def _interval_density(p: QuantileGrid) -> np.ndarray:
     dens[0] = (1.0 / m) / gaps[0]
     dens[-1] = (1.0 / m) / gaps[-1]
     return dens
-
-
-def grid_kl(p: QuantileGrid, q: QuantileGrid) -> float:
-    """KL(p || q) between two grid measures.
-
-    Evaluated in p's quantile coordinates: KL = (1/M) sum_k [log p(Q_{p,k})
-    - log q(Q_{p,k})], with knot densities from interval widths and q's
-    density read off at p's quantile locations.  Clamped at zero.
-    """
-    p_dens = _interval_density(p)
-    q_dens_at_knots = _interval_density(q)
-    # interpolate log-density of q at p's quantile positions
-    log_q = np.interp(p.values, q.values, np.log(q_dens_at_knots))
-    # outside q's support, extend the boundary interval density
-    val = float(np.mean(np.log(p_dens) - log_q))
-    return max(val, 0.0)
-
-
-def tv(p: QuantileGrid, q: QuantileGrid) -> float:
-    """Total variation distance by density reconstruction on a shared dense grid.
-
-    Both densities are rebuilt from knot values (reciprocal of dQ/du) on the
-    union of supports extended by 6 standard deviations, 8*M points, and
-    (1/2) int |p - q| is taken by the trapezoid rule.
-    """
-    _check_same_m(p, q)
-    sd_p = np.sqrt(max(second_moment(p) - p.mean ** 2, 1e-300))
-    sd_q = np.sqrt(max(second_moment(q) - q.mean ** 2, 1e-300))
-    lo = min(p.values[0], q.values[0]) - 6 * max(sd_p, sd_q)
-    hi = max(p.values[-1], q.values[-1]) + 6 * max(sd_p, sd_q)
-    xs = np.linspace(lo, hi, 8 * p.m)
-
-    def dens_on(xs, g: QuantileGrid):
-        d = 1.0 / _dq_du_centered(g)
-        out = np.interp(xs, g.values, d)
-        out[(xs < g.values[0]) | (xs > g.values[-1])] = 0.0
-        return out
-
-    diff = np.abs(dens_on(xs, p) - dens_on(xs, q))
-    return float(min(0.5 * np.trapezoid(diff, xs), 1.0))
 
 
 def score(p: QuantileGrid) -> np.ndarray:

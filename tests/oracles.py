@@ -207,8 +207,6 @@ def fd_directional(spec, measure, v, t: float) -> float:
     else:
         d = measure.dim
         eye = np.eye(d)
-        plus = ga.pushforward_affine(
-            measure, ga.AffineMap(eye + t * v.linear, t * v.offset))
-        minus = ga.pushforward_affine(
-            measure, ga.AffineMap(eye - t * v.linear, -t * v.offset))
+        plus = measure.push(ga.AffineMap(eye + t * v.linear, t * v.offset))
+        minus = measure.push(ga.AffineMap(eye - t * v.linear, -t * v.offset))
     return (fn.evaluate(spec, plus) - fn.evaluate(spec, minus)) / (2 * t)

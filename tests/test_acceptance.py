@@ -125,7 +125,7 @@ class TestAcceptance:
                            1 + (1 - math.sqrt(s / x)) / g - 1 / x,
                            1e-6, 50.0, xtol=1e-15)
                 ref = qt.from_gaussian(m, math.sqrt(s), GRID_M)
-                worst_cross = max(worst_cross, qt.w2(grid, ref))
+                worst_cross = max(worst_cross, grid.w2(ref))
         ok = worst_cross <= 5e-3
 
         rng = np.random.default_rng(0)
@@ -143,7 +143,7 @@ class TestAcceptance:
             phi_s, _ = jko._grid_phi(q_s, p.values, spec, gamma, np.diff(q_s))
             phi_o, _ = jko._grid_phi(q_o, p.values, spec, gamma, np.diff(q_o))
             worst_obj = max(worst_obj, abs(phi_s - phi_o))
-            worst_w2 = max(worst_w2, qt.w2(res.next_measure, ref))
+            worst_w2 = max(worst_w2, res.next_measure.w2(ref))
         ok &= worst_obj <= 1e-6 and worst_w2 <= 1e-3
         _verdict(2, "grid solver cross-validation", ok,
                  f"closed-form W2 {worst_cross:.2e}, oracle obj {worst_obj:.2e}, "
@@ -199,11 +199,11 @@ class TestAcceptance:
             rng = np.random.default_rng(100 + seed)
             p0 = _random_grid_p0(rng)
             q = p0.minimizer(spec)
-            n = pr.steps_needed(qt.w2(p0, q), 1.0, 1.0, eps)
+            n = pr.steps_needed(p0.w2(q), 1.0, 1.0, eps)
             traj = pr.run_forward(p0, spec, 1.0, n, eps_schedule=eps, seed=seed)
             q0 = pr.run_reverse_exact(traj)[0]
             kl = traj.measures[0].kl(q0)
-            tv = qt.tv(traj.measures[0], q0)
+            tv = traj.measures[0].tv(q0)
             worst_kl, worst_tv = max(worst_kl, kl), max(worst_tv, tv)
             if not (kl <= 0.045 and tv <= 0.15):
                 n_fail += 1

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import itertools
 import json
 import os
 import re
@@ -141,7 +142,7 @@ class TestParseConfig:
 
     def test_atoms_parse(self):
         cfg = cli.parse_config(BASE_ATOMS)
-        assert cfg.p0_kind == "atoms"
+        assert cfg.p0_mean is None and cfg.p0_cov is None
         assert cfg.p0_atoms.n_atoms == 2
         assert cfg.p0_delta == 0.2
 
@@ -443,6 +444,24 @@ class TestSweepAndReport:
 
     def test_report_empty_dir(self, tmp_path):
         assert run(["report"], tmp_path) == cli.EXIT_MISSING_DATA
+
+
+# The standard suite's two p0s with eps = eps_inv far below its own: a warm-started
+# calibration probe often lands within ~1e-12 of such a target (the regression that
+# made 11 of these 16 regimes exit 2 at `forward`).
+SMALL_EPS_P0 = {"gaussian": "family = gaussian\np0.mean = 2\np0.cov = 4\n",
+                "grid": "family = grid\nfamily.m = 2048\np0.mean = 1.5\np0.cov = 2.25\n"}
+SMALL_EPS_REGIMES = list(itertools.product(SMALL_EPS_P0, ["mean_shift", "dilation"],
+                                           [0.5, 1.5], [1e-4, 1e-5]))
+
+
+@pytest.mark.parametrize("family, mode, gamma, eps", SMALL_EPS_REGIMES,
+                         ids=["-".join(map(str, r)) for r in SMALL_EPS_REGIMES])
+def test_small_eps_regimes_exit_0(tmp_path, family, mode, gamma, eps):
+    cfgp = write(tmp_path, "c.txt", SMALL_EPS_P0[family] + (
+        f"gamma = {gamma}\neps = {eps}\neps_inv = {eps}\nn = auto\nmode = {mode}\n"))
+    for command in ("forward", "reverse", "certify"):
+        assert run([command, "--config", cfgp], tmp_path) == cli.EXIT_OK, command
 
 
 class TestExitCodes:

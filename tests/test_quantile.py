@@ -143,26 +143,26 @@ class TestFromGaussian:
 class TestW2:
     def test_self_distance_zero(self):
         g = gaussian_grid()
-        assert qt.w2(g, g) == 0.0
+        assert g.w2(g) == 0.0
 
     def test_constant_shift_exact(self):
-        assert qt.w2(gaussian_grid(0), gaussian_grid(2)) == pytest.approx(2.0, abs=1e-14)
+        assert gaussian_grid(0).w2(gaussian_grid(2)) == pytest.approx(2.0, abs=1e-14)
 
     def test_scale_difference(self):
         # same-mean 1-D Gaussians: W2 = |sigma1 - sigma2|
-        val = qt.w2(gaussian_grid(0, 1, 2048), gaussian_grid(0, 2, 2048))
+        val = gaussian_grid(0, 1, 2048).w2(gaussian_grid(0, 2, 2048))
         assert val == pytest.approx(1.0, abs=5e-3)
 
     def test_mismatched_sizes_rejected(self):
         with pytest.raises(ValueError):
-            qt.w2(gaussian_grid(m=64), gaussian_grid(m=128))
+            gaussian_grid(m=64).w2(gaussian_grid(m=128))
 
     @settings(max_examples=25, deadline=None)
     @given(grids(), grids(), grids())
     def test_metric_axioms(self, p, q, r):
-        assert qt.w2(p, q) >= 0
-        assert qt.w2(p, q) == pytest.approx(qt.w2(q, p), abs=1e-14)
-        assert qt.w2(p, r) <= qt.w2(p, q) + qt.w2(q, r) + 1e-12
+        assert p.w2(q) >= 0
+        assert p.w2(q) == pytest.approx(q.w2(p), abs=1e-14)
+        assert p.w2(r) <= p.w2(q) + q.w2(r) + 1e-12
 
 
 class TestOtMap:
@@ -191,7 +191,7 @@ class TestOtMap:
         # 1-D OT is quantile matching, so the map cost is exactly W2^2
         t = qt.ot_map(p, q)
         cost = np.mean((p.values - t(p.values)) ** 2)
-        assert cost == pytest.approx(qt.w2(p, q) ** 2, rel=1e-12, abs=1e-14)
+        assert cost == pytest.approx(p.w2(q) ** 2, rel=1e-12, abs=1e-14)
 
     @settings(max_examples=25, deadline=None)
     @given(grids(), grids())
@@ -289,10 +289,10 @@ class TestKlAndTv:
 
     def test_tv_self_zero(self):
         g = gaussian_grid()
-        assert qt.tv(g, g) == 0.0
+        assert g.tv(g) == 0.0
 
     def test_tv_mean_shift_closed_form(self):
-        val = qt.tv(gaussian_grid(0, 1, 2048), gaussian_grid(1, 1, 2048))
+        val = gaussian_grid(0, 1, 2048).tv(gaussian_grid(1, 1, 2048))
         assert val == pytest.approx(2 * norm.cdf(0.5) - 1, abs=5e-3)
 
     def test_pinsker(self, std_spec):
@@ -302,7 +302,7 @@ class TestKlAndTv:
             p = gaussian_grid(m, s, 1024)
             q = gaussian_grid(0, 1, 1024)
             kl_exact = 0.5 * (s * s + m * m - 1 - 2 * np.log(s))
-            assert qt.tv(p, q) <= np.sqrt(kl_exact / 2) + 5e-3
+            assert p.tv(q) <= np.sqrt(kl_exact / 2) + 5e-3
 
 
 class TestScore:
