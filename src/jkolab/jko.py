@@ -41,7 +41,6 @@ __all__ = [
 GAUSSIAN_TOL = 1e-9
 GRID_TOL = 1e-6
 _MAX_NEWTON_ITERS = 200
-_PHI_RTOL = 8 * np.finfo(float).eps  # the line search lets phi rise 8 ulps of its terms
 _MAX_AMPLITUDE = 1e6
 _FIRST_PROBE = 1e-3
 _MAX_GROWTH = 100.0
@@ -154,22 +153,6 @@ def jko_step_gaussian(
 # Grid family: damped Newton with the log-gap barrier
 
 
-def _grid_phi(q: np.ndarray, q_n: np.ndarray, spec, gamma: float,
-              gaps: np.ndarray) -> tuple[float, np.ndarray]:
-    """Discretized proximal objective at q (gaps = diff(q)), and its log-gaps log(M gaps).
-
-    V is `pot.v` bit for bit, and each mean is np.mean's sum over the size.
-    """
-    pot = spec.potential
-    m = q.size
-    d = q - pot.center[0]
-    r = q - q_n
-    log_gaps = np.log(m * gaps)
-    val = (np.add.reduce(0.5 * (d * pot.lambda_mat[0, 0] * d)) / m
-           + np.add.reduce(r * r) / m / (2 * gamma))
-    return float(val - spec.alpha / m * np.add.reduce(log_gaps)), log_gaps
-
-
 def jko_step_grid(
     p_n: qt.QuantileGrid,
     spec: fn.ObjectiveSpec,
@@ -180,13 +163,16 @@ def jko_step_grid(
     The discretized objective is smooth and strictly convex on the monotone
     cone; its Hessian is tridiagonal (quadratic terms plus the log-gap
     barrier), and LAPACK ?ptsv solves it exactly from its two diagonals per
-    iteration (SolverError if the factorization fails).  A
-    fraction-to-boundary rule keeps every gap at >= 1% of its previous
-    value, and the line search accepts only strictly increasing trial
-    points, so iterates stay strictly monotone and only the image of the
-    result's transport is built as a QuantileGrid, on first read.
-    Convergence is max|xi| <= GRID_TOL on the measured xi field, which is
-    M times the gradient of the discretized objective.
+    iteration (SolverError if the factorization fails).  The xi field is
+    M times the objective's gradient, so the Newton step s for xi = 0 is a
+    descent direction for the RMS norm ||xi||.  A fraction-to-boundary
+    rule keeps every gap at >= 1% of its current value, and the line search
+    halves t until the trial has strictly increasing quantiles and
+    ||xi(q + t s)|| <= (1 - 1e-4 t) ||xi(q)||; the accepted trial's field is
+    the next iteration's, so each iteration measures one field.  Iterates
+    stay strictly monotone, and only the image of the result's transport is
+    built as a QuantileGrid, on first read.  Convergence is
+    max|xi| <= GRID_TOL.
     """
     from scipy.linalg import lapack  # loaded here, so only grid runs pay for scipy.linalg
 
@@ -200,10 +186,9 @@ def jko_step_grid(
     m = p_n.m
     q = q_n.copy()
     gaps = q[1:] - q[:-1]
-    phi, log_gaps = _grid_phi(q, q_n, spec, gamma, gaps)
+    xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
 
     for iters in range(1, _MAX_NEWTON_ITERS + 1):
-        xi, xi_norm = qt.xi_field(q, gaps, q_n, spec, gamma)
         if np.abs(xi).max() <= GRID_TOL:
             break
         # the Hessian's two diagonals, each gap's barrier added to both of its ends
@@ -223,22 +208,17 @@ def jko_step_grid(
         shrink = dgaps < 0
         if shrink.any():
             t = min(1.0, float((-0.99 * gaps[shrink] / dgaps[shrink]).min()))
-        # Close to the optimum the decrease a Newton step predicts is below
-        # the resolution of phi, so allow a rise of a few ulps of the
-        # magnitude of the terms phi sums.
-        terms = abs(phi) + alpha * float(np.add.reduce(np.abs(log_gaps)) / log_gaps.size)
-        phi_max = phi + _PHI_RTOL * terms
         while t > 1e-14:
             q_try = q + t * step
             gaps_try = q_try[1:] - q_try[:-1]
             if gaps_try.min() > 0:
-                phi_try, log_gaps_try = _grid_phi(q_try, q_n, spec, gamma, gaps_try)
-                if phi_try <= phi_max:
+                xi_try, norm_try = qt.xi_field(q_try, gaps_try, q_n, spec, gamma)
+                if norm_try <= (1.0 - 1e-4 * t) * xi_norm:
                     break
             t *= 0.5
         else:
             raise SolverError("Newton line search failed on the grid proximal step")
-        q, gaps, phi, log_gaps = q_try, gaps_try, phi_try, log_gaps_try
+        q, gaps, xi, xi_norm = q_try, gaps_try, xi_try, norm_try
     else:
         raise SolverError("grid Newton did not converge within the iteration cap")
 

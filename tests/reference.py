@@ -4,9 +4,10 @@ The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
 measure (rather than through the step's transport, as jko.measure_xi
 does), the strong-convexity monotonicity inequality as a BoundReport, a
 transport's inverse built as a map, a perturbed reverse run's maps and
-chain built as maps and measures, the grid Newton step written with the
-banded solver and numpy's reductions (jko_step_grid must match it bit for
-bit), the 1-D Gaussian TV distance by quadrature, and the Gaussian
+chain built as maps and measures, the discretized grid proximal objective
+and a grid Newton step that backtracks on it (jko_step_grid, which
+backtracks on ||xi||, must match its iterates bit for bit from Gaussian and
+bumped grids), the 1-D Gaussian TV distance by quadrature, and the Gaussian
 measure's construction checks, objective value and KL divergence in their
 plain per-measure spelling (the package's versions must match them).
 """
@@ -28,6 +29,8 @@ MONO_TOL = 1e-8
 
 
 def _grid_phi(q, q_n, spec, gamma, gaps):
+    """The grid step's discretized proximal objective at q (gaps = diff(q)):
+    mean V(q) + mean (q - q_n)^2 / (2 gamma) - (alpha/M) sum log(M gaps)."""
     pot = spec.potential
     m = q.size
     d = q - pot.center[0]
@@ -36,11 +39,15 @@ def _grid_phi(q, q_n, spec, gamma, gaps):
 
 
 def grid_step(p_n: qt.QuantileGrid, spec, gamma: float) -> tuple[np.ndarray, float, int]:
-    """jko.jko_step_grid's damped Newton, as (next quantiles, ||xi||, iterations).
+    """A damped Newton grid step, as (next quantiles, ||xi||, iterations).
 
-    The same arithmetic in its plain spelling: the Hessian as a (2, M) band
-    for scipy's solveh_banded, gaps by np.diff, means by np.mean, and the
-    log-gaps of the line search's ulp bound recomputed at every iteration.
+    jko.jko_step_grid's loop as it was when its line search backtracked on
+    the objective _grid_phi (accepting a rise of 8 ulps of the magnitude of
+    its terms) instead of on ||xi||, kept as the oracle of the residual
+    rule: from Gaussian and bumped grids both rules accept the same trials,
+    so the iterates agree bit for bit; from smoothed atoms the first step's
+    can differ.  Written in the plain spelling: the Hessian as a (2, M)
+    band for scipy's solveh_banded, gaps by np.diff, means by np.mean.
     """
     pot = spec.potential
     alpha = spec.alpha

@@ -124,8 +124,8 @@ class TestAcceptance:
                 s = brentq(lambda x, s=s, g=gamma:
                            1 + (1 - math.sqrt(s / x)) / g - 1 / x,
                            1e-6, 50.0, xtol=1e-15)
-                ref = qt.from_gaussian(m, math.sqrt(s), GRID_M)
-                worst_cross = max(worst_cross, grid.w2(ref))
+                exact = qt.from_gaussian(m, math.sqrt(s), GRID_M)
+                worst_cross = max(worst_cross, grid.w2(exact))
         ok = worst_cross <= 5e-3
 
         rng = np.random.default_rng(0)
@@ -137,13 +137,13 @@ class TestAcceptance:
                                 + b * np.tanh(g.values))
             gamma = rng.uniform(0.3, 1.5)
             res = jko.jko_step_grid(p, spec, gamma)
-            ref = orc.brute_jko(p, spec, gamma,
-                                orc.OracleConfig(budget=30_000, restarts=3, seed=i))
-            q_s, q_o = res.next_measure.values, ref.values
-            phi_s, _ = jko._grid_phi(q_s, p.values, spec, gamma, np.diff(q_s))
-            phi_o, _ = jko._grid_phi(q_o, p.values, spec, gamma, np.diff(q_o))
+            brute = orc.brute_jko(p, spec, gamma,
+                                  orc.OracleConfig(budget=30_000, restarts=3, seed=i))
+            q_s, q_o = res.next_measure.values, brute.values
+            phi_s = ref._grid_phi(q_s, p.values, spec, gamma, np.diff(q_s))
+            phi_o = ref._grid_phi(q_o, p.values, spec, gamma, np.diff(q_o))
             worst_obj = max(worst_obj, abs(phi_s - phi_o))
-            worst_w2 = max(worst_w2, res.next_measure.w2(ref))
+            worst_w2 = max(worst_w2, res.next_measure.w2(brute))
         ok &= worst_obj <= 1e-6 and worst_w2 <= 1e-3
         _verdict(2, "grid solver cross-validation", ok,
                  f"closed-form W2 {worst_cross:.2e}, oracle obj {worst_obj:.2e}, "

@@ -464,6 +464,39 @@ def test_small_eps_regimes_exit_0(tmp_path, family, mode, gamma, eps):
         assert run([command, "--config", cfgp], tmp_path) == cli.EXIT_OK, command
 
 
+def random_spd(rng, d, lo, hi):
+    """SPD matrix with eigenvalues lo and hi plus d - 2 log-uniform draws between them
+    (the benchmark's random objectives)."""
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    evals = np.concatenate([[lo, hi], np.exp(rng.uniform(np.log(lo), np.log(hi), d - 2))])
+    mat = (q * evals) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("seed, eps", list(itertools.product([0, 1], [1e-3, 1e-4])))
+def test_d10_dilation_small_eps_exits_0(tmp_path, seed, eps):
+    # d = 10 dilation exited 2 at eps = 1e-3 on a false "roundoff floor" (67-85 steps)
+    lam = random_spd(np.random.default_rng(seed), 10, 1.0, 4.0)
+    cfgp = write(tmp_path, "c.txt", (
+        f"family = gaussian\nobjective.lambda_mat = {cli._fmt_matrix(lam)}\n"
+        f"objective.center = {cli._fmt_vector(np.zeros(10))}\n"
+        f"p0.mean = {cli._fmt_vector(np.ones(10))}\np0.cov = {cli._fmt_matrix(2 * np.eye(10))}\n"
+        f"gamma = 1.0\neps = {eps}\neps_inv = {eps}\nn = auto\nseed = {seed}\nmode = dilation\n"))
+    for command in ("forward", "reverse", "certify"):
+        assert run([command, "--config", cfgp], tmp_path) == cli.EXIT_OK, command
+
+
+def test_grid_bump_seed_once_said_to_fail_exits_0(tmp_path):
+    # perfbench's grid_specs docstring says this seed's bumps stop the grid Newton step
+    # (forward exit 2)
+    text = (STANDARD_GRID.replace("gamma = 1.0", "gamma = 0.5").replace("eps = 0.1", "eps = 0.05")
+            .replace("n = 3", "n = auto").replace("seed = 0", "seed = 1440510676"))
+    cfgp = write(tmp_path, "c.txt", text)
+    for command in ("forward", "reverse", "certify"):
+        assert run([command, "--config", cfgp], tmp_path) == cli.EXIT_OK, command
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("edit", [("eps = 0.1", "eps = nan"), ("eps = 0.1", "eps = inf"),
                                       ("p0.cov = 4", "p0.cov = 0")],
@@ -559,6 +592,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert ("solver failure: forward step 1: grid Newton system is not positive definite "
                 "(LAPACK ?ptsv info = 3)") in err
+
+    def test_failed_newton_line_search_is_solver_failure(self, tmp_path, capsys, monkeypatch):
+        # a Newton step that raises ||xi|| at every t halves t to the 1e-14 floor
+        from scipy.linalg import lapack
+
+        solve = lapack.dptsv
+
+        def reversed_step(*args, **kwargs):
+            d, e, step, info = solve(*args, **kwargs)
+            return d, e, -step, info
+
+        monkeypatch.setattr(lapack, "dptsv", reversed_step)
+        cfgp = write(tmp_path, "c.txt", STANDARD_GRID)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_SOLVER == 2
+        err = capsys.readouterr().err
+        assert ("solver failure: forward step 1: Newton line search failed on the grid "
+                "proximal step") in err
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
     def test_auto_n_from_the_minimizer_runs_one_step(self, tmp_path, capsys, base):

@@ -126,6 +126,52 @@ class TestGaussianStep:
                 jko.jko_step_gaussian(p, kl_spec(), g)
 
 
+# two atoms at -1 and 1, smoothed for delta = 0.03: gaps near the atoms are tiny
+ATOMS = """
+family = grid
+family.m = {m}
+p0.atoms = -1 0.5; 1 0.5
+p0.delta = 0.03
+gamma = 1.0
+eps = 0.01
+n = 2
+"""
+
+
+def grid_problem(text):
+    """(p0, spec, gamma) of a grid config."""
+    cfg = cli.parse_config(text)
+    return cli.build_p0(cfg), cfg.spec, cfg.gamma
+
+
+def field_at(p_n, q, spec, gamma):
+    return qt.xi_field(q, np.diff(q), p_n.values, spec, gamma)[0]
+
+
+def traced_step(monkeypatch, p_n, spec, gamma, factor=1.0):
+    """jko_step_grid with LAPACK's Newton step scaled by `factor`, and its iterations:
+    per iteration, the quantiles of each xi_field call it made (the first iteration's
+    is the start, every later one's the trials of the line search before it)."""
+    from scipy.linalg import lapack
+
+    calls = [[]]
+    solve, measure = lapack.dptsv, qt.xi_field
+
+    def scaled(*args, **kwargs):
+        d, e, step, info = solve(*args, **kwargs)
+        calls.append([])
+        return d, e, factor * step, info
+
+    def recorded(q, *args):
+        calls[-1].append(q)
+        return measure(q, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lapack, "dptsv", scaled)
+        patch.setattr(qt, "xi_field", recorded)
+        return jko.jko_step_grid(p_n, spec, gamma), calls
+
+
 class TestGridStep:
     def test_matches_gaussian_closed_form(self):
         p = qt.from_gaussian(2.0, 2.0, 512)
@@ -140,12 +186,12 @@ class TestGridStep:
         p = qt.from_gaussian(0.5, 1.5, 128)
         spec = kl_spec()
         res = jko.jko_step_grid(p, spec, 0.9)
-        ref = orc.brute_jko(p, spec, 0.9, orc.OracleConfig(budget=30_000, restarts=3))
-        q_solver, q_oracle = res.next_measure.values, ref.values
-        phi_solver, _ = jko._grid_phi(q_solver, p.values, spec, 0.9, np.diff(q_solver))
-        phi_oracle, _ = jko._grid_phi(q_oracle, p.values, spec, 0.9, np.diff(q_oracle))
+        brute = orc.brute_jko(p, spec, 0.9, orc.OracleConfig(budget=30_000, restarts=3))
+        q_solver, q_oracle = res.next_measure.values, brute.values
+        phi_solver = ref._grid_phi(q_solver, p.values, spec, 0.9, np.diff(q_solver))
+        phi_oracle = ref._grid_phi(q_oracle, p.values, spec, 0.9, np.diff(q_oracle))
         assert phi_solver <= phi_oracle + 1e-9
-        assert res.next_measure.w2(ref) <= 1e-5
+        assert res.next_measure.w2(brute) <= 1e-5
 
     def test_fixed_point_near_target(self):
         spec = kl_spec()
@@ -175,6 +221,59 @@ class TestGridStep:
             assert np.array_equal(res.next_measure.values, q)
             assert res.xi_norm == xi_norm
             assert res.solver_iterations == iters
+
+    @pytest.mark.parametrize("m", [128, 2048])
+    def test_first_step_from_smoothed_atoms(self, m):
+        # a step on which the residual rule and reference.grid_step's objective rule
+        # accept different trials: both converge, the residual rule in no more iterations
+        p_n, spec, gamma = grid_problem(ATOMS.format(m=m))
+        res = jko.jko_step_grid(p_n, spec, gamma)
+        q, _, iters = ref.grid_step(p_n, spec, gamma)
+        q_res = res.next_measure.values
+        assert np.abs(field_at(p_n, q_res, spec, gamma)).max() <= jko.GRID_TOL
+        assert res.solver_iterations <= iters
+        assert np.abs(q_res - q).max() <= 1e-9
+
+    @pytest.mark.parametrize("text", [STANDARD_GRID, ATOMS.format(m=128)],
+                             ids=["gaussian", "atoms"])
+    def test_one_field_per_iteration_and_per_rejected_trial(self, monkeypatch, text):
+        p_n, spec, gamma = grid_problem(text)
+        res, calls = traced_step(monkeypatch, p_n, spec, gamma)
+        assert len(calls) == res.solver_iterations
+        norm = np.sqrt(np.mean(field_at(p_n, calls[0][0], spec, gamma) ** 2))
+        rejected = 0
+        for *trials, accepted in calls[1:]:
+            # t <= 1, so a rejected trial failed ||xi|| <= (1 - 1e-4) ||xi(q)|| too
+            for q in trials:
+                assert np.sqrt(np.mean(field_at(p_n, q, spec, gamma) ** 2)) > (1 - 1e-4) * norm
+            rejected += len(trials)
+            norm_next = np.sqrt(np.mean(field_at(p_n, accepted, spec, gamma) ** 2))
+            assert norm_next < norm
+            norm = norm_next
+        assert sum(map(len, calls)) == res.solver_iterations + rejected
+        # from a Gaussian every full step is taken; the atoms' tiny gaps cut t
+        assert (rejected == 0) == (text == STANDARD_GRID)
+
+    def test_doubled_newton_step_backtracks_to_half(self, monkeypatch):
+        p_n, spec, gamma = grid_problem(STANDARD_GRID)
+        plain, plain_calls = traced_step(monkeypatch, p_n, spec, gamma)
+        doubled, calls = traced_step(monkeypatch, p_n, spec, gamma, factor=2.0)
+        # the first iteration rejects q + 2s and accepts t = 1/2, q + s bit for bit; later
+        # ones may accept the overshoot, so the iterates are not the plain ones after that
+        assert len(calls[1]) == 2
+        assert np.array_equal(calls[1][1], plain_calls[1][0])
+        q, q_plain = doubled.next_measure.values, plain.next_measure.values
+        xi, xi_plain = field_at(p_n, q, spec, gamma), field_at(p_n, q_plain, spec, gamma)
+        assert np.abs(xi).max() <= jko.GRID_TOL
+        # xi is (lambda + 1/gamma)-strongly monotone in q
+        lam = float(spec.potential.lambda_mat[0, 0])
+        assert np.linalg.norm(q - q_plain) <= np.linalg.norm(xi - xi_plain) / (lam + 1 / gamma)
+
+    def test_reversed_newton_step_fails_the_line_search(self, monkeypatch):
+        # -s raises ||xi|| at every t, so the halving reaches the 1e-14 floor
+        p_n, spec, gamma = grid_problem(STANDARD_GRID)
+        with pytest.raises(jko.SolverError, match="Newton line search failed"):
+            traced_step(monkeypatch, p_n, spec, gamma, factor=-1.0)
 
 
 class TestMeasureXi:

@@ -7,6 +7,7 @@ from jkolab import jko
 from jkolab import quantile as qt
 
 import oracles as orc
+import reference as ref
 
 
 def kl_spec(lam=1.0, d=1):
@@ -44,12 +45,12 @@ class TestBruteJkoGrid:
     def test_matches_newton_solver(self):
         p = qt.from_gaussian(1.0, 1.5, 64)
         spec = kl_spec()
-        ref = orc.brute_jko(p, spec, 1.0, orc.OracleConfig(budget=30_000, restarts=3))
+        brute = orc.brute_jko(p, spec, 1.0, orc.OracleConfig(budget=30_000, restarts=3))
         res = jko.jko_step_grid(p, spec, 1.0)
-        assert ref.w2(res.next_measure) <= 1e-5
-        q_ref, q_newton = ref.values, res.next_measure.values
-        phi_ref, _ = jko._grid_phi(q_ref, p.values, spec, 1.0, np.diff(q_ref))
-        phi_newton, _ = jko._grid_phi(q_newton, p.values, spec, 1.0, np.diff(q_newton))
+        assert brute.w2(res.next_measure) <= 1e-5
+        q_ref, q_newton = brute.values, res.next_measure.values
+        phi_ref = ref._grid_phi(q_ref, p.values, spec, 1.0, np.diff(q_ref))
+        phi_newton = ref._grid_phi(q_newton, p.values, spec, 1.0, np.diff(q_newton))
         assert abs(phi_ref - phi_newton) <= 1e-9
 
     def test_deterministic(self):

@@ -118,7 +118,8 @@ class TestRunForward:
                              [(1.5, 2, 0.1, 1426227163), (0.5, 10, 0.05, 1440510676)])
     def test_grid_newton_converges_below_phi_resolution(self, gamma, n_steps, eps, seed):
         # these bump placements leave max|xi| just above GRID_TOL where the
-        # Newton decrease is below the roundoff of the discretized objective
+        # Newton decrease is below the roundoff of the discretized objective,
+        # which the line search backtracked on before it backtracked on ||xi||
         p0 = qt.from_gaussian(1.5, 1.5, 2048)
         traj = pr.run_forward(p0, kl_spec(), gamma, n_steps, eps,
                               jko.PerturbMode.GRID_BUMP, seed=seed)
