@@ -148,6 +148,17 @@ class RunConfig:
     def run_id(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
 
+    @functools.cached_property
+    def p0(self):
+        """p0 in the config's family, built once per command: smoothed atoms or N(p0_mean,
+        p0_cov) at the grid's M quantile points, or N(p0_mean, p0_cov) itself."""
+        if self.p0_atoms is not None:
+            return pr.ou_smooth(self.p0_atoms, self.p0_delta, self.m)
+        if self.family == "grid":
+            return qt.from_gaussian(float(self.p0_mean[0]), math.sqrt(float(self.p0_cov[0, 0])),
+                                    self.m)
+        return ga.GaussianMeasure(self.p0_mean, self.p0_cov)
+
     def resolve_n(self, p0) -> int:
         if self.n_steps != "auto":
             return self.n_steps
@@ -239,7 +250,8 @@ def parse_config(text: str) -> RunConfig:
             if p0_mean.size != d:
                 raise ConfigError("p0.mean dimension does not match the objective")
             p0_cov = _parse_matrix(take("p0.cov", "1"), d)
-            _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
+            if family == "grid":  # its grid is built on load; N(p0_mean, p0_cov) must exist
+                _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
 
         gamma = _num(take("gamma"))
         if not (0 < gamma < 2):
@@ -276,32 +288,25 @@ def parse_config(text: str) -> RunConfig:
 
     if raw:
         raise ConfigError(f"unrecognized keys: {sorted(raw)}")
-    return RunConfig(
+    cfg = RunConfig(
         spec=spec, family=family, m=m, p0_mean=p0_mean,
         p0_cov=p0_cov, p0_atoms=p0_atoms, p0_delta=p0_delta, gamma=gamma,
         eps=eps, eps_inv=eps_inv, n_steps=n_steps, seed=seed, mode=mode,
         checks=checks,
     )
-
-
-def _built_on_grid(cfg: RunConfig) -> RunConfig:
-    """cfg, once a grid config's Gaussian p0 and pi are built as a run builds them (ConfigError
-    when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
-    if cfg.family == "grid":  # pi reads only M: the midpoints stand in for atoms, unsmoothed
-        grid = (_built("p0", build_p0, cfg) if cfg.p0_atoms is None
-                else qt.QuantileGrid(qt.midpoints(cfg.m)))
-        _built("the minimizer N(center, alpha lambda_mat^-1)", grid.minimizer, cfg.spec)
+    if family == "gaussian":  # the p0 that every stage of the command reads
+        _built("p0", lambda: cfg.p0)
     return cfg
 
 
-def build_p0(cfg: RunConfig):
-    """p0 in the config's family: smoothed atoms or N(p0_mean, p0_cov) at the grid's M
-    quantile points, or N(p0_mean, p0_cov) itself in the Gaussian family."""
-    if cfg.p0_atoms is not None:
-        return pr.ou_smooth(cfg.p0_atoms, cfg.p0_delta, cfg.m)
-    if cfg.family == "grid":
-        return qt.from_gaussian(float(cfg.p0_mean[0]), math.sqrt(float(cfg.p0_cov[0, 0])), cfg.m)
-    return ga.GaussianMeasure(cfg.p0_mean, cfg.p0_cov)
+def _built_on_grid(cfg: RunConfig) -> RunConfig:
+    """cfg, once a grid config's pi and p0 are built as a run builds them (ConfigError when
+    quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
+    if cfg.family == "grid":  # pi reads only M: checked first, it smooths no atoms
+        _built("the minimizer N(center, alpha lambda_mat^-1)",
+               qt.QuantileGrid(qt.midpoints(cfg.m)).minimizer, cfg.spec)
+        _built("p0", lambda: cfg.p0)
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +329,9 @@ def _path(out: str, rid: str, suffix: str) -> str:
 
 
 def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
-    p0 = build_p0(cfg)
-    n = cfg.resolve_n(p0)
+    n = cfg.resolve_n(cfg.p0)
     schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
-    traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
+    traj = pr.run_forward(cfg.p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
     with open(_path(out, rid, "config.txt"), "w") as f:
         f.write(cfg.canonical())
     with open(_path(out, rid, "forward.csv"), "w") as f:
@@ -351,7 +355,7 @@ def _load_trajectory(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     """The stored trajectory; a missing or stale archive is missing run data (66)."""
     return _read_archive(_path(out, rid, "trajectory.npz"),
                          lambda data: sz.trajectory_from_json(data, cfg.spec, cfg.gamma,
-                                                              cfg.family), "forward")
+                                                              cfg.p0), "forward")
 
 
 def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:

@@ -65,15 +65,15 @@ class PerturbMode(enum.Enum):
 
 @dataclass(frozen=True)
 class StepResult:
-    """A proximal step; `next_measure` is built by `build_next` on first read, so a
-    perturbed step never builds the exact one it replaces.  amplitude: 0 if exact."""
+    """A proximal step from `start`; next_measure = start.image(transport) is built on first
+    read, so a perturbed step never builds the exact one it replaces.  amplitude: 0 if exact."""
 
-    build_next: object = field(repr=False)
+    start: object = field(repr=False)
     transport: object
     xi_norm: float
     solver_iterations: int
     amplitude: float = 0.0
-    next_measure = cached_property(lambda self: self.build_next())
+    next_measure = cached_property(lambda self: self.start.image(self.transport))
 
 
 def _check_gamma(gamma: float):
@@ -122,9 +122,9 @@ def jko_step_gaussian(
     alpha gamma B Sigma_n^{-1} B + B = I + gamma Lambda.  For
     C = (alpha gamma Sigma_n^{-1})^{1/2} the matrix Y = C B C solves
     Y^2 + Y = C (I + gamma Lambda) C, so  Y = -I/2 + (I/4 + C(I + gamma Lambda)C)^{1/2},
-    A = C Y^{-1} C  and  Sigma = A Sigma_n A.  A is symmetrized exactly, so
-    ||xi||, measured through the transport (see measure_xi), must not
-    exceed GAUSSIAN_TOL.
+    A = C Y^{-1} C;  m sets the offset b = m - A m_n, and p_n's image is the next
+    measure.  A is symmetrized exactly, so ||xi||, measured through the
+    transport (see measure_xi), must not exceed GAUSSIAN_TOL.
     """
     _check_gamma(gamma)
     pot = spec.potential
@@ -145,8 +145,7 @@ def jko_step_gaussian(
     if xi_norm > GAUSSIAN_TOL:
         raise SolverError(f"closed-form covariance step misses stationarity: "
                           f"||xi|| = {xi_norm:.3g} > {GAUSSIAN_TOL:.3g}")
-    return StepResult(build_next=lambda: ga.GaussianMeasure(mean, a @ p_n.cov @ a),
-                      transport=transport, xi_norm=xi_norm, solver_iterations=0)
+    return StepResult(p_n, transport, xi_norm, solver_iterations=0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +222,7 @@ def jko_step_grid(
         raise SolverError("grid Newton did not converge within the iteration cap")
 
     transport = qt.MonotoneMap1D(q_n, q)
-    return StepResult(build_next=lambda: p_n.image(transport), transport=transport,
-                      xi_norm=xi_norm, solver_iterations=iters)
+    return StepResult(p_n, transport, xi_norm, solver_iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -356,5 +354,4 @@ def perturb_step(
     a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma), eps,
                                   cap(), norm_at_zero=exact.xi_norm, first=first)
     transport = kind(*perturbed(a))
-    return StepResult(build_next=lambda: p_n.image(transport), transport=transport,
-                      xi_norm=norm, solver_iterations=exact.solver_iterations, amplitude=a)
+    return StepResult(p_n, transport, norm, exact.solver_iterations, amplitude=a)

@@ -2,10 +2,10 @@
 
 Runs the N-step forward chain of proximal steps (with optional calibrated
 first-order error per step) and the computed reverse chain with calibrated
-inversion error.  One loop pushes pi back through N maps for both reverse
-chains: T_N^{-1}, ..., T_1^{-1} for the exact one, which is derived from
-the trajectory (Trajectory.exact_q0, run_reverse_exact), and the S_n that
-a ReverseRun rebuilds from its amplitudes for the computed one.  Also OU
+inversion error.  One loop pushes measures through maps on arrays: pi back
+through T_N^{-1}, ..., T_1^{-1} (the exact reverse chain, derived from the
+trajectory: Trajectory.exact_q0, run_reverse_exact) or the S_n a ReverseRun
+rebuilds from its amplitudes, and p_0 through a stored Gaussian chain.  Also OU
 smoothing of atomic measures, and the bookkeeping the certifier consumes:
 Lipschitz/K estimates, step-count formula, CSV output.
 """
@@ -134,13 +134,18 @@ class ReverseRun:
         return type(self.traj.minimizer)(*_pushed_back(self.traj, self._map_fields())[0])
 
 
-def _pushed_back(traj: Trajectory, maps: list) -> list:
-    """The constructor arrays of q_0..q_N: q_N = pi, q_{n-1} = S_n#q_n for S_n given by
-    maps[n-1], arrays of T_n's type (its push_fields); builds no map and no measure."""
-    arrays = [_fields(traj.minimizer)]
-    for t, s in zip(reversed(traj.transports), reversed(maps), strict=True):
+def _pushed(start: list, transports, maps) -> list:
+    """The constructor arrays [start, S_1#start, ...] for S_k given by maps[k-1], arrays of
+    transports[k-1]'s type (its push_fields); builds no map and no measure."""
+    arrays = [start]
+    for t, s in zip(transports, maps, strict=True):
         arrays.append(type(t).push_fields(*s, *arrays[-1]))
-    return arrays[::-1]
+    return arrays
+
+
+def _pushed_back(traj: Trajectory, maps: list) -> list:
+    """The constructor arrays of q_0..q_N: q_N = pi pushed back through S_N, ..., S_1."""
+    return _pushed(_fields(traj.minimizer), traj.transports[::-1], maps[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -226,34 +231,23 @@ def run_forward(
 
     rng = np.random.default_rng(seed)
     step = p0.step_solver
-    measures = [p0]
-    transports, xi_norms, iters = [], [], []
-    current = p0
+    measures, results = [p0], []
     first = jko._FIRST_PROBE
     for n, eps in enumerate(schedule):
         try:
-            result = step(current, spec, gamma)
+            result = step(measures[-1], spec, gamma)
             if eps > 0:
                 bump_center = (_bump_center(result.transport.x, rng)
                                if mode is jko.PerturbMode.GRID_BUMP else None)
-                result = jko.perturb_step(current, result, spec, gamma, eps, mode,
+                result = jko.perturb_step(measures[-1], result, spec, gamma, eps, mode,
                                           bump_center=bump_center, first=first)
                 first = result.amplitude
         except (jko.SolverError, jko.CalibrationError) as exc:
             raise type(exc)(f"forward step {n + 1}: {exc}") from exc
         measures.append(result.next_measure)
-        transports.append(result.transport)
-        xi_norms.append(result.xi_norm)
-        iters.append(result.solver_iterations)
-        current = result.next_measure
-    return Trajectory(
-        spec=spec,
-        gamma=gamma,
-        measures=measures,
-        transports=transports,
-        xi_norms=xi_norms,
-        solver_iterations=iters,
-    )
+        results.append(result)
+    return Trajectory(spec, gamma, measures, [r.transport for r in results],
+                      [r.xi_norm for r in results], [r.solver_iterations for r in results])
 
 
 # ---------------------------------------------------------------------------

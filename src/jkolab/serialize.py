@@ -1,38 +1,39 @@
 """Binary run store: one uncompressed npz archive per record.
 
 An archive keeps only what its run computed.  The run's inputs (the
-objective, gamma, the family, the perturbation mode and seed) are recorded
-once, in its config, whose hash is the run id; the loaders take them from
-the parsed config.  A trajectory archive holds its measures stacked per
-array field (grid values (N+1, M); Gaussian means (N+1, d), covariances
-(N+1, d, d)), the transport arrays that cannot be rebuilt, and a JSON
-manifest string with the per-step xi norms and solver iteration counts.
-Loading validates each stack once (the measure and map types' `stack`),
-not item by item.  Doubles are stored raw and manifest floats with repr, so
-a check re-run on loaded data reproduces its verdict bit-for-bit.  The
-manifest keys are the record fields' names.  Loading never unpickles: an
-archive holding an object array raises ValueError.  An archive with other
-manifest keys or members (an older layout, which also stored the run's
-inputs) raises StaleArchiveError.
+objective, gamma, p_0, the perturbation mode and seed) are recorded once, in
+its config, whose hash is the run id; the loaders take them from the parsed
+config.  Each p_n is T_n#p_{n-1}, so a trajectory archive holds one chain of
+steps 1..N, stacked per array field, and the other is derived on load from
+p_0: grid measures p_1..p_N (values (N, M)), whose maps are rebuilt as
+qt.ot_map(p_{n-1}, p_n), or Gaussian transports T_1..T_N (linear (N, d, d),
+offset (N, d); ot_map_bw would not reproduce the closed-form linear part
+bit-for-bit), through which p_0 is pushed on arrays.  A JSON manifest holds
+the per-step xi norms and solver iteration counts.  Loading validates each
+chain once (the types' `stack`).  Doubles are stored raw and manifest floats
+with repr, so a check re-run on loaded data reproduces its verdict
+bit-for-bit.  Manifest keys are the record fields' names.  Loading never
+unpickles: an object array raises ValueError.  An archive with other manifest
+keys or members, or a stored chain not one entry per xi norm and iteration
+count (older layouts, which stored p_0, Gaussian measures or the run's
+inputs), raises StaleArchiveError.
 
-Nothing derivable from the trajectory is stored.  Grid forward maps are
-rebuilt on load as qt.ot_map(p_{n-1}, p_n).  The exact reverse chain is
-neither stored nor a record: it is derived from the trajectory
-(pr.run_reverse_exact(traj)), and certify reads only its output,
-traj.exact_q0.  A perturbed reverse run is a manifest alone: its residuals
-and its calibrated amplitudes.  Each map S_n is T_n^{-1} perturbed by
-amplitude a_n, so the loaded pr.ReverseRun derives the one measure that
+The exact reverse chain is neither stored nor a record: it is derived from
+the trajectory (pr.run_reverse_exact(traj)), and certify reads only its
+output, traj.exact_q0.  A perturbed reverse run is a manifest alone: its
+residuals and its calibrated amplitudes.  Each map S_n is T_n^{-1} perturbed
+by amplitude a_n, so the loaded pr.ReverseRun derives the one measure that
 certify reads, q~_0, from the trajectory (hence the trajectory argument of
-reverse_from_json) when it is first read: pi pushed through the rebuilt
-maps on arrays.  Both reverse chains read the inverses' arrays from
+reverse_from_json) when it is first read: pi pushed through the rebuilt maps
+on arrays.  Both reverse chains read the inverses' arrays from
 Trajectory.inverse_fields, one stacked inversion of the linear parts per
-Gaussian trajectory.  Gaussian forward maps (ot_map_bw does not reproduce
-the closed-form linear part bit-for-bit) are stored; their Lip(T^{-1}) is
-1 / lambda_min(L) from one stacked eigvalsh, which rejects a stored linear
-part that is not exactly symmetric or not positive definite.
+Gaussian trajectory.  A Gaussian map's Lip(T^{-1}) is 1 / lambda_min(L) from
+one stacked eigvalsh, which rejects a stored linear part that is not exactly
+symmetric or not positive definite.
 
 The public record functions keep their *_json names and their bytes-in /
-bytes-out contract: perfbench/tracer.py times and sizes this layer by them.
+bytes-out contract, the bytes first: perfbench/tracer.py times and sizes
+this layer by them.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from . import gaussian as ga
 from . import jko
 from . import process as pr
 from . import quantile as qt
+from .jko import _fields
 
 __all__ = [
     "trajectory_to_json",
@@ -62,10 +64,23 @@ _TRAJECTORY_KEYS = {"xi_norms", "solver_iterations"}
 # The manifest of a perturbed reverse archive, its only member.
 _REVERSE_KEYS = {"residuals", "amplitudes"}
 
-# Family name (the config's `family`, the measure type's `family`) -> the
-# measure type and the map type of its stored transports (None: not stored,
-# as grid maps are rebuilt as qt.ot_map(p_{n-1}, p_n)).
-_FAMILIES = {"grid": (qt.QuantileGrid, None), "gaussian": (ga.GaussianMeasure, ga.AffineMap)}
+
+def _grid_chains(p0, grids: list) -> tuple[list, list]:
+    """p_0..p_N and T_1..T_N from p_1..p_N: T_n = qt.ot_map(p_{n-1}, p_n)."""
+    return [p0, *grids], [qt.ot_map(a, b) for a, b in zip([p0, *grids], grids)]
+
+
+def _gaussian_chains(p0, maps: list) -> tuple[list, list]:
+    """p_0..p_N and T_1..T_N from T_1..T_N: p_n = T_n#p_{n-1} on arrays, one stack validated."""
+    pushed = pr._pushed(_fields(p0), maps, map(_fields, maps))[1:]
+    return [p0, *(type(p0).stack(*map(np.array, zip(*pushed))) if maps else [])], maps
+
+
+# Family name (the measure type's `family`) -> the type of the objects its trajectory
+# archive stores for steps 1..N, which of the trajectory's chains they are, and the
+# chains p_0..p_N and T_1..T_N that p_0 and they make.
+_FAMILIES = {"grid": (qt.QuantileGrid, lambda traj: traj.measures[1:], _grid_chains),
+             "gaussian": (ga.AffineMap, lambda traj: traj.transports, _gaussian_chains)}
 
 
 class StaleArchiveError(ValueError):
@@ -86,43 +101,32 @@ def _unpack(data: bytes) -> tuple[dict, dict]:
     return json.loads(arrays.pop("manifest").item()), arrays
 
 
-def _stack(objs, cls) -> dict:
-    """Each array field of dataclass `cls`, stacked over the objects."""
-    return {f.name: np.array([getattr(o, f.name) for o in objs])
-            for f in dataclasses.fields(cls)}
-
-
-def _unstack(arrays: dict, cls) -> list:
-    stacked = [arrays[f.name] for f in dataclasses.fields(cls)]
-    return cls.stack(*stacked) if len(stacked[0]) else []  # an n = 0 trajectory has no maps
-
-
 def trajectory_to_json(traj: pr.Trajectory) -> bytes:
-    kind, map_kind = _FAMILIES[traj.measures[0].family]
-    arrays = _stack(traj.measures, kind)
-    if map_kind is not None:
-        arrays.update(_stack(traj.transports, map_kind))
+    kind, stored, _ = _FAMILIES[traj.measures[0].family]
+    arrays = {f.name: np.array([getattr(o, f.name) for o in stored(traj)])
+              for f in dataclasses.fields(kind)}
     return _pack({"xi_norms": list(traj.xi_norms),
                   "solver_iterations": list(traj.solver_iterations)}, arrays)
 
 
 def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float,
-                         family: str) -> pr.Trajectory:
-    """Load the trajectory of a run of `spec` with step `gamma` in `family`.
+                         p0) -> pr.Trajectory:
+    """Load the trajectory from `p0` of a run of `spec` with step `gamma`.
 
-    StaleArchiveError: not the layout trajectory_to_json writes for `family`.
+    StaleArchiveError: not the layout trajectory_to_json writes for p0's family,
+    or a stored chain whose length is not the manifest's step count.
     """
     d, arrays = _unpack(data)
-    kind, map_kind = _FAMILIES[family]
-    members = {f.name for cls in (kind, map_kind) if cls for f in dataclasses.fields(cls)}
-    if set(d) != _TRAJECTORY_KEYS or set(arrays) != members:
-        raise StaleArchiveError(f"not a {family} trajectory archive (members "
+    kind, _, chains = _FAMILIES[p0.family]
+    names = [f.name for f in dataclasses.fields(kind)]
+    if set(d) != _TRAJECTORY_KEYS or set(arrays) != set(names):
+        raise StaleArchiveError(f"not a {p0.family} trajectory archive (members "
                                 f"{['manifest', *arrays]}, manifest keys {sorted(d)})")
-    measures = _unstack(arrays, kind)
-    if map_kind is None:
-        transports = [qt.ot_map(a, b) for a, b in zip(measures, measures[1:])]
-    else:
-        transports = _unstack(arrays, map_kind)
+    n, iters = len(d["xi_norms"]), len(d["solver_iterations"])
+    if {iters, *map(len, arrays.values())} != {n}:
+        raise StaleArchiveError(f"{len(arrays[names[0]])} stored steps and {iters} solver "
+                                f"iteration counts for {n} xi norms")
+    measures, transports = chains(p0, kind.stack(*(arrays[k] for k in names)) if n else [])
     return pr.Trajectory(spec=spec, gamma=gamma, measures=measures, transports=transports, **d)
 
 

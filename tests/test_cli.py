@@ -153,7 +153,7 @@ class TestParseConfig:
     def test_auto_n_value(self):
         from jkolab import process as pr
         cfg = cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto"))
-        p0 = cli.build_p0(cfg)
+        p0 = cfg.p0
         # w2(p0, pi) = sqrt(5), lam = 1, gamma = 1, eps = 0.1
         assert cfg.resolve_n(p0) == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
 
@@ -162,7 +162,7 @@ class TestParseConfig:
     def test_pi_is_built_for_auto_n_only(self, base, n):
         fixed = cli.parse_config(base)
         auto = cli.parse_config(base.replace(f"n = {n}", "n = auto"))
-        p0 = cli.build_p0(fixed)
+        p0 = fixed.p0
         calls = []
 
         class CountingP0:
@@ -264,10 +264,10 @@ class TestPipeline:
             # per step an eigh of p_n and of C (I + gamma Lambda) C, a solve for the
             # mean, a solve per xi evaluation and a Cholesky for the next measure; the
             # rest is parsing, the minimizer and forward.csv's stacked objectives, W2
-            # and Lip(T^{-1})
-            "forward": dict(eigh=12, eigvalsh=2, cholesky=10, solve=17, inv=2, svd=0, norm=0),
-            # the loaded chain and the exact chain one Cholesky each, one stacked inverse,
-            # a Cholesky per perturbed push
+            # and Lip(T^{-1}); p0 is built once, when the config is parsed
+            "forward": dict(eigh=12, eigvalsh=2, cholesky=9, solve=17, inv=2, svd=0, norm=0),
+            # p0 when the config is parsed, the chain pushed from it on load and the exact
+            # chain one Cholesky each, one stacked inverse, a Cholesky per perturbed push
             "reverse": dict(eigh=2, eigvalsh=1, cholesky=10, solve=0, inv=3, svd=0, norm=0),
             "certify": dict(eigh=4, eigvalsh=2, cholesky=14, solve=3, inv=4, svd=0, norm=0),
         }
@@ -296,7 +296,7 @@ class TestPipeline:
         path = tmp_path / "runs" / f"{cli.parse_config(BASE_GAUSS).run_id()}_trajectory.npz"
         with np.load(path) as z:
             arrays = {k: z[k] for k in z.files}
-        arrays["cov"][2, 0, 0] = np.nan
+        arrays["linear"][2, 0, 0] = np.nan  # p_3 = T_3#p_2, derived on load, is not finite
         with open(path, "wb") as f:
             np.savez(f, **arrays)
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_INTERNAL
@@ -684,6 +684,32 @@ class TestExitCodes:
         assert run(["reverse", "--config", cfgp], tmp_path) == 0
         assert run(["certify", "--config", cfgp], tmp_path) == 0
 
+    @pytest.mark.parametrize("base", [BASE_GAUSS, STANDARD_GRID], ids=["gaussian", "grid"])
+    def test_trajectory_archive_holding_p0_is_missing_data(self, tmp_path, capsys, base):
+        # the layout before this one stored p_0..p_N: a grid archive's `values` then has
+        # N + 1 rows under the same member name, and a Gaussian one also holds `mean` and
+        # `cov` next to `linear` and `offset`; neither may load as a shifted chain
+        cfgp = write(tmp_path, "c.txt", base)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        cfg = cli.parse_config(base)
+        runs = tmp_path / "runs"
+        traj = cli._load_trajectory(cfg, cfg.run_id(), str(runs))
+        old = {f.name: np.array([getattr(p, f.name) for p in traj.measures])
+               for f in dataclasses.fields(traj.measures[0])}
+        if cfg.family == "gaussian":
+            old.update(linear=np.array([t.linear for t in traj.transports]),
+                       offset=np.array([t.offset for t in traj.transports]))
+        manifest = {"xi_norms": traj.xi_norms, "solver_iterations": traj.solver_iterations}
+        path = runs / f"{cfg.run_id()}_trajectory.npz"
+        with open(path, "wb") as f:
+            np.savez(f, manifest=np.array(json.dumps(manifest)), **old)
+        for sub in ("reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+            err = capsys.readouterr().err
+            assert f"missing run data: {path}: " in err and "re-run `jkolab forward`" in err
+            assert "Traceback" not in err
+            assert (f"{traj.n_steps + 1} stored steps" in err) == (cfg.family == "grid")
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, STANDARD_GRID], ids=["gaussian", "grid"])
     def test_reverse_archive_of_another_layout_is_missing_data(self, tmp_path, capsys, base):

@@ -2,9 +2,9 @@
 
 What differs between the families is a method or class attribute of the
 measure or map type (quantile.py, gaussian.py), not an isinstance call or a
-table keyed by the type.  cli's config parsing and build_p0 name the
-concrete types, and serialize's decode table maps the stored family name
-to them; none of them calls isinstance on them, and neither do the family
+table keyed by the type.  cli's config parsing and RunConfig.p0 name the
+concrete types, and serialize's table maps the family name to the stored
+type; none of them calls isinstance on them, and neither do the family
 modules.  A family method holds its operation's code itself: it forwards
 to a module-level function only when BENCHMARK.json's per-layer metrics
 trace that function, since the tracer patches module attributes.

@@ -141,7 +141,7 @@ n = 2
 def grid_problem(text):
     """(p0, spec, gamma) of a grid config."""
     cfg = cli.parse_config(text)
-    return cli.build_p0(cfg), cfg.spec, cfg.gamma
+    return cfg.p0, cfg.spec, cfg.gamma
 
 
 def field_at(p_n, q, spec, gamma):
@@ -211,7 +211,7 @@ class TestGridStep:
         # forward's chain of the standard grid config at M quantiles: every step
         # after the first starts from a grid bent by a calibrated bump
         cfg = cli.parse_config(STANDARD_GRID.replace("family.m = 2048", f"family.m = {m}"))
-        p0 = cli.build_p0(cfg)
+        p0 = cfg.p0
         n = cfg.resolve_n(p0)
         traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, cfg.eps * n, cfg.mode, cfg.seed)
         assert n > 10
@@ -749,3 +749,25 @@ class TestContraction:
             n1 = jko.jko_step_gaussian(p1, spec, gamma).next_measure
             n2 = jko.jko_step_gaussian(p2, spec, gamma).next_measure
             assert ga.w2_bw(n1, n2) <= ga.w2_bw(p1, p2) + 1e-8
+
+
+class TestExactGaussianChain:
+    """An exact Gaussian step's next measure is p_n pushed through its transport, as in
+    every other step; the closed-form mean only sets the transport's offset."""
+
+    @pytest.mark.parametrize("d", [1, 3, 10])
+    def test_every_step_is_the_image_of_its_transport(self, d):
+        rng = np.random.default_rng(40 + d)
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_cov(rng, d),
+                                                      rng.standard_normal(d)))
+        gamma = 0.7
+        p0 = ga.GaussianMeasure(rng.standard_normal(d) + 3.0, random_cov(rng, d))
+        traj = pr.run_forward(p0, spec, gamma, 6)
+        lam, center = spec.potential.lambda_mat, spec.potential.center
+        for n, (p, t, xi) in enumerate(zip(traj.measures, traj.transports, traj.xi_norms)):
+            nxt = traj.measures[n + 1]
+            pushed = p.push(t)
+            assert np.array_equal(nxt.mean, pushed.mean) and np.array_equal(nxt.cov, pushed.cov)
+            assert xi <= jko.GAUSSIAN_TOL
+            mean = np.linalg.solve(np.eye(d) + gamma * lam, p.mean + gamma * lam @ center)
+            assert np.linalg.norm(nxt.mean - mean) <= 1e-13 * np.linalg.norm(mean)

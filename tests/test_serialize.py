@@ -42,7 +42,7 @@ def grid_bump_run():
 def reload(traj):
     """`traj` stored and loaded again, given the inputs that its config records."""
     return sz.trajectory_from_json(sz.trajectory_to_json(traj), traj.spec, traj.gamma,
-                                   traj.measures[0].family)
+                                   traj.measures[0])
 
 
 def round_trip(traj, *reverse_runs):
@@ -123,16 +123,17 @@ class TestTrajectoryRoundTrip:
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
         for cls in (ga.GaussianMeasure, ga.AffineMap):
             monkeypatch.setattr(cls, "__post_init__", built.append)
-        back = sz.trajectory_from_json(data, traj.spec, traj.gamma, "gaussian")
-        # one Cholesky of the 5 stacked covariances; no measure or map checked alone
-        assert calls == [(5, 3, 3)] and built == []
+        back = sz.trajectory_from_json(data, traj.spec, traj.gamma, traj.measures[0])
+        # one Cholesky of the covariances of p_1..p_4, pushed from p_0 (the config's, not
+        # stored) on arrays; no measure or map checked alone
+        assert calls == [(4, 3, 3)] and built == []
         assert len(back.measures) == 5 and len(back.transports) == 4
 
     def test_object_array_rejected(self):
         buf = io.BytesIO()
         np.savez(buf, manifest=np.array("{}"), values=np.array([object()], dtype=object))
         with pytest.raises(ValueError, match="allow_pickle=False"):
-            sz.trajectory_from_json(buf.getvalue(), kl_spec(), 1.0, "grid")
+            sz.trajectory_from_json(buf.getvalue(), kl_spec(), 1.0, qt.from_gaussian(0.0, 1.0, 8))
 
     def test_checks_reproduce_after_round_trip(self):
         traj = gauss_traj()
@@ -141,6 +142,78 @@ class TestTrajectoryRoundTrip:
         r2 = ct.check_evi(back)
         for a, b in zip(r1, r2):
             assert a.lhs == b.lhs and a.rhs == b.rhs and a.holds == b.holds
+
+
+def random_spd(rng, d):
+    a = rng.standard_normal((d, d))
+    return a @ a.T + 0.4 * np.eye(d)
+
+
+def gauss_d_traj(d, n=4):
+    """A d-dimensional Gaussian run whose exact and perturbed steps alternate."""
+    rng = np.random.default_rng(20 + d)
+    spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_spd(rng, d), rng.standard_normal(d)))
+    p0 = ga.GaussianMeasure(rng.standard_normal(d) + 2.0, random_spd(rng, d))
+    return pr.run_forward(p0, spec, 0.8, n, [0.0, 0.05] * (n // 2))
+
+
+def atoms_traj():
+    p0 = pr.ou_smooth(pr.AtomicMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5])),
+                      0.03, 256)
+    return pr.run_forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
+
+
+RUNS = {
+    "grid": lambda: grid_bump_run()[0],
+    "gaussian_d1": lambda: gauss_d_traj(1),
+    "gaussian_d3": lambda: gauss_d_traj(3),
+    "gaussian_d10": lambda: gauss_d_traj(10),
+    "atoms": atoms_traj,
+    "grid_n0": lambda: grid_traj(0),
+    "gaussian_n0": lambda: gauss_traj(0),
+}
+
+
+class TestOneStoredChain:
+    """A trajectory archive stores one chain of steps 1..N and no p_0; the loaded
+    trajectory, derived from the config's p_0, is the forward run's bit for bit."""
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_loaded_is_the_forward_run(self, name):
+        traj = RUNS[name]()
+        back = reload(traj)
+        assert back.xi_norms == traj.xi_norms
+        assert back.solver_iterations == traj.solver_iterations
+        assert len(back.measures) == len(traj.measures) == back.n_steps + 1
+        assert len(back.transports) == len(traj.transports)
+        for a, b in zip(traj.measures + traj.transports, back.measures + back.transports):
+            assert type(a) is type(b)
+            for f in dataclasses.fields(a):
+                assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_archive_members(self, name):
+        traj = RUNS[name]()
+        with np.load(io.BytesIO(sz.trajectory_to_json(traj))) as z:
+            members = {k: z[k] for k in z.files}
+        if traj.measures[0].family == "gaussian":
+            assert set(members) == {"manifest", "linear", "offset"}
+            assert len(members["linear"]) == len(members["offset"]) == traj.n_steps
+        else:
+            assert set(members) == {"manifest", "values"}
+            assert len(members["values"]) == traj.n_steps
+            for row, p in zip(members["values"], traj.measures[1:], strict=True):
+                assert np.array_equal(row, p.values)
+
+    @pytest.mark.parametrize("name", ["grid", "gaussian_d3"])
+    def test_chain_of_another_length_is_stale(self, name):
+        traj = RUNS[name]()
+        d, arrays = sz._unpack(sz.trajectory_to_json(traj))
+        for doctored in ({**d, "xi_norms": d["xi_norms"][:-1]},
+                         {**d, "solver_iterations": d["solver_iterations"] + [0]}):
+            with pytest.raises(sz.StaleArchiveError, match="stored steps"):
+                sz.trajectory_from_json(sz._pack(doctored, arrays), traj.spec, traj.gamma,
+                                        traj.measures[0])
 
 
 class TestReverseRoundTrip:
