@@ -157,7 +157,7 @@ def check_kl_tv_guarantee(traj: pr.Trajectory) -> list[BoundReport]:
 
 
 def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
-                          eps_inv: float) -> list[BoundReport]:
+                          eps_inv: float, exact: bool = False) -> list[BoundReport]:
     """Coupling and mixed bounds on W2(q~_0, q_0), q~_0 = `pert_rev.q0`, q_0 = `traj.exact_q0`.
 
     At K = 0 the coupling formula is 0/0; the geometric-sum limit
@@ -166,7 +166,9 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     so it bounds W2 only when it is at least the coupling bound, that is
     when N <= 1 + pr.steps_threshold(W2(p0, pi), lambda, gamma, eps).  Outside
     that range (always when W2(p0, pi) = 0), and at K = 0 or eps = 0, its
-    right side is inf, flagged mixed_form=not_applicable.
+    right side is inf, flagged mixed_form=not_applicable.  `exact` says that
+    every forward step was exact (the run's eps is 0): the measured xi norms
+    are then roundoff, not an eps, and the mixed form does not apply either.
     """
     n = traj.n_steps
     gamma = traj.gamma
@@ -185,7 +187,8 @@ def check_inversion_bound(traj: pr.Trajectory, pert_rev: pr.ReverseRun,
     lam = traj.spec.lam
     w0 = traj.w2_to_minimizer[0]
     mixed_ctx = {**ctx, "eps": eps, "w2_p0_q": w0}
-    if k > 1e-12 and eps > 0 and n <= 1 + pr.steps_threshold(w0, lam, gamma, eps):
+    if (not exact and k > 1e-12 and eps > 0
+            and n <= 1 + pr.steps_threshold(w0, lam, gamma, eps)):
         rhs_cor = (math.exp(2 * gamma * k) / (gamma * k)
                    * (w0 * lam) ** (8 * k / lam) * eps_inv / eps ** (8 * k / lam))
         if not math.isfinite(rhs_cor):

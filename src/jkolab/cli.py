@@ -42,14 +42,15 @@ EXIT_INTERNAL = 70
 OUTPUT_ROOT_ENV = "JKOLAB_OUTPUT_ROOT"
 
 # Check name -> its reports, from the trajectory, the perturbed reverse run and
-# eps_inv.  Each entry looks its certify function up when it is called, so a
+# the config.  Each entry looks its certify function up when it is called, so a
 # wrapper installed on the certify module (a profiler's) is called too.
 CHECKS = {
     "evi": lambda traj, *_: ct.check_evi(traj),
     "forward_rate": lambda traj, *_: ct.check_forward_rate(traj),
     "kl_tv": lambda traj, *_: ct.check_kl_tv_guarantee(traj),
     "dpi_chain": lambda traj, *_: ct.check_dpi_chain(traj),
-    "inversion": lambda *args: ct.check_inversion_bound(*args),
+    "inversion": lambda traj, pert, cfg: ct.check_inversion_bound(
+        traj, pert, cfg.eps_inv, exact=not any(cfg.eps)),
 }
 ALL_CHECKS = list(CHECKS)
 
@@ -159,10 +160,19 @@ class RunConfig:
                                     self.m)
         return ga.GaussianMeasure(self.p0_mean, self.p0_cov)
 
-    def resolve_n(self, p0) -> int:
+    @functools.cached_property
+    def minimizer(self):
+        """pi = N(center, alpha lambda_mat^-1) in the config's family, built once per
+        command: on a grid, at its M quantile points (they read only M, so no atoms are
+        smoothed)."""
+        if self.family == "grid":
+            return qt.QuantileGrid(qt.midpoints(self.m)).minimizer(self.spec)
+        return ga.GaussianMeasure.minimizer(self.spec)
+
+    def resolve_n(self) -> int:
         if self.n_steps != "auto":
             return self.n_steps
-        w2 = p0.w2(p0.minimizer(self.spec))  # pi in p0's family, built for n = auto only
+        w2 = self.p0.w2(self.minimizer)  # pi is built here for n = auto only
         return pr.steps_needed(w2, self.spec.lam, self.gamma, self.eps[0])
 
 
@@ -300,11 +310,10 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _built_on_grid(cfg: RunConfig) -> RunConfig:
-    """cfg, once a grid config's pi and p0 are built as a run builds them (ConfigError when
-    quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
+    """cfg, once a grid config's pi and p0 are built, the ones its run reads (ConfigError
+    when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
     if cfg.family == "grid":  # pi reads only M: checked first, it smooths no atoms
-        _built("the minimizer N(center, alpha lambda_mat^-1)",
-               qt.QuantileGrid(qt.midpoints(cfg.m)).minimizer, cfg.spec)
+        _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: cfg.minimizer)
         _built("p0", lambda: cfg.p0)
     return cfg
 
@@ -329,9 +338,10 @@ def _path(out: str, rid: str, suffix: str) -> str:
 
 
 def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
-    n = cfg.resolve_n(cfg.p0)
+    n = cfg.resolve_n()
     schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
-    traj = pr.run_forward(cfg.p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed)
+    traj = pr.run_forward(cfg.p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed,
+                          cfg.minimizer)
     with open(_path(out, rid, "config.txt"), "w") as f:
         f.write(cfg.canonical())
     with open(_path(out, rid, "forward.csv"), "w") as f:
@@ -355,7 +365,8 @@ def _load_trajectory(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
     """The stored trajectory; a missing or stale archive is missing run data (66)."""
     return _read_archive(_path(out, rid, "trajectory.npz"),
                          lambda data: sz.trajectory_from_json(data, cfg.spec, cfg.gamma,
-                                                              cfg.p0), "forward")
+                                                              cfg.p0, cfg.minimizer),
+                         "forward")
 
 
 def do_reverse(cfg: RunConfig, rid: str, out: str) -> pr.ReverseRun | None:
@@ -393,7 +404,7 @@ def do_certify(cfg: RunConfig, rid: str, out: str, checks=None) -> int:
         checks = [c for c in checks if c != "inversion"]
     traj = _load_trajectory(cfg, rid, out)
     pert_rev = _load_reverse(cfg, rid, out, traj) if "inversion" in checks else None
-    reports = [r for name in checks for r in CHECKS[name](traj, pert_rev, cfg.eps_inv)]
+    reports = [r for name in checks for r in CHECKS[name](traj, pert_rev, cfg)]
     with open(_path(out, rid, "report.csv"), "w") as f:
         f.write(ct.report_lines(reports))
     failed = [r for r in reports if not r.holds]

@@ -71,11 +71,6 @@ class QuadraticPotential:
         _, logdet = np.linalg.slogdet(self.lambda_mat)
         return 0.5 * self.dim * math.log(2 * math.pi) - 0.5 * logdet
 
-    def v(self, x: np.ndarray) -> np.ndarray:
-        """V at rows of x, shape (n, d) -> (n,)."""
-        dx = np.atleast_2d(x) - self.center
-        return 0.5 * np.einsum("ij,jk,ik->i", dx, self.lambda_mat, dx)
-
     def grad_v(self, x: np.ndarray) -> np.ndarray:
         return (np.atleast_2d(x) - self.center) @ self.lambda_mat.T
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,7 +46,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward-process record: p_0..p_N, transports T_1..T_N, per-step ||xi||."""
+    """Forward-process record: p_0..p_N, transports T_1..T_N, per-step ||xi||.
+
+    `pi`, when given, is the trajectory's `minimizer`, so a command that has
+    built pi builds it once.
+    """
 
     spec: fn.ObjectiveSpec
     gamma: float
@@ -54,6 +58,11 @@ class Trajectory:
     transports: list
     xi_norms: list
     solver_iterations: list
+    pi: InitVar[object] = None
+
+    def __post_init__(self, pi):
+        if pi is not None:
+            self.__dict__["minimizer"] = pi
 
     @property
     def n_steps(self) -> int:
@@ -212,6 +221,7 @@ def run_forward(
     eps_schedule=None,
     mode: jko.PerturbMode = jko.PerturbMode.MEAN_SHIFT,
     seed: int = 0,
+    pi=None,
 ) -> Trajectory:
     """Run N proximal steps from p0; schedule entries > 0 get calibrated xi.
 
@@ -219,6 +229,7 @@ def run_forward(
     The seed only feeds perturbation placement (bump centers), so exact runs
     are seed-independent.  p0's family chooses the step solver.  A
     calibration's first probe is the previous perturbed step's amplitude.
+    `pi` is the trajectory's minimizer when the caller has built it.
     """
     if eps_schedule is None:
         schedule = [0.0] * n_steps
@@ -247,7 +258,8 @@ def run_forward(
         measures.append(result.next_measure)
         results.append(result)
     return Trajectory(spec, gamma, measures, [r.transport for r in results],
-                      [r.xi_norm for r in results], [r.solver_iterations for r in results])
+                      [r.xi_norm for r in results], [r.solver_iterations for r in results],
+                      pi)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ __all__ = [
     "apply_map",
     "pushforward",
     "amplitude_cap",
-    "entropy",
     "score",
     "gap_score",
     "xi_field",
@@ -58,7 +57,8 @@ class QuantileGrid:
     @classmethod
     def stack(cls, values) -> list[QuantileGrid]:
         """The grids of the rows of `values` (n >= 1, M), after one validation of the stack."""
-        return [_unvalidated(cls, row) for row in _validated(np.asarray(values, dtype=float), 2)]
+        return [_unvalidated(cls, values=row)
+                for row in _validated(np.asarray(values, dtype=float), 2)]
 
     @property
     def m(self) -> int:
@@ -145,13 +145,23 @@ class QuantileGrid:
 
     @staticmethod
     def objectives(spec, measures) -> list[float]:
-        """alpha * entropy + E[V] + log Z of each grid (functionals.objectives), one
-        at a time (stacked grids evaluate no faster)."""
+        """alpha * H + E[V] + log Z of each grid (functionals.objectives), one pass per grid
+        (stacked grids evaluate no faster).
+
+        H = -(1/M) sum log dQ/du by centered differences, and E[V] = (1/M) sum
+        (1/2) lambda (Q_k - c)^2.
+        """
         pot = spec.potential
         if pot.dim != 1:
             raise ValueError("grid measures require a 1-D objective")
-        return [spec.alpha * entropy(g) + float(np.mean(pot.v(g.values[:, None]))) + pot.log_z
-                for g in measures]
+        lam, c = pot.lambda_mat[0, 0], pot.center[0]
+        out = []
+        for g in measures:
+            dx = g.values - c
+            h = -np.add.reduce(np.log(_dq_du_centered(g))) / g.m
+            mean_v = np.add.reduce(0.5 * (dx * lam * dx)) / g.m
+            out.append(float(spec.alpha * h + mean_v + pot.log_z))
+        return out
 
     def xi(self, x: np.ndarray, y: np.ndarray, spec, gamma: float) -> float:
         """jko.measure_xi of the transport with knots (x, y), which must start at this grid.
@@ -189,10 +199,10 @@ def _validated(vals: np.ndarray, ndim: int) -> np.ndarray:
     return vals
 
 
-def _unvalidated(cls, values: np.ndarray) -> QuantileGrid:
-    """A grid of the already validated `values`, built without __post_init__."""
+def _unvalidated(cls, **fields):
+    """An instance of the frozen dataclass `cls` with the given, already validated, fields."""
     obj = object.__new__(cls)
-    obj.__dict__["values"] = values
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -219,8 +229,7 @@ class MonotoneMap1D:
         dy = y[1:] - y[:-1]
         if not (dx.min() > 0 and dy.min() > 0):
             raise ValueError("knot coordinates must be strictly increasing")
-        if not math.isfinite((dy / dx).max()):
-            raise ValueError("segment slopes must be finite")
+        _check_slopes(dx, dy)
         x.setflags(write=False)
         y.setflags(write=False)
 
@@ -230,7 +239,7 @@ class MonotoneMap1D:
     @staticmethod
     def inverse_lipschitz_of(maps) -> list[float]:
         """Lip(T^{-1}) of each map T, its largest inverse slope, without building T^{-1}."""
-        return [float(np.max(np.diff(t.x) / np.diff(t.y))) for t in maps]
+        return [float(np.max((t.x[1:] - t.x[:-1]) / (t.y[1:] - t.y[:-1]))) for t in maps]
 
     @staticmethod
     def inverse_fields_of(maps) -> list[tuple]:
@@ -264,6 +273,12 @@ class MonotoneMap1D:
         return (apply_map(x, y, values),)
 
 
+def _check_slopes(dx: np.ndarray, dy: np.ndarray):
+    """ValueError unless every slope dy / dx of positive knot steps is finite."""
+    if not math.isfinite((dy / dx).max()):
+        raise ValueError("segment slopes must be finite")
+
+
 def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
     """MonotoneMap1D(x, y)(t) without building or validating the map."""
     t = np.asarray(t, dtype=float)
@@ -292,9 +307,15 @@ def _check_same_m(p: QuantileGrid, q: QuantileGrid):
 
 
 def ot_map(p: QuantileGrid, q: QuantileGrid) -> MonotoneMap1D:
-    """The OT map from p to q: quantile matching, Q_{p,k} -> Q_{q,k}."""
+    """The OT map from p to q: quantile matching, Q_{p,k} -> Q_{q,k}.
+
+    Both grids are validated, so their knots are frozen and strictly
+    increasing: only the map's slopes are checked.
+    """
     _check_same_m(p, q)
-    return MonotoneMap1D(p.values, q.values)
+    x, y = p.values, q.values
+    _check_slopes(x[1:] - x[:-1], y[1:] - y[:-1])
+    return _unvalidated(MonotoneMap1D, x=x, y=y)
 
 
 def pushforward(p: QuantileGrid, t: MonotoneMap1D) -> QuantileGrid:
@@ -331,11 +352,6 @@ def _dq_du_centered(p: QuantileGrid) -> np.ndarray:
     d[0] = (q[1] - q[0]) * m
     d[-1] = (q[-1] - q[-2]) * m
     return d
-
-
-def entropy(p: QuantileGrid) -> float:
-    """Differential entropy integral H = int rho log rho = -(1/M) sum log dQ/du."""
-    return float(-np.mean(np.log(_dq_du_centered(p))))
 
 
 def _interval_density(p: QuantileGrid) -> np.ndarray:

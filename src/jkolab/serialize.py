@@ -12,11 +12,19 @@ bit-for-bit), through which p_0 is pushed on arrays.  A JSON manifest holds
 the per-step xi norms and solver iteration counts.  Loading validates each
 chain once (the types' `stack`).  Doubles are stored raw and manifest floats
 with repr, so a check re-run on loaded data reproduces its verdict
-bit-for-bit.  Manifest keys are the record fields' names.  Loading never
-unpickles: an object array raises ValueError.  An archive with other manifest
-keys or members, or a stored chain not one entry per xi norm and iteration
-count (older layouts, which stored p_0, Gaussian measures or the run's
-inputs), raises StaleArchiveError.
+bit-for-bit.  Manifest keys are the record fields' names.  An archive with
+other manifest keys or members, or a stored chain not one entry per xi norm
+and iteration count (older layouts, which stored p_0, Gaussian measures or
+the run's inputs), raises StaleArchiveError.
+
+The reader reads each member once (zipfile checks its CRC-32), parses its
+.npy header with numpy's public readers and views the array in place,
+read-only; an unaligned payload is copied.  It never unpickles: an object
+array raises ValueError.  An archive it cannot read (not a zip file,
+truncated, a CRC mismatch, a member that is not .npy, a malformed header, a
+payload of the wrong size) raises StaleArchiveError too, which the CLI
+reports as missing run data (exit 66).  A grid chain's maps join two
+validated grids, so qt.ot_map checks only their slopes.
 
 The exact reverse chain is neither stored nor a record: it is derived from
 the trajectory (pr.run_reverse_exact(traj)), and certify reads only its
@@ -41,6 +49,8 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import math
+import zipfile
 
 import numpy as np
 
@@ -83,8 +93,14 @@ _FAMILIES = {"grid": (qt.QuantileGrid, lambda traj: traj.measures[1:], _grid_cha
              "gaussian": (ga.AffineMap, lambda traj: traj.transports, _gaussian_chains)}
 
 
+# The npy header reader of each format version that np.savez writes.
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
 class StaleArchiveError(ValueError):
-    """An archive in a layout this version does not write, or not of the given trajectory."""
+    """An archive that cannot be read, in a layout this version does not write, or not of
+    the given trajectory."""
 
 
 def _pack(manifest: dict, arrays: dict) -> bytes:
@@ -93,9 +109,42 @@ def _pack(manifest: dict, arrays: dict) -> bytes:
     return buf.getvalue()
 
 
+def _array(raw: bytes) -> np.ndarray:
+    """The array of one .npy member, a read-only view of `raw` (a copy only if unaligned)."""
+    buf = io.BytesIO(raw)
+    try:
+        version = np.lib.format.read_magic(buf)
+        read_header = _NPY_HEADERS.get(version)
+        if read_header is None:
+            raise ValueError(f"npy format version {version} is not one savez writes")
+        shape, fortran, dtype = read_header(buf)
+    except ValueError as exc:
+        raise StaleArchiveError(f"a malformed .npy header: {exc}") from exc
+    if dtype.hasobject:
+        raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+    offset, count = buf.tell(), math.prod(shape)
+    if len(raw) - offset != count * dtype.itemsize:
+        raise StaleArchiveError(f"{len(raw) - offset} data bytes for a {dtype} "
+                                f"array of shape {shape}")
+    arr = np.frombuffer(raw, dtype, count, offset)
+    arr = arr.reshape(shape[::-1]).T if fortran else arr.reshape(shape)
+    if not arr.flags.aligned:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
 def _unpack(data: bytes) -> tuple[dict, dict]:
-    with np.load(io.BytesIO(data), allow_pickle=False) as z:
-        arrays = {k: z[k] for k in z.files}
+    try:
+        with zipfile.ZipFile(io.BytesIO(data)) as z:
+            members = {name: z.read(name) for name in z.namelist()}
+    # a damaged local header can also read as encrypted (RuntimeError), compressed by an
+    # unknown method (NotImplementedError) or at a negative offset (ValueError)
+    except (zipfile.BadZipFile, EOFError, NotImplementedError, RuntimeError, ValueError) as exc:
+        raise StaleArchiveError(f"not a readable archive: {exc}") from exc
+    if not all(name.endswith(".npy") for name in members):
+        raise StaleArchiveError(f"members {sorted(members)} are not all .npy arrays")
+    arrays = {name[:-4]: _array(raw) for name, raw in members.items()}
     if "manifest" not in arrays:
         raise StaleArchiveError("the archive has no manifest")
     return json.loads(arrays.pop("manifest").item()), arrays
@@ -109,9 +158,10 @@ def trajectory_to_json(traj: pr.Trajectory) -> bytes:
                   "solver_iterations": list(traj.solver_iterations)}, arrays)
 
 
-def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float,
-                         p0) -> pr.Trajectory:
-    """Load the trajectory from `p0` of a run of `spec` with step `gamma`.
+def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float, p0,
+                         pi=None) -> pr.Trajectory:
+    """Load the trajectory from `p0` of a run of `spec` with step `gamma`; its minimizer
+    is `pi` when the caller has built it.
 
     StaleArchiveError: not the layout trajectory_to_json writes for p0's family,
     or a stored chain whose length is not the manifest's step count.
@@ -127,7 +177,8 @@ def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float,
         raise StaleArchiveError(f"{len(arrays[names[0]])} stored steps and {iters} solver "
                                 f"iteration counts for {n} xi norms")
     measures, transports = chains(p0, kind.stack(*(arrays[k] for k in names)) if n else [])
-    return pr.Trajectory(spec=spec, gamma=gamma, measures=measures, transports=transports, **d)
+    return pr.Trajectory(spec=spec, gamma=gamma, measures=measures, transports=transports,
+                         pi=pi, **d)
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:

@@ -49,9 +49,15 @@ class BudgetExhausted(RuntimeError):
 # Brute-force proximal step
 
 
+def _potential(pot, x: np.ndarray) -> np.ndarray:
+    """V at rows of x: (1/2)(x - center)^T lambda_mat (x - center), one row at a time."""
+    dx = np.atleast_2d(x) - pot.center
+    return 0.5 * np.sum((dx @ pot.lambda_mat) * dx, axis=1)
+
+
 def _grid_objective(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float:
     m = q.size
-    return float(np.mean(spec.potential.v(q[:, None])) + np.mean((q - q_n) ** 2) / (2 * gamma)
+    return float(np.mean(_potential(spec.potential, q[:, None])) + np.mean((q - q_n) ** 2) / (2 * gamma)
                  - spec.alpha / m * float(np.sum(np.log(m * np.diff(q)))))
 
 
@@ -190,7 +196,7 @@ def quadrature_kl(p: qt.QuantileGrid, spec) -> float:
     dens = 1.0 / dqdu
     xs = np.linspace(p.values[0], p.values[-1], 16 * p.m)
     rho = np.interp(xs, p.values, dens)
-    log_q = -pot.v(xs[:, None]) - pot.log_z
+    log_q = -_potential(pot, xs[:, None]) - pot.log_z
     integrand = np.where(rho > 0, rho * (np.log(np.clip(rho, 1e-300, None)) - log_q), 0.0)
     return float(np.trapezoid(integrand, xs))
 

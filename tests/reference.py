@@ -9,7 +9,9 @@ and a grid Newton step that backtracks on it (jko_step_grid, which
 backtracks on ||xi||, must match its iterates bit for bit from Gaussian and
 bumped grids), the 1-D Gaussian TV distance by quadrature, and the Gaussian
 measure's construction checks, objective value and KL divergence in their
-plain per-measure spelling (the package's versions must match them).
+plain per-measure spelling (the package's versions must match them), and
+the potential V, the grid entropy and the grid objective value in the plain
+spelling that QuantileGrid.objectives replaced.
 """
 
 from __future__ import annotations
@@ -26,6 +28,25 @@ from jkolab import jko
 from jkolab import quantile as qt
 
 MONO_TOL = 1e-8
+
+
+def potential_v(pot: fn.QuadraticPotential, x: np.ndarray) -> np.ndarray:
+    """V at rows of x, shape (n, d) -> (n,): (1/2)(x - center)^T lambda_mat (x - center)."""
+    dx = np.atleast_2d(x) - pot.center
+    return 0.5 * np.einsum("ij,jk,ik->i", dx, pot.lambda_mat, dx)
+
+
+def grid_entropy(p: qt.QuantileGrid) -> float:
+    """Differential entropy integral H = int rho log rho = -(1/M) sum log dQ/du."""
+    return float(-np.mean(np.log(qt._dq_du_centered(p))))
+
+
+def grid_objective(spec: fn.ObjectiveSpec, g: qt.QuantileGrid) -> float:
+    """G(g) = alpha * H + E[V] + log Z of one grid, in the spelling that
+    QuantileGrid.objectives must match bit for bit."""
+    pot = spec.potential
+    return (spec.alpha * grid_entropy(g) + float(np.mean(potential_v(pot, g.values[:, None])))
+            + pot.log_z)
 
 
 def _grid_phi(q, q_n, spec, gamma, gaps):

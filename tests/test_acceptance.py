@@ -288,7 +288,7 @@ class TestAcceptance:
             v = np.tanh(c1 * q0 + c2)
 
             def g_disc(q):
-                return float(np.mean(spec.potential.v(q[:, None]))
+                return float(np.mean(ref.potential_v(spec.potential, q[:, None]))
                              + spec.potential.log_z
                              - np.mean(np.log(q.size * np.diff(q))) * (q.size - 1) / q.size)
 

@@ -231,6 +231,21 @@ class TestInversion:
         assert mixed.rhs == math.inf and mixed.holds
         assert mixed.context["mixed_form"] == "not_applicable"
 
+    def test_mixed_bound_not_applicable_to_an_exact_run(self):
+        # every step exact: the xi norms are roundoff, which the mixed form would take as
+        # its eps and raise to the power -8K/lambda
+        p0 = ga.GaussianMeasure(np.array([1.0, -1.0, 2.0]), np.diag([2.0, 0.5, 1.0]))
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
+        traj = pr.run_forward(p0, spec, 1.0, 6)
+        pert, _ = pr.run_reverse_perturbed(traj, 1e-3)
+        assert 0 < max(traj.xi_norms) < 1e-14
+        as_if_perturbed = ct.check_inversion_bound(traj, pert, 1e-3)
+        coupling, mixed = ct.check_inversion_bound(traj, pert, 1e-3, exact=True)
+        assert as_if_perturbed[1].rhs > 1e50 and "mixed_form" not in as_if_perturbed[1].context
+        assert (coupling.lhs, coupling.rhs) == (as_if_perturbed[0].lhs, as_if_perturbed[0].rhs)
+        assert mixed.rhs == math.inf and mixed.holds
+        assert mixed.context["mixed_form"] == "not_applicable"
+
 
 class TestDpi:
     def test_gaussian_affine_exact(self):

@@ -14,6 +14,7 @@ from jkolab import cli
 from jkolab import gaussian as ga
 from jkolab import jko
 from jkolab import process as pr
+from jkolab import quantile as qt
 from jkolab import serialize as sz
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
@@ -153,28 +154,37 @@ class TestParseConfig:
     def test_auto_n_value(self):
         from jkolab import process as pr
         cfg = cli.parse_config(BASE_GAUSS.replace("n = 5", "n = auto"))
-        p0 = cfg.p0
         # w2(p0, pi) = sqrt(5), lam = 1, gamma = 1, eps = 0.1
-        assert cfg.resolve_n(p0) == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
+        assert cfg.resolve_n() == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
 
     @pytest.mark.parametrize("base, n", [(BASE_GAUSS, 5), (BASE_GRID, 3)],
                              ids=["gaussian", "grid"])
-    def test_pi_is_built_for_auto_n_only(self, base, n):
+    def test_pi_is_built_for_auto_n_only(self, base, n, monkeypatch):
         fixed = cli.parse_config(base)
         auto = cli.parse_config(base.replace(f"n = {n}", "n = auto"))
-        p0 = fixed.p0
         calls = []
+        on_grid, gaussian = qt.QuantileGrid.minimizer, ga.GaussianMeasure.minimizer
+        monkeypatch.setattr(qt.QuantileGrid, "minimizer",
+                            lambda self, spec: calls.append(spec) or on_grid(self, spec))
+        monkeypatch.setattr(ga.GaussianMeasure, "minimizer",
+                            staticmethod(lambda spec: calls.append(spec) or gaussian(spec)))
+        assert fixed.resolve_n() == n and calls == []
+        assert auto.resolve_n() == auto.resolve_n() > n and calls == [auto.spec]
+        assert auto.minimizer is auto.minimizer and calls == [auto.spec]
 
-        class CountingP0:
-            def minimizer(self, spec):
-                calls.append(spec)
-                return p0.minimizer(spec)
-
-            def w2(self, other):
-                return p0.w2(other)
-
-        assert fixed.resolve_n(CountingP0()) == n and calls == []
-        assert auto.resolve_n(CountingP0()) == auto.resolve_n(p0) > n and calls == [auto.spec]
+    @pytest.mark.parametrize("n", ["auto", "3"])
+    def test_a_grid_command_builds_p0_and_pi_once_each(self, tmp_path, monkeypatch, n):
+        text = STANDARD_GRID.replace("n = 3", f"n = {n}")
+        cfgp = write(tmp_path, "c.txt", text)
+        calls = []
+        build = qt.from_gaussian
+        monkeypatch.setattr(qt, "from_gaussian",
+                            lambda *args: calls.append(args) or build(*args))
+        for sub in ("forward", "reverse", "certify"):
+            calls.clear()
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+            # pi = N(0, 1) and p0 = N(1.5, 1.5^2) at the 2048 quantile points, once each
+            assert sorted(calls) == [(0.0, 1.0, 2048), (1.5, 1.5, 2048)], sub
 
 
 class TestPipeline:
@@ -760,7 +770,60 @@ class TestExitCodes:
         report.unlink()
         assert run(checks, tmp_path) == 0
         assert report.read_bytes() == good
-        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_INTERNAL
+        # the inversion check reads it: an unreadable archive is missing run data
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+
+    @pytest.mark.parametrize("damage", ["flipped_byte", "truncated"])
+    @pytest.mark.parametrize("base, archive, command", [
+        (STANDARD_GRID, "trajectory", "forward"), (BASE_GAUSS, "trajectory", "forward"),
+        (BASE_GAUSS, "reverse_perturbed", "reverse")],
+        ids=["grid_trajectory", "gaussian_trajectory", "reverse_manifest"])
+    def test_a_damaged_archive_is_missing_data(self, tmp_path, capsys, base, archive, command,
+                                               damage):
+        cfgp = write(tmp_path, "c.txt", base)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        path = tmp_path / "runs" / f"{cli.parse_config(base).run_id()}_{archive}.npz"
+        data = bytearray(path.read_bytes())
+        if damage == "flipped_byte":
+            data[len(data) // 3] ^= 0x10  # inside a member: its CRC-32 no longer matches
+        else:
+            del data[len(data) // 2:]
+        path.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_MISSING_DATA
+        err = capsys.readouterr().err
+        assert f"missing run data: {path}: not a readable archive: " in err
+        assert ("Bad CRC-32" if damage == "flipped_byte" else "not a zip file") in err
+        assert f"re-run `jkolab {command}`" in err and "Traceback" not in err
+        assert run([command, "--config", cfgp], tmp_path) == 0
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+
+    def test_an_exact_run_has_no_mixed_inversion_bound(self, tmp_path):
+        # every step is exact (eps = 0): the max xi norm, about 6e-16, is roundoff, and the
+        # mixed form used to report rhs ~ eps^(-8K/lambda) = 2.2e53 as holding
+        text = """
+objective.lambda_mat = 1 0 0; 0 2 0; 0 0 3
+objective.center = 0 0 0
+family = gaussian
+p0.mean = 1 -1 2
+p0.cov = 2 0 0; 0 0.5 0; 0 0 1
+gamma = 1.0
+eps = 0
+eps_inv = 0.001
+n = 6
+"""
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        assert run(["certify", "--config", cfgp, "--checks", "inversion"], tmp_path) == 0
+        rid = cli.parse_config(text).run_id()
+        rows = (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]
+        coupling, mixed = (row.split(",") for row in rows)
+        assert coupling[0] == "inversion_coupling" and float(coupling[3]) < 1
+        assert mixed[0] == "inversion_mixed" and mixed[1] == "1" and mixed[3] == "inf"
+        ctx = dict(kv.split("=") for kv in mixed[6].split(";"))
+        assert ctx["mixed_form"] == "not_applicable" and 0 < float(ctx["eps"]) < 1e-14
 
 
 # each edit of this config used to fail inside a run as an internal error (exit 70)

@@ -40,7 +40,7 @@ class TestQuadraticPotential:
         for j in range(3):
             dx = np.zeros(3)
             dx[j] = h
-            fd = (pot.v(x + dx) - pot.v(x - dx)) / (2 * h)
+            fd = (ref.potential_v(pot, x + dx) - ref.potential_v(pot, x - dx)) / (2 * h)
             assert np.allclose(fd, pot.grad_v(x)[:, j], atol=1e-6)
 
 

@@ -212,7 +212,7 @@ class TestGridStep:
         # after the first starts from a grid bent by a calibrated bump
         cfg = cli.parse_config(STANDARD_GRID.replace("family.m = 2048", f"family.m = {m}"))
         p0 = cfg.p0
-        n = cfg.resolve_n(p0)
+        n = cfg.resolve_n()
         traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, cfg.eps * n, cfg.mode, cfg.seed)
         assert n > 10
         for p_n in traj.measures[:-1]:

@@ -4,7 +4,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
+from jkolab import functionals as fn
 from jkolab import quantile as qt
+
+import reference as ref
 
 
 def gaussian_grid(mean=0.0, sd=1.0, m=256):
@@ -17,8 +20,7 @@ def kl(p: qt.QuantileGrid, spec) -> float:
     Small negative values are pure discretization error (KL >= 0) and are
     clamped to zero.
     """
-    val = qt.entropy(p) + float(np.mean(spec.potential.v(p.values[:, None]))) + spec.potential.log_z
-    return max(val, 0.0)
+    return max(ref.grid_objective(spec, p), 0.0)
 
 
 def lipschitz(t: qt.MonotoneMap1D) -> float:
@@ -199,6 +201,28 @@ class TestOtMap:
         assert np.allclose(qt.pushforward(p, qt.ot_map(p, q)).values, q.values,
                            atol=1e-12)
 
+    @settings(max_examples=25, deadline=None)
+    @given(grids(), grids())
+    def test_is_the_validated_map(self, p, q):
+        # the grids are validated, so ot_map checks only the slopes
+        t, full = qt.ot_map(p, q), qt.MonotoneMap1D(p.values, q.values)
+        assert type(t) is qt.MonotoneMap1D
+        assert t.x is p.values and t.y is q.values
+        assert np.array_equal(t.x, full.x) and np.array_equal(t.y, full.y)
+        assert not (t.x.flags.writeable or t.y.flags.writeable)
+
+    def test_overflowing_slope_raises_the_maps_message(self):
+        p = qt.QuantileGrid(np.arange(8) * 5e-324)  # gaps of the smallest subnormal
+        q = qt.QuantileGrid(np.arange(8.0))
+        with np.errstate(over="ignore"):
+            for build in (qt.MonotoneMap1D, lambda x, y: qt.ot_map(p, q)):
+                with pytest.raises(ValueError, match="^segment slopes must be finite$"):
+                    build(p.values, q.values)
+
+    def test_sizes_must_match(self):
+        with pytest.raises(ValueError, match="grid sizes differ: 16 vs 8"):
+            qt.ot_map(gaussian_grid(m=16), gaussian_grid(m=8))
+
 
 def where_apply_map(x, y, t):
     """apply_map's former formula, two full-length np.where passes: the reference."""
@@ -255,20 +279,46 @@ class TestPushforward:
             qt.MonotoneMap1D(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
 
 
+@st.composite
+def rough_grids(draw):
+    """Grids of 8..600 points whose gaps span up to six decades, anywhere on the line."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(qt.MIN_GRID_SIZE, 600))
+    gaps = rng.exponential(size=m) * 10.0 ** rng.uniform(-3, 3, size=m)
+    return qt.QuantileGrid(draw(st.floats(-1e3, 1e3)) + np.cumsum(gaps))
+
+
+class TestObjectives:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(rough_grids(), min_size=1, max_size=3), st.floats(1e-3, 1e3),
+           st.floats(-100, 100), st.sampled_from(list(fn.Variant)), st.floats(1e-2, 10))
+    def test_one_pass_is_the_plain_spelling_bit_for_bit(self, measures, lam, center, variant,
+                                                        alpha):
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.array([[lam]]), np.array([center])),
+                                variant, alpha)
+        assert qt.QuantileGrid.objectives(spec, measures) == [
+            ref.grid_objective(spec, g) for g in measures]
+
+    def test_rejects_a_multivariate_objective(self):
+        spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.eye(2), np.zeros(2)))
+        with pytest.raises(ValueError, match="1-D objective"):
+            qt.QuantileGrid.objectives(spec, [gaussian_grid()])
+
+
 class TestEntropy:
     def test_standard_normal(self):
-        h = qt.entropy(gaussian_grid(0, 1, 4096))
+        h = ref.grid_entropy(gaussian_grid(0, 1, 4096))
         assert h == pytest.approx(-0.5 * np.log(2 * np.pi * np.e), abs=2e-3)
 
     def test_uniform_zero(self):
         g = qt.QuantileGrid((np.arange(64) + 0.5) / 64)
-        assert qt.entropy(g) == pytest.approx(0.0, abs=1e-12)
+        assert ref.grid_entropy(g) == pytest.approx(0.0, abs=1e-12)
 
     def test_scaling_rule_exact(self):
         g = gaussian_grid(0, 1, 512)
         a = 2.5
         scaled = qt.QuantileGrid(a * g.values)
-        assert qt.entropy(scaled) == pytest.approx(qt.entropy(g) - np.log(a), abs=1e-12)
+        assert ref.grid_entropy(scaled) == pytest.approx(ref.grid_entropy(g) - np.log(a), abs=1e-12)
 
 
 class TestKlAndTv:

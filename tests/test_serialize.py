@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -266,3 +267,127 @@ class TestReverseRoundTrip:
         (back,) = round_trip(traj)
         for f in dataclasses.fields(q0):
             assert np.array_equal(getattr(q0, f.name), getattr(back.exact_q0, f.name))
+
+
+# Every kind of archive the CLI writes: grid (and atomic-p0 grid) and Gaussian
+# trajectories, with and without steps, and perturbed reverse manifests.
+ARCHIVES = {
+    **{name: (lambda make=make: sz.trajectory_to_json(make())) for name, make in RUNS.items()},
+    "reverse_grid": lambda: sz.reverse_to_json(grid_bump_run()[1]),
+    "reverse_gaussian": lambda: sz.reverse_to_json(
+        pr.run_reverse_perturbed(gauss_traj(), EPS_INV)[0]),
+}
+
+
+class TestReader:
+    """_unpack reads each member once, checks its CRC-32, and views its array in place."""
+
+    @pytest.mark.parametrize("name", ARCHIVES)
+    def test_equals_np_load(self, name):
+        data = ARCHIVES[name]()
+        manifest, arrays = sz._unpack(data)
+        with np.load(io.BytesIO(data), allow_pickle=False) as z:
+            expected = {k: z[k] for k in z.files}
+        assert manifest == json.loads(expected.pop("manifest").item())
+        assert arrays.keys() == expected.keys()
+        for k, want in expected.items():
+            got = arrays[k]
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable and got.flags.aligned
+        if name.endswith("_n0"):
+            assert {a.shape for a in arrays.values()} == {(0,)}
+
+    def test_fortran_order_and_unaligned_members(self):
+        values = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        buf = io.BytesIO()
+        np.savez(buf, manifest=np.array("{}"), values=values)
+        got = sz._unpack(buf.getvalue())[1]["values"]
+        assert np.array_equal(got, values) and got.flags.f_contiguous
+        # a member one byte into its buffer: its doubles are copied, and frozen too
+        unaligned = sz._array(memoryview(b"x" + _npy_bytes(np.arange(5.0)))[1:])
+        assert np.array_equal(unaligned, np.arange(5.0))
+        assert unaligned.flags.aligned and not unaligned.flags.writeable
+
+    @pytest.mark.parametrize("name", ["grid", "gaussian_d3", "reverse_grid"])
+    @pytest.mark.parametrize("damage", ["flipped_byte", "truncated"])
+    def test_damaged_archive_is_stale(self, name, damage):
+        data = bytearray(ARCHIVES[name]())
+        if damage == "flipped_byte":
+            data[len(data) // 3] ^= 0x10
+            match = "Bad CRC-32"
+        else:
+            del data[len(data) // 2:]
+            match = "not a zip file"
+        with pytest.raises(sz.StaleArchiveError, match=f"not a readable archive: .*{match}"):
+            sz._unpack(bytes(data))
+
+    def test_npy_member_of_another_format_or_size_is_stale(self):
+        good = _npy_bytes(np.arange(4.0))
+        for raw, match in [(b"\x93NUMPX" + good[6:], "malformed .npy header"),
+                           (good[:6] + b"\x03\x00" + good[8:], "malformed .npy header"),
+                           (good[:-8], "24 data bytes for a float64 array of shape"),
+                           (good + b"\0" * 8, "40 data bytes")]:
+            with pytest.raises(sz.StaleArchiveError, match=match):
+                sz._array(raw)
+        buf = io.BytesIO()
+        with zipfile.ZipFile(buf, "w") as z:
+            z.writestr("manifest.npy", _npy_bytes(np.array("{}")))
+            z.writestr("notes.txt", b"")
+        with pytest.raises(sz.StaleArchiveError, match="not all .npy arrays"):
+            sz._unpack(buf.getvalue())
+
+    def test_every_single_byte_flip_loads_the_same_run_or_is_stale(self):
+        # a small grid run and its reverse manifest, every byte flipped three ways: the
+        # CRC, the zip structure or the layout checks catch each flip that changes data
+        spec = kl_spec()
+        traj = pr.run_forward(qt.from_gaussian(1.0, 1.5, 8), spec, 1.0, 2, 0.05)
+        rev = pr.run_reverse_perturbed(traj, EPS_INV)[0]
+        loads = [(sz.trajectory_to_json(traj),
+                  lambda b: sz.trajectory_from_json(b, spec, 1.0, traj.measures[0]),
+                  lambda t: [p.values.tobytes() for p in t.measures] + [t.xi_norms]),
+                 (sz.reverse_to_json(rev),
+                  lambda b: sz.reverse_from_json(b, traj, rev.mode, rev.seed),
+                  lambda r: [r.residuals, r.amplitudes])]
+        for data, load, key in loads:
+            want = key(load(data))
+            stale = 0
+            for i in range(len(data)):
+                for mask in (0x01, 0x80, 0xFF):
+                    flipped = bytearray(data)
+                    flipped[i] ^= mask
+                    try:
+                        got = load(bytes(flipped))
+                    except sz.StaleArchiveError:
+                        stale += 1
+                        continue
+                    assert key(got) == want, (i, mask)
+            assert stale > 2 * len(data)
+
+
+def _npy_bytes(arr: np.ndarray) -> bytes:
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+class TestLoadedGridMaps:
+    """A loaded grid chain's maps are qt.ot_map(p_{n-1}, p_n): only their slopes are checked."""
+
+    def test_equal_to_the_validated_maps(self):
+        traj = reload(grid_bump_run()[0])
+        for p, q, t in zip(traj.measures[:-1], traj.measures[1:], traj.transports, strict=True):
+            full = qt.MonotoneMap1D(p.values, q.values)
+            for f in dataclasses.fields(full):
+                assert np.array_equal(getattr(t, f.name), getattr(full, f.name))
+            assert t.x is p.values and t.y is q.values
+
+    def test_an_overflowing_slope_raises_the_maps_message(self):
+        p0 = qt.QuantileGrid(np.arange(8) * 5e-324)  # gaps of the smallest subnormal
+        data = sz._pack({"xi_norms": [0.0], "solver_iterations": [1]},
+                        {"values": np.arange(8.0)[None]})
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="^segment slopes must be finite$"):
+                qt.MonotoneMap1D(p0.values, np.arange(8.0))
+            with pytest.raises(ValueError, match="^segment slopes must be finite$"):
+                sz.trajectory_from_json(data, kl_spec(), 1.0, p0)
