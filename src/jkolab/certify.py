@@ -95,7 +95,8 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
 
     eps is the max of the measured xi norms; the terminal reports appear at
     every step index from pr.steps_threshold on (none when eps = 0), which is
-    -inf when p_0 is the minimizer (W2(p_0, pi) = 0).
+    -inf when p_0 is the minimizer (W2(p_0, pi) = 0).  A gap row also needs
+    step n + 1 <= N, so an `n = auto` run (N = ceil(threshold)) has none.
     """
     spec, gamma, lam = traj.spec, traj.gamma, traj.spec.lam
     eps = max(traj.xi_norms, default=0.0)
@@ -109,8 +110,7 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
                                    {"n": n, "gamma": gamma, "lambda": lam, "eps": eps}))
     if eps > 0:
         threshold = pr.steps_threshold(w[0], lam, gamma, eps)
-        # G of the continuous pi, not of traj.minimizer, until ROADMAP item 1 (grid pi_M)
-        g_min = fn.evaluate(spec, ga.GaussianMeasure.minimizer(spec))
+        g_min = None  # G of the continuous pi, not of traj.minimizer, until ROADMAP item 1
         for n in range(1, traj.n_steps + 1):
             if n < threshold:
                 continue
@@ -119,6 +119,8 @@ def check_forward_rate(traj: pr.Trajectory) -> list[BoundReport]:
             reports.append(BoundReport("forward_terminal_w2", w[n], math.sqrt(5.0) * eps / lam,
                                        tol, ctx))
             if n + 1 <= traj.n_steps:
+                if g_min is None:
+                    g_min = fn.evaluate(spec, ga.GaussianMeasure.minimizer(spec))
                 gap = traj.objective_values[n + 1] - g_min
                 reports.append(BoundReport(
                     "forward_terminal_gap", gap,

@@ -172,7 +172,7 @@ class RunConfig:
     def resolve_n(self) -> int:
         if self.n_steps != "auto":
             return self.n_steps
-        w2 = self.p0.w2(self.minimizer)  # pi is built here for n = auto only
+        w2 = self.p0.w2(self.minimizer)
         return pr.steps_needed(w2, self.spec.lam, self.gamma, self.eps[0])
 
 
@@ -193,7 +193,9 @@ def _raw_pairs(text: str) -> dict:
 
 
 def _check_list(names: list, n_steps, eps_inv: float) -> list:
-    """`names` if every one is a known check and each can run on the config."""
+    """`names` if nonempty, every one a known check and each able to run on the config."""
+    if not names:
+        raise ConfigError("no checks given: name at least one")
     for c in names:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}")
@@ -227,7 +229,6 @@ def parse_config(text: str) -> RunConfig:
         variant = fn.Variant(take("objective.variant", "kl"))
         alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
-        _built("the minimizer N(center, alpha lambda_mat^-1)", ga.GaussianMeasure.minimizer, spec)
 
         family = take("family")
         if family not in ("grid", "gaussian"):
@@ -237,6 +238,9 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("grid family requires a 1-D objective")
         if family == "grid" and m < qt.MIN_GRID_SIZE:
             raise ConfigError(f"family.m must be >= {qt.MIN_GRID_SIZE}")
+        if family == "grid":  # its grid is built on load; N(center, alpha/lambda) must exist
+            _built("the minimizer N(center, alpha lambda_mat^-1)", ga.GaussianMeasure.minimizer,
+                   spec)
 
         p0_mean = p0_cov = p0_atoms = None
         p0_delta = 0.0
@@ -304,17 +308,17 @@ def parse_config(text: str) -> RunConfig:
         eps=eps, eps_inv=eps_inv, n_steps=n_steps, seed=seed, mode=mode,
         checks=checks,
     )
-    if family == "gaussian":  # the p0 that every stage of the command reads
-        _built("p0", lambda: cfg.p0)
-    return cfg
+    # a Gaussian config's pi and p0 are built here, once per command; parse_config builds
+    # no grid, so a run id loads no scipy
+    return _built_measures(cfg) if family == "gaussian" else cfg
 
 
-def _built_on_grid(cfg: RunConfig) -> RunConfig:
-    """cfg, once a grid config's pi and p0 are built, the ones its run reads (ConfigError
-    when quantiles collapse); parse_config builds no grid, so a run id loads no scipy."""
-    if cfg.family == "grid":  # pi reads only M: checked first, it smooths no atoms
-        _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: cfg.minimizer)
-        _built("p0", lambda: cfg.p0)
+def _built_measures(cfg: RunConfig) -> RunConfig:
+    """cfg, once its pi and p0 are built, the ones every stage of its run reads (ConfigError
+    when one does not exist or a grid's quantiles collapse).  pi reads only M: built first,
+    it smooths no atoms."""
+    _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: cfg.minimizer)
+    _built("p0", lambda: cfg.p0)
     return cfg
 
 
@@ -330,7 +334,7 @@ def _out_dir(args) -> str:
 
 def _load_config(args) -> RunConfig:
     with open(args.config) as f:
-        return _built_on_grid(parse_config(f.read()))
+        return _built_measures(parse_config(f.read()))
 
 
 def _path(out: str, rid: str, suffix: str) -> str:
@@ -338,9 +342,8 @@ def _path(out: str, rid: str, suffix: str) -> str:
 
 
 def do_forward(cfg: RunConfig, rid: str, out: str) -> pr.Trajectory:
-    n = cfg.resolve_n()
-    schedule = cfg.eps * n if len(cfg.eps) == 1 else cfg.eps
-    traj = pr.run_forward(cfg.p0, cfg.spec, cfg.gamma, n, schedule, cfg.mode, cfg.seed,
+    schedule = cfg.eps * cfg.resolve_n() if len(cfg.eps) == 1 else cfg.eps
+    traj = pr.run_forward(cfg.p0, cfg.spec, cfg.gamma, schedule, cfg.mode, cfg.seed,
                           cfg.minimizer)
     with open(_path(out, rid, "config.txt"), "w") as f:
         f.write(cfg.canonical())
@@ -442,9 +445,8 @@ def cmd_reverse(args) -> int:
 def cmd_certify(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
-    checks = None
-    if args.checks:
-        checks = _check_list(args.checks.split(","), cfg.n_steps, cfg.eps_inv)
+    checks = None if args.checks is None else _check_list(
+        args.checks.split(",") if args.checks else [], cfg.n_steps, cfg.eps_inv)
     return do_certify(cfg, cfg.run_id(), out, checks)
 
 
@@ -466,7 +468,7 @@ def _failure(exc: Exception, prefix: str = "") -> int:
 def _sweep_config(base_text: str, overrides: dict) -> RunConfig:
     raw = _raw_pairs(parse_config(base_text).canonical())
     raw.update(overrides)
-    return _built_on_grid(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())))
+    return _built_measures(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())))
 
 
 def _sweep_entry(cfg: RunConfig, rid: str, out: str) -> int:

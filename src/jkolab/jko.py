@@ -7,9 +7,11 @@ objective at the computed iterate, and can compose a calibrated perturbation
 onto the exact transport so the measured ||xi|| hits a requested epsilon.
 The map types' perturbations and the same amplitude calibrator serve the
 reverse process, where the calibrated quantity is the inversion residual.
-Nothing here branches on the measure family: the family types' methods carry
-what differs (the step solver, the xi formula, how a map's arrays are
-perturbed and the amplitude capped).
+The family types' methods carry what differs (the step solver, the xi
+formula, how a map's arrays are perturbed and the amplitude capped), but for
+the grid bump: its centre is drawn by the caller from the exact grid map's
+knots (run_forward: result.transport.x), its width is p_n's standard
+deviation (qt.second_moment).
 """
 
 from __future__ import annotations
@@ -313,35 +315,32 @@ def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_z
 
 
 def perturb_step(
-    p_n,
     exact: StepResult,
     spec: fn.ObjectiveSpec,
     gamma: float,
     eps: float,
-    mode: PerturbMode = PerturbMode.MEAN_SHIFT,
+    mode: PerturbMode,
     *,
     bump_center: float | None = None, first: float = _FIRST_PROBE,
 ) -> StepResult:
-    """Compose a perturbation onto the exact transport so ||xi|| equals eps.
+    """Compose a perturbation onto the exact step's transport so ||xi|| equals eps > 0.
 
-    calibrate_amplitude finds the amplitude by a secant on the re-measured
-    xi norm, from the exact step's norm at amplitude 0 and a first probe at
-    `first`, and the norm it returns is the one measured there, so the
-    calibration target (1e-12 relative, 1% enforced) is verified by
-    construction.  Dilations are about the mean of the exact next measure,
-    which is not built; a grid bump (mode GRID_BUMP needs bump_center) has
-    the standard deviation of p_n as its width.  eps = 0 returns the exact
-    result unchanged.  An evaluation hands measure_xi the perturbed
-    transport's arrays, so no map is built (a grid builds the QuantileGrid
-    that validates the knot values; a Gaussian runs no eigendecomposition);
-    the accepted amplitude gets one transport and its image of p_n.
+    The step starts at p_n = exact.start.  calibrate_amplitude finds the
+    amplitude by a secant on the re-measured xi norm, from the exact step's
+    norm at amplitude 0 and a first probe at `first`, and the norm it
+    returns is the one measured there, so the calibration target (1e-12
+    relative, 1% enforced) is verified by construction.  Dilations are about
+    the mean of the exact next measure, which is not built; a grid bump
+    (mode GRID_BUMP needs bump_center) has the standard deviation of p_n as
+    its width.  An evaluation hands measure_xi the perturbed transport's
+    arrays, so no map is built (a grid builds the QuantileGrid that
+    validates the knot values; a Gaussian runs no eigendecomposition); the
+    accepted amplitude gets one transport and its image of p_n.
     """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0:
-        return exact
+    if not eps > 0:
+        raise ValueError("eps must be positive: an exact step is not perturbed")
 
-    tr = exact.transport
+    p_n, tr = exact.start, exact.transport
     center = p_n.image_mean(tr) if mode is PerturbMode.DILATION else None
     bump = None
     if mode is PerturbMode.GRID_BUMP:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -46,11 +46,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Forward-process record: p_0..p_N, transports T_1..T_N, per-step ||xi||.
-
-    `pi`, when given, is the trajectory's `minimizer`, so a command that has
-    built pi builds it once.
-    """
+    """Forward-process record: p_0..p_N, transports T_1..T_N, per-step ||xi||, and the
+    global minimizer pi of G in the run's family (on its grid) that the run was
+    measured against."""
 
     spec: fn.ObjectiveSpec
     gamma: float
@@ -58,20 +56,11 @@ class Trajectory:
     transports: list
     xi_norms: list
     solver_iterations: list
-    pi: InitVar[object] = None
-
-    def __post_init__(self, pi):
-        if pi is not None:
-            self.__dict__["minimizer"] = pi
+    minimizer: object = field(repr=False)
 
     @property
     def n_steps(self) -> int:
         return len(self.transports)
-
-    @cached_property
-    def minimizer(self):
-        """The global minimizer pi of G in this trajectory's family (on its grid)."""
-        return self.measures[0].minimizer(self.spec)
 
     @cached_property
     def w2_to_minimizer(self) -> list:
@@ -213,33 +202,15 @@ def steps_needed(w2_p0_q: float, lam: float, gamma: float, eps: float) -> int:
 # Forward process
 
 
-def run_forward(
-    p0,
-    spec: fn.ObjectiveSpec,
-    gamma: float,
-    n_steps: int,
-    eps_schedule=None,
-    mode: jko.PerturbMode = jko.PerturbMode.MEAN_SHIFT,
-    seed: int = 0,
-    pi=None,
-) -> Trajectory:
-    """Run N proximal steps from p0; schedule entries > 0 get calibrated xi.
+def run_forward(p0, spec: fn.ObjectiveSpec, gamma: float, schedule: list,
+                mode: jko.PerturbMode, seed: int, pi) -> Trajectory:
+    """Run N = len(schedule) proximal steps from p0; a step whose eps in `schedule` is
+    > 0 gets calibrated xi.  `pi` is the trajectory's minimizer.
 
-    The schedule may be None (all exact), a scalar, or a length-N sequence.
     The seed only feeds perturbation placement (bump centers), so exact runs
     are seed-independent.  p0's family chooses the step solver.  A
     calibration's first probe is the previous perturbed step's amplitude.
-    `pi` is the trajectory's minimizer when the caller has built it.
     """
-    if eps_schedule is None:
-        schedule = [0.0] * n_steps
-    elif np.isscalar(eps_schedule):
-        schedule = [float(eps_schedule)] * n_steps
-    else:
-        schedule = [float(e) for e in eps_schedule]
-        if len(schedule) != n_steps:
-            raise ValueError("eps schedule length must equal the number of steps")
-
     rng = np.random.default_rng(seed)
     step = p0.step_solver
     measures, results = [p0], []
@@ -250,7 +221,7 @@ def run_forward(
             if eps > 0:
                 bump_center = (_bump_center(result.transport.x, rng)
                                if mode is jko.PerturbMode.GRID_BUMP else None)
-                result = jko.perturb_step(measures[-1], result, spec, gamma, eps, mode,
+                result = jko.perturb_step(result, spec, gamma, eps, mode,
                                           bump_center=bump_center, first=first)
                 first = result.amplitude
         except (jko.SolverError, jko.CalibrationError) as exc:

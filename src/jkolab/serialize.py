@@ -159,9 +159,9 @@ def trajectory_to_json(traj: pr.Trajectory) -> bytes:
 
 
 def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float, p0,
-                         pi=None) -> pr.Trajectory:
-    """Load the trajectory from `p0` of a run of `spec` with step `gamma`; its minimizer
-    is `pi` when the caller has built it.
+                         pi) -> pr.Trajectory:
+    """Load the trajectory from `p0` of a run of `spec` with step `gamma`, whose minimizer
+    is `pi`.
 
     StaleArchiveError: not the layout trajectory_to_json writes for p0's family,
     or a stored chain whose length is not the manifest's step count.
@@ -178,7 +178,7 @@ def trajectory_from_json(data: bytes, spec: fn.ObjectiveSpec, gamma: float, p0,
                                 f"iteration counts for {n} xi norms")
     measures, transports = chains(p0, kind.stack(*(arrays[k] for k in names)) if n else [])
     return pr.Trajectory(spec=spec, gamma=gamma, measures=measures, transports=transports,
-                         pi=pi, **d)
+                         minimizer=pi, **d)
 
 
 def reverse_to_json(run: pr.ReverseRun) -> bytes:

@@ -11,7 +11,8 @@ bumped grids), the 1-D Gaussian TV distance by quadrature, and the Gaussian
 measure's construction checks, objective value and KL divergence in their
 plain per-measure spelling (the package's versions must match them), and
 the potential V, the grid entropy and the grid objective value in the plain
-spelling that QuantileGrid.objectives replaced.
+spelling that QuantileGrid.objectives replaced.  `forward` is process.run_forward
+with the tests' conveniences.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from jkolab import certify as ct
 from jkolab import functionals as fn
 from jkolab import gaussian as ga
 from jkolab import jko
+from jkolab import process as pr
 from jkolab import quantile as qt
 
 MONO_TOL = 1e-8
@@ -124,6 +126,15 @@ def gaussian_tv_1d(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> float:
     d1 = np.exp(-0.5 * ((xs - m1) / s1) ** 2) / (s1 * math.sqrt(2 * math.pi))
     d2 = np.exp(-0.5 * ((xs - m2) / s2) ** 2) / (s2 * math.sqrt(2 * math.pi))
     return float(0.5 * np.trapezoid(np.abs(d1 - d2), xs))
+
+
+def forward(p0, spec, gamma: float, n_steps: int, eps=0.0,
+            mode: jko.PerturbMode = jko.PerturbMode.MEAN_SHIFT, seed: int = 0):
+    """pr.run_forward of n_steps steps from p0, each of the one eps given or of the
+    length-n_steps schedule `eps`, measured against p0's family's minimizer."""
+    schedule = [float(eps)] * n_steps if np.isscalar(eps) else [float(e) for e in eps]
+    assert len(schedule) == n_steps
+    return pr.run_forward(p0, spec, gamma, schedule, mode, seed, p0.minimizer(spec))
 
 
 def inverse(t):

@@ -81,8 +81,8 @@ def evi_runs():
                 q = ga.GaussianMeasure.minimizer(spec)
             w0 = p0.w2(q)
             n = pr.steps_needed(w0, 1.0, 1.0, eps) + 1 if eps > 0 else 8
-            traj = pr.run_forward(p0, spec, 1.0, n,
-                                  eps_schedule=eps if eps > 0 else None, seed=i)
+            traj = ref.forward(p0, spec, 1.0, n,
+                               eps=eps, seed=i)
             runs.append({"traj": traj, "q": q, "eps": eps,
                          "n_threshold": n - 1 if eps > 0 else None})
     return runs
@@ -180,13 +180,13 @@ class TestAcceptance:
         rng = np.random.default_rng(2)
         for i in range(6):
             d = i % 3 + 1
-            traj = pr.run_forward(_random_gaussian_p0(rng, d), kl_spec(d=d), 1.0, 5,
-                                  eps_schedule=EPS_CYCLE[i % 4] or None, seed=i)
+            traj = ref.forward(_random_gaussian_p0(rng, d), kl_spec(d=d), 1.0, 5,
+                               eps=EPS_CYCLE[i % 4], seed=i)
             worst_g = max(worst_g, ct.check_dpi_chain(traj)[0].lhs)
         for i in range(4):
             p0 = _random_grid_p0(rng, m=4096)
-            traj = pr.run_forward(p0, kl_spec(), 1.0, 3,
-                                  eps_schedule=EPS_CYCLE[i % 4] or None, seed=i)
+            traj = ref.forward(p0, kl_spec(), 1.0, 3,
+                               eps=EPS_CYCLE[i % 4], seed=i)
             worst_q = max(worst_q, ct.check_dpi_chain(traj)[0].lhs)
         ok = worst_g <= 1e-10 and worst_q <= 1e-4
         _verdict(5, "full-chain data-processing equality", ok,
@@ -200,7 +200,7 @@ class TestAcceptance:
             p0 = _random_grid_p0(rng)
             q = p0.minimizer(spec)
             n = pr.steps_needed(p0.w2(q), 1.0, 1.0, eps)
-            traj = pr.run_forward(p0, spec, 1.0, n, eps_schedule=eps, seed=seed)
+            traj = ref.forward(p0, spec, 1.0, n, eps=eps, seed=seed)
             q0 = pr.run_reverse_exact(traj)[0]
             kl = traj.measures[0].kl(q0)
             tv = traj.measures[0].tv(q0)
@@ -215,7 +215,7 @@ class TestAcceptance:
         # every inverse slope is <= 2 and K = log 2 exactly
         spec = kl_spec(lam=2.0)
         p0 = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
-        traj = pr.run_forward(p0, spec, 1.0, 5, eps_schedule=0.01)
+        traj = ref.forward(p0, spec, 1.0, 5, eps=0.01)
         k = pr.estimate_K(traj)
         ok = abs(k - math.log(2)) <= 1e-9
         details = [f"K={k:.6f}"]

@@ -17,9 +17,9 @@ def kl_spec(lam=1.0, d=1):
     return fn.ObjectiveSpec(fn.QuadraticPotential(lam * np.eye(d), np.zeros(d)))
 
 
-def gauss_traj(n=4, eps=None, lam=1.0, mean=2.0, var=4.0):
+def gauss_traj(n=4, eps=0.0, lam=1.0, mean=2.0, var=4.0):
     p0 = ga.GaussianMeasure(np.array([mean]), np.array([[var]]))
-    return pr.run_forward(p0, kl_spec(lam=lam), 1.0, n, eps_schedule=eps)
+    return ref.forward(p0, kl_spec(lam=lam), 1.0, n, eps=eps)
 
 
 @pytest.fixture(scope="module")
@@ -27,8 +27,8 @@ def mean_shift_runs():
     """N = 40 steps at eps = 0.1 (mean shift): a d = 2 Gaussian and an M = 2048 grid."""
     pot2 = fn.QuadraticPotential(np.array([[1.0, 0.2], [0.2, 2.0]]), np.array([0.0, 1.0]))
     p0 = ga.GaussianMeasure(np.array([2.0, -1.0]), np.array([[4.0, 1.0], [1.0, 3.0]]))
-    return {"gaussian": pr.run_forward(p0, fn.ObjectiveSpec(pot2), 1.0, 40, 0.1),
-            "grid": pr.run_forward(qt.from_gaussian(1.5, 1.5, 2048), kl_spec(), 1.0, 40, 0.1)}
+    return {"gaussian": ref.forward(p0, fn.ObjectiveSpec(pot2), 1.0, 40, 0.1),
+            "grid": ref.forward(qt.from_gaussian(1.5, 1.5, 2048), kl_spec(), 1.0, 40, 0.1)}
 
 
 # a stored transport with its offset moved by 0.05 (on a grid, its knot values y)
@@ -122,14 +122,13 @@ class TestEvi:
         traj = gauss_traj(3)
         bad = list(traj.measures)
         bad[1] = ga.GaussianMeasure(np.array([5.0]), np.array([[4.0]]))
-        corrupted = pr.Trajectory(traj.spec, traj.gamma, bad, traj.transports,
-                                  traj.xi_norms, traj.solver_iterations)
+        corrupted = dataclasses.replace(traj, measures=bad)
         reports = ct.check_evi(corrupted)
         assert not all(r.holds for r in reports)
 
     def test_grid_chain(self):
         p0 = qt.from_gaussian(1.5, 1.3, 512)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         assert all(r.holds for r in ct.check_evi(traj))
 
 
@@ -190,7 +189,7 @@ class TestKlTv:
 
     def test_pinsker_flag_in_higher_dim(self):
         p0 = ga.GaussianMeasure(np.array([1.0, -1.0]), 2 * np.eye(2))
-        traj = pr.run_forward(p0, kl_spec(d=2), 1.0, 5, eps_schedule=0.1)
+        traj = ref.forward(p0, kl_spec(d=2), 1.0, 5, eps=0.1)
         reports = ct.check_kl_tv_guarantee(traj)
         assert reports[1].context["tv_method"] == "pinsker_upper_bound"
         assert all(r.holds for r in reports)
@@ -200,7 +199,7 @@ class TestInversion:
     def test_zero_k_limit(self):
         # equal-variance chain: all transports are translations, K = 0
         p0 = ga.GaussianMeasure(np.array([3.0]), np.eye(1))
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 5)
+        traj = ref.forward(p0, kl_spec(), 1.0, 5)
         pert, _ = pr.run_reverse_perturbed(traj, 1e-3)
         reports = ct.check_inversion_bound(traj, pert, 1e-3)
         coupling, mixed = reports
@@ -236,7 +235,7 @@ class TestInversion:
         # its eps and raise to the power -8K/lambda
         p0 = ga.GaussianMeasure(np.array([1.0, -1.0, 2.0]), np.diag([2.0, 0.5, 1.0]))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
-        traj = pr.run_forward(p0, spec, 1.0, 6)
+        traj = ref.forward(p0, spec, 1.0, 6)
         pert, _ = pr.run_reverse_perturbed(traj, 1e-3)
         assert 0 < max(traj.xi_norms) < 1e-14
         as_if_perturbed = ct.check_inversion_bound(traj, pert, 1e-3)
@@ -269,7 +268,7 @@ class TestDpi:
 
     def test_chain_identity_grid(self):
         p0 = qt.from_gaussian(1.0, 1.4, 512)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         assert ct.check_dpi_chain(traj)[0].holds
 
     @pytest.mark.parametrize("family", ["gaussian", "grid"])

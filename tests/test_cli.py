@@ -65,6 +65,22 @@ seed = 0
 mode = grid_bump
 """
 
+# the standard suite's Gaussian template (scripts/run_standard_suite.py)
+STANDARD_GAUSS = """
+objective.variant = kl
+objective.lambda_mat = 1
+objective.center = 0
+family = gaussian
+p0.mean = 2
+p0.cov = 4
+gamma = 1.0
+eps = 0.1
+eps_inv = 0.001
+n = auto
+seed = 0
+mode = mean_shift
+"""
+
 BASE_ATOMS = """
 family = grid
 family.m = 128
@@ -157,20 +173,26 @@ class TestParseConfig:
         # w2(p0, pi) = sqrt(5), lam = 1, gamma = 1, eps = 0.1
         assert cfg.resolve_n() == pr.steps_needed(np.sqrt(5), 1.0, 1.0, 0.1)
 
-    @pytest.mark.parametrize("base, n", [(BASE_GAUSS, 5), (BASE_GRID, 3)],
-                             ids=["gaussian", "grid"])
-    def test_pi_is_built_for_auto_n_only(self, base, n, monkeypatch):
-        fixed = cli.parse_config(base)
-        auto = cli.parse_config(base.replace(f"n = {n}", "n = auto"))
+    @pytest.mark.parametrize("family", ["gaussian", "grid"])
+    def test_pi_is_built_once_per_command(self, tmp_path, monkeypatch, family):
+        # the standard suite's template at n = auto, whose step count reads pi
+        template = STANDARD_GAUSS if family == "gaussian" else STANDARD_GRID.replace(
+            "n = 3", "n = auto")
+        cfgp = write(tmp_path, "c.txt", template)
         calls = []
         on_grid, gaussian = qt.QuantileGrid.minimizer, ga.GaussianMeasure.minimizer
         monkeypatch.setattr(qt.QuantileGrid, "minimizer",
-                            lambda self, spec: calls.append(spec) or on_grid(self, spec))
+                            lambda self, spec: calls.append("grid") or on_grid(self, spec))
         monkeypatch.setattr(ga.GaussianMeasure, "minimizer",
-                            staticmethod(lambda spec: calls.append(spec) or gaussian(spec)))
-        assert fixed.resolve_n() == n and calls == []
-        assert auto.resolve_n() == auto.resolve_n() > n and calls == [auto.spec]
-        assert auto.minimizer is auto.minimizer and calls == [auto.spec]
+                            staticmethod(lambda spec: calls.append("gaussian") or gaussian(spec)))
+        for sub in ("forward", "reverse", "certify"):
+            calls.clear()
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+            # Gaussian: the pi that parsing builds is the run's.  Grid: parsing checks
+            # that N(center, alpha / lambda) exists (scipy-free), the run builds it at
+            # the grid's M quantile points, and no forward_terminal_gap row (none at
+            # n = auto) evaluates the continuous pi
+            assert calls == (["gaussian"] if family == "gaussian" else ["gaussian", "grid"]), sub
 
     @pytest.mark.parametrize("n", ["auto", "3"])
     def test_a_grid_command_builds_p0_and_pi_once_each(self, tmp_path, monkeypatch, n):
@@ -270,21 +292,38 @@ class TestPipeline:
 
         for name in names:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        # pi (an inv and a Cholesky) and p0 are built once each, when the config is
+        # parsed, and every stage reads them: one inv and one Cholesky fewer per command
+        # than when parsing built pi only to check it and the run built it again
         expected = {
             # per step an eigh of p_n and of C (I + gamma Lambda) C, a solve for the
             # mean, a solve per xi evaluation and a Cholesky for the next measure; the
-            # rest is parsing, the minimizer and forward.csv's stacked objectives, W2
-            # and Lip(T^{-1}); p0 is built once, when the config is parsed
-            "forward": dict(eigh=12, eigvalsh=2, cholesky=9, solve=17, inv=2, svd=0, norm=0),
-            # p0 when the config is parsed, the chain pushed from it on load and the exact
-            # chain one Cholesky each, one stacked inverse, a Cholesky per perturbed push
-            "reverse": dict(eigh=2, eigvalsh=1, cholesky=10, solve=0, inv=3, svd=0, norm=0),
-            "certify": dict(eigh=4, eigvalsh=2, cholesky=14, solve=3, inv=4, svd=0, norm=0),
+            # rest is parsing and forward.csv's stacked objectives, W2 and Lip(T^{-1})
+            "forward": dict(eigh=12, eigvalsh=2, cholesky=8, solve=17, inv=1, svd=0, norm=0),
+            # the chain pushed from p0 on load and the exact chain one Cholesky each, one
+            # stacked inverse, a Cholesky per perturbed push
+            "reverse": dict(eigh=2, eigvalsh=1, cholesky=9, solve=0, inv=2, svd=0, norm=0),
+            # at N = 5 forward_rate has no terminal gap row, so G of the continuous pi (a
+            # third pi and its objective's Cholesky) is not evaluated
+            "certify": dict(eigh=4, eigvalsh=2, cholesky=11, solve=3, inv=2, svd=0, norm=0),
         }
         for sub, want in expected.items():
             counts.update(dict.fromkeys(names, 0))
             assert run([sub, "--config", cfgp], tmp_path) == 0
             assert counts == want, sub
+
+    @pytest.mark.parametrize("n, some", [("auto", False), ("60", True)])
+    def test_terminal_gap_rows_need_an_explicit_n(self, tmp_path, n, some):
+        # a gap row for step n needs n >= threshold and n + 1 <= N; n = auto runs
+        # N = ceil(threshold) steps, so no n meets both
+        text = STANDARD_GAUSS.replace("n = auto", f"n = {n}")
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        report = (tmp_path / "runs" / f"{cli.parse_config(text).run_id()}_report.csv").read_text()
+        names = [row.split(",")[0] for row in report.splitlines()[1:]]
+        assert "forward_terminal_w2" in names
+        assert (names.count("forward_terminal_gap") > 0) == some
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
     def test_archives_hold_no_config_key(self, tmp_path, base):
@@ -535,6 +574,28 @@ class TestExitCodes:
             assert run([sub, "--config", cfgp], tmp_path) == 0
         assert run(["certify", "--config", cfgp, "--checks", "inversion"],
                    tmp_path) == cli.EXIT_CONFIG
+
+    def test_an_empty_check_list_in_the_config_is_config_error(self, tmp_path, capsys):
+        # it would certify nothing: "0/0 bounds hold", a header-only report and exit 0
+        text = BASE_GAUSS + "checks =\n"
+        with pytest.raises(cli.ConfigError, match="no checks given"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "bounds hold" not in capsys.readouterr().out
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    def test_an_empty_checks_flag_is_config_error(self, tmp_path, capsys):
+        # not the config's list in its place
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        capsys.readouterr()
+        assert run(["certify", "--config", cfgp, "--checks", ""], tmp_path) == cli.EXIT_CONFIG
+        assert "no checks given" in capsys.readouterr().err
+        rid = cli.parse_config(BASE_GAUSS).run_id()
+        assert not (tmp_path / "runs" / f"{rid}_report.csv").exists()
 
     @pytest.mark.parametrize("argv", [["forward"], ["bogus"],
                                       ["certify", "--config", "x", "--checks"]],
@@ -920,7 +981,7 @@ class TestConfigErrorsAtParse:
         for old, new in edits.items():
             text = text.replace(old, new)
         with pytest.raises(cli.ConfigError, match=re.escape(measure)):
-            cli._built_on_grid(cli.parse_config(text))
+            cli._built_measures(cli.parse_config(text))
         cfgp = write(tmp_path, "c.txt", text)
         for sub in ("forward", "reverse", "certify", "sweep"):
             assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
@@ -940,7 +1001,7 @@ class TestConfigErrorsAtParse:
         smoothed = []
         monkeypatch.setattr(pr, "ou_smooth", lambda *args: smoothed.append(args))
         with pytest.raises(cli.ConfigError, match=re.escape("the minimizer")):
-            cli._built_on_grid(cli.parse_config(text))
+            cli._built_measures(cli.parse_config(text))
         cfgp = write(tmp_path, "c.txt", text)
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG

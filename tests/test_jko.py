@@ -213,7 +213,8 @@ class TestGridStep:
         cfg = cli.parse_config(STANDARD_GRID.replace("family.m = 2048", f"family.m = {m}"))
         p0 = cfg.p0
         n = cfg.resolve_n()
-        traj = pr.run_forward(p0, cfg.spec, cfg.gamma, n, cfg.eps * n, cfg.mode, cfg.seed)
+        traj = pr.run_forward(p0, cfg.spec, cfg.gamma, cfg.eps * n, cfg.mode, cfg.seed,
+                              cfg.minimizer)
         assert n > 10
         for p_n in traj.measures[:-1]:
             res = jko.jko_step_grid(p_n, cfg.spec, cfg.gamma)
@@ -335,17 +336,19 @@ def random_cov(rng, d):
 
 
 class TestPerturbStep:
-    def test_eps_zero_is_identity(self):
+    def test_eps_zero_raises(self):
+        # an exact step is the step itself, never a perturbation of it
         p = ga.GaussianMeasure(np.array([1.0]), np.eye(1))
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
-        assert jko.perturb_step(p, res, kl_spec(), 1.0, 0.0) is res
+        with pytest.raises(ValueError, match="eps must be positive"):
+            jko.perturb_step(res, kl_spec(), 1.0, 0.0, jko.PerturbMode.MEAN_SHIFT)
 
     def test_mean_shift_amplitude(self):
         # xi of the a-shifted step is (1 + 1/gamma) a, so eps=0.1, gamma=1 -> a=0.05
         spec = kl_spec()
         p = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
         res = jko.jko_step_gaussian(p, spec, 1.0)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
         assert pert.xi_norm == pytest.approx(0.1, rel=1e-6)
         shift = pert.next_measure.mean[0] - res.next_measure.mean[0]
         assert shift == pytest.approx(0.05, abs=1e-6)
@@ -354,7 +357,7 @@ class TestPerturbStep:
         spec = kl_spec()
         p = ga.GaussianMeasure(np.array([1.0]), np.array([[2.0]]))
         res = jko.jko_step_gaussian(p, spec, 1.0)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.DILATION)
+        pert = jko.perturb_step(res, spec, 1.0, 0.05, jko.PerturbMode.DILATION)
         assert pert.xi_norm == pytest.approx(0.05, rel=0.01)
         # dilation about the mean leaves the mean fixed
         assert pert.next_measure.mean[0] == pytest.approx(res.next_measure.mean[0],
@@ -364,7 +367,7 @@ class TestPerturbStep:
         spec = kl_spec()
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
+        pert = jko.perturb_step(res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
                                 bump_center=run_bump_center(res))
         assert pert.xi_norm == pytest.approx(0.05, rel=0.01)
         slopes = np.diff(pert.transport.y) / np.diff(pert.transport.x)
@@ -374,7 +377,7 @@ class TestPerturbStep:
         spec = kl_spec()
         p = qt.from_gaussian(0.5, 1.0, 128)
         res = jko.jko_step_grid(p, spec, 0.7)
-        pert = jko.perturb_step(p, res, spec, 0.7, 0.2, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 0.7, 0.2, jko.PerturbMode.MEAN_SHIFT)
         assert pert.xi_norm == pytest.approx(0.2, rel=0.01)
 
     def test_unreachable_eps_raises(self):
@@ -382,14 +385,14 @@ class TestPerturbStep:
         p = qt.from_gaussian(0, 1, 64)
         res = jko.jko_step_grid(p, spec, 1.0)
         with pytest.raises(jko.CalibrationError):
-            jko.perturb_step(p, res, spec, 1.0, 1e4, jko.PerturbMode.GRID_BUMP,
+            jko.perturb_step(res, spec, 1.0, 1e4, jko.PerturbMode.GRID_BUMP,
                              bump_center=run_bump_center(res))
 
     def test_negative_eps_rejected(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
         with pytest.raises(ValueError):
-            jko.perturb_step(p, res, kl_spec(), 1.0, -0.1)
+            jko.perturb_step(res, kl_spec(), 1.0, -0.1, jko.PerturbMode.MEAN_SHIFT)
 
     def test_grid_bump_rejected_for_gaussian(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
@@ -403,7 +406,7 @@ class TestPerturbStep:
         p = qt.from_gaussian(0, 1, 64)
         res = jko.jko_step_grid(p, kl_spec(), 1.0)
         with pytest.raises(ValueError, match="needs a bump_center"):
-            jko.perturb_step(p, res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
+            jko.perturb_step(res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
 
 
 GAUSS_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION]
@@ -462,7 +465,7 @@ class TestGaussianTransportPath:
     @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
     def test_perturbed_linear_part_stays_exactly_symmetric(self, mode):
         spec, p, exact = self.problem(10, 8)
-        pert = jko.perturb_step(p, exact, spec, 0.8, 0.05, mode)
+        pert = jko.perturb_step(exact, spec, 0.8, 0.05, mode)
         assert np.array_equal(pert.transport.linear, pert.transport.linear.T)
         assert pert.xi_norm == pytest.approx(0.05, rel=1e-12)
 
@@ -482,7 +485,7 @@ class TestGaussianTransportPath:
 
         monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
         monkeypatch.setattr(jko, "measure_xi", counting_measure)
-        jko.perturb_step(p, exact, spec, 0.8, 0.05, mode)
+        jko.perturb_step(exact, spec, 0.8, 0.05, mode)
         assert counts["measure_xi"] >= 2
         # the accepted transport only: evaluations pass and return arrays
         assert counts["AffineMap"] == 1
@@ -499,18 +502,18 @@ class TestGridArrayPaths:
         spec = kl_spec()
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.05, mode, bump_center=run_bump_center(res))
+        pert = jko.perturb_step(res, spec, 1.0, 0.05, mode, bump_center=run_bump_center(res))
         t = pert.transport
         assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)
         assert np.array_equal(pert.next_measure.values,
                               qt.pushforward(p, pert.transport).values)
 
-    def test_perturb_step_needs_the_transport_from_p_n(self):
+    def test_measure_xi_needs_the_transport_from_p_n(self):
         spec = kl_spec()
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(qt.from_gaussian(1.0, 1.4, 256), spec, 1.0)
         with pytest.raises(ValueError, match="must start at p_n's quantiles"):
-            jko.perturb_step(p, res, spec, 1.0, 0.05)
+            jko.measure_xi(p, jko._fields(res.transport), spec, 1.0)
 
     def test_validated_objects_and_bump_built_once(self, monkeypatch):
         spec = kl_spec()
@@ -536,7 +539,7 @@ class TestGridArrayPaths:
 
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        pert = jko.perturb_step(p, jko.jko_step_grid(p, spec, 1.0), spec, 1.0, 0.05,
+        pert = jko.perturb_step(jko.jko_step_grid(p, spec, 1.0), spec, 1.0, 0.05,
                                 jko.PerturbMode.GRID_BUMP, bump_center=run_bump_center(res))
         assert counts["measure_xi"] >= 3
         assert counts["MonotoneMap1D"] == 2 and counts["bump_profile"] == 1
@@ -620,7 +623,7 @@ class TestCalibrateAmplitude:
             return measure(*args)
 
         monkeypatch.setattr(jko, "measure_xi", counting)
-        pert = jko.perturb_step(p, res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
         assert len(calls) <= 3
         assert abs(pert.xi_norm - 0.1) <= 1e-12 * 0.1
 
@@ -661,7 +664,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(jko, "jko_step_gaussian", counting_step)
         monkeypatch.setattr(jko, "measure_xi", counting_measure)
-        traj = pr.run_forward(p0, spec, 0.8, 12, 0.05, jko.PerturbMode.MEAN_SHIFT)
+        traj = ref.forward(p0, spec, 0.8, 12, 0.05, jko.PerturbMode.MEAN_SHIFT)
         assert len(calls) == 12 and calls[0] >= 3
         # the exact step's measurement and one evaluation at the previous amplitude
         assert max(calls[1:]) <= 2
@@ -700,7 +703,7 @@ class TestDecompositionCount:
         assert counts["cholesky"] == 1
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        pert = jko.perturb_step(p, exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
+        pert = jko.perturb_step(exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
         assert counts["measure_xi"] >= 2
         # evaluations go through the transport, one solve each; the accepted
         # measure is not built yet
@@ -762,7 +765,7 @@ class TestExactGaussianChain:
                                                       rng.standard_normal(d)))
         gamma = 0.7
         p0 = ga.GaussianMeasure(rng.standard_normal(d) + 3.0, random_cov(rng, d))
-        traj = pr.run_forward(p0, spec, gamma, 6)
+        traj = ref.forward(p0, spec, gamma, 6)
         lam, center = spec.potential.lambda_mat, spec.potential.center
         for n, (p, t, xi) in enumerate(zip(traj.measures, traj.transports, traj.xi_norms)):
             nxt = traj.measures[n + 1]

@@ -37,7 +37,8 @@ BACKLOG = {
     "forward_terminal_w2": "ROADMAP item 4: understated xi norms remove its rows instead "
                            "of failing them",
     "forward_terminal_gap": "ROADMAP item 4: understated xi norms remove its rows instead "
-                            "of failing them",
+                            "of failing them, and an n = auto run emits none (a row needs "
+                            "threshold <= n and n + 1 <= N = ceil(threshold))",
     "inversion_coupling": "ROADMAP item 3: its worst-case K form holds at 1000x "
                           "understated eps_inv",
     "inversion_mixed": "ROADMAP item 3: as loose as inversion_coupling",

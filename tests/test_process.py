@@ -31,7 +31,7 @@ def gauss_traj_3d(n=3):
     a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
     spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T + 0.5 * np.eye(3), np.zeros(3)))
     p0 = ga.GaussianMeasure(rng.standard_normal(3), b @ b.T + 0.5 * np.eye(3))
-    return pr.run_forward(p0, spec, 1.0, n, eps_schedule=0.05, mode=jko.PerturbMode.DILATION)
+    return ref.forward(p0, spec, 1.0, n, eps=0.05, mode=jko.PerturbMode.DILATION)
 
 
 def gauss_traj_10d():
@@ -41,7 +41,7 @@ def gauss_traj_10d():
     spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T / 10 + 0.5 * np.eye(10),
                                                   rng.standard_normal(10)))
     p0 = ga.GaussianMeasure(rng.standard_normal(10), b @ b.T / 10 + 0.5 * np.eye(10))
-    return pr.run_forward(p0, spec, 1.0, 6, eps_schedule=0.05, mode=jko.PerturbMode.DILATION)
+    return ref.forward(p0, spec, 1.0, 6, eps=0.05, mode=jko.PerturbMode.DILATION)
 
 
 class TestStepsNeeded:
@@ -68,49 +68,53 @@ class TestStepsNeeded:
 
 class TestRunForward:
     def test_gaussian_mean_chain(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 4)
         means = [m.mean[0] for m in traj.measures]
         assert np.allclose(means, [2, 1, 0.5, 0.25, 0.125], atol=1e-8)
         assert all(x <= jko.GAUSSIAN_TOL for x in traj.xi_norms)
 
     def test_zero_steps(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 0)
         assert traj.n_steps == 0 and len(traj.measures) == 1
 
     def test_scalar_schedule_broadcast(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3, eps_schedule=0.1)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 3, eps=0.1)
         assert np.allclose(traj.xi_norms, 0.1, rtol=0.01)
 
     def test_list_schedule(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3,
-                              eps_schedule=[0.0, 0.1, 0.0])
+        # one step per entry, measured against the pi it is handed
+        pi = ga.GaussianMeasure.minimizer(kl_spec())
+        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, [0.0, 0.1, 0.0],
+                              jko.PerturbMode.MEAN_SHIFT, 0, pi)
+        assert traj.n_steps == 3 and traj.minimizer is pi
         assert traj.xi_norms[0] <= jko.GAUSSIAN_TOL
         assert traj.xi_norms[1] == pytest.approx(0.1, rel=0.01)
         assert traj.xi_norms[2] <= jko.GAUSSIAN_TOL
 
-    def test_schedule_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3, eps_schedule=[0.1, 0.1])
+    def test_replace_keeps_the_minimizer(self):
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 2, eps=0.1)
+        doctored = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
+        assert doctored.minimizer is traj.minimizer
 
     def test_w2_decreases_monotonically(self):
         spec = kl_spec()
         q = ga.GaussianMeasure.minimizer(spec)
-        traj = pr.run_forward(gauss_p0(), spec, 1.0, 6)
+        traj = ref.forward(gauss_p0(), spec, 1.0, 6)
         dists = [ga.w2_bw(m, q) for m in traj.measures]
         assert all(b < a for a, b in zip(dists, dists[1:]))
 
     def test_exact_run_seed_independent(self):
-        t1 = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3, seed=0)
-        t2 = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3, seed=99)
+        t1 = ref.forward(gauss_p0(), kl_spec(), 1.0, 3, seed=0)
+        t2 = ref.forward(gauss_p0(), kl_spec(), 1.0, 3, seed=99)
         for a, b in zip(t1.measures, t2.measures):
             assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
 
     def test_grid_bump_run_deterministic_per_seed(self):
         p0 = qt.from_gaussian(1.0, 1.5, 128)
-        kw = dict(eps_schedule=0.05, mode=jko.PerturbMode.GRID_BUMP)
-        t1 = pr.run_forward(p0, kl_spec(), 1.0, 2, seed=7, **kw)
-        t2 = pr.run_forward(p0, kl_spec(), 1.0, 2, seed=7, **kw)
-        t3 = pr.run_forward(p0, kl_spec(), 1.0, 2, seed=8, **kw)
+        kw = dict(eps=0.05, mode=jko.PerturbMode.GRID_BUMP)
+        t1 = ref.forward(p0, kl_spec(), 1.0, 2, seed=7, **kw)
+        t2 = ref.forward(p0, kl_spec(), 1.0, 2, seed=7, **kw)
+        t3 = ref.forward(p0, kl_spec(), 1.0, 2, seed=8, **kw)
         assert np.array_equal(t1.measures[-1].values, t2.measures[-1].values)
         assert not np.array_equal(t1.measures[-1].values, t3.measures[-1].values)
 
@@ -121,22 +125,22 @@ class TestRunForward:
         # Newton decrease is below the roundoff of the discretized objective,
         # which the line search backtracked on before it backtracked on ||xi||
         p0 = qt.from_gaussian(1.5, 1.5, 2048)
-        traj = pr.run_forward(p0, kl_spec(), gamma, n_steps, eps,
-                              jko.PerturbMode.GRID_BUMP, seed=seed)
+        traj = ref.forward(p0, kl_spec(), gamma, n_steps, eps,
+                           jko.PerturbMode.GRID_BUMP, seed=seed)
         assert np.allclose(traj.xi_norms, eps, rtol=0.01)
 
     def test_grid_bump_run_has_no_runtime_warning(self):
         p0 = qt.from_gaussian(3.0, 2.0, 2048)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            traj = pr.run_forward(p0, kl_spec(), 1.0, 12, 0.1, jko.PerturbMode.GRID_BUMP, 0)
+            traj = ref.forward(p0, kl_spec(), 1.0, 12, 0.1, jko.PerturbMode.GRID_BUMP, 0)
         assert np.allclose(traj.xi_norms, 0.1, rtol=0.01)
 
 
 class TestReverse:
     def test_exact_reverse_residuals_zero(self):
         # ||T_n o T_n^{-1} - Id|| under q_n is roundoff on both families
-        for traj in (pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4), grid_traj()):
+        for traj in (ref.forward(gauss_p0(), kl_spec(), 1.0, 4), grid_traj()):
             qs = pr.run_reverse_exact(traj)
             for t, s, q in zip(traj.transports, traj.inverse_fields, qs[1:], strict=True):
                 assert t.inversion_residual(s, q) <= 1e-10
@@ -145,7 +149,7 @@ class TestReverse:
         # with exact forward steps the reverse chain lands back near p0
         # only insofar as q ~ p_N; here we check transport consistency instead:
         # pushing q_n forward through T_n must give q_{n+1}... i.e. S inverts T
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 3)
         qs = pr.run_reverse_exact(traj)
         assert len(qs) == 4 and qs[-1] is traj.minimizer
         for k in range(3):
@@ -153,7 +157,7 @@ class TestReverse:
             assert fwd.w2(qs[k + 1]) <= 1e-9
 
     def test_perturbed_reverse_residuals_calibrated(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 4)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 4)
         rev, measures = pr.run_reverse_perturbed(traj, 1e-3)
         assert np.allclose(rev.residuals, 1e-3, rtol=0.01)
         assert len(measures) == 5 and measures[-1] is traj.minimizer
@@ -162,7 +166,7 @@ class TestReverse:
 
     def test_perturbed_zero_is_rejected(self):
         # the exact chain is derived (run_reverse_exact), never a perturbed run
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 3)
         for eps_inv in (0.0, -1e-3):
             with pytest.raises(ValueError, match="eps_inv must be positive"):
                 pr.run_reverse_perturbed(traj, eps_inv)
@@ -170,7 +174,7 @@ class TestReverse:
     def test_mean_shift_residual_algebra(self):
         # shifting S by a makes T(S(x)) - x = L a with L the slope of T,
         # so the calibrated a equals eps_inv / Lip(T) for affine transports
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 1)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 1)
         eps_inv = 1e-3
         rev, _ = pr.run_reverse_perturbed(traj, eps_inv)
         s_exact = ref.inverse(traj.transports[0])
@@ -180,7 +184,7 @@ class TestReverse:
 
     def test_grid_reverse(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         rev, measures = pr.run_reverse_perturbed(traj, 5e-3, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
         assert measures[0].w2(traj.exact_q0) > 0
@@ -189,7 +193,7 @@ class TestReverse:
                                       jko.PerturbMode.GRID_BUMP], ids=lambda m: m.value)
     def test_grid_residuals_are_measured_at_the_result(self, mode):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         rev, measures = pr.run_reverse_perturbed(traj, 5e-3, mode, seed=3)
         maps = ref.reverse_maps(rev)
         for k in range(1, traj.n_steps + 1):
@@ -229,7 +233,7 @@ class TestReverse:
 
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         rev, _ = pr.run_reverse_perturbed(traj, 5e-3, jko.PerturbMode.GRID_BUMP, seed=3)
         assert np.allclose(rev.residuals, 5e-3, rtol=0.01)
         for s in ref.reverse_maps(rev):
@@ -247,8 +251,8 @@ def old_minimizer_in_family(spec, family, m=None):
 
 
 def grid_traj():
-    return pr.run_forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, 3, 0.05,
-                          jko.PerturbMode.GRID_BUMP)
+    return ref.forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, 3, 0.05,
+                       jko.PerturbMode.GRID_BUMP)
 
 
 def assert_same_fields(a, b):
@@ -293,7 +297,7 @@ class TestExactQ0:
     """Trajectory.exact_q0 is run_reverse_exact's q_0, bit for bit, and builds no map."""
 
     TRAJECTORIES = [grid_traj, gauss_traj_3d, negative_control_traj,
-                    lambda: pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)]
+                    lambda: ref.forward(gauss_p0(), kl_spec(), 1.0, 0)]
     IDS = ["grid", "gaussian_3d", "negative_control", "no_steps"]
 
     @pytest.mark.parametrize("make_traj", TRAJECTORIES, ids=IDS)
@@ -527,17 +531,17 @@ class TestEstimateK:
     def test_equal_variance_chain_has_zero_K(self):
         # transports are pure translations (slope 1) when variances match
         p0 = ga.GaussianMeasure(np.array([3.0]), np.eye(1))
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3)
         assert pr.estimate_K(traj) <= 1e-9
 
     def test_log2_fixture(self):
         # lam=2, gamma=1, p0=N(2,4): first transport has slope 1/2, so the
         # inverse slope is 2 and K = log 2; later slopes are closer to 1
-        traj = pr.run_forward(gauss_p0(), kl_spec(lam=2.0), 1.0, 4)
+        traj = ref.forward(gauss_p0(), kl_spec(lam=2.0), 1.0, 4)
         assert pr.estimate_K(traj) == pytest.approx(math.log(2), abs=1e-7)
 
     def test_empty_trajectory_rejected(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 0)
         with pytest.raises(ValueError):
             pr.estimate_K(traj)
 
@@ -555,8 +559,8 @@ class TestInverseLipschitz:
 
     def test_grid(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 3, eps_schedule=0.05,
-                              mode=jko.PerturbMode.GRID_BUMP, seed=2)
+        traj = ref.forward(p0, kl_spec(), 1.0, 3, eps=0.05,
+                           mode=jko.PerturbMode.GRID_BUMP, seed=2)
         invs = [ref.inverse(t) for t in traj.transports]
         assert traj.inverse_lipschitz == [float(np.max(np.diff(inv.y) / np.diff(inv.x)))
                                           for inv in invs]
@@ -572,7 +576,7 @@ def random_gauss_traj(d, seed, n=5):
                             fn.Variant.WEIGHTED, rng.uniform(0.5, 2.0))
     p0 = ga.GaussianMeasure(rng.standard_normal(d), b @ b.T / d + 0.5 * np.eye(d))
     mode = (jko.PerturbMode.DILATION, jko.PerturbMode.MEAN_SHIFT)[seed % 2]
-    return pr.run_forward(p0, spec, rng.uniform(0.5, 1.5), n, eps_schedule=0.05, mode=mode)
+    return ref.forward(p0, spec, rng.uniform(0.5, 1.5), n, eps=0.05, mode=mode)
 
 
 class TestChainWideValues:
@@ -611,14 +615,14 @@ class TestChainWideValues:
         assert traj.inverse_lipschitz is traj.inverse_lipschitz
 
     def test_no_steps(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 0)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 0)
         assert traj.inverse_lipschitz == []
         assert traj.objective_values == [fn.evaluate(traj.spec, traj.measures[0])]
 
 
 class TestCsv:
     def test_forward_csv_shape(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 3)
         lines = pr.forward_csv(traj).strip().split("\n")
         assert lines[0] == "n,w2_to_q,G_value,xi_norm,lipschitz_Tinv,solver_iterations"
         assert len(lines) == 5
@@ -628,11 +632,11 @@ class TestCsv:
         assert float(row1[1]) < float(row0[1])  # W2 shrinks after one step
 
     def test_forward_csv_deterministic(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 2)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 2)
         assert pr.forward_csv(traj) == pr.forward_csv(traj)
 
     def test_reverse_csv_shape(self):
-        traj = pr.run_forward(gauss_p0(), kl_spec(), 1.0, 3)
+        traj = ref.forward(gauss_p0(), kl_spec(), 1.0, 3)
         lines = pr.reverse_csv(*pr.run_reverse_perturbed(traj, 1e-3)).strip().split("\n")
         assert lines[0] == "n,residual,w2_qtilde_to_q_exact"
         assert len(lines) == 5

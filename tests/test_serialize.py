@@ -22,12 +22,12 @@ def kl_spec(lam=1.0, d=1):
 
 def gauss_traj(n=3, eps=0.1):
     p0 = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
-    return pr.run_forward(p0, kl_spec(), 1.0, n, eps_schedule=eps)
+    return ref.forward(p0, kl_spec(), 1.0, n, eps=eps)
 
 
 def grid_traj(n=2):
     p0 = qt.from_gaussian(1.0, 1.5, 64)
-    return pr.run_forward(p0, kl_spec(), 1.0, n)
+    return ref.forward(p0, kl_spec(), 1.0, n)
 
 
 EPS_INV = 1e-3
@@ -36,14 +36,14 @@ EPS_INV = 1e-3
 def grid_bump_run():
     """A grid_bump forward run, its perturbed reverse run and the chain that run built."""
     p0 = qt.from_gaussian(1.5, 1.5, 128)
-    traj = pr.run_forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
+    traj = ref.forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
     return traj, *pr.run_reverse_perturbed(traj, EPS_INV, jko.PerturbMode.GRID_BUMP)
 
 
 def reload(traj):
     """`traj` stored and loaded again, given the inputs that its config records."""
     return sz.trajectory_from_json(sz.trajectory_to_json(traj), traj.spec, traj.gamma,
-                                   traj.measures[0])
+                                   traj.measures[0], traj.minimizer)
 
 
 def round_trip(traj, *reverse_runs):
@@ -108,7 +108,7 @@ class TestTrajectoryRoundTrip:
     @pytest.mark.parametrize("p0", [ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]])),
                                     qt.from_gaussian(1.0, 1.5, 64)], ids=["gaussian", "grid"])
     def test_no_steps(self, p0):
-        traj = pr.run_forward(p0, kl_spec(), 1.0, 0)
+        traj = ref.forward(p0, kl_spec(), 1.0, 0)
         back = reload(traj)
         assert back.transports == [] and back.inverse_fields == [] and back.n_steps == 0
         assert len(back.measures) == 1
@@ -116,15 +116,16 @@ class TestTrajectoryRoundTrip:
             assert np.array_equal(a, b)
 
     def test_gaussian_load_validates_each_stack_once(self, monkeypatch):
-        traj = pr.run_forward(ga.GaussianMeasure(np.zeros(3), np.diag([1.0, 2.0, 3.0])),
-                              kl_spec(d=3), 1.0, 4, 0.05)
+        traj = ref.forward(ga.GaussianMeasure(np.zeros(3), np.diag([1.0, 2.0, 3.0])),
+                           kl_spec(d=3), 1.0, 4, 0.05)
         data = sz.trajectory_to_json(traj)
         calls, built = [], []
         cholesky = np.linalg.cholesky
         monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
         for cls in (ga.GaussianMeasure, ga.AffineMap):
             monkeypatch.setattr(cls, "__post_init__", built.append)
-        back = sz.trajectory_from_json(data, traj.spec, traj.gamma, traj.measures[0])
+        back = sz.trajectory_from_json(data, traj.spec, traj.gamma, traj.measures[0],
+                                       traj.minimizer)
         # one Cholesky of the covariances of p_1..p_4, pushed from p_0 (the config's, not
         # stored) on arrays; no measure or map checked alone
         assert calls == [(4, 3, 3)] and built == []
@@ -134,7 +135,8 @@ class TestTrajectoryRoundTrip:
         buf = io.BytesIO()
         np.savez(buf, manifest=np.array("{}"), values=np.array([object()], dtype=object))
         with pytest.raises(ValueError, match="allow_pickle=False"):
-            sz.trajectory_from_json(buf.getvalue(), kl_spec(), 1.0, qt.from_gaussian(0.0, 1.0, 8))
+            pi = qt.from_gaussian(0.0, 1.0, 8)
+            sz.trajectory_from_json(buf.getvalue(), kl_spec(), 1.0, pi, pi)
 
     def test_checks_reproduce_after_round_trip(self):
         traj = gauss_traj()
@@ -155,13 +157,13 @@ def gauss_d_traj(d, n=4):
     rng = np.random.default_rng(20 + d)
     spec = fn.ObjectiveSpec(fn.QuadraticPotential(random_spd(rng, d), rng.standard_normal(d)))
     p0 = ga.GaussianMeasure(rng.standard_normal(d) + 2.0, random_spd(rng, d))
-    return pr.run_forward(p0, spec, 0.8, n, [0.0, 0.05] * (n // 2))
+    return ref.forward(p0, spec, 0.8, n, [0.0, 0.05] * (n // 2))
 
 
 def atoms_traj():
     p0 = pr.ou_smooth(pr.AtomicMeasure(np.array([[-1.0], [1.0]]), np.array([0.5, 0.5])),
                       0.03, 256)
-    return pr.run_forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
+    return ref.forward(p0, kl_spec(), 1.0, 3, 0.05, jko.PerturbMode.GRID_BUMP)
 
 
 RUNS = {
@@ -214,7 +216,7 @@ class TestOneStoredChain:
                          {**d, "solver_iterations": d["solver_iterations"] + [0]}):
             with pytest.raises(sz.StaleArchiveError, match="stored steps"):
                 sz.trajectory_from_json(sz._pack(doctored, arrays), traj.spec, traj.gamma,
-                                        traj.measures[0])
+                                        traj.measures[0], traj.minimizer)
 
 
 class TestReverseRoundTrip:
@@ -223,7 +225,7 @@ class TestReverseRoundTrip:
         a, b = rng.standard_normal((5, 5)), rng.standard_normal((5, 5))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(a @ a.T + 0.5 * np.eye(5), np.zeros(5)))
         p0 = ga.GaussianMeasure(rng.standard_normal(5), b @ b.T + 0.5 * np.eye(5))
-        traj = pr.run_forward(p0, spec, 1.0, 4, 0.05)
+        traj = ref.forward(p0, spec, 1.0, 4, 0.05)
         blob = sz.reverse_to_json(pr.run_reverse_perturbed(traj, EPS_INV)[0])
         traj = reload(traj)
         calls = []
@@ -341,10 +343,11 @@ class TestReader:
         # a small grid run and its reverse manifest, every byte flipped three ways: the
         # CRC, the zip structure or the layout checks catch each flip that changes data
         spec = kl_spec()
-        traj = pr.run_forward(qt.from_gaussian(1.0, 1.5, 8), spec, 1.0, 2, 0.05)
+        traj = ref.forward(qt.from_gaussian(1.0, 1.5, 8), spec, 1.0, 2, 0.05)
         rev = pr.run_reverse_perturbed(traj, EPS_INV)[0]
         loads = [(sz.trajectory_to_json(traj),
-                  lambda b: sz.trajectory_from_json(b, spec, 1.0, traj.measures[0]),
+                  lambda b: sz.trajectory_from_json(b, spec, 1.0, traj.measures[0],
+                                                    traj.minimizer),
                   lambda t: [p.values.tobytes() for p in t.measures] + [t.xi_norms]),
                  (sz.reverse_to_json(rev),
                   lambda b: sz.reverse_from_json(b, traj, rev.mode, rev.seed),
@@ -390,4 +393,4 @@ class TestLoadedGridMaps:
             with pytest.raises(ValueError, match="^segment slopes must be finite$"):
                 qt.MonotoneMap1D(p0.values, np.arange(8.0))
             with pytest.raises(ValueError, match="^segment slopes must be finite$"):
-                sz.trajectory_from_json(data, kl_spec(), 1.0, p0)
+                sz.trajectory_from_json(data, kl_spec(), 1.0, p0, p0.minimizer(kl_spec()))
