@@ -193,12 +193,15 @@ def _raw_pairs(text: str) -> dict:
 
 
 def _check_list(names: list, n_steps, eps_inv: float) -> list:
-    """`names` if nonempty, every one a known check and each able to run on the config."""
+    """`names` if nonempty, every one a known check and each able to run on the config (at
+    eps_inv = 0 only a list of every check, `all`'s canonical spelling, may name `inversion`)."""
     if not names:
         raise ConfigError("no checks given: name at least one")
     for c in names:
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}")
+    if "inversion" in names and eps_inv == 0 and set(names) != set(CHECKS):
+        raise ConfigError("the inversion check needs eps_inv > 0")
     if n_steps == 0 and eps_inv > 0 and "inversion" in names:
         raise ConfigError("the inversion check with eps_inv > 0 needs n >= 1")
     return names
@@ -466,7 +469,7 @@ def _failure(exc: Exception, prefix: str = "") -> int:
 
 
 def _sweep_config(base_text: str, overrides: dict) -> RunConfig:
-    raw = _raw_pairs(parse_config(base_text).canonical())
+    raw = _raw_pairs(base_text)
     raw.update(overrides)
     return _built_measures(parse_config("".join(f"{k} = {v}\n" for k, v in raw.items())))
 

@@ -330,6 +330,11 @@ class AffineMap:
         raise ValueError(f"mode {mode.value} is 1-D only")
 
     @staticmethod
+    def joined(first: tuple, then: tuple) -> None:
+        """None: consecutive affine maps are pushed through one at a time."""
+        return None
+
+    @staticmethod
     def push_fields(linear: np.ndarray, offset: np.ndarray, mean: np.ndarray,
                     cov: np.ndarray) -> tuple:
         """N(mean, cov) pushed through x -> linear x + offset on arrays: the mean and the

@@ -5,7 +5,9 @@ first-order error per step) and the computed reverse chain with calibrated
 inversion error.  One loop pushes measures through maps on arrays: pi back
 through T_N^{-1}, ..., T_1^{-1} (the exact reverse chain, derived from the
 trajectory: Trajectory.exact_q0, run_reverse_exact) or the S_n a ReverseRun
-rebuilds from its amplitudes, and p_0 through a stored Gaussian chain.  Also OU
+rebuilds from its amplitudes, and p_0 through a stored Gaussian chain.  Maps that join
+knot to knot are one map, so the exact grid chain's q_n is pi pushed once through the
+quantile map p_N -> p_n; perturbed and Gaussian maps never join.  Also OU
 smoothing of atomic measures, and the bookkeeping the certifier consumes:
 Lipschitz/K estimates, step-count formula, CSV output.
 """
@@ -96,7 +98,7 @@ class Trajectory:
 
         Bit for bit run_reverse_exact(self)[0].
         """
-        return type(self.minimizer)(*_pushed_back(self, self.inverse_fields)[0])
+        return type(self.minimizer)(*_pushed_back(self, self.inverse_fields, every=False)[0])
 
 
 @dataclass(frozen=True)
@@ -132,18 +134,29 @@ class ReverseRun:
         return type(self.traj.minimizer)(*_pushed_back(self.traj, self._map_fields())[0])
 
 
-def _pushed(start: list, transports, maps) -> list:
-    """The constructor arrays [start, S_1#start, ...] for S_k given by maps[k-1], arrays of
-    transports[k-1]'s type (its push_fields); builds no map and no measure."""
-    arrays = [start]
+def _pushed(start: list, transports, maps, every: bool = True) -> list:
+    """The constructor arrays [start, S_1#start, ..., S_N#start] for S_k given by maps[k-1],
+    arrays of transports[k-1]'s type (its push_fields); builds no map and no measure.  A
+    maximal run of maps that join (the type's `joined`) is one map; every=False pushes to
+    the ends of runs only."""
+    runs = []  # (map type, the arrays of S_j, S_{j+1} o S_j, ..., S_k o ... o S_j)
     for t, s in zip(transports, maps, strict=True):
-        arrays.append(type(t).push_fields(*s, *arrays[-1]))
+        joined = runs and type(t).joined(runs[-1][1][-1], s)
+        if joined:
+            runs[-1][1].append(joined)
+        else:
+            runs.append((type(t), [s]))
+    arrays = [start]
+    for kind, composed in runs:
+        base = arrays[-1]
+        arrays += [kind.push_fields(*c, *base) for c in (composed if every else composed[-1:])]
     return arrays
 
 
-def _pushed_back(traj: Trajectory, maps: list) -> list:
-    """The constructor arrays of q_0..q_N: q_N = pi pushed back through S_N, ..., S_1."""
-    return _pushed(_fields(traj.minimizer), traj.transports[::-1], maps[::-1])[::-1]
+def _pushed_back(traj: Trajectory, maps: list, every: bool = True) -> list:
+    """The constructor arrays of q_0..q_N, q_N = pi pushed back through S_N, ..., S_1
+    (`_pushed`; every=False: q_0, then the other ends of runs)."""
+    return _pushed(_fields(traj.minimizer), traj.transports[::-1], maps[::-1], every)[::-1]
 
 
 @dataclass(frozen=True)

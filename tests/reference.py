@@ -12,7 +12,7 @@ measure's construction checks, objective value and KL divergence in their
 plain per-measure spelling (the package's versions must match them), and
 the potential V, the grid entropy and the grid objective value in the plain
 spelling that QuantileGrid.objectives replaced.  `forward` is process.run_forward
-with the tests' conveniences.
+with the tests' conveniences, and `pushed_back` the stepwise reverse push.
 """
 
 from __future__ import annotations
@@ -141,6 +141,16 @@ def inverse(t):
     """T^{-1} as a map of T's type, from its arrays (`inverse_fields_of`): for an affine
     T: x -> L x + b it is (L^{-1}, -L^{-1} b), for a grid map its swapped knots."""
     return type(t)(*type(t).inverse_fields_of([t])[0])
+
+
+def pushed_back(traj, maps) -> list:
+    """The constructor arrays of q_0..q_N: pi = q_N pushed back through S_N, ..., S_1 given
+    by `maps` (arrays of each transport's type), one push_fields per map; the loop
+    process._pushed_back ran before it pushed each run of joined maps as one map."""
+    arrays = [jko._fields(traj.minimizer)]
+    for t, s in zip(traj.transports[::-1], maps[::-1], strict=True):
+        arrays.append(type(t).push_fields(*s, *arrays[-1]))
+    return arrays[::-1]
 
 
 def reverse_maps(run) -> list:

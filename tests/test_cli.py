@@ -467,6 +467,20 @@ class TestSweepAndReport:
         assert run(["sweep", "--config", cfgp, "--axis", "p0.mean=1,2"],
                    tmp_path) == cli.EXIT_CONFIG
 
+    def test_a_sweep_parses_its_template_once(self, tmp_path, monkeypatch):
+        # pi is built once for the template and once per combo (it was built again for
+        # the template in every combo: 9 builds for these 4 combos)
+        cfgp = write(tmp_path, "c.txt", STANDARD_GAUSS)
+        calls = []
+        gaussian = ga.GaussianMeasure.minimizer
+        monkeypatch.setattr(ga.GaussianMeasure, "minimizer",
+                            staticmethod(lambda spec: calls.append(spec) or gaussian(spec)))
+        argv = ["sweep", "--config", cfgp, "--axis", "gamma=0.5,1.0", "--axis", "eps=0.05,0.1"]
+        assert run(argv, tmp_path) == 0
+        assert len(calls) == 5
+        reports = [f for f in os.listdir(tmp_path / "runs") if f.endswith("_report.csv")]
+        assert len(reports) == 4
+
     def test_every_sweep_key_is_a_config_key(self):
         samples = {"gamma": "0.5", "eps": "0.2", "eps_inv": "0.01", "seed": "4",
                    "family.m": "64"}
@@ -596,6 +610,56 @@ class TestExitCodes:
         assert "no checks given" in capsys.readouterr().err
         rid = cli.parse_config(BASE_GAUSS).run_id()
         assert not (tmp_path / "runs" / f"{rid}_report.csv").exists()
+
+    @pytest.mark.parametrize("checks", ["inversion", "evi inversion"])
+    def test_inversion_check_at_eps_inv_0_in_the_config_is_config_error(
+            self, tmp_path, capsys, checks):
+        # there is no perturbed run to bound: it certified nothing, "0/0 bounds hold" with
+        # a header-only report and exit 0 for `checks = inversion`
+        text = BASE_GAUSS.replace("eps_inv = 0.001", "eps_inv = 0") + f"checks = {checks}\n"
+        with pytest.raises(cli.ConfigError, match="the inversion check needs eps_inv > 0"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "bounds hold" not in capsys.readouterr().out
+        assert list((tmp_path / "runs").iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["inversion", "evi,inversion"])
+    def test_inversion_flag_at_eps_inv_0_is_config_error(self, tmp_path, capsys, flag):
+        text = BASE_GAUSS.replace("eps_inv = 0.001", "eps_inv = 0")
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        capsys.readouterr()
+        assert run(["certify", "--config", cfgp, "--checks", flag], tmp_path) == cli.EXIT_CONFIG
+        assert "the inversion check needs eps_inv > 0" in capsys.readouterr().err
+        rid = cli.parse_config(text).run_id()
+        assert not (tmp_path / "runs" / f"{rid}_report.csv").exists()
+
+    @pytest.mark.parametrize("checks", ["", "checks = all\n",
+                                        "checks = inversion dpi_chain kl_tv forward_rate evi\n"],
+                             ids=["default", "all", "every_check"])
+    def test_every_check_at_eps_inv_0_runs_without_inversion(self, tmp_path, checks):
+        # `all`, and a list of every check (the canonical config spells `all` that way),
+        # drop the inversion check at eps_inv = 0 and run the rest
+        text = BASE_GAUSS.replace("eps_inv = 0.001", "eps_inv = 0") + checks
+        cfgp = write(tmp_path, "c.txt", text)
+        rid = cli.parse_config(text).run_id()
+        canonical = str(tmp_path / "runs" / f"{rid}_config.txt")
+        assert run(["forward", "--config", cfgp], tmp_path) == 0
+        every = ",".join(cli.ALL_CHECKS)
+        for argv in (["--config", cfgp], ["--config", canonical],
+                     ["--config", cfgp, "--checks", every]):
+            assert run(["certify", *argv], tmp_path) == 0
+            rows = (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]
+            names = {row.split(",")[0] for row in rows}
+            assert "evi" in names and not any(n.startswith("inversion") for n in names)
+        # the negative control (eps_inv = 0, default checks) still fails
+        neg = str(tmp_path / "negative_control")
+        shutil.copytree(os.path.join(ROOT, "fixtures", "negative_control"), neg)
+        assert cli.main(["certify", "--config", os.path.join(neg, "config.txt"), "--out", neg]) \
+            == cli.EXIT_BOUND_FAILED
 
     @pytest.mark.parametrize("argv", [["forward"], ["bogus"],
                                       ["certify", "--config", "x", "--checks"]],

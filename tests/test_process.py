@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import reference as ref
+from hypothesis import given, settings, strategies as st
 
 from jkolab import certify as ct
 from jkolab import cli
@@ -329,6 +330,96 @@ class TestExactQ0:
         pr.run_reverse_exact(traj)
         pr.run_reverse_perturbed(traj, 1e-3)[0].q0  # the run, and q~_0 derived from it
         assert calls == [(traj.n_steps, 3, 3)]
+
+
+def joined_grid_chain(m, n, seed, below, above):
+    """A trajectory of N random grid maps T_n = ot_map(p_{n-1}, p_n) on M points (gaps in
+    [0.5, 2], so every slope is within [1/4, 4]), whose pi reaches `below` under p_N's
+    first quantile and `above` over its last."""
+    rng = np.random.default_rng(seed)
+    grids = [qt.QuantileGrid(np.cumsum(rng.uniform(0.5, 2.0, m)) + rng.uniform(-5, 5))
+             for _ in range(n + 1)]
+    q = grids[-1].values
+    pi = qt.QuantileGrid(np.linspace(q[0] - below, q[-1] + above, m))
+    transports = [qt.ot_map(a, b) for a, b in zip(grids, grids[1:])]
+    return pr.Trajectory(kl_spec(), 1.0, grids, transports, [0.0] * n, [0] * n, pi)
+
+
+def count_calls(monkeypatch, owner, name, static=False) -> list:
+    """Wrap owner.name so each call appends to the returned list."""
+    calls, original = [], getattr(owner, name)
+    wrapped = lambda *a: calls.append(a) or original(*a)  # noqa: E731
+    monkeypatch.setattr(owner, name, staticmethod(wrapped) if static else wrapped)
+    return calls
+
+
+class TestOneMapRuns:
+    """The push loop takes one map per run of maps that join knot to knot: the exact grid
+    chain's q_n is pi pushed once through the quantile map p_N -> p_n, equal to the
+    stepwise chain (reference.pushed_back) to roundoff."""
+
+    @staticmethod
+    def assert_stepwise(traj, n):
+        got = pr.run_reverse_exact(traj)
+        want = ref.pushed_back(traj, traj.inverse_fields)
+        assert got[-1] is traj.minimizer
+        assert_same_fields(traj.exact_q0, got[0])
+        # a few ulps per interpolation, through slopes of at most 4 after it
+        scale = max(np.abs(g.values).max() for g in [*traj.measures, traj.minimizer])
+        tol = 16 * n * np.finfo(float).eps * scale
+        for q, (values,) in zip(got, want, strict=True):
+            assert np.abs(q.values - values).max() <= tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 64), st.integers(1, 12), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+    def test_equals_the_stepwise_chain(self, m, n, seed, below, above):
+        self.assert_stepwise(joined_grid_chain(m, n, seed, below, above), n)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(8, 64), st.integers(2, 12), st.integers(0, 2 ** 32 - 1),
+           st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.data())
+    def test_a_moved_map_splits_the_run(self, m, n, seed, below, above, data):
+        traj = joined_grid_chain(m, n, seed, below, above)
+        # T_{k+1}'s knot values: T_{k+2}^{-1} no longer ends where T_{k+1}^{-1} starts (moving
+        # T_N's would only move the chain's first source)
+        k = data.draw(st.integers(0, n - 2))
+        transports = list(traj.transports)
+        transports[k] = qt.MonotoneMap1D(transports[k].x, transports[k].y + 0.05)
+        moved = dataclasses.replace(traj, transports=transports)
+        self.assert_stepwise(moved, n)
+        runs = pr._pushed(pr._fields(moved.minimizer), moved.transports[::-1],
+                          moved.inverse_fields[::-1], every=False)
+        assert len(runs) == 3  # pi and the ends of the two runs
+
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_grid_exact_q0_is_one_interpolation(self, n, monkeypatch):
+        traj = ref.forward(qt.from_gaussian(1.5, 1.2, 128), kl_spec(), 1.0, n, 0.05,
+                           jko.PerturbMode.GRID_BUMP)
+        traj.minimizer, traj.inverse_fields
+        calls = count_calls(monkeypatch, qt, "apply_map")
+        traj.exact_q0
+        assert len(calls) == 1
+        # pi through the quantile map p_N -> p_0
+        for got, want in zip(calls[0], (traj.measures[n], traj.measures[0], traj.minimizer)):
+            assert np.array_equal(got, want.values)
+        calls.clear()
+        pr.run_reverse_exact(traj)  # q_0..q_{N-1}, each from pi
+        assert len(calls) == n and all(c[2] is traj.minimizer.values for c in calls)
+
+    @pytest.mark.parametrize("make_traj", [grid_traj, gauss_traj_3d], ids=["grid", "gaussian"])
+    def test_perturbed_and_gaussian_chains_take_n_steps(self, make_traj, monkeypatch):
+        traj = make_traj()
+        rev, _ = pr.run_reverse_perturbed(traj, 1e-3, jko.PerturbMode.MEAN_SHIFT, seed=5)
+        fresh = dataclasses.replace(rev)
+        cls = type(traj.transports[0])
+        calls = count_calls(monkeypatch, cls, "push_fields", static=True)
+        fresh.q0
+        assert len(calls) == traj.n_steps
+        if cls is ga.AffineMap:
+            calls.clear()
+            traj.exact_q0
+            assert len(calls) == traj.n_steps
 
 
 # (trajectory, reverse mode, eps_inv) of the perturbed reverse runs rebuilt from their amplitudes

@@ -166,6 +166,29 @@ class TestW2:
         assert p.w2(q) == pytest.approx(q.w2(p), abs=1e-14)
         assert p.w2(r) <= p.w2(q) + q.w2(r) + 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(8, 2048), st.integers(1, 60), st.integers(0, 2 ** 32 - 1))
+    def test_stacked_chains_equal_each_pair_bit_for_bit(self, m, n, seed):
+        # one array function for w2, w2_from and w2_pairs, each entry its pair's
+        rng = np.random.default_rng(seed)
+        ps, qs = ([qt.QuantileGrid(np.cumsum(rng.uniform(1e-3, 1.0, m)) - rng.uniform(0, m))
+                   for _ in range(n)] for _ in range(2))
+
+        def pairwise(a, b):  # the per-pair spelling w2 had
+            d = a.values - b.values
+            return float(np.sqrt(np.mean(d * d)))
+
+        assert [p.w2(qs[0]) for p in ps] == [pairwise(p, qs[0]) for p in ps]
+        assert qs[0].w2_from(ps) == [pairwise(p, qs[0]) for p in ps]
+        assert qt.QuantileGrid.w2_pairs(ps, qs) == [pairwise(p, q) for p, q in zip(ps, qs)]
+
+    def test_pairs_of_unequal_chains_rejected(self):
+        chain = [gaussian_grid(mean) for mean in range(3)]
+        with pytest.raises(ValueError):
+            qt.QuantileGrid.w2_pairs(chain, chain[1:])
+        with pytest.raises(ValueError):
+            qt.QuantileGrid.w2_pairs(chain[:1], chain)
+
 
 class TestOtMap:
     def test_identity(self):
