@@ -9,9 +9,13 @@ function and method defined in src/jkolab whose code no run called:
   `make_specs`), each through forward, reverse and certify;
 - `certify` of the negative control (fixtures/negative_control).
 
-With --config, only the given config files run (forward, reverse, certify).
+With --config, only the given config files run (forward, reverse, certify),
+then one `sweep` of the first config, `report` of the sweep's runs and one
+usage error, so that every subcommand and argparse's error exit are entered.
 A function that none of them enters is code the CLI does not reach there:
 reached only by tests, by inputs outside these sets, or by nothing.
+tests/test_traffic_gate.py runs --config on tiny configs and holds the list
+to its allowlist.
 
   python3 scripts/trace_traffic.py [--seeds 1 7] [--config FILE ...]
 """
@@ -68,6 +72,11 @@ def _run_config(path: str, out: str) -> None:
 def run_configs(paths: list, tmp: str) -> None:
     for i, path in enumerate(paths):
         _run_config(path, os.path.join(tmp, f"config{i}"))
+    sweep = os.path.join(tmp, "sweep")
+    cli.main(["sweep", "--config", paths[0], "--out", sweep])
+    cli.main(["report", "--out", sweep])
+    with contextlib.suppress(SystemExit):
+        cli.main([])  # no subcommand: a usage error, exit 64
 
 
 def run_default_sets(seeds: list, tmp: str) -> None:

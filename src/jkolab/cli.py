@@ -193,13 +193,15 @@ def _raw_pairs(text: str) -> dict:
 
 
 def _check_list(names: list, n_steps, eps_inv: float) -> list:
-    """`names` if nonempty, every one a known check and each able to run on the config (at
+    """`names` if nonempty, each a known check, named once, that can run on the config (at
     eps_inv = 0 only a list of every check, `all`'s canonical spelling, may name `inversion`)."""
     if not names:
         raise ConfigError("no checks given: name at least one")
-    for c in names:
+    for i, c in enumerate(names):
         if c not in CHECKS:
             raise ConfigError(f"unknown check {c!r}")
+        if c in names[:i]:
+            raise ConfigError(f"check {c!r} named twice")
     if "inversion" in names and eps_inv == 0 and set(names) != set(CHECKS):
         raise ConfigError("the inversion check needs eps_inv > 0")
     if n_steps == 0 and eps_inv > 0 and "inversion" in names:
@@ -236,7 +238,7 @@ def parse_config(text: str) -> RunConfig:
         family = take("family")
         if family not in ("grid", "gaussian"):
             raise ConfigError(f"unknown family {family!r}")
-        m = int(take("family.m", "2048" if family == "grid" else "0"))
+        m = int(take("family.m", "2048")) if family == "grid" else 0  # gaussian: an unknown key
         if family == "grid" and d != 1:
             raise ConfigError("grid family requires a 1-D objective")
         if family == "grid" and m < qt.MIN_GRID_SIZE:

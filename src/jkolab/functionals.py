@@ -71,9 +71,6 @@ class QuadraticPotential:
         _, logdet = np.linalg.slogdet(self.lambda_mat)
         return 0.5 * self.dim * math.log(2 * math.pi) - 0.5 * logdet
 
-    def grad_v(self, x: np.ndarray) -> np.ndarray:
-        return (np.atleast_2d(x) - self.center) @ self.lambda_mat.T
-
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
@@ -82,9 +79,9 @@ class ObjectiveSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.variant is Variant.KL:
-            object.__setattr__(self, "alpha", 1.0)
-        elif not self.alpha > 0:
+        if self.variant is Variant.KL and self.alpha != 1:
+            raise ValueError(f"alpha = {self.alpha!r} needs the weighted variant: kl is alpha = 1")
+        if not self.alpha > 0:
             raise ValueError("the objective needs entropy: alpha must be positive")
 
     @property

@@ -279,13 +279,6 @@ class AffineMap:
             raise ValueError("linear part shape does not match offset dimension")
         return [_unvalidated(cls, linear=x, offset=y) for x, y in zip(_frozen(a), _frozen(b))]
 
-    @property
-    def dim(self) -> int:
-        return self.offset.size
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x) @ self.linear.T + self.offset
-
     @staticmethod
     def inverse_fields_of(maps) -> list[tuple]:
         """(L^{-1}, -L^{-1} b) of each map's T^{-1}, building no map: one inversion of the

@@ -9,8 +9,8 @@ The map types' perturbations and the same amplitude calibrator serve the
 reverse process, where the calibrated quantity is the inversion residual.
 The family types' methods carry what differs (the step solver, the xi
 formula, how a map's arrays are perturbed and the amplitude capped), but for
-the grid bump: its centre is drawn by the caller from the exact grid map's
-knots (run_forward: result.transport.x), its width is p_n's standard
+the grid bump, which is built here: its centre is drawn from the run's
+generator over the exact grid map's knots, and its width is p_n's standard
 deviation (qt.second_moment).
 """
 
@@ -241,6 +241,12 @@ def bump_profile(x: np.ndarray, bump_center: float, bump_width: float) -> np.nda
     return out
 
 
+def _bump_center(x: np.ndarray, rng) -> float:
+    """A bump centre drawn uniformly from the middle 60% of the knot range of x."""
+    lo, hi = x[0], x[-1]
+    return float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
+
+
 def calibrate_amplitude(norm_at, target: float, a_cap: float = np.inf, norm_at_zero: float = 0.0,
                         first: float = _FIRST_PROBE) -> tuple[float, float]:
     """Amplitude a in (0, a_cap] at which norm_at(a) equals target, and that norm.
@@ -320,8 +326,8 @@ def perturb_step(
     gamma: float,
     eps: float,
     mode: PerturbMode,
-    *,
-    bump_center: float | None = None, first: float = _FIRST_PROBE,
+    rng: np.random.Generator,
+    *, first: float = _FIRST_PROBE,
 ) -> StepResult:
     """Compose a perturbation onto the exact step's transport so ||xi|| equals eps > 0.
 
@@ -330,9 +336,10 @@ def perturb_step(
     norm at amplitude 0 and a first probe at `first`, and the norm it
     returns is the one measured there, so the calibration target (1e-12
     relative, 1% enforced) is verified by construction.  Dilations are about
-    the mean of the exact next measure, which is not built; a grid bump
-    (mode GRID_BUMP needs bump_center) has the standard deviation of p_n as
-    its width.  An evaluation hands measure_xi the perturbed transport's
+    the mean of the exact next measure, which is not built; a grid bump is
+    centred at one draw from `rng` (_bump_center of the exact map's knots;
+    no other mode draws) and has the standard deviation of p_n as its
+    width.  An evaluation hands measure_xi the perturbed transport's
     arrays, so no map is built (a grid builds the QuantileGrid that
     validates the knot values; a Gaussian runs no eigendecomposition); the
     accepted amplitude gets one transport and its image of p_n.
@@ -344,10 +351,8 @@ def perturb_step(
     center = p_n.image_mean(tr) if mode is PerturbMode.DILATION else None
     bump = None
     if mode is PerturbMode.GRID_BUMP:
-        if bump_center is None:
-            raise ValueError("mode grid_bump needs a bump_center")
         width = math.sqrt(max(qt.second_moment(p_n) - p_n.mean ** 2, 1e-12))
-        bump = bump_profile(tr.x, bump_center, width)
+        bump = bump_profile(tr.x, _bump_center(tr.x, rng), width)
     kind = type(tr)
     perturbed, cap = kind.perturbed_fields(*_fields(tr), mode, center, bump)
     a, norm = calibrate_amplitude(lambda a: measure_xi(p_n, perturbed(a), spec, gamma), eps,

@@ -232,10 +232,7 @@ def run_forward(p0, spec: fn.ObjectiveSpec, gamma: float, schedule: list,
         try:
             result = step(measures[-1], spec, gamma)
             if eps > 0:
-                bump_center = (_bump_center(result.transport.x, rng)
-                               if mode is jko.PerturbMode.GRID_BUMP else None)
-                result = jko.perturb_step(result, spec, gamma, eps, mode,
-                                          bump_center=bump_center, first=first)
+                result = jko.perturb_step(result, spec, gamma, eps, mode, rng, first=first)
                 first = result.amplitude
         except (jko.SolverError, jko.CalibrationError) as exc:
             raise type(exc)(f"forward step {n + 1}: {exc}") from exc
@@ -250,12 +247,6 @@ def run_forward(p0, spec: fn.ObjectiveSpec, gamma: float, schedule: list,
 # Reverse processes
 
 
-def _bump_center(x: np.ndarray, rng) -> float:
-    """A bump centre drawn uniformly from the middle 60% of the knot range of x."""
-    lo, hi = x[0], x[-1]
-    return float(rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-
-
 def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
     """(fields, cap) of S_n = T_n^{-1}, T_n = traj.transports[n - 1], under the reverse policy:
     T_n's type's `perturbed_fields`.
@@ -263,7 +254,7 @@ def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
     The exact inverse stays arrays (`traj.inverse_fields`).  A dilation is about
     the mean of its last array: a grid map's knot values, or an affine map's
     offset, averaged over the coordinates.  A grid bump is centred at a draw
-    from `rng` (_bump_center of the knots) and spans a quarter of the knot
+    from `rng` (jko._bump_center of the knots) and spans a quarter of the knot
     range; nothing else draws.
     """
     s = traj.inverse_fields[n - 1]
@@ -271,7 +262,7 @@ def _reverse_perturbation(traj: Trajectory, n: int, mode: jko.PerturbMode, rng):
     bump = None
     if mode is jko.PerturbMode.GRID_BUMP:
         x = s[0]
-        bump = jko.bump_profile(x, _bump_center(x, rng), 0.25 * (x[-1] - x[0]))
+        bump = jko.bump_profile(x, jko._bump_center(x, rng), 0.25 * (x[-1] - x[0]))
     return type(traj.transports[n - 1]).perturbed_fields(*s, mode, center, bump)
 
 
@@ -399,7 +390,7 @@ def w2_grid_to_atoms(grid: qt.QuantileGrid, p: AtomicMeasure) -> float:
     if p.dim != 1:
         raise ValueError("atomic W2 comparison is 1-D only")
     locs, cum = _atom_breaks(p)
-    u_knots = grid.u
+    u_knots = qt.midpoints(grid.m)
     breaks = np.unique(np.concatenate([[0.0], u_knots, cum[:-1], [1.0]]))
     total = 0.0
     for a, b in zip(breaks[:-1], breaks[1:]):

@@ -65,10 +65,6 @@ class QuantileGrid:
         return self.values.size
 
     @property
-    def u(self) -> np.ndarray:
-        return midpoints(self.m)
-
-    @property
     def mean(self) -> float:
         return float(np.mean(self.values))
 
@@ -400,7 +396,7 @@ def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
              gamma: float) -> tuple[np.ndarray, float]:
     """jko.measure_xi's field at the quantiles q (gaps = diff(q)) of a step from q_n, and its norm.
 
-    lambda (q - c) is `grad_v` bit for bit.
+    lambda (q - c) is V'(q) bit for bit.
     """
     pot = spec.potential
     field = (

@@ -55,6 +55,11 @@ def _potential(pot, x: np.ndarray) -> np.ndarray:
     return 0.5 * np.sum((dx @ pot.lambda_mat) * dx, axis=1)
 
 
+def _potential_grad(pot, x: np.ndarray) -> np.ndarray:
+    """grad V at rows of x: (x - center) lambda_mat^T."""
+    return (np.atleast_2d(x) - pot.center) @ pot.lambda_mat.T
+
+
 def _grid_objective(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float:
     m = q.size
     return float(np.mean(_potential(spec.potential, q[:, None])) + np.mean((q - q_n) ** 2) / (2 * gamma)
@@ -63,7 +68,7 @@ def _grid_objective(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> float
 
 def _grid_objective_grad(q: np.ndarray, q_n: np.ndarray, spec, gamma: float) -> np.ndarray:
     m = q.size
-    g = (spec.potential.grad_v(q[:, None])[:, 0] + (q - q_n) / gamma) / m
+    g = (_potential_grad(spec.potential, q[:, None])[:, 0] + (q - q_n) / gamma) / m
     gaps = np.diff(q)
     a = spec.alpha / m
     g[:-1] += a / gaps
@@ -160,7 +165,7 @@ def brute_jko(p_n, spec, gamma: float, cfg: OracleConfig | None = None):
 
 
 def _sample_quantile(grid: qt.QuantileGrid, u: np.ndarray) -> np.ndarray:
-    return np.interp(u, grid.u, grid.values)
+    return np.interp(u, qt.midpoints(grid.m), grid.values)
 
 
 def empirical_w2_1d(p: qt.QuantileGrid, q: qt.QuantileGrid,
@@ -192,7 +197,7 @@ def assignment_w2(samples1: np.ndarray, samples2: np.ndarray) -> float:
 def quadrature_kl(p: qt.QuantileGrid, spec) -> float:
     """KL against the Gaussian target by dense x-quadrature of rho log(rho/q)."""
     pot = spec.potential
-    dqdu = np.gradient(p.values, p.u)
+    dqdu = np.gradient(p.values, qt.midpoints(p.m))
     dens = 1.0 / dqdu
     xs = np.linspace(p.values[0], p.values[-1], 16 * p.m)
     rho = np.interp(xs, p.values, dens)

@@ -1,6 +1,7 @@
 """Closed-form quantities and reference computations that only the tests use.
 
-The objective's W2 gradient on Gaussians, xi measured at a Gaussian next
+The objective's W2 gradient on Gaussians and an affine field's L2 norm, the
+potential's gradient grad V (no run reads it), xi measured at a Gaussian next
 measure (rather than through the step's transport, as jko.measure_xi
 does), the strong-convexity monotonicity inequality as a BoundReport, a
 transport's inverse built as a map, a perturbed reverse run's maps and
@@ -36,6 +37,11 @@ def potential_v(pot: fn.QuadraticPotential, x: np.ndarray) -> np.ndarray:
     """V at rows of x, shape (n, d) -> (n,): (1/2)(x - center)^T lambda_mat (x - center)."""
     dx = np.atleast_2d(x) - pot.center
     return 0.5 * np.einsum("ij,jk,ik->i", dx, pot.lambda_mat, dx)
+
+
+def grad_v(pot: fn.QuadraticPotential, x: np.ndarray) -> np.ndarray:
+    """grad V at rows of x, shape (n, d) -> (n, d): (x - center) lambda_mat^T."""
+    return (np.atleast_2d(x) - pot.center) @ pot.lambda_mat.T
 
 
 def grid_entropy(p: qt.QuantileGrid) -> float:
@@ -188,6 +194,13 @@ def subgradient_field(g: ga.GaussianMeasure, spec) -> ga.AffineMap:
     return ga.AffineMap(j, c)
 
 
+def field_l2_norm(fld: ga.AffineMap, g: ga.GaussianMeasure) -> float:
+    """L2(g) norm of an affine field; see ga.affine_field_norm."""
+    if fld.offset.size != g.dim:
+        raise ValueError("field and measure dimensions differ")
+    return ga.affine_field_norm(fld.linear, fld.offset, g.mean, g.cov)
+
+
 def gaussian_xi_at(p_n: ga.GaussianMeasure, p_next: ga.GaussianMeasure, spec, gamma: float):
     """xi of the proximal objective at the measure p_next: ((J, c), norm).
 
@@ -217,7 +230,7 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
     """G(pi) - G(rho) >= <eta o T_p^rho, T_p^pi - T_p^rho>_p + (lam/2) W2^2(pi, rho)."""
     lam = spec.lam
     if isinstance(p, qt.QuantileGrid):
-        eta_vals = (spec.potential.grad_v(rho.values[:, None])[:, 0]
+        eta_vals = (grad_v(spec.potential, rho.values[:, None])[:, 0]
                     + spec.alpha * qt.score(rho))
         t_rho = qt.ot_map(p, rho)
         t_pi = qt.ot_map(p, pi)

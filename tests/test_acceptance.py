@@ -292,7 +292,7 @@ class TestAcceptance:
                              + spec.potential.log_z
                              - np.mean(np.log(q.size * np.diff(q))) * (q.size - 1) / q.size)
 
-            eta = spec.potential.grad_v(q0[:, None])[:, 0] + qt.score(p)
+            eta = ref.grad_v(spec.potential, q0[:, None])[:, 0] + qt.score(p)
             inner = float(np.mean(eta * v))
             scale = max(1.0, abs(inner))
             for t in ts:

@@ -11,8 +11,9 @@ BENCHMARK = os.path.join(os.path.dirname(__file__), "..", "BENCHMARK.json")
 FUNCTION_SUFFIXES = ("s", "self_s", "calls")
 
 
-def _traced_functions() -> set:
-    """Every `<layer>.<function>` a per-layer metric of BENCHMARK.json is taken from."""
+def traced_functions() -> set:
+    """Every `<layer>.<function>` a per-layer metric of BENCHMARK.json is taken from (the
+    one parser of those names in the tests)."""
     with open(BENCHMARK) as f:
         names = [m["name"] for m in json.load(f)["per_layer"]]
     return {name.rsplit(".", 1)[0] for name in names
@@ -27,7 +28,7 @@ def _is_public_function(layer: str, func: str) -> bool:
 
 
 def test_per_layer_metrics_name_public_module_functions():
-    traced = _traced_functions()
+    traced = traced_functions()
     assert len(traced) > 20
     missing = {name for name in traced if not _is_public_function(*name.split("."))}
     # gaussian.bw_linear was deleted from src/ (the covariance is factored once);

@@ -1008,6 +1008,51 @@ class TestConfigErrorsAtParse:
         err = capsys.readouterr().err
         assert "given twice" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("alpha", ["0.5", "-3", "2"])
+    def test_alpha_other_than_1_under_kl_is_rejected(self, tmp_path, capsys, alpha):
+        # it ran plain KL under the run id of the same config without alpha
+        text = CHECKED_AT_PARSE + P0_GAUSS + f"objective.alpha = {alpha}\n"
+        with pytest.raises(cli.ConfigError, match="needs the weighted variant"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        # a canonical config writes kl's own alpha
+        canonical = cli.parse_config(CHECKED_AT_PARSE + P0_GAUSS).canonical()
+        assert "objective.alpha = 1.0\n" in canonical
+        assert cli.parse_config(canonical).canonical() == canonical
+
+    def test_grid_size_in_a_gaussian_config_is_rejected(self, tmp_path, capsys):
+        # it was ignored under the run id of the same config without it, so a sweep over
+        # family.m on a gaussian template ran "1 runs"
+        unknown = "unrecognized keys: ['family.m']"
+        with pytest.raises(cli.ConfigError, match=re.escape(unknown)):
+            cli.parse_config(BASE_GAUSS + "family.m = 64\n")
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "family.m=64,128"],
+                   tmp_path) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.count(unknown) == 2
+        assert "sweep: 2 runs, 0 fully passing" in captured.out
+        assert os.listdir(tmp_path / "runs") == []
+
+    def test_a_check_named_twice_is_rejected(self, tmp_path, capsys):
+        # it ran twice: "6/6 bounds hold" for `checks = evi evi` on a 3-step run
+        text = BASE_GAUSS + "checks = evi evi\n"
+        with pytest.raises(cli.ConfigError, match="check 'evi' named twice"):
+            cli.parse_config(text)
+        assert run(["forward", "--config", write(tmp_path, "twice.txt", text)],
+                   tmp_path) == cli.EXIT_CONFIG
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        capsys.readouterr()
+        assert run(["certify", "--config", cfgp, "--checks", "evi,kl_tv,evi"],
+                   tmp_path) == cli.EXIT_CONFIG
+        assert "check 'evi' named twice" in capsys.readouterr().err
+        rid = cli.parse_config(BASE_GAUSS).run_id()
+        assert not (tmp_path / "runs" / f"{rid}_report.csv").exists()
+
     @pytest.mark.parametrize("argv", [
         ["sweep", "--axis", "seed=-1,2"],
     ], ids=["sweep_axis"])

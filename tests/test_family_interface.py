@@ -11,10 +11,10 @@ trace that function, since the tracer patches module attributes.
 """
 
 import ast
-import json
 import os
 
 import pytest
+from test_benchmark_layers import traced_functions
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SRC = os.path.join(ROOT, "src", "jkolab")
@@ -74,14 +74,6 @@ def test_the_guard_sees_family_tables():
     assert family_keyed_dict_lines(source) == [1]
 
 
-def traced_functions(layer: str) -> set:
-    """The functions of `layer` whose spans BENCHMARK.json's per-layer metrics read."""
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        names = [m["name"] for m in json.load(f)["per_layer"]]
-    return {name.split(".")[1] for name in names
-            if name.count(".") == 2 and name.split(".")[0] == layer}
-
-
 def forwarding_methods(source: str) -> dict:
     """Class.method -> f of each method whose body, past a docstring, is `return f(self, ...)`
     with f a public module-level function of `source`."""
@@ -105,7 +97,7 @@ def forwarding_methods(source: str) -> dict:
 def test_methods_forward_only_to_traced_functions(module):
     with open(os.path.join(SRC, f"{module}.py")) as f:
         forwarded = forwarding_methods(f.read())
-    assert set(forwarded.values()) <= traced_functions(module)
+    assert {f"{module}.{f}" for f in forwarded.values()} <= traced_functions()
 
 
 def test_the_guard_sees_forwarding_methods():
@@ -118,5 +110,5 @@ def test_the_guard_sees_forwarding_methods():
               "    def reversed(self, other):\n        return kl_between(other, self)\n\n"
               "    def longer(self, other):\n        x = 1\n        return kl_between(self, x)\n")
     assert forwarding_methods(source) == {"G.kl": "kl_between"}
-    assert traced_functions("gaussian") >= {"w2_bw", "spd_sqrt"}
-    assert "kl_between" not in traced_functions("gaussian")
+    assert traced_functions() >= {"gaussian.w2_bw", "gaussian.spd_sqrt"}
+    assert "gaussian.kl_between" not in traced_functions()

@@ -15,13 +15,6 @@ def spec_for(lam_mat, center=None, variant=fn.Variant.KL, alpha=1.0):
     return fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
 
 
-def field_l2_norm(fld: ga.AffineMap, g: ga.GaussianMeasure) -> float:
-    """L2(g) norm of an affine field; see ga.affine_field_norm."""
-    if fld.dim != g.dim:
-        raise ValueError("field and measure dimensions differ")
-    return ga.affine_field_norm(fld.linear, fld.offset, g.mean, g.cov)
-
-
 class TestQuadraticPotential:
     def test_log_z_standard_normal(self):
         pot = fn.QuadraticPotential(np.eye(1), np.zeros(1))
@@ -41,7 +34,7 @@ class TestQuadraticPotential:
             dx = np.zeros(3)
             dx[j] = h
             fd = (ref.potential_v(pot, x + dx) - ref.potential_v(pot, x - dx)) / (2 * h)
-            assert np.allclose(fd, pot.grad_v(x)[:, j], atol=1e-6)
+            assert np.allclose(fd, ref.grad_v(pot, x)[:, j], atol=1e-6)
 
 
 class TestLambda:
@@ -85,9 +78,14 @@ class TestEvaluate:
         assert abs(fn.evaluate(spec, g) - fn.evaluate(spec, grid)) <= 3e-3
 
     def test_variant_forces_alpha(self):
+        # kl is alpha = 1: another alpha is rejected, not replaced by 1 (a config with
+        # objective.alpha = 0.5 under kl ran plain KL)
         pot = fn.QuadraticPotential(np.eye(1), np.zeros(1))
-        assert fn.ObjectiveSpec(pot, fn.Variant.KL, alpha=7.0).alpha == 1.0
-        assert fn.ObjectiveSpec(pot, fn.Variant.KL, alpha=0.0).alpha == 1.0
+        assert fn.ObjectiveSpec(pot, fn.Variant.KL).alpha == 1.0
+        assert fn.ObjectiveSpec(pot, fn.Variant.KL, alpha=1.0).alpha == 1.0
+        for alpha in (7.0, 0.5, 1.0 + 1e-15, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="needs the weighted variant"):
+                fn.ObjectiveSpec(pot, fn.Variant.KL, alpha)
         for alpha in (0.0, -1.0, float("nan")):
             with pytest.raises(ValueError, match="alpha must be positive"):
                 fn.ObjectiveSpec(pot, fn.Variant.WEIGHTED, alpha)
@@ -104,7 +102,7 @@ class TestGlobalMinimizer:
         g = ga.GaussianMeasure.minimizer(spec)
         assert np.allclose(g.cov, 2 * np.eye(2))
         fld = ref.subgradient_field(g, spec)
-        assert field_l2_norm(fld, g) <= 1e-12
+        assert ref.field_l2_norm(fld, g) <= 1e-12
 
     def test_stationarity_of_minimizer(self):
         rng = np.random.default_rng(4)
@@ -112,7 +110,7 @@ class TestGlobalMinimizer:
             a = rng.standard_normal((2, 2))
             spec = spec_for(a @ a.T + 0.2 * np.eye(2), rng.uniform(-1, 1, 2))
             g = ga.GaussianMeasure.minimizer(spec)
-            assert field_l2_norm(ref.subgradient_field(g, spec), g) <= 1e-12
+            assert ref.field_l2_norm(ref.subgradient_field(g, spec), g) <= 1e-12
 
     def test_minimum_value(self):
         # G at the minimizer: 0 for the KL variant

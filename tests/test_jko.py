@@ -37,12 +37,6 @@ def proximal_objective(p_n, measure, spec, gamma):
     return fn.evaluate(spec, measure) + ga.w2_bw(p_n, measure) ** 2 / (2.0 * gamma)
 
 
-def run_bump_center(res, seed=0):
-    """The bump centre run_forward draws for this step from default_rng(seed)."""
-    lo, hi = res.transport.x[0], res.transport.x[-1]
-    return float(np.random.default_rng(seed).uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo)))
-
-
 def closed_form_next_variance(s_n, gamma, lam=1.0, alpha=1.0):
     # stationarity for the 1-D step: lam + (1 - sqrt(s_n/s))/gamma = alpha/s
     from scipy.optimize import brentq
@@ -341,14 +335,16 @@ class TestPerturbStep:
         p = ga.GaussianMeasure(np.array([1.0]), np.eye(1))
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
         with pytest.raises(ValueError, match="eps must be positive"):
-            jko.perturb_step(res, kl_spec(), 1.0, 0.0, jko.PerturbMode.MEAN_SHIFT)
+            jko.perturb_step(res, kl_spec(), 1.0, 0.0, jko.PerturbMode.MEAN_SHIFT,
+                             np.random.default_rng(0))
 
     def test_mean_shift_amplitude(self):
         # xi of the a-shifted step is (1 + 1/gamma) a, so eps=0.1, gamma=1 -> a=0.05
         spec = kl_spec()
         p = ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]]))
         res = jko.jko_step_gaussian(p, spec, 1.0)
-        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT,
+                                np.random.default_rng(0))
         assert pert.xi_norm == pytest.approx(0.1, rel=1e-6)
         shift = pert.next_measure.mean[0] - res.next_measure.mean[0]
         assert shift == pytest.approx(0.05, abs=1e-6)
@@ -357,7 +353,8 @@ class TestPerturbStep:
         spec = kl_spec()
         p = ga.GaussianMeasure(np.array([1.0]), np.array([[2.0]]))
         res = jko.jko_step_gaussian(p, spec, 1.0)
-        pert = jko.perturb_step(res, spec, 1.0, 0.05, jko.PerturbMode.DILATION)
+        pert = jko.perturb_step(res, spec, 1.0, 0.05, jko.PerturbMode.DILATION,
+                                np.random.default_rng(0))
         assert pert.xi_norm == pytest.approx(0.05, rel=0.01)
         # dilation about the mean leaves the mean fixed
         assert pert.next_measure.mean[0] == pytest.approx(res.next_measure.mean[0],
@@ -368,7 +365,7 @@ class TestPerturbStep:
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
         pert = jko.perturb_step(res, spec, 1.0, 0.05, jko.PerturbMode.GRID_BUMP,
-                                bump_center=run_bump_center(res))
+                                np.random.default_rng(0))
         assert pert.xi_norm == pytest.approx(0.05, rel=0.01)
         slopes = np.diff(pert.transport.y) / np.diff(pert.transport.x)
         assert np.min(slopes) >= 1e-3 - 1e-12
@@ -377,7 +374,8 @@ class TestPerturbStep:
         spec = kl_spec()
         p = qt.from_gaussian(0.5, 1.0, 128)
         res = jko.jko_step_grid(p, spec, 0.7)
-        pert = jko.perturb_step(res, spec, 0.7, 0.2, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 0.7, 0.2, jko.PerturbMode.MEAN_SHIFT,
+                                np.random.default_rng(0))
         assert pert.xi_norm == pytest.approx(0.2, rel=0.01)
 
     def test_unreachable_eps_raises(self):
@@ -386,13 +384,14 @@ class TestPerturbStep:
         res = jko.jko_step_grid(p, spec, 1.0)
         with pytest.raises(jko.CalibrationError):
             jko.perturb_step(res, spec, 1.0, 1e4, jko.PerturbMode.GRID_BUMP,
-                             bump_center=run_bump_center(res))
+                             np.random.default_rng(0))
 
     def test_negative_eps_rejected(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
         res = jko.jko_step_gaussian(p, kl_spec(), 1.0)
         with pytest.raises(ValueError):
-            jko.perturb_step(res, kl_spec(), 1.0, -0.1, jko.PerturbMode.MEAN_SHIFT)
+            jko.perturb_step(res, kl_spec(), 1.0, -0.1, jko.PerturbMode.MEAN_SHIFT,
+                             np.random.default_rng(0))
 
     def test_grid_bump_rejected_for_gaussian(self):
         p = ga.GaussianMeasure(np.zeros(1), np.eye(1))
@@ -401,12 +400,6 @@ class TestPerturbStep:
         with pytest.raises(ValueError, match="1-D only"):
             ga.AffineMap.perturbed_fields(tr.linear, tr.offset, jko.PerturbMode.GRID_BUMP,
                                           None, None)
-
-    def test_grid_bump_needs_a_bump_center(self):
-        p = qt.from_gaussian(0, 1, 64)
-        res = jko.jko_step_grid(p, kl_spec(), 1.0)
-        with pytest.raises(ValueError, match="needs a bump_center"):
-            jko.perturb_step(res, kl_spec(), 1.0, 0.1, jko.PerturbMode.GRID_BUMP)
 
 
 GAUSS_MODES = [jko.PerturbMode.MEAN_SHIFT, jko.PerturbMode.DILATION]
@@ -465,7 +458,7 @@ class TestGaussianTransportPath:
     @pytest.mark.parametrize("mode", GAUSS_MODES, ids=lambda m: m.value)
     def test_perturbed_linear_part_stays_exactly_symmetric(self, mode):
         spec, p, exact = self.problem(10, 8)
-        pert = jko.perturb_step(exact, spec, 0.8, 0.05, mode)
+        pert = jko.perturb_step(exact, spec, 0.8, 0.05, mode, np.random.default_rng(0))
         assert np.array_equal(pert.transport.linear, pert.transport.linear.T)
         assert pert.xi_norm == pytest.approx(0.05, rel=1e-12)
 
@@ -485,7 +478,7 @@ class TestGaussianTransportPath:
 
         monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
         monkeypatch.setattr(jko, "measure_xi", counting_measure)
-        jko.perturb_step(exact, spec, 0.8, 0.05, mode)
+        jko.perturb_step(exact, spec, 0.8, 0.05, mode, np.random.default_rng(0))
         assert counts["measure_xi"] >= 2
         # the accepted transport only: evaluations pass and return arrays
         assert counts["AffineMap"] == 1
@@ -502,7 +495,7 @@ class TestGridArrayPaths:
         spec = kl_spec()
         p = qt.from_gaussian(1.0, 1.5, 256)
         res = jko.jko_step_grid(p, spec, 1.0)
-        pert = jko.perturb_step(res, spec, 1.0, 0.05, mode, bump_center=run_bump_center(res))
+        pert = jko.perturb_step(res, spec, 1.0, 0.05, mode, np.random.default_rng(0))
         t = pert.transport
         assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)
         assert np.array_equal(pert.next_measure.values,
@@ -540,7 +533,7 @@ class TestGridArrayPaths:
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
         pert = jko.perturb_step(jko.jko_step_grid(p, spec, 1.0), spec, 1.0, 0.05,
-                                jko.PerturbMode.GRID_BUMP, bump_center=run_bump_center(res))
+                                jko.PerturbMode.GRID_BUMP, np.random.default_rng(0))
         assert counts["measure_xi"] >= 3
         assert counts["MonotoneMap1D"] == 2 and counts["bump_profile"] == 1
         # each evaluation validates its knot values; the exact next grid is never built
@@ -623,7 +616,8 @@ class TestCalibrateAmplitude:
             return measure(*args)
 
         monkeypatch.setattr(jko, "measure_xi", counting)
-        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT)
+        pert = jko.perturb_step(res, spec, 1.0, 0.1, jko.PerturbMode.MEAN_SHIFT,
+                                np.random.default_rng(0))
         assert len(calls) <= 3
         assert abs(pert.xi_norm - 0.1) <= 1e-12 * 0.1
 
@@ -703,7 +697,8 @@ class TestDecompositionCount:
         assert counts["cholesky"] == 1
         counts.update(dict.fromkeys(counts, 0))
         monkeypatch.setattr(jko, "measure_xi", counting("measure_xi", jko.measure_xi))
-        pert = jko.perturb_step(exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION)
+        pert = jko.perturb_step(exact, spec, 1.0, 0.1, jko.PerturbMode.DILATION,
+                                np.random.default_rng(0))
         assert counts["measure_xi"] >= 2
         # evaluations go through the transport, one solve each; the accepted
         # measure is not built yet

@@ -115,7 +115,7 @@ class TestFdDirectional:
         p = qt.from_gaussian(0.3, 1.1, 1024)
         v = np.cumsum(rng.uniform(0.1, 1, 1024))
         v = v / np.max(np.abs(v))
-        eta = spec.potential.grad_v(p.values[:, None])[:, 0] + qt.score(p)
+        eta = ref.grad_v(spec.potential, p.values[:, None])[:, 0] + qt.score(p)
         fd = orc.fd_directional(spec, p, v, 1e-6)
         assert fd == pytest.approx(float(np.mean(eta * v)), abs=2e-3)
 

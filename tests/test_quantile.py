@@ -54,7 +54,7 @@ class TestQuantileGrid:
 
     def test_u_midpoints(self):
         g = gaussian_grid(m=8)
-        assert np.allclose(g.u, (np.arange(8) + 0.5) / 8)
+        assert np.allclose(qt.midpoints(g.m), (np.arange(8) + 0.5) / 8)
 
 
 def _with(index, value, m=16):
@@ -318,7 +318,7 @@ class TestObjectives:
     def test_one_pass_is_the_plain_spelling_bit_for_bit(self, measures, lam, center, variant,
                                                         alpha):
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(np.array([[lam]]), np.array([center])),
-                                variant, alpha)
+                                variant, alpha if variant is fn.Variant.WEIGHTED else 1.0)
         assert qt.QuantileGrid.objectives(spec, measures) == [
             ref.grid_objective(spec, g) for g in measures]
 
