@@ -4,7 +4,8 @@ A helper that only the tests call belongs in the tests (tests/reference.py
 or tests/oracles.py), not in the package.  A reference is a name or an
 attribute access anywhere in src/jkolab; a definition's own body does not
 count, and neither does a string (an `__all__` entry).  Dunder methods are
-called by the language, so they are not checked.
+called by the language, so they are not checked.  tests/test_traffic_gate.py
+is the stricter gate: it also lists what src/ names but no CLI run enters.
 """
 
 import ast
@@ -20,8 +21,6 @@ EXEMPT = {
     "cli._Parser.error": "argparse's override point: argparse calls it",
     "certify.check_smoothing": "ROADMAP item 7 adds it to the atomic configs' checks",
     "process.w2_grid_to_atoms": "ROADMAP item 7 measures the data-to-sample lhs with it",
-    "functionals.QuadraticPotential.grad_v":
-        "ROADMAP item 8 reads V' on the grid; item 10 moves it to the tests otherwise",
 }
 
 
