@@ -11,12 +11,12 @@ manifest an archive holds value by value (one column per key path); when
 the two manifests' keys differ, the keys found on one side only are named
 and the shared keys are still compared.  For every file kind and column the
 worst absolute and relative difference is printed.  Exit status 1 when a CSV
-or archive is missing on either side, the headers or row counts differ, the
-array names or shapes differ, the manifests' keys or a shared key's nested
-keys or list lengths differ, a `holds` value or a text cell differs, a
-number differs and one side is not finite, or a number differs by more than
-RTOL (relative to the larger magnitude) and also by more than ATOL; 0
-otherwise.
+or archive is missing on either side, a CSV's columns differ (the columns
+found on one side only are named) or its row counts differ, the array names
+or shapes differ, the manifests' keys or a shared key's nested keys or list
+lengths differ, a `holds` value or a text cell differs, a number differs and
+one side is not finite, or a number differs by more than RTOL (relative to
+the larger magnitude) and also by more than ATOL; 0 otherwise.
 """
 
 import argparse
@@ -164,8 +164,15 @@ class Comparison:
 
     def files(self, name: str, old_path: str, new_path: str):
         old, new = _read(old_path), _read(new_path)
-        if not old or not new or old[0] != new[0] or len(old) != len(new):
-            self.failures.append(f"{name}: header or row count differs")
+        old_head, new_head = (old or [[]])[0], (new or [[]])[0]
+        if old_head != new_head:
+            self.failures.append(
+                f"{name}: columns differ: only in the old file "
+                f"{[c for c in old_head if c not in new_head]}, only in the new "
+                f"{[c for c in new_head if c not in old_head]}")
+            return
+        if len(old) != len(new):
+            self.failures.append(f"{name}: row count differs: {len(old) - 1} != {len(new) - 1}")
             return
         kind = _kind(name)
         for i, (ro, rn) in enumerate(zip(old[1:], new[1:]), start=2):

@@ -167,7 +167,7 @@ class RunConfig:
         smoothed)."""
         if self.family == "grid":
             return qt.QuantileGrid(qt.midpoints(self.m)).minimizer(self.spec)
-        return ga.GaussianMeasure.minimizer(self.spec)
+        return self.spec.gaussian_minimizer
 
     def resolve_n(self) -> int:
         if self.n_steps != "auto":
@@ -244,8 +244,7 @@ def parse_config(text: str) -> RunConfig:
         if family == "grid" and m < qt.MIN_GRID_SIZE:
             raise ConfigError(f"family.m must be >= {qt.MIN_GRID_SIZE}")
         if family == "grid":  # its grid is built on load; N(center, alpha/lambda) must exist
-            _built("the minimizer N(center, alpha lambda_mat^-1)", ga.GaussianMeasure.minimizer,
-                   spec)
+            _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: spec.gaussian_minimizer)
 
         p0_mean = p0_cov = p0_atoms = None
         p0_delta = 0.0
@@ -404,22 +403,22 @@ def do_certify(cfg: RunConfig, rid: str, out: str, checks=None) -> int:
     """Run `checks` (default: the config's) on the stored run data and write the report.
 
     The exact reverse chain is derived from the trajectory; the perturbed
-    reverse run is loaded only for the inversion check, which at eps_inv = 0
-    has no perturbed run to bound and reports nothing.
+    reverse run is loaded only for the inversion check, and at eps_inv = 0
+    there is none: that check's rows are marked not applicable.
     """
     checks = checks or cfg.checks
-    if cfg.eps_inv == 0:
-        checks = [c for c in checks if c != "inversion"]
     traj = _load_trajectory(cfg, rid, out)
-    pert_rev = _load_reverse(cfg, rid, out, traj) if "inversion" in checks else None
-    reports = [r for name in checks for r in CHECKS[name](traj, pert_rev, cfg)]
+    pert = _load_reverse(cfg, rid, out, traj) if cfg.eps_inv and "inversion" in checks else None
+    reports = [r for name in checks for r in CHECKS[name](traj, pert, cfg)]
     with open(_path(out, rid, "report.csv"), "w") as f:
         f.write(ct.report_lines(reports))
     failed = [r for r in reports if not r.holds]
     for r in failed:
         print(f"FAILED {r.name}: lhs={r.lhs:.6g} rhs={r.rhs:.6g} "
               f"slack={r.slack:.6g}", file=sys.stderr)
-    print(f"{rid}: {len(reports) - len(failed)}/{len(reports)} bounds hold")
+    applies = [r for r in reports if not r.not_applicable]
+    print(f"{rid}: {len(applies) - len(failed)}/{len(applies)} bounds hold, "
+          f"{len(reports) - len(applies)} not applicable")
     return EXIT_BOUND_FAILED if failed else EXIT_OK
 
 
@@ -523,8 +522,8 @@ def cmd_report(args) -> int:
     if not rids:
         print("no report files found", file=sys.stderr)
         return EXIT_MISSING_DATA
-    lines = ["run_id,name,holds,lhs,rhs,slack,tol,context"]
-    n_fail = 0
+    lines = ["run_id,name,holds,lhs,rhs,slack,tol,context,not_applicable"]
+    n_fail = n_na = 0
     for rid in rids:
         path = _path(out, rid, "report.csv")
         if not os.path.exists(path):
@@ -534,12 +533,14 @@ def cmd_report(args) -> int:
             rows = f.read().strip().splitlines()[1:]
         for row in rows:
             lines.append(f"{rid},{row}")
-            if row.split(",")[1] == "0":
-                n_fail += 1
+            cells = row.split(",") + [""]  # a report without the not_applicable column
+            n_fail += cells[1] == "0"
+            n_na += cells[7] != ""
     summary = "\n".join(lines) + "\n"
     with open(os.path.join(out, "report_summary.csv"), "w") as f:
         f.write(summary)
-    print(f"{len(rids)} runs, {len(lines) - 1} bound reports, {n_fail} failing")
+    print(f"{len(rids)} runs, {len(lines) - 1} bound reports, {n_fail} failing, "
+          f"{n_na} not applicable")
     return EXIT_OK
 
 

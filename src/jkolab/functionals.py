@@ -21,6 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import gaussian as ga
+
 __all__ = [
     "Variant",
     "QuadraticPotential",
@@ -92,6 +94,9 @@ class ObjectiveSpec:
     @property
     def dim(self) -> int:
         return self.potential.dim
+
+    # N(center, alpha Lambda^-1), the minimizer of G over all measures, built once per spec
+    gaussian_minimizer = cached_property(lambda self: ga.GaussianMeasure.minimizer(self))
 
 
 def evaluate(spec: ObjectiveSpec, measure) -> float:

@@ -64,11 +64,13 @@ class TestBoundReport:
             ct.BoundReport("x", math.nan, 1.0)
 
     def test_report_lines_format(self):
-        out = ct.report_lines([ct.BoundReport("a", 1.0, 2.0, 0.0, {"n": 3})])
+        out = ct.report_lines([ct.BoundReport("a", 1.0, 2.0, 0.0, {"n": 3}),
+                               ct.BoundReport("b", 3.0, 2.0, 0.0, {}, "why not")])
         lines = out.strip().split("\n")
-        assert lines[0] == "name,holds,lhs,rhs,slack,tol,context"
+        assert lines[0] == "name,holds,lhs,rhs,slack,tol,context,not_applicable"
         cells = lines[1].split(",")
-        assert cells[0] == "a" and cells[1] == "1" and cells[6] == "n=3"
+        assert cells[0] == "a" and cells[1] == "1" and cells[6] == "n=3" and cells[7] == ""
+        assert lines[2].split(",")[1::6] == ["1", "why not"]  # lhs > rhs, but it never fails
 
 
 class TestMonotonicity:
@@ -136,7 +138,11 @@ class TestForwardRate:
     def test_exact_chain(self):
         traj = gauss_traj(6)
         reports = ct.check_forward_rate(traj)
-        assert len(reports) == 6  # no terminal reports when eps = 0
+        # eps = 0: the terminal threshold is +inf, so each terminal bound is one row
+        # that does not apply
+        assert [r.name for r in reports if r.not_applicable] == [
+            "forward_terminal_w2", "forward_terminal_gap"]
+        assert len(reports) == 8
         assert all(r.holds for r in reports)
 
     def test_perturbed_chain_has_terminal_reports(self):
@@ -165,19 +171,24 @@ class TestForwardRate:
 
 
 class TestKlTv:
-    def test_zero_eps_short_chain_fails_honestly(self):
-        # with eps = 0 both right sides are 0, but a finite chain has not
-        # converged yet, so KL(p0 || q0) > 0 and the check must report that
+    def test_zero_eps_short_chain_does_not_apply(self):
+        # with eps = 0 both right sides are 0, but a finite chain has not converged, so
+        # KL(p0 || q0) > 0: the terminal guarantee needs N >= threshold, +inf at eps = 0.
+        # The rows keep their numbers, marked not applicable
         traj = gauss_traj(4)
         reports = ct.check_kl_tv_guarantee(traj)
-        assert not reports[0].holds
-        assert reports[0].lhs > 1e-4 and reports[0].rhs < 1e-12
+        assert [r.not_applicable for r in reports] == ["step below threshold"] * 2
+        assert all(r.holds for r in reports)
+        assert reports[0].lhs > 1e-4 and reports[0].rhs < 1e-12 and reports[0].slack < 0
 
     def test_holds_after_enough_calibrated_steps(self):
         eps = 0.1
         n = pr.steps_needed(math.sqrt(5), 1.0, 1.0, eps)
         traj = gauss_traj(n, eps=eps)
-        assert all(r.holds for r in ct.check_kl_tv_guarantee(traj))
+        assert all(r.holds and not r.not_applicable for r in ct.check_kl_tv_guarantee(traj))
+        # one step short of the threshold the guarantee does not apply yet
+        assert [r.not_applicable for r in ct.check_kl_tv_guarantee(gauss_traj(n - 1, eps=eps))] \
+            == ["step below threshold"] * 2
 
     def test_perturbed_chain(self):
         traj = gauss_traj(6, eps=0.1)
@@ -205,8 +216,8 @@ class TestInversion:
         coupling, mixed = reports
         assert coupling.context["prop_form"] == "k_zero_limit"
         assert coupling.rhs == pytest.approx(6e-3)
-        assert coupling.holds
-        assert mixed.rhs == math.inf and mixed.holds
+        assert coupling.holds and not coupling.not_applicable
+        assert mixed.rhs == math.inf and mixed.holds and mixed.not_applicable == "K or eps is 0"
 
     def test_positive_k(self):
         traj = gauss_traj(5, eps=0.01, lam=2.0)  # K = log 2 fixture
@@ -218,7 +229,7 @@ class TestInversion:
         assert coupling.rhs == pytest.approx(1e-4 / k * math.exp(k * 6), rel=1e-5)
         assert coupling.holds
         assert math.isfinite(mixed.rhs) and mixed.holds
-        assert "mixed_form" not in mixed.context
+        assert not mixed.not_applicable
 
     def test_mixed_bound_not_applicable_beyond_its_step_count(self):
         # the mixed bound replaces N by 1 + (8/(gamma lam)) log(W2(p0, pi) lam / eps),
@@ -228,7 +239,7 @@ class TestInversion:
         coupling, mixed = ct.check_inversion_bound(traj, pert, 1e-4)
         assert coupling.holds and math.isfinite(coupling.rhs)
         assert mixed.rhs == math.inf and mixed.holds
-        assert mixed.context["mixed_form"] == "not_applicable"
+        assert mixed.not_applicable == "N above 1 + threshold"
 
     def test_mixed_bound_not_applicable_to_an_exact_run(self):
         # every step exact: the xi norms are roundoff, which the mixed form would take as
@@ -240,10 +251,10 @@ class TestInversion:
         assert 0 < max(traj.xi_norms) < 1e-14
         as_if_perturbed = ct.check_inversion_bound(traj, pert, 1e-3)
         coupling, mixed = ct.check_inversion_bound(traj, pert, 1e-3, exact=True)
-        assert as_if_perturbed[1].rhs > 1e50 and "mixed_form" not in as_if_perturbed[1].context
+        assert as_if_perturbed[1].rhs > 1e50 and not as_if_perturbed[1].not_applicable
         assert (coupling.lhs, coupling.rhs) == (as_if_perturbed[0].lhs, as_if_perturbed[0].rhs)
         assert mixed.rhs == math.inf and mixed.holds
-        assert mixed.context["mixed_form"] == "not_applicable"
+        assert mixed.not_applicable == "exact run"
 
 
 class TestDpi:

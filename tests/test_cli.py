@@ -303,9 +303,9 @@ class TestPipeline:
             # the chain pushed from p0 on load and the exact chain one Cholesky each, one
             # stacked inverse, a Cholesky per perturbed push
             "reverse": dict(eigh=2, eigvalsh=1, cholesky=9, solve=0, inv=2, svd=0, norm=0),
-            # at N = 5 forward_rate has no terminal gap row, so G of the continuous pi (a
-            # third pi and its objective's Cholesky) is not evaluated
-            "certify": dict(eigh=4, eigvalsh=2, cholesky=11, solve=3, inv=2, svd=0, norm=0),
+            # at N = 5 forward_rate's terminal gap row does not apply, but it reports the
+            # gap: G of the continuous pi is one Cholesky (pi itself is the parsed one)
+            "certify": dict(eigh=4, eigvalsh=2, cholesky=12, solve=3, inv=2, svd=0, norm=0),
         }
         for sub, want in expected.items():
             counts.update(dict.fromkeys(names, 0))
@@ -314,16 +314,19 @@ class TestPipeline:
 
     @pytest.mark.parametrize("n, some", [("auto", False), ("60", True)])
     def test_terminal_gap_rows_need_an_explicit_n(self, tmp_path, n, some):
-        # a gap row for step n needs n >= threshold and n + 1 <= N; n = auto runs
-        # N = ceil(threshold) steps, so no n meets both
+        # a gap row for step n applies when n >= threshold and n + 1 <= N; n = auto runs
+        # N = ceil(threshold) steps, so no n meets both: its one gap row does not apply
         text = STANDARD_GAUSS.replace("n = auto", f"n = {n}")
         cfgp = write(tmp_path, "c.txt", text)
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
         report = (tmp_path / "runs" / f"{cli.parse_config(text).run_id()}_report.csv").read_text()
-        names = [row.split(",")[0] for row in report.splitlines()[1:]]
-        assert "forward_terminal_w2" in names
-        assert (names.count("forward_terminal_gap") > 0) == some
+        rows = [row.split(",") for row in report.splitlines()[1:]]
+        applies = [r[0] for r in rows if not r[7]]
+        assert "forward_terminal_w2" in applies
+        assert (applies.count("forward_terminal_gap") > 0) == some
+        gaps = [r for r in rows if r[0] == "forward_terminal_gap"]
+        assert some or [(r[1], r[7]) for r in gaps] == [("1", "step below threshold")]
 
     @pytest.mark.parametrize("base", [BASE_GAUSS, BASE_GRID], ids=["gaussian", "grid"])
     def test_archives_hold_no_config_key(self, tmp_path, base):
@@ -469,17 +472,21 @@ class TestSweepAndReport:
 
     def test_a_sweep_parses_its_template_once(self, tmp_path, monkeypatch):
         # pi is built once for the template and once per combo (it was built again for
-        # the template in every combo: 9 builds for these 4 combos)
-        cfgp = write(tmp_path, "c.txt", STANDARD_GAUSS)
+        # the template in every combo: 9 builds for these 4 combos).  At n = 2, far below
+        # the step threshold, the reverse rows do not apply (they used to fail every combo)
         calls = []
         gaussian = ga.GaussianMeasure.minimizer
         monkeypatch.setattr(ga.GaussianMeasure, "minimizer",
                             staticmethod(lambda spec: calls.append(spec) or gaussian(spec)))
-        argv = ["sweep", "--config", cfgp, "--axis", "gamma=0.5,1.0", "--axis", "eps=0.05,0.1"]
-        assert run(argv, tmp_path) == 0
-        assert len(calls) == 5
+        for n in ("auto", "2"):
+            cfgp = write(tmp_path, f"{n}.txt", STANDARD_GAUSS.replace("n = auto", f"n = {n}"))
+            calls.clear()
+            argv = ["sweep", "--config", cfgp, "--axis", "gamma=0.5,1.0", "--axis",
+                    "eps=0.05,0.1"]
+            assert run(argv, tmp_path) == 0, n
+            assert len(calls) == 5
         reports = [f for f in os.listdir(tmp_path / "runs") if f.endswith("_report.csv")]
-        assert len(reports) == 4
+        assert len(reports) == 8
 
     def test_every_sweep_key_is_a_config_key(self):
         samples = {"gamma": "0.5", "eps": "0.2", "eps_inv": "0.01", "seed": "4",
@@ -495,15 +502,21 @@ class TestSweepAndReport:
         assert "not sweepable" in capsys.readouterr().err
         assert os.listdir(tmp_path / "runs") == []
 
-    def test_report_aggregates(self, tmp_path):
+    def test_report_aggregates(self, tmp_path, capsys):
         cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
         run(["sweep", "--config", cfgp, "--axis", "gamma=0.5,1.0"], tmp_path)
         assert run(["report"], tmp_path) == 0
         summary = (tmp_path / "runs" / "report_summary.csv").read_text()
         lines = summary.strip().split("\n")
-        assert lines[0] == "run_id,name,holds,lhs,rhs,slack,tol,context"
+        assert lines[0] == "run_id,name,holds,lhs,rhs,slack,tol,context,not_applicable"
         assert len(lines) > 2
         assert all(row.split(",")[2] == "1" for row in lines[1:])
+        # N = 5 is below the step threshold (~24.9): per run, the two reverse rows and one
+        # row of each terminal bound do not apply
+        n_na = sum(1 for row in lines[1:] if row.split(",")[-1])
+        assert n_na == 8
+        assert capsys.readouterr().out.endswith(
+            f"2 runs, {len(lines) - 1} bound reports, 0 failing, 8 not applicable\n")
 
     def test_report_empty_dir(self, tmp_path):
         assert run(["report"], tmp_path) == cli.EXIT_MISSING_DATA
@@ -640,9 +653,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("checks", ["", "checks = all\n",
                                         "checks = inversion dpi_chain kl_tv forward_rate evi\n"],
                              ids=["default", "all", "every_check"])
-    def test_every_check_at_eps_inv_0_runs_without_inversion(self, tmp_path, checks):
+    def test_every_check_at_eps_inv_0_marks_inversion_not_applicable(self, tmp_path, checks):
         # `all`, and a list of every check (the canonical config spells `all` that way),
-        # drop the inversion check at eps_inv = 0 and run the rest
+        # run every check at eps_inv = 0; with no perturbed run, both inversion rows are
+        # marked not applicable (the check used to be dropped without a row)
         text = BASE_GAUSS.replace("eps_inv = 0.001", "eps_inv = 0") + checks
         cfgp = write(tmp_path, "c.txt", text)
         rid = cli.parse_config(text).run_id()
@@ -652,9 +666,17 @@ class TestExitCodes:
         for argv in (["--config", cfgp], ["--config", canonical],
                      ["--config", cfgp, "--checks", every]):
             assert run(["certify", *argv], tmp_path) == 0
-            rows = (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]
-            names = {row.split(",")[0] for row in rows}
-            assert "evi" in names and not any(n.startswith("inversion") for n in names)
+            rows = [row.split(",") for row in
+                    (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]]
+            inversion = [(r[0], r[1], float(r[2]), float(r[3]), r[7]) for r in rows
+                         if r[0].startswith("inversion")]
+            assert "evi" in {r[0] for r in rows}
+            assert inversion == [(name, "1", 0.0, 0.0, "no perturbed run")
+                                 for name in ("inversion_coupling", "inversion_mixed")]
+        # with no step there is no transport to estimate K from
+        zero = write(tmp_path, "zero.txt", text.replace("n = 5", "n = 0"))
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", zero], tmp_path) == 0
         # the negative control (eps_inv = 0, default checks) still fails
         neg = str(tmp_path / "negative_control")
         shutil.copytree(os.path.join(ROOT, "fixtures", "negative_control"), neg)
@@ -753,24 +775,25 @@ class TestExitCodes:
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
         out = capsys.readouterr().out
-        assert "forward run, 1 steps" in out and "8/8 bounds hold" in out
+        # the mixed inversion bound and the gap (no step n with n + 1 <= N) do not apply
+        assert "forward run, 1 steps" in out and "7/7 bounds hold, 2 not applicable" in out
 
     def test_gaussian_run_from_the_minimizer_certifies(self, tmp_path, capsys):
         cfgp = write(tmp_path, "c.txt", from_minimizer(BASE_GAUSS, 1))
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
-        assert "8/8 bounds hold" in capsys.readouterr().out
+        assert "7/7 bounds hold, 2 not applicable" in capsys.readouterr().out
 
     def test_grid_run_from_the_minimizer_certifies(self, tmp_path, capsys):
         # W2(p0, pi) = 0, so the mixed inversion bound does not apply; its rhs is inf
         cfgp = write(tmp_path, "c.txt", from_minimizer(BASE_GRID, 3))
         for sub in ("forward", "reverse", "certify"):
             assert run([sub, "--config", cfgp], tmp_path) == 0
-        assert "16/16 bounds hold" in capsys.readouterr().out
+        assert "15/15 bounds hold, 1 not applicable" in capsys.readouterr().out
         rid = cli.parse_config(from_minimizer(BASE_GRID, 3)).run_id()
         report = (tmp_path / "runs" / f"{rid}_report.csv").read_text()
         mixed = [row for row in report.splitlines() if row.startswith("inversion_mixed,")]
-        assert len(mixed) == 1 and "mixed_form=not_applicable" in mixed[0]
+        assert len(mixed) == 1 and mixed[0].endswith(",N above 1 + threshold")
 
     def test_unexpected_exception_is_internal_error(self, tmp_path, monkeypatch):
         def boom(cfg, rid, out):
@@ -948,7 +971,14 @@ n = 6
         assert coupling[0] == "inversion_coupling" and float(coupling[3]) < 1
         assert mixed[0] == "inversion_mixed" and mixed[1] == "1" and mixed[3] == "inf"
         ctx = dict(kv.split("=") for kv in mixed[6].split(";"))
-        assert ctx["mixed_form"] == "not_applicable" and 0 < float(ctx["eps"]) < 1e-14
+        assert mixed[7] == "exact run" and 0 < float(ctx["eps"]) < 1e-14
+        # every check: the terminal KL / TV guarantee needs N >= threshold, which the
+        # roundoff eps puts far above N = 6 (it used to fail: KL 1.25e-4 > rhs 1.8e-30)
+        assert run(["certify", "--config", cfgp], tmp_path) == 0
+        rows = (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]
+        marked = {row.split(",")[0] for row in rows if row.split(",")[7]}
+        assert marked == {"reverse_kl", "reverse_tv", "forward_terminal_w2",
+                          "forward_terminal_gap", "inversion_mixed"}
 
 
 # each edit of this config used to fail inside a run as an internal error (exit 70)
@@ -1220,6 +1250,28 @@ class TestNegativeControl:
         traj_path.write_bytes(sz.trajectory_to_json(traj))
         assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_BOUND_FAILED
 
+    def test_understated_xi_norms_fail_terminal_rows(self, tmp_path):
+        # must-fail control of the terminal and reverse bounds: at N = 60, xi norms
+        # claimed ten-fold too small move the step threshold from 24.9 to 43.3, still
+        # below N, so each of these rows applies (17 W2 and 16 gap rows) and fails
+        text = STANDARD_GAUSS.replace("n = auto", "n = 60")
+        cfgp = write(tmp_path, "c.txt", text)
+        for sub in ("forward", "reverse", "certify"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        cfg = cli.parse_config(text)
+        rid, runs = cfg.run_id(), str(tmp_path / "runs")
+        traj = cli._load_trajectory(cfg, rid, runs)
+        traj = dataclasses.replace(traj, xi_norms=[x / 10 for x in traj.xi_norms])
+        (tmp_path / "runs" / f"{rid}_trajectory.npz").write_bytes(sz.trajectory_to_json(traj))
+        assert run(["certify", "--config", cfgp], tmp_path) == cli.EXIT_BOUND_FAILED
+        rows = [r.split(",") for r in
+                (tmp_path / "runs" / f"{rid}_report.csv").read_text().splitlines()[1:]]
+        names = ("forward_terminal_w2", "forward_terminal_gap", "reverse_kl", "reverse_tv")
+        counts = {name: [(r[1], r[7]) for r in rows if r[0] == name] for name in names}
+        assert {name: (len(c), set(c)) for name, c in counts.items()} == {
+            "forward_terminal_w2": (17, {("0", "")}), "forward_terminal_gap": (16, {("0", "")}),
+            "reverse_kl": (1, {("0", "")}), "reverse_tv": (1, {("0", "")})}
+
     def test_regenerated_fixture_matches_checked_in(self, tmp_path):
         spec = importlib.util.spec_from_file_location(
             "make_negative_control", os.path.join(ROOT, "scripts", "make_negative_control.py"))
@@ -1229,7 +1281,8 @@ class TestNegativeControl:
         assert script.main([fresh]) == 0
         checked_in = str(tmp_path / "checked_in")
         shutil.copytree(os.path.join(ROOT, "fixtures", "negative_control"), checked_in)
+        # N = 5 is below the step threshold (~30.4 at the claimed eps): the reverse rows
+        # do not apply (the terminal control is test_understated_xi_norms_fail_terminal_rows)
         assert _failing_checks(fresh) == _failing_checks(checked_in) == (
-            "f386adaefbcf", {"evi n=1", "evi n=2", "evi n=3", "evi n=4", "reverse_kl",
-                             "reverse_tv"})
+            "f386adaefbcf", {"evi n=1", "evi n=2", "evi n=3", "evi n=4"})
         assert sorted(os.listdir(fresh)) == sorted(os.listdir(checked_in))

@@ -73,6 +73,28 @@ def test_missing_csv_fails(tmp_path, capsys):
     assert "missing in the new directory" in capsys.readouterr().out
 
 
+def test_differing_columns_are_named(tmp_path, capsys):
+    old = write_run(tmp_path / "old")
+    new = write_run(tmp_path / "new")
+    path = os.path.join(new, f"{RID}_report.csv")
+    with open(path) as f:
+        lines = f.read().splitlines()
+    # a column added at the end and `tol` renamed, as a newer report might write them
+    lines = [lines[0].replace(",tol,", ",numerical_tol,") + ",not_applicable"] + [
+        line + "," for line in lines[1:]]
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    assert compare_runs.main([old, new]) == 1
+    out = capsys.readouterr().out
+    assert ("columns differ: only in the old file ['tol'], only in the new "
+            "['numerical_tol', 'not_applicable']") in out
+    # the row counts are compared apart
+    with open(os.path.join(new, f"{RID}_forward.csv"), "a") as f:
+        f.write("2,0.5,0.1\n")
+    assert compare_runs.main([old, new]) == 1
+    assert "forward.csv: row count differs: 2 != 3" in capsys.readouterr().out
+
+
 def write_archive(path, values, xi_norms=(0.1, 0.1), name="trajectory", drop=()):
     """A run archive as the run store writes it: stacked arrays plus a JSON manifest
     (without the keys in `drop`)."""

@@ -19,26 +19,26 @@ from jkolab import cli
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 CERTIFY = os.path.join(ROOT, "src", "jkolab", "certify.py")
 
-# certify of fixtures/negative_control fails exactly evi, reverse_kl and reverse_tv
+# certify of fixtures/negative_control fails exactly evi at n = 1..4
 _NEGATIVE_CONTROL = ("tests/test_cli.py::TestNegativeControl::"
                      "test_regenerated_fixture_matches_checked_in")
+# an n = 60 run with understated xi norms fails every terminal and reverse row
+_TERMINAL_CONTROL = ("tests/test_cli.py::TestNegativeControl::"
+                     "test_understated_xi_norms_fail_terminal_rows")
 
 # report name -> the test in which a doctored run fails it
 MUST_FAIL = {
     "evi": _NEGATIVE_CONTROL,
-    "reverse_kl": _NEGATIVE_CONTROL,
-    "reverse_tv": _NEGATIVE_CONTROL,
+    "reverse_kl": _TERMINAL_CONTROL,
+    "reverse_tv": _TERMINAL_CONTROL,
+    "forward_terminal_w2": _TERMINAL_CONTROL,
+    "forward_terminal_gap": _TERMINAL_CONTROL,
     "forward_rate": "tests/test_certify.py::TestForwardRate::test_understated_xi_norms_fail",
     "dpi_chain": "tests/test_certify.py::TestDpi::test_moved_transport_fails",
 }
 
 # report name -> why no control makes it fail yet
 BACKLOG = {
-    "forward_terminal_w2": "ROADMAP item 4: understated xi norms remove its rows instead "
-                           "of failing them",
-    "forward_terminal_gap": "ROADMAP item 4: understated xi norms remove its rows instead "
-                            "of failing them, and an n = auto run emits none (a row needs "
-                            "threshold <= n and n + 1 <= N = ceil(threshold))",
     "inversion_coupling": "ROADMAP item 3: its worst-case K form holds at 1000x "
                           "understated eps_inv",
     "inversion_mixed": "ROADMAP item 3: as loose as inversion_coupling",

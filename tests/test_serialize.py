@@ -97,12 +97,13 @@ class TestTrajectoryRoundTrip:
     def test_grid_checks_reproduce_after_round_trip(self):
         run = grid_bump_run()[:2]
         mem, loaded = all_checks(*run), all_checks(*round_trip(*run))
-        assert {r.name for r in mem} == {"evi", "forward_rate", "reverse_kl", "reverse_tv",
+        assert {r.name for r in mem} == {"evi", "forward_rate", "forward_terminal_w2",
+                                         "forward_terminal_gap", "reverse_kl", "reverse_tv",
                                          "dpi_chain", "inversion_coupling",
                                          "inversion_mixed"}
         assert len(mem) == len(loaded)
         for a, b in zip(mem, loaded):
-            assert a.name == b.name
+            assert a.name == b.name and a.not_applicable == b.not_applicable
             assert a.lhs == b.lhs and a.rhs == b.rhs and a.holds == b.holds
 
     @pytest.mark.parametrize("p0", [ga.GaussianMeasure(np.array([2.0]), np.array([[4.0]])),
