@@ -192,9 +192,11 @@ def _raw_pairs(text: str) -> dict:
     return out
 
 
-def _check_list(names: list, n_steps, eps_inv: float) -> list:
-    """`names` if nonempty, each a known check, named once, that can run on the config (at
-    eps_inv = 0 only a list of every check, `all`'s canonical spelling, may name `inversion`)."""
+def _check_list(text: str, n_steps, eps_inv: float) -> list:
+    """The checks `text` names, `all` or names separated by commas or whitespace: at least
+    one, each a known check, named once, that can run on the config (at eps_inv = 0 only a
+    list of every check, `all`'s canonical spelling, may name `inversion`)."""
+    names = list(ALL_CHECKS) if text.strip() == "all" else text.replace(",", " ").split()
     if not names:
         raise ConfigError("no checks given: name at least one")
     for i, c in enumerate(names):
@@ -296,9 +298,7 @@ def parse_config(text: str) -> RunConfig:
         mode = jko.PerturbMode(take("mode", "mean_shift"))
         if family == "gaussian" and mode is jko.PerturbMode.GRID_BUMP:
             raise ConfigError("mode grid_bump is only available in the grid family")
-        checks_raw = take("checks", "all")
-        checks = _check_list(list(ALL_CHECKS) if checks_raw == "all" else checks_raw.split(),
-                            n_steps, eps_inv)
+        checks = _check_list(take("checks", "all"), n_steps, eps_inv)
     except (ValueError, KeyError) as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -449,8 +449,8 @@ def cmd_reverse(args) -> int:
 def cmd_certify(args) -> int:
     out = _out_dir(args)
     cfg = _load_config(args)
-    checks = None if args.checks is None else _check_list(
-        args.checks.split(",") if args.checks else [], cfg.n_steps, cfg.eps_inv)
+    checks = None if args.checks is None else _check_list(args.checks, cfg.n_steps,
+                                                          cfg.eps_inv)
     return do_certify(cfg, cfg.run_id(), out, checks)
 
 
@@ -496,6 +496,8 @@ def cmd_sweep(args) -> int:
         key, vals = ax.split("=", 1)
         if key not in SWEEP_KEYS:
             raise ConfigError(f"axis key {key!r} not sweepable (allowed: {sorted(SWEEP_KEYS)})")
+        if any(axis[0][0] == key for axis in axes):
+            raise ConfigError(f"axis key {key!r} given twice")
         axes.append([(key, v) for v in vals.split(",")])
     combos = [dict(c) for c in itertools.product(*axes)] if axes else [{}]
     statuses = []
@@ -578,7 +580,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", help="run bound checks on stored run data")
     common(p)
     p.add_argument("--checks", default=None,
-                   help=f"comma-separated subset of {ALL_CHECKS}")
+                   help=f"'all' or a subset of {ALL_CHECKS}, separated by commas or spaces")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("sweep", help="cross-product of axis values over a template")

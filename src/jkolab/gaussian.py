@@ -1,7 +1,7 @@
 """Closed-form Bures-Wasserstein geometry on multivariate Gaussians.
 
-Everything here is exact linear algebra: W2 distance, OT maps (SPD affine
-maps), KL divergence, the objective and its first-order residual, and L2
+Everything here is exact linear algebra: W2 distance, affine maps and their
+pushforwards, KL divergence, the objective and its first-order residual, and L2
 norms of affine vector fields under a Gaussian measure.  Chain-wide work
 (validating a chain's measures or maps, inverting its maps, W2 to one
 measure, objective values, inverse-Lipschitz constants) is one stacked
@@ -21,7 +21,6 @@ __all__ = [
     "AffineMap",
     "spd_sqrt",
     "w2_bw",
-    "ot_map_bw",
     "affine_field_norm",
 ]
 
@@ -151,11 +150,9 @@ class GaussianMeasure:
         mass2 = math.erf((hi - d) / r2) - math.erf((lo - d) / r2)
         return 0.5 * abs(mass1 - mass2)
 
-    def push(self, t: AffineMap) -> GaussianMeasure:
-        """T#self = N(A m + b, A Sigma A^T), exact."""
+    def image(self, t: AffineMap) -> GaussianMeasure:
+        """t#self = N(A m + b, A Sigma A^T), exact, for any affine t: x -> A x + b."""
         return GaussianMeasure(*AffineMap.push_fields(t.linear, t.offset, self.mean, self.cov))
-
-    image = push  # t#self for a transport t that starts here: no shortcut on Gaussians
 
     def image_mean(self, t: AffineMap) -> np.ndarray:
         return t.linear @ self.mean + t.offset  # image(t)'s, building no measure
@@ -259,7 +256,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> A x + b.  Also used for affine vector fields x -> J x + c."""
+    """x -> A x + b."""
 
     linear: np.ndarray
     offset: np.ndarray
@@ -331,7 +328,7 @@ class AffineMap:
     def push_fields(linear: np.ndarray, offset: np.ndarray, mean: np.ndarray,
                     cov: np.ndarray) -> tuple:
         """N(mean, cov) pushed through x -> linear x + offset on arrays: the mean and the
-        covariance, symmetrized as GaussianMeasure stores it, of `push` bit for bit."""
+        covariance, symmetrized as GaussianMeasure stores it, of `image` bit for bit."""
         c = linear @ cov @ linear.T
         return linear @ mean + offset, 0.5 * (c + c.T)
 
@@ -392,14 +389,6 @@ def _trace(mats: np.ndarray) -> np.ndarray:
 def _stacked(measures) -> tuple[np.ndarray, np.ndarray]:
     """The means (n, d) and covariances (n, d, d) of a sequence of measures."""
     return np.array([g.mean for g in measures]), np.array([g.cov for g in measures])
-
-
-def ot_map_bw(g1: GaussianMeasure, g2: GaussianMeasure) -> AffineMap:
-    """OT map from g1 to g2: x -> A(x - m1) + m2 with SPD A."""
-    _check_dims(g1, g2)
-    s_half, s_half_inv = g1.sqrt, g1.inv_sqrt
-    a = s_half_inv @ spd_sqrt(s_half @ g2.cov @ s_half) @ s_half_inv
-    return AffineMap(a, g2.mean - a @ g1.mean)
 
 
 def affine_field_norm(j: np.ndarray, c: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> float:

@@ -288,8 +288,8 @@ def run_reverse_perturbed(
     is 0, calibrate_amplitude's default; the first probe is a_{n+1}.  An
     evaluation hands T_n's `inversion_residual` the arrays of
     _reverse_perturbation (the grid residual works on knot values, the
-    Gaussian one on (T o S_a - Id, T(o_a)) for S_a = (L_a, o_a)), so no map
-    is built; the accepted amplitude builds one, and its image q~_{n-1}.
+    Gaussian one on (T o S_a - Id, T(o_a)) for S_a = (L_a, o_a)), and the accepted
+    amplitude's arrays push q~_n to q~_{n-1} (`push_fields`): no map is built.
     Returns the record, which keeps each amplitude (ReverseRun derives q~_0
     from them), and the chain q~_0..q~_N the run built.  The exact chain
     (eps_inv = 0) is not a run: it is run_reverse_exact(traj).
@@ -314,7 +314,7 @@ def run_reverse_perturbed(
             raise jko.CalibrationError(f"reverse step {k}: {exc}") from exc
         residuals[k - 1] = r
         amplitudes[k - 1] = a
-        measures[k - 1] = cur.push(type(t_fwd)(*perturbed(a)))
+        measures[k - 1] = type(cur)(*type(t_fwd).push_fields(*perturbed(a), *_fields(cur)))
     return ReverseRun(traj, residuals, amplitudes, mode, seed), measures
 
 

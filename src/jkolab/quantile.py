@@ -20,13 +20,10 @@ __all__ = [
     "from_gaussian",
     "ot_map",
     "apply_map",
-    "pushforward",
     "amplitude_cap",
-    "score",
     "gap_score",
     "xi_field",
     "second_moment",
-    "invert_map",
 ]
 
 MIN_GRID_SIZE = 8
@@ -123,11 +120,6 @@ class QuantileGrid:
 
         diff = np.abs(dens_on(xs, self) - dens_on(xs, other))
         return float(min(0.5 * np.trapezoid(diff, xs), 1.0))
-
-    # push calls the module global pushforward, so a tracer that patches the module
-    # attribute sees it.
-    def push(self, t: MonotoneMap1D) -> QuantileGrid:
-        return pushforward(self, t)
 
     def image(self, t: MonotoneMap1D) -> QuantileGrid:
         """t#self for a transport t that starts at this grid: the grid of t's knot values."""
@@ -234,9 +226,6 @@ class MonotoneMap1D:
         x.setflags(write=False)
         y.setflags(write=False)
 
-    def __call__(self, t) -> np.ndarray:
-        return apply_map(self.x, self.y, t)
-
     @staticmethod
     def inverse_lipschitz_of(maps) -> list[float]:
         """Lip(T^{-1}) of each map T, its largest inverse slope, without building T^{-1}."""
@@ -249,7 +238,7 @@ class MonotoneMap1D:
 
     def inversion_residual(self, s: tuple, p: QuantileGrid) -> float:
         """||T o S - Id|| under the grid p entering S, for S given by its knots s."""
-        r = self(apply_map(*s, p.values)) - p.values
+        r = apply_map(self.x, self.y, apply_map(*s, p.values)) - p.values
         return math.sqrt(np.add.reduce(r * r) / r.size)
 
     @staticmethod
@@ -287,7 +276,7 @@ def _check_slopes(dx: np.ndarray, dy: np.ndarray):
 
 
 def apply_map(x: np.ndarray, y: np.ndarray, t) -> np.ndarray:
-    """MonotoneMap1D(x, y)(t) without building or validating the map."""
+    """MonotoneMap1D(x, y) evaluated at t, building and validating no map."""
     t = np.asarray(t, dtype=float)
     out = np.asarray(np.interp(t, x, y))
     lo = t < x[0]
@@ -323,14 +312,6 @@ def ot_map(p: QuantileGrid, q: QuantileGrid) -> MonotoneMap1D:
     x, y = p.values, q.values
     _check_slopes(x[1:] - x[:-1], y[1:] - y[:-1])
     return _unvalidated(MonotoneMap1D, x=x, y=y)
-
-
-def pushforward(p: QuantileGrid, t: MonotoneMap1D) -> QuantileGrid:
-    """T#p: apply T to the quantile values.  Fails if T is not increasing there."""
-    vals = t(p.values)
-    if not (vals[1:] > vals[:-1]).all():
-        raise ValueError("map is not strictly increasing over the support of p")
-    return QuantileGrid(vals)
 
 
 def amplitude_cap(x: np.ndarray, y: np.ndarray, bump: np.ndarray) -> float:
@@ -379,19 +360,6 @@ def _interval_density(p: QuantileGrid) -> np.ndarray:
     return dens
 
 
-def score(p: QuantileGrid) -> np.ndarray:
-    """Score (log rho)' at the grid points x = Q_k.
-
-    Uses (log rho)'(Q(u)) = -Q''(u)/Q'(u)^2 discretized with the centered
-    second difference over the product of the two one-sided first
-    differences, i.e. 1/(Q_{k+1}-Q_k) - 1/(Q_k-Q_{k-1}); one-sided at the
-    boundary points.  This discretization is exactly the entropy gradient
-    used by the grid JKO solver, so first-order residuals measured with it
-    vanish at the solver's optimum.
-    """
-    return gap_score(np.diff(p.values))
-
-
 def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
              gamma: float) -> tuple[np.ndarray, float]:
     """jko.measure_xi's field at the quantiles q (gaps = diff(q)) of a step from q_n, and its norm.
@@ -408,7 +376,10 @@ def xi_field(q: np.ndarray, gaps: np.ndarray, q_n: np.ndarray, spec,
 
 
 def gap_score(gaps: np.ndarray) -> np.ndarray:
-    """The score of `score` from the M - 1 gaps Q_{k+1} - Q_k of the grid."""
+    """Score (log rho)' at the grid points Q_k from the M - 1 gaps Q_{k+1} - Q_k of the grid:
+    1/(Q_{k+1}-Q_k) - 1/(Q_k-Q_{k-1}), one-sided at the ends, the centered discretization of
+    (log rho)'(Q(u)) = -Q''(u)/Q'(u)^2.  It is the grid JKO solver's entropy gradient, so
+    first-order residuals measured with it vanish at the solver's optimum."""
     inv = 1.0 / gaps
     s = np.empty(gaps.size + 1)
     s[1:-1] = inv[1:] - inv[:-1]
@@ -420,8 +391,3 @@ def gap_score(gaps: np.ndarray) -> np.ndarray:
 def second_moment(p: QuantileGrid) -> float:
     """M2 = (1/M) sum Q_k^2."""
     return float(np.mean(p.values ** 2))
-
-
-def invert_map(t: MonotoneMap1D) -> MonotoneMap1D:
-    """Inverse map by swapping knot roles."""
-    return MonotoneMap1D(t.y, t.x)

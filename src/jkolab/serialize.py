@@ -7,8 +7,9 @@ config.  Each p_n is T_n#p_{n-1}, so a trajectory archive holds one chain of
 steps 1..N, stacked per array field, and the other is derived on load from
 p_0: grid measures p_1..p_N (values (N, M)), whose maps are rebuilt as
 qt.ot_map(p_{n-1}, p_n), or Gaussian transports T_1..T_N (linear (N, d, d),
-offset (N, d); ot_map_bw would not reproduce the closed-form linear part
-bit-for-bit), through which p_0 is pushed on arrays.  A JSON manifest holds
+offset (N, d); the Bures-Wasserstein OT map from p_{n-1} to p_n would not
+reproduce the closed-form linear part bit-for-bit), through which p_0 is
+pushed on arrays.  A JSON manifest holds
 the per-step xi norms and solver iteration counts.  Loading validates each
 chain once (the types' `stack`).  Doubles are stored raw and manifest floats
 with repr, so a check re-run on loaded data reproduces its verdict

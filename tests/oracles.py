@@ -218,6 +218,6 @@ def fd_directional(spec, measure, v, t: float) -> float:
     else:
         d = measure.dim
         eye = np.eye(d)
-        plus = measure.push(ga.AffineMap(eye + t * v.linear, t * v.offset))
-        minus = measure.push(ga.AffineMap(eye - t * v.linear, -t * v.offset))
+        plus = measure.image(ga.AffineMap(eye + t * v.linear, t * v.offset))
+        minus = measure.image(ga.AffineMap(eye - t * v.linear, -t * v.offset))
     return (fn.evaluate(spec, plus) - fn.evaluate(spec, minus)) / (2 * t)

@@ -13,7 +13,9 @@ measure's construction checks, objective value and KL divergence in their
 plain per-measure spelling (the package's versions must match them), and
 the potential V, the grid entropy and the grid objective value in the plain
 spelling that QuantileGrid.objectives replaced.  `forward` is process.run_forward
-with the tests' conveniences, and `pushed_back` the stepwise reverse push.
+with the tests' conveniences, `pushed_back` the stepwise reverse push, `push` a
+pushforward through a map that need not start at the measure, and `ot_map_bw` the
+Bures-Wasserstein OT map between two Gaussians.
 """
 
 from __future__ import annotations
@@ -165,12 +167,18 @@ def reverse_maps(run) -> list:
     return [type(t)(*s) for t, s in zip(run.traj.transports, run._map_fields(), strict=True)]
 
 
+def push(p, t):
+    """t#p as a measure, for a map t of p's family that need not start at p: the map type's
+    `push_fields` on the two objects' arrays (the package pushes on arrays only)."""
+    return type(p)(*type(t).push_fields(*jko._fields(t), *jko._fields(p)))
+
+
 def reverse_chain(run) -> list:
     """q~_0..q~_N of a perturbed reverse run: pi = q~_N pushed through S_N, ..., S_1
     (reverse_maps) one measure at a time, as run_reverse_perturbed builds them."""
     measures = [run.traj.minimizer]
     for s in reversed(reverse_maps(run)):
-        measures.append(measures[-1].push(s))
+        measures.append(push(measures[-1], s))
     return measures[::-1]
 
 
@@ -208,10 +216,19 @@ def gaussian_xi_at(p_n: ga.GaussianMeasure, p_next: ga.GaussianMeasure, spec, ga
     from p_next back to p_n (ot_map_bw, which factors p_next).
     """
     fld = subgradient_field(p_next, spec)
-    back = ga.ot_map_bw(p_next, p_n)
+    back = ot_map_bw(p_next, p_n)
     j = fld.linear - (back.linear - np.eye(p_n.dim)) / gamma
     c = fld.offset - back.offset / gamma
     return (j, c), ga.affine_field_norm(j, c, p_next.mean, p_next.cov)
+
+
+def ot_map_bw(g1: ga.GaussianMeasure, g2: ga.GaussianMeasure) -> ga.AffineMap:
+    """OT map from g1 to g2: x -> A(x - m1) + m2 with SPD A."""
+    if g1.dim != g2.dim:
+        raise ValueError(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    s_half, s_half_inv = g1.sqrt, g1.inv_sqrt
+    a = s_half_inv @ ga.spd_sqrt(s_half @ g2.cov @ s_half) @ s_half_inv
+    return ga.AffineMap(a, g2.mean - a @ g1.mean)
 
 
 def _inner_product_base(p, eta, t_rho, t_pi):
@@ -231,15 +248,15 @@ def check_monotonicity(p, rho, pi, spec: fn.ObjectiveSpec,
     lam = spec.lam
     if isinstance(p, qt.QuantileGrid):
         eta_vals = (grad_v(spec.potential, rho.values[:, None])[:, 0]
-                    + spec.alpha * qt.score(rho))
+                    + spec.alpha * qt.gap_score(np.diff(rho.values)))
         t_rho = qt.ot_map(p, rho)
         t_pi = qt.ot_map(p, pi)
-        diff = t_pi(p.values) - t_rho(p.values)
+        diff = qt.apply_map(t_pi.x, t_pi.y, p.values) - qt.apply_map(t_rho.x, t_rho.y, p.values)
         inner = float(np.mean(eta_vals * diff))
     else:
         eta = subgradient_field(rho, spec)
-        t_rho = ga.ot_map_bw(p, rho)
-        t_pi = ga.ot_map_bw(p, pi)
+        t_rho = ot_map_bw(p, rho)
+        t_pi = ot_map_bw(p, pi)
         inner = _inner_product_base(p, eta, t_rho, t_pi)
     w2 = pi.w2(rho)
     lhs = inner + 0.5 * lam * w2 * w2

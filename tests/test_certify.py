@@ -39,7 +39,7 @@ MOVED = {"gaussian": lambda t: ga.AffineMap(t.linear, t.offset + 0.05),
 def check_dpi(p, q, t) -> ct.BoundReport:
     """|KL(p || q) - KL(T#p || T#q)| within family tolerance."""
     before = p.kl(q)
-    after = p.push(t).kl(q.push(t))
+    after = ref.push(p, t).kl(ref.push(q, t))
     return ct.BoundReport("dpi", abs(before - after), p.dpi_tol, 0.0,
                           {"kl_before": before, "kl_after": after})
 

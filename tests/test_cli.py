@@ -1221,6 +1221,54 @@ class TestSweepRobustness:
         rid = cli.parse_config(BASE_GAUSS).run_id()
         assert (tmp_path / "runs" / f"{rid}_report.csv").exists()
 
+    def test_a_key_on_two_axes_is_config_error(self, tmp_path, capsys):
+        # a combo holds one value per key, so the second axis would replace the first
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        assert run(["sweep", "--config", cfgp, "--axis", "gamma=0.5", "--axis", "gamma=1.0"],
+                   tmp_path) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "config error: axis key 'gamma' given twice" in captured.err
+        assert "sweep:" not in captured.out
+        assert os.listdir(tmp_path / "runs") == []
+
+
+class TestCheckList:
+    """The config key `checks` and `certify --checks` read a check list the same way."""
+
+    @pytest.mark.parametrize("text", ["evi kl_tv", "evi,kl_tv", "evi, kl_tv", " evi ,\tkl_tv "])
+    def test_commas_and_whitespace_separate_names(self, text):
+        assert cli._check_list(text, 5, 0.001) == ["evi", "kl_tv"]
+        assert cli.parse_config(BASE_GAUSS + f"checks = {text}\n").checks == ["evi", "kl_tv"]
+
+    def test_all_is_every_check(self):
+        assert cli._check_list("all", 5, 0.001) == cli.ALL_CHECKS
+        with pytest.raises(cli.ConfigError, match="unknown check 'all'"):
+            cli._check_list("all, evi", 5, 0.001)
+
+    def test_config_spellings_keep_one_canonical_text_and_run_id(self):
+        spaced = cli.parse_config(BASE_GAUSS + "checks = evi kl_tv\n")
+        assert "checks = evi kl_tv\n" in spaced.canonical()
+        for text in ("evi,kl_tv", "evi, kl_tv"):
+            cfg = cli.parse_config(BASE_GAUSS + f"checks = {text}\n")
+            assert cfg.canonical() == spaced.canonical() and cfg.run_id() == spaced.run_id()
+        default = cli.parse_config(BASE_GAUSS)
+        assert cli.parse_config(BASE_GAUSS + "checks = all\n").run_id() == default.run_id()
+
+    def test_the_flag_reads_all_and_a_spaced_list(self, tmp_path):
+        cfgp = write(tmp_path, "c.txt", BASE_GAUSS)
+        for sub in ("forward", "reverse"):
+            assert run([sub, "--config", cfgp], tmp_path) == 0
+        report = tmp_path / "runs" / f"{cli.parse_config(BASE_GAUSS).run_id()}_report.csv"
+        reports = {}
+        for flag in (None, "all", "evi,kl_tv", "evi, kl_tv", "evi kl_tv"):
+            argv = ["certify", "--config", cfgp] + ([] if flag is None else ["--checks", flag])
+            assert run(argv, tmp_path) == 0, flag
+            reports[flag] = report.read_bytes()
+        assert reports["all"] == reports[None]
+        assert reports["evi, kl_tv"] == reports["evi kl_tv"] == reports["evi,kl_tv"]
+        names = [row.split(b",")[0] for row in reports["evi,kl_tv"].splitlines()[1:]]
+        assert set(names) == {b"evi", b"reverse_kl", b"reverse_tv"}
+
 
 def _failing_checks(run_dir: str) -> tuple[str, set]:
     """Certify a copy of a negative-control directory: its run id and failing checks.

@@ -197,7 +197,7 @@ class TestGridStep:
     def test_transport_consistency(self):
         p = qt.from_gaussian(1, 2, 128)
         res = jko.jko_step_grid(p, kl_spec(), 0.6)
-        pushed = qt.pushforward(p, res.transport)
+        pushed = ref.push(p, res.transport)
         assert np.allclose(pushed.values, res.next_measure.values, atol=1e-10)
 
     @pytest.mark.parametrize("m", [2048, 128])
@@ -319,7 +319,7 @@ class TestMeasureXi:
         vals = []
         for sgn in (1, -1):
             tr = ga.AffineMap(eye + sgn * t * v.linear, sgn * t * v.offset)
-            vals.append(proximal_objective(p, rho.push(tr), spec, gamma))
+            vals.append(proximal_objective(p, rho.image(tr), spec, gamma))
         fd = (vals[0] - vals[1]) / (2 * t)
         assert fd == pytest.approx(inner, abs=1e-6, rel=1e-4)
 
@@ -424,7 +424,7 @@ class TestGaussianTransportPath:
         for a in (0.0, 1e-3, 0.05, 0.4):
             t = perturbed(a)
             norm_t = jko.measure_xi(p, t, spec, 0.8)
-            _, norm_m = ref.gaussian_xi_at(p, p.push(ga.AffineMap(*t)), spec, 0.8)
+            _, norm_m = ref.gaussian_xi_at(p, p.image(ga.AffineMap(*t)), spec, 0.8)
             if a == 0.0:
                 assert norm_t <= jko.GAUSSIAN_TOL and norm_m <= jko.GAUSSIAN_TOL
                 continue
@@ -499,7 +499,7 @@ class TestGridArrayPaths:
         t = pert.transport
         assert pert.xi_norm == jko.measure_xi(p, (t.x, t.y), spec, 1.0)
         assert np.array_equal(pert.next_measure.values,
-                              qt.pushforward(p, pert.transport).values)
+                              ref.push(p, pert.transport).values)
 
     def test_measure_xi_needs_the_transport_from_p_n(self):
         spec = kl_spec()
@@ -764,7 +764,7 @@ class TestExactGaussianChain:
         lam, center = spec.potential.lambda_mat, spec.potential.center
         for n, (p, t, xi) in enumerate(zip(traj.measures, traj.transports, traj.xi_norms)):
             nxt = traj.measures[n + 1]
-            pushed = p.push(t)
+            pushed = p.image(t)
             assert np.array_equal(nxt.mean, pushed.mean) and np.array_equal(nxt.cov, pushed.cov)
             assert xi <= jko.GAUSSIAN_TOL
             mean = np.linalg.solve(np.eye(d) + gamma * lam, p.mean + gamma * lam @ center)

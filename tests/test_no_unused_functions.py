@@ -15,9 +15,6 @@ SRC = os.path.join(os.path.dirname(__file__), "..", "src", "jkolab")
 
 # module.qualname -> why it stays without a caller in src/
 EXEMPT = {
-    "gaussian.ot_map_bw": "BENCHMARK.json traces gaussian.ot_map_bw.calls",
-    "quantile.score": "BENCHMARK.json traces quantile.score.calls and .s",
-    "quantile.invert_map": "BENCHMARK.json traces quantile.invert_map.calls",
     "cli._Parser.error": "argparse's override point: argparse calls it",
     "certify.check_smoothing": "ROADMAP item 7 adds it to the atomic configs' checks",
     "process.w2_grid_to_atoms": "ROADMAP item 7 measures the data-to-sample lhs with it",

@@ -154,7 +154,7 @@ class TestReverse:
         qs = pr.run_reverse_exact(traj)
         assert len(qs) == 4 and qs[-1] is traj.minimizer
         for k in range(3):
-            fwd = qs[k].push(traj.transports[k])
+            fwd = qs[k].image(traj.transports[k])
             assert fwd.w2(qs[k + 1]) <= 1e-9
 
     def test_perturbed_reverse_residuals_calibrated(self):
@@ -211,26 +211,40 @@ class TestReverse:
             assert rev.residuals[k - 1] == pytest.approx(traj.transports[k - 1].inversion_residual(
                 pr._fields(maps[k - 1]), measures[k]), rel=1e-12)
 
-    def test_gaussian_evaluations_build_no_map(self, monkeypatch):
-        traj = gauss_traj_3d()
-        counts = {"AffineMap": 0, "evaluations": 0}
-        post = ga.AffineMap.__post_init__
-        residual = ga.AffineMap.inversion_residual
+    @staticmethod
+    def count_reverse_run(monkeypatch, traj, map_type, mode) -> dict:
+        """The maps of `map_type` built and the residual evaluations of one perturbed run."""
+        counts = {"maps": 0, "evaluations": 0}
+        post = map_type.__post_init__
+        residual = map_type.inversion_residual
 
         def counting_post(self):
-            counts["AffineMap"] += 1
+            counts["maps"] += 1
             post(self)
 
         def counting_residual(*args):
             counts["evaluations"] += 1
             return residual(*args)
 
-        monkeypatch.setattr(ga.AffineMap, "__post_init__", counting_post)
-        monkeypatch.setattr(ga.AffineMap, "inversion_residual", counting_residual)
-        pr.run_reverse_perturbed(traj, 1e-3, jko.PerturbMode.DILATION)
+        monkeypatch.setattr(map_type, "__post_init__", counting_post)
+        monkeypatch.setattr(map_type, "inversion_residual", counting_residual)
+        pr.run_reverse_perturbed(traj, 1e-3, mode)
+        return counts
+
+    def test_gaussian_evaluations_build_no_map(self, monkeypatch):
+        traj = gauss_traj_3d()
+        counts = self.count_reverse_run(monkeypatch, traj, ga.AffineMap,
+                                        jko.PerturbMode.DILATION)
         assert counts["evaluations"] > traj.n_steps
-        # per step: the accepted perturbed inverse only (the exact one stays arrays)
-        assert counts["AffineMap"] == traj.n_steps
+        # the exact inverse, each evaluation and the accepted step all stay arrays
+        assert counts["maps"] == 0
+
+    @pytest.mark.parametrize("mode", list(jko.PerturbMode), ids=lambda mode: mode.value)
+    def test_grid_evaluations_build_no_map(self, mode, monkeypatch):
+        traj = grid_traj()
+        counts = self.count_reverse_run(monkeypatch, traj, qt.MonotoneMap1D, mode)
+        assert counts["evaluations"] > traj.n_steps
+        assert counts["maps"] == 0
 
     def test_grid_bump_reverse_calibrated(self):
         p0 = qt.from_gaussian(1.5, 1.2, 128)
@@ -475,7 +489,6 @@ class TestDerivedReverse:
 
 # (method, module, the traced module function it calls, its arguments)
 FAMILY_METHODS = [
-    ("push", qt, "pushforward", ("p", "t")),
     ("w2", ga, "w2_bw", ("p", "q")),
 ]
 

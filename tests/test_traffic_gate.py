@@ -15,8 +15,6 @@ import os
 import subprocess
 import sys
 
-from test_benchmark_layers import traced_functions
-
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 SCRIPT = os.path.join(ROOT, "scripts", "trace_traffic.py")
 
@@ -28,14 +26,10 @@ ALLOWLIST = {
     "process._atom_breaks": "the atom quantiles of the two W2s above (item 7)",
     "process._gauss_partial_sq": "w2_sq_smoothed_to_atoms's closed form (item 7)",
     "process.AtomicMeasure.second_moment": "check_smoothing's rhs (item 7)",
-    "gaussian.ot_map_bw": "a BENCHMARK.json metric traces it; item 16 drops it",
-    "quantile.score": "a BENCHMARK.json metric traces it; item 16 drops it",
-    "quantile.invert_map": "a BENCHMARK.json metric traces it; item 16 drops it",
     "functionals.ObjectiveSpec.dim":
         "perfbench/tests/test_harness.py reads cfg.spec.dim; perfbench changes only "
         "with the benchmark",
 }
-BENCHMARK_ONLY = {"gaussian.ot_map_bw", "quantile.score", "quantile.invert_map"}
 
 CONFIGS = {
     "gauss_shift.txt": """
@@ -127,6 +121,3 @@ def test_unentered_functions_are_the_allowlist(tmp_path):
 
 def test_every_reason_is_given():
     assert all(reason.strip() for reason in ALLOWLIST.values())
-    assert BENCHMARK_ONLY <= set(ALLOWLIST)
-    # what only the benchmark keeps is a name BENCHMARK.json's per-layer metrics trace
-    assert BENCHMARK_ONLY <= traced_functions()
