@@ -17,7 +17,10 @@ reached only by tests, by inputs outside these sets, or by nothing.
 tests/test_traffic_gate.py runs --config on tiny configs and holds the list
 to its allowlist.
 
-  python3 scripts/trace_traffic.py [--seeds 1 7] [--config FILE ...]
+With --out DIR, the run files are kept in DIR (it must be new or empty): two
+checkouts' trees can then be compared with `diff -r`.
+
+  python3 scripts/trace_traffic.py [--seeds 1 7] [--config FILE ...] [--out DIR]
 """
 
 from __future__ import annotations
@@ -122,9 +125,16 @@ def main(argv=None) -> int:
                         help="perfbench workload seeds (default: 1 7)")
     parser.add_argument("--config", action="append",
                         help="run only this config file (repeatable)")
+    parser.add_argument("--out", help="keep the run files in this new or empty directory "
+                                      "(default: a temporary one, removed)")
     args = parser.parse_args(argv)
+    if args.out:
+        os.makedirs(args.out, exist_ok=True)
+        if os.listdir(args.out):
+            parser.error(f"--out {args.out} is not empty")
     functions = defined_functions()
-    with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.ExitStack() as stack:
+        tmp = args.out or stack.enter_context(tempfile.TemporaryDirectory())
         if args.config:
             run = lambda: run_configs(args.config, tmp)
         else:

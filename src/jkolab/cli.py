@@ -105,10 +105,8 @@ class RunConfig:
     spec: fn.ObjectiveSpec
     family: str
     m: int
-    p0_mean: np.ndarray | None
-    p0_cov: np.ndarray | None
-    p0_atoms: pr.AtomicMeasure | None  # None: p0 is N(p0_mean, p0_cov)
-    p0_delta: float
+    p0_law: ga.GaussianMeasure | pr.AtomicMeasure
+    p0_delta: float  # the OU time that smooths atoms; 0.0 for a Gaussian law
     gamma: float
     eps: list  # length 1 (constant) or one entry per step
     eps_inv: float
@@ -135,15 +133,13 @@ class RunConfig:
         }
         if self.family == "grid":
             d["family.m"] = str(self.m)
-        if self.p0_atoms is None:
-            d["p0.mean"] = _fmt_vector(self.p0_mean)
-            d["p0.cov"] = _fmt_matrix(self.p0_cov)
-        else:
-            at = self.p0_atoms
-            d["p0.atoms"] = "; ".join(
-                f"{_fmt_vector(loc)} {w!r}" for loc, w in zip(at.locations, at.weights)
-            )
+        law = self.p0_law
+        if isinstance(law, pr.AtomicMeasure):  # one row "location weight" per atom
+            d["p0.atoms"] = _fmt_matrix(np.column_stack([law.locations, law.weights]))
             d["p0.delta"] = repr(float(self.p0_delta))
+        else:  # the law's symmetrized covariance, as objective.lambda_mat is written
+            d["p0.mean"] = _fmt_vector(law.mean)
+            d["p0.cov"] = _fmt_matrix(law.cov)
         return "".join(f"{k} = {d[k]}\n" for k in sorted(d))
 
     def run_id(self) -> str:
@@ -151,20 +147,17 @@ class RunConfig:
 
     @functools.cached_property
     def p0(self):
-        """p0 in the config's family, built once per command: smoothed atoms or N(p0_mean,
-        p0_cov) at the grid's M quantile points, or N(p0_mean, p0_cov) itself."""
-        if self.p0_atoms is not None:
-            return pr.ou_smooth(self.p0_atoms, self.p0_delta, self.m)
-        if self.family == "grid":
-            return qt.from_gaussian(float(self.p0_mean[0]), math.sqrt(float(self.p0_cov[0, 0])),
-                                    self.m)
-        return ga.GaussianMeasure(self.p0_mean, self.p0_cov)
+        """p0 in the config's family, built once per command: p0_law itself (Gaussian), or
+        at the grid's M quantile points the OU-smoothed atoms or the Gaussian law."""
+        law = self.p0_law
+        if isinstance(law, pr.AtomicMeasure):
+            return pr.ou_smooth(law, self.p0_delta, self.m)
+        return qt.from_gaussian_measure(law, self.m) if self.family == "grid" else law
 
     @functools.cached_property
     def minimizer(self):
-        """pi = N(center, alpha lambda_mat^-1) in the config's family, built once per
-        command: on a grid, at its M quantile points (they read only M, so no atoms are
-        smoothed)."""
+        """pi = N(center, alpha lambda_mat^-1) in the config's family, built once per command;
+        on a grid at its M quantile points, which read only M (no atoms are smoothed)."""
         if self.family == "grid":
             return qt.QuantileGrid(qt.midpoints(self.m)).minimizer(self.spec)
         return self.spec.gaussian_minimizer
@@ -173,7 +166,15 @@ class RunConfig:
         if self.n_steps != "auto":
             return self.n_steps
         w2 = self.p0.w2(self.minimizer)
-        return pr.steps_needed(w2, self.spec.lam, self.gamma, self.eps[0])
+        return _step_count(pr.steps_needed(w2, self.spec.lam, self.gamma, self.eps[0]),
+                           "n = auto derives N =")
+
+
+def _step_count(n: int, what: str) -> int:
+    """n, unless it is more steps than a list can hold (a ConfigError naming `what` n)."""
+    if n > sys.maxsize:
+        raise ConfigError(f"{what} {n} steps, more than a run can hold ({sys.maxsize})")
+    return n
 
 
 def _raw_pairs(text: str) -> dict:
@@ -236,6 +237,7 @@ def parse_config(text: str) -> RunConfig:
         variant = fn.Variant(take("objective.variant", "kl"))
         alpha = _num(take("objective.alpha", "1"))
         spec = fn.ObjectiveSpec(fn.QuadraticPotential(lam_mat, center), variant, alpha)
+        _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: spec.gaussian_minimizer)
 
         family = take("family")
         if family not in ("grid", "gaussian"):
@@ -245,22 +247,14 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("grid family requires a 1-D objective")
         if family == "grid" and m < qt.MIN_GRID_SIZE:
             raise ConfigError(f"family.m must be >= {qt.MIN_GRID_SIZE}")
-        if family == "grid":  # its grid is built on load; N(center, alpha/lambda) must exist
-            _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: spec.gaussian_minimizer)
 
-        p0_mean = p0_cov = p0_atoms = None
         p0_delta = 0.0
         if "p0.atoms" in raw:
             if family != "grid":
                 raise ConfigError("atomic p0 is only available in the grid family")
-            rows = [r for r in take("p0.atoms").split(";") if r.strip()]
-            locs, weights = [], []
-            for r in rows:
-                parts = [_num(t) for t in r.split()]
-                locs.append(parts[:-1])
-                weights.append(parts[-1])
-            p0_atoms = pr.AtomicMeasure(np.array(locs), np.array(weights))
-            if p0_atoms.dim != d:
+            rows = [[_num(t) for t in r.split()] for r in take("p0.atoms").split(";") if r.strip()]
+            p0_law = pr.AtomicMeasure([r[:-1] for r in rows], [r[-1] for r in rows])
+            if p0_law.dim != d:
                 raise ConfigError("p0.atoms dimension does not match the objective")
             p0_delta = _num(take("p0.delta"))
             if p0_delta <= 0:
@@ -270,8 +264,7 @@ def parse_config(text: str) -> RunConfig:
             if p0_mean.size != d:
                 raise ConfigError("p0.mean dimension does not match the objective")
             p0_cov = _parse_matrix(take("p0.cov", "1"), d)
-            if family == "grid":  # its grid is built on load; N(p0_mean, p0_cov) must exist
-                _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
+            p0_law = _built("p0", ga.GaussianMeasure, p0_mean, p0_cov)
 
         gamma = _num(take("gamma"))
         if not (0 < gamma < 2):
@@ -283,7 +276,7 @@ def parse_config(text: str) -> RunConfig:
         if eps_inv < 0:
             raise ConfigError("eps_inv must be nonnegative")
         n_raw = take("n")
-        n_steps = "auto" if n_raw == "auto" else int(n_raw)
+        n_steps = "auto" if n_raw == "auto" else _step_count(int(n_raw), "n =")
         if n_steps == "auto":
             if len(eps) != 1 or eps[0] == 0:
                 raise ConfigError(f"n = auto derives the step count from a single eps > 0, "
@@ -306,21 +299,17 @@ def parse_config(text: str) -> RunConfig:
 
     if raw:
         raise ConfigError(f"unrecognized keys: {sorted(raw)}")
-    cfg = RunConfig(
-        spec=spec, family=family, m=m, p0_mean=p0_mean,
-        p0_cov=p0_cov, p0_atoms=p0_atoms, p0_delta=p0_delta, gamma=gamma,
-        eps=eps, eps_inv=eps_inv, n_steps=n_steps, seed=seed, mode=mode,
-        checks=checks,
-    )
-    # a Gaussian config's pi and p0 are built here, once per command; parse_config builds
-    # no grid, so a run id loads no scipy
-    return _built_measures(cfg) if family == "gaussian" else cfg
+    # p0's law and pi are built above, once per command; parse_config renders neither on a
+    # grid, so a run id loads no scipy
+    return RunConfig(spec=spec, family=family, m=m, p0_law=p0_law, p0_delta=p0_delta,
+                     gamma=gamma, eps=eps, eps_inv=eps_inv, n_steps=n_steps, seed=seed,
+                     mode=mode, checks=checks)
 
 
 def _built_measures(cfg: RunConfig) -> RunConfig:
-    """cfg, once its pi and p0 are built, the ones every stage of its run reads (ConfigError
-    when one does not exist or a grid's quantiles collapse).  pi reads only M: built first,
-    it smooths no atoms."""
+    """cfg, once its pi and p0 are built in its family, the ones every stage of its run reads
+    (ConfigError when a grid's quantiles collapse).  pi reads only M: built first, it smooths
+    no atoms."""
     _built("the minimizer N(center, alpha lambda_mat^-1)", lambda: cfg.minimizer)
     _built("p0", lambda: cfg.p0)
     return cfg

@@ -18,6 +18,7 @@ __all__ = [
     "QuantileGrid",
     "MonotoneMap1D",
     "from_gaussian",
+    "from_gaussian_measure",
     "ot_map",
     "apply_map",
     "amplitude_cap",
@@ -129,12 +130,10 @@ class QuantileGrid:
         return float(np.mean(t.y))  # image(t)'s, building no measure
 
     def minimizer(self, spec) -> QuantileGrid:
-        """The global minimizer of G, N(mu*, alpha / lambda), at this grid's M quantile points."""
-        pot = spec.potential
-        if pot.dim != 1:
+        """The global minimizer of G, spec.gaussian_minimizer, at this grid's M quantile points."""
+        if spec.potential.dim != 1:
             raise ValueError("grid family requires a 1-D objective")
-        sd = math.sqrt(spec.alpha * (1.0 / float(pot.lambda_mat[0, 0])))  # GaussianMeasure's bits
-        return from_gaussian(float(pot.center[0]), sd, self.m)
+        return from_gaussian_measure(spec.gaussian_minimizer, self.m)
 
     @staticmethod
     def objectives(spec, measures) -> list[float]:
@@ -295,6 +294,11 @@ def from_gaussian(mean: float, sd: float, m: int) -> QuantileGrid:
     from scipy.special import ndtri  # loaded here, so only grid measures pay for scipy.special
 
     return QuantileGrid(mean + sd * ndtri(midpoints(m)))
+
+
+def from_gaussian_measure(g, m: int) -> QuantileGrid:
+    """The 1-D GaussianMeasure g at the M midpoints: from_gaussian of its mean and sqrt(cov)."""
+    return from_gaussian(float(g.mean[0]), math.sqrt(float(g.cov[0, 0])), m)
 
 
 def _check_same_m(p: QuantileGrid, q: QuantileGrid):

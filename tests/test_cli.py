@@ -91,6 +91,22 @@ eps = 0.05
 n = 2
 """
 
+# a weighted d = 2 Gaussian config with an eps schedule
+WEIGHTED_D2 = """
+family = gaussian
+objective.variant = weighted
+objective.alpha = 0.5
+objective.center = 0 1
+objective.lambda_mat = 1 0.2; 0.2 2
+p0.mean = 1 -1
+p0.cov = 2 0.3; 0.3 0.5
+gamma = 1.0
+eps = 0.1 0.05
+eps_inv = 0.001
+n = 2
+mode = dilation
+"""
+
 
 def from_minimizer(text, n):
     """`text` with p0 = N(0, 1), the minimizer of its objective, and n steps."""
@@ -110,8 +126,10 @@ def run(args, tmp_path):
 
 
 class TestParseConfig:
-    def test_round_trip_is_identity(self):
-        cfg = cli.parse_config(BASE_GAUSS)
+    @pytest.mark.parametrize("text", [BASE_GAUSS, BASE_GRID, BASE_ATOMS, WEIGHTED_D2],
+                             ids=["gaussian", "grid", "atoms", "weighted_d2_schedule"])
+    def test_round_trip_is_identity(self, text):
+        cfg = cli.parse_config(text)
         canon = cfg.canonical()
         cfg2 = cli.parse_config(canon)
         assert cfg2.canonical() == canon
@@ -159,9 +177,49 @@ class TestParseConfig:
 
     def test_atoms_parse(self):
         cfg = cli.parse_config(BASE_ATOMS)
-        assert cfg.p0_mean is None and cfg.p0_cov is None
-        assert cfg.p0_atoms.n_atoms == 2
+        assert not isinstance(cfg.p0_law, ga.GaussianMeasure)
+        assert cfg.p0_law.n_atoms == 2
         assert cfg.p0_delta == 0.2
+
+    def test_atom_weights_are_written_as_floats(self):
+        # not numpy's scalar repr (np.float64(0.5)), which the parser cannot read back
+        assert "p0.atoms = -1.0 0.5; 1.0 0.5\n" in cli.parse_config(BASE_ATOMS).canonical()
+
+    def test_a_gaussian_configs_p0_is_its_law(self):
+        cfg = cli.parse_config(BASE_GAUSS)
+        assert cfg.p0 is cfg.p0_law
+        assert cfg.p0_delta == 0.0
+        assert np.array_equal(cfg.p0_law.mean, [2.0]) and np.array_equal(cfg.p0_law.cov, [[4.0]])
+
+    def test_a_grid_configs_p0_is_its_law_at_the_quantile_points(self):
+        cfg = cli.parse_config(BASE_GRID)
+        law = cfg.p0_law
+        assert isinstance(law, ga.GaussianMeasure)
+        expected = qt.from_gaussian(float(law.mean[0]), float(np.sqrt(law.cov[0, 0])), cfg.m)
+        assert np.array_equal(cfg.p0.values, expected.values)
+        assert np.array_equal(cfg.p0.values, qt.from_gaussian(1.5, 1.5, 128).values)
+
+    def test_parsing_a_grid_config_builds_only_the_gaussians_it_keeps(self, monkeypatch):
+        built = []
+        post_init = ga.GaussianMeasure.__post_init__
+        monkeypatch.setattr(ga.GaussianMeasure, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        cfg = cli.parse_config(BASE_GRID)
+        # pi, at the objective's keys, then p0's law: none is built and dropped
+        assert len(built) == 2
+        assert built[0] is cfg.spec.gaussian_minimizer and built[1] is cfg.p0_law
+
+    def test_a_nearly_symmetric_p0_cov_is_canonical_as_its_symmetrization(self):
+        rng = np.random.default_rng(35)
+        cov = rotated(rng, [0.5, 1.0, 3.0])
+        skewed = cov + np.triu(1e-14 * np.abs(cov).max() * rng.uniform(0.5, 1.0, (3, 3)), 1)
+        assert not np.array_equal(skewed, skewed.T)
+        sym = 0.5 * (skewed + skewed.T)
+        a = cli.parse_config(gaussian_config("1", np.zeros(3), skewed))
+        b = cli.parse_config(gaussian_config("1", np.zeros(3), sym))
+        assert a.canonical() == b.canonical()
+        assert a.run_id() == b.run_id()
+        assert f"p0.cov = {cli._fmt_matrix(sym)}\n" in a.canonical()
 
     def test_auto_n_requires_positive_eps(self):
         with pytest.raises(cli.ConfigError, match="single eps > 0"):
@@ -574,6 +632,26 @@ def test_grid_bump_seed_once_said_to_fail_exits_0(tmp_path):
 
 
 class TestExitCodes:
+    def test_an_explicit_step_count_too_large_for_a_list_is_config_error(self, tmp_path, capsys):
+        # the schedule eps * N used to raise OverflowError: an internal error, exit 70
+        text = BASE_GAUSS.replace("n = 5", "n = 100000000000000000000")
+        with pytest.raises(cli.ConfigError, match="n = 100000000000000000000 steps"):
+            cli.parse_config(text)
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_an_auto_step_count_too_large_for_a_list_is_config_error(self, tmp_path, capsys):
+        # N = 8 / (gamma lambda) (log W2(p0, pi) + log(lambda / eps)), about 2.4e301 here
+        text = BASE_GAUSS.replace("n = 5", "n = auto").replace("gamma = 1.0", "gamma = 1e-300")
+        cfg = cli.parse_config(text)  # the step count is derived on load
+        with pytest.raises(cli.ConfigError, match=r"n = auto derives N = \d{300,} steps"):
+            cfg.resolve_n()
+        cfgp = write(tmp_path, "c.txt", text)
+        assert run(["forward", "--config", cfgp], tmp_path) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: n = auto derives N =" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("edit", [("eps = 0.1", "eps = nan"), ("eps = 0.1", "eps = inf"),
                                       ("p0.cov = 4", "p0.cov = 0")],
                              ids=["eps_nan", "eps_inf", "cov_zero"])
@@ -1189,7 +1267,7 @@ class TestP0Check:
         text = gaussian_config("1", np.zeros(3), cov)
         if above:
             assert np.array_equal(ga.GaussianMeasure(np.zeros(3), cov).cov, cov)
-            assert np.array_equal(cli.parse_config(text).p0_cov, cov)
+            assert np.array_equal(cli.parse_config(text).p0_law.cov, cov)
         else:
             with pytest.raises(ValueError, match="not positive definite"):
                 ga.GaussianMeasure(np.zeros(3), cov)

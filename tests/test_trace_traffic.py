@@ -34,8 +34,9 @@ def test_two_tiny_configs(tmp_path):
     for name, text in (("gauss.txt", GAUSS), ("grid.txt", GRID)):
         (tmp_path / name).write_text(text)
         paths += ["--config", str(tmp_path / name)]
-    proc = subprocess.run([sys.executable, SCRIPT, *paths], capture_output=True, text=True,
-                          timeout=120)
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, SCRIPT, *paths, "--out", str(out)],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     unentered = {line.rsplit(": ", 1)[1] for line in lines[:-1]}
@@ -48,3 +49,9 @@ def test_two_tiny_configs(tmp_path):
         assert name not in unentered
     assert lines[-1].endswith("functions in src/jkolab entered by no run")
     assert lines[-1].startswith(f"{len(unentered)} of ")
+    # --out keeps each config's run files, and the sweep's, in DIR
+    for config, eps_inv in (("config0", True), ("config1", False)):
+        suffixes = {f.name.split("_", 1)[1] for f in (out / config).iterdir()}
+        assert suffixes == {"config.txt", "forward.csv", "trajectory.npz", "report.csv",
+                            *(["reverse_perturbed.npz", "reverse_perturbed.csv"] * eps_inv)}
+    assert (out / "sweep" / "report_summary.csv").is_file()
